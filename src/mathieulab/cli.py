@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import certlab, momlab, opimage, radlab, ufdlab
-from .corealg import QQ, format_poly, parse_poly, parse_rational
+from .corealg import QQ, QQ_POLY, format_poly, parse_poly, parse_rational, parse_ring_element
 from .errors import AlgebraError
 from .opimage import parse_operator
 from .momlab import parse_weight
@@ -107,9 +107,7 @@ def _space_from_arg(text: str) -> radlab.CofiniteSubspace:
 
 
 def _space_diagnostics(space: radlab.CofiniteSubspace) -> list[str]:
-    from .corealg import format_poly as fp
-
-    return [f"factor {fp(p)} exceeds degree 3; irreducibility trusted, not verified"
+    return [f"factor {format_poly(p)} exceeds degree 3; irreducibility trusted, not verified"
             for p in space.unverified_factors]
 
 
@@ -187,8 +185,6 @@ def _cmd_absorb_bound(args):
 
 
 def _cmd_gcd_lift(args):
-    from .corealg import QQ_POLY, parse_ring_element
-
     a = parse_ring_element(args.a, QQ_POLY)
     elements = [parse_ring_element(p, QQ_POLY) for p in args.elements.split(",") if p.strip()]
     u, lifted = ufdlab.gcd_lift(a, elements)

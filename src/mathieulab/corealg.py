@@ -558,28 +558,17 @@ def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise BadInput("Euclidean division needs field coefficients")
     if g.is_zero:
         raise DivisionByZero("division by the zero polynomial")
-    num = list(f.qq_coeffs())
-    den = g.qq_coeffs()
-    dg = len(den) - 1
-    if len(num) - 1 < dg:
+    if f.degree < g.degree:
         return poly_zero(f.ring), f
-    lead = den[-1]
-    q = [_F0] * (len(num) - dg)
-    for k in range(len(num) - 1, dg - 1, -1):
-        c = num[k]
-        if c:
-            c = c / lead
-            q[k - dg] = c
-            for j in range(dg + 1):
-                num[k - dg + j] -= c * den[j]
-    return qq_poly(q), qq_poly(num[:dg])
+    q, r = _tdivmod(f.qq_coeffs(), g.qq_coeffs())
+    return qq_poly(q), qq_poly(r)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over QQ."""
-    while not g.is_zero:
-        f, g = g, euclid_divmod(f, g)[1]
-    return f.monic() if not f.is_zero else f
+    if f.ring != g.ring:
+        raise RingMismatch("operands in different rings")
+    return qq_poly(_tgcd(f.qq_coeffs(), g.qq_coeffs()))
 
 
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -612,26 +601,23 @@ def squarefree_part(value):
     in the radical of the principal ideal (a) is exactly divisibility by
     the squarefree part (characteristic zero).
     """
+    if not isinstance(value, (Poly, RingElement)):
+        raise BadInput("unsupported operand for squarefree part")
+    if isinstance(value, Poly) and not value.ring.is_field:
+        raise BadInput("squarefree part of a t-polynomial requires ring QQ")
+    if value.is_zero:
+        raise ZeroInput("squarefree part of zero")
     if isinstance(value, Poly):
-        if not value.ring.is_field:
-            raise BadInput("squarefree part of a t-polynomial requires ring QQ")
-        if value.is_zero:
-            raise ZeroInput("squarefree part of zero")
-        g = poly_gcd(value, value.derivative())
-        return euclid_divmod(value, g)[0].monic()
-    if isinstance(value, RingElement):
-        if value.is_zero:
-            raise ZeroInput("squarefree part of zero")
-        if value.ring.kind == "QQ":
-            return ring_scalar(value.ring, 1)
-        if value.ring.kind != "QQ_POLY":
-            raise BadInput("squarefree part requires QQ or QQ_POLY")
-        g = _tgcd(value.data, _tderiv(value.data))
-        q, r = _tdivmod(value.data, g)
-        assert not r
-        lead = q[-1]
-        return RingElement(value.ring, tuple(v / lead for v in q))
-    raise BadInput("unsupported operand for squarefree part")
+        data = value.qq_coeffs()
+    elif value.ring.kind == "QQ":
+        return ring_scalar(value.ring, 1)
+    elif value.ring.kind == "QQ_POLY":
+        data = value.data
+    else:
+        raise BadInput("squarefree part requires QQ or QQ_POLY")
+    q = _tdivmod(data, _tgcd(data, _tderiv(data)))[0]
+    q = tuple(v / q[-1] for v in q)
+    return qq_poly(q) if isinstance(value, Poly) else RingElement(value.ring, q)
 
 
 # --------------------------------------------------------------------------
@@ -784,6 +770,20 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"bad rational literal {text!r}") from exc
+
+
+def parse_key_values(text: str, what: str, sep: str = ",") -> dict[str, str]:
+    """The ``key=value`` pieces of ``text`` split at ``sep``; empty pieces are skipped."""
+    args = {}
+    for piece in text.split(sep):
+        piece = piece.strip()
+        if not piece:
+            continue
+        key, eq, val = piece.partition("=")
+        if not eq:
+            raise BadInput(f"bad {what} argument {piece!r}")
+        args[key.strip()] = val.strip()
+    return args
 
 
 def _term_strings(p: Poly):

@@ -42,20 +42,6 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
     return rows[:r], pivots
 
 
-def reduce_against(rref_rows: Mat, pivots: list[int], vec: Sequence[Fraction]) -> Vec:
-    """Residual of ``vec`` after elimination by an rref basis."""
-    out = list(map(Fraction, vec))
-    for row, p in zip(rref_rows, pivots):
-        c = out[p]
-        if c != 0:
-            out = [a - c * b for a, b in zip(out, row)]
-    return out
-
-
-def in_row_span(rref_rows: Mat, pivots: list[int], vec: Sequence[Fraction]) -> bool:
-    return all(v == 0 for v in reduce_against(rref_rows, pivots, vec))
-
-
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[Vec]:
     """One exact solution of A x = b (free variables set to zero), or None."""
     nrows = len(a)
@@ -94,6 +80,3 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> Mat:
         basis.append(vec)
     return basis
 
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[0])

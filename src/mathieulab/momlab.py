@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .corealg import Poly, QQ, parse_rational, t_monomial
+from .corealg import Poly, QQ, parse_key_values, parse_rational, t_monomial
 from .errors import BadInput, BadPair, BadWeight, Degenerate
 from .opimage import (
     JacobiOperator,
@@ -91,30 +91,24 @@ WeightSpec = Union[HermiteWeight, LaguerreWeight, JacobiWeight, AtomicWeight]
 
 
 def parse_weight(text: str) -> WeightSpec:
-    head, sep, rest = text.partition(":")
+    head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "hermite":
         if rest.strip():
             raise BadInput("hermite takes no parameters")
         return HermiteWeight()
-    args = {}
-    if sep:
-        for piece in rest.split(";" if head == "atomic" else ","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, eq, val = piece.partition("=")
-            if not eq:
-                raise BadInput(f"bad weight argument {piece!r}")
-            args[key.strip()] = val.strip()
-    if head == "laguerre":
-        return LaguerreWeight(parse_rational(args["alpha"]))
-    if head == "jacobi":
-        return JacobiWeight(parse_rational(args["alpha"]), parse_rational(args["beta"]))
-    if head == "atomic":
-        points = [parse_rational(v) for v in args["points"].split(",")]
-        weights = [parse_rational(v) for v in args["weights"].split(",")]
-        return AtomicWeight(tuple(points), tuple(weights))
+    args = parse_key_values(rest, "weight", ";" if head == "atomic" else ",")
+    try:
+        if head == "laguerre":
+            return LaguerreWeight(parse_rational(args["alpha"]))
+        if head == "jacobi":
+            return JacobiWeight(parse_rational(args["alpha"]), parse_rational(args["beta"]))
+        if head == "atomic":
+            points = [parse_rational(v) for v in args["points"].split(",")]
+            weights = [parse_rational(v) for v in args["weights"].split(",")]
+            return AtomicWeight(tuple(points), tuple(weights))
+    except KeyError as exc:
+        raise BadInput(f"{head} weight needs {exc.args[0]}=") from exc
     raise BadInput(f"unknown weight {head!r}")
 
 

@@ -28,6 +28,7 @@ from typing import Optional, Union
 from .corealg import (
     Poly,
     QQ,
+    parse_key_values,
     parse_rational,
     poly_zero,
     qq_poly,
@@ -95,18 +96,9 @@ def laguerre_operator(alpha) -> MonomialOperator:
 
 
 def parse_operator(text: str) -> OperatorSpec:
-    head, sep, rest = text.partition(":")
+    head, _, rest = text.partition(":")
     head = head.strip().lower()
-    args = {}
-    if sep:
-        for piece in rest.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, eq, val = piece.partition("=")
-            if not eq:
-                raise BadInput(f"bad operator argument {piece!r}")
-            args[key.strip()] = val.strip()
+    args = parse_key_values(rest, "operator")
     if head == "mono":
         known = {"c", "alpha", "lambda", "d"}
         if set(args) - known:

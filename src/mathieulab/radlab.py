@@ -1,10 +1,12 @@
 """Radical probing and the Mathieu verdict engine for cofinite subspaces.
 
 A subspace V of QQ[t] containing a nonzero ideal (g) is described by the
-factored modulus g and a basis of its image in QQ[t]/(g).  For such spaces
-the key questions — does every large power of f land in V, what is the
-largest ideal inside V, is V a Mathieu subspace — reduce to finite exact
-linear algebra:
+factored modulus g and a basis of its image in QQ[t]/(g).  Internally V/(g)
+is held as the kernel of its annihilator: rows lam in coefficient
+coordinates with V/(g) = {v : lam . v = 0}.  For such spaces the key
+questions — does every large power of f land in V, what is the largest
+ideal inside V, is V a Mathieu subspace — reduce to finite exact linear
+algebra:
 
 * membership of f^m in V for every m in the window [D, 2D] (D = deg g)
   already decides membership for *all* large m.  The powers of f in the
@@ -17,6 +19,10 @@ linear algebra:
   recurrence argument applies to the sequence a^m * b, which makes the
   absorption condition behind the Mathieu property exactly decidable per
   pair (a, b).
+* the largest ideal inside V has as image in QQ[t]/(g) the common kernel
+  of lam M^j (j < D), M the multiplication by t, and its generator is the
+  gcd of g with lifts of a kernel basis; this needs no factorization of g
+  and no enumeration of its divisors.
 * a cofinite V is a Mathieu subspace exactly when the radical of V equals
   the radical of its largest interior ideal; refuting equality needs one
   element on the gap, which is searched among Chinese-remainder idempotent
@@ -33,6 +39,7 @@ order.  For split moduli these are plain point evaluations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -57,40 +64,57 @@ from .errors import BadInput, ZeroInput
 from .opimage import OperatorSpec, member
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 NOT_MATHIEU = "NOT_MATHIEU"
 MATHIEU_EXACT = "MATHIEU_EXACT"
 CONSISTENT_UP_TO_BUDGET = "CONSISTENT_UP_TO_BUDGET"
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def _has_rational_root(f: Poly) -> bool:
-    """Rational-root test for integer-cleared coefficients."""
-    coeffs = f.qq_coeffs()
-    import math
+    """Rational-root test for a factor of degree 2 or 3, polynomial in its size.
 
+    With f cleared to integer coefficients a_0..a_n, s = a_n t turns
+    a_n^(n-1) f into the monic integer polynomial h(s) = sum a_i a_n^(n-1-i) s^i,
+    whose rational roots are integers bounded by the Cauchy bound.  Between
+    consecutive critical points h is monotone on the integers, so each piece
+    is searched by bisection.
+    """
+    coeffs = f.qq_coeffs()
     scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    if ints[0] == 0:
-        return True  # root at 0
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if f.evaluate(cand) == 0:
-                    return True
+    a = [int(c * scale) for c in coeffs]
+    n = len(a) - 1
+    h = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
+
+    def value(s: int) -> int:
+        acc = 0
+        for c in reversed(h):
+            acc = acc * s + c
+        return acc
+
+    bound = 1 + max(abs(c) for c in h[:-1])
+    # integer floors of the critical points, i.e. of the real roots of h'
+    if n == 2:
+        splits = [-h[1] // 2]
+    elif (disc := h[2] ** 2 - 3 * h[1]) > 0:
+        root = math.isqrt(disc)
+        splits = [(-h[2] - root - (root * root != disc)) // 3, (-h[2] + root) // 3]
+    else:
+        splits = []
+    edges = [-bound - 1] + [min(max(k, -bound - 1), bound) for k in splits] + [bound]
+    for lo, hi in zip(edges, edges[1:]):
+        lo += 1  # the piece is the integers in (edge, next edge]
+        if lo > hi:
+            continue
+        rising = value(hi) >= value(lo)
+        while lo < hi:  # first s in the piece whose value reaches 0
+            mid = (lo + hi) // 2
+            v = value(mid)
+            if v >= 0 if rising else v <= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if value(lo) == 0:
+            return True
     return False
 
 
@@ -156,8 +180,9 @@ class CofiniteSubspace:
             else:
                 raise BadInput(f"unknown basis coordinate system {basis_coords!r}")
         self._basis = tuple(tuple(v) for v in converted)
-        self._rref, self._pivots = linalg.rref(self._basis) if self._basis else ([], [])
-        if len(self._rref) != len(self._basis):
+        # annihilator rows: V/(g) = {v : lam . v = 0 for every row lam}
+        self._ann = linalg.nullspace(self._basis or [[_F0] * self.dim])
+        if len(self._ann) + len(self._basis) != self.dim:
             raise BadInput("basis vectors are linearly dependent")
 
     # -- coordinate maps -------------------------------------------------
@@ -188,7 +213,7 @@ class CofiniteSubspace:
     # -- membership --------------------------------------------------------
 
     def contains_vec(self, coeff_vec: Sequence[Fraction]) -> bool:
-        return linalg.in_row_span(self._rref, self._pivots, coeff_vec)
+        return all(sum(l * v for l, v in zip(lam, coeff_vec)) == 0 for lam in self._ann)
 
     def contains(self, f: Poly) -> bool:
         return self.contains_vec(self.reduce_vec(f))
@@ -288,13 +313,20 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     Cayley-Hamilton recurrence described in the module docstring this window
     is equivalent to eventual membership.
     """
+    return _window_holds(space, f)
+
+
+def _window_holds(space: CofiniteSubspace, a: Poly, b: Optional[Poly] = None) -> bool:
+    """Is a^m * b in V for every m in [D, 2D]?  (b defaults to 1.)"""
     d = space.dim
-    fbar = space.mod(f)
-    power = space.pow_mod(fbar, d)
+    abar = space.mod(a)
+    current = space.pow_mod(abar, d)
+    if b is not None:
+        current = space.mod(current * b)
     for _ in range(d, 2 * d + 1):
-        if not space.contains(power):
+        if not space.contains(current):
             return False
-        power = space.mod(power * fbar)
+        current = space.mod(current * abar)
     return True
 
 
@@ -313,32 +345,27 @@ def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
 
 
 def largest_ideal(space: CofiniteSubspace) -> Poly:
-    """Monic generator of the largest ideal contained in V.
+    """Monic generator of the largest ideal contained in V, by linear algebra.
 
-    Every candidate generator divides g; (d) ⊆ V holds iff d, d*t, ...,
-    d*t^(deg g - deg d - 1) all lie in V, because those products span the
-    image of (d) in QQ[t]/(g).  The result is the gcd of the passing
-    divisors (the sum of the passing ideals).
+    With M the multiplication by t on QQ[t]/(g), v lies in the image of the
+    largest ideal iff t^j v lies in V/(g) for every j < deg g, i.e. iff
+    (lam M^j) . v = 0 for every annihilator row lam (Cayley-Hamilton bounds
+    j).  That image is an ideal (h)/(g) with h | g, and h is the gcd of g
+    and the lifts of any basis of it.  Nothing here assumes the factors of g
+    are irreducible.
     """
-    t = t_monomial(QQ, 1)
-    passing = []
-    ranges = [range(m + 1) for _, m in space.factors]
-    for exponents in itertools.product(*ranges):
-        divisor = poly_one(QQ)
-        for (p, _), e in zip(space.factors, exponents):
-            divisor = divisor * p ** e
-        prod = divisor
-        ok = True
-        for _ in range(space.dim - divisor.degree):
-            if not space.contains(prod):
-                ok = False
-                break
-            prod = prod * t
-        if ok:
-            passing.append(divisor)
-    out = passing[0]
-    for p in passing[1:]:
-        out = poly_gcd(out, p)
+    if not space._ann:
+        return poly_one(QQ)
+    g = space.modulus.qq_coeffs()
+    rows = []
+    for lam in space._ann:
+        for _ in range(space.dim):
+            rows.append(lam)
+            # lam M: shift down, the top slot picks up t^D = -sum g_k t^k
+            lam = lam[1:] + [-sum(gk * lk for gk, lk in zip(g, lam))]
+    out = space.modulus
+    for vec in linalg.nullspace(rows):
+        out = poly_gcd(out, qq_poly(vec))
     return out
 
 
@@ -356,19 +383,6 @@ def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Po
     if last_out == budget:
         return None
     return last_out + 1
-
-
-def _definition_holds_exactly(space: CofiniteSubspace, a: Poly, b: Poly) -> bool:
-    """Exact decision of 'a^m b in V for all large m' via the [D, 2D] window."""
-    d = space.dim
-    abar = space.mod(a)
-    bbar = space.mod(b)
-    current = space.mod(space.pow_mod(abar, d) * bbar)
-    for _ in range(d, 2 * d + 1):
-        if not space.contains(current):
-            return False
-        current = space.mod(current * abar)
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -420,10 +434,9 @@ def _atomic_positive_radical(space: CofiniteSubspace) -> Optional[Poly]:
     d = space.dim
     if len(space._basis) != d - 1:
         return None
-    ann = linalg.nullspace(list(space._basis)) if space._basis else []
-    if len(ann) != 1:
+    if len(space._ann) != 1:
         return None
-    lam = ann[0]
+    lam = space._ann[0]
     roots = [-p.coeff(0).data for p, _ in space.factors]
     vandermonde = [[r ** j for r in roots] for j in range(d)]
     weights = linalg.solve_linear(vandermonde, lam)
@@ -533,7 +546,7 @@ def mathieu_check(space: CofiniteSubspace, config: Optional[SearchConfig] = None
         witness_b = None
         for j in range(space.dim):
             mono = t_monomial(QQ, j)
-            if not _definition_holds_exactly(space, cand, mono):
+            if not _window_holds(space, cand, mono):
                 witness_b = mono
                 break
         if witness_b is None:

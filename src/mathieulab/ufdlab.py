@@ -34,10 +34,12 @@ from .corealg import (
     Ring,
     RingElement,
     exact_divide,
+    parse_key_values,
     parse_poly,
     parse_ring_element,
     poly_one,
     poly_zero,
+    qq_poly_trunc,
     ring_gcd,
     ring_scalar,
     squarefree_part,
@@ -77,10 +79,10 @@ def parse_ufd_context(text: str) -> UfdContext:
     head, _, rest = text.partition(":")
     if head.strip().lower() != "ufd":
         raise BadInput(f"expected a 'ufd:' context, got {text!r}")
-    key, eq, val = rest.partition("=")
-    if key.strip() != "a" or not eq:
+    args = parse_key_values(rest, "context")
+    if set(args) != {"a"}:
         raise BadInput("ufd context needs a single a=<element> argument")
-    return UfdContext(QQ_POLY, parse_ring_element(val.strip(), QQ_POLY))
+    return UfdContext(QQ_POLY, parse_ring_element(args["a"], QQ_POLY))
 
 
 def member_ufd(ctx: UfdContext, f: Poly) -> tuple[bool, Optional[Poly]]:
@@ -243,19 +245,9 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     head, _, rest = text.partition(":")
     if head.strip().lower() != "trunc":
         raise BadInput(f"expected a 'trunc:' context, got {text!r}")
-    args = {}
-    for piece in rest.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        key, eq, val = piece.partition("=")
-        if not eq:
-            raise BadInput(f"bad context argument {piece!r}")
-        args[key.strip()] = val.strip()
+    args = parse_key_values(rest, "context")
     if set(args) != {"k", "c", "a"}:
         raise BadInput("trunc context needs exactly k=, c= and a=")
-    from .corealg import qq_poly_trunc
-
     ring = qq_poly_trunc(int(args["k"]))
     c = parse_ring_element(args["c"], ring)
     a = parse_poly(args["a"], ring)

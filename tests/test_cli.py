@@ -111,6 +111,25 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_malformed_spec_arguments_exit_2(capsys):
+    cases = (
+        (("moments", "--weight", "laguerre", "--upto", "2"), "BAD_INPUT"),
+        (("moments", "--weight", "jacobi:alpha=1", "--upto", "2"), "BAD_INPUT"),
+        (("moments", "--weight", "atomic:points=0,1", "--upto", "2"), "BAD_INPUT"),
+        (("moments", "--weight", "jacobi:alpha", "--upto", "2"), "BAD_INPUT"),
+        (("member", "--op", "mono:c=1,alpha", "--poly", "t"), "BAD_INPUT"),
+        (("member", "--op", "mono:gamma=1", "--poly", "t"), "BAD_INPUT"),
+        (("ufd-member", "--ctx", "ufd:a", "--poly", "t"), "BAD_INPUT"),
+        (("ufd-member", "--ctx", "ufd:a=x,b=x", "--poly", "t"), "BAD_INPUT"),
+        (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),
+        (("surjective", "--ctx", "trunc:k=2,c=1", "--deg-bound", "2"), "BAD_INPUT"),
+    )
+    for argv, code in cases:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and not out, argv
+        assert json.loads(err)["code"] == code, argv
+
+
 def test_seed_determinism(capsys):
     argv = ["mathieu", "--space", '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}']
     outputs = set()

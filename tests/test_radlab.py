@@ -4,8 +4,11 @@ The window rule behind the exact radical decision is cross-checked here
 against an independent oracle built from multiplication matrices.
 """
 
+import itertools
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -90,6 +93,58 @@ def test_space_validation():
     assert len(quartic.unverified_factors) == 1  # trusted but flagged
 
 
+def has_rational_root_by_divisors(f):
+    """Reference: rational-root theorem by enumerating divisors of the end terms."""
+    coeffs = f.qq_coeffs()
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    if ints[0] == 0:
+        return True
+
+    def divisors(n):
+        return [i for i in range(1, abs(n) + 1) if n % i == 0]
+
+    return any(f.evaluate(Fraction(sign * p, q)) == 0
+               for p in divisors(ints[0]) for q in divisors(ints[-1]) for sign in (1, -1))
+
+
+def factor_is_accepted(f):
+    try:
+        CofiniteSubspace([(f, 1)], [])
+    except BadInput:
+        return False
+    return True
+
+
+def test_factor_validation_matches_divisor_enumeration():
+    rng = random.Random(2017)
+    for _ in range(400):
+        degree = rng.choice((2, 3))
+        if rng.random() < 0.5:
+            # plant a rational root p/q so reducible factors are common
+            root = qq_poly([-Fraction(rng.randint(-30, 30), rng.randint(1, 6)), 1])
+            rest = qq_poly([rng.randint(-9, 9) for _ in range(degree - 1)] + [rng.randint(1, 5)])
+            f = root * rest
+        else:
+            f = qq_poly([Fraction(rng.randint(-60, 60), rng.randint(1, 4)) for _ in range(degree)]
+                        + [rng.randint(1, 7)])
+        if f.degree != degree:
+            continue
+        assert factor_is_accepted(f) == (not has_rational_root_by_divisors(f)), f
+
+
+def test_factor_validation_is_fast_on_large_constants():
+    big = 10 ** 19 + 51  # 20 digits, neither a square nor a cube
+    start = time.perf_counter()
+    assert factor_is_accepted(parse_poly(f"t^2 - {big}"))
+    assert factor_is_accepted(parse_poly(f"t^3 - {big}"))
+    assert factor_is_accepted(parse_poly(f"{big}*t^3 - t - 1"))
+    assert not factor_is_accepted(parse_poly(f"t^2 - {big ** 2}"))
+    assert not factor_is_accepted(parse_poly(f"t^3 - {big ** 3}"))
+    assert not factor_is_accepted(qq_poly([-big, 7]) * parse_poly("t^2 + 1"))
+    assert time.perf_counter() - start < 2.0
+
+
 # -- probes -------------------------------------------------------------
 
 def test_radical_probe_examples():
@@ -120,12 +175,34 @@ def test_largest_ideal_examples():
     assert largest_ideal(full) == poly_one()
 
 
-def test_largest_ideal_maximality():
-    import itertools
+def random_spaces(seed, count):
+    """Seeded random cofinite spaces over split, non-split and non-reduced moduli."""
+    rng = random.Random(seed)
+    pool = ["t", "t - 1", "t + 2", "t^2 + 1", "t^2 - 2", "t^2 + t + 1", "t^3 - 2"]
+    spaces = []
+    while len(spaces) < count:
+        factors = [(parse_poly(p), rng.randint(1, 2)) for p in rng.sample(pool, rng.randint(1, 3))]
+        dim = sum(p.degree * m for p, m in factors)
+        if dim > 7:
+            continue
+        # an ideal (d) with d | g, plus a few random vectors (coefficient coordinates)
+        d = poly_one()
+        for p, m in factors:
+            d = d * p ** rng.randint(0, m)
+        basis = [list((d * t_monomial(QQ, j)).qq_coeffs()) + [0] * (dim - d.degree - j - 1)
+                 for j in range(dim - d.degree)] if rng.random() < 0.7 else []
+        basis += [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+        try:
+            spaces.append(CofiniteSubspace(factors, basis, basis_coords="coefficient"))
+        except BadInput:
+            continue  # dependent basis
+    return spaces
 
-    spaces = (VALUE_SUM, VALUE_EQUAL, atomic_space([0, 1, 2], [1, 1, 1]),
+
+def test_largest_ideal_maximality():
+    spaces = [VALUE_SUM, VALUE_EQUAL, atomic_space([0, 1, 2], [1, 1, 1]),
               CofiniteSubspace([(parse_poly("t"), 2), (parse_poly("t - 1"), 1)],
-                               [[0, 1, 0], [1, 0, -1]]))
+                               [[0, 1, 0], [1, 0, -1]])] + random_spaces(41, 60)
     for space in spaces:
         h = largest_ideal(space)
         ranges = [range(m + 1) for _, m in space.factors]
@@ -144,6 +221,15 @@ def test_largest_ideal_maximality():
                 assert poly_divides(h, divisor)
             if divisor.degree < h.degree:
                 assert not contained
+
+
+def test_largest_ideal_with_reducible_trusted_factor():
+    # t^4 - 1 = (t - 1)(t + 1)(t^2 + 1) is trusted unchecked; the space is
+    # {f : f(1) = 0}, whose largest ideal is (t - 1), not (t^4 - 1)
+    space = CofiniteSubspace([(parse_poly("t^4 - 1"), 1)],
+                             [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+    assert space.unverified_factors
+    assert largest_ideal(space) == parse_poly("t - 1")
 
 
 def test_radical_member_examples():
