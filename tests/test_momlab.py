@@ -1,6 +1,8 @@
 """Moment functionals: examples, recursion oracles, orthogonality."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,16 +28,37 @@ from mathieulab.opimage import JacobiOperator
 from mathieulab.radlab import radical_probe
 
 
-def jacobi_moment_by_recursion(alpha, beta, n):
-    """Independent oracle: integration by parts of d/dt[t^n (1-t)^(a+1) (1+t)^(b+1)]
-    gives the three-term relation (n+a+b+2) nu_(n+1) = n nu_(n-1) + (b-a) nu_n."""
+def jacobi_moment_closed_form(alpha, beta, n):
+    """Independent oracle: substituting t = 1 - 2u turns the Jacobi weight into
+    the Beta(a+1, b+1) density, so nu_n = sum_k (-1)^k C(n,k) 2^k E[u^k] with
+    E[u^k] = prod_{j=1..k} (a+j)/(a+b+1+j)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    nus = [Fraction(1)]
-    for k in range(n):
-        prev = nus[k - 1] if k >= 1 else Fraction(0)
-        nxt = (k * prev + (beta - alpha) * nus[k]) / (k + alpha + beta + 2)
-        nus.append(nxt)
-    return nus[n]
+    total, ratio = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        if k:
+            ratio *= (alpha + k) / (alpha + beta + 1 + k)
+        total += (-1) ** k * math.comb(n, k) * 2 ** k * ratio
+    return total
+
+
+def gram_schmidt_orthopoly(w, n):
+    """Reference: Gram-Schmidt on 1, t, t^2, ... with the public inner product."""
+    if isinstance(w, AtomicWeight) and n >= len(w.points):
+        raise Degenerate("no orthogonal polynomial beyond the atomic point count")
+    basis, norms = [], []
+    for k in range(n + 1):
+        p = t_monomial(QQ, k)
+        for q, nq in zip(basis, norms):
+            coeff = inner_product(w, p, q) / nq
+            if coeff:
+                p = p - q.scale(coeff)
+        if k < n:
+            nq = inner_product(w, p, p)
+            if nq == 0:
+                raise Degenerate("Gram matrix is singular at this degree")
+            basis.append(p)
+            norms.append(nq)
+    return p
 
 
 def test_moment_examples():
@@ -55,12 +78,12 @@ def test_moment_normalization_and_parity():
 
 
 def test_jacobi_closed_form_matches_recursion():
-    params = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    params = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-2, 3)]
     for alpha in params:
         for beta in params:
             mf = MomentFunctional(JacobiWeight(alpha, beta))
             for n in range(21):
-                assert mf.moment(n) == jacobi_moment_by_recursion(alpha, beta, n)
+                assert mf.moment(n) == jacobi_moment_closed_form(alpha, beta, n)
 
 
 def test_bad_weight_parameters():
@@ -103,6 +126,50 @@ def test_orthopoly_monic_orthogonal():
         for i in range(9):
             for j in range(i):
                 assert inner_product(w, polys[i], polys[j]) == 0
+
+
+def _random_weight(rng, family):
+    def param():
+        return Fraction(rng.randint(-4, 20), rng.randint(5, 9))  # always > -1
+
+    if family == "jacobi":
+        return JacobiWeight(param(), param())
+    if family == "laguerre":
+        return LaguerreWeight(param())
+    if family == "hermite":
+        return HermiteWeight()
+    k = rng.randint(1, 9)
+    den = rng.randint(1, 3)
+    points = tuple(Fraction(p, den) for p in rng.sample(range(-12, 13), k))
+    weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(k))
+    return AtomicWeight(points, weights)
+
+
+def _outcome(build, w, n):
+    try:
+        return build(w, n)
+    except Degenerate as exc:
+        return ("Degenerate", str(exc))
+
+
+def test_orthopoly_matches_gram_schmidt_reference():
+    rng = random.Random(20260)
+    for family in ("jacobi", "laguerre", "hermite", "atomic"):
+        for _ in range(3):
+            w = _random_weight(rng, family)
+            for n in range(13):
+                expected = _outcome(gram_schmidt_orthopoly, w, n)
+                assert _outcome(orthopoly, w, n) == expected, (str(w), n)
+
+
+def test_orthopoly_degree_40_is_fast():
+    w = JacobiWeight(Fraction(1, 2), Fraction(1, 3))
+    start = time.perf_counter()
+    p = orthopoly(w, 40)
+    assert time.perf_counter() - start < 2.0
+    assert p.degree == 40 and p.leading().data == 1
+    for j in range(40):
+        assert inner_product(w, p, t_monomial(QQ, j)) == 0
 
 
 def test_orthopoly_atomic_degeneracy():
