@@ -44,11 +44,15 @@ _F1 = Fraction(1)
 
 INFINITE = math.inf
 
-# deterministic Miller-Rabin witness set, valid far beyond 3*10^18
+# the first twelve prime bases make Miller-Rabin deterministic below _PSI_12,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
+    """Primality: deterministic below _PSI_12, Baillie-PSW (the bases above
+    plus a strong Lucas test) from there on."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -69,13 +73,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas(n)
 
 
-def vp(x: Union[Fraction, int], p: int) -> Union[int, float]:
-    """p-adic valuation on the rationals; vp(0) is +infinity."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd
+    n > 37 (Baillie and Wagstaff 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k mod n, walking k along the binary digits of d
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _valuation(x: Union[Fraction, int], p: int) -> Union[int, float]:
+    """p-adic valuation for a p already known to be prime."""
     x = Fraction(x)
     if x == 0:
         return INFINITE
@@ -89,6 +143,13 @@ def vp(x: Union[Fraction, int], p: int) -> Union[int, float]:
         den //= p
         v -= 1
     return v
+
+
+def vp(x: Union[Fraction, int], p: int) -> Union[int, float]:
+    """p-adic valuation on the rationals; vp(0) is +infinity."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return _valuation(x, p)
 
 
 def dirichlet_prime(a: int, b: int, m_min: int, budget: int) -> Optional[tuple[int, int]]:
@@ -234,6 +295,7 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
 
 
 def _assemble(f, s, deg, d, alpha, m, p, s0, s_star, h, q, r) -> Optional[Certificate]:
+    # p passed is_prime in dirichlet_prime
     i_max = (deg - s) * m
     phi = phi_expansion(f, m, d)
     bi_vals = []
@@ -242,13 +304,13 @@ def _assemble(f, s, deg, d, alpha, m, p, s0, s_star, h, q, r) -> Optional[Certif
     if i_max >= 1:
         bs = b_products(s, m, d, alpha, i_max)
         for i, b in enumerate(bs, start=1):
-            v = vp(b, p)
+            v = _valuation(b, p)
             if not (isinstance(v, int) and v > 0):
                 return None
             bi_vals.append((i, v))
             coeff = phi.get((s * m + i) * (d + 1), _F0)
             if coeff != 0:
-                v_phi = vp(coeff, p)
+                v_phi = _valuation(coeff, p)
                 if v_phi < 0:
                     return None
                 phi_vals.append((i, v_phi))
@@ -305,6 +367,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if not is_prime(cert.prime):
             return False
+        # cert.prime is known prime from here on: valuations skip the test
         i_max = (cert.f.degree - s) * m
         if len(cert.bi_valuations) != max(i_max, 0):
             return False
@@ -314,12 +377,12 @@ def verify_certificate(cert: Certificate) -> bool:
         if i_max >= 1:
             bs = b_products(s, m, d, alpha, i_max)
             for i, b in enumerate(bs, start=1):
-                v = vp(b, cert.prime)
+                v = _valuation(b, cert.prime)
                 if cert.bi_valuations[i - 1] != (i, v) or not (isinstance(v, int) and v > 0):
                     return False
                 coeff = phi.get((s * m + i) * (d + 1), _F0)
                 if coeff != 0:
-                    v_phi = vp(coeff, cert.prime)
+                    v_phi = _valuation(coeff, cert.prime)
                     if v_phi < 0:
                         return False
                     expected_phi.append((i, v_phi))

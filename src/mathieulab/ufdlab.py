@@ -16,8 +16,12 @@ implemented alongside:
   the radical of (a);
 * the graded valuation v_a(c t^i) = v_a(c) - i;
 * a surjectivity check over the truncated rings QQ[x]/(x^k): once 1 is in
-  the image of c*d/dt - a(t), every monomial is, which is verified by exact
-  linear solves with a witness-degree budget deg f + k*(deg_t a + 1).
+  the image of c*d/dt - a(t), every monomial is, which is verified with a
+  witness-degree budget deg f + k*(deg_t a + 1).  When c and every
+  coefficient of a lie in (x), 1 is structurally out of reach and nothing
+  is solved; otherwise the image columns of t^i x^j are eliminated once per
+  check and every target is reduced against them, and each witness is the
+  solution supported on the leftmost independent columns.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .corealg import (
     Poly,
     QQ_POLY,
@@ -48,6 +51,7 @@ from .corealg import (
 from .errors import BadInput, NotInRadical
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 INFINITE = math.inf
 
 
@@ -254,45 +258,82 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     return ring, c, a
 
 
-def _vectorize(poly: Poly, max_t_deg: int, k: int) -> list[Fraction]:
-    out: list[Fraction] = []
-    for i in range(max_t_deg + 1):
-        data = poly.coeff(i).data if i <= poly.degree else ()
-        for j in range(k):
-            out.append(data[j] if j < len(data) else _F0)
-    return out
+class _ImageEchelon:
+    """Column echelon form of c*d/dt - a over QQ[x]/(x^k), grown on demand.
+
+    Column number i*k + j is the image of the basis element t^i x^j, as a
+    sparse vector whose key s*k + l holds the coefficient of t^s x^l.
+    Columns are eliminated once each, in order; a pivot keeps its row, its
+    reduced vector (1 on that row) and its combination of original columns.
+    """
+
+    def __init__(self, c: RingElement, a: Poly, k: int):
+        self.c, self.a, self.k = c, a, k
+        self.pivots: list[tuple[int, dict, dict]] = []
+        self.rank = [0]  # rank[n]: number of pivots among the first n columns
+
+    def _image(self, i: int, j: int) -> dict:
+        k = self.k
+        col = {}
+        if i:
+            for l, v in enumerate(self.c.data[:k - j]):
+                if v:
+                    col[(i - 1) * k + j + l] = i * v
+        for s, coeff in enumerate(self.a.coeffs):
+            for l, v in enumerate(coeff.data[:k - j]):
+                if v:
+                    col[(i + s) * k + j + l] = -v
+        return col
+
+    def pivots_below(self, n: int) -> list[tuple[int, dict, dict]]:
+        """The pivots of the first n columns, eliminating them if needed."""
+        while len(self.rank) <= n:
+            col = len(self.rank) - 1
+            vec = self._image(*divmod(col, self.k))
+            comb = {col: _F1}
+            _reduce(vec, comb, self.pivots)
+            if vec:
+                row = min(vec)
+                inv = _F1 / vec[row]
+                self.pivots.append((row, {r: v * inv for r, v in vec.items()},
+                                    {j: v * inv for j, v in comb.items()}))
+            self.rank.append(len(self.pivots))
+        return self.pivots[:self.rank[n]]
 
 
-def _solve_image(ring: Ring, c: RingElement, a: Poly, f: Poly, max_deg: int) -> Optional[Poly]:
-    """Solve c*h' - a*h = f with deg h <= max_deg by exact linear algebra."""
-    k = ring.trunc
-    out_deg = max(max_deg + max(a.degree, 0), max_deg, f.degree)
-    columns = []
-    for i in range(max_deg + 1):
-        for j in range(k):
-            basis = t_monomial(ring, i, RingElement(ring, (_F0,) * j + (Fraction(1),)))
-            image = basis.derivative().scale(c) - a * basis
-            columns.append(_vectorize(image, out_deg, k))
-    rows = [[col[r] for col in columns] for r in range((out_deg + 1) * k)]
-    target = _vectorize(f, out_deg, k)
-    solution = linalg.solve_linear(rows, target)
-    if solution is None:
-        return None
-    coeffs = []
-    for i in range(max_deg + 1):
-        chunk = solution[i * k:(i + 1) * k]
-        coeffs.append(RingElement(ring, tuple(chunk)))
-    h = Poly(ring, tuple(coeffs))
-    assert (h.derivative().scale(c) - a * h).coeffs == f.coeffs
-    return h
+def _reduce(vec: dict, comb: dict, pivots) -> None:
+    """Subtract from vec the multiples of the pivots that clear their rows,
+    and the same multiples of their combinations from comb."""
+    for row, pvec, pcomb in pivots:
+        factor = vec.get(row)
+        if factor:
+            _axpy(vec, -factor, pvec)
+            _axpy(comb, -factor, pcomb)
+
+
+def _axpy(y: dict, s: Fraction, x: dict) -> None:
+    for key, v in x.items():
+        w = y.get(key, _F0) + s * v
+        if w:
+            y[key] = w
+        else:
+            del y[key]
 
 
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
     """Decide 1 in the image of c*d/dt - a(t) over QQ[x]/(x^k); if found,
     verify that every monomial t^n (n <= deg_bound) is reached as well.
 
-    Witness degrees are searched from deg f up to deg f + k*(deg_t a + 1);
-    the nilpotency index bounds the correction terms that can appear.
+    When c and every coefficient of a lie in (x), every image value does
+    too, so 1 is structurally unreachable and no solve is attempted.
+    Otherwise witness degrees D are searched from deg f up to
+    deg f + k*(deg_t a + 1); the nilpotency index bounds the correction
+    terms that can appear.  The columns c*h' - a*h of the basis t^i x^j
+    are eliminated once for the whole check, and each target is reduced by
+    the pivots of the columns with i <= D for D = deg f, deg f + 1, ...,
+    stopping at the first D that reaches it.  The witness is the unique
+    solution supported on the leftmost independent columns (those with i
+    <= D), the one a dense solve with free variables set to zero returns.
     """
     if ring.kind != "QQ_POLY_TRUNC":
         raise BadInput("surjectivity check runs over a truncated ring")
@@ -302,26 +343,34 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         raise BadInput("degree bound must be non-negative")
     k = ring.trunc
     extra = k * (max(a.degree, 0) + 1)
+    if not any(g.is_unit for g in (c, *a.coeffs)):
+        note = (
+            "every image value lies in the proper ideal generated by c and "
+            "the coefficients of a, so 1 is structurally unreachable"
+        )
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+    echelon = _ImageEchelon(c, a, k)
 
     def solve(f: Poly) -> Optional[Poly]:
+        vec = {i * k + l: v for i, coeff in enumerate(f.coeffs) for l, v in enumerate(coeff.data) if v}
+        comb: dict = {}
+        used = 0
         base = max(f.degree, 0)
         for max_deg in range(base, base + extra + 1):
-            h = _solve_image(ring, c, a, f, max_deg)
-            if h is not None:
+            pivots = echelon.pivots_below((max_deg + 1) * k)
+            _reduce(vec, comb, pivots[used:])
+            used = len(pivots)
+            if not vec:
+                h = Poly(ring, tuple(
+                    RingElement(ring, tuple(-comb.get(i * k + l, _F0) for l in range(k)))
+                    for i in range(max_deg + 1)))
+                assert (h.derivative().scale(c) - a * h).coeffs == f.coeffs
                 return h
         return None
 
-    one = poly_one(ring)
-    h_one = solve(one)
+    h_one = solve(poly_one(ring))
     if h_one is None:
-        note = None
-        generators = [c] + list(a.coeffs)
-        if all(g.is_zero or not g.is_unit for g in generators):
-            note = (
-                "every image value lies in the proper ideal generated by c and "
-                "the coefficients of a, so 1 is structurally unreachable"
-            )
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), None, extra)
     monomials = []
     unresolved = []
     for n in range(deg_bound + 1):

@@ -10,6 +10,7 @@ import pytest
 
 from mathieulab.certlab import (
     INFINITE,
+    _strong_lucas,
     b_products,
     bracket_factorial,
     certificate_from_dict,
@@ -111,6 +112,34 @@ def test_prime_tester_against_trial_division():
         assert is_prime(n) == trial(n)
     assert is_prime(2 ** 61 - 1)  # Mersenne prime
     assert not is_prime(2 ** 61 + 1)
+
+
+def test_prime_tester_beyond_the_fixed_base_range():
+    # psi_12, the least strong pseudoprime to every prime base up to 37
+    # (Sorenson and Webster 2015): fixed-base Miller-Rabin accepts it
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1)  # Mersenne primes
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+    assert not is_prime((2 ** 89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the composites below 30000 that pass the strong Lucas test with
+    # Selfridge's parameters are exactly these (OEIS A217255); every prime passes
+    small = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    passing = []
+    for n in range(39, 30000, 2):
+        if math.gcd(n, small) != 1:
+            continue
+        prime = all(n % k for k in range(2, math.isqrt(n) + 1))
+        if _strong_lucas(n):
+            if not prime:
+                passing.append(n)
+        else:
+            assert not prime, n
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
 
 
 def test_dirichlet_prime_examples():

@@ -2,10 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from mathieulab import linalg
 from mathieulab.corealg import (
     Poly,
     QQ_POLY,
@@ -14,12 +16,14 @@ from mathieulab.corealg import (
     parse_poly,
     parse_ring_element,
     poly_one,
+    qq_poly_trunc,
     ring_monomial,
     ring_scalar,
     t_monomial,
 )
 from mathieulab.errors import BadInput, NotInRadical
 from mathieulab.ufdlab import (
+    SurjectivityReport,
     UfdContext,
     absorption_bound,
     factorial_map,
@@ -221,3 +225,100 @@ def test_surjectivity_never_reports_counterexample():
         report = surjectivity_check(ring, c, a, 6)
         if report.status == "ONE_IN_IMAGE":
             assert report.unresolved == ()
+
+
+# reference: one dense solve per target and witness degree, the search that
+# the single incremental elimination in surjectivity_check replaces
+def _vectorize(poly, max_t_deg, k):
+    out = []
+    for i in range(max_t_deg + 1):
+        data = poly.coeff(i).data if i <= poly.degree else ()
+        for j in range(k):
+            out.append(data[j] if j < len(data) else Fraction(0))
+    return out
+
+
+def _solve_image(ring, c, a, f, max_deg):
+    k = ring.trunc
+    out_deg = max(max_deg + max(a.degree, 0), max_deg, f.degree)
+    columns = []
+    for i in range(max_deg + 1):
+        for j in range(k):
+            basis = t_monomial(ring, i, RingElement(ring, (Fraction(0),) * j + (Fraction(1),)))
+            image = basis.derivative().scale(c) - a * basis
+            columns.append(_vectorize(image, out_deg, k))
+    rows = [[col[r] for col in columns] for r in range((out_deg + 1) * k)]
+    solution = linalg.solve_linear(rows, _vectorize(f, out_deg, k))
+    if solution is None:
+        return None
+    return Poly(ring, tuple(RingElement(ring, tuple(solution[i * k:(i + 1) * k]))
+                            for i in range(max_deg + 1)))
+
+
+def reference_surjectivity_check(ring, c, a, deg_bound):
+    k = ring.trunc
+    extra = k * (max(a.degree, 0) + 1)
+
+    def solve(f):
+        base = max(f.degree, 0)
+        for max_deg in range(base, base + extra + 1):
+            h = _solve_image(ring, c, a, f, max_deg)
+            if h is not None:
+                return h
+        return None
+
+    h_one = solve(poly_one(ring))
+    if h_one is None:
+        note = None
+        if all(g.is_zero or not g.is_unit for g in [c] + list(a.coeffs)):
+            note = ("every image value lies in the proper ideal generated by c and "
+                    "the coefficients of a, so 1 is structurally unreachable")
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+    monomials, unresolved = [], []
+    for n in range(deg_bound + 1):
+        h = solve(t_monomial(ring, n))
+        if h is None:
+            unresolved.append(n)
+        else:
+            monomials.append((n, h))
+    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None, extra)
+
+
+def test_surjectivity_matches_dense_reference():
+    # k = 4 with deg_t a = 2 costs the reference about a second per failed
+    # search, so it enters through one fixed context instead of the draw
+    rng = random.Random(107)
+    cases = [parse_trunc_context("trunc:k=4,c=x,a=1 + x*t^2") + (1,)]
+    for _ in range(100):
+        k = rng.randint(1, 4)
+        ring = qq_poly_trunc(k)
+        structural = rng.random() < 0.35
+
+        def element():
+            data = [Fraction(rng.randint(-2, 2)) for _ in range(k)]
+            if structural:
+                data[0] = Fraction(0)
+            return RingElement(ring, tuple(data))
+
+        a_terms = rng.randint(0, 3 if k < 4 else 2)
+        cases.append((ring, element(), Poly(ring, tuple(element() for _ in range(a_terms))),
+                      rng.randint(0, 4)))
+    seen = set()
+    for ring, c, a, deg_bound in cases:
+        report = surjectivity_check(ring, c, a, deg_bound)
+        assert report == reference_surjectivity_check(ring, c, a, deg_bound), (ring, c, a, deg_bound)
+        seen.add((a.is_zero, report.status, report.note is not None))
+    # zero and nonzero a, the structural note, and both outcomes of the search
+    assert {(True, "ONE_IN_IMAGE", False), (False, "ONE_IN_IMAGE", False),
+            (True, "UNDECIDED_ONE", True), (False, "UNDECIDED_ONE", True),
+            (False, "UNDECIDED_ONE", False)} <= seen
+
+
+def test_surjectivity_check_is_fast():
+    ring, c, a = parse_trunc_context("trunc:k=4,c=x + 1,a=x*t + x")
+    start = time.perf_counter()
+    report = surjectivity_check(ring, c, a, 10)
+    elapsed = time.perf_counter() - start
+    assert report.status == "ONE_IN_IMAGE" and report.unresolved == ()
+    assert [n for n, _ in report.monomials] == list(range(11))
+    assert elapsed < 1.5, elapsed
