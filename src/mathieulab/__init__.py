@@ -40,7 +40,6 @@ from .opimage import (
 from .radlab import (
     CofiniteSubspace,
     MathieuVerdict,
-    SearchConfig,
     atomic_space,
     definition_witness,
     escape_exponent,

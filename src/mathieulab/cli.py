@@ -112,16 +112,8 @@ def _space_diagnostics(space: radlab.CofiniteSubspace) -> list[str]:
 
 
 def _cmd_mathieu(args):
-    config = radlab.SearchConfig(
-        height=args.height,
-        max_combinations=args.max_combinations,
-        candidates=tuple(parse_poly(p, QQ) for p in args.candidates.split(";") if p.strip())
-        if args.candidates
-        else (),
-        seed=args.seed,
-    )
     space = _space_from_arg(args.space)
-    verdict = radlab.mathieu_check(space, config)
+    verdict = radlab.mathieu_check(space)
     payload = {"status": verdict.status}
     if verdict.witness is not None:
         payload["witness_a"] = format_poly(verdict.witness[0])
@@ -217,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when the mathematical verdict is negative")
     parser.add_argument("--seed", type=int, default=None,
-                        help="recorded search seed; all searches are deterministic")
+                        help="accepted for compatibility; every computation is deterministic")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; execution is sequential")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,11 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "--n": {"type": int, "required": True}})
     cmd("equiv", _cmd_equiv, **{"--weight": weight_arg, "--op": op_arg,
                                 "--deg-bound": {"type": int, "default": 12}})
-    cmd("mathieu", _cmd_mathieu, **{"--space": space_arg,
-                                    "--height": {"type": int, "default": 2},
-                                    "--max-combinations": {"type": int, "default": 200},
-                                    "--candidates": {"default": None},
-                                    "--full": {"action": "store_true"}})
+    cmd("mathieu", _cmd_mathieu, **{"--space": space_arg, "--full": {"action": "store_true"}})
     cmd("largest-ideal", _cmd_largest_ideal, **{"--space": space_arg})
     cmd("radical-probe", _cmd_radical_probe, **{
         "--poly": poly_arg,

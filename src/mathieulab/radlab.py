@@ -24,12 +24,18 @@ algebra:
   gcd of g with lifts of a kernel basis; this needs no factorization of g
   and no enumeration of its divisors.
 * a cofinite V is a Mathieu subspace exactly when the radical of V equals
-  the radical of its largest interior ideal; refuting equality needs one
-  element on the gap, which is searched among Chinese-remainder idempotent
-  sums, user candidates and bounded-height combinations of the basis.
-  Finding one yields an exact NOT_MATHIEU verdict; exhausting the budget
-  yields CONSISTENT_UP_TO_BUDGET (deciding emptiness of the gap in general
-  would need elimination machinery far beyond this tool).
+  the radical (r) of its largest interior ideal.  For irreducible factors
+  this is decided by the Chinese-remainder idempotents e_i alone: V is not
+  Mathieu exactly when the annihilator vectors lam . e_i of some set of
+  factors, one of them dividing r, sum to zero, and then the idempotent of
+  that set is a refuting element.  Over the algebraic closure every f in
+  rad(V) is c_a (1 + n_a) at each root a, and the independence of the
+  sequences m -> c^m m^k makes lam vanish on the sum of the local
+  idempotents over each class of roots where f takes one nonzero value;
+  Galois-stable unions of such classes are sets of whole factors (see
+  `mathieu_check`).  Walking the 2^n - 1
+  idempotent sums therefore gives an exact verdict whenever every factor
+  is verified irreducible.
 
 External vectors use per-factor residue coordinates: the coordinates of
 f are the coefficients of f mod p_i^(m_i), blocks concatenated in modulus
@@ -38,7 +44,6 @@ order.  For split moduli these are plain point evaluations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,11 +56,9 @@ from .corealg import (
     euclid_divmod,
     format_poly,
     parse_poly,
-    poly_divides,
     poly_gcd,
     poly_one,
     poly_xgcd,
-    poly_zero,
     qq_poly,
     squarefree_part,
     t_monomial,
@@ -313,20 +316,13 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     Cayley-Hamilton recurrence described in the module docstring this window
     is equivalent to eventual membership.
     """
-    return _window_holds(space, f)
-
-
-def _window_holds(space: CofiniteSubspace, a: Poly, b: Optional[Poly] = None) -> bool:
-    """Is a^m * b in V for every m in [D, 2D]?  (b defaults to 1.)"""
     d = space.dim
-    abar = space.mod(a)
-    current = space.pow_mod(abar, d)
-    if b is not None:
-        current = space.mod(current * b)
+    fbar = space.mod(f)
+    current = space.pow_mod(fbar, d)
     for _ in range(d, 2 * d + 1):
         if not space.contains(current):
             return False
-        current = space.mod(current * abar)
+        current = space.mod(current * fbar)
     return True
 
 
@@ -390,14 +386,6 @@ def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Po
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SearchConfig:
-    height: int = 2
-    max_combinations: int = 200
-    candidates: tuple = ()
-    seed: Optional[int] = None  # recorded for reproducibility; search is deterministic
-
-
-@dataclass(frozen=True)
 class MathieuVerdict:
     status: str
     witness: Optional[tuple[Poly, Poly]]
@@ -421,139 +409,80 @@ def crt_idempotents(space: CofiniteSubspace) -> list[Poly]:
     return out
 
 
-def _atomic_positive_radical(space: CofiniteSubspace) -> Optional[Poly]:
-    """Exact radical generator when V is a same-sign evaluation hyperplane.
+def _first_zero_sum(vectors: Sequence[Sequence[int]], live: int) -> Optional[int]:
+    """Least mask S meeting `live` with sum_{i in S} vectors[i] = 0, else None.
 
-    For g split into distinct rational roots and V the kernel of a
-    functional sum w_i f(r_i) with all nonzero w_i of one sign, even powers
-    force f(r_i) = 0 at every weighted point, so the radical of V is the
-    ideal of polynomials vanishing there.
+    Masks are walked in increasing order with one running sum.  Going from
+    mask - 1 to mask, whose lowest set bit is i, removes vectors 0..i-1 and
+    adds vector i, so each step is one precomputed vector addition.
     """
-    if any(m != 1 or p.degree != 1 for p, m in space.factors):
-        return None
-    d = space.dim
-    if len(space._basis) != d - 1:
-        return None
-    if len(space._ann) != 1:
-        return None
-    lam = space._ann[0]
-    roots = [-p.coeff(0).data for p, _ in space.factors]
-    vandermonde = [[r ** j for r in roots] for j in range(d)]
-    weights = linalg.solve_linear(vandermonde, lam)
-    if weights is None:
-        return None
-    nonzero = [w for w in weights if w != 0]
-    if not nonzero or not (all(w > 0 for w in nonzero) or all(w < 0 for w in nonzero)):
-        return None
-    rho = poly_one(QQ)
-    for r, w in zip(roots, weights):
-        if w != 0:
-            rho = rho * qq_poly([-r, 1])
-    return rho
+    steps, below = [], [0] * len(vectors[0])
+    for u in vectors:
+        steps.append([a - b for a, b in zip(u, below)])
+        below = [a + b for a, b in zip(below, u)]
+    total = [0] * len(below)
+    for mask in range(1, 1 << len(vectors)):
+        total = [a + b for a, b in zip(total, steps[(mask & -mask).bit_length() - 1])]
+        if mask & live and not any(total):
+            return mask
+    return None
 
 
-def _search_candidates(space: CofiniteSubspace, config: SearchConfig):
-    seen = set()
+def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
+    """Mathieu verdict for a cofinite subspace, exact for verified factors.
 
-    def emit(poly: Poly, family: str):
-        reduced = space.mod(poly)
-        if reduced.is_zero:
-            return None
-        key = reduced.qq_coeffs()
-        if key in seen:
-            return None
-        seen.add(key)
-        return reduced, family
+    V is Mathieu exactly when rad(V) equals the radical (r) of its largest
+    interior ideal (h).  With CRT idempotents e_i, annihilator rows lam and
+    u_i = lam . e_i, call factor p_i live when it shares a factor with r.
+    For irreducible factors, V is NOT_MATHIEU exactly when some set S of
+    factors containing a live one has sum_{i in S} u_i = 0:
 
-    if len(space.factors) >= 2:
-        idems = crt_idempotents(space)
-        for mask in range(1, 1 << len(idems)):
-            total = poly_zero(QQ)
-            for i, e in enumerate(idems):
-                if mask & (1 << i):
-                    total = total + e
-            item = emit(total, "crt_idempotent")
-            if item:
-                yield item
-    else:
-        item = emit(poly_one(QQ), "crt_idempotent")
-        if item:
-            yield item
-    for cand in config.candidates:
-        item = emit(cand, "user")
-        if item:
-            yield item
-    basis = space.basis_polys()
-    if basis:
-        produced = 0
-        values = range(-config.height, config.height + 1)
-        for coords in itertools.product(values, repeat=len(basis)):
-            if produced >= config.max_combinations:
-                break
-            if all(c == 0 for c in coords):
-                continue
-            total = poly_zero(QQ)
-            for c, b in zip(coords, basis):
-                if c:
-                    total = total + b.scale(Fraction(c))
-            produced += 1
-            item = emit(total, "basis_combination")
-            if item:
-                yield item
+    * if so, e_S = sum_{i in S} e_i is idempotent and lies in V, hence in
+      rad(V), and r does not divide it, being 1 modulo a live factor;
+    * conversely, write f in rad(V) over the algebraic closure as
+      c_a (1 + n_a) at each root a of g, n_a nilpotent.  lam . f^m is a sum
+      of the sequences m -> c^m binom(m, k), which are independent, so for
+      each nonzero value c the local idempotents eps_a with c_a = c satisfy
+      sum lam . eps_a = 0.  Galois conjugates of such a class are classes
+      too, and the union of a class with its conjugates is the root set of
+      a union S of whole factors, so e_S lies in V.  Unless r | f, some
+      class contains a root of r, and then S contains a live factor.
 
-
-def mathieu_check(space: CofiniteSubspace, config: Optional[SearchConfig] = None) -> MathieuVerdict:
-    """Mathieu verdict for a cofinite subspace.
-
-    The subspace is Mathieu exactly when the radical of V equals the
-    radical of its largest interior ideal.  Ideals and same-sign evaluation
-    hyperplanes are recognized structurally (MATHIEU_EXACT).  Otherwise the
-    engine searches for a refuting element a with all large powers in V yet
-    not divisible by the squarefree part of the ideal generator; a monomial
-    b certifying the absorption failure is then found exactly.  Exhausting
-    the search yields CONSISTENT_UP_TO_BUDGET, a semi-decision by design.
+    Ideals (deg h = codim V) are MATHIEU_EXACT outright.  Otherwise the
+    masks S are walked in increasing order and the first zero-sum mask with
+    a live factor gives the witness (e_S, t^j), t^j the first monomial with
+    e_S t^j outside V (e_S^m = e_S, so absorption fails for every m).  With
+    no such mask the verdict is MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET
+    when a factor of degree >= 4 is trusted unverified and might split.
     """
-    config = config or SearchConfig()
     h = largest_ideal(space)
     r = squarefree_part(h) if h.degree >= 1 else poly_one(QQ)
-    budget_used = {
-        "height": config.height,
-        "max_combinations": config.max_combinations,
-        "user_candidates": len(config.candidates),
-        "window": [space.dim, 2 * space.dim],
-        "seed": config.seed,
-    }
+    budget_used = {"window": [space.dim, 2 * space.dim]}
     # sanity: the radical of (h) is always inside the radical of V
     if not radical_member_cofinite(space, r):
         raise BadInput("internal inconsistency: interior ideal radical escapes V")
-
-    if space.is_ideal():
+    if h.degree == len(space._ann):  # (h)/(g) fills V/(g)
         budget_used["structural_case"] = "ideal"
         return MathieuVerdict(MATHIEU_EXACT, None, h, r, budget_used)
-    rho = _atomic_positive_radical(space)
-    if rho is not None and rho.qq_coeffs() == r.qq_coeffs():
-        budget_used["structural_case"] = "atomic_positive_hyperplane"
-        return MathieuVerdict(MATHIEU_EXACT, None, h, r, budget_used)
 
-    tried = 0
-    for cand, family in _search_candidates(space, config):
-        tried += 1
-        if not radical_member_cofinite(space, cand):
-            continue
-        if poly_divides(r, cand):
-            continue
-        # cand is in the radical of V but not of I_V: not a Mathieu subspace.
-        witness_b = None
-        for j in range(space.dim):
-            mono = t_monomial(QQ, j)
-            if not _window_holds(space, cand, mono):
-                witness_b = mono
-                break
-        if witness_b is None:
-            # absorption of every monomial would push cand into I_V's radical
-            raise BadInput("internal inconsistency: refuter absorbs every monomial")
-        budget_used["candidates_tried"] = tried
-        budget_used["witness_family"] = family
-        return MathieuVerdict(NOT_MATHIEU, (cand, witness_b), h, r, budget_used)
-    budget_used["candidates_tried"] = tried
-    return MathieuVerdict(CONSISTENT_UP_TO_BUDGET, None, h, r, budget_used)
+    idems = crt_idempotents(space)
+    u = [[sum(l * c for l, c in zip(lam, e.qq_coeffs())) for lam in space._ann] for e in idems]
+    scale = math.lcm(*(x.denominator for ui in u for x in ui))
+    live = sum(1 << i for i, (p, _) in enumerate(space.factors) if poly_gcd(p, r).degree >= 1)
+    mask = _first_zero_sum([[int(x * scale) for x in ui] for ui in u], live)
+    if mask is None:
+        budget_used["candidates_tried"] = (1 << len(idems)) - 1
+        status = CONSISTENT_UP_TO_BUDGET if space.unverified_factors else MATHIEU_EXACT
+        return MathieuVerdict(status, None, h, r, budget_used)
+
+    chosen = [e for i, e in enumerate(idems) if mask >> i & 1]
+    a = sum(chosen[1:], chosen[0])
+    budget_used["candidates_tried"] = mask
+    budget_used["witness_family"] = "crt_idempotent"
+    shifted = a
+    for j in range(space.dim):
+        if not space.contains(shifted):
+            return MathieuVerdict(NOT_MATHIEU, (a, t_monomial(QQ, j)), h, r, budget_used)
+        shifted = space.mod(shifted * t_monomial(QQ, 1))
+    # absorption of every monomial would put (a) + (g) inside V, so r | a
+    raise BadInput("internal inconsistency: refuter absorbs every monomial")

@@ -12,6 +12,7 @@ from math import lcm
 
 import pytest
 
+from mathieulab import linalg
 from mathieulab.corealg import (
     QQ,
     parse_poly,
@@ -19,6 +20,7 @@ from mathieulab.corealg import (
     poly_one,
     poly_zero,
     qq_poly,
+    squarefree_part,
     t_monomial,
 )
 from mathieulab.errors import BadInput, ZeroInput
@@ -28,7 +30,6 @@ from mathieulab.radlab import (
     MATHIEU_EXACT,
     NOT_MATHIEU,
     CofiniteSubspace,
-    SearchConfig,
     atomic_space,
     crt_idempotents,
     definition_witness,
@@ -276,11 +277,10 @@ def test_value_sum_space_with_multiplicity_block():
     # t(t-1) is nilpotent enough: its square is divisible by the modulus
     assert radical_member_cofinite(space, parse_poly("t^2 - t"))
     assert not radical_member_cofinite(space, poly_one())
-    # the space is in fact Mathieu (its radical equals the ideal radical),
-    # but no structural recognizer applies under a multiplicity block, so
-    # the verdict is honestly budget-limited
+    # the space is Mathieu (its radical equals the ideal radical): the
+    # weights 1 at t^2 and at t - 1 have no zero-sum subset
     verdict = mathieu_check(space)
-    assert verdict.status == CONSISTENT_UP_TO_BUDGET
+    assert verdict.status == MATHIEU_EXACT
     assert verdict.radical_iv_generator == parse_poly("t^2 - t")
 
 
@@ -337,8 +337,8 @@ def test_mathieu_ideal_is_exact():
 
 
 def test_mathieu_verdict_deterministic_across_configs():
-    for seed in (None, 0, 99):
-        verdict = mathieu_check(VALUE_EQUAL, SearchConfig(seed=seed))
+    for _ in range(3):
+        verdict = mathieu_check(VALUE_EQUAL)
         assert verdict.status == NOT_MATHIEU
         assert verdict.witness[0] == poly_one()
 
@@ -355,21 +355,149 @@ def test_mathieu_nilpotent_modulus_refuted():
     assert not poly_divides(verdict.radical_iv_generator, verdict.witness[0])
 
 
-def test_mathieu_user_candidates_accepted():
-    # user candidates flow through the search and leave exact verdicts alone
-    config = SearchConfig(candidates=(parse_poly("3"), parse_poly("t + 1")))
-    verdict = mathieu_check(VALUE_EQUAL, config)
-    assert verdict.status == NOT_MATHIEU
-
-
 def test_mathieu_budget_exhaustion_is_honest():
     # span{1 + t} mod t(t-1): the radical of V is (g) = radical of I_V, so
-    # the space is Mathieu, but the engine has no structural recognizer and
-    # must report budget-limited consistency
+    # the space is Mathieu; none of the idempotents 1 - t, t and 1 lies in
+    # V, so the finished walk over the idempotent sums proves it
     space = CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)],
                              [[1, 1]], basis_coords="coefficient")
     verdict = mathieu_check(space)
+    assert verdict.status == MATHIEU_EXACT
+    assert verdict.budget_used == {"window": [2, 4], "candidates_tried": 3}
+
+
+def test_mathieu_trusted_factor_is_not_exact():
+    # t^4 - 1 is trusted unverified, but (t^2 + 1)/2 is an idempotent of
+    # Q[t]/(t^4 - 1) lying in V, so V is not Mathieu; the engine cannot see
+    # that factor split and must not claim MATHIEU_EXACT
+    rows = [[0, 2, 0, 2], [1, 0, -1, 0]]
+    space = CofiniteSubspace([(parse_poly("t^4 - 1"), 1)], linalg.nullspace(rows),
+                             basis_coords="coefficient")
+    refuter = parse_poly("1/2*t^2 + 1/2")
+    assert space.mod(refuter * refuter) == refuter and space.contains(refuter)
+    assert not poly_divides(squarefree_part(largest_ideal(space)), refuter)
+    verdict = mathieu_check(space)
     assert verdict.status == CONSISTENT_UP_TO_BUDGET
+    # an ideal stays exact whether or not its factors are verified
+    ideal = CofiniteSubspace.from_dict({"modulus": [["t^4 + t + 7", 1]], "vbar_basis": []})
+    assert ideal.unverified_factors
+    assert mathieu_check(ideal).status == MATHIEU_EXACT
+
+
+def window_holds(space, a, b):
+    """Is a^m * b in V for every m in [D, 2D]?"""
+    d = space.dim
+    current = space.mod(space.pow_mod(a, d) * b)
+    for _ in range(d, 2 * d + 1):
+        if not space.contains(current):
+            return False
+        current = space.mod(current * a)
+    return True
+
+
+def search_candidates(space, height=2, max_combinations=200):
+    """The earlier engine's candidates: CRT idempotent sums by mask, then
+    combinations of the basis with coefficients in [-height, height]."""
+    seen = set()
+
+    def emit(poly, family):
+        reduced = space.mod(poly)
+        key = reduced.qq_coeffs()
+        if reduced.is_zero or key in seen:
+            return None
+        seen.add(key)
+        return reduced, family
+
+    idems = crt_idempotents(space)
+    for mask in range(1, 1 << len(idems)):
+        total = poly_zero()
+        for i, e in enumerate(idems):
+            if mask >> i & 1:
+                total = total + e
+        item = emit(total, "crt_idempotent")
+        if item:
+            yield item
+    basis = space.basis_polys()
+    produced = 0
+    for coords in itertools.product(range(-height, height + 1), repeat=len(basis)):
+        if produced >= max_combinations:
+            break
+        if not any(coords):
+            continue
+        total = poly_zero()
+        for c, b in zip(coords, basis):
+            if c:
+                total = total + b.scale(Fraction(c))
+        produced += 1
+        item = emit(total, "basis_combination")
+        if item:
+            yield item
+
+
+def reference_mathieu_check(space):
+    """The earlier candidate search with its default budget: (status, witness,
+    h, r, candidates tried); the first candidate in rad(V) but not in (r) refutes."""
+    h = largest_ideal(space)
+    r = squarefree_part(h) if h.degree >= 1 else poly_one()
+    if space.is_ideal():
+        return MATHIEU_EXACT, None, h, r, 0
+    tried = 0
+    for cand, _ in search_candidates(space):
+        tried += 1
+        if not radical_member_cofinite(space, cand) or poly_divides(r, cand):
+            continue
+        for j in range(space.dim):
+            if not window_holds(space, cand, t_monomial(QQ, j)):
+                return NOT_MATHIEU, (cand, t_monomial(QQ, j)), h, r, tried
+        raise AssertionError("refuter absorbs every monomial")
+    return CONSISTENT_UP_TO_BUDGET, None, h, r, tried
+
+
+def split_codim2_spaces(seed, count):
+    """Split moduli with n = 3..6 points, V cut out by two random functionals
+    whose small integer columns often have zero-sum subsets."""
+    rng = random.Random(seed)
+    spaces = []
+    for _ in range(count):
+        points = rng.sample(range(-5, 6), rng.randint(3, 6))
+        rows = [[Fraction(rng.randint(-1, 1)) for _ in points] for _ in range(2)]
+        factors = [(qq_poly([-p, 1]), 1) for p in points]
+        spaces.append(CofiniteSubspace(factors, linalg.nullspace(rows)))
+    return spaces
+
+
+def test_mathieu_matches_candidate_search_reference():
+    spaces = random_spaces(5, 120) + split_codim2_spaces(6, 40)
+    refuted = 0
+    for space in spaces:
+        status, witness, h, r, tried = reference_mathieu_check(space)
+        verdict = mathieu_check(space)
+        assert verdict.i_v_generator == h and verdict.radical_iv_generator == r
+        if status == NOT_MATHIEU:
+            refuted += 1
+            assert verdict.status == NOT_MATHIEU
+            assert verdict.witness == witness
+            assert verdict.budget_used["candidates_tried"] == tried
+        else:
+            assert verdict.status == MATHIEU_EXACT, space.to_dict()
+    assert 30 <= refuted <= len(spaces) - 30  # both verdicts well represented
+
+
+def test_mathieu_zero_sum_walk_is_fast():
+    start = time.perf_counter()
+    verdict = mathieu_check(atomic_space(range(10), [1] * 9 + [-1]))
+    assert time.perf_counter() - start < 0.5
+    assert verdict.status == NOT_MATHIEU
+    assert verdict.budget_used["candidates_tried"] == 513  # mask {0, 9}
+    # weights +-2^e * odd with distinct e: the least e in a subset fixes the
+    # 2-adic valuation of its sum, so no subset sums to zero
+    exps = [3, 0, 7, 12, 5, 1, 9, 13, 2, 10, 6, 4, 11, 8]
+    weights = [(-1) ** i * 2 ** e * (1, 3, 5)[i % 3] for i, e in enumerate(exps)]
+    start = time.perf_counter()
+    verdict = mathieu_check(atomic_space(range(-6, 8), weights))
+    assert time.perf_counter() - start < 2.0
+    assert verdict.status == MATHIEU_EXACT
+    assert verdict.budget_used["candidates_tried"] == 2 ** 14 - 1
 
 
 def test_crt_idempotents():
