@@ -3,18 +3,23 @@
 JSON on stdout is the stable contract; ``--format pretty`` is for humans
 and deliberately unstable.  Exit codes: 0 ok, 1 negative mathematical
 verdict under ``--check``, 2 usage or input errors.
+
+``main(argv)`` may be called repeatedly in one process.  The argument parser
+is built on the first call and reused by every later one; parsing keeps no
+state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from . import certlab, momlab, opimage, radlab, ufdlab
 from .corealg import QQ, QQ_POLY, format_poly, parse_poly, parse_rational, parse_ring_element
-from .errors import AlgebraError
+from .errors import AlgebraError, BadInput
 from .opimage import parse_operator
 from .momlab import parse_weight
 from .ufdlab import parse_ufd_context, parse_trunc_context
@@ -27,7 +32,7 @@ def _poly_str(p) -> Optional[str]:
 def _parse_window(text: str) -> range:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise AlgebraError(f"window must look like lo:hi, got {text!r}")
+        raise BadInput(f"window must look like lo:hi, got {text!r}")
     return range(int(lo), int(hi) + 1)
 
 
@@ -69,12 +74,14 @@ def _cmd_verify_cert(args):
     elif args.cert:
         data = json.loads(args.cert)
     else:
-        raise AlgebraError("give --cert or --cert-file")
+        raise BadInput("give --cert or --cert-file")
     valid = certlab.verify_certificate(certlab.certificate_from_dict(data))
     return {"valid": valid}, not valid
 
 
 def _cmd_moments(args):
+    if args.upto < 0:
+        raise BadInput("--upto must be non-negative")
     w = parse_weight(args.weight)
     mf = momlab.MomentFunctional(w)
     return {"moments": [str(mf.moment(n)) for n in range(args.upto + 1)]}, False
@@ -141,7 +148,7 @@ def _cmd_radical_probe(args):
     f = parse_poly(args.poly, QQ)
     sources = [s for s in (args.space, args.op, args.weight) if s]
     if len(sources) != 1:
-        raise AlgebraError("give exactly one of --space, --op, --weight")
+        raise BadInput("give exactly one of --space, --op, --weight")
     if args.space:
         space = _space_from_arg(args.space)
         oracle = space.contains
@@ -202,8 +209,13 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mathieulab", description=__doc__)
+    """The argument parser, built once per process and shared by every call."""
+    # --help leaves out the docstring's last paragraph, which is for Python callers;
+    # under -OO there is no docstring
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(prog="mathieulab", description=description)
     parser.add_argument("--format", choices=("json", "pretty"), default="json")
     parser.add_argument("--pretty", action="store_true", help="shorthand for --format pretty")
     parser.add_argument("--check", action="store_true",

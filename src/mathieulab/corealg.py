@@ -164,13 +164,17 @@ class RingElement:
     data: Union[Fraction, tuple]
 
     def __post_init__(self):
+        # Arithmetic hands over coefficients that are already Fractions; only
+        # other values are converted, since a Fraction(...) copy is the
+        # dominant cost of building an element.
         if self.ring.kind == "QQ":
-            object.__setattr__(self, "data", Fraction(self.data))
+            if type(self.data) is not Fraction:
+                object.__setattr__(self, "data", Fraction(self.data))
         else:
             raw = self.data
             if isinstance(raw, (int, Fraction)):
-                raw = (Fraction(raw),)
-            coeffs = [Fraction(v) for v in raw]
+                raw = (raw,)
+            coeffs = [v if type(v) is Fraction else Fraction(v) for v in raw]
             if self.ring.kind == "QQ_POLY_TRUNC":
                 coeffs = coeffs[: self.ring.trunc]
             object.__setattr__(self, "data", _strip(coeffs))

@@ -172,10 +172,9 @@ def absorption_bound(ctx: UfdContext, p: Poly, g: Poly) -> int:
             raise BadInput("runaway absorption search")
     bound = n * (g.degree + 1)
     f = p.scale_argument(ctx.a)
-    for m in (bound, bound + 1):
-        ok, _ = member_ufd(ctx, g * f ** m)
-        if not ok:
-            raise BadInput("internal inconsistency: validated bound failed")
+    at_bound = g * f ** bound
+    if not member_ufd(ctx, at_bound)[0] or not member_ufd(ctx, at_bound * f)[0]:
+        raise BadInput("internal inconsistency: validated bound failed")
     return bound
 
 

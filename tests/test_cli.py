@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
+from mathieulab import cli
 from mathieulab.cli import main
+from mathieulab.errors import AlgebraError
 
 
 def run_cli(capsys, *argv):
@@ -111,20 +114,28 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+MALFORMED_CASES = (
+    (("moments", "--weight", "laguerre", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "jacobi:alpha=1", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "atomic:points=0,1", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "jacobi:alpha", "--upto", "2"), "BAD_INPUT"),
+    (("member", "--op", "mono:c=1,alpha", "--poly", "t"), "BAD_INPUT"),
+    (("member", "--op", "mono:gamma=1", "--poly", "t"), "BAD_INPUT"),
+    (("ufd-member", "--ctx", "ufd:a", "--poly", "t"), "BAD_INPUT"),
+    (("ufd-member", "--ctx", "ufd:a=x,b=x", "--poly", "t"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=2,c=1", "--deg-bound", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "hermite", "--upto", "-3"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "1:3"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "1:3", "--weight", "hermite",
+      "--op", "mono:c=1,alpha=1,lambda=1,d=0"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "3", "--weight", "hermite"), "BAD_INPUT"),
+    (("verify-cert",), "BAD_INPUT"),
+)
+
+
 def test_malformed_spec_arguments_exit_2(capsys):
-    cases = (
-        (("moments", "--weight", "laguerre", "--upto", "2"), "BAD_INPUT"),
-        (("moments", "--weight", "jacobi:alpha=1", "--upto", "2"), "BAD_INPUT"),
-        (("moments", "--weight", "atomic:points=0,1", "--upto", "2"), "BAD_INPUT"),
-        (("moments", "--weight", "jacobi:alpha", "--upto", "2"), "BAD_INPUT"),
-        (("member", "--op", "mono:c=1,alpha", "--poly", "t"), "BAD_INPUT"),
-        (("member", "--op", "mono:gamma=1", "--poly", "t"), "BAD_INPUT"),
-        (("ufd-member", "--ctx", "ufd:a", "--poly", "t"), "BAD_INPUT"),
-        (("ufd-member", "--ctx", "ufd:a=x,b=x", "--poly", "t"), "BAD_INPUT"),
-        (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),
-        (("surjective", "--ctx", "trunc:k=2,c=1", "--deg-bound", "2"), "BAD_INPUT"),
-    )
-    for argv, code in cases:
+    for argv, code in MALFORMED_CASES:
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and not out, argv
         assert json.loads(err)["code"] == code, argv
@@ -167,3 +178,92 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"value": "3"}
+
+
+# -- the shared parser against a fresh parser per call --------------------------
+
+OP = "mono:c=1,alpha=1,lambda=1,d=0"
+SPACE = '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}'
+README_EXAMPLES = (
+    ("member", "--op", OP, "--poly", "t-2"),
+    ("mathieu", "--space", SPACE),
+    ("lzero", "--op", "mono:c=1,alpha=0,lambda=1,d=1", "--poly", "t^4"),
+    ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", "0"),
+    # verify-cert is appended with the certificate printed by certify
+    ("moments", "--weight", "laguerre:alpha=1/2", "--upto", "6"),
+    ("orthopoly", "--weight", "jacobi:alpha=0,beta=0", "--n", "4"),
+    ("equiv", "--weight", "hermite", "--op", "mono:c=1,alpha=0,lambda=2,d=1",
+     "--deg-bound", "12"),
+    ("escape", "--op", OP, "--poly", "t-2"),
+    ("radical-probe", "--op", "mono:c=1,alpha=-1,lambda=1,d=1", "--poly", "t^2",
+     "--window", "1:15"),
+    ("largest-ideal", "--space", '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,-1]]}'),
+    ("ufd-member", "--ctx", "ufd:a=x^2", "--poly", "x^2*t - 1"),
+    ("ufd-radical", "--ctx", "ufd:a=x^2", "--p", "x*t"),
+    ("absorb-bound", "--ctx", "ufd:a=x^2", "--p", "x*t", "--g", "t"),
+    ("gcd-lift", "--a", "x^2", "--elements", "x,x^3"),
+    ("surjective", "--ctx", "trunc:k=2,c=1,a=x", "--deg-bound", "10"),
+)
+EXIT_CODE_CASES = (
+    ("member", "--op", OP, "--poly", "t ++ 2"),
+    ("frobnicate",),
+    ("member", "--op", OP, "--poly", "1"),
+    ("--check", "member", "--op", OP, "--poly", "1"),
+)
+USAGE_CASES = (
+    (),
+    ("--help",),
+    ("member", "--help"),
+    ("--format", "xml", "member", "--op", OP, "--poly", "t"),
+    ("member", "--op", OP, "--poly", "t", "extra"),
+)
+GLOBAL_FLAGS = (("--check",), ("--pretty",), ("--format", "pretty"), ())
+
+
+def reference_main(argv):
+    """Reference for ``main``: the same dispatch on a parser built for this call alone."""
+    parser = cli.build_parser.__wrapped__()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        payload, negative = args.handler(args)
+    except AlgebraError as exc:
+        print(json.dumps({"status": "error", "code": exc.code, "message": str(exc)}),
+              file=sys.stderr)
+        return 2
+    except (json.JSONDecodeError, OSError, ValueError) as exc:
+        print(json.dumps({"status": "error", "code": "BAD_INPUT", "message": str(exc)}),
+              file=sys.stderr)
+        return 2
+    if args.pretty or args.format == "pretty":
+        print("\n".join(f"{key}: {value}" for key, value in payload.items()))
+    else:
+        print(json.dumps(payload))
+    return 1 if args.check and negative else 0
+
+
+def test_shared_parser_matches_fresh_parser(capsys):
+    cert = run_cli(capsys, *README_EXAMPLES[3])[1].strip()
+    base = [*README_EXAMPLES, ("verify-cert", "--cert", cert), *EXIT_CODE_CASES,
+            *(argv for argv, _ in MALFORMED_CASES), *USAGE_CASES]
+    assert len(base) == 16 + 4 + len(MALFORMED_CASES) + 5
+    # cycle the global flags so a flag set on one call is absent on the next
+    cases = [GLOBAL_FLAGS[i % len(GLOBAL_FLAGS)] + argv for i, argv in enumerate(base)]
+    cases += base
+    for argv in cases:
+        shared = (main(list(argv)), *capsys.readouterr())
+        fresh = (reference_main(list(argv)), *capsys.readouterr())
+        assert shared == fresh, argv
+
+
+def test_repeated_calls_reuse_the_parser(capsys):
+    argv = ["lzero", "--op", "mono:c=1,alpha=0,lambda=1,d=1", "--poly", "t^4"]
+    main(argv)
+    start = time.perf_counter()
+    for _ in range(300):
+        main(argv)
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == '{"value": "3"}\n' * 301
+    assert elapsed < 0.6, elapsed

@@ -244,3 +244,190 @@ def test_trunc_ring_element_is_truncated():
 def test_negative_pow_rejected():
     with pytest.raises(BadInput):
         poly_arith("pow", poly_t(), -1)
+
+
+# -- cross-oracle: plain Fraction-list arithmetic ----------------------------
+#
+# Every coefficient-ring element is modelled as a stripped list of Fractions in
+# ascending powers of x (QQ elements have length <= 1, truncated ones length
+# <= k); a polynomial in t is a stripped list of such lists.
+
+def _ref_strip(v):
+    v = list(v)
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _ref_cut(ring, v):
+    return _ref_strip(v[: ring.trunc] if ring.kind == "QQ_POLY_TRUNC" else v)
+
+
+def _ref_add(ring, a, b):
+    n = max(len(a), len(b))
+    return _ref_cut(ring, [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                           for i in range(n)])
+
+
+def _ref_mul(ring, a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ref_cut(ring, out)
+
+
+def _ref_pow(ring, a, n):
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = _ref_mul(ring, out, a)
+    return out
+
+
+def _ref_exact_divide(ring, b, a):
+    """The quotient as a list, or None when a (nonzero) does not divide b.
+
+    Quotients in a truncated ring are not unique, so there only "divisible"
+    is returned and the caller checks a * quotient == b instead.
+    """
+    if not b:
+        return []
+    if ring.kind == "QQ":
+        return [b[0] / a[0]]
+    if ring.kind == "QQ_POLY":
+        num, q = list(b), [Fraction(0)] * max(len(b) - len(a) + 1, 0)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = num[k + len(a) - 1] / a[-1]
+            for j, aj in enumerate(a):
+                num[k + j] -= q[k] * aj
+        return _ref_strip(q) if not _ref_strip(num) else None
+    # x^k truncation: a = x^v * unit divides b exactly when val(b) >= v
+    val = lambda v: next(i for i, c in enumerate(v) if c != 0)  # noqa: E731
+    return "divisible" if val(b) >= val(a) else None
+
+
+def _ref_poly_add(ring, f, g):
+    n = max(len(f), len(g))
+    return _ref_strip_poly([_ref_add(ring, f[i] if i < len(f) else [],
+                                     g[i] if i < len(g) else []) for i in range(n)])
+
+
+def _ref_poly_mul(ring, f, g):
+    out = [[] for _ in range(max(len(f) + len(g) - 1, 0))]
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = _ref_add(ring, out[i + j], _ref_mul(ring, fi, gj))
+    return _ref_strip_poly(out)
+
+
+def _ref_strip_poly(f):
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _raw_value(rng):
+    """An int, Fraction or bool coefficient value."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    if kind == 1:
+        return rng.random() < 0.5
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def _raw_element(rng, ring):
+    """(constructor argument, reference list) for a random ring element."""
+    if ring.kind == "QQ" or rng.random() < 0.2:
+        v = _raw_value(rng)
+        return v, _ref_cut(ring, [Fraction(v)])
+    # trailing zeros and, for truncated rings, terms past x^k are included
+    raw = tuple(_raw_value(rng) for _ in range(rng.randint(0, 5)))
+    return raw, _ref_cut(ring, [Fraction(v) for v in raw])
+
+
+def _as_list(e):
+    if e.ring.kind == "QQ":
+        return [e.data] if e.data != 0 else []
+    return list(e.data)
+
+
+def _assert_canonical(e):
+    data = (e.data,) if e.ring.kind == "QQ" else e.data
+    assert all(type(v) is Fraction for v in data), data
+    if e.ring.kind != "QQ":
+        assert not data or data[-1] != 0, data
+    if e.ring.kind == "QQ_POLY_TRUNC":
+        assert len(data) <= e.ring.trunc, data
+
+
+def _check_element(e, ref):
+    _assert_canonical(e)
+    assert _as_list(e) == ref
+
+
+def _check_poly(f, ref):
+    assert not f.coeffs or not f.coeffs[-1].is_zero
+    for c in f.coeffs:
+        _assert_canonical(c)
+    assert [_as_list(c) for c in f.coeffs] == ref
+
+
+def test_ring_arithmetic_matches_fraction_lists():
+    rng = random.Random(4051)
+    for ring in (QQ, QQ_POLY, qq_poly_trunc(1), TRUNC3, qq_poly_trunc(4)):
+        for _ in range(150):
+            (ra, a), (rb, b) = _raw_element(rng, ring), _raw_element(rng, ring)
+            ea, eb = RingElement(ring, ra), RingElement(ring, rb)
+            _check_element(ea, a)
+            _check_element(ea + eb, _ref_add(ring, a, b))
+            _check_element(ea - eb, _ref_add(ring, a, [-v for v in b]))
+            _check_element(-ea, [-v for v in a])
+            _check_element(ea * eb, _ref_mul(ring, a, b))
+            n = rng.randint(0, 4)
+            _check_element(ea ** n, _ref_pow(ring, a, n))
+            q = _raw_value(rng)
+            _check_element(ea.scale(q), _ref_cut(ring, [v * q for v in a]))
+            _check_element(ea * q, _ref_cut(ring, [v * q for v in a]))
+            if not a:
+                continue
+            got = exact_divide(eb, ea)
+            want = _ref_exact_divide(ring, b, a)
+            if want is None:
+                assert got is None
+            else:
+                _assert_canonical(got)
+                assert _ref_mul(ring, a, _as_list(got)) == b
+                if ring.kind != "QQ_POLY_TRUNC":
+                    assert _as_list(got) == want
+            product = _ref_mul(ring, a, b)
+            got = exact_divide(ea * eb, ea)
+            _assert_canonical(got)
+            assert _ref_mul(ring, a, _as_list(got)) == product
+
+
+def test_poly_arithmetic_matches_fraction_lists():
+    rng = random.Random(4052)
+    for ring in (QQ, QQ_POLY, qq_poly_trunc(2), TRUNC3):
+        for _ in range(80):
+            pairs = [[_raw_element(rng, ring) for _ in range(rng.randint(0, 4))]
+                     for _ in range(2)]
+            f, g = (Poly(ring, tuple(raw if rng.random() < 0.5 else RingElement(ring, raw)
+                                     for raw, _ in pair)) for pair in pairs)
+            rf, rg = (_ref_strip_poly([ref for _, ref in pair]) for pair in pairs)
+            _check_poly(f, rf)
+            _check_poly(f + g, _ref_poly_add(ring, rf, rg))
+            _check_poly(f - g, _ref_poly_add(ring, rf, [[-v for v in c] for c in rg]))
+            _check_poly(f * g, _ref_poly_mul(ring, rf, rg))
+            n = rng.randint(0, 3)
+            power = [[Fraction(1)]]
+            for _ in range(n):
+                power = _ref_poly_mul(ring, power, rf)
+            _check_poly(f ** n, power)
+            q = _raw_value(rng)
+            _check_poly(f.scale(q), _ref_strip_poly([_ref_cut(ring, [v * q for v in c])
+                                                     for c in rf]))
+            re, r = _raw_element(rng, ring)
+            _check_poly(f.scale(RingElement(ring, re)),
+                        _ref_strip_poly([_ref_mul(ring, c, r) for c in rf]))
