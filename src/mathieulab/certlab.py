@@ -261,6 +261,8 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     p-integral).  The assembled certificate is verified before returning.
     """
     alpha = Fraction(alpha)
+    if budget < 1:
+        raise BadInput("budget must be at least 1")
     if d < 0:
         raise BadInput("d must be non-negative")
     if d == 0 and alpha == 0:

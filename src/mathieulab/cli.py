@@ -82,9 +82,16 @@ def _cmd_verify_cert(args):
 def _cmd_moments(args):
     if args.upto < 0:
         raise BadInput("--upto must be non-negative")
-    w = parse_weight(args.weight)
-    mf = momlab.MomentFunctional(w)
-    return {"moments": [str(mf.moment(n)) for n in range(args.upto + 1)]}, False
+    mf = momlab.MomentFunctional(parse_weight(args.weight))
+    moments = [mf.moment(n) for n in range(args.upto + 1)]
+    # Python caps int -> str conversion to guard parsers against huge input
+    # text; these are exact results, so printing them is exempt
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {"moments": [str(m) for m in moments]}, False
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_vb_member(args):

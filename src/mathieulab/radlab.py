@@ -1,9 +1,12 @@
 """Radical probing and the Mathieu verdict engine for cofinite subspaces.
 
 A subspace V of QQ[t] containing a nonzero ideal (g) is described by the
-factored modulus g and a basis of its image in QQ[t]/(g).  Internally V/(g)
-is held as the kernel of its annihilator: rows lam in coefficient
-coordinates with V/(g) = {v : lam . v = 0}.  For such spaces the key
+factored modulus g = prod p_i^(m_i) and a basis of its image in QQ[t]/(g),
+given in residue coordinates (see below).  By the Chinese remainder theorem
+QQ[t]/(g) is the product of the blocks QQ[t]/(p_i^(m_i)), and V/(g) is held
+in those same coordinates as the kernel of its annihilator: rows lam with
+V/(g) = {v : lam . v = 0}.  Every decision below works block by block and
+never converts to coefficient coordinates.  For such spaces the key
 questions — does every large power of f land in V, what is the largest
 ideal inside V, is V a Mathieu subspace — reduce to finite exact linear
 algebra:
@@ -19,10 +22,12 @@ algebra:
   recurrence argument applies to the sequence a^m * b, which makes the
   absorption condition behind the Mathieu property exactly decidable per
   pair (a, b).
-* the largest ideal inside V has as image in QQ[t]/(g) the common kernel
-  of lam M^j (j < D), M the multiplication by t, and its generator is the
-  gcd of g with lifts of a kernel basis; this needs no factorization of g
-  and no enumeration of its divisors.
+* the largest ideal inside V is the product of one ideal per block: in
+  block i its image is the common kernel of lam_i M_i^j (j < deg p_i^(m_i)),
+  lam_i the annihilator restricted to the block and M_i the multiplication
+  by t, and its generator is the gcd of p_i^(m_i) with lifts of a kernel
+  basis; this needs no irreducibility of the p_i and no enumeration of
+  divisors.
 * a cofinite V is a Mathieu subspace exactly when the radical of V equals
   the radical (r) of its largest interior ideal.  For irreducible factors
   this is decided by the Chinese-remainder idempotents e_i alone: V is not
@@ -37,9 +42,10 @@ algebra:
   idempotent sums therefore gives an exact verdict whenever every factor
   is verified irreducible.
 
-External vectors use per-factor residue coordinates: the coordinates of
-f are the coefficients of f mod p_i^(m_i), blocks concatenated in modulus
-order.  For split moduli these are plain point evaluations.
+Residue coordinates: the coordinates of f are the coefficients of
+f mod p_i^(m_i), blocks concatenated in modulus order.  For split moduli
+these are plain point evaluations.  They are coordinates of QQ[t]/(g) only
+when the factors are pairwise coprime, which the constructor checks.
 """
 
 from __future__ import annotations
@@ -121,11 +127,22 @@ def _has_rational_root(f: Poly) -> bool:
     return False
 
 
+def _pow_mod(f: Poly, e: int, modulus: Poly) -> Poly:
+    """f^e mod modulus by repeated squaring."""
+    base = euclid_divmod(f, modulus)[1]
+    out = euclid_divmod(poly_one(QQ), modulus)[1]
+    while e:
+        if e & 1:
+            out = euclid_divmod(out * base, modulus)[1]
+        base = euclid_divmod(base * base, modulus)[1]
+        e >>= 1
+    return out
+
+
 class CofiniteSubspace:
     """V ⊆ QQ[t] with (g) ⊆ V, encoded by g's factorization and V/(g)."""
 
-    def __init__(self, factors: Sequence[tuple[Poly, int]], vbar_basis: Sequence[Sequence] = (),
-                 basis_coords: str = "residue"):
+    def __init__(self, factors: Sequence[tuple[Poly, int]], vbar_basis: Sequence[Sequence] = ()):
         if not factors:
             raise BadInput("the modulus needs at least one factor")
         normalized = []
@@ -149,40 +166,36 @@ class CofiniteSubspace:
             else:
                 unverified.append(poly)  # trusted, flagged
             normalized.append((poly, mult))
+        # distinct verified factors are distinct irreducibles, hence coprime;
+        # residue coordinates cover QQ[t]/(g) only when all blocks are coprime
+        for p in unverified:
+            if any(q is not p and poly_gcd(p, q).degree >= 1 for q, _ in normalized):
+                raise BadInput("modulus factors are not pairwise coprime")
         self.factors: tuple = tuple(normalized)
         self.unverified_factors: tuple = tuple(unverified)
 
         g = poly_one(QQ)
         blocks = []
+        starts = []
         for poly, mult in self.factors:
             block = poly ** mult
             blocks.append(block)
+            starts.append(g.degree)
             g = g * block
         self._blocks = tuple(blocks)
+        self._starts = tuple(starts)  # first residue coordinate of each block
         self.modulus: Poly = g
         self.dim: int = g.degree
 
-        # residue coordinates <-> coefficient coordinates
-        crt_columns = [self.residue_vec(t_monomial(QQ, j)) for j in range(self.dim)]
-        self._crt_matrix = [[crt_columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-        converted = []
+        basis = []
         for vec in vbar_basis:
             entries = [Fraction(v) if not isinstance(v, float) else None for v in vec]
             if None in entries:
                 raise BadInput("basis vectors must be exact rationals, not floats")
             if len(entries) != self.dim:
                 raise BadInput(f"basis vectors must have length {self.dim}")
-            if basis_coords == "residue":
-                coeff_vec = linalg.solve_linear(self._crt_matrix, entries)
-                if coeff_vec is None:
-                    raise BadInput("residue vector outside the quotient algebra")
-                converted.append(coeff_vec)
-            elif basis_coords == "coefficient":
-                converted.append(entries)
-            else:
-                raise BadInput(f"unknown basis coordinate system {basis_coords!r}")
-        self._basis = tuple(tuple(v) for v in converted)
+            basis.append(tuple(entries))
+        self._basis = tuple(basis)
         # annihilator rows: V/(g) = {v : lam . v = 0 for every row lam}
         self._ann = linalg.nullspace(self._basis or [[_F0] * self.dim])
         if len(self._ann) + len(self._basis) != self.dim:
@@ -190,51 +203,40 @@ class CofiniteSubspace:
 
     # -- coordinate maps -------------------------------------------------
 
-    def residue_vec(self, f: Poly) -> list[Fraction]:
+    def _coords(self, residues: Sequence[Poly]) -> list[Fraction]:
+        """Residue vector of the element with the given residues mod each block."""
         out: list[Fraction] = []
-        for block in self._blocks:
-            r = euclid_divmod(f, block)[1]
-            coeffs = list(r.qq_coeffs())
-            coeffs += [_F0] * (block.degree - len(coeffs))
+        for r, block in zip(residues, self._blocks):
+            coeffs = r.qq_coeffs()
             out.extend(coeffs)
+            out.extend([_F0] * (block.degree - len(coeffs)))
         return out
 
+    def residue_vec(self, f: Poly) -> list[Fraction]:
+        return self._coords([euclid_divmod(f, block)[1] for block in self._blocks])
+
     def reduce_vec(self, f: Poly) -> list[Fraction]:
-        r = euclid_divmod(f, self.modulus)[1]
-        coeffs = list(r.qq_coeffs())
+        """Coefficient vector of f mod g (kept for tests and benchmark tracing)."""
+        coeffs = list(self.mod(f).qq_coeffs())
         return coeffs + [_F0] * (self.dim - len(coeffs))
 
     def mod(self, f: Poly) -> Poly:
         return euclid_divmod(f, self.modulus)[1]
 
-    def lift(self, coeff_vec: Sequence[Fraction]) -> Poly:
-        return qq_poly(coeff_vec)
-
-    def basis_polys(self) -> list[Poly]:
-        return [self.lift(v) for v in self._basis]
-
     # -- membership --------------------------------------------------------
 
-    def contains_vec(self, coeff_vec: Sequence[Fraction]) -> bool:
-        return all(sum(l * v for l, v in zip(lam, coeff_vec)) == 0 for lam in self._ann)
+    def contains_vec(self, residue_vec: Sequence[Fraction]) -> bool:
+        return all(sum(l * v for l, v in zip(lam, residue_vec)) == 0 for lam in self._ann)
 
     def contains(self, f: Poly) -> bool:
-        return self.contains_vec(self.reduce_vec(f))
+        return self.contains_vec(self.residue_vec(f))
 
     def is_ideal(self) -> bool:
-        """V is an ideal iff its image mod g is closed under multiplication by t."""
-        t = t_monomial(QQ, 1)
-        return all(self.contains(t * p) for p in self.basis_polys())
+        """V is an ideal iff its largest interior ideal has the same codimension."""
+        return largest_ideal(self).degree == len(self._ann)
 
     def pow_mod(self, f: Poly, e: int) -> Poly:
-        base = self.mod(f)
-        out = self.mod(poly_one(QQ))
-        while e:
-            if e & 1:
-                out = self.mod(out * base)
-            base = self.mod(base * base)
-            e >>= 1
-        return out
+        return _pow_mod(f, e, self.modulus)
 
     # -- serialization -----------------------------------------------------
 
@@ -258,9 +260,7 @@ class CofiniteSubspace:
     def to_dict(self) -> dict:
         return {
             "modulus": [[format_poly(p), m] for p, m in self.factors],
-            "vbar_basis": [
-                [str(v) for v in self.residue_vec(self.lift(vec))] for vec in self._basis
-            ],
+            "vbar_basis": [[str(v) for v in vec] for vec in self._basis],
         }
 
 
@@ -314,15 +314,18 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
 
     Checks f^m in V for m in [D, 2D], D = deg g; by the two-sided
     Cayley-Hamilton recurrence described in the module docstring this window
-    is equivalent to eventual membership.
+    is equivalent to eventual membership.  The powers are taken block by
+    block on the residues of f mod p_i^(m_i), which for split moduli are the
+    values f(a_i).
     """
     d = space.dim
-    fbar = space.mod(f)
-    current = space.pow_mod(fbar, d)
+    blocks = space._blocks
+    bases = [euclid_divmod(f, b)[1] for b in blocks]
+    powers = [_pow_mod(r, d, b) for r, b in zip(bases, blocks)]
     for _ in range(d, 2 * d + 1):
-        if not space.contains(current):
+        if not space.contains_vec(space._coords(powers)):
             return False
-        current = space.mod(current * fbar)
+        powers = [euclid_divmod(p * r, b)[1] for p, r, b in zip(powers, bases, blocks)]
     return True
 
 
@@ -343,25 +346,31 @@ def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
 def largest_ideal(space: CofiniteSubspace) -> Poly:
     """Monic generator of the largest ideal contained in V, by linear algebra.
 
-    With M the multiplication by t on QQ[t]/(g), v lies in the image of the
-    largest ideal iff t^j v lies in V/(g) for every j < deg g, i.e. iff
-    (lam M^j) . v = 0 for every annihilator row lam (Cayley-Hamilton bounds
-    j).  That image is an ideal (h)/(g) with h | g, and h is the gcd of g
-    and the lifts of any basis of it.  Nothing here assumes the factors of g
-    are irreducible.
+    Ideals of QQ[t]/(g) split along the blocks b_i = p_i^(m_i), so the
+    largest ideal inside V is (h) with h = prod h_i, where (h_i)/(b_i) is the
+    largest ideal of block i inside V.  With lam_i the annihilator rows
+    restricted to block i and M_i the multiplication by t mod b_i, a residue
+    v of block i lies in that ideal iff t^j v lies in V for every
+    j < deg b_i, i.e. iff (lam_i M_i^j) . v = 0 (Cayley-Hamilton bounds j);
+    h_i is the gcd of b_i and the lifts of a basis of that common kernel.
+    Nothing here assumes the factors of g are irreducible.
     """
+    out = poly_one(QQ)
     if not space._ann:
-        return poly_one(QQ)
-    g = space.modulus.qq_coeffs()
-    rows = []
-    for lam in space._ann:
-        for _ in range(space.dim):
-            rows.append(lam)
-            # lam M: shift down, the top slot picks up t^D = -sum g_k t^k
-            lam = lam[1:] + [-sum(gk * lk for gk, lk in zip(g, lam))]
-    out = space.modulus
-    for vec in linalg.nullspace(rows):
-        out = poly_gcd(out, qq_poly(vec))
+        return out
+    for block, start in zip(space._blocks, space._starts):
+        b = block.qq_coeffs()
+        rows = []
+        for lam in space._ann:
+            lam = lam[start:start + block.degree]
+            for _ in range(block.degree):
+                rows.append(lam)
+                # lam M: shift down, the top slot picks up t^deg b = -sum b_k t^k
+                lam = lam[1:] + [-sum(bk * lk for bk, lk in zip(b, lam))]
+        h = block
+        for vec in linalg.nullspace(rows):
+            h = poly_gcd(h, qq_poly(vec))
+        out = out * h
     return out
 
 
@@ -402,9 +411,7 @@ def crt_idempotents(space: CofiniteSubspace) -> list[Poly]:
         for j, other in enumerate(space._blocks):
             if j != i:
                 rest = rest * other
-        d, u, _ = poly_xgcd(rest, block)
-        if not (d.degree == 0 and d.coeff(0).data == 1):
-            raise BadInput("modulus factors are not pairwise coprime")
+        _, u, _ = poly_xgcd(rest, block)  # the blocks are coprime: gcd 1
         out.append(space.mod(u * rest))
     return out
 
@@ -465,24 +472,22 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
         budget_used["structural_case"] = "ideal"
         return MathieuVerdict(MATHIEU_EXACT, None, h, r, budget_used)
 
-    idems = crt_idempotents(space)
-    u = [[sum(l * c for l, c in zip(lam, e.qq_coeffs())) for lam in space._ann] for e in idems]
+    # e_i has residue vector (0..0, 1, 0..0), so lam . e_i is column start_i of lam
+    u = [[lam[start] for lam in space._ann] for start in space._starts]
     scale = math.lcm(*(x.denominator for ui in u for x in ui))
     live = sum(1 << i for i, (p, _) in enumerate(space.factors) if poly_gcd(p, r).degree >= 1)
     mask = _first_zero_sum([[int(x * scale) for x in ui] for ui in u], live)
     if mask is None:
-        budget_used["candidates_tried"] = (1 << len(idems)) - 1
+        budget_used["candidates_tried"] = (1 << len(u)) - 1
         status = CONSISTENT_UP_TO_BUDGET if space.unverified_factors else MATHIEU_EXACT
         return MathieuVerdict(status, None, h, r, budget_used)
 
-    chosen = [e for i, e in enumerate(idems) if mask >> i & 1]
+    chosen = [e for i, e in enumerate(crt_idempotents(space)) if mask >> i & 1]
     a = sum(chosen[1:], chosen[0])
     budget_used["candidates_tried"] = mask
     budget_used["witness_family"] = "crt_idempotent"
-    shifted = a
     for j in range(space.dim):
-        if not space.contains(shifted):
+        if not space.contains(a * t_monomial(QQ, j)):
             return MathieuVerdict(NOT_MATHIEU, (a, t_monomial(QQ, j)), h, r, budget_used)
-        shifted = space.mod(shifted * t_monomial(QQ, 1))
     # absorption of every monomial would put (a) + (g) inside V, so r | a
     raise BadInput("internal inconsistency: refuter absorbs every monomial")

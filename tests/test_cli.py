@@ -141,6 +141,37 @@ def test_malformed_spec_arguments_exit_2(capsys):
         assert json.loads(err)["code"] == code, argv
 
 
+def test_rejections_name_their_reason(capsys):
+    coprime = "modulus factors are not pairwise coprime"
+    shared_root = '{"modulus":[["t^4 - 1",1],["t - 1",1]],"vbar_basis":%s}'
+    certify = ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", "0", "--budget")
+    cases = (
+        (("mathieu", "--space", shared_root % "[]"), coprime),
+        (("largest-ideal", "--space", shared_root % "[]"), coprime),
+        (("mathieu", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),
+        (("largest-ideal", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),
+        ((*certify, "-5"), "budget must be at least 1"),
+        ((*certify, "0"), "budget must be at least 1"),
+    )
+    for argv, message in cases:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and not out, argv
+        assert json.loads(err) == {"status": "error", "code": "BAD_INPUT", "message": message}
+
+
+def test_moments_print_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    payload = run_json(capsys, "moments", "--weight", "laguerre:alpha=1/2", "--upto", "1500")
+    assert len(payload["moments"]) == 1501
+    assert len(payload["moments"][-1].split("/")[0]) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    # input text is still parsed under the limit
+    status, out, err = run_cli(capsys, "moments", "--weight", "laguerre:alpha=" + "1" * 5000,
+                               "--upto", "2")
+    assert status == 2 and not out and json.loads(err)["code"] == "BAD_INPUT"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_seed_determinism(capsys):
     argv = ["mathieu", "--space", '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}']
     outputs = set()

@@ -31,6 +31,8 @@ from mathieulab.opimage import (
     reduce,
 )
 
+from linalg_oracle import solve_linear
+
 
 def double_factorial_odd(q):
     """(2q-1)!! as an exact fraction."""
@@ -277,8 +279,6 @@ def test_apply_operator_rejects_inadmissible():
 def member_by_linear_solve(op, f):
     """Independent membership oracle: solve D(h) = f by exact Gaussian
     elimination over the admissible monomial basis, no triangular shortcuts."""
-    from mathieulab.linalg import solve_linear
-
     if isinstance(op, MonomialOperator):
         start = 1 if op.alpha != 0 else 0
         max_h = max(f.degree - op.d, f.degree, 0) + 1

@@ -15,8 +15,10 @@ import pytest
 from mathieulab import linalg
 from mathieulab.corealg import (
     QQ,
+    euclid_divmod,
     parse_poly,
     poly_divides,
+    poly_gcd,
     poly_one,
     poly_zero,
     qq_poly,
@@ -40,8 +42,17 @@ from mathieulab.radlab import (
     radical_probe,
 )
 
+from linalg_oracle import solve_linear
+
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
+
+
+def coefficient_space(factors, basis):
+    """The space whose V/(g) is spanned by the polynomials with the given
+    coefficient vectors, handed to the constructor in residue coordinates."""
+    coords = CofiniteSubspace(factors, [])
+    return CofiniteSubspace(factors, [coords.residue_vec(qq_poly(v)) for v in basis])
 
 
 def powers_in_space_by_matrix(space, f, window):
@@ -60,7 +71,7 @@ def powers_in_space_by_matrix(space, f, window):
     for m in range(1, max(window) + 1):
         current = apply(matrix, current)
         if m in window:
-            results[m] = space.contains_vec(current)
+            results[m] = space.contains_vec(space.residue_vec(qq_poly(current)))
     return all(results[m] for m in window)
 
 
@@ -80,6 +91,9 @@ def test_space_json_roundtrip():
     assert not space.contains(parse_poly("t"))
     again = CofiniteSubspace.from_dict(space.to_dict())
     assert again.contains(poly_one()) and not again.contains(parse_poly("t"))
+    # the stored residue vectors are printed as given
+    data = {"modulus": [["t", 2], ["t - 1", 1]], "vbar_basis": [["0", "1", "0"], ["1/2", "0", "-1"]]}
+    assert CofiniteSubspace.from_dict(data).to_dict() == data
 
 
 def test_space_validation():
@@ -92,6 +106,11 @@ def test_space_validation():
                          [[1, 0], [2, 0]])  # dependent basis
     quartic = CofiniteSubspace([(parse_poly("t^4 + t + 7"), 1)], [])
     assert len(quartic.unverified_factors) == 1  # trusted but flagged
+    # residue coordinates need coprime blocks; only trusted factors can share one
+    CofiniteSubspace([(parse_poly("t^4 - 1"), 1), (parse_poly("t - 2"), 2)], [])
+    for other in ("t - 1", "t^4 + 3*t^2 + 2"):  # t^4 - 1 = (t - 1)(t + 1)(t^2 + 1)
+        with pytest.raises(BadInput, match="not pairwise coprime"):
+            CofiniteSubspace([(parse_poly("t^4 - 1"), 1), (parse_poly(other), 2)], [])
 
 
 def has_rational_root_by_divisors(f):
@@ -194,7 +213,7 @@ def random_spaces(seed, count):
                  for j in range(dim - d.degree)] if rng.random() < 0.7 else []
         basis += [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
         try:
-            spaces.append(CofiniteSubspace(factors, basis, basis_coords="coefficient"))
+            spaces.append(coefficient_space(factors, basis))
         except BadInput:
             continue  # dependent basis
     return spaces
@@ -346,8 +365,7 @@ def test_mathieu_verdict_deterministic_across_configs():
 def test_mathieu_nilpotent_modulus_refuted():
     # V spanned by 1 and t^2 mod t^3: the largest interior ideal is (t^2)
     # with radical (t), but the constant 1 keeps all its powers in V
-    space = CofiniteSubspace([(parse_poly("t"), 3)], [[1, 0, 0], [0, 0, 1]],
-                             basis_coords="coefficient")
+    space = coefficient_space([(parse_poly("t"), 3)], [[1, 0, 0], [0, 0, 1]])
     verdict = mathieu_check(space)
     assert verdict.status == NOT_MATHIEU
     assert verdict.i_v_generator == parse_poly("t^2")
@@ -359,8 +377,7 @@ def test_mathieu_budget_exhaustion_is_honest():
     # span{1 + t} mod t(t-1): the radical of V is (g) = radical of I_V, so
     # the space is Mathieu; none of the idempotents 1 - t, t and 1 lies in
     # V, so the finished walk over the idempotent sums proves it
-    space = CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)],
-                             [[1, 1]], basis_coords="coefficient")
+    space = coefficient_space([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)], [[1, 1]])
     verdict = mathieu_check(space)
     assert verdict.status == MATHIEU_EXACT
     assert verdict.budget_used == {"window": [2, 4], "candidates_tried": 3}
@@ -371,8 +388,7 @@ def test_mathieu_trusted_factor_is_not_exact():
     # Q[t]/(t^4 - 1) lying in V, so V is not Mathieu; the engine cannot see
     # that factor split and must not claim MATHIEU_EXACT
     rows = [[0, 2, 0, 2], [1, 0, -1, 0]]
-    space = CofiniteSubspace([(parse_poly("t^4 - 1"), 1)], linalg.nullspace(rows),
-                             basis_coords="coefficient")
+    space = coefficient_space([(parse_poly("t^4 - 1"), 1)], linalg.nullspace(rows))
     refuter = parse_poly("1/2*t^2 + 1/2")
     assert space.mod(refuter * refuter) == refuter and space.contains(refuter)
     assert not poly_divides(squarefree_part(largest_ideal(space)), refuter)
@@ -393,6 +409,16 @@ def window_holds(space, a, b):
             return False
         current = space.mod(current * a)
     return True
+
+
+def residue_lift(space, idems, vec):
+    """The polynomial of degree < D with residue vector vec: sum_i e_i v_i mod g."""
+    out, start = poly_zero(), 0
+    for e, (p, m) in zip(idems, space.factors):
+        width = p.degree * m
+        out = out + e * qq_poly(vec[start:start + width])
+        start += width
+    return space.mod(out)
 
 
 def search_candidates(space, height=2, max_combinations=200):
@@ -417,7 +443,7 @@ def search_candidates(space, height=2, max_combinations=200):
         item = emit(total, "crt_idempotent")
         if item:
             yield item
-    basis = space.basis_polys()
+    basis = [residue_lift(space, idems, vec) for vec in space._basis]
     produced = 0
     for coords in itertools.product(range(-height, height + 1), repeat=len(basis)):
         if produced >= max_combinations:
@@ -508,3 +534,155 @@ def test_crt_idempotents():
             assert space.mod(e * e) == e
             total = total + e
         assert space.mod(total) == poly_one()
+
+
+# -- the coefficient-coordinate reference ---------------------------------------
+
+class CoefficientReference:
+    """The earlier representation of V/(g), kept as the reference.
+
+    Each residue basis vector is converted to coefficient coordinates by a
+    dense solve against the D x D CRT matrix; the annihilator, membership,
+    the radical window and the (c D) x D largest-ideal system all work on
+    coefficient vectors mod g.
+    """
+
+    def __init__(self, factors, residue_basis):
+        self.factors = factors
+        self.blocks = [p ** m for p, m in factors]
+        self.modulus = poly_one()
+        for block in self.blocks:
+            self.modulus = self.modulus * block
+        self.dim = self.modulus.degree
+        columns = [self.residue_vec(t_monomial(QQ, j)) for j in range(self.dim)]
+        self.crt = [[col[i] for col in columns] for i in range(self.dim)]
+        basis = [solve_linear(self.crt, vec) for vec in residue_basis]
+        self.ann = linalg.nullspace(basis or [[Fraction(0)] * self.dim])
+
+    def residue_vec(self, f):
+        out = []
+        for block in self.blocks:
+            coeffs = list(euclid_divmod(f, block)[1].qq_coeffs())
+            out += coeffs + [Fraction(0)] * (block.degree - len(coeffs))
+        return out
+
+    def lift(self, residues):
+        return qq_poly(solve_linear(self.crt, residues))
+
+    def mod(self, f):
+        return euclid_divmod(f, self.modulus)[1]
+
+    def contains(self, f):
+        coeffs = self.mod(f).qq_coeffs()
+        return all(sum(l * c for l, c in zip(lam, coeffs)) == 0 for lam in self.ann)
+
+    def radical_member(self, f):
+        base, power = self.mod(f), poly_one()
+        for m in range(1, 2 * self.dim + 1):
+            power = self.mod(power * base)
+            if m >= self.dim and not self.contains(power):
+                return False
+        return True
+
+    def largest_ideal(self):
+        if not self.ann:
+            return poly_one()
+        g = self.modulus.qq_coeffs()
+        rows = []
+        for lam in self.ann:
+            for _ in range(self.dim):
+                rows.append(lam)
+                lam = lam[1:] + [-sum(gk * lk for gk, lk in zip(g, lam))]
+        out = self.modulus
+        for vec in linalg.nullspace(rows):
+            out = poly_gcd(out, qq_poly(vec))
+        return out
+
+    def mathieu(self):
+        """(status, witness, h, r, budget_used): the zero-sum test over the
+        idempotents with masks tried one by one and each sum formed afresh."""
+        h = self.largest_ideal()
+        r = squarefree_part(h) if h.degree >= 1 else poly_one()
+        budget = {"window": [self.dim, 2 * self.dim]}
+        if h.degree == len(self.ann):
+            budget["structural_case"] = "ideal"
+            return MATHIEU_EXACT, None, h, r, budget
+        idems, start = [], 0
+        for block in self.blocks:
+            idems.append(self.lift([int(k == start) for k in range(self.dim)]))
+            start += block.degree
+        u = [[sum(l * c for l, c in zip(lam, e.qq_coeffs())) for lam in self.ann]
+             for e in idems]
+        live = [poly_gcd(p, r).degree >= 1 for p, _ in self.factors]
+        n = len(idems)
+        for mask in range(1, 1 << n):
+            chosen = [i for i in range(n) if mask >> i & 1]
+            if not any(live[i] for i in chosen):
+                continue
+            if any(sum(u[i][k] for i in chosen) for k in range(len(self.ann))):
+                continue
+            a = poly_zero()
+            for i in chosen:
+                a = a + idems[i]
+            budget["candidates_tried"] = mask
+            budget["witness_family"] = "crt_idempotent"
+            for j in range(self.dim):
+                if not self.contains(a * t_monomial(QQ, j)):
+                    return NOT_MATHIEU, (a, t_monomial(QQ, j)), h, r, budget
+            raise AssertionError("refuter absorbs every monomial")
+        budget["candidates_tried"] = (1 << n) - 1
+        trusted = any(p.degree >= 4 for p, _ in self.factors)
+        return (CONSISTENT_UP_TO_BUDGET if trusted else MATHIEU_EXACT), None, h, r, budget
+
+
+def test_residue_coordinates_match_coefficient_reference():
+    t4 = parse_poly("t^4 - 1")
+    spaces = random_spaces(7, 200) + split_codim2_spaces(8, 100) + [
+        CofiniteSubspace([(t4, 1)], [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]),
+        coefficient_space([(t4, 1)], linalg.nullspace([[0, 2, 0, 2], [1, 0, -1, 0]])),
+    ]
+    rng = random.Random(9)
+    statuses, answers = set(), set()
+    for space in spaces:
+        ref = CoefficientReference(space.factors, space._basis)
+        status, witness, h, r, budget = ref.mathieu()
+        verdict = mathieu_check(space)
+        assert verdict.status == status, space.to_dict()
+        assert verdict.witness == witness, space.to_dict()
+        assert (verdict.i_v_generator, verdict.radical_iv_generator) == (h, r)
+        assert verdict.budget_used == budget, space.to_dict()
+        statuses.add(status)
+        for gen in (poly_one(), poly_one(), h, r):
+            f = gen * qq_poly([rng.randint(-3, 3) for _ in range(rng.randint(1, space.dim + 2))])
+            member, in_radical = space.contains(f), radical_member_cofinite(space, f)
+            assert member == ref.contains(f), (space.to_dict(), f)
+            assert in_radical == ref.radical_member(f), (space.to_dict(), f)
+            answers.add((member, in_radical))
+    assert statuses == {NOT_MATHIEU, MATHIEU_EXACT, CONSISTENT_UP_TO_BUDGET}
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_space_build_is_fast():
+    weights = [(-1) ** i * (i + 1) for i in range(20)]
+    start = time.perf_counter()
+    space = atomic_space(range(-10, 10), weights)
+    assert time.perf_counter() - start < 0.3
+    assert space.dim == 20 and len(space._ann) == 1
+
+
+def test_bench_tracer_wraps_and_restores_the_space_methods():
+    # the benchmark's tracer wraps CofiniteSubspace methods by name
+    import mathieulab
+    import mathieulab.cli  # noqa: F401  (the tracer wraps every layer module)
+    from bench.trace import Tracer
+
+    original = CofiniteSubspace.contains
+    tracer = Tracer(mathieulab, lambda: 0)
+    tracer.install()
+    try:
+        assert CofiniteSubspace.contains is not original
+        assert VALUE_EQUAL.contains(poly_one())
+        assert tracer.calls[tracer.names.index(("radlab", "CofiniteSubspace.contains"))] == 1
+    finally:
+        tracer.uninstall()
+    assert CofiniteSubspace.contains is original
