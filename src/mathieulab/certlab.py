@@ -197,7 +197,7 @@ def _normalized_lowest(f: Poly) -> int:
     if f.is_zero:
         raise ZeroInput("zero polynomial")
     s = f.lowest_degree()
-    if s is None or s < 1 or f.coeff(s).data != 1:
+    if s is None or s < 1 or f.coeff(s) != 1:
         raise NotNormalized("lowest term must be a monic t^s with s >= 1")
     return s
 
@@ -258,7 +258,7 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     with s0 = gcd(s(d+1), q+r), s(d+1) = s0*s_star and q+r = s0*h, the
     candidate primes are p = (s_star*q)m + h.  A candidate is rejected when
     it divides a coefficient denominator of f (the phi values must stay
-    p-integral).  The assembled certificate is verified before returning.
+    p-integral).  The L0 identity is checked exactly before returning.
     """
     alpha = Fraction(alpha)
     if budget < 1:
@@ -270,7 +270,6 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     if not _alpha_admissible(d, alpha):
         raise BadInput("alpha lies in -(1 + (d+1)N); powers of t^(d+1) stay in the image")
     s = _normalized_lowest(f)
-    deg = f.degree
     q, r = alpha.denominator, alpha.numerator
     if q + r == 0:
         raise BadInput("alpha = -1 is excluded")
@@ -280,7 +279,7 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     step = s_star * q
     if math.gcd(step, h) != 1:
         raise NotCoprime("progression parameters are not coprime")
-    denominators = {c.data.denominator for c in f.coeffs if not c.is_zero}
+    denominators = {c.denominator for c in f.coeffs if c}
     m_min = 1
     while m_min <= budget:
         found = dirichlet_prime(step, h, m_min, budget - m_min + 1)
@@ -290,22 +289,26 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
         m_min = m + 1
         if any(den % p == 0 for den in denominators):
             continue
-        cert = _assemble(f, s, deg, d, alpha, m, p, s0, s_star, h, q, r)
-        if cert is not None:
-            return cert
+        derived = _derive_valuations(f, s, d, alpha, m, p)
+        if derived is not None:
+            return Certificate(f, m, p, s0, s_star, h, q, r, *derived, m * (d + 1))
     raise BudgetExhausted(f"no admissible prime among {budget} progression candidates")
 
 
-def _assemble(f, s, deg, d, alpha, m, p, s0, s_star, h, q, r) -> Optional[Certificate]:
-    # p passed is_prime in dirichlet_prime
-    i_max = (deg - s) * m
+def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
+                       p: int) -> Optional[tuple[tuple, tuple]]:
+    """(bi_valuations, phi_valuations) of f for the prime p, or None when p
+    misses some b_i, some phi is not p-integral, or the L0 identity fails.
+
+    p must already be known prime: the valuations skip the primality test.
+    """
+    i_max = (f.degree - s) * m
     phi = phi_expansion(f, m, d)
     bi_vals = []
     phi_vals = []
     correction = _F0
     if i_max >= 1:
-        bs = b_products(s, m, d, alpha, i_max)
-        for i, b in enumerate(bs, start=1):
+        for i, b in enumerate(b_products(s, m, d, alpha, i_max), start=1):
             v = _valuation(b, p)
             if not (isinstance(v, int) and v > 0):
                 return None
@@ -319,25 +322,10 @@ def _assemble(f, s, deg, d, alpha, m, p, s0, s_star, h, q, r) -> Optional[Certif
                 correction += b * coeff
     # exact cross-check of the factored identity against the reducer
     bracket = bracket_factorial(s * m, d + 1, alpha)
-    op = MonomialOperator(1, alpha, 1, d)
-    value = lzero(op, f ** (m * (d + 1)))
-    if value != bracket * (1 + correction):
+    value = lzero(MonomialOperator(1, alpha, 1, d), f ** (m * (d + 1)))
+    if value == 0 or value != bracket * (1 + correction):
         return None
-    if value == 0:
-        return None
-    return Certificate(
-        f=f,
-        m=m,
-        prime=p,
-        s0=s0,
-        s_star=s_star,
-        h=h,
-        q=q,
-        r=r,
-        bi_valuations=tuple(bi_vals),
-        phi_valuations=tuple(phi_vals),
-        conclusion_exponent=m * (d + 1),
-    )
+    return tuple(bi_vals), tuple(phi_vals)
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -369,31 +357,8 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if not is_prime(cert.prime):
             return False
-        # cert.prime is known prime from here on: valuations skip the test
-        i_max = (cert.f.degree - s) * m
-        if len(cert.bi_valuations) != max(i_max, 0):
-            return False
-        phi = phi_expansion(cert.f, m, d)
-        correction = _F0
-        expected_phi = []
-        if i_max >= 1:
-            bs = b_products(s, m, d, alpha, i_max)
-            for i, b in enumerate(bs, start=1):
-                v = _valuation(b, cert.prime)
-                if cert.bi_valuations[i - 1] != (i, v) or not (isinstance(v, int) and v > 0):
-                    return False
-                coeff = phi.get((s * m + i) * (d + 1), _F0)
-                if coeff != 0:
-                    v_phi = _valuation(coeff, cert.prime)
-                    if v_phi < 0:
-                        return False
-                    expected_phi.append((i, v_phi))
-                    correction += b * coeff
-        if tuple(expected_phi) != tuple(cert.phi_valuations):
-            return False
-        bracket = bracket_factorial(s * m, d + 1, alpha)
-        value = lzero(MonomialOperator(1, alpha, 1, d), cert.f ** (m * (d + 1)))
-        return value == bracket * (1 + correction) and value != 0
+        derived = _derive_valuations(cert.f, s, d, alpha, m, cert.prime)
+        return derived == (tuple(cert.bi_valuations), tuple(cert.phi_valuations))
     except Exception:
         return False
 

@@ -2,11 +2,15 @@
 
 The main variable is always ``t``.  Coefficients live in one of three rings:
 
-* ``QQ`` — arbitrary-precision rationals (``fractions.Fraction``);
+* ``QQ`` — arbitrary-precision rationals;
 * ``QQ_POLY`` — polynomials in a second variable ``x`` over the rationals
   (a UFD with computable gcd);
 * ``QQ_POLY_TRUNC(k)`` — ``x``-polynomials truncated modulo x^k, a
   finite-dimensional ring with nilpotents.
+
+A coefficient is a ``fractions.Fraction`` over QQ and a ``RingElement``
+otherwise.  Both support ``+``, ``-``, ``*`` and truth value, which is all
+``Poly`` uses of them outside its QQ-only methods.
 
 Every value is immutable and every operation exact; there is no floating
 point anywhere.  The canonical zero polynomial has an empty coefficient
@@ -29,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AmbiguousDivision,
@@ -158,60 +162,40 @@ def _tderiv(a):
 
 @dataclass(frozen=True, slots=True)
 class RingElement:
-    """An element of a coefficient ring, in canonical form."""
+    """An element of QQ_POLY or QQ_POLY_TRUNC(k): a stripped tuple of Fractions
+    in ascending powers of x.  Elements of QQ are plain Fractions."""
 
     ring: Ring
-    data: Union[Fraction, tuple]
+    data: tuple
 
     def __post_init__(self):
+        if self.ring.is_field:
+            raise BadInput("QQ elements are Fractions, not ring elements")
+        raw = self.data
+        if isinstance(raw, (int, Fraction)):
+            raw = (raw,)
         # Arithmetic hands over coefficients that are already Fractions; only
         # other values are converted, since a Fraction(...) copy is the
         # dominant cost of building an element.
-        if self.ring.kind == "QQ":
-            if type(self.data) is not Fraction:
-                object.__setattr__(self, "data", Fraction(self.data))
-        else:
-            raw = self.data
-            if isinstance(raw, (int, Fraction)):
-                raw = (raw,)
-            coeffs = [v if type(v) is Fraction else Fraction(v) for v in raw]
-            if self.ring.kind == "QQ_POLY_TRUNC":
-                coeffs = coeffs[: self.ring.trunc]
-            object.__setattr__(self, "data", _strip(coeffs))
+        coeffs = [v if type(v) is Fraction else Fraction(v) for v in raw]
+        if self.ring.kind == "QQ_POLY_TRUNC":
+            coeffs = coeffs[: self.ring.trunc]
+        object.__setattr__(self, "data", _strip(coeffs))
 
     # -- structure -----------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
     @property
     def is_zero(self) -> bool:
-        if self.ring.kind == "QQ":
-            return self.data == 0
         return not self.data
 
     @property
-    def is_one(self) -> bool:
-        if self.ring.kind == "QQ":
-            return self.data == 1
-        return self.data == (_F1,)
-
-    @property
     def is_unit(self) -> bool:
-        if self.ring.kind == "QQ":
-            return self.data != 0
         if self.ring.kind == "QQ_POLY":
             return len(self.data) == 1
         return bool(self.data) and self.data[0] != 0
-
-    @property
-    def x_degree(self) -> int:
-        """Degree in x; -1 for zero."""
-        if self.ring.kind == "QQ":
-            return 0 if self.data != 0 else -1
-        return len(self.data) - 1
-
-    def constant_term(self) -> Fraction:
-        if self.ring.kind == "QQ":
-            return self.data
-        return self.data[0] if self.data else _F0
 
     # -- arithmetic ------------------------------------------------------
 
@@ -221,32 +205,24 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        if self.ring.kind == "QQ":
-            return RingElement(self.ring, self.data + other.data)
         return RingElement(self.ring, _tadd(self.data, other.data))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        if self.ring.kind == "QQ":
-            return RingElement(self.ring, -self.data)
         return RingElement(self.ring, _tneg(self.data))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         self._check(other)
-        if self.ring.kind == "QQ":
-            return RingElement(self.ring, self.data * other.data)
         return RingElement(self.ring, _tmul(self.data, other.data))
 
     __rmul__ = __mul__
 
     def scale(self, q: Fraction) -> "RingElement":
         q = Fraction(q)
-        if self.ring.kind == "QQ":
-            return RingElement(self.ring, self.data * q)
         return RingElement(self.ring, tuple(v * q for v in self.data))
 
     def __pow__(self, n: int) -> "RingElement":
@@ -262,25 +238,22 @@ class RingElement:
         return out
 
     def derivative(self) -> "RingElement":
-        """d/dx, meaningful for the polynomial coefficient rings."""
-        if self.ring.kind == "QQ":
-            return RingElement(self.ring, 0)
+        """d/dx."""
         return RingElement(self.ring, _tderiv(self.data))
 
     def __str__(self) -> str:
         return format_ring_element(self)
 
 
-def ring_scalar(ring: Ring, value) -> RingElement:
+def ring_scalar(ring: Ring, value):
+    """The rational ``value`` as an element of ``ring``."""
+    if ring.is_field:
+        return Fraction(value)
     return RingElement(ring, Fraction(value))
 
 
 def ring_monomial(ring: Ring, n: int, coeff=1) -> RingElement:
     """coeff * x^n in a polynomial coefficient ring."""
-    if ring.kind == "QQ":
-        if n != 0:
-            raise BadInput("QQ has no variable x")
-        return RingElement(ring, Fraction(coeff))
     return RingElement(ring, (_F0,) * n + (Fraction(coeff),))
 
 
@@ -300,8 +273,6 @@ def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
         return None
     if b.is_zero:
         return ring_scalar(ring, 0)
-    if ring.kind == "QQ":
-        return RingElement(ring, b.data / a.data)
     if ring.kind == "QQ_POLY":
         q, r = _tdivmod(b.data, a.data)
         return RingElement(ring, q) if not r else None
@@ -324,17 +295,15 @@ def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
 
 
 def ring_gcd(*elements: RingElement) -> RingElement:
-    """Monic gcd in QQ_POLY (gcd of scalars in QQ is 1 unless all zero)."""
+    """Monic gcd in QQ_POLY."""
     if not elements:
         raise BadInput("gcd of nothing")
     ring = elements[0].ring
     for e in elements[1:]:
         if e.ring != ring:
             raise RingMismatch("gcd operands in different rings")
-    if ring.kind == "QQ":
-        return ring_scalar(ring, 0 if all(e.is_zero for e in elements) else 1)
     if ring.kind != "QQ_POLY":
-        raise BadInput("gcd is only defined over QQ and QQ_POLY")
+        raise BadInput("gcd is only defined over QQ_POLY")
     acc = ()
     for e in elements:
         acc = _tgcd(acc, e.data)
@@ -350,18 +319,19 @@ class Poly:
     """Dense univariate polynomial in t over a coefficient ring."""
 
     ring: Ring
-    coeffs: tuple  # of RingElement, no trailing zeros
+    coeffs: tuple  # Fraction over QQ, RingElement otherwise; no trailing zeros
 
     def __post_init__(self):
-        cleaned = []
-        for c in self.coeffs:
-            if not isinstance(c, RingElement):
-                c = RingElement(self.ring, c)
-            elif c.ring != self.ring:
+        ring = self.ring
+        if ring.is_field:
+            cleaned = [c if type(c) is Fraction else _as_fraction(c) for c in self.coeffs]
+        else:
+            cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c)
+                       for c in self.coeffs]
+            if any(c.ring != ring for c in cleaned):
                 raise RingMismatch("coefficient from a different ring")
-            cleaned.append(c)
         n = len(cleaned)
-        while n and cleaned[n - 1].is_zero:
+        while n and not cleaned[n - 1]:
             n -= 1
         object.__setattr__(self, "coeffs", tuple(cleaned[:n]))
 
@@ -376,12 +346,12 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> RingElement:
+    def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return ring_scalar(self.ring, 0)
 
-    def leading(self) -> RingElement:
+    def leading(self):
         if self.is_zero:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -389,14 +359,14 @@ class Poly:
     def lowest_degree(self) -> Optional[int]:
         """Smallest exponent with a nonzero coefficient; None for zero."""
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
+            if c:
                 return i
         return None
 
     def qq_coeffs(self) -> tuple[Fraction, ...]:
         if self.ring.kind != "QQ":
             raise BadInput("rational coefficient view requires ring QQ")
-        return tuple(c.data for c in self.coeffs)
+        return self.coeffs
 
     # -- arithmetic --------------------------------------------------------
 
@@ -425,14 +395,12 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly(self.ring, ())
         if self.ring.kind == "QQ":
-            fa = [c.data for c in self.coeffs]
-            fb = [c.data for c in other.coeffs]
-            return Poly(self.ring, tuple(_qq_convolve(fa, fb)))
+            return Poly(self.ring, tuple(_qq_convolve(self.coeffs, other.coeffs)))
         out = [ring_scalar(self.ring, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
-            if not ci.is_zero:
+            if ci:
                 for j, cj in enumerate(other.coeffs):
-                    if not cj.is_zero:
+                    if cj:
                         out[i + j] = out[i + j] + ci * cj
         return Poly(self.ring, tuple(out))
 
@@ -449,29 +417,26 @@ class Poly:
         return result
 
     def scale(self, q) -> "Poly":
-        if isinstance(q, RingElement):
-            return Poly(self.ring, tuple(c * q for c in self.coeffs))
-        q = Fraction(q)
-        return Poly(self.ring, tuple(c.scale(q) for c in self.coeffs))
+        """Multiply every coefficient by q, a rational or a ring element."""
+        if not isinstance(q, RingElement):
+            q = Fraction(q)
+        return Poly(self.ring, tuple(c * q for c in self.coeffs))
 
     def derivative(self) -> "Poly":
         """d/dt."""
-        return Poly(
-            self.ring,
-            tuple(self.coeffs[i].scale(Fraction(i)) for i in range(1, len(self.coeffs))),
-        )
+        return Poly(self.ring, tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
 
     def evaluate(self, point: Fraction) -> Fraction:
         if self.ring.kind != "QQ":
             raise BadInput("evaluation at a rational point requires ring QQ")
         acc = _F0
         for c in reversed(self.coeffs):
-            acc = acc * point + c.data
+            acc = acc * point + c
         return acc
 
-    def scale_argument(self, a: RingElement) -> "Poly":
-        """p(t) -> p(a*t)."""
-        if a.ring != self.ring:
+    def scale_argument(self, a) -> "Poly":
+        """p(t) -> p(a*t) for a in the coefficient ring."""
+        if isinstance(a, RingElement) and a.ring != self.ring:
             raise RingMismatch("scaling element from a different ring")
         out = []
         apow = ring_scalar(self.ring, 1)
@@ -485,11 +450,17 @@ class Poly:
             raise BadInput("monic normalization requires ring QQ")
         if self.is_zero:
             raise ZeroInput("cannot normalize the zero polynomial")
-        lead = self.leading().data
-        return self.scale(_F1 / lead)
+        return self.scale(_F1 / self.leading())
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _as_fraction(value) -> Fraction:
+    """A QQ coefficient from any value Fraction() accepts; ring elements belong elsewhere."""
+    if isinstance(value, RingElement):
+        raise RingMismatch("coefficient from a different ring")
+    return Fraction(value)
 
 
 def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction]) -> list[Fraction]:
@@ -507,13 +478,9 @@ def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction]) -> list[Fractio
     return [Fraction(c, scale) for c in out]
 
 
-def make_poly(ring: Ring, coeffs: Iterable) -> Poly:
-    return Poly(ring, tuple(coeffs))
-
-
 def qq_poly(coeffs: Iterable) -> Poly:
     """Polynomial over QQ from ascending rational coefficients."""
-    return Poly(QQ, tuple(Fraction(c) for c in coeffs))
+    return Poly(QQ, tuple(coeffs))
 
 
 def poly_zero(ring: Ring = QQ) -> Poly:
@@ -588,7 +555,7 @@ def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero:
         return r0, s0, t0
-    lead = _F1 / r0.leading().data
+    lead = _F1 / r0.leading()
     return r0.scale(lead), s0.scale(lead), t0.scale(lead)
 
 
@@ -601,7 +568,7 @@ def poly_divides(d: Poly, f: Poly) -> bool:
 def squarefree_part(value):
     """Squarefree part a / gcd(a, a'), made monic.
 
-    Accepts a Poly over QQ or a RingElement over QQ / QQ_POLY.  Membership
+    Accepts a Poly over QQ or a RingElement over QQ_POLY.  Membership
     in the radical of the principal ideal (a) is exactly divisibility by
     the squarefree part (characteristic zero).
     """
@@ -613,8 +580,6 @@ def squarefree_part(value):
         raise ZeroInput("squarefree part of zero")
     if isinstance(value, Poly):
         data = value.qq_coeffs()
-    elif value.ring.kind == "QQ":
-        return ring_scalar(value.ring, 1)
     elif value.ring.kind == "QQ_POLY":
         data = value.data
     else:
@@ -747,7 +712,7 @@ class _PolyParser:
         for te in range(top + 1):
             parts = terms.get(te, [])
             if self.ring.kind == "QQ":
-                coeffs.append(ring_scalar(QQ, sum((c for _, c in parts), _F0)))
+                coeffs.append(sum((c for _, c in parts), _F0))
             else:
                 width = max((xe for xe, _ in parts), default=-1) + 1
                 data = [_F0] * width
@@ -794,10 +759,10 @@ def _term_strings(p: Poly):
     """Yield (magnitude, x_exp, t_exp, negative) in canonical order."""
     for te in range(p.degree, -1, -1):
         c = p.coeffs[te]
-        if c.is_zero:
+        if not c:
             continue
         if p.ring.kind == "QQ":
-            yield abs(c.data), 0, te, c.data < 0
+            yield abs(c), 0, te, c < 0
         else:
             for xe in range(len(c.data) - 1, -1, -1):
                 v = c.data[xe]

@@ -28,6 +28,7 @@ from typing import Optional, Union
 from .corealg import (
     Poly,
     QQ,
+    euclid_divmod,
     parse_key_values,
     parse_rational,
     poly_zero,
@@ -40,7 +41,6 @@ from .errors import (
 )
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 S_CAP_ZERO = "ZERO"
 S_CAP_SPAN_TD = "SPAN_TD"
@@ -156,24 +156,16 @@ def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
         return out
     out = h.derivative()
     if op.alpha != 0:
-        q, r = _divide_linear(h, _F1, sign=-1)  # h / (1 - t)
+        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
         if not r.is_zero:
             raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
         out = out - q.scale(op.alpha)
     if op.beta != 0:
-        q, r = _divide_linear(h, _F1, sign=1)  # h / (1 + t)
+        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
         if not r.is_zero:
             raise BadInput("witness must be divisible by (1 + t) when beta != 0")
         out = out + q.scale(op.beta)
     return out
-
-
-def _divide_linear(h: Poly, const: Fraction, sign: int):
-    """Divide h by (const + sign*t); returns (quotient Poly, remainder Poly)."""
-    divisor = qq_poly([const, Fraction(sign)])
-    from .corealg import euclid_divmod
-
-    return euclid_divmod(h, divisor)
 
 
 def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
@@ -274,7 +266,7 @@ def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
     nf = rr.normal_form
     if isinstance(op, MonomialOperator) and op.alpha == 0 and nf.degree == op.d:
         # t^d = D(-1/lam) is the one image element of the residue space
-        top = nf.coeff(op.d).data
+        top = nf.coeff(op.d)
         nf = nf - qq_poly([_F0] * op.d + [top])
         witness = rr.witness - qq_poly([top / op.lam])
         if nf.is_zero:
@@ -306,7 +298,7 @@ def lzero(op: MonomialOperator, f: Poly) -> Fraction:
         raise BadInput("the normal-form functional is defined for the monomial family")
     rr = reduce(op, f)
     nf = rr.normal_form
-    return nf.coeff(0).data if not nf.is_zero else _F0
+    return nf.coeff(0)
 
 
 def im_structure(op: OperatorSpec) -> ImStructure:

@@ -153,7 +153,7 @@ class CofiniteSubspace:
                 raise BadInput("modulus factors must have rational coefficients")
             if poly.is_zero or poly.degree < 1:
                 raise BadInput("modulus factors must be non-constant")
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise BadInput("factor multiplicities must be positive integers")
             poly = poly.monic()
             key = poly.qq_coeffs()
@@ -243,7 +243,12 @@ class CofiniteSubspace:
     @classmethod
     def from_dict(cls, data: dict) -> "CofiniteSubspace":
         try:
-            factors = [(parse_poly(text, QQ), int(mult)) for text, mult in data["modulus"]]
+            factors = []
+            for text, mult in data["modulus"]:
+                poly = parse_poly(text, QQ)
+                if isinstance(mult, (bool, float)):
+                    raise BadInput("factor multiplicities must be positive integers")
+                factors.append((poly, int(mult)))
             raw = data.get("vbar_basis", [])
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed subspace description: {exc}") from exc

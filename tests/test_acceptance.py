@@ -126,7 +126,7 @@ def test_criterion_4_escape_property():
             if not f.is_zero:
                 break
         low = f.lowest_degree()
-        f = f.scale(1 / f.coeff(low).data)  # normalize the lowest term
+        f = f.scale(1 / f.coeff(low))  # normalize the lowest term
         for op in ops:
             m = escape_exponent(op, f, 50)
             assert m is not None and m <= 50

@@ -145,7 +145,12 @@ def test_rejections_name_their_reason(capsys):
     coprime = "modulus factors are not pairwise coprime"
     shared_root = '{"modulus":[["t^4 - 1",1],["t - 1",1]],"vbar_basis":%s}'
     certify = ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", "0", "--budget")
+    multiplicity = "factor multiplicities must be positive integers"
+    inexact = '{"modulus":[["t",2.9],["t - 1",true]],"vbar_basis":[]}'
     cases = (
+        (("largest-ideal", "--space", inexact), multiplicity),
+        (("mathieu", "--space", inexact.replace("true", "1")), multiplicity),
+        (("largest-ideal", "--space", inexact.replace("2.9", "2")), multiplicity),
         (("mathieu", "--space", shared_root % "[]"), coprime),
         (("largest-ideal", "--space", shared_root % "[]"), coprime),
         (("mathieu", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),

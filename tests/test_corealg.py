@@ -91,11 +91,17 @@ def test_arith_examples():
     assert poly_arith("pow", t + one, 2) == qq_poly([1, 2, 1])
     xt = parse_poly("x*t", QQ_POLY)
     assert poly_arith("mul", xt, xt) == parse_poly("x^2*t^2", QQ_POLY)
+    assert parse_poly("t^2 + t").scale_argument(Fraction(2)) == parse_poly("4*t^2 + 2*t")
+    assert xt.scale_argument(ring_monomial(QQ_POLY, 1)) == parse_poly("x^2*t", QQ_POLY)
 
 
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
         poly_arith("add", poly_t(QQ), poly_t(QQ_POLY))
+    with pytest.raises(RingMismatch):
+        Poly(QQ, (RingElement(QQ_POLY, 1),))
+    with pytest.raises(BadInput):
+        RingElement(QQ, 1)  # QQ coefficients are plain Fractions
 
 
 def test_euclid_examples():
@@ -178,6 +184,8 @@ def test_euclid_postcondition_random():
         q, r = euclid_divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+        for p in (f, g, q, r, poly_gcd(f, g)):
+            _assert_poly_canonical(p)
 
 
 def test_exact_divide_roundtrip_random():
@@ -211,7 +219,9 @@ def test_parse_format_roundtrip_random():
     for ring in (QQ, QQ_POLY, TRUNC3):
         for _ in range(120):
             f = rand_poly(rng, ring, max_deg=5, coeff_deg=3)
-            assert parse_poly(format_poly(f), ring) == f
+            parsed = parse_poly(format_poly(f), ring)
+            _assert_poly_canonical(parsed)
+            assert parsed == f
 
 
 def test_pow_matches_iterated_product():
@@ -292,8 +302,6 @@ def _ref_exact_divide(ring, b, a):
     """
     if not b:
         return []
-    if ring.kind == "QQ":
-        return [b[0] / a[0]]
     if ring.kind == "QQ_POLY":
         num, q = list(b), [Fraction(0)] * max(len(b) - len(a) + 1, 0)
         for k in range(len(q) - 1, -1, -1):
@@ -347,36 +355,47 @@ def _raw_element(rng, ring):
     return raw, _ref_cut(ring, [Fraction(v) for v in raw])
 
 
+def _element(ring, raw):
+    return Fraction(raw) if ring.kind == "QQ" else RingElement(ring, raw)
+
+
 def _as_list(e):
-    if e.ring.kind == "QQ":
-        return [e.data] if e.data != 0 else []
+    if type(e) is Fraction:
+        return [e] if e != 0 else []
     return list(e.data)
 
 
-def _assert_canonical(e):
-    data = (e.data,) if e.ring.kind == "QQ" else e.data
-    assert all(type(v) is Fraction for v in data), data
-    if e.ring.kind != "QQ":
-        assert not data or data[-1] != 0, data
-    if e.ring.kind == "QQ_POLY_TRUNC":
-        assert len(data) <= e.ring.trunc, data
+def _assert_canonical(e, ring):
+    """A QQ coefficient is exactly a Fraction; any other is a stripped tuple."""
+    if ring.kind == "QQ":
+        assert type(e) is Fraction, e
+        return
+    assert type(e) is RingElement and e.ring == ring, e
+    assert all(type(v) is Fraction for v in e.data), e.data
+    assert not e.data or e.data[-1] != 0, e.data
+    if ring.kind == "QQ_POLY_TRUNC":
+        assert len(e.data) <= ring.trunc, e.data
 
 
 def _check_element(e, ref):
-    _assert_canonical(e)
+    _assert_canonical(e, e.ring)
     assert _as_list(e) == ref
 
 
-def _check_poly(f, ref):
-    assert not f.coeffs or not f.coeffs[-1].is_zero
+def _assert_poly_canonical(f):
+    assert not f.coeffs or f.coeffs[-1]
     for c in f.coeffs:
-        _assert_canonical(c)
+        _assert_canonical(c, f.ring)
+
+
+def _check_poly(f, ref):
+    _assert_poly_canonical(f)
     assert [_as_list(c) for c in f.coeffs] == ref
 
 
 def test_ring_arithmetic_matches_fraction_lists():
     rng = random.Random(4051)
-    for ring in (QQ, QQ_POLY, qq_poly_trunc(1), TRUNC3, qq_poly_trunc(4)):
+    for ring in (QQ_POLY, qq_poly_trunc(1), TRUNC3, qq_poly_trunc(4)):
         for _ in range(150):
             (ra, a), (rb, b) = _raw_element(rng, ring), _raw_element(rng, ring)
             ea, eb = RingElement(ring, ra), RingElement(ring, rb)
@@ -397,13 +416,13 @@ def test_ring_arithmetic_matches_fraction_lists():
             if want is None:
                 assert got is None
             else:
-                _assert_canonical(got)
+                _assert_canonical(got, ring)
                 assert _ref_mul(ring, a, _as_list(got)) == b
                 if ring.kind != "QQ_POLY_TRUNC":
                     assert _as_list(got) == want
             product = _ref_mul(ring, a, b)
             got = exact_divide(ea * eb, ea)
-            _assert_canonical(got)
+            _assert_canonical(got, ring)
             assert _ref_mul(ring, a, _as_list(got)) == product
 
 
@@ -413,7 +432,7 @@ def test_poly_arithmetic_matches_fraction_lists():
         for _ in range(80):
             pairs = [[_raw_element(rng, ring) for _ in range(rng.randint(0, 4))]
                      for _ in range(2)]
-            f, g = (Poly(ring, tuple(raw if rng.random() < 0.5 else RingElement(ring, raw)
+            f, g = (Poly(ring, tuple(raw if rng.random() < 0.5 else _element(ring, raw)
                                      for raw, _ in pair)) for pair in pairs)
             rf, rg = (_ref_strip_poly([ref for _, ref in pair]) for pair in pairs)
             _check_poly(f, rf)
@@ -429,5 +448,29 @@ def test_poly_arithmetic_matches_fraction_lists():
             _check_poly(f.scale(q), _ref_strip_poly([_ref_cut(ring, [v * q for v in c])
                                                      for c in rf]))
             re, r = _raw_element(rng, ring)
-            _check_poly(f.scale(RingElement(ring, re)),
+            _check_poly(f.scale(_element(ring, re)),
                         _ref_strip_poly([_ref_mul(ring, c, r) for c in rf]))
+
+
+def test_bench_tracer_wraps_and_restores_the_arithmetic_methods():
+    # the benchmark's tracer wraps Poly and RingElement methods by name
+    import mathieulab
+    import mathieulab.cli  # noqa: F401  (the tracer wraps every layer module)
+    from bench.trace import Tracer
+
+    originals = (Poly.__mul__, RingElement.__mul__)
+    f = parse_poly("t + 1/2")
+    x = ring_monomial(QQ_POLY, 1)
+    tracer = Tracer(mathieulab, lambda: 0)
+    tracer.install()
+    try:
+        assert Poly.__mul__ is not originals[0] and RingElement.__mul__ is not originals[1]
+        before = tracer.snapshot()
+        assert f * f == parse_poly("t^2 + t + 1/4")
+        assert x * x == ring_monomial(QQ_POLY, 2)
+        metrics = tracer.pass_metrics(before, tracer.snapshot(), 1.0, 0)
+        assert metrics["corealg.mul.calls"] == 1
+        assert metrics["corealg.ring_mul.calls"] == 1
+    finally:
+        tracer.uninstall()
+    assert Poly.__mul__ is originals[0] and RingElement.__mul__ is originals[1]

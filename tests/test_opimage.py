@@ -297,8 +297,8 @@ def member_by_linear_solve(op, f):
     out_deg = max([f.degree] + [c.degree for c in columns])
     if out_deg < 0:
         return True
-    rows = [[c.coeff(i).data for c in columns] for i in range(out_deg + 1)]
-    target = [f.coeff(i).data for i in range(out_deg + 1)]
+    rows = [[c.coeff(i) for c in columns] for i in range(out_deg + 1)]
+    target = [f.coeff(i) for i in range(out_deg + 1)]
     return solve_linear(rows, target) is not None
 
 

@@ -101,6 +101,11 @@ def test_space_validation():
         CofiniteSubspace([(parse_poly("t^2 - 1"), 1)], [])  # reducible factor
     with pytest.raises(BadInput):
         CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t"), 1)], [])
+    with pytest.raises(BadInput, match="multiplicities"):
+        CofiniteSubspace([(parse_poly("t"), True)], [])
+    for mult in (2.9, True):
+        with pytest.raises(BadInput, match="multiplicities"):
+            CofiniteSubspace.from_dict({"modulus": [["t", mult]], "vbar_basis": []})
     with pytest.raises(BadInput):
         CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)],
                          [[1, 0], [2, 0]])  # dependent basis
