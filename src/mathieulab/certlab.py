@@ -207,8 +207,11 @@ def phi_expansion(f: Poly, m: int, d: int) -> dict[int, Fraction]:
     s = _normalized_lowest(f)
     if m < 1 or d < 0:
         raise BadInput("need m >= 1 and d >= 0")
-    power = f ** (m * (d + 1))
-    base = s * m * (d + 1)
+    return _phi_coefficients(f ** (m * (d + 1)), s * m * (d + 1))
+
+
+def _phi_coefficients(power: Poly, base: int) -> dict[int, Fraction]:
+    """The nonzero coefficients of power above its lowest term t^base."""
     coeffs = power.qq_coeffs()
     if coeffs[base] != 1:
         raise NotNormalized("lowest coefficient of the power is not 1")
@@ -303,7 +306,8 @@ def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
     p must already be known prime: the valuations skip the primality test.
     """
     i_max = (f.degree - s) * m
-    phi = phi_expansion(f, m, d)
+    power = f ** (m * (d + 1))  # shared by the phi values and the L0 cross-check
+    phi = _phi_coefficients(power, s * m * (d + 1))
     bi_vals = []
     phi_vals = []
     correction = _F0
@@ -322,7 +326,7 @@ def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
                 correction += b * coeff
     # exact cross-check of the factored identity against the reducer
     bracket = bracket_factorial(s * m, d + 1, alpha)
-    value = lzero(MonomialOperator(1, alpha, 1, d), f ** (m * (d + 1)))
+    value = lzero(MonomialOperator(1, alpha, 1, d), power)
     if value == 0 or value != bracket * (1 + correction):
         return None
     return tuple(bi_vals), tuple(phi_vals)

@@ -17,6 +17,16 @@ point anywhere.  The canonical zero polynomial has an empty coefficient
 tuple and degree -1 (the distinguished sentinel); all operations branch on
 it explicitly.
 
+Two integer kernels carry the rational arithmetic; both are exact and
+return the same canonical Fractions as the schoolbook loops on Fractions.
+Every product of rational coefficient lists (``Poly`` over QQ and
+``RingElement`` alike) is one convolution of integer numerators over the two
+common denominators.  Long division runs on integers when the divisor is
+monic with integer coefficients: the numerator is scaled to a common
+denominator, and no step divides.  Any other divisor keeps the loop on
+Fractions, which stays cheaper there when the numerator has many distinct
+denominators.
+
 Text format (whitespace-insensitive)::
 
     poly := ['-'] term (('+'|'-') term)* ;  term := coeff ('*'? mono)? | mono ;
@@ -112,25 +122,20 @@ def _tneg(a):
     return tuple(-v for v in a)
 
 
-def _tmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _strip(out)
-
-
 def _tdivmod(num, den):
-    """Long division of x-polynomial tuples over the rationals."""
-    num = list(num)
+    """Long division of x-polynomial tuples over the rationals.
+
+    A monic divisor with integer coefficients divides the integer numerators
+    of num over their common denominator, so no step divides; any other
+    divisor runs the loop on Fractions.
+    """
     dd = len(den) - 1
-    lead = den[-1]
     if len(num) - 1 < dd:
         return (), _strip(num)
+    if den[-1] == 1 and all(c.denominator == 1 for c in den):
+        return _zdivmod(num, [c.numerator for c in den])
+    num = list(num)
+    lead = den[-1]
     q = [_F0] * (len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
         c = num[k]
@@ -140,6 +145,26 @@ def _tdivmod(num, den):
             for j in range(dd + 1):
                 num[k - dd + j] -= c * den[j]
     return _strip(q), _strip(num)
+
+
+def _zdivmod(num, den):
+    """_tdivmod for a monic integer divisor den (ints): with num = N/dn over
+    the common denominator dn, N = Q*den + R on the integers, so q = Q/dn and
+    r = R/dn."""
+    dn = math.lcm(*(c.denominator for c in num))
+    n = [c.numerator * (dn // c.denominator) for c in num]
+    dd = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    q = [0] * (len(n) - dd)
+    for k in range(len(n) - 1, dd - 1, -1):
+        c = n[k]
+        if c:
+            base = k - dd
+            q[base] = c
+            for j, dj in terms:
+                n[base + j] -= c * dj
+    return (_strip([Fraction(c, dn) for c in q]),
+            _strip([Fraction(c, dn) for c in n[:dd]]))
 
 
 def _tgcd(a, b):
@@ -217,7 +242,7 @@ class RingElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return RingElement(self.ring, _tmul(self.data, other.data))
+        return RingElement(self.ring, _qq_convolve(self.data, other.data))
 
     __rmul__ = __mul__
 
@@ -465,10 +490,12 @@ def _as_fraction(value) -> Fraction:
 
 def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction]) -> list[Fraction]:
     """Convolution over QQ via integer scaling (big-int multiplies are cheap)."""
+    if not fa or not fb:
+        return []
     la = math.lcm(*(f.denominator for f in fa))
     lb = math.lcm(*(f.denominator for f in fb))
-    a = [int(f * la) for f in fa]
-    b = [int(f * lb) for f in fb]
+    a = [f.numerator * (la // f.denominator) for f in fa]
+    b = [f.numerator * (lb // f.denominator) for f in fb]
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -408,17 +408,22 @@ class MathieuVerdict:
     budget_used: dict = field(default_factory=dict)
 
 
-def crt_idempotents(space: CofiniteSubspace) -> list[Poly]:
-    """e_i = 1 mod p_i^(m_i) and 0 mod the other factor powers."""
-    out = []
+def _set_idempotent(space: CofiniteSubspace, mask: int) -> Poly:
+    """e_S = 1 mod the blocks in S (the set bits of mask) and 0 mod the rest.
+
+    With B_S and B_rest the products of the blocks in and outside S, one
+    xgcd gives u B_rest + v B_S = 1 (the blocks are coprime), and u B_rest
+    mod g is e_S: the unique residue with those values, so it equals the sum
+    of the single-block idempotents e_i over S.
+    """
+    chosen, rest = poly_one(QQ), poly_one(QQ)
     for i, block in enumerate(space._blocks):
-        rest = poly_one(QQ)
-        for j, other in enumerate(space._blocks):
-            if j != i:
-                rest = rest * other
-        _, u, _ = poly_xgcd(rest, block)  # the blocks are coprime: gcd 1
-        out.append(space.mod(u * rest))
-    return out
+        if mask >> i & 1:
+            chosen = chosen * block
+        else:
+            rest = rest * block
+    _, u, _ = poly_xgcd(rest, chosen)
+    return space.mod(u * rest)
 
 
 def _first_zero_sum(vectors: Sequence[Sequence[int]], live: int) -> Optional[int]:
@@ -463,9 +468,11 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     Ideals (deg h = codim V) are MATHIEU_EXACT outright.  Otherwise the
     masks S are walked in increasing order and the first zero-sum mask with
     a live factor gives the witness (e_S, t^j), t^j the first monomial with
-    e_S t^j outside V (e_S^m = e_S, so absorption fails for every m).  With
-    no such mask the verdict is MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET
-    when a factor of degree >= 4 is trusted unverified and might split.
+    e_S t^j outside V (e_S^m = e_S, so absorption fails for every m).  e_S
+    comes from one CRT step that splits g into the blocks in and outside S
+    (`_set_idempotent`); the single e_i are never formed.  With no such mask
+    the verdict is MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET when a factor
+    of degree >= 4 is trusted unverified and might split.
     """
     h = largest_ideal(space)
     r = squarefree_part(h) if h.degree >= 1 else poly_one(QQ)
@@ -487,8 +494,7 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
         status = CONSISTENT_UP_TO_BUDGET if space.unverified_factors else MATHIEU_EXACT
         return MathieuVerdict(status, None, h, r, budget_used)
 
-    chosen = [e for i, e in enumerate(crt_idempotents(space)) if mask >> i & 1]
-    a = sum(chosen[1:], chosen[0])
+    a = _set_idempotent(space, mask)
     budget_used["candidates_tried"] = mask
     budget_used["witness_family"] = "crt_idempotent"
     for j in range(space.dim):

@@ -1,6 +1,7 @@
 """Core arithmetic: worked examples plus randomized algebraic laws."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from mathieulab.corealg import (
     QQ,
     QQ_POLY,
     RingElement,
+    _qq_convolve,
+    _strip,
+    _tdivmod,
     euclid_divmod,
     exact_divide,
     format_poly,
@@ -474,3 +478,146 @@ def test_bench_tracer_wraps_and_restores_the_arithmetic_methods():
     finally:
         tracer.uninstall()
     assert Poly.__mul__ is originals[0] and RingElement.__mul__ is originals[1]
+
+
+# -- cross-oracle: the integer kernels against the Fraction loops ------------
+
+def _ref_tdivmod(num, den):
+    """Long division on Fractions, the loop the integer path replaces."""
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    if len(num) - 1 < dd:
+        return (), _strip(num)
+    q = [Fraction(0)] * (len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        if c:
+            c = c / lead
+            q[k - dd] = c
+            for j in range(dd + 1):
+                num[k - dd + j] -= c * den[j]
+    return _strip(q), _strip(num)
+
+
+def _ref_tmul(a, b):
+    """Product of Fraction tuples by the double loop on Fractions."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _strip(out)
+
+
+def _rand_tuple(rng, length, kind):
+    """A stripped Fraction tuple: "int", "rat", "bigint" (200 bits), "big"
+    (200-bit numerators and denominators) or "sparse" (mostly zero entries,
+    the others integers or fractions)."""
+    out = []
+    for _ in range(length):
+        if kind == "int":
+            out.append(Fraction(rng.randint(-20, 20)))
+        elif kind == "bigint":
+            out.append(Fraction(rng.getrandbits(200) - (1 << 199)))
+        elif kind == "big":
+            out.append(Fraction(rng.getrandbits(200) - (1 << 199), rng.getrandbits(200) | 1))
+        elif kind == "sparse" and rng.random() < 0.7:
+            out.append(Fraction(0))
+        elif kind == "sparse" and rng.random() < 0.5:
+            out.append(Fraction(rng.randint(-30, 30)))
+        else:
+            out.append(Fraction(rng.randint(-30, 30), rng.randint(1, 40)))
+    return _strip(out)
+
+
+def _rand_divisor(rng, case):
+    deg = 0 if case == "degree 0" else rng.randint(1, 6)
+    kind = {"big": "bigint", "monic rational": "rat", "zero entries": "sparse"}.get(case, "int")
+    low = list(_rand_tuple(rng, deg, kind)) + [Fraction(0)] * deg
+    lead = {"monic integer": 1, "monic rational": 1, "lead -1": -1, "big": 1,
+            "zero entries": 1}.get(case)
+    if lead is None:  # non-monic or degree 0
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 9))
+        if case == "degree 0" and rng.random() < 0.5:
+            lead = rng.choice([Fraction(1), Fraction(-1)])
+    return tuple(low[:deg]) + (Fraction(lead),)
+
+
+def _assert_fraction_tuple(value):
+    assert type(value) is tuple, value
+    assert all(type(v) is Fraction for v in value), value
+    assert not value or value[-1] != 0, value
+
+
+def test_division_kernel_matches_fraction_loop():
+    rng = random.Random(4061)
+    cases = ("monic integer", "non-monic", "lead -1", "monic rational", "degree 0",
+             "short numerator", "zero entries", "big")
+    fast = 0
+    for case in cases:
+        for _ in range(120):
+            short = case == "short numerator"
+            den = _rand_divisor(rng, "monic integer" if short else case)
+            length = rng.randint(0, len(den) - 1) if short else rng.randint(0, 14)
+            kind = {"big": "big", "zero entries": "sparse"}.get(case, rng.choice(["int", "rat"]))
+            num = _rand_tuple(rng, length, kind)
+            got, want = _tdivmod(num, den), _ref_tdivmod(num, den)
+            for part in got:
+                _assert_fraction_tuple(part)
+            assert got == want, (case, num, den)
+            fast += den[-1] == 1 and all(c.denominator == 1 for c in den)
+    assert fast >= 400  # the integer path is well represented
+
+
+def test_convolution_kernel_matches_fraction_loop():
+    rng = random.Random(4062)
+    for kind in ("int", "rat", "sparse", "big"):
+        for _ in range(150):
+            a = _rand_tuple(rng, rng.randint(0, 12), kind)
+            b = _rand_tuple(rng, rng.randint(0, 12), rng.choice([kind, "int", "rat"]))
+            got = _strip(_qq_convolve(a, b))
+            _assert_fraction_tuple(got)
+            assert got == _ref_tmul(a, b)
+            if a and b:
+                product = (Poly(QQ, a) * Poly(QQ, b)).coeffs
+                _assert_fraction_tuple(product)
+                assert product == got
+
+
+def test_ring_kernels_match_fraction_loops_on_qq_poly_data():
+    rng = random.Random(4063)
+    for _ in range(300):
+        ea = rand_element(rng, QQ_POLY, max_deg=6, height=30)
+        eb = rand_element(rng, QQ_POLY, max_deg=6, height=30)
+        product = ea * eb
+        _assert_fraction_tuple(product.data)
+        assert product.data == _ref_tmul(ea.data, eb.data)
+        if eb:
+            got = _tdivmod(ea.data, eb.data)
+            assert got == _ref_tdivmod(ea.data, eb.data)
+            # the monic associate of eb takes the integer path when integral
+            monic = tuple(v / eb.data[-1] for v in eb.data)
+            assert _tdivmod(product.data, monic) == _ref_tdivmod(product.data, monic)
+
+
+def _hostile_numerator():
+    """Degree 2000 with random denominators up to 2^10: their lcm has about
+    1,400 bits, so every quotient coefficient is a large fraction."""
+    rng = random.Random(4064)
+    return tuple(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 1 << 10)) for _ in range(2001))
+
+
+@pytest.mark.parametrize("den", [(Fraction(3), Fraction(1)), (Fraction(5), Fraction(3))],
+                         ids=["t+3", "3t+5"])
+def test_division_is_fast_on_many_distinct_denominators(den):
+    # one divisor per kernel; each division takes about 50 ms on a shared
+    # 2-core Xeon, and the bound leaves room for a slower host
+    num = _hostile_numerator()
+    start = time.perf_counter()
+    q, r = _tdivmod(num, den)
+    assert time.perf_counter() - start < 1.0
+    assert len(q) == 2000 and len(r) <= 1

@@ -20,6 +20,7 @@ from mathieulab.corealg import (
     poly_divides,
     poly_gcd,
     poly_one,
+    poly_xgcd,
     poly_zero,
     qq_poly,
     squarefree_part,
@@ -32,8 +33,8 @@ from mathieulab.radlab import (
     MATHIEU_EXACT,
     NOT_MATHIEU,
     CofiniteSubspace,
+    _set_idempotent,
     atomic_space,
-    crt_idempotents,
     definition_witness,
     escape_exponent,
     largest_ideal,
@@ -405,6 +406,20 @@ def test_mathieu_trusted_factor_is_not_exact():
     assert mathieu_check(ideal).status == MATHIEU_EXACT
 
 
+def crt_idempotents(space):
+    """Reference: e_i = 1 mod p_i^(m_i) and 0 mod the other factor powers,
+    one xgcd per block."""
+    out = []
+    for i, block in enumerate(space._blocks):
+        rest = poly_one()
+        for j, other in enumerate(space._blocks):
+            if j != i:
+                rest = rest * other
+        _, u, _ = poly_xgcd(rest, block)  # the blocks are coprime: gcd 1
+        out.append(space.mod(u * rest))
+    return out
+
+
 def window_holds(space, a, b):
     """Is a^m * b in V for every m in [D, 2D]?"""
     d = space.dim
@@ -539,6 +554,19 @@ def test_crt_idempotents():
             assert space.mod(e * e) == e
             total = total + e
         assert space.mod(total) == poly_one()
+
+
+def test_set_idempotent_is_the_sum_of_single_block_idempotents():
+    spaces = random_spaces(43, 40) + split_codim2_spaces(44, 20)
+    for space in spaces:
+        idems = crt_idempotents(space)
+        for mask in range(1, 1 << len(idems)):
+            total = poly_zero()
+            for i, e in enumerate(idems):
+                if mask >> i & 1:
+                    total = total + e
+            assert _set_idempotent(space, mask) == space.mod(total), (space.to_dict(), mask)
+        assert _set_idempotent(space, (1 << len(idems)) - 1) == poly_one()
 
 
 # -- the coefficient-coordinate reference ---------------------------------------
