@@ -242,7 +242,7 @@ class RingElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return RingElement(self.ring, _qq_convolve(self.data, other.data))
+        return RingElement(self.ring, _qq_convolve(self.data, other.data, self.ring.trunc))
 
     __rmul__ = __mul__
 
@@ -488,19 +488,23 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction]) -> list[Fraction]:
-    """Convolution over QQ via integer scaling (big-int multiplies are cheap)."""
+def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction],
+                 limit: Optional[int] = None) -> list[Fraction]:
+    """Convolution over QQ via integer scaling (big-int multiplies are cheap),
+    stopped after the first limit coefficients when a limit is given."""
     if not fa or not fb:
         return []
     la = math.lcm(*(f.denominator for f in fa))
     lb = math.lcm(*(f.denominator for f in fb))
     a = [f.numerator * (la // f.denominator) for f in fa]
     b = [f.numerator * (lb // f.denominator) for f in fb]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    n = len(a) + len(b) - 1
+    n = n if limit is None else min(n, limit)
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+            for j, bj in enumerate(b[:n - i], i):
+                out[j] += ai * bj
     scale = la * lb
     return [Fraction(c, scale) for c in out]
 

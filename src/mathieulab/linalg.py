@@ -1,60 +1,77 @@
-"""Small dense exact linear algebra over Fraction.
+"""Exact sparse column elimination over Fraction.
 
-Everything here works on lists of lists of Fractions and is meant for
-desk-scale systems (dimensions in the tens, occasionally low hundreds).
+A vector is a dict {index: nonzero int or Fraction}.  Columns are fed one
+at a time, in order, into a list of pivots (row, reduced vector with 1 on
+that row, the combination of columns equal to it).  A later pivot is zero
+on every earlier pivot's row, so one pass in order clears all their rows.
+It serves radlab's nullspaces and ufdlab's surjectivity check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Optional, Sequence
 
-Vec = list[Fraction]
-Mat = list[Vec]
+Mat = list[list[Fraction]]
+Pivot = tuple[int, dict, dict]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(map(Fraction, r)) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def eliminate(pivots: Sequence[Pivot], vec: dict, comb: dict,
+              start: int = 0, stop: Optional[int] = None) -> None:
+    """Reduce vec in place against pivots[start:stop], subtracting the same
+    multiples of the pivots' combinations from comb."""
+    for row, pvec, pcomb in islice(pivots, start, stop):
+        factor = vec.get(row)
+        if factor:
+            _axpy(vec, -factor, pvec)
+            _axpy(comb, -factor, pcomb)
+
+
+def _axpy(y: dict, s: Fraction, x: dict) -> None:
+    for key, v in x.items():
+        w = y.get(key, _ZERO) + s * v
+        if w:
+            y[key] = w
+        else:
+            del y[key]
+
+
+def add_column(pivots: list[Pivot], vec: dict, index: int) -> Optional[dict]:
+    """Eliminate column number index (vec, consumed) against the pivots.
+
+    A column the pivots do not clear becomes a new pivot on its least
+    nonzero row, and None is returned.  A column they clear returns its
+    combination: a kernel vector with 1 at index, supported on index and the
+    independent columns before it.
+    """
+    comb = {index: _ONE}
+    eliminate(pivots, vec, comb)
+    if not vec:
+        return comb
+    row = min(vec)
+    inv = _ONE / vec[row]
+    pivots.append((row, {r: v * inv for r, v in vec.items()},
+                   {j: v * inv for j, v in comb.items()}))
+    return None
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> Mat:
-    """Basis of the right nullspace {x : M x = 0}."""
+    """Basis of the right nullspace {x : M x = 0} of an int or Fraction
+    matrix: one Fraction vector per dependent column, with 1 there and
+    support on it and the independent columns before it (the free-column
+    vectors of the reduced row echelon form)."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    pivots: list[Pivot] = []
     basis: Mat = []
-    for fc in free_cols:
-        vec = [_ZERO] * ncols
-        vec[fc] = _ONE
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[fc]
-        basis.append(vec)
+    for col in range(ncols):
+        vec = {r: row[col] for r, row in enumerate(matrix) if row[col]}
+        comb = add_column(pivots, vec, col)
+        if comb is not None:
+            basis.append([comb.get(j, _ZERO) for j in range(ncols)])
     return basis
-

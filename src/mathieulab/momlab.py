@@ -95,6 +95,9 @@ class AtomicWeight:
 WeightSpec = Union[HermiteWeight, LaguerreWeight, JacobiWeight, AtomicWeight]
 
 
+_WEIGHT_KEYS = {"laguerre": {"alpha"}, "jacobi": {"alpha", "beta"}, "atomic": {"points", "weights"}}
+
+
 def parse_weight(text: str) -> WeightSpec:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
@@ -103,6 +106,9 @@ def parse_weight(text: str) -> WeightSpec:
             raise BadInput("hermite takes no parameters")
         return HermiteWeight()
     args = parse_key_values(rest, "weight", ";" if head == "atomic" else ",")
+    unknown = set(args) - _WEIGHT_KEYS.get(head, set(args))
+    if unknown:
+        raise BadInput(f"unknown weight arguments {sorted(unknown)}")
     try:
         if head == "laguerre":
             return LaguerreWeight(parse_rational(args["alpha"]))

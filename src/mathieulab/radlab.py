@@ -189,6 +189,8 @@ class CofiniteSubspace:
 
         basis = []
         for vec in vbar_basis:
+            if any(isinstance(v, bool) for v in vec):
+                raise BadInput("basis entries must be integers or rational strings")
             entries = [Fraction(v) if not isinstance(v, float) else None for v in vec]
             if None in entries:
                 raise BadInput("basis vectors must be exact rationals, not floats")

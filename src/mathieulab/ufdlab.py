@@ -19,9 +19,10 @@ implemented alongside:
   the image of c*d/dt - a(t), every monomial is, which is verified with a
   witness-degree budget deg f + k*(deg_t a + 1).  When c and every
   coefficient of a lie in (x), 1 is structurally out of reach and nothing
-  is solved; otherwise the image columns of t^i x^j are eliminated once per
-  check and every target is reduced against them, and each witness is the
-  solution supported on the leftmost independent columns.
+  is solved; otherwise the image columns of t^i x^j are fed once per check
+  to linalg's sparse column echelon, every target is reduced against the
+  pivots of a prefix of them, and each witness is the solution supported on
+  the leftmost independent columns.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import linalg
 from .corealg import (
     Poly,
     QQ_POLY,
@@ -51,7 +53,6 @@ from .corealg import (
 from .errors import BadInput, NotInRadical
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 INFINITE = math.inf
 
 
@@ -257,66 +258,21 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     return ring, c, a
 
 
-class _ImageEchelon:
-    """Column echelon form of c*d/dt - a over QQ[x]/(x^k), grown on demand.
-
-    Column number i*k + j is the image of the basis element t^i x^j, as a
-    sparse vector whose key s*k + l holds the coefficient of t^s x^l.
-    Columns are eliminated once each, in order; a pivot keeps its row, its
-    reduced vector (1 on that row) and its combination of original columns.
-    """
-
-    def __init__(self, c: RingElement, a: Poly, k: int):
-        self.c, self.a, self.k = c, a, k
-        self.pivots: list[tuple[int, dict, dict]] = []
-        self.rank = [0]  # rank[n]: number of pivots among the first n columns
-
-    def _image(self, i: int, j: int) -> dict:
-        k = self.k
-        col = {}
-        if i:
-            for l, v in enumerate(self.c.data[:k - j]):
-                if v:
-                    col[(i - 1) * k + j + l] = i * v
-        for s, coeff in enumerate(self.a.coeffs):
-            for l, v in enumerate(coeff.data[:k - j]):
-                if v:
-                    col[(i + s) * k + j + l] = -v
-        return col
-
-    def pivots_below(self, n: int) -> list[tuple[int, dict, dict]]:
-        """The pivots of the first n columns, eliminating them if needed."""
-        while len(self.rank) <= n:
-            col = len(self.rank) - 1
-            vec = self._image(*divmod(col, self.k))
-            comb = {col: _F1}
-            _reduce(vec, comb, self.pivots)
-            if vec:
-                row = min(vec)
-                inv = _F1 / vec[row]
-                self.pivots.append((row, {r: v * inv for r, v in vec.items()},
-                                    {j: v * inv for j, v in comb.items()}))
-            self.rank.append(len(self.pivots))
-        return self.pivots[:self.rank[n]]
-
-
-def _reduce(vec: dict, comb: dict, pivots) -> None:
-    """Subtract from vec the multiples of the pivots that clear their rows,
-    and the same multiples of their combinations from comb."""
-    for row, pvec, pcomb in pivots:
-        factor = vec.get(row)
-        if factor:
-            _axpy(vec, -factor, pvec)
-            _axpy(comb, -factor, pcomb)
-
-
-def _axpy(y: dict, s: Fraction, x: dict) -> None:
-    for key, v in x.items():
-        w = y.get(key, _F0) + s * v
-        if w:
-            y[key] = w
-        else:
-            del y[key]
+def _image(c: RingElement, a: Poly, k: int, col: int) -> dict:
+    """Column number col = i*k + j of c*d/dt - a over QQ[x]/(x^k): the image
+    of t^i x^j, as a sparse vector whose key s*k + l holds the coefficient
+    of t^s x^l."""
+    i, j = divmod(col, k)
+    vec = {}
+    if i:
+        for l, v in enumerate(c.data[:k - j]):
+            if v:
+                vec[(i - 1) * k + j + l] = i * v
+    for s, coeff in enumerate(a.coeffs):
+        for l, v in enumerate(coeff.data[:k - j]):
+            if v:
+                vec[(i + s) * k + j + l] = -v
+    return vec
 
 
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
@@ -348,7 +304,8 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
             "the coefficients of a, so 1 is structurally unreachable"
         )
         return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
-    echelon = _ImageEchelon(c, a, k)
+    pivots: list = []  # the image columns, eliminated once each, in order
+    rank = [0]  # rank[n]: number of pivots among the first n columns
 
     def solve(f: Poly) -> Optional[Poly]:
         vec = {i * k + l: v for i, coeff in enumerate(f.coeffs) for l, v in enumerate(coeff.data) if v}
@@ -356,9 +313,13 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         used = 0
         base = max(f.degree, 0)
         for max_deg in range(base, base + extra + 1):
-            pivots = echelon.pivots_below((max_deg + 1) * k)
-            _reduce(vec, comb, pivots[used:])
-            used = len(pivots)
+            n = (max_deg + 1) * k
+            while len(rank) <= n:
+                col = len(rank) - 1
+                linalg.add_column(pivots, _image(c, a, k, col), col)
+                rank.append(len(pivots))
+            linalg.eliminate(pivots, vec, comb, used, rank[n])
+            used = rank[n]
             if not vec:
                 h = Poly(ring, tuple(
                     RingElement(ring, tuple(-comb.get(i * k + l, _F0) for l in range(k)))

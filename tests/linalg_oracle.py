@@ -1,9 +1,50 @@
-"""Dense exact solving of A x = b, used by the tests as an independent oracle."""
+"""Dense exact linear algebra over Fraction, used by the tests as an
+independent oracle for the package's sparse column elimination."""
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mathieulab.linalg import rref
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(map(Fraction, r)) for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0}: the free-column vectors of the RREF."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows, pivots = rref(matrix)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 def solve_linear(a: Sequence[Sequence[Fraction]],

@@ -119,6 +119,9 @@ MALFORMED_CASES = (
     (("moments", "--weight", "jacobi:alpha=1", "--upto", "2"), "BAD_INPUT"),
     (("moments", "--weight", "atomic:points=0,1", "--upto", "2"), "BAD_INPUT"),
     (("moments", "--weight", "jacobi:alpha", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "laguerre:alpha=1,beta=2", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "jacobi:alpha=1,beta=2,gamma=3", "--upto", "2"), "BAD_INPUT"),
+    (("moments", "--weight", "atomic:points=0,1;weights=1,1;foo=1", "--upto", "2"), "BAD_INPUT"),
     (("member", "--op", "mono:c=1,alpha", "--poly", "t"), "BAD_INPUT"),
     (("member", "--op", "mono:gamma=1", "--poly", "t"), "BAD_INPUT"),
     (("ufd-member", "--ctx", "ufd:a", "--poly", "t"), "BAD_INPUT"),
@@ -157,6 +160,8 @@ def test_rejections_name_their_reason(capsys):
         (("largest-ideal", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),
         ((*certify, "-5"), "budget must be at least 1"),
         ((*certify, "0"), "budget must be at least 1"),
+        (("moments", "--weight", "jacobi:alpha=1,beta=2,gamma=3,delta=4", "--upto", "2"),
+         "unknown weight arguments ['delta', 'gamma']"),
     )
     for argv, message in cases:
         status, out, err = run_cli(capsys, *argv)

@@ -428,6 +428,13 @@ def test_ring_arithmetic_matches_fraction_lists():
             got = exact_divide(ea * eb, ea)
             _assert_canonical(got, ring)
             assert _ref_mul(ring, a, _as_list(got)) == product
+        if ring.kind == "QQ_POLY_TRUNC":
+            # both operands with all k terms: the product stops at x^(k-1)
+            k = ring.trunc
+            for _ in range(50):
+                a, b = ([Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 5)) for _ in range(k)]
+                        for _ in range(2))
+                _check_element(RingElement(ring, a) * RingElement(ring, b), _ref_mul(ring, a, b))
 
 
 def test_poly_arithmetic_matches_fraction_lists():

@@ -12,7 +12,6 @@ from math import lcm
 
 import pytest
 
-from mathieulab import linalg
 from mathieulab.corealg import (
     QQ,
     euclid_divmod,
@@ -43,7 +42,7 @@ from mathieulab.radlab import (
     radical_probe,
 )
 
-from linalg_oracle import solve_linear
+from linalg_oracle import nullspace, solve_linear
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
@@ -107,6 +106,12 @@ def test_space_validation():
     for mult in (2.9, True):
         with pytest.raises(BadInput, match="multiplicities"):
             CofiniteSubspace.from_dict({"modulus": [["t", mult]], "vbar_basis": []})
+    for entry in (True, False):
+        with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
+            CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)], [[entry, 1]])
+        with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
+            CofiniteSubspace.from_dict({"modulus": [["t", 1], ["t - 1", 1]],
+                                        "vbar_basis": [[entry, 1]]})
     with pytest.raises(BadInput):
         CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)],
                          [[1, 0], [2, 0]])  # dependent basis
@@ -394,7 +399,7 @@ def test_mathieu_trusted_factor_is_not_exact():
     # Q[t]/(t^4 - 1) lying in V, so V is not Mathieu; the engine cannot see
     # that factor split and must not claim MATHIEU_EXACT
     rows = [[0, 2, 0, 2], [1, 0, -1, 0]]
-    space = coefficient_space([(parse_poly("t^4 - 1"), 1)], linalg.nullspace(rows))
+    space = coefficient_space([(parse_poly("t^4 - 1"), 1)], nullspace(rows))
     refuter = parse_poly("1/2*t^2 + 1/2")
     assert space.mod(refuter * refuter) == refuter and space.contains(refuter)
     assert not poly_divides(squarefree_part(largest_ideal(space)), refuter)
@@ -508,7 +513,7 @@ def split_codim2_spaces(seed, count):
         points = rng.sample(range(-5, 6), rng.randint(3, 6))
         rows = [[Fraction(rng.randint(-1, 1)) for _ in points] for _ in range(2)]
         factors = [(qq_poly([-p, 1]), 1) for p in points]
-        spaces.append(CofiniteSubspace(factors, linalg.nullspace(rows)))
+        spaces.append(CofiniteSubspace(factors, nullspace(rows)))
     return spaces
 
 
@@ -590,7 +595,7 @@ class CoefficientReference:
         columns = [self.residue_vec(t_monomial(QQ, j)) for j in range(self.dim)]
         self.crt = [[col[i] for col in columns] for i in range(self.dim)]
         basis = [solve_linear(self.crt, vec) for vec in residue_basis]
-        self.ann = linalg.nullspace(basis or [[Fraction(0)] * self.dim])
+        self.ann = nullspace(basis or [[Fraction(0)] * self.dim])
 
     def residue_vec(self, f):
         out = []
@@ -627,7 +632,7 @@ class CoefficientReference:
                 rows.append(lam)
                 lam = lam[1:] + [-sum(gk * lk for gk, lk in zip(g, lam))]
         out = self.modulus
-        for vec in linalg.nullspace(rows):
+        for vec in nullspace(rows):
             out = poly_gcd(out, qq_poly(vec))
         return out
 
@@ -672,7 +677,7 @@ def test_residue_coordinates_match_coefficient_reference():
     t4 = parse_poly("t^4 - 1")
     spaces = random_spaces(7, 200) + split_codim2_spaces(8, 100) + [
         CofiniteSubspace([(t4, 1)], [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]),
-        coefficient_space([(t4, 1)], linalg.nullspace([[0, 2, 0, 2], [1, 0, -1, 0]])),
+        coefficient_space([(t4, 1)], nullspace([[0, 2, 0, 2], [1, 0, -1, 0]])),
     ]
     rng = random.Random(9)
     statuses, answers = set(), set()
