@@ -46,6 +46,15 @@ Residue coordinates: the coordinates of f are the coefficients of
 f mod p_i^(m_i), blocks concatenated in modulus order.  For split moduli
 these are plain point evaluations.  They are coordinates of QQ[t]/(g) only
 when the factors are pairwise coprime, which the constructor checks.
+
+Integer residue vectors: each annihilator row is stored times the lcm of
+its denominators, and the two inner loops (the radical window and the
+witness search) step integer vectors that are a known positive multiple of
+the residue vector they stand for: one common factor per step, shared by
+every block.  Every membership test is lam . v = 0, and a positive factor on
+lam or on v does not change whether that holds, so the loops decide exactly
+what they would decide on rationals.  They call corealg once per block to
+set up (one division, or none), not once per step.
 """
 
 from __future__ import annotations
@@ -127,16 +136,21 @@ def _has_rational_root(f: Poly) -> bool:
     return False
 
 
-def _pow_mod(f: Poly, e: int, modulus: Poly) -> Poly:
-    """f^e mod modulus by repeated squaring."""
-    base = euclid_divmod(f, modulus)[1]
-    out = euclid_divmod(poly_one(QQ), modulus)[1]
-    while e:
-        if e & 1:
-            out = euclid_divmod(out * base, modulus)[1]
-        base = euclid_divmod(base * base, modulus)[1]
-        e >>= 1
-    return out
+def _times_t(vec: Sequence, low: Sequence, scale=1) -> list:
+    """scale * (t v mod b) for the coefficients vec of a residue mod a monic
+    block b, given low = scale times the coefficients of b below its top.
+
+    This is the companion shift: the coefficients move up one place and the
+    top one folds back in through t^(deg b) = -sum_k b_k t^k.  With an
+    integer scale and integer low it maps integer vectors to integer vectors.
+    """
+    top = vec[-1]
+    return [scale * x - top * c for x, c in zip([0, *vec[:-1]], low)]
+
+
+def _scaled(row: Sequence[Fraction], scale: int) -> list[int]:
+    """scale times a row of rationals whose denominators all divide scale."""
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 class CofiniteSubspace:
@@ -198,24 +212,23 @@ class CofiniteSubspace:
                 raise BadInput(f"basis vectors must have length {self.dim}")
             basis.append(tuple(entries))
         self._basis = tuple(basis)
-        # annihilator rows: V/(g) = {v : lam . v = 0 for every row lam}
-        self._ann = linalg.nullspace(self._basis or [[_F0] * self.dim])
-        if len(self._ann) + len(self._basis) != self.dim:
+        # annihilator rows: V/(g) = {v : lam . v = 0 for every row lam}, each
+        # row scaled by the lcm of its denominators to integers; a positive
+        # scale changes neither a row's zero test nor the rows' span
+        ann = linalg.nullspace(self._basis or [[_F0] * self.dim])
+        if len(ann) + len(self._basis) != self.dim:
             raise BadInput("basis vectors are linearly dependent")
+        self._ann = [_scaled(lam, math.lcm(*(x.denominator for x in lam))) for lam in ann]
 
     # -- coordinate maps -------------------------------------------------
 
-    def _coords(self, residues: Sequence[Poly]) -> list[Fraction]:
-        """Residue vector of the element with the given residues mod each block."""
+    def residue_vec(self, f: Poly) -> list[Fraction]:
         out: list[Fraction] = []
-        for r, block in zip(residues, self._blocks):
-            coeffs = r.qq_coeffs()
+        for block in self._blocks:
+            coeffs = euclid_divmod(f, block)[1].qq_coeffs()
             out.extend(coeffs)
             out.extend([_F0] * (block.degree - len(coeffs)))
         return out
-
-    def residue_vec(self, f: Poly) -> list[Fraction]:
-        return self._coords([euclid_divmod(f, block)[1] for block in self._blocks])
 
     def reduce_vec(self, f: Poly) -> list[Fraction]:
         """Coefficient vector of f mod g (kept for tests and benchmark tracing)."""
@@ -238,7 +251,15 @@ class CofiniteSubspace:
         return largest_ideal(self).degree == len(self._ann)
 
     def pow_mod(self, f: Poly, e: int) -> Poly:
-        return _pow_mod(f, e, self.modulus)
+        """f^e mod g by repeated squaring."""
+        base = self.mod(f)
+        out = self.mod(poly_one(QQ))
+        while e:
+            if e & 1:
+                out = self.mod(out * base)
+            base = self.mod(base * base)
+            e >>= 1
+        return out
 
     # -- serialization -----------------------------------------------------
 
@@ -322,17 +343,34 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     Checks f^m in V for m in [D, 2D], D = deg g; by the two-sided
     Cayley-Hamilton recurrence described in the module docstring this window
     is equivalent to eventual membership.  The powers are taken block by
-    block on the residues of f mod p_i^(m_i), which for split moduli are the
-    values f(a_i).
+    block on integer residue vectors.  With r_i = f mod p_i^(m_i), taken once
+    per block, the columns t^j r_i mod p_i^(m_i) form the matrix of
+    multiplication by f on block i, and den, one common denominator of every
+    block's matrix, makes den times each matrix an integer matrix N_i.  From
+    the residue of 1, w_m = N_i w_(m-1) is den^m times the residue vector of
+    f^m, and since every membership test is lam . w = 0 the positive factor
+    den^m leaves each verdict of the window unchanged.  For split moduli
+    the residues r_i are the values f(a_i).
     """
     d = space.dim
-    blocks = space._blocks
-    bases = [euclid_divmod(f, b)[1] for b in blocks]
-    powers = [_pow_mod(r, d, b) for r, b in zip(bases, blocks)]
-    for _ in range(d, 2 * d + 1):
-        if not space.contains_vec(space._coords(powers)):
+    mats = []
+    for block in space._blocks:
+        n = block.degree
+        low = block.qq_coeffs()[:n]
+        col = list(euclid_divmod(f, block)[1].qq_coeffs())
+        cols = [col + [_F0] * (n - len(col))]
+        for _ in range(n - 1):
+            cols.append(_times_t(cols[-1], low))
+        mats.append(cols)
+    den = math.lcm(*(x.denominator for cols in mats for col in cols for x in col))
+    # N_i row by row: row k holds den times coefficient k of each column
+    mats = [[_scaled(row, den) for row in zip(*cols)] for cols in mats]
+    powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
+    for m in range(1, 2 * d + 1):
+        powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
+                  for mat, w in zip(mats, powers)]
+        if m >= d and not space.contains_vec([x for w in powers for x in w]):
             return False
-        powers = [euclid_divmod(p * r, b)[1] for p, r, b in zip(powers, bases, blocks)]
     return True
 
 
@@ -470,9 +508,12 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     Ideals (deg h = codim V) are MATHIEU_EXACT outright.  Otherwise the
     masks S are walked in increasing order and the first zero-sum mask with
     a live factor gives the witness (e_S, t^j), t^j the first monomial with
-    e_S t^j outside V (e_S^m = e_S, so absorption fails for every m).  e_S
-    comes from one CRT step that splits g into the blocks in and outside S
-    (`_set_idempotent`); the single e_i are never formed.  With no such mask
+    e_S t^j outside V (e_S^m = e_S, so absorption fails for every m).  That
+    j is found on integer residue vectors: e_S t^j is t^j mod the blocks in
+    S and 0 mod the rest, stepped by the companion shift.  e_S itself comes
+    from one CRT step that splits g into the blocks in and outside S
+    (`_set_idempotent`), taken once j is known; the single e_i are never
+    formed.  With no such mask
     the verdict is MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET when a factor
     of degree >= 4 is trusted unverified and might split.
     """
@@ -488,19 +529,24 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
 
     # e_i has residue vector (0..0, 1, 0..0), so lam . e_i is column start_i of lam
     u = [[lam[start] for lam in space._ann] for start in space._starts]
-    scale = math.lcm(*(x.denominator for ui in u for x in ui))
     live = sum(1 << i for i, (p, _) in enumerate(space.factors) if poly_gcd(p, r).degree >= 1)
-    mask = _first_zero_sum([[int(x * scale) for x in ui] for ui in u], live)
+    mask = _first_zero_sum(u, live)
     if mask is None:
         budget_used["candidates_tried"] = (1 << len(u)) - 1
         status = CONSISTENT_UP_TO_BUDGET if space.unverified_factors else MATHIEU_EXACT
         return MathieuVerdict(status, None, h, r, budget_used)
 
-    a = _set_idempotent(space, mask)
     budget_used["candidates_tried"] = mask
     budget_used["witness_family"] = "crt_idempotent"
+    # e_S t^j has residue t^j mod the blocks in S and 0 on the rest; w is
+    # scale^j times that vector, stepped by the integer companion shift
+    scale = math.lcm(*(c.denominator for b in space._blocks for c in b.qq_coeffs()))
+    lows = [_scaled(b.qq_coeffs()[:-1], scale) for b in space._blocks]
+    w = [[mask >> i & 1] + [0] * (b.degree - 1) for i, b in enumerate(space._blocks)]
     for j in range(space.dim):
-        if not space.contains(a * t_monomial(QQ, j)):
+        if not space.contains_vec([x for v in w for x in v]):
+            a = _set_idempotent(space, mask)
             return MathieuVerdict(NOT_MATHIEU, (a, t_monomial(QQ, j)), h, r, budget_used)
-    # absorption of every monomial would put (a) + (g) inside V, so r | a
+        w = [_times_t(v, low, scale) for v, low in zip(w, lows)]
+    # absorption of every monomial would put (e_S) + (g) inside V, so r | e_S
     raise BadInput("internal inconsistency: refuter absorbs every monomial")

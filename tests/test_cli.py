@@ -299,6 +299,34 @@ def test_shared_parser_matches_fresh_parser(capsys):
         assert shared == fresh, argv
 
 
+SIGNED_POLY_CASES = (
+    ("member", "--op", OP, "--poly", "-t-2"),
+    ("--check", "radical-probe", "--space", SPACE, "--poly", "-t", "--window", "1:4"),
+    ("radical-probe", "--space", SPACE, "--poly", "-t^2+t", "--window", "2:4"),
+    ("ufd-radical", "--ctx", "ufd:a=x^2", "--p", "-x*t"),
+    ("absorb-bound", "--ctx", "ufd:a=x^2", "--p", "-x*t", "--g", "-t"),
+    ("gcd-lift", "--a", "-x^2", "--elements", "x,x^3"),
+    ("member", "--op", OP, "--poly", "-h"),
+)
+
+
+def test_polynomial_values_may_start_with_a_minus_sign(capsys):
+    # '--poly -t' must read like '--poly=-t', not as an unknown option
+    for argv in SIGNED_POLY_CASES:
+        joined, spaced = [], list(argv)
+        for arg in argv:
+            if joined and joined[-1] in ("--poly", "--p", "--g", "--a"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        expected = run_cli(capsys, *joined)
+        assert run_cli(capsys, *spaced) == expected, argv
+        assert "usage:" not in expected[2], argv
+    # the last case is a parse error of the value, not an argparse usage error
+    assert json.loads(expected[2])["code"] == "PARSE_ERROR"
+    assert run_cli(capsys, *SIGNED_POLY_CASES[1])[:2] == (1, '{"holds": false, "window": [1, 4]}\n')
+
+
 def test_repeated_calls_reuse_the_parser(capsys):
     argv = ["lzero", "--op", "mono:c=1,alpha=0,lambda=1,d=1", "--poly", "t^4"]
     main(argv)

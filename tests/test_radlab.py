@@ -12,8 +12,10 @@ from math import lcm
 
 import pytest
 
+from mathieulab import radlab
 from mathieulab.corealg import (
     QQ,
+    Poly,
     euclid_divmod,
     parse_poly,
     poly_divides,
@@ -698,6 +700,175 @@ def test_residue_coordinates_match_coefficient_reference():
             answers.add((member, in_radical))
     assert statuses == {NOT_MATHIEU, MATHIEU_EXACT, CONSISTENT_UP_TO_BUDGET}
     assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- the integer residue-vector loops against the earlier Poly loops --------------
+
+def poly_window_radical_member(space, f):
+    """The earlier window: powers of f mod each block by Poly products and
+    divisions, tested against the Fraction annihilator of the basis."""
+    d, blocks = space.dim, space._blocks
+    ann = nullspace(space._basis or [[Fraction(0)] * d])
+    bases = [euclid_divmod(f, b)[1] for b in blocks]
+    powers = [euclid_divmod(r ** d, b)[1] for r, b in zip(bases, blocks)]
+    for _ in range(d, 2 * d + 1):
+        vec = []
+        for p, b in zip(powers, blocks):
+            vec += list(p.qq_coeffs()) + [Fraction(0)] * (b.degree - p.degree - 1)
+        if any(sum(l * v for l, v in zip(lam, vec)) for lam in ann):
+            return False
+        powers = [euclid_divmod(p * r, b)[1] for p, r, b in zip(powers, bases, blocks)]
+    return True
+
+
+def rational_block_spaces(seed, count):
+    """Seeded (space, member) pairs whose monic factors have non-integer
+    coefficients with different denominators; member lies in rad(V).
+
+    Even entries are split: points a_i of multiplicity 1 or 2 and
+    V = {f : sum_i w_i f(a_i) = 0} with a planted zero-sum set S of weights;
+    the member takes one value c on S and 0 on the other points, and its
+    residues mod (t - a_i)^2 carry derivative terms with assorted
+    denominators.  Odd entries mix linear, quadratic and cubic blocks, some
+    with multiplicity, and V is cut out by a random functional that kills
+    e_S t^j for j < J (J = 1..3) for a random set S of blocks, so e_S lies
+    in V (the member is c e_S), and a witness (e_S, t^j) has j >= J.
+    """
+    rng = random.Random(seed)
+    pool = ["t - 1/3", "t - 1/7", "t + 5/2", "t^2 - 2/3", "t^2 + 1/2*t + 3/4",
+            "t^3 - 1/5*t + 7/2"]
+    points = sorted({Fraction(n, d) for n in range(-4, 5) for d in (2, 3, 7)})
+    out = []
+    while len(out) < count:
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        if len(out) % 2 == 0:
+            pts = rng.sample(points, rng.randint(3, 6))
+            mults = [rng.randint(1, 2) for _ in pts]
+            planted = rng.sample(range(len(pts)), rng.randint(2, len(pts)))
+            weights = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in pts]
+            weights[planted[0]] -= sum(weights[i] for i in planted)
+            if weights[planted[0]] == 0:
+                continue
+            # residue c0 + c1 t mod (t - a)^2 has the value c0 + a c1 at a
+            row = [x for a, m, w in zip(pts, mults, weights) for x in (w, w * a)[:m]]
+            factors = [(qq_poly([-a, 1]), m) for a, m in zip(pts, mults)]
+            member = lagrange(pts, [c if i in planted else 0 for i in range(len(pts))])
+            out.append((CofiniteSubspace(factors, nullspace([row])), member))
+            continue
+        factors = [(parse_poly(p), rng.randint(1, 3 if p == "t^2 - 2/3" else 2))
+                   for p in rng.sample(pool, rng.randint(1, 3))]
+        if sum(p.degree * m for p, m in factors) > 10:
+            continue
+        coords = CofiniteSubspace(factors, [])
+        e = _set_idempotent(coords, rng.randint(1, (1 << len(factors)) - 1))
+        absorbed = [coords.residue_vec(e * t_monomial(QQ, j)) for j in range(rng.randint(1, 3))]
+        kernel = nullspace(absorbed)
+        coeffs = [rng.randint(-2, 2) for _ in kernel]
+        lam = [sum(k * x for k, x in zip(coeffs, col)) for col in zip(*kernel)]
+        if not any(lam):
+            continue
+        out.append((CofiniteSubspace(factors, nullspace([lam])), e.scale(c)))
+    return out
+
+
+def lagrange(points, values):
+    """The polynomial of degree < len(points) with the given values."""
+    out = poly_zero()
+    for i, (a, v) in enumerate(zip(points, values)):
+        basis = poly_one().scale(v)
+        for j, b in enumerate(points):
+            if j != i:
+                basis = basis * qq_poly([-b, 1]).scale(1 / (a - b))
+        out = out + basis
+    return out
+
+
+def test_radical_window_matches_poly_window():
+    rng = random.Random(1103)
+    cases = [(space, None) for space in random_spaces(1100, 60) + split_codim2_spaces(1101, 30)]
+    rational = rational_block_spaces(1102, 60)
+    answers = {}
+    for k, (space, member) in enumerate(cases + rational):
+        nilpotent = squarefree_part(space.modulus) * qq_poly([rng.randint(-3, 3) for _ in range(3)])
+        candidates = [nilpotent, qq_poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                          for _ in range(rng.randint(1, space.dim + 2))])]
+        if member is not None:
+            candidates.append(member)
+        for f in candidates:
+            expected = poly_window_radical_member(space, f)
+            assert radical_member_cofinite(space, f) == expected, (space.to_dict(), f)
+            answers.setdefault(k >= len(cases), set()).add(expected)
+        if member is not None:
+            assert expected, (space.to_dict(), member)
+    # both answers occur on the integer spaces and on the rational-block spaces
+    assert answers == {False: {False, True}, True: {False, True}}
+
+
+def test_witness_loop_matches_coefficient_reference_on_rational_blocks():
+    statuses = set()
+    deep = 0
+    for space, _ in rational_block_spaces(1104, 60):
+        status, witness, h, r, budget = CoefficientReference(space.factors, space._basis).mathieu()
+        verdict = mathieu_check(space)
+        assert (verdict.status, verdict.witness, verdict.budget_used) == (status, witness, budget)
+        assert (verdict.i_v_generator, verdict.radical_iv_generator) == (h, r)
+        statuses.add(status)
+        deep += status == NOT_MATHIEU and witness[1].degree >= 2
+    assert statuses == {NOT_MATHIEU, MATHIEU_EXACT}
+    assert deep >= 5  # witnesses past t^1 step the shift through a fold
+
+
+class CallCounter:
+    """Call counts of wrapped functions; calls made inside a paused function
+    are not counted."""
+
+    def __init__(self):
+        self.counts = {}
+        self.paused = 0
+
+    def count(self, name, fn):
+        def wrapper(*args):
+            if not self.paused:
+                self.counts[name] = self.counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    def pause(self, name, fn):
+        def wrapper(*args):
+            self.counts[name] = self.counts.get(name, 0) + 1
+            self.paused += 1
+            try:
+                return fn(*args)
+            finally:
+                self.paused -= 1
+        return wrapper
+
+
+def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
+    # twelve points whose weights have one zero-sum pair {0, 11}
+    space = atomic_space([Fraction(k, 3) for k in range(12)], [1] * 11 + [-1])
+    f = qq_poly([Fraction(k - 5, k + 1) for k in range(15)])
+    counter = CallCounter()
+    monkeypatch.setattr(radlab, "euclid_divmod", counter.count("divmod", euclid_divmod))
+    monkeypatch.setattr(Poly, "__mul__", counter.count("mul", Poly.__mul__))
+    for g in (f, poly_one(), f * f):
+        counter.counts.clear()
+        radical_member_cofinite(space, g)
+        assert counter.counts.get("divmod", 0) <= len(space._blocks)
+        assert counter.counts.get("mul", 0) == 0
+    # the witness loop: only the sanity window divides, and e_S is formed once
+    monkeypatch.setattr(radlab, "largest_ideal", counter.pause("largest_ideal", largest_ideal))
+    monkeypatch.setattr(radlab, "_set_idempotent",
+                        counter.pause("_set_idempotent", _set_idempotent))
+    counter.counts.clear()
+    verdict = mathieu_check(space)
+    assert verdict.status == NOT_MATHIEU and verdict.witness[1] == parse_poly("t")
+    assert counter.counts["_set_idempotent"] == 1
+    assert counter.counts.get("divmod", 0) <= len(space._blocks)
+    assert counter.counts.get("mul", 0) == 0
+    counter.counts.clear()
+    assert mathieu_check(VALUE_SUM).status == MATHIEU_EXACT
+    assert "_set_idempotent" not in counter.counts
 
 
 def test_space_build_is_fast():
