@@ -432,13 +432,15 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise BadInput("negative polynomial power")
-        result = poly_one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return poly_one(self.ring)
+        # left to right from the top bit: p ** 1 is p itself, and p ** n takes
+        # n.bit_length() - 1 squarings and n.bit_count() - 1 products with p
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale(self, q) -> "Poly":
@@ -475,7 +477,9 @@ class Poly:
             raise BadInput("monic normalization requires ring QQ")
         if self.is_zero:
             raise ZeroInput("cannot normalize the zero polynomial")
-        return self.scale(_F1 / self.leading())
+        if self.coeffs[-1] == 1:
+            return self  # Poly is frozen, so sharing it is safe
+        return self.scale(_F1 / self.coeffs[-1])
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -27,7 +27,11 @@ algebra:
   lam_i the annihilator restricted to the block and M_i the multiplication
   by t, and its generator is the gcd of p_i^(m_i) with lifts of a kernel
   basis; this needs no irreducibility of the p_i and no enumeration of
-  divisors.
+  divisors.  The same per-block generators h_i give the radical r block
+  by block: r_i = p_i where h_i is nontrivial and p_i is verified
+  irreducible (then h_i is a power of p_i), and the squarefree part of h_i
+  where p_i is trusted and might split; the blocks with deg h_i >= 1 are the
+  live ones below.
 * a cofinite V is a Mathieu subspace exactly when the radical of V equals
   the radical (r) of its largest interior ideal.  For irreducible factors
   this is decided by the Chinese-remainder idempotents e_i alone: V is not
@@ -400,10 +404,27 @@ def largest_ideal(space: CofiniteSubspace) -> Poly:
     h_i is the gcd of b_i and the lifts of a basis of that common kernel.
     Nothing here assumes the factors of g are irreducible.
     """
-    out = poly_one(QQ)
+    return _interior_ideal(space)[0]
+
+
+def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
+    """(h, r, live): the largest interior ideal (h), its radical r and the
+    mask of live blocks, all from the per-block generators h_i.
+
+    Block i is live when deg h_i >= 1; the blocks are pairwise coprime and
+    h_i | p_i^(m_i), so that is the same as p_i sharing a factor with r.  r
+    is the product of one r_i per live block: a verified p_i is irreducible
+    (the constructor ruled out its rational roots, and it has degree <= 3),
+    so h_i = p_i^e and r_i = p_i; a trusted factor might split, so there r_i
+    is the squarefree part of h_i.  The squarefree part of a product of
+    coprime factors is the product of theirs, so r is the squarefree part
+    of h, found without any gcd of degree up to D.
+    """
+    h = r = poly_one(QQ)
+    live = 0
     if not space._ann:
-        return out
-    for block, start in zip(space._blocks, space._starts):
+        return h, r, live
+    for i, ((p, _), block, start) in enumerate(zip(space.factors, space._blocks, space._starts)):
         b = block.qq_coeffs()
         rows = []
         for lam in space._ann:
@@ -412,11 +433,14 @@ def largest_ideal(space: CofiniteSubspace) -> Poly:
                 rows.append(lam)
                 # lam M: shift down, the top slot picks up t^deg b = -sum b_k t^k
                 lam = lam[1:] + [-sum(bk * lk for bk, lk in zip(b, lam))]
-        h = block
+        h_i = block
         for vec in linalg.nullspace(rows):
-            h = poly_gcd(h, qq_poly(vec))
-        out = out * h
-    return out
+            h_i = poly_gcd(h_i, qq_poly(vec))
+        h = h * h_i
+        if h_i.degree >= 1:
+            live |= 1 << i
+            r = r * (squarefree_part(h_i) if p in space.unverified_factors else p)
+    return h, r, live
 
 
 def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Poly,
@@ -452,9 +476,10 @@ def _set_idempotent(space: CofiniteSubspace, mask: int) -> Poly:
     """e_S = 1 mod the blocks in S (the set bits of mask) and 0 mod the rest.
 
     With B_S and B_rest the products of the blocks in and outside S, one
-    xgcd gives u B_rest + v B_S = 1 (the blocks are coprime), and u B_rest
-    mod g is e_S: the unique residue with those values, so it equals the sum
-    of the single-block idempotents e_i over S.
+    xgcd on (B_rest mod B_S, B_S) gives u B_rest + v B_S = 1 (the blocks are
+    coprime) with deg u < deg B_S, so u B_rest has degree < deg g and needs
+    no reduction mod g.  It is e_S: the unique residue with those values, so
+    it equals the sum of the single-block idempotents e_i over S.
     """
     chosen, rest = poly_one(QQ), poly_one(QQ)
     for i, block in enumerate(space._blocks):
@@ -462,8 +487,8 @@ def _set_idempotent(space: CofiniteSubspace, mask: int) -> Poly:
             chosen = chosen * block
         else:
             rest = rest * block
-    _, u, _ = poly_xgcd(rest, chosen)
-    return space.mod(u * rest)
+    _, u, _ = poly_xgcd(euclid_divmod(rest, chosen)[1], chosen)
+    return u * rest
 
 
 def _first_zero_sum(vectors: Sequence[Sequence[int]], live: int) -> Optional[int]:
@@ -491,6 +516,11 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     V is Mathieu exactly when rad(V) equals the radical (r) of its largest
     interior ideal (h).  With CRT idempotents e_i, annihilator rows lam and
     u_i = lam . e_i, call factor p_i live when it shares a factor with r.
+    h, r and the live factors come from the per-block generators h_i of
+    `largest_ideal` (`_interior_ideal`): p_i is live exactly when
+    deg h_i >= 1, and r is the product over live blocks of p_i, or of the
+    squarefree part of h_i when p_i is trusted, so no gcd or squarefree part
+    of degree up to D = deg g is formed.
     For irreducible factors, V is NOT_MATHIEU exactly when some set S of
     factors containing a live one has sum_{i in S} u_i = 0:
 
@@ -517,8 +547,7 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     the verdict is MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET when a factor
     of degree >= 4 is trusted unverified and might split.
     """
-    h = largest_ideal(space)
-    r = squarefree_part(h) if h.degree >= 1 else poly_one(QQ)
+    h, r, live = _interior_ideal(space)
     budget_used = {"window": [space.dim, 2 * space.dim]}
     # sanity: the radical of (h) is always inside the radical of V
     if not radical_member_cofinite(space, r):
@@ -529,7 +558,6 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
 
     # e_i has residue vector (0..0, 1, 0..0), so lam . e_i is column start_i of lam
     u = [[lam[start] for lam in space._ann] for start in space._starts]
-    live = sum(1 << i for i, (p, _) in enumerate(space.factors) if poly_gcd(p, r).degree >= 1)
     mask = _first_zero_sum(u, live)
     if mask is None:
         budget_used["candidates_tried"] = (1 << len(u)) - 1

@@ -239,6 +239,37 @@ def test_pow_matches_iterated_product():
         assert f ** n == naive
 
 
+@pytest.mark.parametrize("ring", [QQ, QQ_POLY, TRUNC3], ids=str)
+def test_pow_products_start_at_the_top_bit(monkeypatch, ring):
+    f = {QQ: parse_poly("2/3*t - 1/2"), QQ_POLY: parse_poly("x*t^2 - 1/2*t + x + 1", QQ_POLY),
+         TRUNC3: parse_poly("x*t - 1/3*x^2 + 1", TRUNC3)}[ring]
+    naive, powers = poly_one(ring), []
+    for _ in range(34):
+        powers.append(naive)
+        naive = naive * f
+    products = []
+    counted = Poly.__mul__
+
+    def mul(a, b):
+        products.append(1)
+        return counted(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    for n, expected in enumerate(powers):
+        products.clear()
+        assert f ** n == expected, n
+        assert len(products) == (n.bit_length() - 1 + n.bit_count() - 1 if n else 0), n
+    products.clear()
+    assert f ** 1 is f and not products
+
+
+def test_monic_of_a_monic_poly_is_unchanged():
+    f = parse_poly("t^3 - 1/2*t + 7")
+    assert f.monic() == f
+    assert parse_poly("3*t^3 - 3/2*t + 21").monic() == f
+    assert parse_poly("-2/5").monic() == poly_one()
+
+
 def test_zero_polynomial_sentinel():
     z = poly_zero()
     assert z.degree == -1

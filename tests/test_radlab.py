@@ -818,6 +818,87 @@ def test_witness_loop_matches_coefficient_reference_on_rational_blocks():
     assert deep >= 5  # witnesses past t^1 step the shift through a fold
 
 
+# -- block-by-block radical, live mask and idempotent against the earlier Poly forms --
+
+def trusted_quartic_spaces(seed, count):
+    """Seeded spaces with one trusted quartic that splits over QQ:
+    t^4 - 1, t^4 + t^2 - 6 = (t^2 + 3)(t^2 - 2) or (t^2 - 2)^2, with
+    multiplicity 1 or 2, beside up to two coprime verified factors.  V holds
+    an ideal (d) with d a product of the quartic's own factors, so the
+    interior ideal often meets the quartic in a proper or repeated divisor."""
+    rng = random.Random(seed)
+    quartics = {"t^4 - 1": ["t - 1", "t + 1", "t^2 + 1"],
+                "t^4 + t^2 - 6": ["t^2 + 3", "t^2 - 2"],
+                "t^4 - 4*t^2 + 4": ["t^2 - 2", "t^2 - 2"]}
+    spaces = []
+    while len(spaces) < count:
+        quartic = rng.choice(sorted(quartics))
+        mult = rng.randint(1, 2)
+        factors = [(parse_poly(quartic), mult)]
+        factors += [(parse_poly(p), 1) for p in rng.sample(["t - 5", "t^2 + 5"], rng.randint(0, 2))]
+        dim = sum(p.degree * m for p, m in factors)
+        d = poly_one()
+        for part in quartics[quartic] * mult:
+            d = d * parse_poly(part) ** rng.randint(0, 1)
+        for p, m in factors[1:]:
+            d = d * p ** rng.randint(0, m)
+        basis = [list((d * t_monomial(QQ, j)).qq_coeffs()) + [0] * (dim - d.degree - j - 1)
+                 for j in range(dim - d.degree)]
+        basis += [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 1))]
+        try:
+            spaces.append(coefficient_space(factors, basis))
+        except BadInput:
+            continue  # dependent basis
+    return spaces
+
+
+def test_interior_ideal_matches_squarefree_part_of_largest_ideal():
+    spaces = (random_spaces(1200, 60) + split_codim2_spaces(1201, 30)
+              + [space for space, _ in rational_block_spaces(1202, 40)]
+              + trusted_quartic_spaces(1203, 60))
+    seen = set()
+    for space in spaces:
+        h, r, live = radlab._interior_ideal(space)
+        assert h == largest_ideal(space)
+        # the earlier forms: r from h, live from a gcd of each factor with r
+        expected_r = squarefree_part(h) if h.degree >= 1 else poly_one()
+        expected_live = sum(1 << i for i, (p, _) in enumerate(space.factors)
+                            if poly_gcd(p, expected_r).degree >= 1)
+        assert (r, live) == (expected_r, expected_live), space.to_dict()
+        for i, (p, _) in enumerate(space.factors):
+            seen.add("live" if live >> i & 1 else "dead")
+            # a trusted live factor that r does not contain whole
+            if live >> i & 1 and p in space.unverified_factors and not poly_divides(p, r):
+                seen.add("trusted split")
+    assert seen == {"live", "dead", "trusted split"}
+
+
+def full_xgcd_set_idempotent(space, mask):
+    """The earlier e_S: xgcd on the full products, then one reduction mod g."""
+    chosen, rest = poly_one(), poly_one()
+    for i, block in enumerate(space._blocks):
+        if mask >> i & 1:
+            chosen = chosen * block
+        else:
+            rest = rest * block
+    _, u, _ = poly_xgcd(rest, chosen)
+    return space.mod(u * rest)
+
+
+def test_set_idempotent_matches_full_xgcd():
+    rng = random.Random(1205)
+    points = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 5)})
+    spaces = [space for space, _ in rational_block_spaces(1206, 30)]
+    for n in range(2, 17):
+        pts = rng.sample(points, n)
+        spaces.append(atomic_space(pts, [rng.choice((-2, -1, 1, 3)) for _ in pts]))
+    for space in spaces:
+        n = len(space._blocks)
+        for mask in {rng.randint(1, (1 << n) - 1) for _ in range(6)} | {1, (1 << n) - 1}:
+            assert _set_idempotent(space, mask) == full_xgcd_set_idempotent(space, mask), \
+                (space.to_dict(), mask)
+
+
 class CallCounter:
     """Call counts of wrapped functions; calls made inside a paused function
     are not counted."""
@@ -857,7 +938,8 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
         assert counter.counts.get("divmod", 0) <= len(space._blocks)
         assert counter.counts.get("mul", 0) == 0
     # the witness loop: only the sanity window divides, and e_S is formed once
-    monkeypatch.setattr(radlab, "largest_ideal", counter.pause("largest_ideal", largest_ideal))
+    monkeypatch.setattr(radlab, "_interior_ideal",
+                        counter.pause("_interior_ideal", radlab._interior_ideal))
     monkeypatch.setattr(radlab, "_set_idempotent",
                         counter.pause("_set_idempotent", _set_idempotent))
     counter.counts.clear()
