@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from .corealg import Poly, QQ, format_poly, parse_poly
 from .errors import (
+    AlgebraError,
     BadInput,
     BudgetExhausted,
     NotCoprime,
@@ -333,7 +334,8 @@ def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-derive every field of a certificate from scratch."""
+    """Re-derive every field of a certificate from scratch.  A failed domain
+    check (an AlgebraError) makes it invalid; other exceptions propagate."""
     try:
         m = cert.m
         if m < 1 or cert.conclusion_exponent % m != 0:
@@ -363,7 +365,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         derived = _derive_valuations(cert.f, s, d, alpha, m, cert.prime)
         return derived == (tuple(cert.bi_valuations), tuple(cert.phi_valuations))
-    except Exception:
+    except AlgebraError:
         return False
 
 

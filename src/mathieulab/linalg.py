@@ -4,13 +4,13 @@ A vector is a dict {index: nonzero int or Fraction}.  Columns are fed one
 at a time, in order, into a list of pivots (row, reduced vector with 1 on
 that row, the combination of columns equal to it).  A later pivot is zero
 on every earlier pivot's row, so one pass in order clears all their rows.
-It serves radlab's nullspaces and ufdlab's surjectivity check.
+It serves radlab's nullspaces and ufdlab's echelon basis of the kernel of a
+truncated shift operator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
 Mat = list[list[Fraction]]
@@ -20,11 +20,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def eliminate(pivots: Sequence[Pivot], vec: dict, comb: dict,
-              start: int = 0, stop: Optional[int] = None) -> None:
-    """Reduce vec in place against pivots[start:stop], subtracting the same
+def eliminate(pivots: Sequence[Pivot], vec: dict, comb: dict) -> None:
+    """Reduce vec in place against the pivots, subtracting the same
     multiples of the pivots' combinations from comb."""
-    for row, pvec, pcomb in islice(pivots, start, stop):
+    for row, pvec, pcomb in pivots:
         factor = vec.get(row)
         if factor:
             _axpy(vec, -factor, pvec)

@@ -418,12 +418,14 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
     so h_i = p_i^e and r_i = p_i; a trusted factor might split, so there r_i
     is the squarefree part of h_i.  The squarefree part of a product of
     coprime factors is the product of theirs, so r is the squarefree part
-    of h, found without any gcd of degree up to D.
+    of h, found without any gcd of degree up to D.  When every live r_i is
+    h_i itself (a split space with simple points, say), r is h.
     """
-    h = r = poly_one(QQ)
+    h = poly_one(QQ)
     live = 0
     if not space._ann:
-        return h, r, live
+        return h, h, live
+    radical_parts = []  # (h_i, r_i) of the live blocks
     for i, ((p, _), block, start) in enumerate(zip(space.factors, space._blocks, space._starts)):
         b = block.qq_coeffs()
         rows = []
@@ -439,8 +441,10 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
         h = h * h_i
         if h_i.degree >= 1:
             live |= 1 << i
-            r = r * (squarefree_part(h_i) if p in space.unverified_factors else p)
-    return h, r, live
+            radical_parts.append((h_i, squarefree_part(h_i) if p in space.unverified_factors else p))
+    if all(h_i == r_i for h_i, r_i in radical_parts):
+        return h, h, live
+    return h, math.prod((r_i for _, r_i in radical_parts), start=poly_one(QQ)), live
 
 
 def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Poly,

@@ -15,14 +15,9 @@ implemented alongside:
 * the gcd lift producing u, d~_i with u d_i = d~_i a and some d~_i outside
   the radical of (a);
 * the graded valuation v_a(c t^i) = v_a(c) - i;
-* a surjectivity check over the truncated rings QQ[x]/(x^k): once 1 is in
-  the image of c*d/dt - a(t), every monomial is, which is verified with a
-  witness-degree budget deg f + k*(deg_t a + 1).  When c and every
-  coefficient of a lie in (x), 1 is structurally out of reach and nothing
-  is solved; otherwise the image columns of t^i x^j are fed once per check
-  to linalg's sparse column echelon, every target is reduced against the
-  pivots of a prefix of them, and each witness is the solution supported on
-  the leftmost independent columns.
+* a surjectivity check over the truncated rings QQ[x]/(x^k), decided mod x
+  (c*d/dt - a(t) is onto iff c_0*d/dt - A_0 is onto QQ[t]), with the
+  witnesses for the monomials t^n solved level by level in powers of x.
 """
 
 from __future__ import annotations
@@ -44,6 +39,7 @@ from .corealg import (
     parse_ring_element,
     poly_one,
     poly_zero,
+    qq_poly,
     qq_poly_trunc,
     ring_gcd,
     ring_scalar,
@@ -240,7 +236,7 @@ class SurjectivityReport:
     status: str  # "ONE_IN_IMAGE" | "UNDECIDED_ONE"
     one_witness: Optional[Poly]
     monomials: tuple  # of (n, witness Poly)
-    unresolved: tuple  # monomial degrees not reached within the budget
+    unresolved: tuple  # monomial degrees left unsolved: all of them when 1 is not in the image
     note: Optional[str]
     witness_degree_budget: int
 
@@ -258,37 +254,27 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     return ring, c, a
 
 
-def _image(c: RingElement, a: Poly, k: int, col: int) -> dict:
-    """Column number col = i*k + j of c*d/dt - a over QQ[x]/(x^k): the image
-    of t^i x^j, as a sparse vector whose key s*k + l holds the coefficient
-    of t^s x^l."""
-    i, j = divmod(col, k)
-    vec = {}
-    if i:
-        for l, v in enumerate(c.data[:k - j]):
-            if v:
-                vec[(i - 1) * k + j + l] = i * v
-    for s, coeff in enumerate(a.coeffs):
-        for l, v in enumerate(coeff.data[:k - j]):
-            if v:
-                vec[(i + s) * k + j + l] = -v
-    return vec
+def _levels(p: Poly, k: int) -> list[Poly]:
+    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j."""
+    return [qq_poly(cf.data[j] if j < len(cf.data) else _F0 for cf in p.coeffs) for j in range(k)]
 
 
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
-    """Decide 1 in the image of c*d/dt - a(t) over QQ[x]/(x^k); if found,
-    verify that every monomial t^n (n <= deg_bound) is reached as well.
+    """Decide 1 in the image of D = c*d/dt - a(t) over QQ[x]/(x^k); if it is
+    there, solve D h = t^n for every n <= deg_bound.
 
-    When c and every coefficient of a lie in (x), every image value does
-    too, so 1 is structurally unreachable and no solve is attempted.
-    Otherwise witness degrees D are searched from deg f up to
-    deg f + k*(deg_t a + 1); the nilpotency index bounds the correction
-    terms that can appear.  The columns c*h' - a*h of the basis t^i x^j
-    are eliminated once for the whole check, and each target is reduced by
-    the pivots of the columns with i <= D for D = deg f, deg f + 1, ...,
-    stopping at the first D that reaches it.  The witness is the unique
-    solution supported on the leftmost independent columns (those with i
-    <= D), the one a dense solve with free variables set to zero returns.
+    With c = sum c_j x^j and a = sum A_j(t) x^j, D is onto exactly when
+    c_0*d/dt - A_0 is onto QQ[t] (Nakayama, as x^k = 0).  So UNDECIDED_ONE
+    proves 1 outside the image: structurally when c_0 = A_0 = 0 (the note
+    says so), and by degree when deg A_0 >= 1.  Otherwise the levels h_j of
+    h = sum h_j x^j solve c_0 h_j' - A_0 h_j = f_j - sum_(i=1..j)
+    (c_i h_(j-i)' - A_i h_(j-i)) in turn: from the top degree down when A_0
+    is a nonzero constant, by integration with constant term 0 when A_0 = 0.
+    Then D has one kernel vector K_j per level, the lift of 0 from h = x^j,
+    and the witness is reduced against their echelon basis keyed by highest
+    column (t^i x^l is column i*k + l): it is zero on every column whose
+    image depends on earlier ones, the least-degree solution on the
+    independent columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
     """
     if ring.kind != "QQ_POLY_TRUNC":
         raise BadInput("surjectivity check runs over a truncated ring")
@@ -298,45 +284,52 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         raise BadInput("degree bound must be non-negative")
     k = ring.trunc
     extra = k * (max(a.degree, 0) + 1)
-    if not any(g.is_unit for g in (c, *a.coeffs)):
-        note = (
-            "every image value lies in the proper ideal generated by c and "
-            "the coefficients of a, so 1 is structurally unreachable"
-        )
+    low = [i for i, g in enumerate(a.coeffs) if g.is_unit]  # the terms of A_0
+    if not (c.is_unit or low) or max(low, default=0) >= 1:
+        note = None if low else ("every image value lies in the proper ideal generated by c and "
+                                 "the coefficients of a, so 1 is structurally unreachable")
         return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
-    pivots: list = []  # the image columns, eliminated once each, in order
-    rank = [0]  # rank[n]: number of pivots among the first n columns
+    cs = c.data + (_F0,) * (k - len(c.data))
+    big_a = _levels(a, k)
+    c0, a0 = cs[0], big_a[0].coeff(0)
 
-    def solve(f: Poly) -> Optional[Poly]:
-        vec = {i * k + l: v for i, coeff in enumerate(f.coeffs) for l, v in enumerate(coeff.data) if v}
-        comb: dict = {}
-        used = 0
-        base = max(f.degree, 0)
-        for max_deg in range(base, base + extra + 1):
-            n = (max_deg + 1) * k
-            while len(rank) <= n:
-                col = len(rank) - 1
-                linalg.add_column(pivots, _image(c, a, k, col), col)
-                rank.append(len(pivots))
-            linalg.eliminate(pivots, vec, comb, used, rank[n])
-            used = rank[n]
-            if not vec:
-                h = Poly(ring, tuple(
-                    RingElement(ring, tuple(-comb.get(i * k + l, _F0) for l in range(k)))
-                    for i in range(max_deg + 1)))
-                assert (h.derivative().scale(c) - a * h).coeffs == f.coeffs
-                return h
-        return None
+    def lift(f: list[Poly], h: list[Poly]) -> list[Poly]:
+        """Extend the given lowest levels h of a solution of D h = f to all k."""
+        for j in range(len(h), k):
+            g = f[j]
+            for i, hi in enumerate(reversed(h), 1):  # hi = h_(j-i)
+                if hi.is_zero:
+                    continue
+                if cs[i]:
+                    g = g - hi.derivative().scale(cs[i])
+                if not big_a[i].is_zero:
+                    g = g + big_a[i] * hi
+            if a0:
+                out, nxt = [_F0] * len(g.coeffs), _F0
+                for n in range(g.degree, -1, -1):
+                    out[n] = nxt = (c0 * (n + 1) * nxt - g.coeffs[n]) / a0
+            else:
+                out = [_F0] + [v / (c0 * n) for n, v in enumerate(g.coeffs, 1)]
+            h.append(qq_poly(out))
+        return h
 
-    h_one = solve(poly_one(ring))
-    if h_one is None:
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), None, extra)
-    monomials = []
-    unresolved = []
-    for n in range(deg_bound + 1):
-        h = solve(t_monomial(ring, n))
-        if h is None:
-            unresolved.append(n)
-        else:
-            monomials.append((n, h))
-    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None, extra)
+    def vector(levels: list[Poly]) -> dict:
+        # t^i x^j is keyed -(i*k + j), so that a pivot sits on its highest column
+        return {-(i * k + j): v for j, hj in enumerate(levels) for i, v in enumerate(hj.coeffs) if v}
+
+    pivots: list = []  # an echelon basis of the kernel of D, which is 0 unless A_0 = 0
+    for j in range(0 if a0 else k):
+        linalg.add_column(pivots, vector(lift([poly_zero()] * k, [poly_zero()] * j + [poly_one()])), j)
+
+    def solve(f: Poly) -> Poly:
+        vec = vector(lift(_levels(f, k), []))
+        linalg.eliminate(pivots, vec, {})
+        h = Poly(ring, tuple(
+            RingElement(ring, tuple(vec.get(-(i * k + l), _F0) for l in range(k)))
+            for i in range(-min(vec, default=0) // k + 1)))
+        assert (h.derivative().scale(c) - a * h).coeffs == f.coeffs
+        assert h.degree <= f.degree + extra
+        return h
+
+    monomials = tuple((n, solve(t_monomial(ring, n))) for n in range(deg_bound + 1))
+    return SurjectivityReport("ONE_IN_IMAGE", monomials[0][1], monomials, (), None, extra)

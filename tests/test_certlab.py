@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from mathieulab import certlab
 from mathieulab.certlab import (
     INFINITE,
     _strong_lucas,
@@ -227,6 +228,23 @@ def test_certificate_tampering_detected():
         assert not verify_certificate(replace(cert, bi_valuations=broken))
     assert not verify_certificate(replace(cert, h=cert.h + 1))
     assert not verify_certificate(replace(cert, conclusion_exponent=cert.conclusion_exponent + 1))
+
+
+def test_certificate_with_unnormalized_f_is_invalid():
+    cert = certificate_nonmembership(parse_poly("t + t^2"), 1, Fraction(0), budget=100)
+    for f in ("2*t + t^2", "1 + t + t^2", "0"):
+        assert not verify_certificate(replace(cert, f=parse_poly(f)))
+
+
+def test_certificate_checker_faults_propagate(monkeypatch):
+    cert = certificate_nonmembership(parse_poly("t + t^2"), 1, Fraction(0), budget=100)
+
+    def broken(*args):
+        raise RuntimeError("checker fault")
+
+    monkeypatch.setattr(certlab, "_derive_valuations", broken)
+    with pytest.raises(RuntimeError, match="checker fault"):
+        verify_certificate(cert)
 
 
 def test_certificate_json_roundtrip():

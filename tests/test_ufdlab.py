@@ -20,6 +20,7 @@ from mathieulab.corealg import (
     ring_scalar,
     t_monomial,
 )
+from mathieulab import linalg
 from mathieulab.errors import BadInput, NotInRadical
 from mathieulab.ufdlab import (
     SurjectivityReport,
@@ -313,6 +314,149 @@ def test_surjectivity_matches_dense_reference():
     assert {(True, "ONE_IN_IMAGE", False), (False, "ONE_IN_IMAGE", False),
             (True, "UNDECIDED_ONE", True), (False, "UNDECIDED_ONE", True),
             (False, "UNDECIDED_ONE", False)} <= seen
+
+
+# reference: the column search that surjectivity_check replaces.  The image
+# columns c*h' - a*h of t^i x^j are eliminated once, in the order of their
+# column number i*k + j, and each target is reduced by the pivots of the
+# columns with i <= D for D = deg f, deg f + 1, ..., up to the witness-degree
+# budget; the witness is the solution supported on the independent columns.
+def _image(c, a, k, col):
+    i, j = divmod(col, k)
+    vec = {}
+    if i:
+        for l, v in enumerate(c.data[:k - j]):
+            if v:
+                vec[(i - 1) * k + j + l] = i * v
+    for s, coeff in enumerate(a.coeffs):
+        for l, v in enumerate(coeff.data[:k - j]):
+            if v:
+                vec[(i + s) * k + j + l] = -v
+    return vec
+
+
+def column_search_surjectivity_check(ring, c, a, deg_bound):
+    k = ring.trunc
+    extra = k * (max(a.degree, 0) + 1)
+    if not any(g.is_unit for g in (c, *a.coeffs)):
+        note = ("every image value lies in the proper ideal generated by c and "
+                "the coefficients of a, so 1 is structurally unreachable")
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+    pivots = []
+    rank = [0]  # rank[n]: number of pivots among the first n columns
+
+    def solve(f):
+        vec = {i * k + l: v for i, coeff in enumerate(f.coeffs) for l, v in enumerate(coeff.data) if v}
+        comb = {}
+        used = 0
+        base = max(f.degree, 0)
+        for max_deg in range(base, base + extra + 1):
+            n = (max_deg + 1) * k
+            while len(rank) <= n:
+                col = len(rank) - 1
+                linalg.add_column(pivots, _image(c, a, k, col), col)
+                rank.append(len(pivots))
+            linalg.eliminate(pivots[used:rank[n]], vec, comb)
+            used = rank[n]
+            if not vec:
+                return Poly(ring, tuple(
+                    RingElement(ring, tuple(-comb.get(i * k + l, Fraction(0)) for l in range(k)))
+                    for i in range(max_deg + 1)))
+        return None
+
+    h_one = solve(poly_one(ring))
+    if h_one is None:
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), None, extra)
+    monomials, unresolved = [], []
+    for n in range(deg_bound + 1):
+        h = solve(t_monomial(ring, n))
+        if h is None:
+            unresolved.append(n)
+        else:
+            monomials.append((n, h))
+    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None, extra)
+
+
+SURJECTIVITY_BRANCHES = ("unit", "integral", "raising", "structural", "zero")
+
+
+def surjectivity_branch(c, a):
+    """Which case of the decision mod x the context (c, a) falls in."""
+    c0 = c.data[0] if c.data else 0
+    low = [coeff.data[0] if coeff.data else 0 for coeff in a.coeffs]
+    while low and not low[-1]:
+        low.pop()
+    if not c0 and not low:
+        return "structural"
+    if a.is_zero:
+        return "zero"
+    return ("integral", "unit")[len(low)] if len(low) < 2 else "raising"
+
+
+def random_trunc_context(rng):
+    """(ring, c, a, deg_bound) with rational coefficients, k = 1..6, steered
+    towards one branch of the decision mod x."""
+    branch = rng.choice(SURJECTIVITY_BRANCHES)
+    # a raising context makes the column search run its whole budget, which
+    # costs it about 40 ms at k = 6; those k enter as fixed contexts instead
+    k = rng.randint(1, 4 if branch == "raising" else 6)
+    ring = qq_poly_trunc(k)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def nonzero():
+        return q() or Fraction(rng.choice((-1, 1)), rng.randint(1, 4))
+
+    def element(x0):
+        return RingElement(ring, (x0, *(q() if rng.random() < 0.5 else 0 for _ in range(k - 1))))
+
+    c0 = {"structural": Fraction(0), "integral": nonzero()}.get(branch, q())
+    deg = rng.randint(1 if branch == "raising" else 0, 2 if k < 4 else 1)
+    low = [Fraction(0)] * (deg + 1)
+    if branch == "unit":
+        low[0] = nonzero()
+    elif branch == "raising":
+        low = [q() for _ in range(deg)] + [nonzero()]
+    a_coeffs = () if branch == "zero" else tuple(element(v) for v in low)
+    return ring, element(c0), Poly(ring, a_coeffs), rng.randint(0, 3)
+
+
+def test_surjectivity_matches_column_search():
+    rng = random.Random(1313)
+    fixed = ["trunc:k=5,c=x,a=1/2*t - x^2 + 3*x^4*t", "trunc:k=6,c=1 + 2/3*x,a=t - x^5*t"]
+    cases = [parse_trunc_context(text) + (2,) for text in fixed]
+    cases += [random_trunc_context(rng) for _ in range(2000)]
+    seen = set()
+    for ring, c, a, deg_bound in cases:
+        report = surjectivity_check(ring, c, a, deg_bound)
+        assert report == column_search_surjectivity_check(ring, c, a, deg_bound), (ring, c, a, deg_bound)
+        seen.add(surjectivity_branch(c, a))
+    assert seen == set(SURJECTIVITY_BRANCHES)
+
+
+def test_surjectivity_eliminates_only_kernel_vectors(monkeypatch):
+    calls = []
+    add_column = linalg.add_column
+    monkeypatch.setattr(linalg, "add_column", lambda *args: calls.append(args) or add_column(*args))
+    cases = {
+        "trunc:k=4,c=x + 1,a=x*t + x": "integral",
+        "trunc:k=5,c=2 - x^3,a=x*t^2 - 1/2*x^4*t": "integral",
+        "trunc:k=3,c=1 + x,a=0": "zero",
+        "trunc:k=4,c=x,a=1 + x*t^2": "unit",
+        "trunc:k=3,c=1,a=-2/3 + x^2*t": "unit",
+        "trunc:k=3,c=1,a=t + x": "raising",
+        "trunc:k=2,c=0,a=x": "structural",
+    }
+    for text, branch in cases.items():
+        ring, c, a = parse_trunc_context(text)
+        assert surjectivity_branch(c, a) == branch
+        calls.clear()
+        report = surjectivity_check(ring, c, a, 6)
+        assert report.status == ("UNDECIDED_ONE" if branch in ("raising", "structural") else "ONE_IN_IMAGE")
+        assert len(calls) <= ring.trunc
+        if branch in ("unit", "raising", "structural"):
+            assert not calls
 
 
 def test_surjectivity_check_is_fast():
