@@ -578,20 +578,23 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ)."""
+    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ).
+
+    The loop carries u alone; v = (d - u*f) / g is one exact division at
+    the end (v = 0 when g = 0).
+    """
     ring = f.ring
     r0, r1 = f, g
     s0, s1 = poly_one(ring), poly_zero(ring)
-    t0, t1 = poly_zero(ring), poly_one(ring)
     while not r1.is_zero:
         q, r = euclid_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = _F1 / r0.leading()
-    return r0.scale(lead), s0.scale(lead), t0.scale(lead)
+    if not r0.is_zero:
+        lead = _F1 / r0.leading()
+        r0, s0 = r0.scale(lead), s0.scale(lead)
+    v = poly_zero(ring) if g.is_zero else euclid_divmod(r0 - s0 * f, g)[0]
+    return r0, s0, v
 
 
 def poly_divides(d: Poly, f: Poly) -> bool:

@@ -63,9 +63,11 @@ set up (one division, or none), not once per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -192,18 +194,11 @@ class CofiniteSubspace:
         self.factors: tuple = tuple(normalized)
         self.unverified_factors: tuple = tuple(unverified)
 
-        g = poly_one(QQ)
-        blocks = []
-        starts = []
-        for poly, mult in self.factors:
-            block = poly ** mult
-            blocks.append(block)
-            starts.append(g.degree)
-            g = g * block
-        self._blocks = tuple(blocks)
-        self._starts = tuple(starts)  # first residue coordinate of each block
-        self.modulus: Poly = g
-        self.dim: int = g.degree
+        self._blocks = tuple(poly ** mult for poly, mult in self.factors)
+        degrees = [block.degree for block in self._blocks]
+        # first residue coordinate of each block
+        self._starts = tuple(accumulate(degrees[:-1], initial=0))
+        self.dim: int = sum(degrees)
 
         basis = []
         for vec in vbar_basis:
@@ -238,6 +233,14 @@ class CofiniteSubspace:
         """Coefficient vector of f mod g (kept for tests and benchmark tracing)."""
         coeffs = list(self.mod(f).qq_coeffs())
         return coeffs + [_F0] * (self.dim - len(coeffs))
+
+    @functools.cached_property
+    def modulus(self) -> Poly:
+        """g, the product of the blocks; only `mod` needs it."""
+        g = poly_one(QQ)
+        for block in self._blocks:
+            g = g * block
+        return g
 
     def mod(self, f: Poly) -> Poly:
         return euclid_divmod(f, self.modulus)[1]
@@ -276,7 +279,7 @@ class CofiniteSubspace:
                 if isinstance(mult, (bool, float)):
                     raise BadInput("factor multiplicities must be positive integers")
                 factors.append((poly, int(mult)))
-            raw = data.get("vbar_basis", [])
+            raw = [list(vec) for vec in data.get("vbar_basis", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed subspace description: {exc}") from exc
         vectors = []

@@ -149,8 +149,12 @@ def radical_via_coefficients(ctx: UfdContext, p: Poly) -> bool:
 def absorption_bound(ctx: UfdContext, p: Poly, g: Poly) -> int:
     """N*(deg g + 1) where N is minimal with all coefficients of p^N in (a).
 
-    Beyond the bound, g * p(a*t)^m stays in the image; the returned value is
-    validated by solving at the bound and one step past it.
+    By Gauss's lemma over QQ[x] the gcd of the coefficients of p^N is c^N,
+    c the gcd of the coefficients of p, so N is the least exponent with
+    a | c^N.  Once the radical test has passed, rad(a) divides c, so the
+    loop stops at N <= deg a.  Beyond the bound, g * p(a*t)^m stays in the
+    image; the returned value is validated by solving at the bound and one
+    step past it.
     """
     if not radical_via_coefficients(ctx, p):
         raise NotInRadical("some coefficient of p escapes the radical of (a)")
@@ -160,13 +164,10 @@ def absorption_bound(ctx: UfdContext, p: Poly, g: Poly) -> int:
         raise BadInput("g must be nonzero")
     if p.is_zero:
         return g.degree + 1  # N = 1 vacuously
-    n = 1
-    power = p
-    while not all(c.is_zero or exact_divide(c, ctx.a) is not None for c in power.coeffs):
-        n += 1
-        power = power * p
-        if n > 10_000:
-            raise BadInput("runaway absorption search")
+    c = ring_gcd(*p.coeffs)
+    n, power = 1, c
+    while exact_divide(power, ctx.a) is None:
+        n, power = n + 1, power * c
     bound = n * (g.degree + 1)
     f = p.scale_argument(ctx.a)
     at_bound = g * f ** bound

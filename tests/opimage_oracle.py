@@ -1,0 +1,142 @@
+"""The operator-image loops of the earlier opimage module, kept verbatim as
+an independent oracle for the table-driven elimination: one hand-written
+loop per operator family (``_reduce_monomial``, the three branches of
+``_reduce_jacobi`` and ``_member_monomial_no_tail``) behind the same
+``reduce``, ``member`` and ``lzero`` entry points."""
+
+from fractions import Fraction
+from typing import Optional
+
+from mathieulab.corealg import Poly, QQ, poly_zero, qq_poly
+from mathieulab.errors import BadInput, DegenerateDiagonal, UnsupportedReduction
+from mathieulab.opimage import JacobiOperator, MonomialOperator, OperatorSpec, ReductionResult
+
+_F0 = Fraction(0)
+
+
+def _require_qq(f: Poly):
+    if f.ring != QQ:
+        raise BadInput("operator calculus works over QQ coefficients")
+
+
+def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
+    """Exact normal form of f modulo the polynomial image of D."""
+    _require_qq(f)
+    if isinstance(op, MonomialOperator):
+        return _reduce_monomial(op, f)
+    return _reduce_jacobi(op, f)
+
+
+def _reduce_monomial(op: MonomialOperator, f: Poly) -> ReductionResult:
+    if op.lam == 0:
+        raise UnsupportedReduction("lam = 0 has no finite residue space; use member")
+    work = list(f.qq_coeffs())
+    wit = [_F0] * max(len(work) - op.d, 1)
+    # eliminate t^(n+d) via D(t^n) for n >= 1; the normal form lives in
+    # degrees <= d, where the only image element is lam*t^d = D(-1) when
+    # alpha = 0 (handled by member, not here)
+    for k in range(len(work) - 1, op.d, -1):
+        a = work[k]
+        if a == 0:
+            continue
+        n = k - op.d
+        mult = a / op.lam
+        work[n - 1] += mult * (op.c * n + op.alpha)
+        work[k] = _F0
+        wit[n] -= mult
+    return ReductionResult(qq_poly(work), qq_poly(wit), True)
+
+
+def _jacobi_diag(op: JacobiOperator, value: Fraction, where: str):
+    if value == 0:
+        raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
+    return value
+
+
+def _reduce_jacobi(op: JacobiOperator, f: Poly) -> ReductionResult:
+    alpha, beta = op.alpha, op.beta
+    work = list(f.qq_coeffs())
+    if alpha != 0 and beta != 0:
+        # images D((1-t^2) t^n) = n t^(n-1) + (beta-alpha) t^n - (n+2+a+b) t^(n+1)
+        g = [_F0] * max(len(work) - 1, 1)
+        for k in range(len(work) - 1, 0, -1):
+            a = work[k]
+            if a == 0:
+                continue
+            n = k - 1
+            diag = _jacobi_diag(op, -(Fraction(k + 1) + alpha + beta), "two-factor")
+            mult = a / diag
+            work[k] = _F0
+            work[n] -= mult * (beta - alpha)
+            if n >= 1:
+                work[n - 1] -= mult * n
+            g[n] += mult
+        witness = qq_poly([1, 0, -1]) * qq_poly(g)
+        return ReductionResult(qq_poly(work), witness, True)
+    if alpha != 0 or beta != 0:
+        # single factor (1 -/+ t): degree-preserving triangular system
+        param = alpha if alpha != 0 else beta
+        lead_sign = -1 if alpha != 0 else 1
+        g = [_F0] * len(work)
+        for k in range(len(work) - 1, -1, -1):
+            a = work[k]
+            if a == 0:
+                continue
+            diag = _jacobi_diag(op, Fraction(lead_sign) * (Fraction(k + 1) + param), "single-factor")
+            mult = a / diag
+            work[k] = _F0
+            if k >= 1:
+                work[k - 1] -= mult * k
+            g[k] += mult
+        factor = qq_poly([1, -1]) if alpha != 0 else qq_poly([1, 1])
+        witness = factor * qq_poly(g)
+        return ReductionResult(qq_poly(work), witness, True)
+    # plain d/dt: antiderivative with constant term 0
+    wit = [_F0] * (len(work) + 1)
+    for k, a in enumerate(work):
+        wit[k + 1] = a / (k + 1)
+    return ReductionResult(poly_zero(QQ), qq_poly(wit), True)
+
+
+def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
+    """Does f lie in the polynomial image of D?  Returns (flag, witness)."""
+    _require_qq(f)
+    if isinstance(op, MonomialOperator) and op.lam == 0:
+        return _member_monomial_no_tail(op, f)
+    rr = reduce(op, f)
+    nf = rr.normal_form
+    if isinstance(op, MonomialOperator) and op.alpha == 0 and nf.degree == op.d:
+        # t^d = D(-1/lam) is the one image element of the residue space
+        top = nf.coeff(op.d)
+        nf = nf - qq_poly([_F0] * op.d + [top])
+        witness = rr.witness - qq_poly([top / op.lam])
+        if nf.is_zero:
+            return True, witness
+        return False, None
+    if nf.is_zero:
+        return True, rr.witness
+    return False, None
+
+
+def _member_monomial_no_tail(op: MonomialOperator, f: Poly) -> tuple[bool, Optional[Poly]]:
+    # D(t^n) = (c*n + alpha) t^(n-1): solve degreewise; the only failures are
+    # degrees n-1 whose multiplier c*n + alpha vanishes.
+    coeffs = f.qq_coeffs()
+    wit = [_F0] * (len(coeffs) + 1)
+    for j, a in enumerate(coeffs):
+        mult = op.c * (j + 1) + op.alpha
+        if mult == 0:
+            if a != 0:
+                return False, None
+            continue
+        wit[j + 1] = a / mult
+    return True, qq_poly(wit)
+
+
+def lzero(op: MonomialOperator, f: Poly) -> Fraction:
+    """Constant term of the normal form (monomial family, lam != 0)."""
+    if not isinstance(op, MonomialOperator):
+        raise BadInput("the normal-form functional is defined for the monomial family")
+    rr = reduce(op, f)
+    nf = rr.normal_form
+    return nf.coeff(0)

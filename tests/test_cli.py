@@ -134,6 +134,9 @@ MALFORMED_CASES = (
       "--op", "mono:c=1,alpha=1,lambda=1,d=0"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "3", "--weight", "hermite"), "BAD_INPUT"),
     (("verify-cert",), "BAD_INPUT"),
+    (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":[1]}'), "BAD_INPUT"),
+    (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":5}'), "BAD_INPUT"),
+    (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":null}'), "BAD_INPUT"),
 )
 
 
@@ -150,6 +153,8 @@ def test_rejections_name_their_reason(capsys):
     certify = ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", "0", "--budget")
     multiplicity = "factor multiplicities must be positive integers"
     inexact = '{"modulus":[["t",2.9],["t - 1",true]],"vbar_basis":[]}'
+    basis = '{"modulus":[["t",1]],"vbar_basis":%s}'
+    malformed = "malformed subspace description: '%s' object is not iterable"
     cases = (
         (("largest-ideal", "--space", inexact), multiplicity),
         (("mathieu", "--space", inexact.replace("true", "1")), multiplicity),
@@ -158,6 +163,9 @@ def test_rejections_name_their_reason(capsys):
         (("largest-ideal", "--space", shared_root % "[]"), coprime),
         (("mathieu", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),
         (("largest-ideal", "--space", shared_root % "[[1,0,0,0,-1]]"), coprime),
+        (("mathieu", "--space", basis % "[1]"), malformed % "int"),
+        (("mathieu", "--space", basis % "5"), malformed % "int"),
+        (("largest-ideal", "--space", basis % "null"), malformed % "NoneType"),
         ((*certify, "-5"), "budget must be at least 1"),
         ((*certify, "0"), "budget must be at least 1"),
         (("moments", "--weight", "jacobi:alpha=1,beta=2,gamma=3,delta=4", "--upto", "2"),

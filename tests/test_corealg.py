@@ -23,6 +23,7 @@ from mathieulab.corealg import (
     poly_gcd,
     poly_one,
     poly_t,
+    poly_xgcd,
     poly_zero,
     qq_poly,
     qq_poly_trunc,
@@ -659,3 +660,35 @@ def test_division_is_fast_on_many_distinct_denominators(den):
     q, r = _tdivmod(num, den)
     assert time.perf_counter() - start < 1.0
     assert len(q) == 2000 and len(r) <= 1
+
+
+def two_cofactor_xgcd(f, g):
+    """The earlier poly_xgcd, which updates both Bezout cofactors each step."""
+    r0, r1 = f, g
+    s0, s1 = poly_one(QQ), poly_zero(QQ)
+    t0, t1 = poly_zero(QQ), poly_one(QQ)
+    while not r1.is_zero:
+        q, r = euclid_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero:
+        return r0, s0, t0
+    lead = 1 / r0.leading()
+    return r0.scale(lead), s0.scale(lead), t0.scale(lead)
+
+
+def test_xgcd_matches_two_cofactor_loop():
+    rng = random.Random(4065)
+    kinds = ("random", "zero", "constant", "common factor")
+    for _ in range(400):
+        f_kind, g_kind = rng.choice(kinds), rng.choice(kinds)
+        common = rand_qq(rng, max_deg=3) if "common factor" in (f_kind, g_kind) else poly_one()
+        f, g = (
+            {"random": rand_qq(rng), "zero": poly_zero(), "constant": qq_poly([rand_fraction(rng)]),
+             "common factor": common * rand_qq(rng, max_deg=4)}[kind]
+            for kind in (f_kind, g_kind)
+        )
+        d, u, v = poly_xgcd(f, g)
+        assert (d, u, v) == two_cofactor_xgcd(f, g), (f, g)
+        assert u * f + v * g == d

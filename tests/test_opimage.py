@@ -12,12 +12,13 @@ import pytest
 
 from mathieulab.corealg import (
     QQ,
+    QQ_POLY,
     parse_poly,
     poly_one,
     qq_poly,
     t_monomial,
 )
-from mathieulab.errors import BadInput, DegenerateDiagonal, UnsupportedReduction
+from mathieulab.errors import AlgebraError, BadInput, DegenerateDiagonal, UnsupportedReduction
 from mathieulab.opimage import (
     JacobiOperator,
     MonomialOperator,
@@ -31,6 +32,7 @@ from mathieulab.opimage import (
     reduce,
 )
 
+import opimage_oracle
 from linalg_oracle import solve_linear
 
 
@@ -335,3 +337,61 @@ def test_operator_text_format_roundtrip():
     assert jop == JacobiOperator(1, 2)
     assert parse_operator(str(jop)) == jop
     assert parse_operator("mono:alpha=1") == laguerre_operator(1)
+
+
+# -- cross-oracle: the table-driven elimination against the per-family loops --
+
+def random_image_case(rng):
+    """(operator, polynomial, image-table row), drawn so that every row
+    occurs, with leading coefficients that vanish at some degree: lam = 0
+    with alpha = -c*n, and integer Jacobi parameters <= -1."""
+    def param():
+        return Fraction(rng.randint(-4, 3), rng.choice((1, 1, 2, 3)))
+
+    def nonzero():
+        return param() or Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+
+    row = rng.choice(("mono", "mono lam=0", "jacobi alpha,beta", "jacobi alpha",
+                      "jacobi beta", "jacobi plain"))
+    if row == "mono":
+        op = MonomialOperator(param(), param(), nonzero(), rng.randint(0, 3))
+    elif row == "mono lam=0":
+        c = param()
+        alpha = -c * rng.randint(1, 6) if rng.random() < 0.5 else param()
+        op = MonomialOperator(c, alpha, 0, rng.randint(0, 3))
+    elif row == "jacobi alpha,beta":
+        op = JacobiOperator(nonzero(), nonzero())
+    elif row == "jacobi alpha":
+        op = JacobiOperator(nonzero(), 0)
+    elif row == "jacobi beta":
+        op = JacobiOperator(0, nonzero())
+    else:
+        op = JacobiOperator(0, 0)
+    if rng.random() < 0.01:
+        return op, parse_poly("x*t", QQ_POLY), row
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+              for _ in range(rng.randint(0, 8))]
+    return op, qq_poly(coeffs), row
+
+
+def outcome(fn, op, f):
+    try:
+        return fn(op, f)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def test_image_table_matches_per_family_loops():
+    rng = random.Random(1414)
+    rows, degenerate, lam_zero_nonmember = set(), 0, 0
+    for _ in range(20_000):
+        op, f, row = random_image_case(rng)
+        rows.add(row)
+        got = [outcome(fn, op, f) for fn in (reduce, member, lzero)]
+        expected = [outcome(fn, op, f) for fn in (opimage_oracle.reduce, opimage_oracle.member,
+                                                  opimage_oracle.lzero)]
+        assert got == expected, (op, f)
+        degenerate += isinstance(got[0], tuple) and got[0][0] is DegenerateDiagonal
+        lam_zero_nonmember += row == "mono lam=0" and got[1] == (False, None)
+    assert len(rows) == 6
+    assert degenerate and lam_zero_nonmember

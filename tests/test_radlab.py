@@ -961,6 +961,22 @@ def test_space_build_is_fast():
     assert space.dim == 20 and len(space._ann) == 1
 
 
+def test_modulus_is_the_product_of_the_blocks():
+    spaces = (random_spaces(5151, 40) + split_codim2_spaces(5152, 20)
+              + [space for space, _ in rational_block_spaces(5153, 20)]
+              + trusted_quartic_spaces(5154, 20))
+    for space in spaces:
+        assert "modulus" not in vars(space)  # built on first use, by mod() only
+        g = poly_one()
+        for p, m in space.factors:
+            g = g * p ** m
+        assert space.modulus == g and space.dim == g.degree
+        starts = [sum(p.degree * m for p, m in space.factors[:i]) for i in range(len(space.factors))]
+        assert list(space._starts) == starts
+        f = parse_poly("t^9 - 3*t^4 + 2/5")
+        assert space.mod(f) == euclid_divmod(f, g)[1]
+
+
 def test_bench_tracer_wraps_and_restores_the_space_methods():
     # the benchmark's tracer wraps CofiniteSubspace methods by name
     import mathieulab

@@ -18,6 +18,7 @@ from mathieulab.corealg import (
     qq_poly_trunc,
     ring_monomial,
     ring_scalar,
+    squarefree_part,
     t_monomial,
 )
 from mathieulab import linalg
@@ -100,6 +101,46 @@ def test_absorption_bound_examples():
     assert absorption_bound(CTX_X2, parse_poly("x*t", QQ_POLY), parse_poly("t^2", QQ_POLY)) == 6
     with pytest.raises(NotInRadical):
         absorption_bound(CTX_X2, parse_poly("t", QQ_POLY), poly_one(QQ_POLY))
+
+
+def searched_absorption_exponent(ctx, p):
+    """The earlier search for N: multiply whole t-polynomials p^N until every
+    coefficient lies in (a)."""
+    n = 1
+    power = p
+    while not all(c.is_zero or exact_divide(c, ctx.a) is not None for c in power.coeffs):
+        n += 1
+        power = power * p
+    return n
+
+
+def test_absorption_bound_matches_power_search():
+    rng = random.Random(1415)
+    pool = ["x", "x + 1", "x^2 + 1", "x - 2", "2*x + 3"]
+    exponents = set()
+    for _ in range(300):
+        factors = [(parse_ring_element(f, QQ_POLY), rng.randint(1, 3))
+                   for f in rng.sample(pool, rng.randint(1, 2))]
+        a = ring_scalar(QQ_POLY, 1)
+        for f, m in factors:
+            a = a * f ** m
+        ctx = UfdContext(QQ_POLY, a)
+        rho = squarefree_part(a)
+        coeffs = []
+        for _ in range(rng.randint(1, 3)):
+            c = rho * rand_p(rng, max_deg=0, coeff_deg=1).coeff(0)
+            for f, m in factors:
+                c = c * f ** rng.randint(0, m)
+            coeffs.append(c)
+        p = Poly(QQ_POLY, tuple(coeffs))
+        g = t_monomial(QQ_POLY, rng.randint(0, 1))
+        if p.is_zero:
+            assert absorption_bound(ctx, p, g) == g.degree + 1
+            continue
+        n = searched_absorption_exponent(ctx, p)
+        assert absorption_bound(ctx, p, g) == n * (g.degree + 1), (a, p)
+        exponents.add(n)
+    assert exponents == {1, 2, 3}
 
 
 def test_gcd_lift_examples():
