@@ -773,6 +773,11 @@ def parse_ring_element(text: str, ring: Ring) -> RingElement:
 
 
 def parse_rational(text: str) -> Fraction:
+    """An integer, p/q or plain decimal literal.  Exponent notation is
+    refused: a few characters such as '1e10000000' would build an integer
+    of millions of digits."""
+    if "e" in text or "E" in text:
+        raise BadInput(f"bad rational literal {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

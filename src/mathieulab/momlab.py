@@ -9,15 +9,21 @@ image/integral agreement check all live here.
 
 Monic orthogonal polynomials come straight from the moments by the
 Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, 2004, section 2.1.7): the mixed moments <p_k, t^l> yield the
-three-term recurrence coefficients, so degree n costs O(n^2) exact
-operations on the moments nu_0 .. nu_(2n-1).
+Approximation*, 2004, section 2.1.7), run fraction-free in the manner of
+Bareiss's elimination (1968).  Scaling the moments nu_0 .. nu_(2n-1) by the
+lcm of their denominators gives an integer-valued functional L with the same
+monic orthogonal family.  Integer polynomials P_k proportional to p_k and
+their rows S_k(l) = L(P_k t^l) obey one three-term recurrence with integer
+factors, so degree n costs O(n^2) integer operations and builds Fractions
+only for the n + 1 coefficients of the monic answer.  Atomic moments are
+likewise integer sums over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .corealg import Poly, QQ, parse_key_values, parse_rational, qq_poly, t_monomial
@@ -123,17 +129,33 @@ def parse_weight(text: str) -> WeightSpec:
     raise BadInput(f"unknown weight {head!r}")
 
 
+def _cleared(values) -> tuple[int, list[int]]:
+    """(d, [v d for v in values]) for the lcm d of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 class MomentFunctional:
     """Cache of normalized moments nu_n (nu_0 = 1) for one weight.
 
     The cache grows monotonically and recomputation is always exact, so the
     observable behaviour is pure and deterministic; share per task or create
     fresh instances freely.
+
+    An atomic weight with points x_i and weights w_i is held on integers:
+    a_i = x_i d and W_i = w_i e for the lcm d of the point denominators and
+    e of the weight denominators.  The running products W_i a_i^n and
+    W d^n, W = sum W_i, advance by one integer product per point and
+    moment, and nu_n = sum_i W_i a_i^n / (W d^n) is the only Fraction built.
     """
 
     def __init__(self, weight: WeightSpec):
         self.weight = weight
         self._cache: list[Fraction] = [_F1]
+        if isinstance(weight, AtomicWeight):
+            self._point_den, self._points = _cleared(weight.points)
+            self._terms = _cleared(weight.weights)[1]
+            self._den = sum(self._terms)
 
     def moment(self, n: int) -> Fraction:
         if n < 0:
@@ -158,8 +180,9 @@ class MomentFunctional:
             return ((n - 1) * prev + (w.beta - w.alpha) * self._cache[n - 1]) / (
                 n + w.alpha + w.beta + 1
             )
-        total_mass = sum(w.weights, _F0)
-        return sum((wt * (pt ** n) for pt, wt in zip(w.points, w.weights)), _F0) / total_mass
+        self._terms = [c * a for c, a in zip(self._terms, self._points)]
+        self._den *= self._point_den
+        return Fraction(sum(self._terms), self._den)
 
 
 def normalized_moment(w: WeightSpec, n: int) -> Fraction:
@@ -190,49 +213,56 @@ def inner_product(w: WeightSpec, f: Poly, g: Poly) -> Fraction:
 
 
 def orthopoly(w: WeightSpec, n: int) -> Poly:
-    """Monic degree-n orthogonal polynomial by the Chebyshev algorithm.
+    """Monic degree-n orthogonal polynomial by the fraction-free Chebyshev algorithm.
 
-    With sigma_k(l) = <p_k, t^l>, sigma_(-1) = 0 and sigma_0(l) = nu_l, the
-    monic family obeys p_(k+1) = (t - a_k) p_k - b_k p_(k-1) where
-    a_k = sigma_k(k+1)/sigma_k(k) - sigma_(k-1)(k)/sigma_(k-1)(k-1),
-    b_k = sigma_k(k)/sigma_(k-1)(k-1) and
-    sigma_(k+1)(l) = sigma_k(l+1) - a_k sigma_k(l) - b_k sigma_(k-1)(l).
-    sigma_k(k) is the squared norm of p_k, so a zero one for k < n is the
-    singular Gram matrix that rules out a unique answer.
+    L is the moment functional scaled to integer moments m_l, which leaves
+    the monic orthogonal family unchanged.  P_k is an integer polynomial
+    proportional to p_k and S_k(l) = L(P_k t^l), with P_(-1) = 0, S_(-1) = 0,
+    P_0 = 1 and S_0(l) = m_l.  For A = S_k(k), B = S_k(k+1),
+    C = S_(k-1)(k-1) and E = S_(k-1)(k) (C = 1 and E = 0 at k = 0), the
+    monic recurrence p_(k+1) = (t - a_k) p_k - b_k p_(k-1) multiplied by A C
+    reads P_(k+1) = A C t P_k - (B C - A E) P_k - A^2 P_(k-1), and the row
+    S_(k+1) follows the same recurrence.  Both are then divided by the
+    content of P_(k+1); the division of the row is exact because L maps the
+    integer polynomial P_(k+1) t^l / content to an integer.  p_n is
+    P_n / lc(P_n).  A is the squared norm of p_k up to a nonzero factor, so
+    a zero one for k < n is the singular Gram matrix that rules out a unique
+    answer; without the check the step would return a polynomial of lower
+    degree.
     """
     if n < 0:
         raise BadInput("degree must be non-negative")
     if isinstance(w, AtomicWeight) and n >= len(w.points):
         raise Degenerate("no orthogonal polynomial beyond the atomic point count")
     mf = MomentFunctional(w)
-    # row k holds sigma_k(l) for l < 2n - k; entries l < k are zero by
+    # row k holds S_k(l) for l < 2n - k; entries l < k are zero by
     # orthogonality and are never read
-    sigma_prev = [_F0] * (2 * n)
-    sigma = [mf.moment(l) for l in range(2 * n)]
-    p_prev: list[Fraction] = []
-    p = [_F1]
-    # sigma_(k-1)(k) / sigma_(k-1)(k-1) and sigma_(k-1)(k-1); at k = 0 they
-    # only scale the zero row sigma_(-1) and the zero polynomial p_(-1)
-    prev_ratio, prev_norm = _F0, _F1
+    row_prev = [0] * (2 * n)
+    row = _cleared([mf.moment(l) for l in range(2 * n)])[1]
+    p_prev: list[int] = []
+    p = [1]
+    c, e = 1, 0
     for k in range(n):
-        norm = sigma[k]
-        if norm == 0:
+        a = row[k]
+        if a == 0:
             raise Degenerate("Gram matrix is singular at this degree")
-        ratio = sigma[k + 1] / norm
-        a, b = ratio - prev_ratio, norm / prev_norm
-        p_next = [_F0] + p
-        for i, c in enumerate(p):
-            p_next[i] -= a * c
-        for i, c in enumerate(p_prev):
-            p_next[i] -= b * c
-        p_prev, p = p, p_next
+        b = row[k + 1]
+        lead, shift, back = a * c, b * c - a * e, a * a
+        p_next = [0] + [lead * x for x in p]
+        for i, x in enumerate(p):
+            p_next[i] -= shift * x
+        for i, x in enumerate(p_prev):
+            p_next[i] -= back * x
+        content = gcd(*p_next)
+        p_prev, p = p, [x // content for x in p_next]
         if k + 1 < n:
-            sigma_prev, sigma = sigma, [
-                sigma[l + 1] - a * sigma[l] - b * sigma_prev[l] if l > k else _F0
+            row_prev, row = row, [
+                (lead * row[l + 1] - shift * row[l] - back * row_prev[l]) // content
+                if l > k else 0
                 for l in range(2 * n - k - 1)
             ]
-        prev_ratio, prev_norm = ratio, norm
-    return qq_poly(p)
+        c, e = a, b
+    return qq_poly([Fraction(x, p[-1]) for x in p])
 
 
 def matched_operator(w: WeightSpec) -> Optional[OperatorSpec]:

@@ -77,6 +77,7 @@ from .corealg import (
     euclid_divmod,
     format_poly,
     parse_poly,
+    parse_rational,
     poly_gcd,
     poly_one,
     poly_xgcd,
@@ -286,9 +287,12 @@ class CofiniteSubspace:
         for vec in raw:
             entries = []
             for v in vec:
-                if isinstance(v, bool) or isinstance(v, float):
+                if isinstance(v, str):
+                    entries.append(parse_rational(v))
+                elif isinstance(v, int) and not isinstance(v, bool):
+                    entries.append(Fraction(v))
+                else:
                     raise BadInput("basis entries must be integers or rational strings")
-                entries.append(Fraction(v) if isinstance(v, int) else Fraction(str(v)))
             vectors.append(entries)
         return cls(factors, vectors)
 

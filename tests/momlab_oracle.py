@@ -1,0 +1,94 @@
+"""The Fraction moment functional and Fraction Chebyshev algorithm of the
+earlier momlab module, kept verbatim as an independent oracle for the
+integer versions: ``MomentFunctional._next`` sums a Fraction power for every
+atomic point over the total mass, and ``orthopoly`` carries the monic
+recurrence coefficients and mixed moments as Fractions."""
+
+from fractions import Fraction
+
+from mathieulab.corealg import Poly, qq_poly
+from mathieulab.errors import BadInput, Degenerate
+from mathieulab.momlab import AtomicWeight, HermiteWeight, JacobiWeight, LaguerreWeight, WeightSpec
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+class MomentFunctional:
+    """Cache of normalized moments nu_n (nu_0 = 1) for one weight."""
+
+    def __init__(self, weight: WeightSpec):
+        self.weight = weight
+        self._cache: list[Fraction] = [_F1]
+
+    def moment(self, n: int) -> Fraction:
+        if n < 0:
+            raise BadInput("moment index must be non-negative")
+        while len(self._cache) <= n:
+            self._cache.append(self._next(len(self._cache)))
+        return self._cache[n]
+
+    def _next(self, n: int) -> Fraction:
+        w = self.weight
+        if isinstance(w, HermiteWeight):
+            if n % 2 == 1:
+                return _F0
+            return Fraction(n - 1, 2) * self._cache[n - 2]
+        if isinstance(w, LaguerreWeight):
+            return (n + w.alpha) * self._cache[n - 1]
+        if isinstance(w, JacobiWeight):
+            # integrating d/dt[t^(n-1) (1-t)^(a+1) (1+t)^(b+1)] by parts gives
+            # (n+a+b+1) nu_n = (n-1) nu_(n-2) + (b-a) nu_(n-1); the factor on
+            # the left is positive because a, b > -1
+            prev = self._cache[n - 2] if n >= 2 else _F0
+            return ((n - 1) * prev + (w.beta - w.alpha) * self._cache[n - 1]) / (
+                n + w.alpha + w.beta + 1
+            )
+        total_mass = sum(w.weights, _F0)
+        return sum((wt * (pt ** n) for pt, wt in zip(w.points, w.weights)), _F0) / total_mass
+
+
+def orthopoly(w: WeightSpec, n: int) -> Poly:
+    """Monic degree-n orthogonal polynomial by the Chebyshev algorithm.
+
+    With sigma_k(l) = <p_k, t^l>, sigma_(-1) = 0 and sigma_0(l) = nu_l, the
+    monic family obeys p_(k+1) = (t - a_k) p_k - b_k p_(k-1) where
+    a_k = sigma_k(k+1)/sigma_k(k) - sigma_(k-1)(k)/sigma_(k-1)(k-1),
+    b_k = sigma_k(k)/sigma_(k-1)(k-1) and
+    sigma_(k+1)(l) = sigma_k(l+1) - a_k sigma_k(l) - b_k sigma_(k-1)(l).
+    sigma_k(k) is the squared norm of p_k, so a zero one for k < n is the
+    singular Gram matrix that rules out a unique answer.
+    """
+    if n < 0:
+        raise BadInput("degree must be non-negative")
+    if isinstance(w, AtomicWeight) and n >= len(w.points):
+        raise Degenerate("no orthogonal polynomial beyond the atomic point count")
+    mf = MomentFunctional(w)
+    # row k holds sigma_k(l) for l < 2n - k; entries l < k are zero by
+    # orthogonality and are never read
+    sigma_prev = [_F0] * (2 * n)
+    sigma = [mf.moment(l) for l in range(2 * n)]
+    p_prev: list[Fraction] = []
+    p = [_F1]
+    # sigma_(k-1)(k) / sigma_(k-1)(k-1) and sigma_(k-1)(k-1); at k = 0 they
+    # only scale the zero row sigma_(-1) and the zero polynomial p_(-1)
+    prev_ratio, prev_norm = _F0, _F1
+    for k in range(n):
+        norm = sigma[k]
+        if norm == 0:
+            raise Degenerate("Gram matrix is singular at this degree")
+        ratio = sigma[k + 1] / norm
+        a, b = ratio - prev_ratio, norm / prev_norm
+        p_next = [_F0] + p
+        for i, c in enumerate(p):
+            p_next[i] -= a * c
+        for i, c in enumerate(p_prev):
+            p_next[i] -= b * c
+        p_prev, p = p, p_next
+        if k + 1 < n:
+            sigma_prev, sigma = sigma, [
+                sigma[l + 1] - a * sigma[l] - b * sigma_prev[l] if l > k else _F0
+                for l in range(2 * n - k - 1)
+            ]
+        prev_ratio, prev_norm = ratio, norm
+    return qq_poly(p)

@@ -137,6 +137,8 @@ MALFORMED_CASES = (
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":[1]}'), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":5}'), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":null}'), "BAD_INPUT"),
+    (("mathieu", "--space", '{"modulus":[["t",1],["t-1",1]],"vbar_basis":[["1/0",1]]}'),
+     "BAD_INPUT"),
 )
 
 
@@ -155,6 +157,8 @@ def test_rejections_name_their_reason(capsys):
     inexact = '{"modulus":[["t",2.9],["t - 1",true]],"vbar_basis":[]}'
     basis = '{"modulus":[["t",1]],"vbar_basis":%s}'
     malformed = "malformed subspace description: '%s' object is not iterable"
+    two_points = '{"modulus":[["t",1],["t-1",1]],"vbar_basis":[[%s,1]]}'
+    entries = "basis entries must be integers or rational strings"
     cases = (
         (("largest-ideal", "--space", inexact), multiplicity),
         (("mathieu", "--space", inexact.replace("true", "1")), multiplicity),
@@ -166,6 +170,9 @@ def test_rejections_name_their_reason(capsys):
         (("mathieu", "--space", basis % "[1]"), malformed % "int"),
         (("mathieu", "--space", basis % "5"), malformed % "int"),
         (("largest-ideal", "--space", basis % "null"), malformed % "NoneType"),
+        (("mathieu", "--space", two_points % '"1/0"'), "bad rational literal '1/0'"),
+        (("largest-ideal", "--space", two_points % '"1e3"'), "bad rational literal '1e3'"),
+        (("mathieu", "--space", two_points % "null"), entries),
         ((*certify, "-5"), "budget must be at least 1"),
         ((*certify, "0"), "budget must be at least 1"),
         (("moments", "--weight", "jacobi:alpha=1,beta=2,gamma=3,delta=4", "--upto", "2"),

@@ -18,6 +18,7 @@ from mathieulab.corealg import (
     exact_divide,
     format_poly,
     parse_poly,
+    parse_rational,
     parse_ring_element,
     poly_arith,
     poly_gcd,
@@ -87,6 +88,15 @@ def test_parse_rejects_x_over_qq():
 def test_parse_accepts_leading_minus_and_juxtaposition():
     assert parse_poly("-t + 1") == qq_poly([1, -1])
     assert parse_poly("3t") == qq_poly([0, 3])
+
+
+def test_parse_rational_refuses_exponent_notation():
+    for text in ("7", " -3 ", "2/6", "-1.25", ".5"):
+        assert parse_rational(text) == Fraction(text)
+    # the last literal would build an integer of a billion digits
+    for text in ("1e3", "2E-1", "1e1000000000", "1/0", "x"):
+        with pytest.raises(BadInput, match="^bad rational literal"):
+            parse_rational(text)
 
 
 def test_arith_examples():

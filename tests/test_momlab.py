@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import momlab_oracle
+from mathieulab import momlab
 from mathieulab.certlab import bracket_factorial
 from mathieulab.corealg import QQ, parse_poly, poly_one, qq_poly, t_monomial
 from mathieulab.errors import BadPair, BadWeight, Degenerate
@@ -160,6 +162,76 @@ def test_orthopoly_matches_gram_schmidt_reference():
             for n in range(13):
                 expected = _outcome(gram_schmidt_orthopoly, w, n)
                 assert _outcome(orthopoly, w, n) == expected, (str(w), n)
+
+
+def _oracle_weight(rng, family):
+    """A seeded weight with parameter denominators up to 9; atomic weights
+    have 1 to 10 points, mixed point and weight denominators."""
+    def param():
+        den = rng.randint(1, 9)
+        return Fraction(rng.randint(1 - den, 4 * den), den)  # always > -1
+
+    if family == "jacobi":
+        return JacobiWeight(param(), param())
+    if family == "laguerre":
+        return LaguerreWeight(param())
+    if family == "hermite":
+        return HermiteWeight()
+    size = rng.randint(1, 10)
+    points = set()
+    while len(points) < size:
+        points.add(Fraction(rng.randint(-12, 12), rng.randint(1, 9)))
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+    return AtomicWeight(tuple(sorted(points)), tuple(weights))
+
+
+def _outcome_or_error(build, w, n):
+    try:
+        return build(w, n)
+    except Exception as exc:  # the exception class and message are compared
+        return (type(exc), str(exc))
+
+
+def test_integer_chebyshev_matches_fraction_oracle():
+    rng = random.Random(91715)
+    seen, degrees, one_point = set(), set(), 0
+    for i in range(2000):
+        family = ("jacobi", "laguerre", "hermite", "atomic")[i % 4]
+        w = _oracle_weight(rng, family)
+        if family == "atomic":
+            # degrees run past the point count into the degenerate case
+            n = rng.randint(0, len(w.points) + 2)
+            one_point += len(w.points) == 1
+        else:
+            # every degree to 30 occurs, the slow high ones less often
+            n = min(rng.randint(0, 30), rng.randint(0, 30))
+            degrees.add(n)
+        got = _outcome_or_error(orthopoly, w, n)
+        assert got == _outcome_or_error(momlab_oracle.orthopoly, w, n), (str(w), n)
+        seen.add((family, got[0].__name__ if isinstance(got, tuple) else "Poly"))
+    assert seen == {("jacobi", "Poly"), ("laguerre", "Poly"), ("hermite", "Poly"),
+                    ("atomic", "Poly"), ("atomic", "Degenerate")}
+    assert degrees == set(range(31)) and one_point
+
+
+def test_integer_atomic_moments_match_fraction_oracle():
+    rng = random.Random(5273)
+    for i in range(200):
+        w = _oracle_weight(rng, ("atomic", "jacobi", "laguerre", "hermite")[i % 4])
+        oracle = momlab_oracle.MomentFunctional(w)
+        # two functionals on one weight, each asked out of order
+        first, second = MomentFunctional(w), MomentFunctional(w)
+        for n in [12, 3, 0, 13, 7, 40, 25]:
+            assert first.moment(n) == oracle.moment(n), (str(w), n)
+            assert second.moment(40 - n) == oracle.moment(40 - n), (str(w), 40 - n)
+
+
+def test_singular_gram_matrix_is_degenerate(monkeypatch):
+    # a point mass at 1 (nu_n = 1 for every n) has p_1 = t - 1 of norm zero
+    monkeypatch.setattr(momlab.MomentFunctional, "moment", lambda self, n: Fraction(1))
+    assert orthopoly(HermiteWeight(), 1) == parse_poly("t - 1")
+    with pytest.raises(Degenerate, match="^Gram matrix is singular at this degree$"):
+        orthopoly(HermiteWeight(), 2)
 
 
 def test_orthopoly_degree_40_is_fast():
