@@ -8,24 +8,33 @@ The main variable is always ``t``.  Coefficients live in one of three rings:
 * ``QQ_POLY_TRUNC(k)`` — ``x``-polynomials truncated modulo x^k, a
   finite-dimensional ring with nilpotents.
 
-A coefficient is a ``fractions.Fraction`` over QQ and a ``RingElement``
-otherwise.  Both support ``+``, ``-``, ``*`` and truth value, which is all
-``Poly`` uses of them outside its QQ-only methods.
+A polynomial over QQ is held as a tuple of integer numerators ``num`` over
+one positive denominator ``den``, in lowest terms (no prime divides ``den``
+and every numerator) and without trailing zeros, so each rational
+polynomial has exactly one representation.  Its ``coeffs`` (and
+``qq_coeffs()`` and ``coeff(i)``) are a ``fractions.Fraction`` view built on
+first read; equality and hashing use ``num`` and ``den`` only.  Over the
+other two rings a coefficient is a ``RingElement``: a stripped tuple of
+Fractions in powers of x.
 
 Every value is immutable and every operation exact; there is no floating
 point anywhere.  The canonical zero polynomial has an empty coefficient
 tuple and degree -1 (the distinguished sentinel); all operations branch on
 it explicitly.
 
-Two integer kernels carry the rational arithmetic; both are exact and
-return the same canonical Fractions as the schoolbook loops on Fractions.
-Every product of rational coefficient lists (``Poly`` over QQ and
-``RingElement`` alike) is one convolution of integer numerators over the two
-common denominators.  Long division runs on integers when the divisor is
-monic with integer coefficients: the numerator is scaled to a common
-denominator, and no step divides.  Any other divisor keeps the loop on
-Fractions, which stays cheaper there when the numerator has many distinct
-denominators.
+The rational arithmetic runs on integers.  Sums, products, scaling,
+derivatives, evaluation and substitution work on the numerators and build
+no Fraction; one gcd brings each result to lowest terms.  Long division is
+integer pseudo-division: a monic integer divisor divides the numerators
+with no scaling at all, and any other divisor first loses its content and
+then multiplies each remainder coefficient by the powers of its leading
+coefficient only when the loop reaches it, so the work stays one multiply
+per divisor term and step however many steps there are.  Gcds and
+squarefree parts run the primitive remainder sequence (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 6) on the numerators.  The same
+kernels divide, take gcds and take squarefree parts of ``RingElement``
+over QQ_POLY, and the product of two ``RingElement`` coefficient lists is
+one convolution of integer numerators over the two common denominators.
 
 Text format (whitespace-insensitive)::
 
@@ -33,8 +42,9 @@ Text format (whitespace-insensitive)::
     mono := 'x' ('^' uint)? ('*' 't' ('^' uint)?)? | 't' ('^' uint)? ;
     coeff := int ('/' uint)? .
 
-Canonical printing uses descending powers of t, lowest-terms coefficients,
-'^' exponents and no unary '+'.
+An exponent may not exceed MAX_EXPONENT.  Canonical printing uses
+descending powers of t, lowest-terms coefficients, '^' exponents and no
+unary '+'.
 """
 
 from __future__ import annotations
@@ -57,7 +67,10 @@ from .errors import (
 Rational = Fraction
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+
+# largest exponent of t or x that parse_poly accepts: the parser builds a
+# dense coefficient list as long as the largest exponent it reads
+MAX_EXPONENT = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -99,6 +112,106 @@ def qq_poly_trunc(k: int) -> Ring:
 
 
 # --------------------------------------------------------------------------
+# integer kernels: lists of ints in ascending powers
+# --------------------------------------------------------------------------
+
+def clear_denominators(values: Iterable) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) for d the lcm of the denominators.
+
+    The values are ints or Fractions.  When they are Fractions in lowest
+    terms, no prime divides d and every scaled value.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in pairs])
+    return d, [p * (d // q) for p, q in pairs]
+
+
+def _content(a: Sequence[int]) -> int:
+    """gcd of the entries of a nonzero stripped list, signed like its last entry."""
+    c = math.gcd(*a)
+    return -c if a[-1] < 0 else c
+
+
+def _prim(a: list[int]) -> list[int]:
+    """a divided by its signed content, so that the last entry is positive;
+    a must be stripped, and [] stays []."""
+    if not a:
+        return a
+    c = _content(a)
+    return a if c == 1 else [x // c for x in a]
+
+
+def _zstrip(a: list[int]) -> list[int]:
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a if n == len(a) else a[:n]
+
+
+def _zdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (q, r, s) with s*f = q*g + r, deg r < deg g.
+
+    g is stripped and nonzero with leading coefficient lc; s = lc^(m-n+1)
+    for m = deg f >= n = deg g (s = 1 when lc = 1, and q = [], r = f when
+    m < n).  Step k of the classical loop multiplies the whole remainder
+    by lc; here each entry keeps the step it was last brought up to date
+    and is multiplied by the missing power of lc only when the loop next
+    writes it, so a step costs one multiply per nonzero term of g.
+    """
+    n = len(g) - 1
+    m = len(f) - 1
+    if m < n:
+        return [], list(f), 1
+    lc = g[-1]
+    steps = m - n + 1
+    w = list(f)
+    terms = [(j, c) for j, c in enumerate(g[:n]) if c]
+    q = [0] * steps
+    if lc == 1:
+        for k in range(m, n - 1, -1):
+            c = w[k]
+            if c:
+                base = k - n
+                q[base] = c
+                for j, gj in terms:
+                    w[base + j] -= c * gj
+        return q, w[:n], 1
+    pw = [1]
+    for _ in range(steps):
+        pw.append(pw[-1] * lc)
+    seen = [0] * (m + 1)  # entry i stands for w[i] * lc^(step - seen[i])
+    for step in range(steps):
+        k = m - step
+        c = w[k] * pw[step - seen[k]]
+        if c:
+            base = k - n
+            q[base] = c * pw[steps - 1 - step]
+            for j, gj in terms:
+                i = base + j
+                w[i] = w[i] * pw[step + 1 - seen[i]] - c * gj
+                seen[i] = step + 1
+    return q, [w[i] * pw[steps - seen[i]] for i in range(n)], pw[steps]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, with positive leading coefficient, of two stripped
+    integer lists by the primitive remainder sequence; [] when both are zero."""
+    a, b = _prim(a), _prim(b)
+    while b:
+        a, b = b, _prim(_zstrip(_zdivmod(a, b)[1]))
+    return a
+
+
+def _zsquarefree(a: list[int]) -> list[int]:
+    """Primitive squarefree part a / gcd(a, a') of a nonzero stripped list."""
+    return _prim(_zdivmod(a, _zgcd(a, [a[i] * i for i in range(1, len(a))]))[0])
+
+
+def _monic_fractions(a: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, a[-1]) for x in a)
+
+
+# --------------------------------------------------------------------------
 # dense tuple arithmetic for the x-polynomials backing QQ_POLY / trunc rings
 # --------------------------------------------------------------------------
 
@@ -123,58 +236,12 @@ def _tneg(a):
 
 
 def _tdivmod(num, den):
-    """Long division of x-polynomial tuples over the rationals.
-
-    A monic divisor with integer coefficients divides the integer numerators
-    of num over their common denominator, so no step divides; any other
-    divisor runs the loop on Fractions.
-    """
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
+    """Long division of x-polynomial tuples over the rationals, on the
+    integer numerators of both (see `euclid_divmod`)."""
+    if len(num) < len(den):
         return (), _strip(num)
-    if den[-1] == 1 and all(c.denominator == 1 for c in den):
-        return _zdivmod(num, [c.numerator for c in den])
-    num = list(num)
-    lead = den[-1]
-    q = [_F0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            c = c / lead
-            q[k - dd] = c
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    return _strip(q), _strip(num)
-
-
-def _zdivmod(num, den):
-    """_tdivmod for a monic integer divisor den (ints): with num = N/dn over
-    the common denominator dn, N = Q*den + R on the integers, so q = Q/dn and
-    r = R/dn."""
-    dn = math.lcm(*(c.denominator for c in num))
-    n = [c.numerator * (dn // c.denominator) for c in num]
-    dd = len(den) - 1
-    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
-    q = [0] * (len(n) - dd)
-    for k in range(len(n) - 1, dd - 1, -1):
-        c = n[k]
-        if c:
-            base = k - dd
-            q[base] = c
-            for j, dj in terms:
-                n[base + j] -= c * dj
-    return (_strip([Fraction(c, dn) for c in q]),
-            _strip([Fraction(c, dn) for c in n[:dd]]))
-
-
-def _tgcd(a, b):
-    """Monic gcd of x-polynomial tuples."""
-    while b:
-        a, b = b, _tdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(v / lead for v in a)
-    return a
+    q, r = _qq_divmod(*clear_denominators(num), *clear_denominators(den))
+    return q.coeffs, r.coeffs
 
 
 def _tderiv(a):
@@ -320,7 +387,8 @@ def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
 
 
 def ring_gcd(*elements: RingElement) -> RingElement:
-    """Monic gcd in QQ_POLY."""
+    """Monic gcd in QQ_POLY, by the primitive remainder sequence on the
+    integer numerators of the elements."""
     if not elements:
         raise BadInput("gcd of nothing")
     ring = elements[0].ring
@@ -329,79 +397,154 @@ def ring_gcd(*elements: RingElement) -> RingElement:
             raise RingMismatch("gcd operands in different rings")
     if ring.kind != "QQ_POLY":
         raise BadInput("gcd is only defined over QQ_POLY")
-    acc = ()
+    acc: list[int] = []
     for e in elements:
-        acc = _tgcd(acc, e.data)
-    return RingElement(ring, acc)
+        acc = _zgcd(acc, clear_denominators(e.data)[1])
+    return RingElement(ring, _monic_fractions(acc) if acc else ())
 
 
 # --------------------------------------------------------------------------
 # polynomials in t
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
 class Poly:
-    """Dense univariate polynomial in t over a coefficient ring."""
+    """Dense univariate polynomial in t over a coefficient ring.
 
-    ring: Ring
-    coeffs: tuple  # Fraction over QQ, RingElement otherwise; no trailing zeros
+    Over QQ, ``num`` is the tuple of integer numerators and ``den`` their
+    positive common denominator, in lowest terms and without trailing zeros;
+    ``coeffs`` is the Fraction view, built on first read.  Over the other
+    rings ``coeffs`` is the tuple of RingElements, ``num`` is the same tuple
+    and ``den`` is None.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        ring = self.ring
+    __slots__ = ("ring", "num", "den", "_coeffs")
+
+    def __init__(self, ring: Ring, coeffs: Iterable = ()):
         if ring.is_field:
-            cleaned = [c if type(c) is Fraction else _as_fraction(c) for c in self.coeffs]
-        else:
-            cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c)
-                       for c in self.coeffs]
-            if any(c.ring != ring for c in cleaned):
-                raise RingMismatch("coefficient from a different ring")
+            values = [c if type(c) is Fraction or type(c) is int else _as_fraction(c)
+                      for c in coeffs]
+            n = len(values)
+            while n and not values[n - 1]:
+                n -= 1
+            del values[n:]
+            # lowest-terms Fractions over the lcm of their denominators are
+            # already in lowest terms as a whole
+            den, num = clear_denominators(values)
+            _set(self, "ring", ring)
+            _set(self, "num", tuple(num))
+            _set(self, "den", den)
+            if all(type(c) is Fraction for c in values):  # they are the view
+                _set(self, "_coeffs", tuple(values))
+            return
+        cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c) for c in coeffs]
+        if any(c.ring != ring for c in cleaned):
+            raise RingMismatch("coefficient from a different ring")
         n = len(cleaned)
         while n and not cleaned[n - 1]:
             n -= 1
-        object.__setattr__(self, "coeffs", tuple(cleaned[:n]))
+        data = tuple(cleaned[:n])
+        _set(self, "ring", ring)
+        _set(self, "num", data)
+        _set(self, "den", None)
+        _set(self, "_coeffs", data)
+
+    @staticmethod
+    def from_ints(num: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial over QQ with coefficients num[i] / den (den != 0),
+        brought to canonical form."""
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        if not n:
+            return _make((), 1)
+        if n != len(num):
+            num = num[:n]
+        if den < 0:
+            den = -den
+            num = [-x for x in num]
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+        return _make(tuple(num), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Poly is immutable; cannot set {name!r}")
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients in ascending powers of t: Fractions over QQ."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            view = tuple(Fraction(x, den) for x in self.num)
+            _set(self, "_coeffs", view)
+            return view
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.ring is other.ring or self.ring == other.ring))
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"Poly(ring={self.ring!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return Poly, (self.ring, self.coeffs)
 
     # -- structure -------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree in t; the zero polynomial reports the sentinel -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.num):
             return self.coeffs[i]
         return ring_scalar(self.ring, 0)
 
     def leading(self):
-        if self.is_zero:
+        if not self.num:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def lowest_degree(self) -> Optional[int]:
         """Smallest exponent with a nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
                 return i
         return None
 
     def qq_coeffs(self) -> tuple[Fraction, ...]:
-        if self.ring.kind != "QQ":
+        if self.den is None:
             raise BadInput("rational coefficient view requires ring QQ")
         return self.coeffs
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"cannot mix {self.ring} and {other.ring}")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        if self.den is not None:
+            return _qq_add(self, other, 1)
+        a, b = self.num, other.num
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -410,21 +553,34 @@ class Poly:
         return Poly(self.ring, tuple(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if self.den is not None:
+            self._check(other)
+            return _qq_add(self, other, -1)
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, tuple(-c for c in self.coeffs))
+        if self.den is not None:
+            return _make(tuple(-x for x in self.num), self.den)
+        return Poly(self.ring, tuple(-c for c in self.num))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero or other.is_zero:
+        a, b = self.num, other.num
+        if self.den is not None:
+            if not a or not b:
+                return _make((), 1)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        out[j] += ai * bj
+            return _qq(out, self.den * other.den)
+        if not a or not b:
             return Poly(self.ring, ())
-        if self.ring.kind == "QQ":
-            return Poly(self.ring, tuple(_qq_convolve(self.coeffs, other.coeffs)))
-        out = [ring_scalar(self.ring, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
+        out = [ring_scalar(self.ring, 0)] * (len(a) + len(b) - 1)
+        for i, ci in enumerate(a):
             if ci:
-                for j, cj in enumerate(other.coeffs):
+                for j, cj in enumerate(b):
                     if cj:
                         out[i + j] = out[i + j] + ci * cj
         return Poly(self.ring, tuple(out))
@@ -445,44 +601,105 @@ class Poly:
 
     def scale(self, q) -> "Poly":
         """Multiply every coefficient by q, a rational or a ring element."""
+        if self.den is not None:
+            if type(q) is not int and type(q) is not Fraction:
+                q = _as_fraction(q)
+            p = q.numerator
+            return _qq([x * p for x in self.num], self.den * q.denominator)
         if not isinstance(q, RingElement):
             q = Fraction(q)
-        return Poly(self.ring, tuple(c * q for c in self.coeffs))
+        return Poly(self.ring, tuple(c * q for c in self.num))
 
     def derivative(self) -> "Poly":
         """d/dt."""
-        return Poly(self.ring, tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+        a = self.num
+        if self.den is not None:
+            return _qq([a[i] * i for i in range(1, len(a))], self.den)
+        return Poly(self.ring, tuple(a[i] * i for i in range(1, len(a))))
 
     def evaluate(self, point: Fraction) -> Fraction:
-        if self.ring.kind != "QQ":
+        if self.den is None:
             raise BadInput("evaluation at a rational point requires ring QQ")
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if not self.num:
+            return _F0
+        # sum a_i p^i q^(n-i) over den q^n for point = p / q, by Horner
+        point = Fraction(point)
+        p, q = point.numerator, point.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self.den * (qk // q))
 
     def scale_argument(self, a) -> "Poly":
         """p(t) -> p(a*t) for a in the coefficient ring."""
         if isinstance(a, RingElement) and a.ring != self.ring:
             raise RingMismatch("scaling element from a different ring")
+        if self.den is not None:
+            # coefficient i times a^i, over the common denominator q^n of a = p / q
+            a = _as_fraction(a)
+            p, q = a.numerator, a.denominator
+            out = list(self.num)
+            pk = 1
+            for i in range(len(out)):
+                out[i] *= pk
+                pk *= p
+            qk = 1
+            for i in range(len(out) - 1, -1, -1):
+                out[i] *= qk
+                qk *= q
+            return _qq(out, self.den * (qk // q))
         out = []
         apow = ring_scalar(self.ring, 1)
-        for c in self.coeffs:
+        for c in self.num:
             out.append(c * apow)
             apow = apow * a
         return Poly(self.ring, tuple(out))
 
     def monic(self) -> "Poly":
-        if self.ring.kind != "QQ":
+        if self.den is None:
             raise BadInput("monic normalization requires ring QQ")
-        if self.is_zero:
+        if not self.num:
             raise ZeroInput("cannot normalize the zero polynomial")
-        if self.coeffs[-1] == 1:
-            return self  # Poly is frozen, so sharing it is safe
-        return self.scale(_F1 / self.coeffs[-1])
+        lead = self.num[-1]
+        if lead == self.den:
+            return self  # Poly is immutable, so sharing it is safe
+        return _qq(self.num, lead)
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _make(num: tuple, den: int) -> Poly:
+    """A QQ polynomial from a numerator tuple and denominator already in
+    canonical form."""
+    p = _new(Poly)
+    _set(p, "ring", QQ)
+    _set(p, "num", num)
+    _set(p, "den", den)
+    return p
+
+
+_qq = Poly.from_ints
+
+
+def _qq_add(f: Poly, g: Poly, sign: int) -> Poly:
+    """f + sign * g over QQ, sign = 1 or -1."""
+    a, da, b, db = f.num, f.den, g.num, g.den
+    if da != db:
+        c = math.gcd(da, db)
+        sa, sb = db // c, da // c
+        a = [x * sa for x in a]
+        b = [x * sb for x in b]
+        da *= sa
+    if sign < 0:
+        b = [-x for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return _qq(out, da)
 
 
 def _as_fraction(value) -> Fraction:
@@ -498,10 +715,8 @@ def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction],
     stopped after the first limit coefficients when a limit is given."""
     if not fa or not fb:
         return []
-    la = math.lcm(*(f.denominator for f in fa))
-    lb = math.lcm(*(f.denominator for f in fb))
-    a = [f.numerator * (la // f.denominator) for f in fa]
-    b = [f.numerator * (lb // f.denominator) for f in fb]
+    la, a = clear_denominators(fa)
+    lb, b = clear_denominators(fb)
     n = len(a) + len(b) - 1
     n = n if limit is None else min(n, limit)
     out = [0] * n
@@ -515,7 +730,7 @@ def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction],
 
 def qq_poly(coeffs: Iterable) -> Poly:
     """Polynomial over QQ from ascending rational coefficients."""
-    return Poly(QQ, tuple(coeffs))
+    return Poly(QQ, coeffs)
 
 
 def poly_zero(ring: Ring = QQ) -> Poly:
@@ -523,6 +738,8 @@ def poly_zero(ring: Ring = QQ) -> Poly:
 
 
 def poly_one(ring: Ring = QQ) -> Poly:
+    if ring.is_field:
+        return _make((1,), 1)
     return Poly(ring, (ring_scalar(ring, 1),))
 
 
@@ -556,6 +773,23 @@ def poly_arith(op: str, f: Poly, g) -> Poly:
 # Euclidean division, gcds, squarefree parts (field coefficients)
 # --------------------------------------------------------------------------
 
+def _qq_divmod(df: int, f: Sequence[int], dg: int, g: Sequence[int]) -> tuple[Poly, Poly]:
+    """(q, r) with f/df = q * g/dg + r and deg r < deg g, for stripped
+    integer lists f and g (g nonzero) and nonzero denominators.
+
+    With c the content of g, signed like its leading coefficient, and
+    P = g / c, the pseudo-division s*f = Q*P + R gives
+    q = Q*dg / (s*df*c) and r = R / (s*df).
+    """
+    c = _content(g)
+    if c != 1:
+        g = [x // c for x in g]
+    q, r, s = _zdivmod(f, g)
+    if dg != 1:
+        q = [x * dg for x in q]
+    return _qq(q, s * df * c), _qq(r, s * df)
+
+
 def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """(q, r) with f = q*g + r and deg r < deg g, over QQ."""
     if f.ring != g.ring:
@@ -566,35 +800,53 @@ def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise DivisionByZero("division by the zero polynomial")
     if f.degree < g.degree:
         return poly_zero(f.ring), f
-    q, r = _tdivmod(f.qq_coeffs(), g.qq_coeffs())
-    return qq_poly(q), qq_poly(r)
+    return _qq_divmod(f.den, f.num, g.den, g.num)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over QQ."""
+    """Monic gcd over QQ, by the primitive remainder sequence on the numerators."""
     if f.ring != g.ring:
         raise RingMismatch("operands in different rings")
-    return qq_poly(_tgcd(f.qq_coeffs(), g.qq_coeffs()))
+    if f.den is None:
+        raise BadInput("rational coefficient view requires ring QQ")
+    d = _zgcd(list(f.num), list(g.num))
+    # a primitive list over its positive leading entry is in lowest terms
+    return _make(tuple(d), d[-1]) if d else poly_zero()
 
 
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ).
 
-    The loop carries u alone; v = (d - u*f) / g is one exact division at
+    The remainders form the primitive remainder sequence of the numerators,
+    and the loop carries only the cofactor u of each remainder a_i = u_i f
+    mod g: from s a_(i-1) = Q a_i + R and a_(i+1) = R / c, u_(i+1) =
+    (s u_(i-1) - Q u_i) / c.  v = (d - u*f) / g is one exact division at
     the end (v = 0 when g = 0).
     """
+    if f.ring != g.ring:
+        raise RingMismatch("operands in different rings")
+    if f.den is None:
+        raise BadInput("Euclidean division needs field coefficients")
     ring = f.ring
-    r0, r1 = f, g
-    s0, s1 = poly_one(ring), poly_zero(ring)
-    while not r1.is_zero:
-        q, r = euclid_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if not r0.is_zero:
-        lead = _F1 / r0.leading()
-        r0, s0 = r0.scale(lead), s0.scale(lead)
-    v = poly_zero(ring) if g.is_zero else euclid_divmod(r0 - s0 * f, g)[0]
-    return r0, s0, v
+    a, b = _prim(list(f.num)), _prim(list(g.num))
+    # f = (c / f.den) a for the signed content c of f.num, so a = u0 f
+    u0 = Poly.from_ints([f.den], f.num[-1] // a[-1]) if a else poly_one(ring)
+    u1 = poly_zero(ring)
+    while b:
+        q, r, s = _zdivmod(a, b)
+        r = _zstrip(r)
+        if r:
+            c = _content(r)
+            u0, u1 = u1, (u0.scale(s) - _qq(q, 1) * u1).scale(Fraction(1, c))
+            a, b = b, [x // c for x in r]
+        else:
+            u0, a, b = u1, b, r
+    if not a:
+        return poly_zero(ring), u0, poly_zero(ring)
+    d = _make(tuple(a), a[-1])
+    u = u0.scale(Fraction(1, a[-1]))
+    v = poly_zero(ring) if g.is_zero else euclid_divmod(d - u * f, g)[0]
+    return d, u, v
 
 
 def poly_divides(d: Poly, f: Poly) -> bool:
@@ -606,7 +858,8 @@ def poly_divides(d: Poly, f: Poly) -> bool:
 def squarefree_part(value):
     """Squarefree part a / gcd(a, a'), made monic.
 
-    Accepts a Poly over QQ or a RingElement over QQ_POLY.  Membership
+    Accepts a Poly over QQ or a RingElement over QQ_POLY; both run the
+    primitive remainder sequence on their integer numerators.  Membership
     in the radical of the principal ideal (a) is exactly divisibility by
     the squarefree part (characteristic zero).
     """
@@ -617,14 +870,12 @@ def squarefree_part(value):
     if value.is_zero:
         raise ZeroInput("squarefree part of zero")
     if isinstance(value, Poly):
-        data = value.qq_coeffs()
-    elif value.ring.kind == "QQ_POLY":
-        data = value.data
-    else:
+        s = _zsquarefree(list(value.num))
+        return _make(tuple(s), s[-1])
+    if value.ring.kind != "QQ_POLY":
         raise BadInput("squarefree part requires QQ or QQ_POLY")
-    q = _tdivmod(data, _tgcd(data, _tderiv(data)))[0]
-    q = tuple(v / q[-1] for v in q)
-    return qq_poly(q) if isinstance(value, Poly) else RingElement(value.ring, q)
+    s = _zsquarefree(clear_denominators(value.data)[1])
+    return RingElement(value.ring, _monic_fractions(s))
 
 
 # --------------------------------------------------------------------------
@@ -632,28 +883,18 @@ def squarefree_part(value):
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([xt])|(\^)|(\*)|(/)|(\+)|(-)|(\S)")
+# token kind of each group of _TOKEN_RE; the last group is an unexpected character
+_TOKEN_KINDS = (None, "INT", "VAR", "CARET", "STAR", "SLASH", "PLUS", "MINUS", None)
 
 
 def _tokenize(text: str):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1):
-            tokens.append(("INT", m.group(1), pos))
-        elif m.group(2):
-            tokens.append(("VAR", m.group(2), pos))
-        elif m.group(3):
-            tokens.append(("CARET", "^", pos))
-        elif m.group(4):
-            tokens.append(("STAR", "*", pos))
-        elif m.group(5):
-            tokens.append(("SLASH", "/", pos))
-        elif m.group(6):
-            tokens.append(("PLUS", "+", pos))
-        elif m.group(7):
-            tokens.append(("MINUS", "-", pos))
-        else:
-            raise ParseError(f"unexpected character {m.group(8)!r}", pos)
+        group = m.lastindex
+        kind = _TOKEN_KINDS[group]
+        if kind is None:
+            raise ParseError(f"unexpected character {m.group(group)!r}", m.start())
+        tokens.append((kind, m.group(group), m.start()))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -676,27 +917,34 @@ class _PolyParser:
         return tok
 
     def parse(self) -> Poly:
-        terms: dict[int, list] = {}
+        terms: list[tuple[int, int, int, int]] = []
         sign = 1
         kind, _, _ = self.peek()
         if kind in ("PLUS", "MINUS"):
             sign = -1 if kind == "MINUS" else 1
             self.take()
-        self.term(terms, sign)
+        terms.append(self.term(sign))
         while self.peek()[0] in ("PLUS", "MINUS"):
             sign = -1 if self.take()[0] == "MINUS" else 1
-            self.term(terms, sign)
+            terms.append(self.term(sign))
         self.take("END")
         return self.build(terms)
 
     def exponent(self) -> int:
         if self.peek()[0] == "CARET":
             self.take()
-            return int(self.take("INT")[1])
+            _, digits, pos = self.take("INT")
+            # compare the digits before converting, so that no huge integer is built
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {pos})")
+            return int(digits)
         return 1
 
-    def term(self, terms, sign):
-        coeff = None
+    def term(self, sign) -> tuple[int, int, int, int]:
+        """(t exponent, x exponent, numerator, denominator) of one signed term."""
+        num = None
+        den = 1
         kind, _, pos = self.peek()
         if kind == "INT":
             num = int(self.take()[1])
@@ -706,9 +954,6 @@ class _PolyParser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
             if self.peek()[0] == "STAR":
                 self.take()
                 if self.peek()[0] != "VAR":
@@ -734,34 +979,39 @@ class _PolyParser:
                 self.take()
                 continue
             break
-        if coeff is None and not seen:
+        if num is None and not seen:
             kind, text, pos = self.peek()
             raise ParseError(f"expected a term, found {text!r}", pos)
-        if coeff is None:
-            coeff = _F1
-        coeff *= sign
-        terms.setdefault(t_exp, []).append((x_exp, coeff))
+        if num is None:
+            num = 1
+        return t_exp, x_exp, sign * num, den
 
     def build(self, terms) -> Poly:
-        if not terms:
-            return poly_zero(self.ring)
-        top = max(terms)
+        top = max(te for te, _, _, _ in terms)
+        if self.ring.kind == "QQ":
+            # one common denominator for all terms: no Fraction is built
+            den = math.lcm(*(d for _, _, _, d in terms))
+            num = [0] * (top + 1)
+            for te, _, n, d in terms:
+                num[te] += n * (den // d)
+            return _qq(num, den)
+        parts: dict[int, list] = {}
+        for te, xe, n, d in terms:
+            parts.setdefault(te, []).append((xe, Fraction(n, d)))
         coeffs = []
         for te in range(top + 1):
-            parts = terms.get(te, [])
-            if self.ring.kind == "QQ":
-                coeffs.append(sum((c for _, c in parts), _F0))
-            else:
-                width = max((xe for xe, _ in parts), default=-1) + 1
-                data = [_F0] * width
-                for xe, c in parts:
-                    data[xe] += c
-                coeffs.append(RingElement(self.ring, tuple(data)))
+            here = parts.get(te, [])
+            width = max((xe for xe, _ in here), default=-1) + 1
+            data = [_F0] * width
+            for xe, c in here:
+                data[xe] += c
+            coeffs.append(RingElement(self.ring, tuple(data)))
         return Poly(self.ring, tuple(coeffs))
 
 
 def parse_poly(text: str, ring: Ring = QQ) -> Poly:
-    """Parse the polynomial grammar; raises ParseError with a position."""
+    """Parse the polynomial grammar; raises ParseError with a position, and
+    BadInput for an exponent above MAX_EXPONENT."""
     return _PolyParser(text, ring).parse()
 
 
@@ -798,29 +1048,36 @@ def parse_key_values(text: str, what: str, sep: str = ",") -> dict[str, str]:
     return args
 
 
+def _magnitude(n: int, d: int) -> str:
+    """|n / d| in lowest terms, as str(Fraction) writes it."""
+    g = math.gcd(n, d)
+    n, d = abs(n) // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _term_strings(p: Poly):
-    """Yield (magnitude, x_exp, t_exp, negative) in canonical order."""
+    """Yield (magnitude text, x_exp, t_exp, negative) in canonical order."""
     for te in range(p.degree, -1, -1):
-        c = p.coeffs[te]
+        c = p.num[te]
         if not c:
             continue
-        if p.ring.kind == "QQ":
-            yield abs(c), 0, te, c < 0
+        if p.den is not None:
+            yield _magnitude(c, p.den), 0, te, c < 0
         else:
             for xe in range(len(c.data) - 1, -1, -1):
                 v = c.data[xe]
                 if v:
-                    yield abs(v), xe, te, v < 0
+                    yield str(abs(v)), xe, te, v < 0
 
 
-def _render_term(mag: Fraction, xe: int, te: int) -> str:
+def _render_term(mag: str, xe: int, te: int) -> str:
     parts = []
     if xe:
         parts.append("x" if xe == 1 else f"x^{xe}")
     if te:
         parts.append("t" if te == 1 else f"t^{te}")
-    if not parts or mag != 1:
-        parts.insert(0, str(mag))
+    if not parts or mag != "1":
+        parts.insert(0, mag)
     return "*".join(parts)
 
 

@@ -14,19 +14,27 @@ Bareiss's elimination (1968).  Scaling the moments nu_0 .. nu_(2n-1) by the
 lcm of their denominators gives an integer-valued functional L with the same
 monic orthogonal family.  Integer polynomials P_k proportional to p_k and
 their rows S_k(l) = L(P_k t^l) obey one three-term recurrence with integer
-factors, so degree n costs O(n^2) integer operations and builds Fractions
-only for the n + 1 coefficients of the monic answer.  Atomic moments are
-likewise integer sums over one common denominator.
+factors, so degree n costs O(n^2) integer operations, and the monic answer
+is the Poly with numerators P_n over the denominator lc(P_n): no Fraction
+is built past the moments.  Atomic moments are likewise integer sums over
+one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
-from .corealg import Poly, QQ, parse_key_values, parse_rational, qq_poly, t_monomial
+from .corealg import (
+    Poly,
+    QQ,
+    clear_denominators,
+    parse_key_values,
+    parse_rational,
+    t_monomial,
+)
 from .errors import BadInput, BadPair, BadWeight, Degenerate
 from .opimage import (
     JacobiOperator,
@@ -129,12 +137,6 @@ def parse_weight(text: str) -> WeightSpec:
     raise BadInput(f"unknown weight {head!r}")
 
 
-def _cleared(values) -> tuple[int, list[int]]:
-    """(d, [v d for v in values]) for the lcm d of the denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 class MomentFunctional:
     """Cache of normalized moments nu_n (nu_0 = 1) for one weight.
 
@@ -153,8 +155,8 @@ class MomentFunctional:
         self.weight = weight
         self._cache: list[Fraction] = [_F1]
         if isinstance(weight, AtomicWeight):
-            self._point_den, self._points = _cleared(weight.points)
-            self._terms = _cleared(weight.weights)[1]
+            self._point_den, self._points = clear_denominators(weight.points)
+            self._terms = clear_denominators(weight.weights)[1]
             self._den = sum(self._terms)
 
     def moment(self, n: int) -> Fraction:
@@ -238,7 +240,7 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
     # row k holds S_k(l) for l < 2n - k; entries l < k are zero by
     # orthogonality and are never read
     row_prev = [0] * (2 * n)
-    row = _cleared([mf.moment(l) for l in range(2 * n)])[1]
+    row = clear_denominators([mf.moment(l) for l in range(2 * n)])[1]
     p_prev: list[int] = []
     p = [1]
     c, e = 1, 0
@@ -262,7 +264,7 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
                 for l in range(2 * n - k - 1)
             ]
         c, e = a, b
-    return qq_poly([Fraction(x, p[-1]) for x in p])
+    return Poly.from_ints(p, p[-1])
 
 
 def matched_operator(w: WeightSpec) -> Optional[OperatorSpec]:

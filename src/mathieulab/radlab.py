@@ -74,6 +74,7 @@ from . import linalg
 from .corealg import (
     Poly,
     QQ,
+    clear_denominators,
     euclid_divmod,
     format_poly,
     parse_poly,
@@ -98,15 +99,13 @@ CONSISTENT_UP_TO_BUDGET = "CONSISTENT_UP_TO_BUDGET"
 def _has_rational_root(f: Poly) -> bool:
     """Rational-root test for a factor of degree 2 or 3, polynomial in its size.
 
-    With f cleared to integer coefficients a_0..a_n, s = a_n t turns
+    With f's integer numerators a_0..a_n, s = a_n t turns
     a_n^(n-1) f into the monic integer polynomial h(s) = sum a_i a_n^(n-1-i) s^i,
     whose rational roots are integers bounded by the Cauchy bound.  Between
     consecutive critical points h is monotone on the integers, so each piece
     is searched by bisection.
     """
-    coeffs = f.qq_coeffs()
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    a = [int(c * scale) for c in coeffs]
+    a = f.num
     n = len(a) - 1
     h = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
 
@@ -155,11 +154,6 @@ def _times_t(vec: Sequence, low: Sequence, scale=1) -> list:
     return [scale * x - top * c for x, c in zip([0, *vec[:-1]], low)]
 
 
-def _scaled(row: Sequence[Fraction], scale: int) -> list[int]:
-    """scale times a row of rationals whose denominators all divide scale."""
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
 class CofiniteSubspace:
     """V ⊆ QQ[t] with (g) ⊆ V, encoded by g's factorization and V/(g)."""
 
@@ -177,10 +171,9 @@ class CofiniteSubspace:
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise BadInput("factor multiplicities must be positive integers")
             poly = poly.monic()
-            key = poly.qq_coeffs()
-            if key in seen:
+            if poly in seen:
                 raise BadInput("duplicate modulus factor; merge multiplicities")
-            seen.add(key)
+            seen.add(poly)
             if poly.degree <= 3:
                 if poly.degree >= 2 and _has_rational_root(poly):
                     raise BadInput(f"factor {format_poly(poly)} is reducible")
@@ -205,9 +198,12 @@ class CofiniteSubspace:
         for vec in vbar_basis:
             if any(isinstance(v, bool) for v in vec):
                 raise BadInput("basis entries must be integers or rational strings")
-            entries = [Fraction(v) if not isinstance(v, float) else None for v in vec]
-            if None in entries:
+            if any(isinstance(v, float) for v in vec):
                 raise BadInput("basis vectors must be exact rationals, not floats")
+            # strings go through parse_rational, which refuses exponent notation
+            entries = [v if type(v) is Fraction
+                       else parse_rational(v) if isinstance(v, str) else Fraction(v)
+                       for v in vec]
             if len(entries) != self.dim:
                 raise BadInput(f"basis vectors must have length {self.dim}")
             basis.append(tuple(entries))
@@ -218,7 +214,7 @@ class CofiniteSubspace:
         ann = linalg.nullspace(self._basis or [[_F0] * self.dim])
         if len(ann) + len(self._basis) != self.dim:
             raise BadInput("basis vectors are linearly dependent")
-        self._ann = [_scaled(lam, math.lcm(*(x.denominator for x in lam))) for lam in ann]
+        self._ann = [clear_denominators(lam)[1] for lam in ann]
 
     # -- coordinate maps -------------------------------------------------
 
@@ -356,26 +352,32 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     is equivalent to eventual membership.  The powers are taken block by
     block on integer residue vectors.  With r_i = f mod p_i^(m_i), taken once
     per block, the columns t^j r_i mod p_i^(m_i) form the matrix of
-    multiplication by f on block i, and den, one common denominator of every
-    block's matrix, makes den times each matrix an integer matrix N_i.  From
-    the residue of 1, w_m = N_i w_(m-1) is den^m times the residue vector of
-    f^m, and since every membership test is lam . w = 0 the positive factor
-    den^m leaves each verdict of the window unchanged.  For split moduli
-    the residues r_i are the values f(a_i).
+    multiplication by f on block i.  They are stepped on integer numerators
+    by the companion shift, each over its own denominator, and den, the lcm
+    of those denominators, makes den times each matrix an integer matrix
+    N_i.  From the residue of 1, w_m = N_i w_(m-1) is den^m times the
+    residue vector of f^m, and since every membership test is lam . w = 0
+    the positive factor den^m leaves each verdict of the window unchanged.
+    For split moduli the residues r_i are the values f(a_i).
     """
     d = space.dim
-    mats = []
+    blocks = []
     for block in space._blocks:
-        n = block.degree
-        low = block.qq_coeffs()[:n]
-        col = list(euclid_divmod(f, block)[1].qq_coeffs())
-        cols = [col + [_F0] * (n - len(col))]
-        for _ in range(n - 1):
-            cols.append(_times_t(cols[-1], low))
-        mats.append(cols)
-    den = math.lcm(*(x.denominator for cols in mats for col in cols for x in col))
+        # the monic block is num / den, so num[:-1] is den times its low part
+        n, low, scale = block.degree, block.num[:-1], block.den
+        r = euclid_divmod(f, block)[1]
+        col, col_den = list(r.num) + [0] * (n - len(r.num)), r.den
+        cols = []  # column j is t^j r mod the block, as (numerators, denominator)
+        for j in range(n):
+            if j:
+                col, col_den = _times_t(col, low, scale), col_den * scale
+            g = math.gcd(col_den, *col)
+            cols.append(([x // g for x in col], col_den // g))
+        blocks.append(cols)
+    den = math.lcm(*(c for cols in blocks for _, c in cols))
     # N_i row by row: row k holds den times coefficient k of each column
-    mats = [[_scaled(row, den) for row in zip(*cols)] for cols in mats]
+    mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
+            for cols in blocks]
     powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
     for m in range(1, 2 * d + 1):
         powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
@@ -434,14 +436,17 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
         return h, h, live
     radical_parts = []  # (h_i, r_i) of the live blocks
     for i, ((p, _), block, start) in enumerate(zip(space.factors, space._blocks, space._starts)):
-        b = block.qq_coeffs()
+        b, scale = block.num, block.den
         rows = []
         for lam in space._ann:
             lam = lam[start:start + block.degree]
             for _ in range(block.degree):
                 rows.append(lam)
-                # lam M: shift down, the top slot picks up t^deg b = -sum b_k t^k
-                lam = lam[1:] + [-sum(bk * lk for bk, lk in zip(b, lam))]
+                # scale times lam M: shift down, the top slot picks up
+                # t^deg b = -sum b_k t^k; a positive factor on a row leaves
+                # the common kernel unchanged
+                top = -sum(bk * lk for bk, lk in zip(b, lam))
+                lam = [scale * x for x in lam[1:]] + [top]
         h_i = block
         for vec in linalg.nullspace(rows):
             h_i = poly_gcd(h_i, qq_poly(vec))
@@ -579,8 +584,8 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     budget_used["witness_family"] = "crt_idempotent"
     # e_S t^j has residue t^j mod the blocks in S and 0 on the rest; w is
     # scale^j times that vector, stepped by the integer companion shift
-    scale = math.lcm(*(c.denominator for b in space._blocks for c in b.qq_coeffs()))
-    lows = [_scaled(b.qq_coeffs()[:-1], scale) for b in space._blocks]
+    scale = math.lcm(*(b.den for b in space._blocks))
+    lows = [[x * (scale // b.den) for x in b.num[:-1]] for b in space._blocks]
     w = [[mask >> i & 1] + [0] * (b.degree - 1) for i, b in enumerate(space._blocks)]
     for j in range(space.dim):
         if not space.contains_vec([x for v in w for x in v]):

@@ -1,12 +1,16 @@
 """Core arithmetic: worked examples plus randomized algebraic laws."""
 
+import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import corealg_oracle
 from mathieulab.corealg import (
+    MAX_EXPONENT,
     Poly,
     QQ,
     QQ_POLY,
@@ -28,6 +32,7 @@ from mathieulab.corealg import (
     poly_zero,
     qq_poly,
     qq_poly_trunc,
+    ring_gcd,
     ring_monomial,
     ring_scalar,
     squarefree_part,
@@ -702,3 +707,137 @@ def test_xgcd_matches_two_cofactor_loop():
         d, u, v = poly_xgcd(f, g)
         assert (d, u, v) == two_cofactor_xgcd(f, g), (f, g)
         assert u * f + v * g == d
+
+
+# -- cross-oracle: integer-numerator Poly against the Fraction Poly ----------
+
+def _assert_qq_canonical(p):
+    """num over a positive den in lowest terms, no trailing zero, and the
+    Fraction view equal to num[i] / den."""
+    assert type(p.num) is tuple and all(type(x) is int for x in p.num), p.num
+    assert type(p.den) is int and p.den > 0, p.den
+    assert math.gcd(p.den, *p.num) == 1, (p.num, p.den)
+    assert not p.num or p.num[-1] != 0, p.num
+    if not p.num:
+        assert p.den == 1
+    _assert_fraction_tuple(p.coeffs)
+    assert p.coeffs == tuple(Fraction(x, p.den) for x in p.num)
+
+
+def _same(new, old):
+    """A new Poly and an oracle Poly hold the same polynomial."""
+    _assert_qq_canonical(new)
+    assert new.coeffs == old.coeffs, (new, old)
+
+
+def _oracle_pair(rng):
+    """The same random rational coefficient list as a Poly and as an oracle Poly."""
+    kind = rng.choice(("int", "rat", "sparse", "big", "zero", "constant", "rat"))
+    # the oracle's Euclidean gcd grows 200-bit fractions fast, so "big" stays short
+    length = {"zero": 0, "constant": 1, "big": rng.randint(1, 4)}.get(kind, rng.randint(1, 9))
+    coeffs = _rand_tuple(rng, length, {"zero": "int", "constant": "rat"}.get(kind, kind))
+    return qq_poly(coeffs), corealg_oracle.qq_poly(coeffs)
+
+
+def test_integer_poly_matches_fraction_oracle():
+    rng = random.Random(4066)
+    seen = {"common factor": 0, "repeated factor": 0, "nonmonic divisor": 0}
+    for _ in range(400):
+        (f, of), (g, og) = _oracle_pair(rng), _oracle_pair(rng)
+        if rng.random() < 0.2:  # a shared factor, so gcd and squarefree part are not 1
+            c, oc = _oracle_pair(rng)
+            if c.degree >= 1:
+                f, of, g, og = f * c * c, of * oc * oc, g * c, og * oc
+                seen["common factor"] += 1
+                seen["repeated factor"] += not f.is_zero
+        _same(f, of)
+        _same(g, og)
+        # == and hash agree with the Fraction view
+        assert (f == g) == (f.coeffs == g.coeffs)
+        k = rng.choice([1, 2, 3, 12]) * rng.choice([1, -1])
+        same_f = Poly.from_ints([x * k for x in f.num], f.den * k)
+        assert same_f == f and hash(same_f) == hash(f) and same_f.num == f.num
+        assert qq_poly(f.coeffs) == f and hash(qq_poly(f.coeffs)) == hash(f)
+        _same(f + g, of + og)
+        _same(f - g, of - og)
+        _same(-f, -of)
+        _same(f * g, of * og)
+        n = rng.randint(0, 4)
+        _same(f ** n, of ** n)
+        q = rng.choice([Fraction(0), Fraction(1), Fraction(-1), rand_fraction(rng), rng.randint(-5, 5)])
+        _same(f.scale(q), of.scale(q))
+        _same(f.derivative(), of.derivative())
+        point = rng.choice([Fraction(0), rand_fraction(rng), rng.randint(-4, 4)])
+        value = f.evaluate(point)
+        assert type(value) is Fraction and value == of.evaluate(point)
+        _same(f.scale_argument(point), of.scale_argument(Fraction(point)))
+        text = format_poly(f)
+        assert text == corealg_oracle.format_poly(of)
+        assert parse_poly(text) == f
+        _same(parse_poly(text), corealg_oracle.parse_poly(text))
+        if not f.is_zero:
+            _same(f.monic(), of.monic())
+            _same(squarefree_part(f), corealg_oracle.squarefree_part(of))
+        if not g.is_zero:
+            seen["nonmonic divisor"] += g.num[-1] != g.den
+            (q_new, r_new), (q_old, r_old) = euclid_divmod(f, g), corealg_oracle.euclid_divmod(of, og)
+            _same(q_new, q_old)
+            _same(r_new, r_old)
+        _same(poly_gcd(f, g), corealg_oracle.poly_gcd(of, og))
+        for new, old in zip(poly_xgcd(f, g), corealg_oracle.poly_xgcd(of, og)):
+            _same(new, old)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_gcd_kernel_matches_euclidean_oracle():
+    # ring_gcd and squarefree_part over QQ_POLY run the primitive remainder
+    # sequence; the oracle runs the Euclidean gcd on Fraction tuples
+    rng = random.Random(4067)
+    for _ in range(300):
+        common = rand_element(rng, QQ_POLY, max_deg=2, height=7)
+        elements = [rand_element(rng, QQ_POLY, max_deg=4, height=7) * common
+                    for _ in range(rng.randint(1, 3))]
+        got, want = ring_gcd(*elements), corealg_oracle.ring_gcd(*elements)
+        _assert_fraction_tuple(got.data)
+        assert got == want
+        e = elements[0] * elements[-1] * common
+        if e:
+            got, want = squarefree_part(e), corealg_oracle.squarefree_part(e)
+            _assert_fraction_tuple(got.data)
+            assert got == want
+
+
+@pytest.mark.parametrize("den", [(Fraction(3), Fraction(1)), (Fraction(5), Fraction(3))],
+                         ids=["t+3", "3t+5"])
+def test_poly_division_and_gcd_are_fast_on_many_distinct_denominators(den):
+    # the same bound as the _tdivmod test above, for the Poly entry points;
+    # pseudo-division that multiplies the whole remainder by the leading
+    # coefficient at every step takes far longer on 3t + 5
+    f, g = qq_poly(_hostile_numerator()), qq_poly(den)
+    start = time.perf_counter()
+    q, r = euclid_divmod(f, g)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    d = poly_gcd(f, g)
+    assert time.perf_counter() - start < 1.0
+    assert q.degree == 1999 and r.degree <= 0
+    assert d == (g.monic() if r.is_zero else poly_one())
+    assert q * g + r == f
+
+
+def test_parse_poly_refuses_exponents_above_the_limit():
+    assert parse_poly(f"t^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert parse_poly("t^0010 + 1") == parse_poly("t^10 + 1")
+    cases = [("t^10001", QQ), ("t^1000000000", QQ), ("2*t^" + "9" * 100_000, QQ),
+             ("x^10001*t - 1", QQ_POLY), ("t^2 + x^99999999", QQ_POLY)]
+    tracemalloc.start()
+    try:
+        for text, ring in cases:
+            with pytest.raises(BadInput, match=f"^exponent above the limit {MAX_EXPONENT}"):
+                parse_poly(text, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refusal reads the exponent's text; a list as long as the exponent
+    # would take gigabytes
+    assert peak < 2_000_000

@@ -126,6 +126,21 @@ def test_space_validation():
             CofiniteSubspace([(parse_poly("t^4 - 1"), 1), (parse_poly(other), 2)], [])
 
 
+def test_constructor_parses_basis_strings_and_keeps_fractions():
+    factors = [(parse_poly("t"), 1), (parse_poly("t - 1"), 1)]
+    # exponent notation is refused as in the CLI; the last literal would
+    # build an integer of ten million digits
+    for text in ("1e3", "2E-1", "1e10000000", "abc", "1/0"):
+        with pytest.raises(BadInput, match="^bad rational literal"):
+            CofiniteSubspace(factors, [[text, "1"]])
+    assert CofiniteSubspace(factors, [["-1/2", " 3 "]])._basis == ((Fraction(-1, 2), Fraction(3)),)
+    assert CofiniteSubspace(factors, [["0.25", 2]])._basis == ((Fraction(1, 4), Fraction(2)),)
+    half = Fraction(1, 2)
+    assert CofiniteSubspace(factors, [[half, 1]])._basis[0][0] is half
+    with pytest.raises(BadInput, match="not floats"):
+        CofiniteSubspace(factors, [[0.5, 1]])
+
+
 def has_rational_root_by_divisors(f):
     """Reference: rational-root theorem by enumerating divisors of the end terms."""
     coeffs = f.qq_coeffs()
