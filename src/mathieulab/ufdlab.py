@@ -17,7 +17,10 @@ implemented alongside:
 * the graded valuation v_a(c t^i) = v_a(c) - i;
 * a surjectivity check over the truncated rings QQ[x]/(x^k), decided mod x
   (c*d/dt - a(t) is onto iff c_0*d/dt - A_0 is onto QQ[t]), with the
-  witnesses for the monomials t^n solved level by level in powers of x.
+  witnesses for the monomials t^n solved level by level in powers of x: each
+  x-level is a QQ[t] polynomial on integer numerators over one denominator,
+  and every witness is re-applied to D level by level before it is returned.
+  Its cost is bounded up front by MAX_TRUNC and MAX_WITNESS_SIZE.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from .corealg import (
     QQ_POLY,
     Ring,
     RingElement,
+    clear_denominators,
     exact_divide,
     parse_key_values,
     parse_poly,
     parse_ring_element,
     poly_one,
     poly_zero,
-    qq_poly,
     qq_poly_trunc,
     ring_gcd,
     ring_scalar,
@@ -50,6 +53,11 @@ from .errors import BadInput, NotInRadical
 
 _F0 = Fraction(0)
 INFINITE = math.inf
+
+# cost limits of surjectivity_check: at the size limit, k = 16 and a dense a
+# of t-degree 8 with rational coefficients take 2.8 s on a 2-vCPU Xeon
+MAX_TRUNC = 16
+MAX_WITNESS_SIZE = 40_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +117,8 @@ def member_ufd(ctx: UfdContext, f: Poly) -> tuple[bool, Optional[Poly]]:
             return False, None
         h[i] = sol
     witness = Poly(ctx.ring, tuple(h))
-    assert ctx.apply(witness).coeffs == f.coeffs
+    if ctx.apply(witness) != f:
+        raise BadInput("internal inconsistency: witness h does not solve h' - a*h = f")
     return True, witness
 
 
@@ -194,9 +203,10 @@ def gcd_lift(a: RingElement, d_list: Sequence[RingElement]) -> tuple[RingElement
     b = ring_gcd(a, *d_list)
     u = exact_divide(a, b)
     lifted = [exact_divide(d, b) for d in d_list]
-    assert u is not None and all(v is not None for v in lifted)
-    for d, dt in zip(d_list, lifted):
-        assert (u * d).data == (dt * a).data
+    if u is None or any(v is None for v in lifted):
+        raise BadInput("internal inconsistency: the gcd does not divide every element")
+    if any((u * d).data != (dt * a).data for d, dt in zip(d_list, lifted)):
+        raise BadInput("internal inconsistency: u*d_i != d~_i*a")
     if all(dt.is_zero or exact_divide(dt, rho) is not None for dt in lifted):
         raise BadInput("internal inconsistency: lift stayed inside the radical")
     return u, lifted
@@ -249,7 +259,10 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     args = parse_key_values(rest, "context")
     if set(args) != {"k", "c", "a"}:
         raise BadInput("trunc context needs exactly k=, c= and a=")
-    ring = qq_poly_trunc(int(args["k"]))
+    try:
+        ring = qq_poly_trunc(int(args["k"]))
+    except ValueError:
+        raise BadInput(f"k must be a positive integer, got {args['k']!r}") from None
     c = parse_ring_element(args["c"], ring)
     a = parse_poly(args["a"], ring)
     return ring, c, a
@@ -257,7 +270,29 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
 
 def _levels(p: Poly, k: int) -> list[Poly]:
     """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j."""
-    return [qq_poly(cf.data[j] if j < len(cf.data) else _F0 for cf in p.coeffs) for j in range(k)]
+    pad = (_F0,) * k
+    den, num = clear_denominators([v for cf in p.coeffs for v in (cf.data + pad)[:k]])
+    return [Poly.from_ints(num[j::k], den) for j in range(k)]
+
+
+def _solve_level(g: Poly, c0: Fraction, a0: Fraction) -> Poly:
+    """The h with c0*h' - a0*h = g over QQ, on the integer numerators of
+    g = G/D: by integration with constant term 0 when a0 = 0, else from the
+    top degree N down over the final denominator D*R^(N+1), for
+    P*h' - R*h = S*g the equation cleared of the denominators of c0 and a0.
+    """
+    num, den = g.num, g.den
+    p, q = c0.as_integer_ratio()
+    if not a0:  # h_n = q G_(n-1) / (p n D), over p D lcm(1..N+1)
+        l = math.lcm(*range(1, len(num) + 1))
+        return Poly.from_ints([0] + [q * x * (l // n) for n, x in enumerate(num, 1)], p * den * l)
+    r, s = a0.as_integer_ratio()
+    big_p, big_r, big_s = p * s, r * q, q * s
+    top, acc, out = big_r ** len(num), 0, [0] * len(num)
+    # out[n] = h_n * D*R^(N+1); R divides the bracket, as h_(n+1) has denominator D*R^(N-n)
+    for n in range(len(num) - 1, -1, -1):
+        out[n] = acc = (big_p * (n + 1) * acc - big_s * num[n] * top) // big_r
+    return Poly.from_ints(out, den * top)
 
 
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
@@ -271,11 +306,19 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     h = sum h_j x^j solve c_0 h_j' - A_0 h_j = f_j - sum_(i=1..j)
     (c_i h_(j-i)' - A_i h_(j-i)) in turn: from the top degree down when A_0
     is a nonzero constant, by integration with constant term 0 when A_0 = 0.
-    Then D has one kernel vector K_j per level, the lift of 0 from h = x^j,
-    and the witness is reduced against their echelon basis keyed by highest
-    column (t^i x^l is column i*k + l): it is zero on every column whose
-    image depends on earlier ones, the least-degree solution on the
-    independent columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
+    Each level is a QQ polynomial on integer numerators over one denominator
+    (`_solve_level`); no Fraction is built before the witness vector.  Then D
+    has one kernel vector K_j per level, the lift of 0 from h = x^j, and the
+    witness is reduced against their echelon basis keyed by highest column
+    (t^i x^l is column i*k + l): it is zero on every column whose image
+    depends on earlier ones, the least-degree solution on the independent
+    columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
+
+    Each returned witness is checked on its levels read back from h:
+    sum_(i<=j) (c_i h_(j-i)' - A_i h_(j-i)) = f_j for every j < k, which is
+    c*h' - a*h = f in QQ[x]/(x^k)[t].  Before any work, BadInput refuses
+    k > MAX_TRUNC and more than MAX_WITNESS_SIZE witness coefficients at the
+    degree budgets, sum_(n<=deg_bound) k*(n + extra + 1).
     """
     if ring.kind != "QQ_POLY_TRUNC":
         raise BadInput("surjectivity check runs over a truncated ring")
@@ -284,7 +327,13 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     if deg_bound < 0:
         raise BadInput("degree bound must be non-negative")
     k = ring.trunc
+    if k > MAX_TRUNC:
+        raise BadInput(f"k = {k} exceeds the limit of {MAX_TRUNC} for the surjectivity check")
     extra = k * (max(a.degree, 0) + 1)
+    size = k * (deg_bound + 1) * (2 * extra + deg_bound + 2) // 2
+    if size > MAX_WITNESS_SIZE:
+        raise BadInput(f"deg_bound = {deg_bound} at k = {k} budgets {size} witness "
+                       f"coefficients, above the limit of {MAX_WITNESS_SIZE}")
     low = [i for i, g in enumerate(a.coeffs) if g.is_unit]  # the terms of A_0
     if not (c.is_unit or low) or max(low, default=0) >= 1:
         note = None if low else ("every image value lies in the proper ideal generated by c and "
@@ -305,31 +354,38 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
                     g = g - hi.derivative().scale(cs[i])
                 if not big_a[i].is_zero:
                     g = g + big_a[i] * hi
-            if a0:
-                out, nxt = [_F0] * len(g.coeffs), _F0
-                for n in range(g.degree, -1, -1):
-                    out[n] = nxt = (c0 * (n + 1) * nxt - g.coeffs[n]) / a0
-            else:
-                out = [_F0] + [v / (c0 * n) for n, v in enumerate(g.coeffs, 1)]
-            h.append(qq_poly(out))
+            h.append(_solve_level(g, c0, a0))
         return h
 
     def vector(levels: list[Poly]) -> dict:
         # t^i x^j is keyed -(i*k + j), so that a pivot sits on its highest column
-        return {-(i * k + j): v for j, hj in enumerate(levels) for i, v in enumerate(hj.coeffs) if v}
+        return {-(i * k + j): Fraction(v, hj.den)
+                for j, hj in enumerate(levels) for i, v in enumerate(hj.num) if v}
 
     pivots: list = []  # an echelon basis of the kernel of D, which is 0 unless A_0 = 0
     for j in range(0 if a0 else k):
         linalg.add_column(pivots, vector(lift([poly_zero()] * k, [poly_zero()] * j + [poly_one()])), j)
 
     def solve(f: Poly) -> Poly:
-        vec = vector(lift(_levels(f, k), []))
+        fl = _levels(f, k)
+        vec = vector(lift(fl, []))
         linalg.eliminate(pivots, vec, {})
         h = Poly(ring, tuple(
             RingElement(ring, tuple(vec.get(-(i * k + l), _F0) for l in range(k)))
             for i in range(-min(vec, default=0) // k + 1)))
-        assert (h.derivative().scale(c) - a * h).coeffs == f.coeffs
-        assert h.degree <= f.degree + extra
+        # D h = f level by level, on the levels read back from h
+        hl = _levels(h, k)
+        for j in range(k):
+            image = fl[j]
+            for i, hi in enumerate(reversed(hl[:j + 1])):  # hi = h_(j-i)
+                if cs[i]:
+                    image = image - hi.derivative().scale(cs[i])
+                if not big_a[i].is_zero:
+                    image = image + big_a[i] * hi
+            if not image.is_zero:
+                raise BadInput(f"internal inconsistency: c*h' - a*h differs from {f} at x^{j}")
+        if h.degree > f.degree + extra:
+            raise BadInput("internal inconsistency: witness exceeds its degree budget")
         return h
 
     monomials = tuple((n, solve(t_monomial(ring, n))) for n in range(deg_bound + 1))

@@ -128,6 +128,8 @@ MALFORMED_CASES = (
     (("ufd-member", "--ctx", "ufd:a=x,b=x", "--poly", "t"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=2,c=1", "--deg-bound", "2"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=1.5,c=1,a=x", "--deg-bound", "2"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=2,c=1,a=x*t", "--deg-bound", "100000"), "BAD_INPUT"),
     (("moments", "--weight", "hermite", "--upto", "-3"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "1:3"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "1:3", "--weight", "hermite",

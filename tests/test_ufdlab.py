@@ -467,6 +467,9 @@ def test_surjectivity_matches_column_search():
     rng = random.Random(1313)
     fixed = ["trunc:k=5,c=x,a=1/2*t - x^2 + 3*x^4*t", "trunc:k=6,c=1 + 2/3*x,a=t - x^5*t"]
     cases = [parse_trunc_context(text) + (2,) for text in fixed]
+    # k = 12 with both kinds of level solve: top-down (A_0 = 1) and integration (A_0 = 0)
+    cases += [parse_trunc_context(text) + (20,)
+              for text in ("trunc:k=12,c=x,a=1 + x*t^4", "trunc:k=12,c=1 + x,a=x + x*t^4")]
     cases += [random_trunc_context(rng) for _ in range(2000)]
     seen = set()
     for ring, c, a, deg_bound in cases:
@@ -508,3 +511,39 @@ def test_surjectivity_check_is_fast():
     assert report.status == "ONE_IN_IMAGE" and report.unresolved == ()
     assert [n for n, _ in report.monomials] == list(range(11))
     assert elapsed < 1.5, elapsed
+
+
+@pytest.mark.parametrize("text", ["trunc:k=3,c=1,a=-2/3 + x^2*t", "trunc:k=4,c=x + 1,a=x*t + x"])
+def test_surjectivity_rejects_a_corrupted_witness(monkeypatch, text):
+    eliminate = linalg.eliminate
+
+    def corrupt(pivots, vec, comb):
+        witness = not comb  # a kernel vector comes with its column's combination
+        eliminate(pivots, vec, comb)
+        if witness:
+            vec[min(vec)] += 1
+
+    ring, c, a = parse_trunc_context(text)
+    monkeypatch.setattr(linalg, "eliminate", corrupt)
+    with pytest.raises(BadInput, match="internal inconsistency"):
+        surjectivity_check(ring, c, a, 3)
+
+
+def test_surjectivity_refuses_costly_requests_at_once():
+    start = time.perf_counter()
+    for text, deg_bound, word in [("trunc:k=2,c=1,a=x*t", 100000, "deg_bound"),
+                                  ("trunc:k=2,c=1,a=x*t", 10 ** 30, "deg_bound"),
+                                  ("trunc:k=3,c=1,a=x*t", 400, "deg_bound"),
+                                  ("trunc:k=2,c=0,a=x", 100000, "deg_bound"),
+                                  ("trunc:k=2,c=1,a=1 + x*t^10000", 0, "deg_bound"),
+                                  ("trunc:k=17,c=1,a=x*t", 1, "k = 17"),
+                                  ("trunc:k=32,c=1 + x,a=x + x*t^4", 10, "k = 32")]:
+        with pytest.raises(BadInput, match=word):
+            surjectivity_check(*parse_trunc_context(text), deg_bound)
+    assert time.perf_counter() - start < 0.5
+    for k, word in [("1.5", "k must be"), ("x", "k must be"), ("0", "positive"), ("-2", "positive")]:
+        with pytest.raises(BadInput, match=word):
+            parse_trunc_context(f"trunc:k={k},c=1,a=x")
+    # past every request of the tests and the benchmark (k <= 12, deg bound <= 20)
+    ring, c, a = parse_trunc_context("trunc:k=16,c=x,a=1 + x*t^4")
+    assert surjectivity_check(ring, c, a, 20).status == "ONE_IN_IMAGE"
