@@ -8,33 +8,32 @@ The main variable is always ``t``.  Coefficients live in one of three rings:
 * ``QQ_POLY_TRUNC(k)`` — ``x``-polynomials truncated modulo x^k, a
   finite-dimensional ring with nilpotents.
 
-A polynomial over QQ is held as a tuple of integer numerators ``num`` over
-one positive denominator ``den``, in lowest terms (no prime divides ``den``
-and every numerator) and without trailing zeros, so each rational
-polynomial has exactly one representation.  Its ``coeffs`` (and
-``qq_coeffs()`` and ``coeff(i)``) are a ``fractions.Fraction`` view built on
-first read; equality and hashing use ``num`` and ``den`` only.  Over the
-other two rings a coefficient is a ``RingElement``: a stripped tuple of
-Fractions in powers of x.
+A polynomial over QQ (a ``Poly`` in t) and an element of the other two
+rings (a ``RingElement``, a polynomial in x) are both held as a tuple of
+integer numerators ``num`` over one positive denominator ``den``, in lowest
+terms (no prime divides ``den`` and every numerator) and without trailing
+zeros, so each rational polynomial has exactly one representation.  Their
+``fractions.Fraction`` views (``Poly.coeffs`` and ``RingElement.data``) are
+built on first read; equality and hashing use ``ring``, ``num`` and ``den``.
+Over QQ_POLY and QQ_POLY_TRUNC(k) a ``Poly`` coefficient is a RingElement.
 
 Every value is immutable and every operation exact; there is no floating
 point anywhere.  The canonical zero polynomial has an empty coefficient
 tuple and degree -1 (the distinguished sentinel); all operations branch on
 it explicitly.
 
-The rational arithmetic runs on integers.  Sums, products, scaling,
-derivatives, evaluation and substitution work on the numerators and build
-no Fraction; one gcd brings each result to lowest terms.  Long division is
-integer pseudo-division: a monic integer divisor divides the numerators
-with no scaling at all, and any other divisor first loses its content and
-then multiplies each remainder coefficient by the powers of its leading
-coefficient only when the loop reaches it, so the work stays one multiply
-per divisor term and step however many steps there are.  Gcds and
-squarefree parts run the primitive remainder sequence (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 6) on the numerators.  The same
-kernels divide, take gcds and take squarefree parts of ``RingElement``
-over QQ_POLY, and the product of two ``RingElement`` coefficient lists is
-one convolution of integer numerators over the two common denominators.
+The rational arithmetic runs on integers, and one set of kernels serves
+both types: one canonical form, one sum, one convolution (stopped at x^k
+in QQ_POLY_TRUNC(k)), one division and one gcd.  Sums, products, scaling,
+derivatives, evaluation and substitution build no Fraction; one gcd brings
+each result to lowest terms.  Long division is integer pseudo-division: a
+monic integer divisor divides the numerators with no scaling at all, and
+any other divisor first loses its content and then multiplies each
+remainder coefficient by the powers of its leading coefficient only when
+the loop reaches it, so the work stays one multiply per divisor term and
+step however many steps there are.  Gcds and squarefree parts run the
+primitive remainder sequence (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 6) on the numerators.
 
 Text format (whitespace-insensitive)::
 
@@ -49,6 +48,7 @@ unary '+'.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -126,6 +126,80 @@ def clear_denominators(values: Iterable) -> tuple[int, list[int]]:
     return d, [p * (d // q) for p, q in pairs]
 
 
+def _from_values(values: Iterable, limit: Optional[int] = None):
+    """(num, den, view) of rational values cut after ``limit`` entries when
+    given: num and den canonical, and view the stripped values when all of
+    them are Fractions (which are then the Fraction view), else None."""
+    values = [c if type(c) is Fraction or type(c) is int else _as_fraction(c) for c in values]
+    n = len(values) if limit is None else min(len(values), limit)
+    while n and not values[n - 1]:
+        n -= 1
+    del values[n:]
+    # lowest-terms Fractions over the lcm of their denominators are
+    # already in lowest terms as a whole
+    den, num = clear_denominators(values)
+    view = tuple(values) if all(type(c) is Fraction for c in values) else None
+    return tuple(num), den, view
+
+
+def _canonical(cls, ring: "Ring", num: Sequence[int], den: int):
+    """The Poly over QQ or RingElement with coefficients num[i] / den
+    (den != 0) in canonical form: no trailing zeros, den > 0 and
+    gcd(den, num...) = 1."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return _build(cls, ring, (), 1)
+    if n != len(num):
+        num = num[:n]
+    if den < 0:
+        den = -den
+        num = [-x for x in num]
+    g = math.gcd(den, *num)
+    if g != 1:
+        den //= g
+        num = [x // g for x in num]
+    return _build(cls, ring, tuple(num), den)
+
+
+def _zadd(a: Sequence[int], da: int, b: Sequence[int], db: int,
+          sign: int = 1) -> tuple[list[int], int]:
+    """a/da + sign * b/db as (numerators, denominator), not yet canonical;
+    sign is 1 or -1.  With da = db = None it adds lists of RingElements."""
+    if da != db:
+        c = math.gcd(da, db)
+        sa, sb = db // c, da // c
+        a = [x * sa for x in a]
+        b = [x * sb for x in b]
+        da *= sa
+    if sign < 0:
+        b = [-x for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return out, da
+
+
+def _zmul(a: Sequence[int], b: Sequence[int], limit: Optional[int] = None) -> list[int]:
+    """The product of two integer lists, stopped after the first ``limit``
+    entries when a limit is given."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    if limit is not None and limit < n:
+        n = limit
+        a = a[:n]
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b if n - i >= len(b) else b[:n - i], i):
+                out[j] += ai * bj
+    return out
+
+
 def _content(a: Sequence[int]) -> int:
     """gcd of the entries of a nonzero stripped list, signed like its last entry."""
     c = math.gcd(*a)
@@ -193,6 +267,24 @@ def _zdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], 
     return q, [w[i] * pw[steps - seen[i]] for i in range(n)], pw[steps]
 
 
+def _qq_divmod(df: int, f: Sequence[int], dg: int, g: Sequence[int], cls, ring: "Ring"):
+    """(q, r) with f/df = q * g/dg + r and deg r < deg g, as Polys over QQ or
+    RingElements of ring, for stripped integer lists f and g (g nonzero)
+    and nonzero denominators.
+
+    With c the content of g, signed like its leading coefficient, and
+    P = g / c, the pseudo-division s*f = Q*P + R gives
+    q = Q*dg / (s*df*c) and r = R / (s*df).
+    """
+    c = _content(g)
+    if c != 1:
+        g = [x // c for x in g]
+    q, r, s = _zdivmod(f, g)
+    if dg != 1:
+        q = [x * dg for x in q]
+    return _canonical(cls, ring, q, s * df * c), _canonical(cls, ring, r, s * df)
+
+
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd, with positive leading coefficient, of two stripped
     integer lists by the primitive remainder sequence; [] when both are zero."""
@@ -207,87 +299,114 @@ def _zsquarefree(a: list[int]) -> list[int]:
     return _prim(_zdivmod(a, _zgcd(a, [a[i] * i for i in range(1, len(a))]))[0])
 
 
-def _monic_fractions(a: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, a[-1]) for x in a)
+def _power(x, n: int):
+    """x ** n for n >= 1, left to right from the top bit: x ** 1 is x itself,
+    and x ** n takes n.bit_length() - 1 squarings and n.bit_count() - 1
+    products with x."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
-# --------------------------------------------------------------------------
-# dense tuple arithmetic for the x-polynomials backing QQ_POLY / trunc rings
-# --------------------------------------------------------------------------
-
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+_new = object.__new__
+_set = object.__setattr__
 
 
-def _tadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return _strip(out)
-
-
-def _tneg(a):
-    return tuple(-v for v in a)
-
-
-def _tdivmod(num, den):
-    """Long division of x-polynomial tuples over the rationals, on the
-    integer numerators of both (see `euclid_divmod`)."""
-    if len(num) < len(den):
-        return (), _strip(num)
-    q, r = _qq_divmod(*clear_denominators(num), *clear_denominators(den))
-    return q.coeffs, r.coeffs
-
-
-def _tderiv(a):
-    return _strip([a[i] * i for i in range(1, len(a))])
+def _build(cls, ring: "Ring", num: tuple, den: int):
+    """A Poly over QQ or a RingElement from numerators and a denominator
+    already in canonical form."""
+    obj = _new(cls)
+    _set(obj, "ring", ring)
+    _set(obj, "num", num)
+    _set(obj, "den", den)
+    return obj
 
 
 # --------------------------------------------------------------------------
 # ring elements
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class RingElement:
-    """An element of QQ_POLY or QQ_POLY_TRUNC(k): a stripped tuple of Fractions
-    in ascending powers of x.  Elements of QQ are plain Fractions."""
+    """An element of QQ_POLY or QQ_POLY_TRUNC(k); elements of QQ are plain
+    Fractions.
 
-    ring: Ring
-    data: tuple
+    ``num`` is the tuple of integer numerators in ascending powers of x and
+    ``den`` their positive common denominator, in lowest terms, without
+    trailing zeros and, over QQ_POLY_TRUNC(k), of length at most k.
+    ``data`` is the Fraction view, built on first read.  Instances are
+    immutable.
+    """
 
-    def __post_init__(self):
-        if self.ring.is_field:
+    __slots__ = ("ring", "num", "den", "_data")
+
+    def __init__(self, ring: Ring, data=()):
+        if ring.is_field:
             raise BadInput("QQ elements are Fractions, not ring elements")
-        raw = self.data
-        if isinstance(raw, (int, Fraction)):
-            raw = (raw,)
-        # Arithmetic hands over coefficients that are already Fractions; only
-        # other values are converted, since a Fraction(...) copy is the
-        # dominant cost of building an element.
-        coeffs = [v if type(v) is Fraction else Fraction(v) for v in raw]
-        if self.ring.kind == "QQ_POLY_TRUNC":
-            coeffs = coeffs[: self.ring.trunc]
-        object.__setattr__(self, "data", _strip(coeffs))
+        if isinstance(data, (int, Fraction)):
+            data = (data,)
+        num, den, view = _from_values(data, ring.trunc)
+        _set(self, "ring", ring)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        if view is not None:
+            _set(self, "_data", view)
+
+    @staticmethod
+    def from_ints(ring: Ring, num: Sequence[int], den: int = 1) -> "RingElement":
+        """The element with x-coefficients num[i] / den (den != 0) of ring,
+        cut at x^k over QQ_POLY_TRUNC(k) and brought to canonical form."""
+        if ring.is_field:
+            raise BadInput("QQ elements are Fractions, not ring elements")
+        k = ring.trunc
+        if k is not None and len(num) > k:
+            num = num[:k]
+        return _elem(ring, num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RingElement is immutable; cannot set {name!r}")
+
+    @property
+    def data(self) -> tuple:
+        """Coefficients in ascending powers of x, as Fractions."""
+        try:
+            return self._data
+        except AttributeError:
+            den = self.den
+            view = tuple(Fraction(x, den) for x in self.num)
+            _set(self, "_data", view)
+            return view
+
+    def __eq__(self, other):
+        if type(other) is not RingElement:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.ring == other.ring
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RingElement(ring={self.ring!r}, data={self.data!r})"
+
+    def __reduce__(self):
+        return RingElement, (self.ring, self.data)
 
     # -- structure -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.data)
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.num
 
     @property
     def is_unit(self) -> bool:
         if self.ring.kind == "QQ_POLY":
-            return len(self.data) == 1
-        return bool(self.data) and self.data[0] != 0
+            return len(self.num) == 1
+        return bool(self.num) and self.num[0] != 0
 
     # -- arithmetic ------------------------------------------------------
 
@@ -297,44 +416,44 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.ring, _tadd(self.data, other.data))
+        return _elem(self.ring, *_zadd(self.num, self.den, other.num, other.den))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        self._check(other)
+        return _elem(self.ring, *_zadd(self.num, self.den, other.num, other.den, -1))
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, _tneg(self.data))
+        return _build(RingElement, self.ring, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return RingElement(self.ring, _qq_convolve(self.data, other.data, self.ring.trunc))
+        return _elem(self.ring, _zmul(self.num, other.num, self.ring.trunc), self.den * other.den)
 
     __rmul__ = __mul__
 
-    def scale(self, q: Fraction) -> "RingElement":
-        q = Fraction(q)
-        return RingElement(self.ring, tuple(v * q for v in self.data))
+    def scale(self, q) -> "RingElement":
+        if type(q) is not int and type(q) is not Fraction:
+            q = _as_fraction(q)
+        p = q.numerator
+        return _elem(self.ring, [x * p for x in self.num], self.den * q.denominator)
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
             raise BadInput("negative ring-element power")
-        out = ring_scalar(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else ring_scalar(self.ring, 1)
 
     def derivative(self) -> "RingElement":
         """d/dx."""
-        return RingElement(self.ring, _tderiv(self.data))
+        a = self.num
+        return _elem(self.ring, [a[i] * i for i in range(1, len(a))], self.den)
 
     def __str__(self) -> str:
         return format_ring_element(self)
+
+
+_elem = functools.partial(_canonical, RingElement)
 
 
 def ring_scalar(ring: Ring, value):
@@ -346,7 +465,8 @@ def ring_scalar(ring: Ring, value):
 
 def ring_monomial(ring: Ring, n: int, coeff=1) -> RingElement:
     """coeff * x^n in a polynomial coefficient ring."""
-    return RingElement(ring, (_F0,) * n + (Fraction(coeff),))
+    p, q = Fraction(coeff).as_integer_ratio()
+    return RingElement.from_ints(ring, [0] * n + [p], q)
 
 
 def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
@@ -366,8 +486,8 @@ def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
     if b.is_zero:
         return ring_scalar(ring, 0)
     if ring.kind == "QQ_POLY":
-        q, r = _tdivmod(b.data, a.data)
-        return RingElement(ring, q) if not r else None
+        q, r = _qq_divmod(b.den, b.num, a.den, a.num, RingElement, ring)
+        return None if r else q
     # truncated ring: forward-substitute past the x-adic valuation of a
     k = ring.trunc
     av = a.data
@@ -383,7 +503,7 @@ def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
         acc = sum(av[v + i] * c[j - i] for i in range(1, j + 1) if v + i < len(av))
         c[j] = (target - acc) / lead
     cand = RingElement(ring, tuple(c))
-    return cand if (a * cand).data == b.data else None
+    return cand if a * cand == b else None
 
 
 def ring_gcd(*elements: RingElement) -> RingElement:
@@ -399,17 +519,14 @@ def ring_gcd(*elements: RingElement) -> RingElement:
         raise BadInput("gcd is only defined over QQ_POLY")
     acc: list[int] = []
     for e in elements:
-        acc = _zgcd(acc, clear_denominators(e.data)[1])
-    return RingElement(ring, _monic_fractions(acc) if acc else ())
+        acc = _zgcd(acc, list(e.num))
+    # a primitive list over its positive leading entry is in lowest terms
+    return _build(RingElement, ring, tuple(acc), acc[-1]) if acc else ring_scalar(ring, 0)
 
 
 # --------------------------------------------------------------------------
 # polynomials in t
 # --------------------------------------------------------------------------
-
-_new = object.__new__
-_set = object.__setattr__
-
 
 class Poly:
     """Dense univariate polynomial in t over a coefficient ring.
@@ -425,20 +542,12 @@ class Poly:
 
     def __init__(self, ring: Ring, coeffs: Iterable = ()):
         if ring.is_field:
-            values = [c if type(c) is Fraction or type(c) is int else _as_fraction(c)
-                      for c in coeffs]
-            n = len(values)
-            while n and not values[n - 1]:
-                n -= 1
-            del values[n:]
-            # lowest-terms Fractions over the lcm of their denominators are
-            # already in lowest terms as a whole
-            den, num = clear_denominators(values)
+            num, den, view = _from_values(coeffs)
             _set(self, "ring", ring)
-            _set(self, "num", tuple(num))
+            _set(self, "num", num)
             _set(self, "den", den)
-            if all(type(c) is Fraction for c in values):  # they are the view
-                _set(self, "_coeffs", tuple(values))
+            if view is not None:
+                _set(self, "_coeffs", view)
             return
         cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c) for c in coeffs]
         if any(c.ring != ring for c in cleaned):
@@ -456,21 +565,7 @@ class Poly:
     def from_ints(num: Sequence[int], den: int = 1) -> "Poly":
         """The polynomial over QQ with coefficients num[i] / den (den != 0),
         brought to canonical form."""
-        n = len(num)
-        while n and not num[n - 1]:
-            n -= 1
-        if not n:
-            return _make((), 1)
-        if n != len(num):
-            num = num[:n]
-        if den < 0:
-            den = -den
-            num = [-x for x in num]
-        g = math.gcd(den, *num)
-        if g != 1:
-            den //= g
-            num = [x // g for x in num]
-        return _make(tuple(num), den)
+        return _canonical(Poly, QQ, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Poly is immutable; cannot set {name!r}")
@@ -542,39 +637,23 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.den is not None:
-            return _qq_add(self, other, 1)
-        a, b = self.num, other.num
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Poly(self.ring, tuple(out))
+        out, den = _zadd(self.num, self.den, other.num, other.den)
+        return _qq(out, den) if den else Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if self.den is not None:
-            self._check(other)
-            return _qq_add(self, other, -1)
-        return self + (-other)
+        self._check(other)
+        out, den = _zadd(self.num, self.den, other.num, other.den, -1)
+        return _qq(out, den) if den else Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
-        if self.den is not None:
-            return _make(tuple(-x for x in self.num), self.den)
-        return Poly(self.ring, tuple(-c for c in self.num))
+        out = tuple(-x for x in self.num)
+        return _build(Poly, QQ, out, self.den) if self.den else Poly(self.ring, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         a, b = self.num, other.num
         if self.den is not None:
-            if not a or not b:
-                return _make((), 1)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        out[j] += ai * bj
-            return _qq(out, self.den * other.den)
+            return _qq(_zmul(a, b), self.den * other.den)
         if not a or not b:
             return Poly(self.ring, ())
         out = [ring_scalar(self.ring, 0)] * (len(a) + len(b) - 1)
@@ -588,16 +667,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise BadInput("negative polynomial power")
-        if n == 0:
-            return poly_one(self.ring)
-        # left to right from the top bit: p ** 1 is p itself, and p ** n takes
-        # n.bit_length() - 1 squarings and n.bit_count() - 1 products with p
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power(self, n) if n else poly_one(self.ring)
 
     def scale(self, q) -> "Poly":
         """Multiply every coefficient by q, a rational or a ring element."""
@@ -613,9 +683,8 @@ class Poly:
     def derivative(self) -> "Poly":
         """d/dt."""
         a = self.num
-        if self.den is not None:
-            return _qq([a[i] * i for i in range(1, len(a))], self.den)
-        return Poly(self.ring, tuple(a[i] * i for i in range(1, len(a))))
+        out = [a[i] * i for i in range(1, len(a))]
+        return _qq(out, self.den) if self.den else Poly(self.ring, out)
 
     def evaluate(self, point: Fraction) -> Fraction:
         if self.den is None:
@@ -670,36 +739,7 @@ class Poly:
         return format_poly(self)
 
 
-def _make(num: tuple, den: int) -> Poly:
-    """A QQ polynomial from a numerator tuple and denominator already in
-    canonical form."""
-    p = _new(Poly)
-    _set(p, "ring", QQ)
-    _set(p, "num", num)
-    _set(p, "den", den)
-    return p
-
-
-_qq = Poly.from_ints
-
-
-def _qq_add(f: Poly, g: Poly, sign: int) -> Poly:
-    """f + sign * g over QQ, sign = 1 or -1."""
-    a, da, b, db = f.num, f.den, g.num, g.den
-    if da != db:
-        c = math.gcd(da, db)
-        sa, sb = db // c, da // c
-        a = [x * sa for x in a]
-        b = [x * sb for x in b]
-        da *= sa
-    if sign < 0:
-        b = [-x for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return _qq(out, da)
+_qq = functools.partial(_canonical, Poly, QQ)
 
 
 def _as_fraction(value) -> Fraction:
@@ -707,25 +747,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, RingElement):
         raise RingMismatch("coefficient from a different ring")
     return Fraction(value)
-
-
-def _qq_convolve(fa: Sequence[Fraction], fb: Sequence[Fraction],
-                 limit: Optional[int] = None) -> list[Fraction]:
-    """Convolution over QQ via integer scaling (big-int multiplies are cheap),
-    stopped after the first limit coefficients when a limit is given."""
-    if not fa or not fb:
-        return []
-    la, a = clear_denominators(fa)
-    lb, b = clear_denominators(fb)
-    n = len(a) + len(b) - 1
-    n = n if limit is None else min(n, limit)
-    out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[:n - i], i):
-                out[j] += ai * bj
-    scale = la * lb
-    return [Fraction(c, scale) for c in out]
 
 
 def qq_poly(coeffs: Iterable) -> Poly:
@@ -739,7 +760,7 @@ def poly_zero(ring: Ring = QQ) -> Poly:
 
 def poly_one(ring: Ring = QQ) -> Poly:
     if ring.is_field:
-        return _make((1,), 1)
+        return _build(Poly, QQ, (1,), 1)
     return Poly(ring, (ring_scalar(ring, 1),))
 
 
@@ -773,23 +794,6 @@ def poly_arith(op: str, f: Poly, g) -> Poly:
 # Euclidean division, gcds, squarefree parts (field coefficients)
 # --------------------------------------------------------------------------
 
-def _qq_divmod(df: int, f: Sequence[int], dg: int, g: Sequence[int]) -> tuple[Poly, Poly]:
-    """(q, r) with f/df = q * g/dg + r and deg r < deg g, for stripped
-    integer lists f and g (g nonzero) and nonzero denominators.
-
-    With c the content of g, signed like its leading coefficient, and
-    P = g / c, the pseudo-division s*f = Q*P + R gives
-    q = Q*dg / (s*df*c) and r = R / (s*df).
-    """
-    c = _content(g)
-    if c != 1:
-        g = [x // c for x in g]
-    q, r, s = _zdivmod(f, g)
-    if dg != 1:
-        q = [x * dg for x in q]
-    return _qq(q, s * df * c), _qq(r, s * df)
-
-
 def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """(q, r) with f = q*g + r and deg r < deg g, over QQ."""
     if f.ring != g.ring:
@@ -800,7 +804,7 @@ def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise DivisionByZero("division by the zero polynomial")
     if f.degree < g.degree:
         return poly_zero(f.ring), f
-    return _qq_divmod(f.den, f.num, g.den, g.num)
+    return _qq_divmod(f.den, f.num, g.den, g.num, Poly, QQ)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -811,7 +815,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         raise BadInput("rational coefficient view requires ring QQ")
     d = _zgcd(list(f.num), list(g.num))
     # a primitive list over its positive leading entry is in lowest terms
-    return _make(tuple(d), d[-1]) if d else poly_zero()
+    return _build(Poly, QQ, tuple(d), d[-1]) if d else poly_zero()
 
 
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -843,7 +847,7 @@ def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
             u0, a, b = u1, b, r
     if not a:
         return poly_zero(ring), u0, poly_zero(ring)
-    d = _make(tuple(a), a[-1])
+    d = _build(Poly, QQ, tuple(a), a[-1])
     u = u0.scale(Fraction(1, a[-1]))
     v = poly_zero(ring) if g.is_zero else euclid_divmod(d - u * f, g)[0]
     return d, u, v
@@ -869,13 +873,11 @@ def squarefree_part(value):
         raise BadInput("squarefree part of a t-polynomial requires ring QQ")
     if value.is_zero:
         raise ZeroInput("squarefree part of zero")
-    if isinstance(value, Poly):
-        s = _zsquarefree(list(value.num))
-        return _make(tuple(s), s[-1])
-    if value.ring.kind != "QQ_POLY":
+    if isinstance(value, RingElement) and value.ring.kind != "QQ_POLY":
         raise BadInput("squarefree part requires QQ or QQ_POLY")
-    s = _zsquarefree(clear_denominators(value.data)[1])
-    return RingElement(value.ring, _monic_fractions(s))
+    s = _zsquarefree(list(value.num))
+    # a primitive list over its positive leading entry is in lowest terms
+    return _build(type(value), value.ring, tuple(s), s[-1])
 
 
 # --------------------------------------------------------------------------
@@ -987,9 +989,10 @@ class _PolyParser:
         return t_exp, x_exp, sign * num, den
 
     def build(self, terms) -> Poly:
+        """The polynomial of the terms; each coefficient is summed as integers
+        over the lcm of its terms' denominators, and no Fraction is built."""
         top = max(te for te, _, _, _ in terms)
         if self.ring.kind == "QQ":
-            # one common denominator for all terms: no Fraction is built
             den = math.lcm(*(d for _, _, _, d in terms))
             num = [0] * (top + 1)
             for te, _, n, d in terms:
@@ -997,16 +1000,16 @@ class _PolyParser:
             return _qq(num, den)
         parts: dict[int, list] = {}
         for te, xe, n, d in terms:
-            parts.setdefault(te, []).append((xe, Fraction(n, d)))
+            parts.setdefault(te, []).append((xe, n, d))
         coeffs = []
         for te in range(top + 1):
-            here = parts.get(te, [])
-            width = max((xe for xe, _ in here), default=-1) + 1
-            data = [_F0] * width
-            for xe, c in here:
-                data[xe] += c
-            coeffs.append(RingElement(self.ring, tuple(data)))
-        return Poly(self.ring, tuple(coeffs))
+            here = parts.get(te, ())
+            den = math.lcm(*(d for _, _, d in here))
+            num = [0] * (max((xe for xe, _, _ in here), default=-1) + 1)
+            for xe, n, d in here:
+                num[xe] += n * (den // d)
+            coeffs.append(RingElement.from_ints(self.ring, num, den))
+        return Poly(self.ring, coeffs)
 
 
 def parse_poly(text: str, ring: Ring = QQ) -> Poly:
@@ -1064,10 +1067,10 @@ def _term_strings(p: Poly):
         if p.den is not None:
             yield _magnitude(c, p.den), 0, te, c < 0
         else:
-            for xe in range(len(c.data) - 1, -1, -1):
-                v = c.data[xe]
+            for xe in range(len(c.num) - 1, -1, -1):
+                v = c.num[xe]
                 if v:
-                    yield str(abs(v)), xe, te, v < 0
+                    yield _magnitude(v, c.den), xe, te, v < 0
 
 
 def _render_term(mag: str, xe: int, te: int) -> str:

@@ -201,9 +201,12 @@ class CofiniteSubspace:
             if any(isinstance(v, float) for v in vec):
                 raise BadInput("basis vectors must be exact rationals, not floats")
             # strings go through parse_rational, which refuses exponent notation
-            entries = [v if type(v) is Fraction
-                       else parse_rational(v) if isinstance(v, str) else Fraction(v)
-                       for v in vec]
+            try:
+                entries = [v if type(v) is Fraction
+                           else parse_rational(v) if isinstance(v, str) else Fraction(v)
+                           for v in vec]
+            except TypeError:
+                raise BadInput("basis entries must be integers or rational strings") from None
             if len(entries) != self.dim:
                 raise BadInput(f"basis vectors must have length {self.dim}")
             basis.append(tuple(entries))
@@ -276,20 +279,9 @@ class CofiniteSubspace:
                 if isinstance(mult, (bool, float)):
                     raise BadInput("factor multiplicities must be positive integers")
                 factors.append((poly, int(mult)))
-            raw = [list(vec) for vec in data.get("vbar_basis", [])]
+            vectors = [list(vec) for vec in data.get("vbar_basis", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed subspace description: {exc}") from exc
-        vectors = []
-        for vec in raw:
-            entries = []
-            for v in vec:
-                if isinstance(v, str):
-                    entries.append(parse_rational(v))
-                elif isinstance(v, int) and not isinstance(v, bool):
-                    entries.append(Fraction(v))
-                else:
-                    raise BadInput("basis entries must be integers or rational strings")
-            vectors.append(entries)
         return cls(factors, vectors)
 
     def to_dict(self) -> dict:

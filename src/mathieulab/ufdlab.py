@@ -51,7 +51,6 @@ from .corealg import (
 )
 from .errors import BadInput, NotInRadical
 
-_F0 = Fraction(0)
 INFINITE = math.inf
 
 # cost limits of surjectivity_check: at the size limit, k = 16 and a dense a
@@ -205,7 +204,7 @@ def gcd_lift(a: RingElement, d_list: Sequence[RingElement]) -> tuple[RingElement
     lifted = [exact_divide(d, b) for d in d_list]
     if u is None or any(v is None for v in lifted):
         raise BadInput("internal inconsistency: the gcd does not divide every element")
-    if any((u * d).data != (dt * a).data for d, dt in zip(d_list, lifted)):
+    if any(u * d != dt * a for d, dt in zip(d_list, lifted)):
         raise BadInput("internal inconsistency: u*d_i != d~_i*a")
     if all(dt.is_zero or exact_divide(dt, rho) is not None for dt in lifted):
         raise BadInput("internal inconsistency: lift stayed inside the radical")
@@ -269,10 +268,11 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
 
 
 def _levels(p: Poly, k: int) -> list[Poly]:
-    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j."""
-    pad = (_F0,) * k
-    den, num = clear_denominators([v for cf in p.coeffs for v in (cf.data + pad)[:k]])
-    return [Poly.from_ints(num[j::k], den) for j in range(k)]
+    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j,
+    over the common denominator of p's coefficients."""
+    den = math.lcm(*(cf.den for cf in p.coeffs))
+    return [Poly.from_ints([cf.num[j] * (den // cf.den) if j < len(cf.num) else 0
+                            for cf in p.coeffs], den) for j in range(k)]
 
 
 def _solve_level(g: Poly, c0: Fraction, a0: Fraction) -> Poly:
@@ -339,7 +339,7 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         note = None if low else ("every image value lies in the proper ideal generated by c and "
                                  "the coefficients of a, so 1 is structurally unreachable")
         return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
-    cs = c.data + (_F0,) * (k - len(c.data))
+    cs = [Fraction(v, c.den) for v in c.num] + [0] * (k - len(c.num))
     big_a = _levels(a, k)
     c0, a0 = cs[0], big_a[0].coeff(0)
 
@@ -370,9 +370,11 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         fl = _levels(f, k)
         vec = vector(lift(fl, []))
         linalg.eliminate(pivots, vec, {})
-        h = Poly(ring, tuple(
-            RingElement(ring, tuple(vec.get(-(i * k + l), _F0) for l in range(k)))
-            for i in range(-min(vec, default=0) // k + 1)))
+        den, num = clear_denominators(vec.values())
+        ints = dict(zip(vec, num))
+        h = Poly(ring, [RingElement.from_ints(ring, [ints.get(-(i * k + l), 0)
+                                                     for l in range(k)], den)
+                        for i in range(-min(vec, default=0) // k + 1)])
         # D h = f level by level, on the levels read back from h
         hl = _levels(h, k)
         for j in range(k):

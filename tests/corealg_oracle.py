@@ -3,8 +3,9 @@ verbatim as an independent oracle for the integer-numerator ``Poly``: a
 ``Poly`` whose coefficients are a tuple of Fractions, its arithmetic,
 ``euclid_divmod`` through the Fraction or monic-integer long division
 ``_tdivmod``, the Euclidean gcd ``_tgcd`` behind ``poly_gcd``,
-``squarefree_part`` and ``ring_gcd``, ``poly_xgcd``, and the parser and
-printer that build and read Fraction coefficients."""
+``squarefree_part`` and ``ring_gcd``, ``poly_xgcd``, the parser and
+printer that build and read Fraction coefficients, and the Fraction-tuple
+helpers ``_strip`` and ``_tderiv`` they use."""
 
 import math
 import re
@@ -12,11 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mathieulab.corealg import QQ, Ring, RingElement, _strip, _tderiv, ring_scalar
+from mathieulab.corealg import QQ, Ring, RingElement, ring_scalar
 from mathieulab.errors import BadInput, DivisionByZero, ParseError, RingMismatch, ZeroInput
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _tderiv(a):
+    return _strip([a[i] * i for i in range(1, len(a))])
 
 
 def _tdivmod(num, den):

@@ -1,6 +1,8 @@
 """Core arithmetic: worked examples plus randomized algebraic laws."""
 
+import copy
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -15,9 +17,7 @@ from mathieulab.corealg import (
     QQ,
     QQ_POLY,
     RingElement,
-    _qq_convolve,
-    _strip,
-    _tdivmod,
+    clear_denominators,
     euclid_divmod,
     exact_divide,
     format_poly,
@@ -47,6 +47,7 @@ from mathieulab.errors import (
 )
 
 TRUNC3 = qq_poly_trunc(3)
+TRUNC5 = qq_poly_trunc(5)
 
 
 def rand_fraction(rng, height=9):
@@ -277,6 +278,27 @@ def test_pow_products_start_at_the_top_bit(monkeypatch, ring):
         assert len(products) == (n.bit_length() - 1 + n.bit_count() - 1 if n else 0), n
     products.clear()
     assert f ** 1 is f and not products
+    if ring is QQ:
+        return
+    # RingElement powers run the same loop
+    e = parse_ring_element("1/2*x^2 - x + 3", ring)
+    naive, powers = ring_scalar(ring, 1), []
+    for _ in range(34):
+        powers.append(naive)
+        naive = naive * e
+    counted_ring = RingElement.__mul__
+
+    def ring_mul(a, b):
+        products.append(1)
+        return counted_ring(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", ring_mul)
+    for n, expected in enumerate(powers):
+        products.clear()
+        assert e ** n == expected, n
+        assert len(products) == (n.bit_length() - 1 + n.bit_count() - 1 if n else 0), n
+    products.clear()
+    assert e ** 1 is e and not products
 
 
 def test_monic_of_a_monic_poly_is_unchanged():
@@ -417,20 +439,45 @@ def _as_list(e):
 
 
 def _assert_canonical(e, ring):
-    """A QQ coefficient is exactly a Fraction; any other is a stripped tuple."""
+    """A QQ coefficient is exactly a Fraction; any other holds integer
+    numerators over one denominator in lowest terms, and its data view is
+    the stripped Fraction tuple, cut at k."""
     if ring.kind == "QQ":
         assert type(e) is Fraction, e
         return
     assert type(e) is RingElement and e.ring == ring, e
+    assert type(e.num) is tuple and all(type(x) is int for x in e.num), e.num
+    assert type(e.den) is int and e.den > 0 and math.gcd(e.den, *e.num) == 1, (e.num, e.den)
+    assert not e.num or e.num[-1] != 0, e.num
     assert all(type(v) is Fraction for v in e.data), e.data
+    assert e.data == tuple(Fraction(x, e.den) for x in e.num), e.data
     assert not e.data or e.data[-1] != 0, e.data
     if ring.kind == "QQ_POLY_TRUNC":
         assert len(e.data) <= ring.trunc, e.data
 
 
 def _check_element(e, ref):
+    """e, built by arithmetic, holds ref; the same value built from ints
+    (unreduced, and over a truncated ring with terms past x^k), from
+    Fractions and by parsing is equal to it and hashes equal; e cannot be
+    assigned to, and pickle and deepcopy give it back."""
     _assert_canonical(e, e.ring)
     assert _as_list(e) == ref
+    ring = e.ring
+    den, num = clear_denominators(ref)
+    if ring.kind == "QQ_POLY_TRUNC":
+        num = num + [0] * (ring.trunc - len(num)) + [5, -6]
+    same = (RingElement.from_ints(ring, num, den),
+            RingElement.from_ints(ring, [-3 * x for x in num], -3 * den),
+            RingElement(ring, tuple(ref)), parse_ring_element(str(e), ring),
+            pickle.loads(pickle.dumps(e)), copy.deepcopy(e))
+    for other in same:
+        _assert_canonical(other, ring)
+        assert other == e and hash(other) == hash(e), (other, e)
+    if e:  # the same numerators over another denominator differ
+        assert RingElement.from_ints(ring, num, 2 * den) != e
+    with pytest.raises(AttributeError):
+        e.num = ()
 
 
 def _assert_poly_canonical(f):
@@ -442,6 +489,9 @@ def _assert_poly_canonical(f):
 def _check_poly(f, ref):
     _assert_poly_canonical(f)
     assert [_as_list(c) for c in f.coeffs] == ref
+    for same in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        _assert_poly_canonical(same)
+        assert same == f and hash(same) == hash(f)
 
 
 def test_ring_arithmetic_matches_fraction_lists():
@@ -454,6 +504,7 @@ def test_ring_arithmetic_matches_fraction_lists():
             _check_element(ea + eb, _ref_add(ring, a, b))
             _check_element(ea - eb, _ref_add(ring, a, [-v for v in b]))
             _check_element(-ea, [-v for v in a])
+            _check_element(ea.derivative(), _ref_strip([v * i for i, v in enumerate(a)][1:]))
             _check_element(ea * eb, _ref_mul(ring, a, b))
             n = rng.randint(0, 4)
             _check_element(ea ** n, _ref_pow(ring, a, n))
@@ -535,6 +586,11 @@ def test_bench_tracer_wraps_and_restores_the_arithmetic_methods():
 
 
 # -- cross-oracle: the integer kernels against the Fraction loops ------------
+
+def _strip(coeffs):
+    """A Fraction list without trailing zeros, as a tuple."""
+    return tuple(_ref_strip(coeffs))
+
 
 def _ref_tdivmod(num, den):
     """Long division on Fractions, the loop the integer path replaces."""
@@ -619,10 +675,24 @@ def test_division_kernel_matches_fraction_loop():
             length = rng.randint(0, len(den) - 1) if short else rng.randint(0, 14)
             kind = {"big": "big", "zero entries": "sparse"}.get(case, rng.choice(["int", "rat"]))
             num = _rand_tuple(rng, length, kind)
-            got, want = _tdivmod(num, den), _ref_tdivmod(num, den)
+            want_q, want_r = _ref_tdivmod(num, den)
+            # the Poly entry point returns quotient and remainder
+            got = tuple(part.coeffs for part in euclid_divmod(qq_poly(num), qq_poly(den)))
             for part in got:
                 _assert_fraction_tuple(part)
-            assert got == want, (case, num, den)
+            assert got == (want_q, want_r), (case, num, den)
+            # the RingElement one divides exactly or returns None; minus the
+            # remainder, every numerator divides exactly
+            b, a = RingElement(QQ_POLY, num), RingElement(QQ_POLY, den)
+            quotient = exact_divide(b, a)
+            assert (quotient is None) == bool(want_r), (case, num, den)
+            if quotient is not None:
+                _assert_canonical(quotient, QQ_POLY)
+                assert quotient.data == want_q
+            if b:
+                quotient = exact_divide(b - RingElement(QQ_POLY, want_r), a)
+                _assert_canonical(quotient, QQ_POLY)
+                assert quotient.data == want_q, (case, num, den)
             fast += den[-1] == 1 and all(c.denominator == 1 for c in den)
     assert fast >= 400  # the integer path is well represented
 
@@ -633,13 +703,17 @@ def test_convolution_kernel_matches_fraction_loop():
         for _ in range(150):
             a = _rand_tuple(rng, rng.randint(0, 12), kind)
             b = _rand_tuple(rng, rng.randint(0, 12), rng.choice([kind, "int", "rat"]))
-            got = _strip(_qq_convolve(a, b))
-            _assert_fraction_tuple(got)
-            assert got == _ref_tmul(a, b)
-            if a and b:
-                product = (Poly(QQ, a) * Poly(QQ, b)).coeffs
-                _assert_fraction_tuple(product)
-                assert product == got
+            want = _ref_tmul(a, b)
+            got = RingElement(QQ_POLY, a) * RingElement(QQ_POLY, b)
+            _assert_canonical(got, QQ_POLY)
+            assert got.data == want
+            # the same convolution stopped at x^5
+            cut = RingElement(TRUNC5, a) * RingElement(TRUNC5, b)
+            _assert_canonical(cut, TRUNC5)
+            assert cut.data == _strip(_ref_tmul(_strip(a[:5]), _strip(b[:5]))[:5])
+            product = (Poly(QQ, a) * Poly(QQ, b)).coeffs
+            _assert_fraction_tuple(product)
+            assert product == want
 
 
 def test_ring_kernels_match_fraction_loops_on_qq_poly_data():
@@ -648,14 +722,23 @@ def test_ring_kernels_match_fraction_loops_on_qq_poly_data():
         ea = rand_element(rng, QQ_POLY, max_deg=6, height=30)
         eb = rand_element(rng, QQ_POLY, max_deg=6, height=30)
         product = ea * eb
-        _assert_fraction_tuple(product.data)
+        _assert_canonical(product, QQ_POLY)
         assert product.data == _ref_tmul(ea.data, eb.data)
         if eb:
-            got = _tdivmod(ea.data, eb.data)
-            assert got == _ref_tdivmod(ea.data, eb.data)
+            want_q, want_r = _ref_tdivmod(ea.data, eb.data)
+            got = exact_divide(ea, eb)
+            assert (got is None) == bool(want_r)
+            if ea:
+                got = exact_divide(ea - RingElement(QQ_POLY, want_r), eb)
+                _assert_canonical(got, QQ_POLY)
+                assert got.data == want_q
             # the monic associate of eb takes the integer path when integral
             monic = tuple(v / eb.data[-1] for v in eb.data)
-            assert _tdivmod(product.data, monic) == _ref_tdivmod(product.data, monic)
+            want_q, want_r = _ref_tdivmod(product.data, monic)
+            assert not want_r
+            got = exact_divide(product, RingElement(QQ_POLY, monic))
+            _assert_canonical(got, QQ_POLY)
+            assert got.data == want_q
 
 
 def _hostile_numerator():
@@ -668,13 +751,21 @@ def _hostile_numerator():
 @pytest.mark.parametrize("den", [(Fraction(3), Fraction(1)), (Fraction(5), Fraction(3))],
                          ids=["t+3", "3t+5"])
 def test_division_is_fast_on_many_distinct_denominators(den):
-    # one divisor per kernel; each division takes about 50 ms on a shared
-    # 2-core Xeon, and the bound leaves room for a slower host
+    # exact_divide over QQ_POLY, once with the remainder den(root) and once
+    # without; each division takes about 50 ms on a shared 2-core Xeon, and
+    # the bound leaves room for a slower host
     num = _hostile_numerator()
+    rest = qq_poly(num).evaluate(-den[0] / den[1])
+    assert rest != 0
+    b, a = RingElement(QQ_POLY, num), RingElement(QQ_POLY, den)
     start = time.perf_counter()
-    q, r = _tdivmod(num, den)
+    assert exact_divide(b, a) is None
     assert time.perf_counter() - start < 1.0
-    assert len(q) == 2000 and len(r) <= 1
+    b = b - ring_scalar(QQ_POLY, rest)
+    start = time.perf_counter()
+    q = exact_divide(b, a)
+    assert time.perf_counter() - start < 1.0
+    assert len(q.num) == 2000 and q * a == b
 
 
 def two_cofactor_xgcd(f, g):
@@ -810,7 +901,7 @@ def test_gcd_kernel_matches_euclidean_oracle():
 @pytest.mark.parametrize("den", [(Fraction(3), Fraction(1)), (Fraction(5), Fraction(3))],
                          ids=["t+3", "3t+5"])
 def test_poly_division_and_gcd_are_fast_on_many_distinct_denominators(den):
-    # the same bound as the _tdivmod test above, for the Poly entry points;
+    # the same bound as the exact_divide test above, for the Poly entry points;
     # pseudo-division that multiplies the whole remainder by the leading
     # coefficient at every step takes far longer on 3t + 5
     f, g = qq_poly(_hostile_numerator()), qq_poly(den)

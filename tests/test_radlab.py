@@ -108,7 +108,7 @@ def test_space_validation():
     for mult in (2.9, True):
         with pytest.raises(BadInput, match="multiplicities"):
             CofiniteSubspace.from_dict({"modulus": [["t", mult]], "vbar_basis": []})
-    for entry in (True, False):
+    for entry in (True, False, None):
         with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
             CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)], [[entry, 1]])
         with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
