@@ -45,6 +45,13 @@ _F1 = Fraction(1)
 
 INFINITE = math.inf
 
+# largest degree deg f * m(d+1) of the power f^(m(d+1)) that a certificate
+# may need; the cost grows five- to fifteenfold per doubling of that degree.
+# At the limit, re-deriving a certificate for t + 123/457*t^2 (d = 1,
+# alpha = 0, m = 249) takes 0.9 s on a 2-vCPU Xeon; larger coefficients
+# cost more
+MAX_CERT_DEGREE = 1000
+
 # the first twelve prime bases make Miller-Rabin deterministic below _PSI_12,
 # the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -262,7 +269,9 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     with s0 = gcd(s(d+1), q+r), s(d+1) = s0*s_star and q+r = s0*h, the
     candidate primes are p = (s_star*q)m + h.  A candidate is rejected when
     it divides a coefficient denominator of f (the phi values must stay
-    p-integral).  The L0 identity is checked exactly before returning.
+    p-integral).  The L0 identity is checked exactly before returning.  The
+    search ends with BudgetExhausted once the next candidate would need a
+    power of degree above MAX_CERT_DEGREE.
     """
     alpha = Fraction(alpha)
     if budget < 1:
@@ -290,6 +299,10 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
         if found is None:
             break
         m, p = found
+        if f.degree * m * (d + 1) > MAX_CERT_DEGREE:
+            raise BudgetExhausted(f"the next candidate m = {m} needs f^{m * (d + 1)} of degree "
+                                  f"{f.degree * m * (d + 1)}, above the limit "
+                                  f"MAX_CERT_DEGREE = {MAX_CERT_DEGREE}")
         m_min = m + 1
         if any(den % p == 0 for den in denominators):
             continue
@@ -335,7 +348,12 @@ def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
 
 def verify_certificate(cert: Certificate) -> bool:
     """Re-derive every field of a certificate from scratch.  A failed domain
-    check (an AlgebraError) makes it invalid; other exceptions propagate."""
+    check (an AlgebraError) makes it invalid; other exceptions propagate.  A
+    power above MAX_CERT_DEGREE is refused with BadInput before it is built."""
+    if cert.f.degree * cert.conclusion_exponent > MAX_CERT_DEGREE:
+        raise BadInput(f"f^{cert.conclusion_exponent} would have degree "
+                       f"{cert.f.degree * cert.conclusion_exponent}, above the limit "
+                       f"MAX_CERT_DEGREE = {MAX_CERT_DEGREE}")
     try:
         m = cert.m
         if m < 1 or cert.conclusion_exponent % m != 0:

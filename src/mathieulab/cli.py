@@ -288,16 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose value is a polynomial, which may start with a minus sign
-_POLY_OPTIONS = frozenset(("--poly", "--p", "--g", "--a"))
+# options whose value (a polynomial, a rational or a list of ring elements)
+# may start with a minus sign
+_SIGNED_OPTIONS = frozenset(("--poly", "--p", "--g", "--a", "--alpha", "--elements"))
 
 
-def _attach_poly_values(argv: list[str]) -> list[str]:
+def _attach_signed_values(argv: list[str]) -> list[str]:
     """Write '--poly -t' as '--poly=-t': argparse reads a separate argument
     that starts with '-' (and is not a number) as an option, not a value."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _POLY_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+        if out and out[-1] in _SIGNED_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -307,7 +308,7 @@ def _attach_poly_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

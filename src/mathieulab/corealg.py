@@ -41,9 +41,10 @@ Text format (whitespace-insensitive)::
     mono := 'x' ('^' uint)? ('*' 't' ('^' uint)?)? | 't' ('^' uint)? ;
     coeff := int ('/' uint)? .
 
-An exponent may not exceed MAX_EXPONENT.  Canonical printing uses
-descending powers of t, lowest-terms coefficients, '^' exponents and no
-unary '+'.
+The grammar has no nesting, so it is regular: ``parse_poly`` reads it term
+by term, one regular-expression match per term.  An exponent may not
+exceed MAX_EXPONENT.  Canonical printing uses descending powers of t,
+lowest-terms coefficients, '^' exponents and no unary '+'.
 """
 
 from __future__ import annotations
@@ -884,138 +885,95 @@ def squarefree_part(value):
 # parsing and printing
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([xt])|(\^)|(\*)|(/)|(\+)|(-)|(\S)")
-# token kind of each group of _TOKEN_RE; the last group is an unexpected character
-_TOKEN_KINDS = (None, "INT", "VAR", "CARET", "STAR", "SLASH", "PLUS", "MINUS", None)
+# any character outside the alphabet; it is reported before any grammar error
+_BAD_CHAR = re.compile(r"[^\s\dxt^*/+-]")
+# one term at the cursor: sign, numerator, denominator, '*', then the factors
+# [xt] ('^' INT)? joined only by '*'.  A '/' or '^' without digits still
+# matches, with empty digits, so that the error can name what follows it.
+_TERM = re.compile(r"""\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d*)\s*)?(\*?)\s*)?
+    ((?:[xt]\s*(?:\^\s*\d*\s*)?(?:\*\s*[xt]\s*(?:\^\s*\d*\s*)?)*)?)""", re.X)
+_FACTOR = re.compile(r"([xt])\s*(?:\^\s*(\d*))?")
+# the token at a position: a digit run, one character, or '' at the end
+_NEXT = re.compile(r"\s*(\d+|\S?)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        kind = _TOKEN_KINDS[group]
-        if kind is None:
-            raise ParseError(f"unexpected character {m.group(group)!r}", m.start())
-        tokens.append((kind, m.group(group), m.start()))
-    tokens.append(("END", "", len(text)))
-    return tokens
+def _expected(what: str, text: str, pos: int):
+    tok = _NEXT.match(text, pos)
+    raise ParseError(f"expected {what}, found {tok[1]!r}", tok.start(1))
 
 
-class _PolyParser:
-    def __init__(self, text: str, ring: Ring):
-        self.text = text
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _read_term(text: str, m, ring: Ring) -> tuple[int, int, int, int]:
+    """(t exponent, x exponent, numerator, denominator) of the term that m
+    matched, checked in reading order."""
+    sign, num, den, star, run = m.groups()
+    if num is None:
+        if not run:
+            _expected("a term", text, m.end(1))
+        num, den = 1, 1
+    else:
+        num = int(num)
+        if den == "":
+            _expected("INT", text, m.end(3))
+        den = 1 if den is None else int(den)
+        if den == 0:
+            raise ParseError("zero denominator", m.start(3))
+        if star and not run:
+            raise ParseError("expected a variable after '*'", _NEXT.match(text, m.end(4)).start(1))
+    exps = {}
+    for f in _FACTOR.finditer(text, m.start(5), m.end(5)):
+        name, digits = f.groups()
+        if name in exps:
+            raise ParseError(f"variable {name!r} repeated in a term", f.start())
+        if name == "x" and ring.kind == "QQ":
+            raise ParseError("coefficient variable x is not allowed over QQ", f.start())
+        if digits == "":
+            _expected("INT", text, f.end())
+        # compare the digits before converting, so that no huge integer is built
+        digits = (digits or "1").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {f.start(2)})")
+        exps[name] = int(digits)
+    return exps.get("t", 0), exps.get("x", 0), -num if sign == "-" else num, den
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self) -> Poly:
-        terms: list[tuple[int, int, int, int]] = []
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in ("PLUS", "MINUS"):
-            sign = -1 if kind == "MINUS" else 1
-            self.take()
-        terms.append(self.term(sign))
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            sign = -1 if self.take()[0] == "MINUS" else 1
-            terms.append(self.term(sign))
-        self.take("END")
-        return self.build(terms)
-
-    def exponent(self) -> int:
-        if self.peek()[0] == "CARET":
-            self.take()
-            _, digits, pos = self.take("INT")
-            # compare the digits before converting, so that no huge integer is built
-            digits = digits.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {pos})")
-            return int(digits)
-        return 1
-
-    def term(self, sign) -> tuple[int, int, int, int]:
-        """(t exponent, x exponent, numerator, denominator) of one signed term."""
-        num = None
-        den = 1
-        kind, _, pos = self.peek()
-        if kind == "INT":
-            num = int(self.take()[1])
-            if self.peek()[0] == "SLASH":
-                self.take()
-                den_tok = self.take("INT")
-                den = int(den_tok[1])
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok[2])
-            if self.peek()[0] == "STAR":
-                self.take()
-                if self.peek()[0] != "VAR":
-                    tok = self.peek()
-                    raise ParseError("expected a variable after '*'", tok[2])
-        x_exp = 0
-        t_exp = 0
-        seen = set()
-        while self.peek()[0] == "VAR":
-            name_tok = self.take()
-            name = name_tok[1]
-            if name in seen:
-                raise ParseError(f"variable {name!r} repeated in a term", name_tok[2])
-            seen.add(name)
-            if name == "x" and self.ring.kind == "QQ":
-                raise ParseError("coefficient variable x is not allowed over QQ", name_tok[2])
-            e = self.exponent()
-            if name == "x":
-                x_exp = e
-            else:
-                t_exp = e
-            if self.peek()[0] == "STAR" and self.tokens[self.i + 1][0] == "VAR":
-                self.take()
-                continue
-            break
-        if num is None and not seen:
-            kind, text, pos = self.peek()
-            raise ParseError(f"expected a term, found {text!r}", pos)
-        if num is None:
-            num = 1
-        return t_exp, x_exp, sign * num, den
-
-    def build(self, terms) -> Poly:
-        """The polynomial of the terms; each coefficient is summed as integers
-        over the lcm of its terms' denominators, and no Fraction is built."""
-        top = max(te for te, _, _, _ in terms)
-        if self.ring.kind == "QQ":
-            den = math.lcm(*(d for _, _, _, d in terms))
-            num = [0] * (top + 1)
-            for te, _, n, d in terms:
-                num[te] += n * (den // d)
-            return _qq(num, den)
-        parts: dict[int, list] = {}
-        for te, xe, n, d in terms:
-            parts.setdefault(te, []).append((xe, n, d))
-        coeffs = []
-        for te in range(top + 1):
-            here = parts.get(te, ())
-            den = math.lcm(*(d for _, _, d in here))
-            num = [0] * (max((xe for xe, _, _ in here), default=-1) + 1)
-            for xe, n, d in here:
-                num[xe] += n * (den // d)
-            coeffs.append(RingElement.from_ints(self.ring, num, den))
-        return Poly(self.ring, coeffs)
+def _sum_terms(terms, ring: Ring) -> Poly:
+    """The polynomial of the terms; each coefficient is summed as integers
+    over the lcm of its terms' denominators, and no Fraction is built."""
+    top = max(te for te, _, _, _ in terms)
+    if ring.kind == "QQ":
+        den = math.lcm(*(d for _, _, _, d in terms))
+        num = [0] * (top + 1)
+        for te, _, n, d in terms:
+            num[te] += n * (den // d)
+        return _qq(num, den)
+    parts: dict[int, list] = {}
+    for te, xe, n, d in terms:
+        parts.setdefault(te, []).append((xe, n, d))
+    coeffs = []
+    for te in range(top + 1):
+        here = parts.get(te, ())
+        den = math.lcm(*(d for _, _, d in here))
+        num = [0] * (max((xe for xe, _, _ in here), default=-1) + 1)
+        for xe, n, d in here:
+            num[xe] += n * (den // d)
+        coeffs.append(RingElement.from_ints(ring, num, den))
+    return Poly(ring, coeffs)
 
 
 def parse_poly(text: str, ring: Ring = QQ) -> Poly:
-    """Parse the polynomial grammar; raises ParseError with a position, and
-    BadInput for an exponent above MAX_EXPONENT."""
-    return _PolyParser(text, ring).parse()
+    """Parse the polynomial grammar one term at a time; raises ParseError
+    with a position, and BadInput for an exponent above MAX_EXPONENT."""
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    m = _TERM.match(text)
+    terms = [_read_term(text, m, ring)]
+    # every later term starts with its sign
+    while (m := _TERM.match(text, m.end()))[1]:
+        terms.append(_read_term(text, m, ring))
+    if m.end(1) < len(text):
+        _expected("END", text, m.end(1))
+    return _sum_terms(terms, ring)
 
 
 def parse_ring_element(text: str, ring: Ring) -> RingElement:

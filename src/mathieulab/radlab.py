@@ -91,6 +91,14 @@ from .opimage import OperatorSpec, member
 
 _F0 = Fraction(0)
 
+# largest t-degree of a power f^m that radical_probe and escape_exponent
+# build; the cost of a walk grows about fivefold per doubling of that
+# degree.  At the limit, walking f = 123/457*t + 511/997 through every power
+# on a space that contains them all takes 5.0 s, and t^2 against
+# mono:c=1,alpha=-1,lambda=1,d=1 0.5 s, on a 2-vCPU Xeon; larger
+# coefficients cost more
+MAX_POWER_DEGREE = 500
+
 NOT_MATHIEU = "NOT_MATHIEU"
 MATHIEU_EXACT = "MATHIEU_EXACT"
 CONSISTENT_UP_TO_BUDGET = "CONSISTENT_UP_TO_BUDGET"
@@ -315,11 +323,18 @@ def atomic_space(points: Sequence, weights: Sequence) -> CofiniteSubspace:
 # radical probes and exact cofinite decisions
 # --------------------------------------------------------------------------
 
+def _check_power_degree(f: Poly, m: int) -> None:
+    if m * f.degree > MAX_POWER_DEGREE:
+        raise BadInput(f"f^{m} would have degree {m * f.degree}, above the limit "
+                       f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+
+
 def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: Iterable[int]) -> bool:
     """Do all powers f^m for m in the window satisfy the oracle?
 
     This is a finite probe, not a proof of radical membership; callers
-    interpret it under their chosen window rule.
+    interpret it under their chosen window rule.  A walk that reaches a
+    power of degree above MAX_POWER_DEGREE raises BadInput.
     """
     exponents = sorted(set(window))
     if not exponents:
@@ -329,6 +344,7 @@ def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: It
     power = poly_one(QQ)
     prev = 0
     for m in exponents:
+        _check_power_degree(f, m)
         power = power * f ** (m - prev)
         prev = m
         if not membership_oracle(power):
@@ -380,13 +396,15 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
 
 
 def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
-    """Smallest m <= budget with f^m outside the operator image, else None."""
+    """Smallest m <= budget with f^m outside the operator image, else None;
+    BadInput once f^m would have degree above MAX_POWER_DEGREE."""
     if f.is_zero:
         raise ZeroInput("escape exponent of the zero polynomial")
     if budget < 1:
         raise BadInput("budget must be at least 1")
     power = poly_one(QQ)
     for m in range(1, budget + 1):
+        _check_power_degree(f, m)
         power = power * f
         if not member(op, power)[0]:
             return m

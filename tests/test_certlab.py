@@ -1,8 +1,10 @@
 """Certificate machinery: bracket factorials, valuations, prime search,
 and full non-membership certificates with independent re-verification."""
 
+import json
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,8 +26,16 @@ from mathieulab.certlab import (
     verify_certificate,
     vp,
 )
+from mathieulab.cli import main
 from mathieulab.corealg import QQ, parse_poly, qq_poly, t_monomial
-from mathieulab.errors import BadInput, NotCoprime, NotNormalized, NotPrime, ZeroInput
+from mathieulab.errors import (
+    BadInput,
+    BudgetExhausted,
+    NotCoprime,
+    NotNormalized,
+    NotPrime,
+    ZeroInput,
+)
 from mathieulab.opimage import MonomialOperator, lzero, member
 
 
@@ -170,6 +180,26 @@ def test_certificate_example_alpha_zero():
     # the identity at m = 1 reads L0(f^2) = [2,2]_0! * (1 + b_1 * phi_4) = 4
     assert lzero(MonomialOperator(1, 0, 1, 1), f ** 2) == 4
     assert not member(MonomialOperator(1, 0, 1, 1), f ** cert.conclusion_exponent)[0]
+
+
+def test_certificates_stop_at_the_degree_limit(capsys):
+    limit = certlab.MAX_CERT_DEGREE
+    f = parse_poly("t + t^2")
+    # p = 2m + 1 for d = 1, alpha = 0; m = 249 needs f^498 of degree 996
+    valuations = certlab._derive_valuations(f, 1, 1, Fraction(0), 249, 499)
+    assert verify_certificate(certlab.Certificate(f, 249, 499, 1, 2, 1, 1, 0, *valuations, 498))
+    data = {"f": "t^2 + t", "m": 16001, "prime": 32003, "s0": 1, "s_star": 2, "h": 1, "q": 1,
+            "r": 0, "bi_valuations": [], "phi_valuations": [], "conclusion_exponent": 32002}
+    start = time.perf_counter()
+    with pytest.raises(BadInput, match="MAX_CERT_DEGREE"):
+        verify_certificate(certificate_from_dict(data))
+    assert main(["verify-cert", "--cert", json.dumps(data)]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "BAD_INPUT"
+    # the first candidate for d = 500 is m = 10, a power of degree 10020
+    message = f"degree 10020, above the limit MAX_CERT_DEGREE = {limit}$"
+    with pytest.raises(BudgetExhausted, match=message):
+        certificate_nonmembership(f, 500, Fraction(0))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_certificate_rejects_degenerate_alpha():

@@ -323,6 +323,8 @@ SIGNED_POLY_CASES = (
     ("ufd-radical", "--ctx", "ufd:a=x^2", "--p", "-x*t"),
     ("absorb-bound", "--ctx", "ufd:a=x^2", "--p", "-x*t", "--g", "-t"),
     ("gcd-lift", "--a", "-x^2", "--elements", "x,x^3"),
+    ("gcd-lift", "--a", "x^2", "--elements", "-x,x^3"),
+    ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", "-1/2"),
     ("member", "--op", OP, "--poly", "-h"),
 )
 
@@ -332,7 +334,7 @@ def test_polynomial_values_may_start_with_a_minus_sign(capsys):
     for argv in SIGNED_POLY_CASES:
         joined, spaced = [], list(argv)
         for arg in argv:
-            if joined and joined[-1] in ("--poly", "--p", "--g", "--a"):
+            if joined and joined[-1] in ("--poly", "--p", "--g", "--a", "--alpha", "--elements"):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)

@@ -1,9 +1,11 @@
 """Core arithmetic: worked examples plus randomized algebraic laws."""
 
+import collections
 import copy
 import math
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +40,7 @@ from mathieulab.corealg import (
     squarefree_part,
 )
 from mathieulab.errors import (
+    AlgebraError,
     AmbiguousDivision,
     BadInput,
     DivisionByZero,
@@ -817,8 +820,9 @@ def _assert_qq_canonical(p):
 
 def _same(new, old):
     """A new Poly and an oracle Poly hold the same polynomial."""
-    _assert_qq_canonical(new)
-    assert new.coeffs == old.coeffs, (new, old)
+    if new.ring == QQ:
+        _assert_qq_canonical(new)
+    assert new.ring == old.ring and new.coeffs == old.coeffs, (new, old)
 
 
 def _oracle_pair(rng):
@@ -878,6 +882,38 @@ def test_integer_poly_matches_fraction_oracle():
         for new, old in zip(poly_xgcd(f, g), corealg_oracle.poly_xgcd(of, og)):
             _same(new, old)
     assert min(seen.values()) >= 40, seen
+
+
+def _parse_outcome(parse, text, ring):
+    try:
+        return parse(text, ring)
+    except AlgebraError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parser_matches_token_parser_oracle_on_random_text():
+    # strings over the grammar's alphabet, spaces and one stray character;
+    # digit runs stay under five digits, because the oracle has no exponent
+    # limit and would build a coefficient list as long as the exponent
+    rng = random.Random(1919)
+    alphabet = "0123456789" + "xt^*/+-" * 2 + "   ?"
+    seen = collections.Counter()
+    start = time.perf_counter()
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        text = re.sub(r"\d{5,}", lambda m: m[0][:4], text)
+        for ring in (QQ, QQ_POLY, TRUNC3):
+            got = _parse_outcome(parse_poly, text, ring)
+            want = _parse_outcome(corealg_oracle.parse_poly, text, ring)
+            if isinstance(want, tuple):
+                assert got == want, (text, ring)
+                seen[want[0].__name__] += 1
+            else:
+                _same(got, want)
+                seen["parsed"] += 1
+    elapsed = time.perf_counter() - start
+    assert seen["parsed"] >= 1000 and seen["ParseError"] >= 1000, seen
+    assert elapsed < 2.0, elapsed
 
 
 def test_gcd_kernel_matches_euclidean_oracle():

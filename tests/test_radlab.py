@@ -6,6 +6,7 @@ against an independent oracle built from multiplication matrices.
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from math import lcm
@@ -212,6 +213,24 @@ def test_escape_exponent_examples():
     assert escape_exponent(MonomialOperator(1, -1, 1, 1), parse_poly("t^2"), 50) is None
     with pytest.raises(ZeroInput):
         escape_exponent(MonomialOperator(1, 1, 1, 0), poly_zero(), 10)
+
+
+def test_power_walks_stop_at_the_degree_limit():
+    limit = radlab.MAX_POWER_DEGREE
+    t = parse_poly("t")
+    assert radical_probe(lambda p: True, t, [limit])
+    with pytest.raises(BadInput, match="MAX_POWER_DEGREE"):
+        radical_probe(lambda p: True, t, [limit, limit + 1])
+    # a walk that stops below the limit is unaffected
+    assert not radical_probe(lambda p: False, t, range(1, 4 * limit))
+    assert escape_exponent(MonomialOperator(1, 1, 1, 0), parse_poly("t - 2"), 10 ** 9) == 2
+    # t^2 stays in this image, so the walk runs until the next power passes the limit
+    message = re.escape(f"f^{limit // 2 + 1} would have degree {limit + 2}")
+    start = time.perf_counter()
+    for budget in (limit, 10 ** 9):
+        with pytest.raises(BadInput, match=message):
+            escape_exponent(MonomialOperator(1, -1, 1, 1), parse_poly("t^2"), budget)
+    assert time.perf_counter() - start < 6.0
 
 
 def test_largest_ideal_examples():
