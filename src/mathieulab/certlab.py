@@ -18,13 +18,17 @@ Then the exact identity
 
 forces a positive p-adic valuation on sum b_i phi, so the bracketed factor
 cannot vanish, and f^(m(d+1)) is certified to lie outside the image.  The
-certificate records enough integers and valuations to re-derive everything.
+certificate records the integers and valuations of that derivation.  One
+function derives them all from (f, d, alpha, m): the search runs it for each
+candidate m, and the checker runs it again on the certificate's own
+(f, d, r/q, m) and accepts only a rebuilt certificate equal to the one it was
+handed, so it trusts none of the derived fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -247,7 +251,7 @@ def _alpha_admissible(d: int, alpha: Fraction) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """Re-checkable proof data that f^(m(d+1)) avoids the operator image."""
+    """Re-checkable proof data that f^(m(d+1)) avoids the image; fields in JSON key order."""
 
     f: Poly
     m: int
@@ -262,20 +266,11 @@ class Certificate:
     conclusion_exponent: int  # m*(d+1)
 
 
-def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10 ** 6) -> Certificate:
-    """Search for (m, prime) proving f^(m(d+1)) outside the image of D.
-
-    The progression step and offset come from alpha = r/q in lowest terms:
-    with s0 = gcd(s(d+1), q+r), s(d+1) = s0*s_star and q+r = s0*h, the
-    candidate primes are p = (s_star*q)m + h.  A candidate is rejected when
-    it divides a coefficient denominator of f (the phi values must stay
-    p-integral).  The L0 identity is checked exactly before returning.  The
-    search ends with BudgetExhausted once the next candidate would need a
-    power of degree above MAX_CERT_DEGREE.
-    """
-    alpha = Fraction(alpha)
-    if budget < 1:
-        raise BadInput("budget must be at least 1")
+def _progression(f: Poly, d: int, alpha: Fraction) -> tuple[int, int, int, int]:
+    """(s, s0, s_star, h) for f's lowest degree s and alpha = r/q in lowest
+    terms: s0 = gcd(s(d+1), q+r) = s(d+1)/s_star = (q+r)/h.  BadInput when
+    the theorem does not cover (d, alpha), alpha = -1 included.  s_star*q and
+    h are coprime, as gcd cofactors with gcd(q, q+r) = gcd(q, r) = 1."""
     if d < 0:
         raise BadInput("d must be non-negative")
     if d == 0 and alpha == 0:
@@ -283,19 +278,39 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     if not _alpha_admissible(d, alpha):
         raise BadInput("alpha lies in -(1 + (d+1)N); powers of t^(d+1) stay in the image")
     s = _normalized_lowest(f)
+    s0 = math.gcd(s * (d + 1), alpha.denominator + alpha.numerator)
+    return s, s0, s * (d + 1) // s0, (alpha.denominator + alpha.numerator) // s0
+
+
+def _certificate(f: Poly, d: int, alpha: Fraction, m: int) -> Optional[Certificate]:
+    """The certificate for f, D and m with the prime p = (s_star*q)m + h, or
+    None when p is not prime or _derive_valuations rejects it."""
+    s, s0, s_star, h = _progression(f, d, alpha)
     q, r = alpha.denominator, alpha.numerator
-    if q + r == 0:
-        raise BadInput("alpha = -1 is excluded")
-    s0 = math.gcd(s * (d + 1), q + r)
-    s_star = s * (d + 1) // s0
-    h = (q + r) // s0
-    step = s_star * q
-    if math.gcd(step, h) != 1:
-        raise NotCoprime("progression parameters are not coprime")
-    denominators = {c.denominator for c in f.coeffs if c}
+    p = s_star * q * m + h
+    if not is_prime(p) or (derived := _derive_valuations(f, s, d, alpha, m, p)) is None:
+        return None
+    return Certificate(f, m, p, s0, s_star, h, q, r, *derived, m * (d + 1))
+
+
+def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10 ** 6) -> Certificate:
+    """Search for (m, prime) proving f^(m(d+1)) outside the image of D.
+
+    The candidate primes p = (s_star*q)m + h come from _progression, and the
+    first certificate that one of them builds is returned; building it
+    checks the L0 identity exactly.  A p dividing a denominator of f is
+    skipped unbuilt: with c_k t^k the lowest term of f of least p-adic
+    valuation v < 0, phi at t^(k*N), N = m(d+1), has valuation N*v.  The
+    search ends with BudgetExhausted once the next candidate would need a
+    power of degree above MAX_CERT_DEGREE.
+    """
+    alpha = Fraction(alpha)
+    if budget < 1:
+        raise BadInput("budget must be at least 1")
+    _, _, s_star, h = _progression(f, d, alpha)
     m_min = 1
     while m_min <= budget:
-        found = dirichlet_prime(step, h, m_min, budget - m_min + 1)
+        found = dirichlet_prime(s_star * alpha.denominator, h, m_min, budget - m_min + 1)
         if found is None:
             break
         m, p = found
@@ -304,11 +319,11 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
                                   f"{f.degree * m * (d + 1)}, above the limit "
                                   f"MAX_CERT_DEGREE = {MAX_CERT_DEGREE}")
         m_min = m + 1
-        if any(den % p == 0 for den in denominators):
+        if f.den % p == 0:
             continue
-        derived = _derive_valuations(f, s, d, alpha, m, p)
-        if derived is not None:
-            return Certificate(f, m, p, s0, s_star, h, q, r, *derived, m * (d + 1))
+        cert = _certificate(f, d, alpha, m)
+        if cert is not None:
+            return cert
     raise BudgetExhausted(f"no admissible prime among {budget} progression candidates")
 
 
@@ -347,9 +362,13 @@ def _derive_valuations(f: Poly, s: int, d: int, alpha: Fraction, m: int,
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-derive every field of a certificate from scratch.  A failed domain
-    check (an AlgebraError) makes it invalid; other exceptions propagate.  A
-    power above MAX_CERT_DEGREE is refused with BadInput before it is built."""
+    """Rebuild the certificate from its (f, d, r/q, m) by the derivation the
+    search uses, and compare the two field by field (valuations given as
+    lists compare as tuples).  Only the inputs of the rebuild are checked
+    first: m >= 1 divides conclusion_exponent, q >= 1 and gcd(r, q) = 1.  A
+    failed domain check (an AlgebraError) makes it invalid; other exceptions
+    propagate.  A power above MAX_CERT_DEGREE is refused with BadInput
+    before it is built."""
     if cert.f.degree * cert.conclusion_exponent > MAX_CERT_DEGREE:
         raise BadInput(f"f^{cert.conclusion_exponent} would have degree "
                        f"{cert.f.degree * cert.conclusion_exponent}, above the limit "
@@ -358,65 +377,41 @@ def verify_certificate(cert: Certificate) -> bool:
         m = cert.m
         if m < 1 or cert.conclusion_exponent % m != 0:
             return False
-        d = cert.conclusion_exponent // m - 1
-        if d < 0:
-            return False
         if cert.q < 1 or math.gcd(cert.r, cert.q) != 1:
             return False
-        alpha = Fraction(cert.r, cert.q)
-        if d == 0 and alpha == 0:
-            return False
-        if not _alpha_admissible(d, alpha):
-            return False
-        s = _normalized_lowest(cert.f)
-        if cert.q + cert.r == 0:
-            return False
-        if cert.s0 != math.gcd(s * (d + 1), cert.q + cert.r):
-            return False
-        if s * (d + 1) != cert.s0 * cert.s_star:
-            return False
-        if cert.q + cert.r != cert.s0 * cert.h:
-            return False
-        if cert.prime != cert.s_star * cert.q * m + cert.h:
-            return False
-        if not is_prime(cert.prime):
-            return False
-        derived = _derive_valuations(cert.f, s, d, alpha, m, cert.prime)
-        return derived == (tuple(cert.bi_valuations), tuple(cert.phi_valuations))
+        d, alpha = cert.conclusion_exponent // m - 1, Fraction(cert.r, cert.q)
+        given = replace(cert, bi_valuations=tuple(cert.bi_valuations),
+                        phi_valuations=tuple(cert.phi_valuations))
+        return _certificate(cert.f, d, alpha, m) == given
     except AlgebraError:
         return False
 
 
+def _integer(value, name: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
+# how each Certificate field is written to JSON and read back, by its annotation string
+_TO_JSON = {"Poly": format_poly, "int": lambda n: n,
+            "tuple": lambda pairs: [list(pair) for pair in pairs]}
+_FROM_JSON = {"Poly": lambda text, _: parse_poly(text, QQ), "int": _integer,
+              "tuple": lambda pairs, name: tuple((_integer(i, name), _integer(v, name))
+                                                 for i, v in pairs)}
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "f": format_poly(cert.f),
-        "m": cert.m,
-        "prime": cert.prime,
-        "s0": cert.s0,
-        "s_star": cert.s_star,
-        "h": cert.h,
-        "q": cert.q,
-        "r": cert.r,
-        "bi_valuations": [list(pair) for pair in cert.bi_valuations],
-        "phi_valuations": [list(pair) for pair in cert.phi_valuations],
-        "conclusion_exponent": cert.conclusion_exponent,
-    }
+    return {field.name: _TO_JSON[field.type](getattr(cert, field.name))
+            for field in fields(Certificate)}
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """The certificate certificate_to_dict wrote.  BadInput names the first
+    missing or malformed field; integer fields and valuation pairs take
+    integers only, not floats, booleans or strings."""
     try:
-        return Certificate(
-            f=parse_poly(data["f"], QQ),
-            m=int(data["m"]),
-            prime=int(data["prime"]),
-            s0=int(data["s0"]),
-            s_star=int(data["s_star"]),
-            h=int(data["h"]),
-            q=int(data["q"]),
-            r=int(data["r"]),
-            bi_valuations=tuple((int(i), int(v)) for i, v in data["bi_valuations"]),
-            phi_valuations=tuple((int(i), int(v)) for i, v in data["phi_valuations"]),
-            conclusion_exponent=int(data["conclusion_exponent"]),
-        )
+        return Certificate(**{field.name: _FROM_JSON[field.type](data[field.name], field.name)
+                              for field in fields(Certificate)})
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"malformed certificate: {exc}") from exc

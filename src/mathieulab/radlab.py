@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .corealg import (
@@ -91,8 +91,9 @@ from .opimage import OperatorSpec, member
 
 _F0 = Fraction(0)
 
-# largest t-degree of a power f^m that radical_probe and escape_exponent
-# build; the cost of a walk grows about fivefold per doubling of that
+# largest t-degree of a power f^m that the power walks of radical_probe,
+# escape_exponent and definition_witness build, a constant f counting as
+# degree 1; the cost of a walk grows about fivefold per doubling of that
 # degree.  At the limit, walking f = 123/457*t + 511/997 through every power
 # on a space that contains them all takes 5.0 s, and t^2 against
 # mono:c=1,alpha=-1,lambda=1,d=1 0.5 s, on a 2-vCPU Xeon; larger
@@ -324,32 +325,41 @@ def atomic_space(points: Sequence, weights: Sequence) -> CofiniteSubspace:
 # --------------------------------------------------------------------------
 
 def _check_power_degree(f: Poly, m: int) -> None:
-    if m * f.degree > MAX_POWER_DEGREE:
+    if m * max(f.degree, 1) > MAX_POWER_DEGREE:
+        if f.degree < 1:
+            raise BadInput(f"f^{m} of a constant f is above the limit of "
+                           f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE} powers")
         raise BadInput(f"f^{m} would have degree {m * f.degree}, above the limit "
                        f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+
+
+def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]:
+    """(m, f^m) for the exponents in the order given, each power stepped from
+    the one before.  BadInput for an empty walk, for an exponent that is
+    negative or not above the one before, and before building f^m once
+    m * max(deg f, 1) > MAX_POWER_DEGREE (powers of a constant still grow)."""
+    power, prev = poly_one(QQ), None
+    for m in exponents:
+        if m < 0:
+            raise BadInput("window exponents must be non-negative")
+        if prev is not None and m <= prev:
+            raise BadInput("window exponents must increase")
+        _check_power_degree(f, m)
+        power = power * f ** (m - (prev or 0))
+        prev = m
+        yield m, power
+    if prev is None:
+        raise BadInput("empty probe window")
 
 
 def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: Iterable[int]) -> bool:
     """Do all powers f^m for m in the window satisfy the oracle?
 
     This is a finite probe, not a proof of radical membership; callers
-    interpret it under their chosen window rule.  A walk that reaches a
-    power of degree above MAX_POWER_DEGREE raises BadInput.
+    interpret it under their chosen window rule.  The window is read in order
+    and must increase; a power past the MAX_POWER_DEGREE limit is BadInput.
     """
-    exponents = sorted(set(window))
-    if not exponents:
-        raise BadInput("empty probe window")
-    if any(m < 0 for m in exponents):
-        raise BadInput("window exponents must be non-negative")
-    power = poly_one(QQ)
-    prev = 0
-    for m in exponents:
-        _check_power_degree(f, m)
-        power = power * f ** (m - prev)
-        prev = m
-        if not membership_oracle(power):
-            return False
-    return True
+    return all(membership_oracle(power) for _, power in _power_walk(f, window))
 
 
 def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
@@ -397,18 +407,13 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
 
 def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
     """Smallest m <= budget with f^m outside the operator image, else None;
-    BadInput once f^m would have degree above MAX_POWER_DEGREE."""
+    BadInput once f^m passes the MAX_POWER_DEGREE limit."""
     if f.is_zero:
         raise ZeroInput("escape exponent of the zero polynomial")
     if budget < 1:
         raise BadInput("budget must be at least 1")
-    power = poly_one(QQ)
-    for m in range(1, budget + 1):
-        _check_power_degree(f, m)
-        power = power * f
-        if not member(op, power)[0]:
-            return m
-    return None
+    return next((m for m, power in _power_walk(f, range(1, budget + 1))
+                 if not member(op, power)[0]), None)
 
 
 def largest_ideal(space: CofiniteSubspace) -> Poly:
@@ -471,18 +476,17 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
 
 def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Poly,
                        budget: int) -> Optional[int]:
-    """Smallest N <= budget with a^m * b inside V for every m in [N, budget]."""
+    """Smallest N <= budget with a^m * b inside V for every m in [N, budget].
+    The walk always runs to a^budget, so a budget past the MAX_POWER_DEGREE
+    limit is refused with BadInput before the first power."""
     if budget < 1:
         raise BadInput("budget must be at least 1")
+    _check_power_degree(a, budget)
     last_out = 0
-    power = poly_one(QQ)
-    for m in range(1, budget + 1):
-        power = power * a
+    for m, power in _power_walk(a, range(1, budget + 1)):
         if not membership_oracle(power * b):
             last_out = m
-    if last_out == budget:
-        return None
-    return last_out + 1
+    return None if last_out == budget else last_out + 1
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ and full non-membership certificates with independent re-verification."""
 import json
 import math
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -37,6 +38,8 @@ from mathieulab.errors import (
     ZeroInput,
 )
 from mathieulab.opimage import MonomialOperator, lzero, member
+
+import certlab_oracle
 
 
 def double_factorial_odd(q):
@@ -291,3 +294,120 @@ def test_bracket_factorial_nonvanishing():
         assert Fraction(-1 - alpha, d + 1).denominator != 1 or Fraction(-1 - alpha, d + 1) < 0
         for q in range(51):
             assert bracket_factorial(q, d + 1, alpha) != 0
+
+
+def test_certificate_json_takes_integers_only(capsys):
+    # int() used to truncate every value, so this certificate was valid
+    data = {"f": "t^2 + t", "m": 1.9, "prime": 3.2, "s0": True, "s_star": 2, "h": 1, "q": 1,
+            "r": 0, "bi_valuations": [[1, 1.7]], "phi_valuations": [[1, 0]],
+            "conclusion_exponent": 2.5}
+    assert main(["verify-cert", "--cert", json.dumps(data)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["code"] == "BAD_INPUT" and error["message"].startswith("malformed certificate: ")
+    good = certificate_to_dict(certificate_nonmembership(parse_poly("t + 2*t^3"), 1,
+                                                         Fraction(1, 2), budget=500))
+    assert good["bi_valuations"] and good["phi_valuations"]
+    for name, value in good.items():
+        if name == "f":
+            continue
+        for bad in (2.0, True, False, "3"):
+            if isinstance(value, int):
+                cases = [dict(good, **{name: bad})]
+            else:
+                (i, v), rest = value[0], value[1:]
+                cases = [dict(good, **{name: [[bad, v]] + rest}),
+                         dict(good, **{name: [[i, bad]] + rest})]
+            for case in cases:
+                with pytest.raises(BadInput, match=f"^malformed certificate: {name} must be an "
+                                                   f"integer, not {type(bad).__name__}$"):
+                    certificate_from_dict(case)
+    assert verify_certificate(certificate_from_dict(good))
+
+
+def _random_f(rng):
+    """Mostly normalized f = t^s + ..., sometimes zero or with a lowest term
+    that is not a monic t^s; denominators 3, 5 and 7 make the search skip
+    primes that divide them."""
+    kind = rng.random()
+    if kind < 0.04:
+        return qq_poly([])
+    s = rng.randint(0 if kind < 0.1 else 1, 2)
+    lead = rng.choice((2, Fraction(1, 2), -1)) if kind < 0.16 else 1
+    extra = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5, 7)))
+             for _ in range(rng.randint(0, 3))]
+    return qq_poly([0] * s + [lead] + extra)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+def _tamperings(cert, rng):
+    """22 or 23 integer variants of a certificate: two shifts out of +-1 and
+    +-2 for every integer field, a pair appended to and one pair bumped in
+    each valuation list, f swapped twice, and a composite-prime forgery."""
+    out = []
+    for name in ("m", "prime", "s0", "s_star", "h", "q", "r", "conclusion_exponent"):
+        for delta in rng.sample((-2, -1, 1, 2), 2):
+            out.append(replace(cert, **{name: getattr(cert, name) + delta}))
+    for name in ("bi_valuations", "phi_valuations"):
+        pairs = getattr(cert, name)
+        top = max((i for i, _ in pairs), default=0)
+        out.append(replace(cert, **{name: pairs + ((top + 1, 1),)}))
+        k = rng.randrange(len(pairs) + 1)
+        i, v = pairs[k] if k < len(pairs) else (1, 0)
+        bumped = rng.choice(((i, v + 1), (i, v - 1), (i + 1, v)))
+        out.append(replace(cert, **{name: pairs[:k] + (bumped,) + pairs[k + 1:]}))
+    t = parse_poly("t")
+    swaps = (cert.f * t, cert.f + t ** (cert.f.degree + 1), cert.f.scale(Fraction(2)),
+             cert.f - t ** cert.f.lowest_degree(), parse_poly("t + t^2"))
+    out.extend(replace(cert, f=other) for other in rng.sample(swaps, 2))
+    # a forgery consistent in every field, at the next m whose p is composite
+    d, alpha = cert.conclusion_exponent // cert.m - 1, Fraction(cert.r, cert.q)
+    m = cert.m + 1
+    while (p := cert.s_star * cert.q * m + cert.h) < 2 or is_prime(p):
+        m += 1
+    derived = certlab._derive_valuations(cert.f, cert.f.lowest_degree(), d, alpha, m, p)
+    if derived is not None and cert.f.degree * m * (d + 1) <= certlab.MAX_CERT_DEGREE:
+        out.append(replace(cert, m=m, prime=p, bi_valuations=derived[0], phi_valuations=derived[1],
+                           conclusion_exponent=m * (d + 1)))
+    return out
+
+
+def test_certificates_match_the_earlier_search_and_checker():
+    rng = random.Random(2020)
+    alphas = [Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3), Fraction(1), Fraction(2),
+              Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 2),
+              Fraction(2, 7), Fraction(-5, 3)]
+    reached = set()
+    certificates = tampered = 0
+    start = time.perf_counter()
+    for _ in range(320):
+        f = _random_f(rng)
+        d = rng.choice((-1, 0, 0, 1, 1, 2, 3, 600))
+        alpha = rng.choice(alphas)
+        budget = rng.choice((1, 2, 3, 40, 10 ** 6))
+        new = _outcome(certificate_nonmembership, f, d, alpha, budget)
+        old = _outcome(certlab_oracle.certificate_nonmembership, f, d, alpha, budget)
+        if new[0] != "ok" or old[0] != "ok":
+            assert new == old, (f, d, alpha, budget)
+            reason = re.split(r"[;,]| among| needs", new[1])[0]
+            reached.add("alpha = -1" if alpha == -1 and d >= 0 else reason)
+            continue
+        assert json.dumps(certificate_to_dict(new[1])) == json.dumps(
+            certlab_oracle.certificate_to_dict(old[1]))
+        certificates += 1
+        assert verify_certificate(new[1]) and certlab_oracle.verify_certificate(new[1])
+        for cert in _tamperings(new[1], rng):
+            tampered += 1
+            assert _outcome(verify_certificate, cert) == _outcome(
+                certlab_oracle.verify_certificate, cert), cert
+    assert time.perf_counter() - start < 3.0
+    assert {"d must be non-negative", "the operator d/dt - 1 is surjective",
+            "alpha lies in -(1 + (d+1)N)", "alpha = -1", "zero polynomial",
+            "lowest term must be a monic t^s with s >= 1", "no admissible prime",
+            "the next candidate m = 1"} <= reached, reached
+    assert certificates >= 60 and tampered >= 20 * certificates

@@ -5,6 +5,7 @@ against an independent oracle built from multiplication matrices.
 """
 
 import itertools
+import json
 import random
 import re
 import time
@@ -14,6 +15,7 @@ from math import lcm
 import pytest
 
 from mathieulab import radlab
+from mathieulab.cli import main
 from mathieulab.corealg import (
     QQ,
     Poly,
@@ -231,6 +233,46 @@ def test_power_walks_stop_at_the_degree_limit():
         with pytest.raises(BadInput, match=message):
             escape_exponent(MonomialOperator(1, -1, 1, 1), parse_poly("t^2"), budget)
     assert time.perf_counter() - start < 6.0
+
+
+def test_power_walks_are_bounded_for_constants_windows_and_witnesses(capsys):
+    limit = radlab.MAX_POWER_DEGREE
+    t, c = parse_poly("t"), parse_poly("3/7")
+
+    def window():  # a walk that drew all of it first would fail here
+        for m in itertools.count(1):
+            if m > 1000:
+                raise AssertionError("more than 1,000 window exponents drawn")
+            yield m
+
+    one_point = '{"modulus":[["t",1]],"vbar_basis":[[1]]}'
+    cases = [
+        lambda: radical_probe(lambda p: True, t, window()),
+        lambda: radical_probe(lambda p: True, c, range(1, 10 ** 9)),
+        lambda: escape_exponent(MonomialOperator(1, 0, 0, 0), c, 4000),
+        lambda: definition_witness(lambda p: True, parse_poly("3/7*t + 5/11"), poly_one(), 700),
+    ]
+    for case in cases:
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match="MAX_POWER_DEGREE"):
+            case()
+        assert time.perf_counter() - start < 0.5
+    for argv in (["radical-probe", "--space", one_point, "--poly", "t", "--window", "1:1000000"],
+                 ["escape", "--op", "mono:c=1,alpha=0,lambda=0,d=0", "--poly", "3/7",
+                  "--budget", "4000"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "BAD_INPUT"
+        assert time.perf_counter() - start < 0.5
+    # a constant walks at most MAX_POWER_DEGREE powers, under its own message
+    assert radical_probe(lambda p: True, c, [limit])
+    with pytest.raises(BadInput, match=f"^f\\^{limit + 1} of a constant f is above the limit"):
+        radical_probe(lambda p: True, c, [1, limit + 1])
+    # windows are read in order and must increase
+    for bad, message in (([2, 1], "increase"), ([1, 1], "increase"), ([3, -1], "non-negative"),
+                         (iter(()), "empty")):
+        with pytest.raises(BadInput, match=message):
+            radical_probe(lambda p: True, t, bad)
 
 
 def test_largest_ideal_examples():
