@@ -18,7 +18,9 @@ import sys
 from typing import Optional
 
 from . import certlab, momlab, opimage, radlab, ufdlab
-from .corealg import QQ, QQ_POLY, format_poly, parse_poly, parse_rational, parse_ring_element
+from .corealg import (
+    QQ, QQ_POLY, format_poly, format_rational, parse_poly, parse_rational, parse_ring_element,
+)
 from .errors import AlgebraError, BadInput
 from .opimage import parse_operator
 from .momlab import parse_weight
@@ -52,7 +54,7 @@ def _cmd_member(args):
 
 def _cmd_lzero(args):
     value = opimage.lzero(parse_operator(args.op), parse_poly(args.poly, QQ))
-    return {"value": str(value)}, False
+    return {"value": format_rational(value)}, False
 
 
 def _cmd_escape(args):
@@ -83,15 +85,7 @@ def _cmd_moments(args):
     if args.upto < 0:
         raise BadInput("--upto must be non-negative")
     mf = momlab.MomentFunctional(parse_weight(args.weight))
-    moments = [mf.moment(n) for n in range(args.upto + 1)]
-    # Python caps int -> str conversion to guard parsers against huge input
-    # text; these are exact results, so printing them is exempt
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return {"moments": [str(m) for m in moments]}, False
-    finally:
-        sys.set_int_max_str_digits(limit)
+    return {"moments": [format_rational(mf.moment(n)) for n in range(args.upto + 1)]}, False
 
 
 def _cmd_vb_member(args):

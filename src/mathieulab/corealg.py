@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -1009,11 +1010,32 @@ def parse_key_values(text: str, what: str, sep: str = ",") -> dict[str, str]:
     return args
 
 
+def _decimal(n: int) -> str:
+    """The digits of n.  Python refuses to convert an int of more than
+    sys.get_int_max_str_digits() digits, to guard parsers against huge input
+    text; printed results are exact and exempt, while parsing keeps the
+    guard.  Every number the package prints goes through here."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _magnitude(n: int, d: int) -> str:
     """|n / d| in lowest terms, as str(Fraction) writes it."""
     g = math.gcd(n, d)
-    n, d = abs(n) // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    n, d = _decimal(abs(n) // g), d // g
+    return n if d == 1 else f"{n}/{_decimal(d)}"
+
+
+def format_rational(x: Fraction) -> str:
+    """x as str(Fraction) writes it, at any size."""
+    return ("-" if x < 0 else "") + _magnitude(x.numerator, x.denominator)
 
 
 def _term_strings(p: Poly):

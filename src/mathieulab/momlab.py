@@ -7,9 +7,25 @@ with rational points and positive rational weights.  The vanishing-integral
 subspace, the induced inner product, monic orthogonal polynomials and the
 image/integral agreement check all live here.
 
-Monic orthogonal polynomials come straight from the moments by the
-Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, 2004, section 2.1.7), run fraction-free in the manner of
+The monic orthogonal polynomials of the three classical weights need no
+moments.  Each p_n solves a second-order differential equation (Szego,
+*Orthogonal Polynomials*, ch. 4-5), and comparing coefficients gives every
+coefficient of p_n from the ones above it, top-down from the leading 1:
+
+    Hermite   y'' - 2t y' + 2n y = 0
+              c_k = -(k+2)(k+1) c_(k+2) / (2(n-k))
+    Laguerre  t y'' + (a+1-t) y' + n y = 0
+              c_k = -(k+1)(k+a+1) c_(k+1) / (n-k)
+    Jacobi    (1-t^2) y'' + (b-a-(a+b+2)t) y' + n(n+a+b+1) y = 0
+              c_k = -[(k+2)(k+1) c_(k+2) + (b-a)(k+1) c_(k+1)]
+                    / ((n-k)(n+k+a+b+1))
+
+`_ode_row` writes each of them as one row of integer factors and
+`_classical_orthopoly` runs them all with one loop on integers.
+
+For atomic weights the monic orthogonal polynomials come from the moments
+by the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
+and Approximation*, 2004, section 2.1.7), run fraction-free in the manner of
 Bareiss's elimination (1968).  Scaling the moments nu_0 .. nu_(2n-1) by the
 lcm of their denominators gives an integer-valued functional L with the same
 monic orthogonal family.  Integer polynomials P_k proportional to p_k and
@@ -17,14 +33,15 @@ their rows S_k(l) = L(P_k t^l) obey one three-term recurrence with integer
 factors, so degree n costs O(n^2) integer operations, and the monic answer
 is the Poly with numerators P_n over the denominator lc(P_n): no Fraction
 is built past the moments.  Atomic moments are likewise integer sums over
-one common denominator.
+one common denominator.  The same algorithm runs on the moments of any
+weight, which makes it the cross-check of the classical recurrences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .corealg import (
@@ -47,6 +64,13 @@ from .opimage import (
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# largest estimated coefficient size, in bits, of a classical orthopoly
+# (`_output_bits`): Jacobi(123/457, 511/997) reaches n = 1000, Hermite 2300
+MAX_ORTHOPOLY_BITS = 30_000
+# largest degree bound of equivalence_check, whose degree loop costs about
+# the square of the bound
+MAX_EQUIV_DEGREE = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +239,110 @@ def inner_product(w: WeightSpec, f: Poly, g: Poly) -> Fraction:
 
 
 def orthopoly(w: WeightSpec, n: int) -> Poly:
-    """Monic degree-n orthogonal polynomial by the fraction-free Chebyshev algorithm.
+    """Monic degree-n orthogonal polynomial of the weight w.
+
+    Hermite, Laguerre and Jacobi weights run the recurrence of their
+    differential equation (`_classical_orthopoly`), atomic weights the
+    fraction-free Chebyshev algorithm on their moments
+    (`_chebyshev_orthopoly`).  A classical degree whose output size estimate
+    (`_output_bits`) passes MAX_ORTHOPOLY_BITS is refused with BadInput
+    before any work.
+    """
+    if n < 0:
+        raise BadInput("degree must be non-negative")
+    if isinstance(w, AtomicWeight):
+        return _chebyshev_orthopoly(w, n)
+    row = _ode_row(w, n)
+    bits = _output_bits(n, row)
+    if bits > MAX_ORTHOPOLY_BITS:
+        raise BadInput(f"degree {n} for weight {w} would build coefficients of about {bits} "
+                       f"bits, above the limit of {MAX_ORTHOPOLY_BITS}")
+    return _classical_orthopoly(n, row)
+
+
+def _ode_row(w: WeightSpec, n: int):
+    """The coefficient recurrence of the classical p_n as one row of integer factors.
+
+    Returns (lead, rest) for the scaled coefficients e_k = c_k / C(n, k):
+    lead = (a, b) and each term (j, a, b) of rest stand for the integers
+    a + b*k, and the row reads
+
+        (a_lead + b_lead k) e_k = -sum over (j, a, b) of (a + b k) e_(k+j).
+
+    Dividing the module docstring's recurrence for c_k by C(n, k), with
+    C(n, k+j) (k+1)...(k+j) = C(n, k) (n-k)...(n-k-j+1), cancels its factor
+    n - k.  With the parameters a = A/q and b = B/q over one common
+    denominator q > 0, the three rows are
+
+        Hermite   2 e_k = -(n-1-k) e_(k+2)
+        Laguerre  q e_k = -(q + A + q k) e_(k+1)
+        Jacobi    (q(n+1) + A + B + q k) e_k = -(B - A) e_(k+1) - q(n-1-k) e_(k+2)
+
+    The lead is positive for 0 <= k < n: q > 0, and in the Jacobi row
+    q(n+k+1+a+b) > 0 because n+k+1 >= 2 and a, b > -1.  So every step
+    divides by a nonzero integer, and the factor n - k cancelled above is
+    at least 1.
+    """
+    if isinstance(w, HermiteWeight):
+        return (2, 0), ((2, n - 1, -1),)
+    if isinstance(w, LaguerreWeight):
+        q, a = w.alpha.denominator, w.alpha.numerator
+        return (q, 0), ((1, q + a, q),)
+    q = lcm(w.alpha.denominator, w.beta.denominator)
+    a, b = int(w.alpha * q), int(w.beta * q)
+    return (q * (n + 1) + a + b, q), ((1, b - a, 0), (2, q * (n - 1), -q))
+
+
+def _output_bits(n: int, row) -> int:
+    """Estimated bit size of the largest integer `_classical_orthopoly`
+    builds: n times the bit length of the largest factor in the row."""
+    (a, b), rest = row
+    largest = max(abs(a) + abs(b) * n, *(abs(x) + abs(y) * n for _, x, y in rest))
+    return n * largest.bit_length()
+
+
+def _classical_orthopoly(n: int, row) -> Poly:
+    """Run the row of `_ode_row` top-down from e_n = 1 on integers.
+
+    e_i = x_i / (m_i m_(i+1) ... m_(n-1)), one running denominator.  Step k
+    forms the integer s with e_k = s / (lead m_(k+1) ... m_(n-1)), cancels
+    g = gcd(s, lead), and stores x_k = s / g and m_k = lead / g; a term two
+    steps up first takes the factor m_(k+1) it has not seen.  A term whose
+    factors are all zero (Jacobi with a = b) is dropped, and then the
+    other term's steps skip every other coefficient, which is zero (and its
+    m is 1).  The answer c_i = C(n, i) x_i (m_0 ... m_(i-1)) / (m_0 ... m_(n-1))
+    is read bottom-up into one Poly.  Per-step cancellation keeps the
+    running denominator close to the reduced one, so the gcd that brings
+    the Poly to lowest terms stays cheap.
+    """
+    (lead_a, lead_b), rest = row
+    rest = [(j, a, b) for j, a, b in rest if a or b]
+    stride = gcd(*(j for j, _, _ in rest))
+    x = [0] * (n + 2)
+    m = [1] * (n + 1)
+    x[n] = 1
+    for k in range(n - stride, -1, -stride):
+        s = 0
+        for j, a, b in rest:
+            v = x[k + j]
+            if j > stride:
+                v *= m[k + stride]
+            s -= (a + b * k) * v
+        lead = lead_a + lead_b * k
+        g = gcd(s, lead)
+        x[k], m[k] = s // g, lead // g
+    num = [0] * (n + 1)
+    scale = binom = 1
+    for i in range(n + 1):
+        num[i] = x[i] * binom * scale
+        scale *= m[i]
+        binom = binom * (n - i) // (i + 1)
+    return Poly.from_ints(num, scale)
+
+
+def _chebyshev_orthopoly(w: WeightSpec, n: int) -> Poly:
+    """Monic degree-n orthogonal polynomial of any weight by the fraction-free
+    Chebyshev algorithm on its moments.
 
     L is the moment functional scaled to integer moments m_l, which leaves
     the monic orthogonal family unchanged.  P_k is an integer polynomial
@@ -232,8 +359,6 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
     answer; without the check the step would return a polynomial of lower
     degree.
     """
-    if n < 0:
-        raise BadInput("degree must be non-negative")
     if isinstance(w, AtomicWeight) and n >= len(w.points):
         raise Degenerate("no orthogonal polynomial beyond the atomic point count")
     mf = MomentFunctional(w)
@@ -290,10 +415,13 @@ def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> Equiva
     """Compare image membership with integral vanishing on 1, t, ..., t^deg_bound.
 
     When 1 lies in the operator image the image is the whole polynomial ring
-    and no agreement with the vanishing-integral hyperplane is claimed.
+    and no agreement with the vanishing-integral hyperplane is claimed.  A
+    bound above MAX_EQUIV_DEGREE is refused with BadInput before any work.
     """
     if deg_bound < 1:
         raise BadInput("degree bound must be at least 1")
+    if deg_bound > MAX_EQUIV_DEGREE:
+        raise BadInput(f"degree bound {deg_bound} is above the limit of {MAX_EQUIV_DEGREE}")
     expected = matched_operator(w)
     if expected is None or expected != op:
         raise BadPair(f"weight {w} is not matched with operator {op}")

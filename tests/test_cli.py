@@ -1,6 +1,7 @@
 """Command-line interface: exact JSON payloads, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -197,6 +198,53 @@ def test_moments_print_past_the_int_digit_limit(capsys):
                                "--upto", "2")
     assert status == 2 and not out and json.loads(err)["code"] == "BAD_INPUT"
     assert sys.get_int_max_str_digits() == limit
+
+
+def _digits(n):
+    """str(n) past Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reduce_and_orthopoly_print_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    # under d/dt - 1/N, t^2 = D(-N t^2 - 2 N^2 t) + 2 N^2
+    big = 10 ** 3000 - 1
+    payload = run_json(capsys, "reduce", "--op", f"mono:c=1,alpha=0,lambda=1/{big},d=0",
+                       "--poly", "t^2")
+    assert payload == {"normal_form": _digits(2 * big * big),
+                       "witness": f"-{big}*t^2 - {_digits(2 * big * big)}*t",
+                       "admissible": True}
+    assert len(payload["normal_form"]) > 4300
+    # the constant term of the monic Laguerre p_50 for alpha = 1/q is
+    # prod_(i <= 50) (i q + 1) / q^50, over 5000 digits
+    q = 10 ** 100
+    payload = run_json(capsys, "orthopoly", "--weight", f"laguerre:alpha=1/{q}", "--n", "50")
+    constant = _digits(math.prod(i * q + 1 for i in range(1, 51))) + "/" + _digits(q ** 50)
+    assert payload["degree"] == 50 and payload["poly"].endswith(" + " + constant)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_cost_limits_refuse_before_any_work(capsys):
+    cases = (
+        ("orthopoly", "--weight", "jacobi:alpha=123/457,beta=511/997", "--n", "1001"),
+        ("orthopoly", "--weight", "hermite", "--n", "1000000000"),
+        ("equiv", "--weight", "jacobi:alpha=1/2,beta=1/3", "--op", "jacobi:alpha=1/2,beta=1/3",
+         "--deg-bound", "201"),
+        ("equiv", "--weight", "hermite", "--op", "mono:c=1,alpha=0,lambda=2,d=1",
+         "--deg-bound", "1000000000"),
+    )
+    for argv in cases:
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert status == 2 and not out, argv
+        error = json.loads(err)
+        assert error["code"] == "BAD_INPUT" and "above the limit" in error["message"], argv
 
 
 def test_seed_determinism(capsys):

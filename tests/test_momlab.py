@@ -11,8 +11,10 @@ import momlab_oracle
 from mathieulab import momlab
 from mathieulab.certlab import bracket_factorial
 from mathieulab.corealg import QQ, parse_poly, poly_one, qq_poly, t_monomial
-from mathieulab.errors import BadPair, BadWeight, Degenerate
+from mathieulab.errors import BadInput, BadPair, BadWeight, Degenerate
 from mathieulab.momlab import (
+    MAX_EQUIV_DEGREE,
+    MAX_ORTHOPOLY_BITS,
     AtomicWeight,
     HermiteWeight,
     JacobiWeight,
@@ -194,24 +196,36 @@ def _outcome_or_error(build, w, n):
 
 def test_integer_chebyshev_matches_fraction_oracle():
     rng = random.Random(91715)
-    seen, degrees, one_point = set(), set(), 0
-    for i in range(2000):
-        family = ("jacobi", "laguerre", "hermite", "atomic")[i % 4]
-        w = _oracle_weight(rng, family)
-        if family == "atomic":
-            # degrees run past the point count into the degenerate case
-            n = rng.randint(0, len(w.points) + 2)
-            one_point += len(w.points) == 1
-        else:
-            # every degree to 30 occurs, the slow high ones less often
-            n = min(rng.randint(0, 30), rng.randint(0, 30))
-            degrees.add(n)
+    seen, one_point = set(), 0
+    for _ in range(500):
+        w = _oracle_weight(rng, "atomic")
+        # degrees run past the point count into the degenerate case
+        n = rng.randint(0, len(w.points) + 2)
+        one_point += len(w.points) == 1
         got = _outcome_or_error(orthopoly, w, n)
         assert got == _outcome_or_error(momlab_oracle.orthopoly, w, n), (str(w), n)
-        seen.add((family, got[0].__name__ if isinstance(got, tuple) else "Poly"))
-    assert seen == {("jacobi", "Poly"), ("laguerre", "Poly"), ("hermite", "Poly"),
-                    ("atomic", "Poly"), ("atomic", "Degenerate")}
-    assert degrees == set(range(31)) and one_point
+        seen.add(got[0].__name__ if isinstance(got, tuple) else "Poly")
+    assert seen == {"Poly", "Degenerate"} and one_point
+
+
+def test_classical_recurrence_matches_both_chebyshev_runs():
+    # the differential-equation path against the Fraction Chebyshev oracle and
+    # the integer Chebyshev run on the same moments; parameters lie in
+    # (-1, 4] with denominators up to 9
+    rng = random.Random(40213)
+    degrees, negative = set(), 0
+    for i in range(450):
+        w = _oracle_weight(rng, ("jacobi", "laguerre", "hermite")[i % 3])
+        if i % 15 == 0:
+            w = JacobiWeight(w.alpha, w.alpha)  # a row without its odd term
+        # every degree to 40 occurs, the slow high ones less often
+        n = min(rng.randint(0, 40), rng.randint(0, 40))
+        degrees.add(n)
+        negative += any(getattr(w, name, 0) < 0 for name in ("alpha", "beta"))
+        got = orthopoly(w, n)
+        assert got == momlab_oracle.orthopoly(w, n), (str(w), n)
+        assert got == momlab._chebyshev_orthopoly(w, n), (str(w), n)
+    assert degrees == set(range(41)) and negative
 
 
 def test_integer_atomic_moments_match_fraction_oracle():
@@ -227,11 +241,13 @@ def test_integer_atomic_moments_match_fraction_oracle():
 
 
 def test_singular_gram_matrix_is_degenerate(monkeypatch):
-    # a point mass at 1 (nu_n = 1 for every n) has p_1 = t - 1 of norm zero
+    # the moments of a point mass at 1 (nu_n = 1 for every n) on the Chebyshev
+    # path of a three-point weight: p_1 = t - 1 has norm zero
+    w = AtomicWeight((0, 1, 2), (1, 1, 1))
     monkeypatch.setattr(momlab.MomentFunctional, "moment", lambda self, n: Fraction(1))
-    assert orthopoly(HermiteWeight(), 1) == parse_poly("t - 1")
+    assert orthopoly(w, 1) == parse_poly("t - 1")
     with pytest.raises(Degenerate, match="^Gram matrix is singular at this degree$"):
-        orthopoly(HermiteWeight(), 2)
+        orthopoly(w, 2)
 
 
 def test_orthopoly_degree_40_is_fast():
@@ -242,6 +258,29 @@ def test_orthopoly_degree_40_is_fast():
     assert p.degree == 40 and p.leading() == 1
     for j in range(40):
         assert inner_product(w, p, t_monomial(QQ, j)) == 0
+
+
+def test_jacobi_degree_200_is_fast_and_solves_its_equation():
+    a, b = Fraction(123, 457), Fraction(511, 997)
+    start = time.perf_counter()
+    p = orthopoly(JacobiWeight(a, b), 200)
+    assert time.perf_counter() - start < 1.0
+    assert p.degree == 200 and p.leading() == 1
+    # (1 - t^2) p'' + (b - a - (a + b + 2) t) p' + n (n + a + b + 1) p = 0
+    d1 = p.derivative()
+    lhs = (qq_poly([1, 0, -1]) * d1.derivative() + qq_poly([b - a, -(a + b + 2)]) * d1
+           + p.scale(200 * (201 + a + b)))
+    assert lhs.is_zero
+
+
+def test_orthopoly_cost_limit_refuses_before_any_work():
+    jacobi = JacobiWeight(Fraction(123, 457), Fraction(511, 997))
+    assert momlab._output_bits(1000, momlab._ode_row(jacobi, 1000)) <= MAX_ORTHOPOLY_BITS
+    for w, n in ((jacobi, 1001), (HermiteWeight(), 2400), (LaguerreWeight(1), 10 ** 9)):
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match="above the limit of 30000$"):
+            orthopoly(w, n)
+        assert time.perf_counter() - start < 0.1, (str(w), n)
 
 
 def test_orthopoly_atomic_degeneracy():
@@ -257,6 +296,15 @@ def test_equivalence_examples():
     assert rep.equivalent
     rep = equivalence_check(JacobiWeight(1, 0), JacobiOperator(1, 0), 12)
     assert rep.one_in_image and rep.equivalent is None
+
+
+def test_equivalence_degree_limit_refuses_before_any_work():
+    w = JacobiWeight(Fraction(1, 2), Fraction(1, 3))
+    for bound in (MAX_EQUIV_DEGREE + 1, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match=f"^degree bound {bound} is above the limit of 200$"):
+            equivalence_check(w, JacobiOperator(w.alpha, w.beta), bound)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_equivalence_rejects_mismatched_pair():
