@@ -1014,7 +1014,7 @@ def _decimal(n: int) -> str:
     """The digits of n.  Python refuses to convert an int of more than
     sys.get_int_max_str_digits() digits, to guard parsers against huge input
     text; printed results are exact and exempt, while parsing keeps the
-    guard.  Every number the package prints goes through here."""
+    guard.  Every printed coefficient and rational goes through here."""
     try:
         return str(n)
     except ValueError:

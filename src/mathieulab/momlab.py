@@ -66,7 +66,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 # largest estimated coefficient size, in bits, of a classical orthopoly
-# (`_output_bits`): Jacobi(123/457, 511/997) reaches n = 1000, Hermite 2300
+# (`_output_bits`): Jacobi(123/457, 511/997) reaches n = 1000, Hermite 2307
 MAX_ORTHOPOLY_BITS = 30_000
 # largest degree bound of equivalence_check, whose degree loop costs about
 # the square of the bound
