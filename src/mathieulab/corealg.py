@@ -773,6 +773,9 @@ def poly_t(ring: Ring = QQ) -> Poly:
 def t_monomial(ring: Ring, n: int, coeff=1) -> Poly:
     if n < 0:
         raise BadInput("negative exponent")
+    if ring.is_field and (type(coeff) is int or type(coeff) is Fraction):
+        p, q = coeff.as_integer_ratio()
+        return _qq([0] * n + [p], q)
     c = coeff if isinstance(coeff, RingElement) else ring_scalar(ring, coeff)
     return Poly(ring, (ring_scalar(ring, 0),) * n + (c,))
 
@@ -984,14 +987,31 @@ def parse_ring_element(text: str, ring: Ring) -> RingElement:
     return poly.coeff(0)
 
 
+# Fraction's literal grammar without underscores, exponents or non-ASCII
+# digits and spaces: an exponent lets a few characters such as '1e10000000'
+# build an integer of millions of digits
+_RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\s*",
+                       re.ASCII)
+
+
 def parse_rational(text: str) -> Fraction:
-    """An integer, p/q or plain decimal literal.  Exponent notation is
-    refused: a few characters such as '1e10000000' would build an integer
-    of millions of digits."""
-    if "e" in text or "E" in text:
+    """An integer, p/q or plain decimal literal in ASCII, with optional
+    sign and surrounding whitespace; anything else raises BadInput."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
         raise BadInput(f"bad rational literal {text!r}")
+    sign, whole, den, frac = m.groups()
     try:
-        return Fraction(text.strip())
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        num = int(whole) if whole else 0
+        if den:
+            den = int(den)
+        elif frac:
+            den = 10 ** len(frac)
+            num = num * den + int(frac)
+        else:
+            den = 1
+        return Fraction(-num if sign == "-" else num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"bad rational literal {text!r}") from exc
 

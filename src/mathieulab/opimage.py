@@ -18,32 +18,41 @@ lam = 0 in the monomial family no image element reaches that degree, so
 the term stays and f is not a member; in the Jacobi family (a parameter
 <= -1) the solver raises DegenerateDiagonal.
 
-All decisions are made over QQ.  The defining linear systems have rational
-coefficients, so solvability over any extension field coincides with
-solvability over QQ and nothing is lost by staying exact.
+All decisions are made over QQ, on integers.  The defining linear systems
+have rational coefficients, so solvability over any extension field
+coincides with solvability over QQ.  The table's factors are integers over
+the common denominator q of the operator's parameters, and the elimination
+runs fraction-free in the manner of Bareiss (1968) and of momlab's
+`_classical_orthopoly`: every coefficient still to be eliminated and every
+multiplier is an integer over den(f) times one running product of small
+step denominators, each step divides out the gcd of its integer with its
+leading factor, and the normal form and the witness are read into one Poly
+each at the end.  Every step is an exact integer operation, so the results
+are the rational ones, and no Fraction is built on the way.  Applying an
+operator is one integer list over the same kind of denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .corealg import (
     Poly,
     QQ,
-    euclid_divmod,
+    clear_denominators,
     parse_key_values,
     parse_rational,
-    qq_poly,
+    poly_one,
+    _zdivmod,
 )
 from .errors import (
     BadInput,
     DegenerateDiagonal,
     UnsupportedReduction,
 )
-
-_F0 = Fraction(0)
 
 S_CAP_ZERO = "ZERO"
 S_CAP_SPAN_TD = "SPAN_TD"
@@ -98,6 +107,16 @@ def laguerre_operator(alpha) -> MonomialOperator:
     return MonomialOperator(1, alpha, 1, 0)
 
 
+def _parse_exponent(text: str) -> int:
+    """The exponent d, ASCII digits only: int() would also read '1_0' and '٣'."""
+    if not text.isascii() or not text.isdigit():
+        raise BadInput("exponent d must be a non-negative integer")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise BadInput("exponent d must be a non-negative integer") from exc
+
+
 def parse_operator(text: str) -> OperatorSpec:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
@@ -110,7 +129,7 @@ def parse_operator(text: str) -> OperatorSpec:
             parse_rational(args.get("c", "1")),
             parse_rational(args.get("alpha", "0")),
             parse_rational(args.get("lambda", "1")),
-            int(args.get("d", "0")),
+            _parse_exponent(args.get("d", "0")),
         )
     if head == "jacobi":
         known = {"alpha", "beta"}
@@ -144,90 +163,155 @@ def _require_qq(f: Poly):
 
 
 def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
-    """Apply D to an admissible h; raises BadInput when h has a pole."""
+    """Apply D to an admissible h; raises BadInput when h has a pole.
+
+    The result is one integer list over h.den * q, q the common denominator
+    of the operator's parameters."""
     _require_qq(h)
+    a = h.num
+    deriv = [a[i] * i for i in range(1, len(a))]
     if isinstance(op, MonomialOperator):
-        out = h.derivative().scale(op.c)
-        if op.alpha != 0:
-            coeffs = h.qq_coeffs()
-            if coeffs and coeffs[0] != 0:
+        q, (c, alpha, lam) = clear_denominators((op.c, op.alpha, op.lam))
+        out = [c * v for v in deriv]
+        if alpha:
+            if a and a[0]:
                 raise BadInput("witness must be divisible by t when alpha != 0")
-            out = out + qq_poly([c * op.alpha for c in coeffs[1:]])
-        if op.lam != 0:
-            shifted = [_F0] * op.d + [c * op.lam for c in h.qq_coeffs()]
-            out = out - qq_poly(shifted)
-        return out
-    out = h.derivative()
-    if op.alpha != 0:
-        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
-        if not r.is_zero:
+            for i in range(len(out)):
+                out[i] += alpha * a[i + 1]
+        if lam:
+            out += [0] * (op.d + len(a) - len(out))
+            for i, v in enumerate(a, op.d):
+                out[i] -= lam * v
+        return Poly.from_ints(out, h.den * q)
+    q, (alpha, beta) = clear_denominators((op.alpha, op.beta))
+    out = [q * v for v in deriv] if q != 1 else deriv
+    if alpha:
+        quo, rem, _ = _zdivmod(a, (-1, 1))  # -alpha h / (1 - t) = alpha h / (t - 1)
+        if any(rem):
             raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
-        out = out - q.scale(op.alpha)
-    if op.beta != 0:
-        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
-        if not r.is_zero:
+        for i, v in enumerate(quo):
+            out[i] += alpha * v
+    if beta:
+        quo, rem, _ = _zdivmod(a, (1, 1))  # beta h / (1 + t)
+        if any(rem):
             raise BadInput("witness must be divisible by (1 + t) when beta != 0")
-        out = out + q.scale(op.beta)
-    return out
+        for i, v in enumerate(quo):
+            out[i] += beta * v
+    return Poly.from_ints(out, h.den * q)
+
+
+_ONE_MINUS_T2 = Poly.from_ints([1, 0, -1])
+_ONE_MINUS_T = Poly.from_ints([1, -1])
+_ONE_PLUS_T = Poly.from_ints([1, 1])
 
 
 def _image_row(op: OperatorSpec):
     """The admissible image elements D(w*t^n), n >= n0, as one row.
 
-    Returns (w, n0, top, rest, where).  A term (e, a, b) is the coefficient
-    a + b*n on t^(n+e); top is the leading term and rest the lower ones.
-    w is the witness factor, None for 1.  where names the solve that raises
-    DegenerateDiagonal when the leading coefficient vanishes on a term to
-    be eliminated; None leaves that term in place.
+    Returns (w, n0, q, top, rest, where).  A term (e, a, b) stands for the
+    coefficient (a + b*n)/q on t^(n+e), with integers a, b and q > 0 the
+    common denominator of the operator's parameters; top is the leading
+    term and rest the lower ones.  w is the witness factor, None for 1.
+    where names the solve that raises DegenerateDiagonal when the leading
+    coefficient vanishes on a term to be eliminated; None leaves that term
+    in place.  With C, A, L, B the parameters c, alpha (or the Jacobi
+    alpha), lam and beta times q, the rows in units of 1/q are
 
-        mono, lam != 0       (alpha + c*n) t^(n-1) - lam t^(n+d)           n >= 1
-        mono, lam = 0        (alpha + c*n) t^(n-1)                         n >= 1
-        jacobi, alpha, beta  n t^(n-1) + (beta - alpha) t^n
-                               - (n + 2 + alpha + beta) t^(n+1)  w = 1 - t^2, n >= 0
-        jacobi, alpha only   n t^(n-1) - (n + 1 + alpha) t^n     w = 1 - t,   n >= 0
-        jacobi, beta only    n t^(n-1) + (n + 1 + beta) t^n      w = 1 + t,   n >= 0
-        jacobi, plain d/dt   n t^(n-1)                                     n >= 1
+        mono, lam != 0       (A + C n) t^(n-1) - L t^(n+d)                 n >= 1
+        mono, lam = 0        (A + C n) t^(n-1)                             n >= 1
+        jacobi, alpha, beta  q n t^(n-1) + (B - A) t^n
+                               - (q n + 2q + A + B) t^(n+1)  w = 1 - t^2,  n >= 0
+        jacobi, alpha only   q n t^(n-1) - (q n + q + A) t^n  w = 1 - t,    n >= 0
+        jacobi, beta only    q n t^(n-1) + (q n + q + B) t^n  w = 1 + t,    n >= 0
+        jacobi, plain d/dt   n t^(n-1)                        q = 1,        n >= 1
     """
     if isinstance(op, MonomialOperator):
-        low = (-1, op.alpha, op.c)
-        if op.lam == 0:
-            return None, 1, low, (), None
-        return None, 1, (op.d, -op.lam, 0), (low,), None
-    alpha, beta = op.alpha, op.beta
-    down = (-1, 0, 1)
-    if alpha != 0 and beta != 0:
-        top = (1, -(2 + alpha + beta), -1)
-        return qq_poly([1, 0, -1]), 0, top, ((0, beta - alpha, 0), down), "two-factor"
-    if alpha != 0:
-        return qq_poly([1, -1]), 0, (0, -(1 + alpha), -1), (down,), "single-factor"
-    if beta != 0:
-        return qq_poly([1, 1]), 0, (0, 1 + beta, 1), (down,), "single-factor"
-    return None, 1, down, (), None
+        q, (c, alpha, lam) = clear_denominators((op.c, op.alpha, op.lam))
+        low = (-1, alpha, c)
+        if not lam:
+            return None, 1, q, low, (), None
+        return None, 1, q, (op.d, -lam, 0), (low,), None
+    q, (alpha, beta) = clear_denominators((op.alpha, op.beta))
+    down = (-1, 0, q)
+    if alpha and beta:
+        top = (1, -(2 * q + alpha + beta), -q)
+        return _ONE_MINUS_T2, 0, q, top, ((0, beta - alpha, 0), down), "two-factor"
+    if alpha:
+        return _ONE_MINUS_T, 0, q, (0, -(q + alpha), -q), (down,), "single-factor"
+    if beta:
+        return _ONE_PLUS_T, 0, q, (0, q + beta, q), (down,), "single-factor"
+    return None, 1, q, down, (), None
 
 
 def _eliminate(op: OperatorSpec, f: Poly) -> tuple[Poly, Poly]:
-    """(normal form, witness): eliminate f's terms top-down by `_image_row`."""
-    w, n0, (e, a0, b0), rest, where = _image_row(op)
-    work = list(f.qq_coeffs())
-    g = [_F0] * max(len(work) - e, 0)
-    for k in range(len(work) - 1, n0 + e - 1, -1):
-        a = work[k]
-        if a == 0:
-            continue
-        n = k - e
-        lead = a0 + b0 * n if b0 else a0
-        if lead == 0:
-            if where is None:
-                continue  # no image element leads at t^k
-            raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
-        mult = a / lead
-        work[k] = _F0
-        for j, aj, bj in rest:
-            if n + j >= 0:  # n t^(n-1) has no term at n = 0
-                work[n + j] -= mult * (aj + bj * n if bj else aj)
-        g[n] = mult
-    witness = qq_poly(g)
-    return qq_poly(work), witness if w is None else w * witness
+    """(normal form, witness): eliminate f's terms top-down by `_image_row`,
+    on integers over one running denominator.
+
+    Step k removes t^k with the element of n = k - e, multiplier
+    q*y_k with y_k = x_k / (den m_k m_(k+1) ... m_top), where m_i = 1 at
+    the degrees no step removes.  Step k forms the integer s with
+    f_k - (the earlier steps' terms on t^k) = s / (den m_(k+1) ... m_top):
+    f's numerator times the running product, less each term x_k' (a + b*n')
+    of the step k' = k + gap above, which first takes the factors
+    m_(k+1) ... m_(k'-1) it has not seen (a window kept per gap).  It then
+    cancels g = gcd(s, lead) and stores x_k = s / g and m_k = lead / g.  A
+    degree that no step removes keeps s as its normal-form numerator.  Both
+    results are read bottom-up into one Poly each over den m_0 ... m_top.
+    """
+    w, n0, q, (e, lead_a, lead_b), rest, where = _image_row(op)
+    num = f.num
+    top = len(num) - 1
+    low = n0 + e  # the lowest degree that an image element leads
+    # each term as (gap, a, b, j): step k' sends a + b*n' to t^(k' - gap);
+    # a gap above the top degree never lands
+    terms = [(e - j, a, b, j) for j, a, b in rest if e - j <= top]
+    pad = top + 1 + max((gap for gap, _, _, _ in terms), default=0)
+    x = [0] * pad
+    m = [1] * pad
+    r = [0] * (top + 1)
+    windows = [1] * len(terms)
+    sliding = [(i, gap) for i, (gap, _, _, _) in enumerate(terms) if gap > 1]
+    running = 1
+    for k in range(top, -1, -1):
+        s = num[k] * running if num[k] else 0
+        for i, (gap, a, b, j) in enumerate(terms):
+            v = x[k + gap]
+            if v:
+                s -= ((a + b * (k - j) if b else a) * windows[i]) * v
+        if s:
+            lead = lead_a + lead_b * (k - e) if lead_b else lead_a
+            if k >= low and lead:
+                g = gcd(s, lead)
+                if g != 1:
+                    s //= g
+                    lead //= g
+                x[k] = s
+                if lead != 1:
+                    m[k] = lead
+                    running *= lead
+            elif k >= low and where is not None:
+                raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
+            else:
+                r[k] = s  # no image element leads at t^k
+        for i, gap in sliding:
+            # the window m_(k+1) ... m_(k+gap-1) moves down one degree
+            mk, out = m[k], m[k + gap - 1]
+            if mk != out:
+                windows[i] = windows[i] * mk // out
+    wit = [0] * max(top + 1 - e, 0)
+    scale = 1
+    for k in range(top + 1):
+        if x[k]:
+            wit[k - e] = x[k] * scale
+            if m[k] != 1:
+                scale *= m[k]
+        elif r[k]:
+            r[k] *= scale
+    if q != 1:
+        wit = [q * v for v in wit]
+    den = f.den * scale
+    witness = Poly.from_ints(wit, den)
+    return Poly.from_ints(r, den), witness if w is None else w * witness
 
 
 def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
@@ -253,11 +337,11 @@ def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
     """Does f lie in the polynomial image of D?  Returns (flag, witness)."""
     _require_qq(f)
     nf, witness = _eliminate(op, f)
-    if isinstance(op, MonomialOperator) and op.lam != 0 and op.alpha == 0 and nf.degree == op.d:
+    if (isinstance(op, MonomialOperator) and op.lam != 0 and op.alpha == 0
+            and nf.degree == op.d and not any(nf.num[:-1])):
         # t^d = D(-1/lam) is the one image element of the residue space
-        top = nf.coeff(op.d)
-        nf = nf - qq_poly([_F0] * op.d + [top])
-        witness = witness - qq_poly([top / op.lam])
+        p, q = op.lam.as_integer_ratio()
+        return True, witness - Poly.from_ints([nf.num[-1] * q], nf.den * p)
     if nf.is_zero:
         return True, witness
     return False, None
@@ -276,7 +360,7 @@ def im_structure(op: OperatorSpec) -> ImStructure:
     The s_cap_im classification refers to the lam != 0 normal-form space of
     the monomial family; one_in_image is always decided by the exact solver.
     """
-    one = qq_poly([1])
+    one = poly_one()
     one_in = member(op, one)[0]
     if isinstance(op, MonomialOperator):
         if op.alpha != 0:

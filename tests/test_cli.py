@@ -125,6 +125,9 @@ MALFORMED_CASES = (
     (("moments", "--weight", "atomic:points=0,1;weights=1,1;foo=1", "--upto", "2"), "BAD_INPUT"),
     (("member", "--op", "mono:c=1,alpha", "--poly", "t"), "BAD_INPUT"),
     (("member", "--op", "mono:gamma=1", "--poly", "t"), "BAD_INPUT"),
+    (("member", "--op", "mono:d=1_0", "--poly", "t"), "BAD_INPUT"),
+    (("member", "--op", "jacobi:alpha=\u0663", "--poly", "t"), "BAD_INPUT"),
+    (("moments", "--weight", "laguerre:alpha=3/\u0664", "--upto", "2"), "BAD_INPUT"),
     (("ufd-member", "--ctx", "ufd:a", "--poly", "t"), "BAD_INPUT"),
     (("ufd-member", "--ctx", "ufd:a=x,b=x", "--poly", "t"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),

@@ -38,6 +38,7 @@ from mathieulab.corealg import (
     ring_monomial,
     ring_scalar,
     squarefree_part,
+    t_monomial,
 )
 from mathieulab.errors import (
     AlgebraError,
@@ -100,12 +101,39 @@ def test_parse_accepts_leading_minus_and_juxtaposition():
 
 
 def test_parse_rational_refuses_exponent_notation():
-    for text in ("7", " -3 ", "2/6", "-1.25", ".5"):
+    for text in ("7", " -3 ", "2/6", "-1.25", ".5", "+1", "1.", "+.5", " \t-0.250\n", "007/014"):
         assert parse_rational(text) == Fraction(text)
-    # the last literal would build an integer of a billion digits
-    for text in ("1e3", "2E-1", "1e1000000000", "1/0", "x"):
+    # the third literal would build an integer of a billion digits; the
+    # rest are refused as not ASCII digits and spaces, or with an underscore
+    for text in ("1e3", "2E-1", "1e1000000000", "1/0", "x", "1_0", "\u0663", "3/\u0664",
+                 "\u00a01", "1 / 2", "- 1", "", "."):
         with pytest.raises(BadInput, match="^bad rational literal"):
             parse_rational(text)
+
+
+def test_parse_rational_matches_fraction_on_ascii_text():
+    """Seeded cross-oracle: on ASCII text without '_' or an exponent,
+    parse_rational accepts exactly what Fraction accepts, with its value."""
+    rng = random.Random(5077)
+    accepted = 0
+    for _ in range(20_000):
+        if rng.random() < 0.5:  # a literal of the grammar, sometimes with /0
+            digits = ["".join(rng.choices("0123456789", k=rng.randint(0, 4))) for _ in range(2)]
+            text = (rng.choice(("", " ", "\t")) + rng.choice(("", "+", "-")) + digits[0]
+                    + rng.choice(("", "/", ".")) + digits[1] + rng.choice(("", " ", "\n")))
+        else:
+            text = "".join(rng.choices(" \t+-./0123456789", k=rng.randint(0, 7)))
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = parse_rational(text)
+        except BadInput:
+            got = None
+        assert got == expected and type(got) is type(expected), text
+        accepted += got is not None
+    assert accepted > 5_000
 
 
 def test_arith_examples():
@@ -882,6 +910,14 @@ def test_integer_poly_matches_fraction_oracle():
         for new, old in zip(poly_xgcd(f, g), corealg_oracle.poly_xgcd(of, og)):
             _same(new, old)
     assert min(seen.values()) >= 40, seen
+    # t_monomial over QQ builds its numerators from an int or Fraction directly
+    for n in range(31):
+        for c in (1, 0, -7, 10 ** 20, Fraction(-3, 4), Fraction(5), Fraction(0)):
+            mono = t_monomial(QQ, n, c)
+            ref = qq_poly([Fraction(0)] * n + [Fraction(c)])
+            assert ((mono.num, mono.den, mono.coeffs, hash(mono), format_poly(mono))
+                    == (ref.num, ref.den, ref.coeffs, hash(ref), format_poly(ref)))
+        assert t_monomial(QQ, n) == t_monomial(QQ, n, 1)
 
 
 def _parse_outcome(parse, text, ring):

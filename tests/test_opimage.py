@@ -22,6 +22,7 @@ from mathieulab.errors import AlgebraError, BadInput, DegenerateDiagonal, Unsupp
 from mathieulab.opimage import (
     JacobiOperator,
     MonomialOperator,
+    ReductionResult,
     apply_operator,
     hermite_operator,
     im_structure,
@@ -337,6 +338,14 @@ def test_operator_text_format_roundtrip():
     assert jop == JacobiOperator(1, 2)
     assert parse_operator(str(jop)) == jop
     assert parse_operator("mono:alpha=1") == laguerre_operator(1)
+    assert parse_operator("mono:d=007") == MonomialOperator(1, 0, 1, 7)
+    # d is ASCII digits, and every rational an ASCII literal without '_'
+    for text in ("mono:d=1_0", "mono:d=abc", "mono:d=-1", "mono:d=+3", "mono:d=\u0663",
+                 "mono:d=", "mono:c=1_0", "mono:alpha=\u0663", "jacobi:beta=3/\u0664"):
+        with pytest.raises(BadInput):
+            parse_operator(text)
+    with pytest.raises(BadInput, match="^exponent d must be a non-negative integer$"):
+        parse_operator("mono:d=abc")
 
 
 # -- cross-oracle: the table-driven elimination against the per-family loops --
@@ -344,8 +353,13 @@ def test_operator_text_format_roundtrip():
 def random_image_case(rng):
     """(operator, polynomial, image-table row), drawn so that every row
     occurs, with leading coefficients that vanish at some degree: lam = 0
-    with alpha = -c*n, and integer Jacobi parameters <= -1."""
+    with alpha = -c*n, and integer Jacobi parameters <= -1.  A few cases
+    take parameters such as -999982/999983, coefficients over 7-digit
+    denominators or degrees up to 40; d = 3 gives steps d+1 degrees apart."""
     def param():
+        if rng.random() < 0.1:
+            den = rng.randint(10 ** 5, 10 ** 7)
+            return Fraction(rng.choice((-1, 1)) * (den - rng.randint(1, 20)), den)
         return Fraction(rng.randint(-4, 3), rng.choice((1, 1, 2, 3)))
 
     def nonzero():
@@ -369,8 +383,10 @@ def random_image_case(rng):
         op = JacobiOperator(0, 0)
     if rng.random() < 0.01:
         return op, parse_poly("x*t", QQ_POLY), row
-    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7 else 0
-              for _ in range(rng.randint(0, 8))]
+    den_bound = 4 if rng.random() < 0.85 else 10 ** 7
+    degree = rng.randint(0, 8) if rng.random() < 0.9 else rng.randint(9, 40)
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, den_bound)) if rng.random() < 0.7 else 0
+              for _ in range(degree)]
     return op, qq_poly(coeffs), row
 
 
@@ -382,16 +398,31 @@ def outcome(fn, op, f):
 
 
 def test_image_table_matches_per_family_loops():
+    """The integer elimination against the per-family Fraction loops and the
+    Fraction table elimination, exceptions included; apply_operator runs on
+    the input and on each witness."""
     rng = random.Random(1414)
-    rows, degenerate, lam_zero_nonmember = set(), 0, 0
-    for _ in range(20_000):
+    rows, degenerate, lam_zero_nonmember, big = set(), 0, 0, 0
+    for _ in range(10_000):
         op, f, row = random_image_case(rng)
         rows.add(row)
         got = [outcome(fn, op, f) for fn in (reduce, member, lzero)]
-        expected = [outcome(fn, op, f) for fn in (opimage_oracle.reduce, opimage_oracle.member,
-                                                  opimage_oracle.lzero)]
-        assert got == expected, (op, f)
+        loops = [outcome(fn, op, f) for fn in (opimage_oracle.reduce, opimage_oracle.member,
+                                               opimage_oracle.lzero)]
+        table = [outcome(fn, op, f) for fn in (opimage_oracle.table_reduce,
+                                               opimage_oracle.table_member,
+                                               opimage_oracle.table_lzero)]
+        assert got == loops == table, (op, f)
+        inputs = [f]
+        if isinstance(got[0], ReductionResult):
+            inputs.append(got[0].witness)
+        if got[1][0] is True:
+            inputs.append(got[1][1])
+        for h in inputs:
+            assert (outcome(apply_operator, op, h)
+                    == outcome(opimage_oracle.apply_operator, op, h)), (op, h)
         degenerate += isinstance(got[0], tuple) and got[0][0] is DegenerateDiagonal
         lam_zero_nonmember += row == "mono lam=0" and got[1] == (False, None)
+        big += f.ring == QQ and (f.degree > 8 or f.den > 10 ** 6)
     assert len(rows) == 6
-    assert degenerate and lam_zero_nonmember
+    assert degenerate and lam_zero_nonmember and big
