@@ -773,9 +773,8 @@ def poly_t(ring: Ring = QQ) -> Poly:
 def t_monomial(ring: Ring, n: int, coeff=1) -> Poly:
     if n < 0:
         raise BadInput("negative exponent")
-    if ring.is_field and (type(coeff) is int or type(coeff) is Fraction):
-        p, q = coeff.as_integer_ratio()
-        return _qq([0] * n + [p], q)
+    if ring.is_field and type(coeff) is int:
+        return _qq([0] * n + [coeff], 1)
     c = coeff if isinstance(coeff, RingElement) else ring_scalar(ring, coeff)
     return Poly(ring, (ring_scalar(ring, 0),) * n + (c,))
 

@@ -28,8 +28,7 @@ multiplier is an integer over den(f) times one running product of small
 step denominators, each step divides out the gcd of its integer with its
 leading factor, and the normal form and the witness are read into one Poly
 each at the end.  Every step is an exact integer operation, so the results
-are the rational ones, and no Fraction is built on the way.  Applying an
-operator is one integer list over the same kind of denominator.
+are the rational ones, and no Fraction is built on the way.
 """
 
 from __future__ import annotations
@@ -43,16 +42,19 @@ from .corealg import (
     Poly,
     QQ,
     clear_denominators,
+    euclid_divmod,
     parse_key_values,
     parse_rational,
     poly_one,
-    _zdivmod,
+    qq_poly,
 )
 from .errors import (
     BadInput,
     DegenerateDiagonal,
     UnsupportedReduction,
 )
+
+_F0 = Fraction(0)
 
 S_CAP_ZERO = "ZERO"
 S_CAP_SPAN_TD = "SPAN_TD"
@@ -163,41 +165,31 @@ def _require_qq(f: Poly):
 
 
 def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
-    """Apply D to an admissible h; raises BadInput when h has a pole.
-
-    The result is one integer list over h.den * q, q the common denominator
-    of the operator's parameters."""
+    """Apply D to an admissible h; raises BadInput when h has a pole."""
     _require_qq(h)
-    a = h.num
-    deriv = [a[i] * i for i in range(1, len(a))]
     if isinstance(op, MonomialOperator):
-        q, (c, alpha, lam) = clear_denominators((op.c, op.alpha, op.lam))
-        out = [c * v for v in deriv]
-        if alpha:
-            if a and a[0]:
+        out = h.derivative().scale(op.c)
+        if op.alpha != 0:
+            coeffs = h.qq_coeffs()
+            if coeffs and coeffs[0] != 0:
                 raise BadInput("witness must be divisible by t when alpha != 0")
-            for i in range(len(out)):
-                out[i] += alpha * a[i + 1]
-        if lam:
-            out += [0] * (op.d + len(a) - len(out))
-            for i, v in enumerate(a, op.d):
-                out[i] -= lam * v
-        return Poly.from_ints(out, h.den * q)
-    q, (alpha, beta) = clear_denominators((op.alpha, op.beta))
-    out = [q * v for v in deriv] if q != 1 else deriv
-    if alpha:
-        quo, rem, _ = _zdivmod(a, (-1, 1))  # -alpha h / (1 - t) = alpha h / (t - 1)
-        if any(rem):
+            out = out + qq_poly([c * op.alpha for c in coeffs[1:]])
+        if op.lam != 0:
+            shifted = [_F0] * op.d + [c * op.lam for c in h.qq_coeffs()]
+            out = out - qq_poly(shifted)
+        return out
+    out = h.derivative()
+    if op.alpha != 0:
+        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
+        if not r.is_zero:
             raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
-        for i, v in enumerate(quo):
-            out[i] += alpha * v
-    if beta:
-        quo, rem, _ = _zdivmod(a, (1, 1))  # beta h / (1 + t)
-        if any(rem):
+        out = out - q.scale(op.alpha)
+    if op.beta != 0:
+        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
+        if not r.is_zero:
             raise BadInput("witness must be divisible by (1 + t) when beta != 0")
-        for i, v in enumerate(quo):
-            out[i] += beta * v
-    return Poly.from_ints(out, h.den * q)
+        out = out + q.scale(op.beta)
+    return out
 
 
 _ONE_MINUS_T2 = Poly.from_ints([1, 0, -1])

@@ -6,14 +6,12 @@ oracles for the integer elimination.
   ``_member_monomial_no_tail``) behind ``reduce``, ``member`` and ``lzero``.
 * The table-driven elimination on Fractions: ``_image_row`` with its
   factors as Fractions and ``_eliminate`` on ``qq_coeffs()`` lists, behind
-  ``table_reduce``, ``table_member`` and ``table_lzero``, and the
-  ``apply_operator`` that works on Fraction coefficients and
-  ``euclid_divmod``."""
+  ``table_reduce``, ``table_member`` and ``table_lzero``."""
 
 from fractions import Fraction
 from typing import Optional
 
-from mathieulab.corealg import Poly, QQ, euclid_divmod, poly_zero, qq_poly
+from mathieulab.corealg import Poly, QQ, poly_zero, qq_poly
 from mathieulab.errors import BadInput, DegenerateDiagonal, UnsupportedReduction
 from mathieulab.opimage import JacobiOperator, MonomialOperator, OperatorSpec, ReductionResult
 
@@ -149,34 +147,6 @@ def lzero(op: MonomialOperator, f: Poly) -> Fraction:
 
 
 # -- the table-driven elimination on Fractions --------------------------------
-
-def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
-    """Apply D to an admissible h; raises BadInput when h has a pole."""
-    _require_qq(h)
-    if isinstance(op, MonomialOperator):
-        out = h.derivative().scale(op.c)
-        if op.alpha != 0:
-            coeffs = h.qq_coeffs()
-            if coeffs and coeffs[0] != 0:
-                raise BadInput("witness must be divisible by t when alpha != 0")
-            out = out + qq_poly([c * op.alpha for c in coeffs[1:]])
-        if op.lam != 0:
-            shifted = [_F0] * op.d + [c * op.lam for c in h.qq_coeffs()]
-            out = out - qq_poly(shifted)
-        return out
-    out = h.derivative()
-    if op.alpha != 0:
-        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
-        if not r.is_zero:
-            raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
-        out = out - q.scale(op.alpha)
-    if op.beta != 0:
-        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
-        if not r.is_zero:
-            raise BadInput("witness must be divisible by (1 + t) when beta != 0")
-        out = out + q.scale(op.beta)
-    return out
-
 
 def _image_row(op: OperatorSpec):
     """The admissible image elements D(w*t^n), n >= n0, as one row.

@@ -910,9 +910,9 @@ def test_integer_poly_matches_fraction_oracle():
         for new, old in zip(poly_xgcd(f, g), corealg_oracle.poly_xgcd(of, og)):
             _same(new, old)
     assert min(seen.values()) >= 40, seen
-    # t_monomial over QQ builds its numerators from an int or Fraction directly
+    # t_monomial over QQ builds its numerators from an int coefficient directly
     for n in range(31):
-        for c in (1, 0, -7, 10 ** 20, Fraction(-3, 4), Fraction(5), Fraction(0)):
+        for c in (1, 0, -7, 10 ** 20):
             mono = t_monomial(QQ, n, c)
             ref = qq_poly([Fraction(0)] * n + [Fraction(c)])
             assert ((mono.num, mono.den, mono.coeffs, hash(mono), format_poly(mono))
