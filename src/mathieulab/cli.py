@@ -85,6 +85,7 @@ def _cmd_moments(args):
     if args.upto < 0:
         raise BadInput("--upto must be non-negative")
     mf = momlab.MomentFunctional(parse_weight(args.weight))
+    mf.moment(args.upto)  # the top index first: one above the limit is refused before any work
     return {"moments": [format_rational(mf.moment(n)) for n in range(args.upto + 1)]}, False
 
 

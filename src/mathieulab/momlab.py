@@ -20,8 +20,10 @@ coefficient of p_n from the ones above it, top-down from the leading 1:
               c_k = -[(k+2)(k+1) c_(k+2) + (b-a)(k+1) c_(k+1)]
                     / ((n-k)(n+k+a+b+1))
 
-`_ode_row` writes each of them as one row of integer factors and
-`_classical_orthopoly` runs them all with one loop on integers.
+`_ode_row` writes each of them as one row of integer factors, and
+`_classical_orthopoly` solves the row with `linalg.solve_band`, the
+fraction-free banded solver that opimage's elimination uses too, on
+integers over one running denominator.
 
 For atomic weights the monic orthogonal polynomials come from the moments
 by the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
 from .corealg import (
@@ -53,6 +55,7 @@ from .corealg import (
     t_monomial,
 )
 from .errors import BadInput, BadPair, BadWeight, Degenerate
+from .linalg import solve_band
 from .opimage import (
     JacobiOperator,
     OperatorSpec,
@@ -71,6 +74,11 @@ MAX_ORTHOPOLY_BITS = 30_000
 # largest degree bound of equivalence_check, whose degree loop costs about
 # the square of the bound
 MAX_EQUIV_DEGREE = 200
+# largest moment index; the cost of all moments up to n grows about sixfold
+# per doubling of n and with the size of the weight.  At the limit,
+# `moments --upto 2000` takes 0.5 s for jacobi:alpha=1/2,beta=1/3 and 6.2 s
+# for jacobi:alpha=123/457,beta=511/997, on a 2-vCPU Xeon
+MAX_MOMENT_INDEX = 2000
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +194,8 @@ class MomentFunctional:
     def moment(self, n: int) -> Fraction:
         if n < 0:
             raise BadInput("moment index must be non-negative")
+        if n > MAX_MOMENT_INDEX:
+            raise BadInput(f"moment index {n} is above the limit of {MAX_MOMENT_INDEX}")
         while len(self._cache) <= n:
             self._cache.append(self._next(len(self._cache)))
         return self._cache[n]
@@ -216,11 +226,12 @@ def normalized_moment(w: WeightSpec, n: int) -> Fraction:
 
 
 def _integral(mf: MomentFunctional, coeffs) -> Fraction:
-    """Normalized integral of the polynomial with ascending coefficients."""
+    """Normalized integral of the polynomial with ascending coefficients,
+    read from the top, so that too high an index is refused before any work."""
     total = _F0
-    for n, c in enumerate(coeffs):
-        if c:
-            total += c * mf.moment(n)
+    for n in range(len(coeffs) - 1, -1, -1):
+        if coeffs[n]:
+            total += coeffs[n] * mf.moment(n)
     return total
 
 
@@ -235,7 +246,10 @@ def inner_product(w: WeightSpec, f: Poly, g: Poly) -> Fraction:
     """Moment-weighted pairing; conjugation is trivial over QQ."""
     if f.ring != QQ or g.ring != QQ:
         raise BadInput("inner product requires rational coefficients")
-    return _integral(MomentFunctional(w), (f * g).qq_coeffs())
+    mf = MomentFunctional(w)
+    if not (f.is_zero or g.is_zero):
+        mf.moment(f.degree + g.degree)  # refuses too high an index before the product
+    return _integral(mf, (f * g).qq_coeffs())
 
 
 def orthopoly(w: WeightSpec, n: int) -> Poly:
@@ -281,63 +295,42 @@ def _ode_row(w: WeightSpec, n: int):
     The lead is positive for 0 <= k < n: q > 0, and in the Jacobi row
     q(n+k+1+a+b) > 0 because n+k+1 >= 2 and a, b > -1.  So every step
     divides by a nonzero integer, and the factor n - k cancelled above is
-    at least 1.
+    at least 1.  rest holds no zero term: the Jacobi row drops its e_(k+1)
+    term when A = B, and its odd coefficients are then zero.
     """
     if isinstance(w, HermiteWeight):
         return (2, 0), ((2, n - 1, -1),)
     if isinstance(w, LaguerreWeight):
         q, a = w.alpha.denominator, w.alpha.numerator
         return (q, 0), ((1, q + a, q),)
-    q = lcm(w.alpha.denominator, w.beta.denominator)
-    a, b = int(w.alpha * q), int(w.beta * q)
-    return (q * (n + 1) + a + b, q), ((1, b - a, 0), (2, q * (n - 1), -q))
+    q, (a, b) = clear_denominators((w.alpha, w.beta))
+    down = (2, q * (n - 1), -q)
+    return (q * (n + 1) + a + b, q), ((1, b - a, 0), down) if b != a else (down,)
 
 
 def _output_bits(n: int, row) -> int:
     """Estimated bit size of the largest integer `_classical_orthopoly`
     builds: n times the bit length of the largest factor in the row."""
     (a, b), rest = row
-    largest = max(abs(a) + abs(b) * n, *(abs(x) + abs(y) * n for _, x, y in rest))
+    largest = abs(a) + abs(b) * n
+    for _, x, y in rest:
+        largest = max(largest, abs(x) + abs(y) * n)
     return n * largest.bit_length()
 
 
 def _classical_orthopoly(n: int, row) -> Poly:
-    """Run the row of `_ode_row` top-down from e_n = 1 on integers.
-
-    e_i = x_i / (m_i m_(i+1) ... m_(n-1)), one running denominator.  Step k
-    forms the integer s with e_k = s / (lead m_(k+1) ... m_(n-1)), cancels
-    g = gcd(s, lead), and stores x_k = s / g and m_k = lead / g; a term two
-    steps up first takes the factor m_(k+1) it has not seen.  A term whose
-    factors are all zero (Jacobi with a = b) is dropped, and then the
-    other term's steps skip every other coefficient, which is zero (and its
-    m is 1).  The answer c_i = C(n, i) x_i (m_0 ... m_(i-1)) / (m_0 ... m_(n-1))
-    is read bottom-up into one Poly.  Per-step cancellation keeps the
-    running denominator close to the reduced one, so the gcd that brings
-    the Poly to lowest terms stays cheap.
-    """
-    (lead_a, lead_b), rest = row
-    rest = [(j, a, b) for j, a, b in rest if a or b]
-    stride = gcd(*(j for j, _, _ in rest))
-    x = [0] * (n + 2)
-    m = [1] * (n + 1)
-    x[n] = 1
-    for k in range(n - stride, -1, -stride):
-        s = 0
-        for j, a, b in rest:
-            v = x[k + j]
-            if j > stride:
-                v *= m[k + stride]
-            s -= (a + b * k) * v
-        lead = lead_a + lead_b * k
-        g = gcd(s, lead)
-        x[k], m[k] = s // g, lead // g
-    num = [0] * (n + 1)
-    scale = binom = 1
-    for i in range(n + 1):
-        num[i] = x[i] * binom * scale
-        scale *= m[i]
+    """Solve the row of `_ode_row` with `linalg.solve_band` for the right-hand
+    side lead(n) at n and 0 below, so e_n = 1, and read c_i = C(n, i) e_i.
+    p_0 = 1 needs no solve (the Jacobi lead can vanish at k = n = 0)."""
+    if not n:
+        return Poly.from_ints([1])
+    lead, rest = row
+    e, _, scale = solve_band(lead, [0] * n + [lead[0] + lead[1] * n], rest)
+    binom = 1
+    for i in range(n):
         binom = binom * (n - i) // (i + 1)
-    return Poly.from_ints(num, scale)
+        e[i + 1] *= binom
+    return Poly.from_ints(e, scale)
 
 
 def _chebyshev_orthopoly(w: WeightSpec, n: int) -> Poly:

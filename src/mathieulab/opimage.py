@@ -16,26 +16,22 @@ normal form in a small residue space, and with it a membership decision
 with an explicit witness.  A leading coefficient can vanish at one n: with
 lam = 0 in the monomial family no image element reaches that degree, so
 the term stays and f is not a member; in the Jacobi family (a parameter
-<= -1) the solver raises DegenerateDiagonal.
+<= -1) the elimination raises DegenerateDiagonal.
 
 All decisions are made over QQ, on integers.  The defining linear systems
 have rational coefficients, so solvability over any extension field
 coincides with solvability over QQ.  The table's factors are integers over
 the common denominator q of the operator's parameters, and the elimination
-runs fraction-free in the manner of Bareiss (1968) and of momlab's
-`_classical_orthopoly`: every coefficient still to be eliminated and every
-multiplier is an integer over den(f) times one running product of small
-step denominators, each step divides out the gcd of its integer with its
-leading factor, and the normal form and the witness are read into one Poly
-each at the end.  Every step is an exact integer operation, so the results
-are the rational ones, and no Fraction is built on the way.
+is `linalg.solve_band`, the fraction-free banded solver that momlab's
+classical orthogonal polynomials use too: f's numerators, the witness and
+the normal form are integers over one running denominator, with no Fraction
+on the way, and each result is read into one Poly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 from .corealg import (
@@ -53,6 +49,7 @@ from .errors import (
     DegenerateDiagonal,
     UnsupportedReduction,
 )
+from .linalg import solve_band
 
 _F0 = Fraction(0)
 
@@ -203,7 +200,8 @@ def _image_row(op: OperatorSpec):
     Returns (w, n0, q, top, rest, where).  A term (e, a, b) stands for the
     coefficient (a + b*n)/q on t^(n+e), with integers a, b and q > 0 the
     common denominator of the operator's parameters; top is the leading
-    term and rest the lower ones.  w is the witness factor, None for 1.
+    term and rest the nonzero lower ones (the two-factor row drops its t^n
+    term when A = B).  w is the witness factor, None for 1.
     where names the solve that raises DegenerateDiagonal when the leading
     coefficient vanishes on a term to be eliminated; None leaves that term
     in place.  With C, A, L, B the parameters c, alpha (or the Jacobi
@@ -227,7 +225,8 @@ def _image_row(op: OperatorSpec):
     down = (-1, 0, q)
     if alpha and beta:
         top = (1, -(2 * q + alpha + beta), -q)
-        return _ONE_MINUS_T2, 0, q, top, ((0, beta - alpha, 0), down), "two-factor"
+        rest = ((0, beta - alpha, 0), down) if beta != alpha else (down,)
+        return _ONE_MINUS_T2, 0, q, top, rest, "two-factor"
     if alpha:
         return _ONE_MINUS_T, 0, q, (0, -(q + alpha), -q), (down,), "single-factor"
     if beta:
@@ -236,73 +235,24 @@ def _image_row(op: OperatorSpec):
 
 
 def _eliminate(op: OperatorSpec, f: Poly) -> tuple[Poly, Poly]:
-    """(normal form, witness): eliminate f's terms top-down by `_image_row`,
-    on integers over one running denominator.
+    """(normal form, witness): eliminate f's terms top-down by `_image_row`.
 
-    Step k removes t^k with the element of n = k - e, multiplier
-    q*y_k with y_k = x_k / (den m_k m_(k+1) ... m_top), where m_i = 1 at
-    the degrees no step removes.  Step k forms the integer s with
-    f_k - (the earlier steps' terms on t^k) = s / (den m_(k+1) ... m_top):
-    f's numerator times the running product, less each term x_k' (a + b*n')
-    of the step k' = k + gap above, which first takes the factors
-    m_(k+1) ... m_(k'-1) it has not seen (a window kept per gap).  It then
-    cancels g = gcd(s, lead) and stores x_k = s / g and m_k = lead / g.  A
-    degree that no step removes keeps s as its normal-form numerator.  Both
-    results are read bottom-up into one Poly each over den m_0 ... m_top.
+    Degree k is removed by the element of n = k - e with the multiplier
+    q y_k, so in terms of k the row reads (lead_a + lead_b (k - e)) y_k =
+    f_k - sum (a + b (k - j)) y_(k + e - j) over the lower terms (j, a, b),
+    which `linalg.solve_band` solves on f's numerators.  A degree below
+    n0 + e, or one whose lead vanishes, keeps its term in the normal form;
+    when `where` is set such a term at a degree an element leads raises
+    DegenerateDiagonal.
     """
     w, n0, q, (e, lead_a, lead_b), rest, where = _image_row(op)
-    num = f.num
-    top = len(num) - 1
     low = n0 + e  # the lowest degree that an image element leads
-    # each term as (gap, a, b, j): step k' sends a + b*n' to t^(k' - gap);
-    # a gap above the top degree never lands
-    terms = [(e - j, a, b, j) for j, a, b in rest if e - j <= top]
-    pad = top + 1 + max((gap for gap, _, _, _ in terms), default=0)
-    x = [0] * pad
-    m = [1] * pad
-    r = [0] * (top + 1)
-    windows = [1] * len(terms)
-    sliding = [(i, gap) for i, (gap, _, _, _) in enumerate(terms) if gap > 1]
-    running = 1
-    for k in range(top, -1, -1):
-        s = num[k] * running if num[k] else 0
-        for i, (gap, a, b, j) in enumerate(terms):
-            v = x[k + gap]
-            if v:
-                s -= ((a + b * (k - j) if b else a) * windows[i]) * v
-        if s:
-            lead = lead_a + lead_b * (k - e) if lead_b else lead_a
-            if k >= low and lead:
-                g = gcd(s, lead)
-                if g != 1:
-                    s //= g
-                    lead //= g
-                x[k] = s
-                if lead != 1:
-                    m[k] = lead
-                    running *= lead
-            elif k >= low and where is not None:
-                raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
-            else:
-                r[k] = s  # no image element leads at t^k
-        for i, gap in sliding:
-            # the window m_(k+1) ... m_(k+gap-1) moves down one degree
-            mk, out = m[k], m[k + gap - 1]
-            if mk != out:
-                windows[i] = windows[i] * mk // out
-    wit = [0] * max(top + 1 - e, 0)
-    scale = 1
-    for k in range(top + 1):
-        if x[k]:
-            wit[k - e] = x[k] * scale
-            if m[k] != 1:
-                scale *= m[k]
-        elif r[k]:
-            r[k] *= scale
-    if q != 1:
-        wit = [q * v for v in wit]
+    y, r, scale = solve_band((lead_a - lead_b * e, lead_b), f.num,
+                             [(e - j, a - b * j, b) for j, a, b in rest], low)
+    if where is not None and any(r[low:]):
+        raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
     den = f.den * scale
-    witness = Poly.from_ints(wit, den)
+    witness = Poly.from_ints([q * v for v in ([0] * -e + y if e < 0 else y[e:])], den)
     return Poly.from_ints(r, den), witness if w is None else w * witness
 
 

@@ -68,3 +68,21 @@ def solve_linear(a: Sequence[Sequence[Fraction]],
         if sum(Fraction(a[i][j]) * x[j] for j in range(ncols)) != Fraction(b[i]):
             return None
     return x
+
+
+def solve_band(lead, num, terms, low=0):
+    """Back-substitution over Fraction for lead(k) x_k = num_k -
+    sum (a + b k) x_(k+gap), k = top .. 0: (x, r), where a degree below low
+    or with a zero lead gets x_k = 0 and keeps its right-hand side in r."""
+    top = len(num) - 1
+    x = [Fraction(0)] * (top + 1)
+    r = [Fraction(0)] * (top + 1)
+    for k in range(top, -1, -1):
+        rhs = Fraction(num[k]) - sum((a + b * k) * x[k + gap]
+                                     for gap, a, b in terms if k + gap <= top)
+        d = lead[0] + lead[1] * k
+        if k >= low and d:
+            x[k] = rhs / d
+        else:
+            r[k] = rhs
+    return x, r

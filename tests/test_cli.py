@@ -240,6 +240,11 @@ def test_cost_limits_refuse_before_any_work(capsys):
          "--deg-bound", "201"),
         ("equiv", "--weight", "hermite", "--op", "mono:c=1,alpha=0,lambda=2,d=1",
          "--deg-bound", "1000000000"),
+        ("moments", "--weight", "jacobi:alpha=1/2,beta=1/3", "--upto", "2001"),
+        ("moments", "--weight", "hermite", "--upto", "1000000000"),
+        ("vb-member", "--weight", "laguerre:alpha=1/2", "--poly", "t^10000"),
+        ("mathieu", "--space", '{"modulus":[["t + 1",33]]}'),
+        ("mathieu", "--space", '{"modulus":[["t + 1",1000000000]]}'),
     )
     for argv in cases:
         start = time.perf_counter()

@@ -1,11 +1,13 @@
-"""linalg's sparse column echelon against the dense RREF in linalg_oracle."""
+"""linalg's sparse column echelon against the dense RREF in linalg_oracle,
+and its fraction-free banded solver against Fraction back-substitution."""
 
 import random
 from fractions import Fraction
 
-from mathieulab.linalg import nullspace
+from mathieulab.linalg import nullspace, solve_band
 
 from linalg_oracle import nullspace as dense_nullspace
+from linalg_oracle import solve_band as fraction_solve_band
 
 
 def random_matrix(rng):
@@ -59,3 +61,53 @@ def test_nullspace_matches_dense_oracle():
         seen |= features
     assert seen == {"int", "rational", "empty", "no columns", "zero row", "zero column",
                     "dependent rows"}
+
+
+def random_band(rng):
+    """(lead, num, terms, low, features) for one banded system."""
+    top = rng.randint(0, 12)
+    features = set()
+    if rng.random() < 0.25:
+        num = [0] * top + [rng.randint(-9, 9) or 1]
+        features.add("num zero below top")
+    else:
+        num = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(top + 1)]
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        gap = rng.randint(1, 5)
+        if rng.random() < 0.15:
+            terms.append((gap, 0, 0))
+            features.add("zero term")
+        else:
+            terms.append((gap, rng.randint(-6, 6), rng.randint(-3, 3)))
+        features.add(f"gap {gap}")
+    low = rng.choice([0, 0, 1, 2, 3])
+    if rng.random() < 0.3 and top:
+        # a lead that vanishes at one degree k0 >= low
+        k0 = rng.randint(min(low, top), top)
+        b = rng.choice([-2, -1, 1, 2])
+        lead = (-b * k0, b)
+        if k0 >= low:
+            features.add("zero lead at k >= low")
+    else:
+        lead = (rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.randint(-2, 2))
+    if any(lead[0] + lead[1] * k < 0 for k in range(top + 1)):
+        features.add("negative lead")
+    if low:
+        features.add("low > 0")
+    return lead, num, terms, low, features
+
+
+def test_solve_band_matches_fraction_back_substitution():
+    rng = random.Random(2323)
+    seen = set()
+    for _ in range(3000):
+        lead, num, terms, low, features = random_band(rng)
+        x, r, scale = solve_band(lead, num, terms, low)
+        want_x, want_r = fraction_solve_band(lead, num, terms, low)
+        assert scale != 0 and all(type(v) is int for v in x + r + [scale])
+        assert [Fraction(v, scale) for v in x] == want_x, (lead, num, terms, low)
+        assert [Fraction(v, scale) for v in r] == want_r, (lead, num, terms, low)
+        seen |= features
+    assert seen == {"gap 1", "gap 2", "gap 3", "gap 4", "gap 5", "zero term", "num zero below top",
+                    "zero lead at k >= low", "negative lead", "low > 0"}

@@ -14,6 +14,7 @@ from mathieulab.corealg import QQ, parse_poly, poly_one, qq_poly, t_monomial
 from mathieulab.errors import BadInput, BadPair, BadWeight, Degenerate
 from mathieulab.momlab import (
     MAX_EQUIV_DEGREE,
+    MAX_MOMENT_INDEX,
     MAX_ORTHOPOLY_BITS,
     AtomicWeight,
     HermiteWeight,
@@ -305,6 +306,24 @@ def test_equivalence_degree_limit_refuses_before_any_work():
         with pytest.raises(BadInput, match=f"^degree bound {bound} is above the limit of 200$"):
             equivalence_check(w, JacobiOperator(w.alpha, w.beta), bound)
         assert time.perf_counter() - start < 0.1
+
+
+def test_moment_index_limit_refuses_before_any_work():
+    w = JacobiWeight(Fraction(1, 2), Fraction(1, 3))
+    high = t_monomial(QQ, MAX_MOMENT_INDEX + 1)
+    half = t_monomial(QQ, MAX_MOMENT_INDEX // 2 + 1)
+    calls = (
+        (lambda: MomentFunctional(w).moment(MAX_MOMENT_INDEX + 1), MAX_MOMENT_INDEX + 1),
+        (lambda: normalized_moment(w, 10 ** 9), 10 ** 9),
+        (lambda: vb_member(w, high), MAX_MOMENT_INDEX + 1),
+        (lambda: inner_product(w, half, half), MAX_MOMENT_INDEX + 2),
+    )
+    for call, index in calls:
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match=f"^moment index {index} is above the limit of 2000$"):
+            call()
+        assert time.perf_counter() - start < 0.2
+    assert normalized_moment(HermiteWeight(), MAX_MOMENT_INDEX) > 0
 
 
 def test_equivalence_rejects_mismatched_pair():

@@ -198,6 +198,19 @@ def test_factor_validation_is_fast_on_large_constants():
 
 # -- probes -------------------------------------------------------------
 
+def test_modulus_degree_limit_refuses_before_any_work():
+    limit = radlab.MAX_MODULUS_DEGREE
+    t1, t2 = parse_poly("t + 1"), parse_poly("t^2 + 1")
+    for factors, degree in (([(t1, limit + 1)], limit + 1),
+                            ([(t1, 10 ** 9)], 10 ** 9),
+                            ([(t2, limit // 2), (parse_poly("t"), 1)], limit + 1)):
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match=f"^modulus degree {degree} is above the limit of 32$"):
+            CofiniteSubspace(factors, [])
+        assert time.perf_counter() - start < 0.2
+    assert CofiniteSubspace([(t1, limit)], []).dim == limit
+
+
 def test_radical_probe_examples():
     op = MonomialOperator(1, -1, 1, 1)
     assert radical_probe(lambda p: member(op, p)[0], parse_poly("t^2"), range(1, 16))
