@@ -1016,16 +1016,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_key_values(text: str, what: str, sep: str = ",") -> dict[str, str]:
-    """The ``key=value`` pieces of ``text`` split at ``sep``; empty pieces are skipped."""
+    """The ``key=value`` pieces of ``text`` split at ``sep``; empty pieces are
+    skipped, and a key given twice is refused."""
     args = {}
     for piece in text.split(sep):
         piece = piece.strip()
         if not piece:
             continue
         key, eq, val = piece.partition("=")
+        key = key.strip()
         if not eq:
             raise BadInput(f"bad {what} argument {piece!r}")
-        args[key.strip()] = val.strip()
+        if key in args:
+            raise BadInput(f"repeated {what} argument {key!r}")
+        args[key] = val.strip()
     return args
 
 

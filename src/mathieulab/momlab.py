@@ -37,6 +37,15 @@ is the Poly with numerators P_n over the denominator lc(P_n): no Fraction
 is built past the moments.  Atomic moments are likewise integer sums over
 one common denominator.  The same algorithm runs on the moments of any
 weight, which makes it the cross-check of the classical recurrences.
+
+The moments of a classical weight obey one identity in n, written once as
+a row of integer factors (`_moment_row`) and solved for its top term moment
+by moment.  Integrating by parts turns it into the paper's second result:
+the row is, term by term, the row of image elements D(w t^n) of the matched
+operator D = w^(-1) d/dt w (`opimage._image_row`), so L kills every element
+of Im(D), and because no leading factor of that row vanishes, Im(D) is all
+of ker L.  `equivalence_check` decides Im(D) = ker L in every degree by
+comparing the two rows, with no loop over the degrees.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from .linalg import solve_band
 from .opimage import (
     JacobiOperator,
     OperatorSpec,
+    _image_row,
     hermite_operator,
     im_structure,
     laguerre_operator,
@@ -71,9 +81,6 @@ _F1 = Fraction(1)
 # largest estimated coefficient size, in bits, of a classical orthopoly
 # (`_output_bits`): Jacobi(123/457, 511/997) reaches n = 1000, Hermite 2307
 MAX_ORTHOPOLY_BITS = 30_000
-# largest degree bound of equivalence_check, whose degree loop costs about
-# the square of the bound
-MAX_EQUIV_DEGREE = 200
 # largest moment index; the cost of all moments up to n grows about sixfold
 # per doubling of n and with the size of the weight.  At the limit,
 # `moments --upto 2000` takes 0.5 s for jacobi:alpha=1/2,beta=1/3 and 6.2 s
@@ -176,7 +183,8 @@ class MomentFunctional:
     observable behaviour is pure and deterministic; share per task or create
     fresh instances freely.
 
-    An atomic weight with points x_i and weights w_i is held on integers:
+    A classical weight solves its row of `_moment_row` for the top term, one
+    step per moment.  An atomic weight with points x_i and weights w_i is held on integers:
     a_i = x_i d and W_i = w_i e for the lcm d of the point denominators and
     e of the weight denominators.  The running products W_i a_i^n and
     W d^n, W = sum W_i, advance by one integer product per point and
@@ -186,7 +194,8 @@ class MomentFunctional:
     def __init__(self, weight: WeightSpec):
         self.weight = weight
         self._cache: list[Fraction] = [_F1]
-        if isinstance(weight, AtomicWeight):
+        self._row = None if isinstance(weight, AtomicWeight) else _moment_row(weight)
+        if self._row is None:
             self._point_den, self._points = clear_denominators(weight.points)
             self._terms = clear_denominators(weight.weights)[1]
             self._den = sum(self._terms)
@@ -200,25 +209,48 @@ class MomentFunctional:
             self._cache.append(self._next(len(self._cache)))
         return self._cache[n]
 
-    def _next(self, n: int) -> Fraction:
-        w = self.weight
-        if isinstance(w, HermiteWeight):
-            if n % 2 == 1:
-                return _F0
-            return Fraction(n - 1, 2) * self._cache[n - 2]
-        if isinstance(w, LaguerreWeight):
-            return (n + w.alpha) * self._cache[n - 1]
-        if isinstance(w, JacobiWeight):
-            # integrating d/dt[t^(n-1) (1-t)^(a+1) (1+t)^(b+1)] by parts gives
-            # (n+a+b+1) nu_n = (n-1) nu_(n-2) + (b-a) nu_(n-1); the factor on
-            # the left is positive because a, b > -1
-            prev = self._cache[n - 2] if n >= 2 else _F0
-            return ((n - 1) * prev + (w.beta - w.alpha) * self._cache[n - 1]) / (
-                n + w.alpha + w.beta + 1
-            )
-        self._terms = [c * a for c, a in zip(self._terms, self._points)]
-        self._den *= self._point_den
-        return Fraction(sum(self._terms), self._den)
+    def _next(self, m: int) -> Fraction:
+        if self._row is None:
+            self._terms = [c * a for c, a in zip(self._terms, self._points)]
+            self._den *= self._point_den
+            return Fraction(sum(self._terms), self._den)
+        *lower, (shift, a, b) = self._row
+        n = m - shift
+        # a Fraction start, so that Hermite's nu_1, with no lower term, is one
+        total = sum(((c + d * n) * self._cache[n + e] for e, c, d in lower if n + e >= 0), _F0)
+        return -total / (a + b * n)
+
+
+def _moment_row(w: WeightSpec):
+    """The moment recurrence of a classical weight as one row of integer terms.
+
+    A term (shift, a, b) stands for (a + b*n) nu_(n+shift), the terms sum to
+    zero, and the top term comes last, in the shape of `opimage._image_row`.
+    With the parameters alpha = A/q and beta = B/q over one common
+    denominator q > 0, the rows are
+
+        Hermite   n nu_(n-1) - 2 nu_(n+1)                                  n >= 0
+        Laguerre  (A + q n) nu_(n-1) - q nu_n                              n >= 1
+        Jacobi    q n nu_(n-1) + (B - A) nu_n - (q n + 2q + A + B) nu_(n+1)  n >= 0
+
+    and the Jacobi row drops its nu_n term when A = B.  Each is the integral
+    of a derivative over the support, which is zero: of t^n exp(-t^2), of
+    t^(n+alpha) exp(-t) and of t^n (1-t)^(alpha+1) (1+t)^(beta+1), which is
+    t^n times the weight times (1-t)(1+t).  The boundary terms vanish
+    because alpha, beta > -1 (for Laguerre, t^(n+alpha) at 0 needs n >= 1).
+    Divided by the weight and times q, the derivatives are the rows above;
+    for Jacobi, n t^(n-1) (1-t^2) - (alpha+1) t^n (1+t) + (beta+1) t^n (1-t).
+    The top factor never vanishes: it is -2, -q, or
+    -q(n + 2 + alpha + beta) < 0.
+    """
+    if isinstance(w, HermiteWeight):
+        return (-1, 0, 1), (1, -2, 0)
+    if isinstance(w, LaguerreWeight):
+        q, a = w.alpha.denominator, w.alpha.numerator
+        return (-1, a, q), (0, -q, 0)
+    q, (a, b) = clear_denominators((w.alpha, w.beta))
+    top = (1, -(2 * q + a + b), -q)
+    return ((-1, 0, q), (0, b - a, 0), top) if b != a else ((-1, 0, q), top)
 
 
 def normalized_moment(w: WeightSpec, n: int) -> Fraction:
@@ -405,25 +437,37 @@ class EquivalenceReport:
 
 
 def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> EquivalenceReport:
-    """Compare image membership with integral vanishing on 1, t, ..., t^deg_bound.
+    """Decide Im(D) = ker L in every degree for a matched weight and operator.
 
     When 1 lies in the operator image the image is the whole polynomial ring
-    and no agreement with the vanishing-integral hyperplane is claimed.  A
-    bound above MAX_EQUIV_DEGREE is refused with BadInput before any work.
+    and no agreement with the vanishing-integral hyperplane is claimed.
+
+    Otherwise Im(D) is spanned by the elements D(w t^n), n >= n0, of
+    `opimage._image_row`.  Their row equals `_moment_row` term by term, and
+    the moment row holds from an n no larger than n0, so L kills all of
+    Im(D); no moment is read for this.  No lead of the image row vanishes,
+    so every f reduces modulo Im(D) to a remainder r on the degrees below
+    low = n0 + the top's shift.  For f in ker L, L(r) = 0 and nu_0 = 1 give
+    r = sum over 1 <= k < low of r_k (t^k - nu_k), so ker L lies in Im(D)
+    once each t^k - nu_k does.  Only Hermite has such a k: t = D(-1/2).
+    The verdict covers every degree, and degrees_checked is deg_bound + 1.
+    If the rows differ, violations lists the n0 <= n <= deg_bound whose
+    image element L does not kill on the moments.
     """
     if deg_bound < 1:
         raise BadInput("degree bound must be at least 1")
-    if deg_bound > MAX_EQUIV_DEGREE:
-        raise BadInput(f"degree bound {deg_bound} is above the limit of {MAX_EQUIV_DEGREE}")
     expected = matched_operator(w)
     if expected is None or expected != op:
         raise BadPair(f"weight {w} is not matched with operator {op}")
-    struct = im_structure(op)
-    if struct.one_in_image:
+    if im_structure(op).one_in_image:
         return EquivalenceReport(True, 0, (), None)
     mf = MomentFunctional(w)
-    violations = []
-    for j in range(deg_bound + 1):
-        if member(op, t_monomial(QQ, j))[0] != (mf.moment(j) == 0):
-            violations.append(j)
+    _, n0, _, top, rest, _ = _image_row(op)
+    row = (*reversed(rest), top)
+    if row == _moment_row(w):
+        violations = [k for k in range(1, n0 + top[0])
+                      if not member(op, t_monomial(QQ, k) - t_monomial(QQ, 0, mf.moment(k)))[0]]
+    else:
+        violations = [n for n in range(n0, deg_bound + 1)
+                      if sum((a + b * n) * mf.moment(n + e) for e, a, b in row if n + e >= 0)]
     return EquivalenceReport(False, deg_bound + 1, tuple(violations), not violations)

@@ -1,14 +1,26 @@
-"""The Fraction moment functional and Fraction Chebyshev algorithm of the
-earlier momlab module, kept verbatim as an independent oracle for the
-integer versions: ``MomentFunctional._next`` sums a Fraction power for every
-atomic point over the total mass, and ``orthopoly`` carries the monic
-recurrence coefficients and mixed moments as Fractions."""
+"""The Fraction moment functional, Fraction Chebyshev algorithm and
+per-degree equivalence comparison of the earlier momlab module, kept
+verbatim as independent oracles: ``MomentFunctional._next`` runs one
+Fraction recurrence per classical family and sums a Fraction power for every
+atomic point over the total mass, ``orthopoly`` carries the monic recurrence
+coefficients and mixed moments as Fractions, and ``equivalence_check``
+compares, degree by degree, whether t^j lies in the operator image with
+whether nu_j = 0."""
 
 from fractions import Fraction
 
-from mathieulab.corealg import Poly, qq_poly
-from mathieulab.errors import BadInput, Degenerate
-from mathieulab.momlab import AtomicWeight, HermiteWeight, JacobiWeight, LaguerreWeight, WeightSpec
+from mathieulab.corealg import QQ, Poly, qq_poly, t_monomial
+from mathieulab.errors import BadInput, BadPair, Degenerate
+from mathieulab.momlab import (
+    AtomicWeight,
+    EquivalenceReport,
+    HermiteWeight,
+    JacobiWeight,
+    LaguerreWeight,
+    WeightSpec,
+    matched_operator,
+)
+from mathieulab.opimage import OperatorSpec, im_structure, member
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -92,3 +104,20 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
             ]
         prev_ratio, prev_norm = ratio, norm
     return qq_poly(p)
+
+
+def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> EquivalenceReport:
+    """Compare image membership with integral vanishing on 1, t, ..., t^deg_bound."""
+    if deg_bound < 1:
+        raise BadInput("degree bound must be at least 1")
+    expected = matched_operator(w)
+    if expected is None or expected != op:
+        raise BadPair(f"weight {w} is not matched with operator {op}")
+    if im_structure(op).one_in_image:
+        return EquivalenceReport(True, 0, (), None)
+    mf = MomentFunctional(w)
+    violations = []
+    for j in range(deg_bound + 1):
+        if member(op, t_monomial(QQ, j))[0] != (mf.moment(j) == 0):
+            violations.append(j)
+    return EquivalenceReport(False, deg_bound + 1, tuple(violations), not violations)

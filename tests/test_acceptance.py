@@ -95,12 +95,15 @@ def test_criterion_2_image_integral_equivalence():
         (JacobiWeight(1, 2), JacobiOperator(1, 2)),
         (JacobiWeight(Fraction(1, 2), Fraction(1, 2)),
          JacobiOperator(Fraction(1, 2), Fraction(1, 2))),
+        (JacobiWeight(Fraction(-1, 2), Fraction(-1, 2)),
+         JacobiOperator(Fraction(-1, 2), Fraction(-1, 2))),
+        (LaguerreWeight(Fraction(-1, 2)), laguerre_operator(Fraction(-1, 2))),
     ]
     for weight, op in pairs:
         report = equivalence_check(weight, op, 12)
         assert not report.one_in_image
         assert report.equivalent is True and report.violations == ()
-    print("criterion 2: PASS — image membership equals integral vanishing through degree 12")
+    print("criterion 2: PASS — the operator image is the vanishing-integral hyperplane in every degree")
 
 
 def test_criterion_3_jacobi_constant_reachability_grid():

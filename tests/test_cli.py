@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from mathieulab import cli
 from mathieulab.cli import main
 from mathieulab.errors import AlgebraError
@@ -236,10 +238,6 @@ def test_cost_limits_refuse_before_any_work(capsys):
     cases = (
         ("orthopoly", "--weight", "jacobi:alpha=123/457,beta=511/997", "--n", "1001"),
         ("orthopoly", "--weight", "hermite", "--n", "1000000000"),
-        ("equiv", "--weight", "jacobi:alpha=1/2,beta=1/3", "--op", "jacobi:alpha=1/2,beta=1/3",
-         "--deg-bound", "201"),
-        ("equiv", "--weight", "hermite", "--op", "mono:c=1,alpha=0,lambda=2,d=1",
-         "--deg-bound", "1000000000"),
         ("moments", "--weight", "jacobi:alpha=1/2,beta=1/3", "--upto", "2001"),
         ("moments", "--weight", "hermite", "--upto", "1000000000"),
         ("vb-member", "--weight", "laguerre:alpha=1/2", "--poly", "t^10000"),
@@ -253,6 +251,30 @@ def test_cost_limits_refuse_before_any_work(capsys):
         assert status == 2 and not out, argv
         error = json.loads(err)
         assert error["code"] == "BAD_INPUT" and "above the limit" in error["message"], argv
+
+
+def test_equiv_cost_does_not_grow_with_the_degree_bound(capsys):
+    for weight, op in (("hermite", "mono:c=1,alpha=0,lambda=2,d=1"),
+                       ("jacobi:alpha=1/2,beta=1/3", "jacobi:alpha=1/2,beta=1/3")):
+        start = time.perf_counter()
+        payload = run_json(capsys, "equiv", "--weight", weight, "--op", op,
+                           "--deg-bound", "1000000000")
+        assert time.perf_counter() - start < 0.5, weight
+        assert payload == {"one_in_image": False, "degrees_checked": 1000000001,
+                           "violations": [], "equivalent": True}
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("moments", "--weight", "laguerre:alpha=1,alpha=2", "--upto", "2"), "weight argument 'alpha'"),
+    (("surjective", "--ctx", "trunc:k=2,k=3,c=1,a=x"), "context argument 'k'"),
+    (("member", "--op", "mono:c=1,c=2,lambda=1", "--poly", "t"), "operator argument 'c'"),
+    (("ufd-member", "--ctx", "ufd:a=x^2,a=x", "--poly", "x^2*t - 1"), "context argument 'a'"),
+])
+def test_repeated_key_is_refused(capsys, argv, what):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and not out
+    assert json.loads(err) == {"status": "error", "code": "BAD_INPUT",
+                               "message": f"repeated {what}"}
 
 
 def test_seed_determinism(capsys):

@@ -13,10 +13,10 @@ from mathieulab.certlab import bracket_factorial
 from mathieulab.corealg import QQ, parse_poly, poly_one, qq_poly, t_monomial
 from mathieulab.errors import BadInput, BadPair, BadWeight, Degenerate
 from mathieulab.momlab import (
-    MAX_EQUIV_DEGREE,
     MAX_MOMENT_INDEX,
     MAX_ORTHOPOLY_BITS,
     AtomicWeight,
+    EquivalenceReport,
     HermiteWeight,
     JacobiWeight,
     LaguerreWeight,
@@ -230,15 +230,17 @@ def test_classical_recurrence_matches_both_chebyshev_runs():
 
 
 def test_integer_atomic_moments_match_fraction_oracle():
+    # atomic weights to index 40, classical ones to 200
     rng = random.Random(5273)
     for i in range(200):
         w = _oracle_weight(rng, ("atomic", "jacobi", "laguerre", "hermite")[i % 4])
+        top = 40 if isinstance(w, AtomicWeight) else 200
         oracle = momlab_oracle.MomentFunctional(w)
         # two functionals on one weight, each asked out of order
         first, second = MomentFunctional(w), MomentFunctional(w)
-        for n in [12, 3, 0, 13, 7, 40, 25]:
+        for n in [12, 3, 0, 13, 7, top, 25]:
             assert first.moment(n) == oracle.moment(n), (str(w), n)
-            assert second.moment(40 - n) == oracle.moment(40 - n), (str(w), 40 - n)
+            assert second.moment(top - n) == oracle.moment(top - n), (str(w), top - n)
 
 
 def test_singular_gram_matrix_is_degenerate(monkeypatch):
@@ -299,13 +301,44 @@ def test_equivalence_examples():
     assert rep.one_in_image and rep.equivalent is None
 
 
-def test_equivalence_degree_limit_refuses_before_any_work():
-    w = JacobiWeight(Fraction(1, 2), Fraction(1, 3))
-    for bound in (MAX_EQUIV_DEGREE + 1, 10 ** 9):
-        start = time.perf_counter()
-        with pytest.raises(BadInput, match=f"^degree bound {bound} is above the limit of 200$"):
-            equivalence_check(w, JacobiOperator(w.alpha, w.beta), bound)
-        assert time.perf_counter() - start < 0.1
+def test_equivalence_matches_per_degree_oracle():
+    # the all-degree verdict against the per-degree comparison of
+    # `momlab_oracle`; zero parameters take the one_in_image path
+    rng = random.Random(30529)
+    half = Fraction(-1, 2)
+    weights = [HermiteWeight(), JacobiWeight(half, half), LaguerreWeight(half),
+               LaguerreWeight(0), JacobiWeight(0, 0), JacobiWeight(0, half), JacobiWeight(1, 0)]
+    for i in range(45):
+        w = _oracle_weight(rng, ("jacobi", "laguerre")[i % 2])
+        weights.append(JacobiWeight(w.alpha, w.alpha) if i % 9 == 0 else w)
+    kinds = set()
+    for w in weights:
+        op = momlab.matched_operator(w)
+        got = equivalence_check(w, op, 30)
+        assert got == momlab_oracle.equivalence_check(w, op, 30), str(w)
+        kinds.add((got.one_in_image, got.equivalent,
+                   any(getattr(w, name, 0) < 0 for name in ("alpha", "beta"))))
+    assert kinds == {(True, None, False), (True, None, True), (False, True, False),
+                     (False, True, True)}
+
+
+@pytest.mark.parametrize("change, w, bound, violations", [
+    # Hermite top -2 -> -3: nu_2 = 1/3, and the odd rows n >= 1 fail
+    (lambda row: (row[0], (1, -3, 0)), HermiteWeight(), 12, (1, 3, 5, 7, 9, 11)),
+    # Laguerre nu_(n-1) factor A + q n -> A + q n + 1: nu_n = (n + 1) nu_(n-1),
+    # and the true row leaves -nu_(n-1) at every n >= 1
+    (lambda row: ((-1, row[0][1] + 1, row[0][2]), row[1]),
+     LaguerreWeight(Fraction(1, 2)), 6, tuple(range(1, 7))),
+    # Jacobi nu_n factor B - A = -1 -> 0: the odd moments vanish, and the
+    # true row leaves -nu_n, nonzero for even n
+    (lambda row: (row[0], (0, row[1][1] + 1, 0), row[2]),
+     JacobiWeight(Fraction(1, 2), Fraction(1, 3)), 6, (0, 2, 4, 6)),
+])
+def test_equivalence_refutes_a_mutated_moment_row(monkeypatch, change, w, bound, violations):
+    row_of = momlab._moment_row
+    monkeypatch.setattr(momlab, "_moment_row", lambda v: change(row_of(v)))
+    rep = equivalence_check(w, momlab.matched_operator(w), bound)
+    assert rep == EquivalenceReport(False, bound + 1, violations, False)
 
 
 def test_moment_index_limit_refuses_before_any_work():
