@@ -22,7 +22,8 @@ certificate records the integers and valuations of that derivation.  One
 function derives them all from (f, d, alpha, m): the search runs it for each
 candidate m, and the checker runs it again on the certificate's own
 (f, d, r/q, m) and accepts only a rebuilt certificate equal to the one it was
-handed, so it trusts none of the derived fields.
+handed, so it trusts none of the derived fields.  A certificate's prime at or
+above psi_12 ~ 3.19e23 rests on Baillie-PSW, a probable-prime test, not a proof.
 """
 
 from __future__ import annotations
@@ -368,7 +369,8 @@ def verify_certificate(cert: Certificate) -> bool:
     first: m >= 1 divides conclusion_exponent, q >= 1 and gcd(r, q) = 1.  A
     failed domain check (an AlgebraError) makes it invalid; other exceptions
     propagate.  A power above MAX_CERT_DEGREE is refused with BadInput
-    before it is built."""
+    before it is built.  A prime >= _PSI_12 rests on `is_prime`'s Baillie-PSW
+    test, a probable-prime test with no known counterexample, not a proof."""
     if cert.f.degree * cert.conclusion_exponent > MAX_CERT_DEGREE:
         raise BadInput(f"f^{cert.conclusion_exponent} would have degree "
                        f"{cert.f.degree * cert.conclusion_exponent}, above the limit "

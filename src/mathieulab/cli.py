@@ -19,7 +19,8 @@ from typing import Optional
 
 from . import certlab, momlab, opimage, radlab, ufdlab
 from .corealg import (
-    QQ, QQ_POLY, format_poly, format_rational, parse_poly, parse_rational, parse_ring_element,
+    QQ, QQ_POLY, format_poly, format_rational, parse_exponent, parse_poly, parse_rational,
+    parse_ring_element,
 )
 from .errors import AlgebraError, BadInput
 from .opimage import parse_operator
@@ -35,7 +36,8 @@ def _parse_window(text: str) -> range:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise BadInput(f"window must look like lo:hi, got {text!r}")
-    return range(int(lo), int(hi) + 1)
+    message = f"window bounds must be non-negative integers, got {text!r}"
+    return range(parse_exponent(lo, message), parse_exponent(hi, message) + 1)
 
 
 def _cmd_reduce(args):

@@ -1015,6 +1015,21 @@ def parse_rational(text: str) -> Fraction:
         raise BadInput(f"bad rational literal {text!r}") from exc
 
 
+_EXPONENT = re.compile(r"\s*([0-9]+)\s*", re.ASCII)
+
+
+def parse_exponent(text: str, message: str) -> int:
+    """A non-negative ASCII integer with optional surrounding whitespace, else
+    BadInput(message); int() alone would also read a sign, '1_0' and '٣'."""
+    m = _EXPONENT.fullmatch(text)
+    if m is None:
+        raise BadInput(message)
+    try:
+        return int(m.group(1))
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise BadInput(message) from exc
+
+
 def parse_key_values(text: str, what: str, sep: str = ",") -> dict[str, str]:
     """The ``key=value`` pieces of ``text`` split at ``sep``; empty pieces are
     skipped, and a key given twice is refused."""

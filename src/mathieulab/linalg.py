@@ -5,9 +5,10 @@ Sparse column elimination runs over Fraction.  A vector is a dict
 into a list of pivots (row, reduced vector with 1 on that row, the
 combination of columns equal to it).  A later pivot is zero on every
 earlier pivot's row, so one pass in order clears all their rows.  It serves
-radlab's nullspaces and ufdlab's echelon basis of the kernel of a truncated
-shift operator.  `solve_band`, on integers, serves opimage's image
-elimination and momlab's classical orthogonal polynomials.
+radlab's annihilator (`nullspace`) and ufdlab's echelon basis of the kernel
+of a truncated shift operator.  `solve_band`, on integers, serves opimage's
+image elimination, momlab's classical orthogonal polynomials and ufdlab's
+x-levels.
 """
 
 from __future__ import annotations

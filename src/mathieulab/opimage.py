@@ -39,6 +39,7 @@ from .corealg import (
     QQ,
     clear_denominators,
     euclid_divmod,
+    parse_exponent,
     parse_key_values,
     parse_rational,
     poly_one,
@@ -106,16 +107,6 @@ def laguerre_operator(alpha) -> MonomialOperator:
     return MonomialOperator(1, alpha, 1, 0)
 
 
-def _parse_exponent(text: str) -> int:
-    """The exponent d, ASCII digits only: int() would also read '1_0' and '٣'."""
-    if not text.isascii() or not text.isdigit():
-        raise BadInput("exponent d must be a non-negative integer")
-    try:
-        return int(text)
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise BadInput("exponent d must be a non-negative integer") from exc
-
-
 def parse_operator(text: str) -> OperatorSpec:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
@@ -128,7 +119,7 @@ def parse_operator(text: str) -> OperatorSpec:
             parse_rational(args.get("c", "1")),
             parse_rational(args.get("alpha", "0")),
             parse_rational(args.get("lambda", "1")),
-            _parse_exponent(args.get("d", "0")),
+            parse_exponent(args.get("d", "0"), "exponent d must be a non-negative integer"),
         )
     if head == "jacobi":
         known = {"alpha", "beta"}

@@ -22,16 +22,16 @@ algebra:
   recurrence argument applies to the sequence a^m * b, which makes the
   absorption condition behind the Mathieu property exactly decidable per
   pair (a, b).
-* the largest ideal inside V is the product of one ideal per block: in
-  block i its image is the common kernel of lam_i M_i^j (j < deg p_i^(m_i)),
-  lam_i the annihilator restricted to the block and M_i the multiplication
-  by t, and its generator is the gcd of p_i^(m_i) with lifts of a kernel
-  basis; this needs no irreducibility of the p_i and no enumeration of
-  divisors.  The same per-block generators h_i give the radical r block
-  by block: r_i = p_i where h_i is nontrivial and p_i is verified
-  irreducible (then h_i is a power of p_i), and the squarefree part of h_i
-  where p_i is trusted and might split; the blocks with deg h_i >= 1 are the
-  live ones below.
+* the largest ideal inside V is the product of one ideal per block
+  b_i = p_i^(m_i), generated by b_i / gcd(b_i, N_1, ..., N_r): N_r / b_i is
+  the generating function of the sequence j -> lam_r(t^j mod b_i), whose
+  minimal polynomial is its reduced denominator (see `largest_ideal`).
+  This is one gcd per block, with no linear algebra, no irreducibility of
+  the p_i and no enumeration of divisors.  The same per-block generators
+  h_i give the radical r block by block: r_i = p_i where h_i is nontrivial
+  and p_i is verified irreducible (then h_i is a power of p_i), and the
+  squarefree part of h_i where p_i is trusted and might split; the blocks
+  with deg h_i >= 1 are the live ones below.
 * a cofinite V is a Mathieu subspace exactly when the radical of V equals
   the radical (r) of its largest interior ideal.  For irreducible factors
   this is decided by the Chinese-remainder idempotents e_i alone: V is not
@@ -90,6 +90,7 @@ from .errors import BadInput, ZeroInput
 from .opimage import OperatorSpec, member
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 # largest t-degree of a power f^m that the power walks of radical_probe,
 # escape_exponent and definition_witness build, a constant f counting as
@@ -325,8 +326,9 @@ def atomic_space(points: Sequence, weights: Sequence) -> CofiniteSubspace:
     if any(w == 0 for w in wts):
         raise BadInput("weights must be nonzero")
     factors = [(qq_poly([-p, 1]), 1) for p in pts]
-    # in residue coordinates the condition is sum_i w_i x_i = 0
-    basis = linalg.nullspace([wts])
+    # sum_i w_i x_i = 0 in residue coordinates: basis e_j - (w_j / w_0) e_0, j >= 1
+    basis = [[-w / wts[0]] + [_F1 if i == j else _F0 for i in range(1, len(wts))]
+             for j, w in enumerate(wts[1:], 1)]
     return CofiniteSubspace(factors, basis)
 
 
@@ -427,16 +429,18 @@ def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
 
 
 def largest_ideal(space: CofiniteSubspace) -> Poly:
-    """Monic generator of the largest ideal contained in V, by linear algebra.
+    """Monic generator of the largest ideal contained in V, one gcd per block.
 
     Ideals of QQ[t]/(g) split along the blocks b_i = p_i^(m_i), so the
     largest ideal inside V is (h) with h = prod h_i, where (h_i)/(b_i) is the
-    largest ideal of block i inside V.  With lam_i the annihilator rows
-    restricted to block i and M_i the multiplication by t mod b_i, a residue
-    v of block i lies in that ideal iff t^j v lies in V for every
-    j < deg b_i, i.e. iff (lam_i M_i^j) . v = 0 (Cayley-Hamilton bounds j);
-    h_i is the gcd of b_i and the lifts of a basis of that common kernel.
-    Nothing here assumes the factors of g are irreducible.
+    largest ideal of block i inside V.  For an annihilator row lam, the
+    sequence s_j = lam(t^j mod b_i) is linearly recurrent with generating
+    function sum_j s_j z^(-j-1) = N / b_i, deg N < deg b_i, so its minimal
+    polynomial is the reduced denominator b_i / gcd(b_i, N), and (u)/(b_i)
+    lies in ker lam exactly when that minimal polynomial divides u.  The
+    kernel of V is the intersection over the rows, so h_i is
+    b_i / gcd(b_i, N_1, ..., N_r).  Nothing here assumes the factors of g
+    are irreducible.
     """
     return _interior_ideal(space)[0]
 
@@ -461,20 +465,19 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
         return h, h, live
     radical_parts = []  # (h_i, r_i) of the live blocks
     for i, ((p, _), block, start) in enumerate(zip(space.factors, space._blocks, space._starts)):
-        b, scale = block.num, block.den
-        rows = []
+        b, n = block.num, block.degree
+        g = block  # gcd(b, N_1, ..., N_r), stopping once it is 1
         for lam in space._ann:
-            lam = lam[start:start + block.degree]
-            for _ in range(block.degree):
-                rows.append(lam)
-                # scale times lam M: shift down, the top slot picks up
-                # t^deg b = -sum b_k t^k; a positive factor on a row leaves
-                # the common kernel unchanged
-                top = -sum(bk * lk for bk, lk in zip(b, lam))
-                lam = [scale * x for x in lam[1:]] + [top]
-        h_i = block
-        for vec in linalg.nullspace(rows):
-            h_i = poly_gcd(h_i, qq_poly(vec))
+            lam = lam[start:start + n]
+            # N = lam((b(z) - b(t)) / (z - t)) = sum_(m+j<n) b_(m+j+1) z^m lam_j
+            numer = [sum(bk * lk for bk, lk in zip(b[m + 1:], lam)) for m in range(n)]
+            if any(numer[1:]):
+                g = poly_gcd(g, Poly.from_ints(numer))
+            elif numer[0]:
+                g = poly_one(QQ)
+            if not g.degree:
+                break
+        h_i = euclid_divmod(block, g)[0] if g.degree else block
         h = h * h_i
         if h_i.degree >= 1:
             live |= 1 << i

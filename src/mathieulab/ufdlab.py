@@ -38,6 +38,7 @@ from .corealg import (
     RingElement,
     clear_denominators,
     exact_divide,
+    parse_exponent,
     parse_key_values,
     parse_poly,
     parse_ring_element,
@@ -47,7 +48,6 @@ from .corealg import (
     ring_gcd,
     ring_scalar,
     squarefree_part,
-    t_monomial,
 )
 from .errors import BadInput, NotInRadical
 
@@ -258,10 +258,8 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     args = parse_key_values(rest, "context")
     if set(args) != {"k", "c", "a"}:
         raise BadInput("trunc context needs exactly k=, c= and a=")
-    try:
-        ring = qq_poly_trunc(int(args["k"]))
-    except ValueError:
-        raise BadInput(f"k must be a positive integer, got {args['k']!r}") from None
+    k = parse_exponent(args["k"], f"k must be a positive integer, got {args['k']!r}")
+    ring = qq_poly_trunc(k)
     c = parse_ring_element(args["c"], ring)
     a = parse_poly(args["a"], ring)
     return ring, c, a
@@ -275,26 +273,6 @@ def _levels(p: Poly, k: int) -> list[Poly]:
                             for cf in p.coeffs], den) for j in range(k)]
 
 
-def _solve_level(g: Poly, c0: Fraction, a0: Fraction) -> Poly:
-    """The h with c0*h' - a0*h = g over QQ, on the integer numerators of
-    g = G/D: by integration with constant term 0 when a0 = 0, else from the
-    top degree N down over the final denominator D*R^(N+1), for
-    P*h' - R*h = S*g the equation cleared of the denominators of c0 and a0.
-    """
-    num, den = g.num, g.den
-    p, q = c0.as_integer_ratio()
-    if not a0:  # h_n = q G_(n-1) / (p n D), over p D lcm(1..N+1)
-        l = math.lcm(*range(1, len(num) + 1))
-        return Poly.from_ints([0] + [q * x * (l // n) for n, x in enumerate(num, 1)], p * den * l)
-    r, s = a0.as_integer_ratio()
-    big_p, big_r, big_s = p * s, r * q, q * s
-    top, acc, out = big_r ** len(num), 0, [0] * len(num)
-    # out[n] = h_n * D*R^(N+1); R divides the bracket, as h_(n+1) has denominator D*R^(N-n)
-    for n in range(len(num) - 1, -1, -1):
-        out[n] = acc = (big_p * (n + 1) * acc - big_s * num[n] * top) // big_r
-    return Poly.from_ints(out, den * top)
-
-
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
     """Decide 1 in the image of D = c*d/dt - a(t) over QQ[x]/(x^k); if it is
     there, solve D h = t^n for every n <= deg_bound.
@@ -306,13 +284,14 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     h = sum h_j x^j solve c_0 h_j' - A_0 h_j = f_j - sum_(i=1..j)
     (c_i h_(j-i)' - A_i h_(j-i)) in turn: from the top degree down when A_0
     is a nonzero constant, by integration with constant term 0 when A_0 = 0.
-    Each level is a QQ polynomial on integer numerators over one denominator
-    (`_solve_level`); no Fraction is built before the witness vector.  Then D
-    has one kernel vector K_j per level, the lift of 0 from h = x^j, and the
-    witness is reduced against their echelon basis keyed by highest column
-    (t^i x^l is column i*k + l): it is zero on every column whose image
-    depends on earlier ones, the least-degree solution on the independent
-    columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
+    Each level is a QQ polynomial on integer numerators over one denominator,
+    solved by `linalg.solve_band` on P h_j' - R h_j = S g for c_0 = p/q,
+    A_0 = r/s, P = p*s, R = r*q and S = q*s; no Fraction is built before the
+    witness vector.  Then D has one kernel vector K_j per level, the lift of
+    0 from h = x^j, and the witness is reduced against their echelon basis
+    keyed by highest column (t^i x^l is column i*k + l): it is zero on every
+    column whose image depends on earlier ones, the least-degree solution on
+    the independent columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
 
     Each returned witness is checked on its levels read back from h:
     sum_(i<=j) (c_i h_(j-i)' - A_i h_(j-i)) = f_j for every j < k, which is
@@ -341,20 +320,30 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
     cs = [Fraction(v, c.den) for v in c.num] + [0] * (k - len(c.num))
     big_a = _levels(a, k)
-    c0, a0 = cs[0], big_a[0].coeff(0)
+    # -R h_n = S g_n - P (n+1) h_(n+1); when A_0 = 0, P n h_n = S g_(n-1) and h_0 = 0
+    p, q = cs[0].as_integer_ratio()
+    r, s = big_a[0].coeff(0).as_integer_ratio()
+    big_p, big_r, big_s = p * s, r * q, q * s
+    lead, terms, shift = ((-big_r, 0), [(1, big_p, big_p)], 0) if big_r else ((0, big_p), (), 1)
+
+    def residual(g: Poly, h: list[Poly], j: int, first: int) -> Poly:
+        """g - sum_(i=first..j) (c_i h_(j-i)' - A_i h_(j-i)), for g = f_j."""
+        for i in range(first, j + 1):
+            hi = h[j - i]
+            if hi.is_zero:
+                continue
+            if cs[i]:
+                g = g - hi.derivative().scale(cs[i])
+            if not big_a[i].is_zero:
+                g = g + big_a[i] * hi
+        return g
 
     def lift(f: list[Poly], h: list[Poly]) -> list[Poly]:
         """Extend the given lowest levels h of a solution of D h = f to all k."""
         for j in range(len(h), k):
-            g = f[j]
-            for i, hi in enumerate(reversed(h), 1):  # hi = h_(j-i)
-                if hi.is_zero:
-                    continue
-                if cs[i]:
-                    g = g - hi.derivative().scale(cs[i])
-                if not big_a[i].is_zero:
-                    g = g + big_a[i] * hi
-            h.append(_solve_level(g, c0, a0))
+            g = residual(f[j], h, j, 1)
+            x, _, scale = linalg.solve_band(lead, [0] * shift + [big_s * v for v in g.num], terms)
+            h.append(Poly.from_ints(x, scale * g.den))
         return h
 
     def vector(levels: list[Poly]) -> dict:
@@ -362,12 +351,14 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         return {-(i * k + j): Fraction(v, hj.den)
                 for j, hj in enumerate(levels) for i, v in enumerate(hj.num) if v}
 
+    zero = [poly_zero()] * k
     pivots: list = []  # an echelon basis of the kernel of D, which is 0 unless A_0 = 0
-    for j in range(0 if a0 else k):
-        linalg.add_column(pivots, vector(lift([poly_zero()] * k, [poly_zero()] * j + [poly_one()])), j)
+    for j in range(0 if big_r else k):
+        linalg.add_column(pivots, vector(lift(zero, zero[:j] + [poly_one()])), j)
 
-    def solve(f: Poly) -> Poly:
-        fl = _levels(f, k)
+    def solve(n: int) -> Poly:
+        """The witness h of D h = t^n, whose levels are t^n, 0, ..., 0."""
+        fl = [Poly.from_ints([0] * n + [1])] + zero[1:]
         vec = vector(lift(fl, []))
         linalg.eliminate(pivots, vec, {})
         den, num = clear_denominators(vec.values())
@@ -375,20 +366,14 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         h = Poly(ring, [RingElement.from_ints(ring, [ints.get(-(i * k + l), 0)
                                                      for l in range(k)], den)
                         for i in range(-min(vec, default=0) // k + 1)])
-        # D h = f level by level, on the levels read back from h
+        # D h = t^n level by level, on the levels read back from h
         hl = _levels(h, k)
         for j in range(k):
-            image = fl[j]
-            for i, hi in enumerate(reversed(hl[:j + 1])):  # hi = h_(j-i)
-                if cs[i]:
-                    image = image - hi.derivative().scale(cs[i])
-                if not big_a[i].is_zero:
-                    image = image + big_a[i] * hi
-            if not image.is_zero:
-                raise BadInput(f"internal inconsistency: c*h' - a*h differs from {f} at x^{j}")
-        if h.degree > f.degree + extra:
+            if not residual(fl[j], hl, j, 0).is_zero:
+                raise BadInput(f"internal inconsistency: c*h' - a*h differs from t^{n} at x^{j}")
+        if h.degree > n + extra:
             raise BadInput("internal inconsistency: witness exceeds its degree budget")
         return h
 
-    monomials = tuple((n, solve(t_monomial(ring, n))) for n in range(deg_bound + 1))
+    monomials = tuple((n, solve(n)) for n in range(deg_bound + 1))
     return SurjectivityReport("ONE_IN_IMAGE", monomials[0][1], monomials, (), None, extra)

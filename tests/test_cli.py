@@ -135,12 +135,16 @@ MALFORMED_CASES = (
     (("surjective", "--ctx", "trunc:k=2,c=1,a", "--deg-bound", "2"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=2,c=1", "--deg-bound", "2"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=1.5,c=1,a=x", "--deg-bound", "2"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=\u0663,c=1,a=x", "--deg-bound", "2"), "BAD_INPUT"),
+    (("surjective", "--ctx", "trunc:k=1_0,c=1,a=x", "--deg-bound", "2"), "BAD_INPUT"),
     (("surjective", "--ctx", "trunc:k=2,c=1,a=x*t", "--deg-bound", "100000"), "BAD_INPUT"),
     (("moments", "--weight", "hermite", "--upto", "-3"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "1:3"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "1:3", "--weight", "hermite",
       "--op", "mono:c=1,alpha=1,lambda=1,d=0"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "3", "--weight", "hermite"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "1_0:2_0", "--weight", "hermite"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "\u0663:4", "--weight", "hermite"), "BAD_INPUT"),
     (("verify-cert",), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":[1]}'), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":5}'), "BAD_INPUT"),

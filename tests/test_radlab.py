@@ -48,6 +48,7 @@ from mathieulab.radlab import (
 )
 
 from linalg_oracle import nullspace, solve_linear
+from radlab_oracle import krylov_interior_ideal
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
@@ -960,6 +961,69 @@ def test_interior_ideal_matches_squarefree_part_of_largest_ideal():
             if live >> i & 1 and p in space.unverified_factors and not poly_divides(p, r):
                 seen.add("trusted split")
     assert seen == {"live", "dead", "trusted split"}
+
+
+def block_generator_spaces(seed, count):
+    """Seeded spaces for the block generators: repeated linear, quadratic and
+    cubic blocks (some over 7-digit denominators), one to three annihilator
+    rows drawn at random or vanishing on a whole block, and trusted quartics
+    that split over QQ."""
+    rng = random.Random(seed)
+    pool = ["t - 1234567/7654321", "t + 3", "t^2 + 1", "t^2 - 2/3", "t^2 + 1/2*t + 3/4",
+            "t^3 - 2", "t^3 - 1/5*t + 7/2", "t^3 + 1000003/9999991", "t^4 - 1", "t^4 + t^2 - 6"]
+    spaces = []
+    while len(spaces) < count:
+        factors = [(parse_poly(p), rng.randint(1, 3)) for p in rng.sample(pool, rng.randint(1, 3))]
+        dim = sum(p.degree * m for p, m in factors)
+        if dim > 12 or any(poly_gcd(p, q).degree >= 1 for (p, _), (q, _) in
+                           itertools.combinations(factors, 2)):
+            continue
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 1000003])) for _ in range(dim)]
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:  # rows that vanish on the block of one factor
+            i = rng.randrange(len(factors))
+            start = sum(p.degree * m for p, m in factors[:i])
+            width = factors[i][0].degree * factors[i][1]
+            for row in rows:
+                row[start:start + width] = [Fraction(0)] * width
+        try:
+            spaces.append(CofiniteSubspace(factors, nullspace(rows)))
+        except BadInput:
+            continue  # the rows are zero or dependent
+    return spaces
+
+
+def test_interior_ideal_matches_krylov_nullspace_generator():
+    spaces = (random_spaces(2510, 60) + split_codim2_spaces(2511, 30)
+              + [space for space, _ in rational_block_spaces(2512, 30)]
+              + trusted_quartic_spaces(2513, 40) + block_generator_spaces(2514, 120)
+              + [VALUE_SUM, VALUE_EQUAL, atomic_space([0, 1, 2], [1, 1, 1])])
+    seen = set()
+    for space in spaces:
+        h, r, live = radlab._interior_ideal(space)
+        assert (h, r, live) == krylov_interior_ideal(space), space.to_dict()
+        for (p, m), block, start in zip(space.factors, space._blocks, space._starts):
+            part = poly_gcd(h, block)
+            seen.add(f"deg {min(p.degree, 4)}" + (" repeated" if m > 1 else ""))
+            if not any(any(lam[start:start + block.degree]) for lam in space._ann):
+                seen.add("rows vanish on a block")
+            seen.add("whole block" if part == block else "no block" if part.degree < 1
+                     else "part of a block")
+        seen.add("several rows" if len(space._ann) > 1 else "one row")
+    assert {"deg 1 repeated", "deg 2 repeated", "deg 3 repeated", "deg 4", "rows vanish on a block",
+            "whole block", "no block", "part of a block", "several rows", "one row"} <= seen
+
+
+def test_atomic_space_basis_matches_the_nullspace_of_the_weights():
+    rng = random.Random(2515)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        points = rng.sample(range(-20, 20), n)
+        weights = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 7), rng.randint(1, 9))
+                   for _ in range(n)]
+        space = atomic_space(points, weights)
+        factors = [(qq_poly([-p, 1]), 1) for p in points]
+        assert space.to_dict() == CofiniteSubspace(factors, nullspace([weights])).to_dict()
 
 
 def full_xgcd_set_idempotent(space, mask):

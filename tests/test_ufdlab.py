@@ -40,6 +40,7 @@ from mathieulab.ufdlab import (
 )
 
 from linalg_oracle import solve_linear
+from ufdlab_oracle import solve_level
 
 X = ring_monomial(QQ_POLY, 1)
 X2 = ring_monomial(QQ_POLY, 2)
@@ -477,6 +478,61 @@ def test_surjectivity_matches_column_search():
         assert report == column_search_surjectivity_check(ring, c, a, deg_bound), (ring, c, a, deg_bound)
         seen.add(surjectivity_branch(c, a))
     assert seen == set(SURJECTIVITY_BRANCHES)
+
+
+def test_level_solve_matches_the_top_down_loop(monkeypatch):
+    """Every x-level solve of surjectivity_check, routed through
+    linalg.solve_band, equals the earlier top-down loop on the same level.
+
+    The levels come from seeded contexts: with k = 2 and f = t^n, level 1
+    solves c_0 h_1' - A_0 h_1 = A_1 h_0 - c_1 h_0', so the seeded A_1 (some
+    over 7-digit denominators) reaches the solver almost as drawn.  c_0 and
+    A_0 = 0 or not take either sign, also over 7-digit denominators, and
+    contexts without higher x-terms give zero levels.
+    """
+    calls = []
+    solve_band = linalg.solve_band
+
+    def spy(lead, num, terms, low=0):
+        x, r, scale = solve_band(lead, num, terms, low)
+        calls.append((list(num), x, r, scale))
+        return x, r, scale
+
+    monkeypatch.setattr(linalg, "solve_band", spy)
+    rng = random.Random(2501)
+
+    def rational(big):
+        den = rng.choice([1000003, 9999991]) if big else rng.randint(1, 7)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 7 if big else 9), den)
+
+    def text(terms):
+        return " ".join(f"{'-' if q < 0 else '+'} {abs(q)}{mono}" for q, mono in terms)
+
+    seen = set()
+    for case in range(160):
+        k = rng.choice([1, 2, 2, 3, 4])
+        c0, a0 = rational(case % 3 == 0), rational(case % 4 == 1) if case % 2 else Fraction(0)
+        c = text([(c0, "")] + [(rational(case % 5 == 2), f"*x^{j}")
+                               for j in range(1, k) if rng.random() < 0.4])
+        a = text([(a0, "")] + [(rational(case % 5 == 3), f"*x^{j}*t^{rng.randint(0, 3)}")
+                               for j in range(1, k) for _ in range(rng.randint(0, 2))])
+        ring, c, a = parse_trunc_context(f"trunc:k={k},c={c},a={a}")
+        calls.clear()
+        assert surjectivity_check(ring, c, a, rng.randint(0, 4)).status == "ONE_IN_IMAGE"
+        # the right-hand side is S*G, G the level's integer numerators,
+        # one degree up with a zero constant term when A_0 = 0
+        big_s, shift = c0.denominator * a0.denominator, 0 if a0 else 1
+        for num, x, r, scale in calls:
+            assert not any(num[:shift]) and all(v % big_s == 0 for v in num) and not any(r)
+            level = Poly.from_ints([v // big_s for v in num[shift:]])
+            assert Poly.from_ints(x, scale) == solve_level(level, c0, a0), (ring, c, a, level)
+            seen.add("A_0 = 0" if not a0 else "A_0 < 0" if a0 < 0 else "A_0 > 0")
+            seen.add("c_0 < 0" if c0 < 0 else "c_0 > 0")
+            seen.add("zero level" if level.is_zero else "nonzero level")
+            if big_s >= 10 ** 6 or max(map(abs, level.num), default=0) >= 10 ** 6:
+                seen.add("7 digits")
+    assert seen == {"A_0 = 0", "A_0 < 0", "A_0 > 0", "c_0 < 0", "c_0 > 0", "zero level",
+                    "nonzero level", "7 digits"}
 
 
 def test_surjectivity_eliminates_only_kernel_vectors(monkeypatch):
