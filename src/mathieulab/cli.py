@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # options whose value (a polynomial, a rational or a list of ring elements)
 # may start with a minus sign
-_SIGNED_OPTIONS = frozenset(("--poly", "--p", "--g", "--a", "--alpha", "--elements"))
+_SIGNED_OPTIONS = frozenset(("--poly", "--p", "--g", "--a", "--alpha", "--elements", "--window"))
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:

@@ -46,6 +46,14 @@ operator D = w^(-1) d/dt w (`opimage._image_row`), so L kills every element
 of Im(D), and because no leading factor of that row vanishes, Im(D) is all
 of ker L.  `equivalence_check` decides Im(D) = ker L in every degree by
 comparing the two rows, with no loop over the degrees.
+
+The same row is the algorithm for L itself.  Its polynomials lead at every
+degree k >= 1, so eliminating f top-down by them (one `linalg.solve_band`
+call, on integers) leaves a constant, and that constant is L(f).
+`vb_member` and `inner_product` read L this way (`_functional`), and an
+atomic weight by integer Horner at its points, so neither builds a moment.
+`MomentFunctional` builds the moments for the `moments` printout, the
+atomic Chebyshev algorithm and `equivalence_check`.
 """
 
 from __future__ import annotations
@@ -81,10 +89,12 @@ _F1 = Fraction(1)
 # largest estimated coefficient size, in bits, of a classical orthopoly
 # (`_output_bits`): Jacobi(123/457, 511/997) reaches n = 1000, Hermite 2307
 MAX_ORTHOPOLY_BITS = 30_000
-# largest moment index; the cost of all moments up to n grows about sixfold
-# per doubling of n and with the size of the weight.  At the limit,
+# largest moment index, and largest degree that `vb_member` and
+# `inner_product` integrate; the cost of all moments up to n grows about
+# sixfold per doubling of n and with the size of the weight.  At the limit,
 # `moments --upto 2000` takes 0.5 s for jacobi:alpha=1/2,beta=1/3 and 6.2 s
-# for jacobi:alpha=123/457,beta=511/997, on a 2-vCPU Xeon
+# for jacobi:alpha=123/457,beta=511/997, and `vb_member` of a dense f of
+# degree 2000 about 0.6 s for the latter, on a 2-vCPU Xeon
 MAX_MOMENT_INDEX = 2000
 
 
@@ -128,13 +138,13 @@ class AtomicWeight:
     weights: tuple
 
     def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
-        wts = tuple(Fraction(w) for w in self.weights)
+        pts = tuple(p if type(p) is Fraction else Fraction(p) for p in self.points)
+        wts = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
         if not pts or len(pts) != len(wts):
             raise BadWeight("points and weights must be nonempty and aligned")
-        if len(set(pts)) != len(pts):
+        if len({p.as_integer_ratio() for p in pts}) != len(pts):
             raise BadWeight("atomic points must be distinct")
-        if any(w <= 0 for w in wts):
+        if any(w.numerator <= 0 for w in wts):
             raise BadWeight("atomic weights must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
@@ -203,8 +213,7 @@ class MomentFunctional:
     def moment(self, n: int) -> Fraction:
         if n < 0:
             raise BadInput("moment index must be non-negative")
-        if n > MAX_MOMENT_INDEX:
-            raise BadInput(f"moment index {n} is above the limit of {MAX_MOMENT_INDEX}")
+        _check_index(n)
         while len(self._cache) <= n:
             self._cache.append(self._next(len(self._cache)))
         return self._cache[n]
@@ -257,31 +266,75 @@ def normalized_moment(w: WeightSpec, n: int) -> Fraction:
     return MomentFunctional(w).moment(n)
 
 
-def _integral(mf: MomentFunctional, coeffs) -> Fraction:
-    """Normalized integral of the polynomial with ascending coefficients,
-    read from the top, so that too high an index is refused before any work."""
-    total = _F0
-    for n in range(len(coeffs) - 1, -1, -1):
-        if coeffs[n]:
-            total += coeffs[n] * mf.moment(n)
-    return total
+def _check_index(n: int) -> None:
+    if n > MAX_MOMENT_INDEX:
+        raise BadInput(f"moment index {n} is above the limit of {MAX_MOMENT_INDEX}")
+
+
+def _functional(w: WeightSpec, f: Poly) -> tuple[int, int]:
+    """The normalized integral L(f) of f against the weight as (num, den),
+    integers with den != 0, built from no moment.
+
+    Classical weights.  Each n of `_moment_row` gives a polynomial
+    P_n = sum over its terms (s, a, b) of (a + b n) t^(n+s) with L(P_n) = 0,
+    from n = 1 for Laguerre and n = 0 otherwise, so P_n leads at degree
+    k = n + s >= 1 with the top factor a + b (k - s), which never vanishes
+    there.  Eliminating f's terms top-down by these P_n is the banded solve
+    lead(k) x_k = f_k - sum (c - d e + d k) x_(k+s-e) over the lower terms
+    (e, c, d), for k >= 1, as `opimage._eliminate` solves the image row.
+    It leaves f = sum x_k P_(k-s) + r_0 with the constant r_0, and
+    L(1) = nu_0 = 1 gives L(f) = r_0.  `linalg.solve_band` returns r_0 times
+    its scale, on f's numerators over f.den.
+
+    Atomic weights.  With points a_i / d and weights W_i / e over the lcms
+    d and e of their denominators, L(f) = sum W_i f(a_i / d) / sum W_i, and
+    d^deg f(a_i / d) den(f) = sum_k num_k d^(deg-k) a_i^k is integer Horner.
+    """
+    num = f.num
+    if not num:
+        return 0, 1
+    if isinstance(w, AtomicWeight):
+        d, points = clear_denominators(w.points)
+        weights = clear_denominators(w.weights)[1]
+        top_down, power = [], 1
+        for c in reversed(num):
+            top_down.append(c * power)
+            power *= d
+        total = 0
+        for a, c in zip(points, weights):
+            h = 0
+            for x in top_down:
+                h = h * a + x
+            total += c * h
+        return total, sum(weights) * d ** (len(num) - 1) * f.den
+    *lower, (s, a, b) = _moment_row(w)
+    _, r, scale = solve_band((a - b * s, b), num, [(s - e, c - d * e, d) for e, c, d in lower], 1)
+    return r[0], scale * f.den
 
 
 def vb_member(w: WeightSpec, f: Poly) -> bool:
-    """Is the normalized integral of f against the weight exactly zero?"""
+    """Is the normalized integral of f against the weight exactly zero?
+
+    Reads L(f) by one elimination (`_functional`), with no moment built;
+    a degree above MAX_MOMENT_INDEX is refused before any work.
+    """
     if f.ring != QQ:
         raise BadInput("vanishing-integral test requires rational coefficients")
-    return _integral(MomentFunctional(w), f.qq_coeffs()) == 0
+    _check_index(f.degree)
+    return _functional(w, f)[0] == 0
 
 
 def inner_product(w: WeightSpec, f: Poly, g: Poly) -> Fraction:
-    """Moment-weighted pairing; conjugation is trivial over QQ."""
+    """Moment-weighted pairing L(f g); conjugation is trivial over QQ.
+
+    deg f + deg g above MAX_MOMENT_INDEX is refused before the product.
+    """
     if f.ring != QQ or g.ring != QQ:
         raise BadInput("inner product requires rational coefficients")
-    mf = MomentFunctional(w)
-    if not (f.is_zero or g.is_zero):
-        mf.moment(f.degree + g.degree)  # refuses too high an index before the product
-    return _integral(mf, (f * g).qq_coeffs())
+    if f.is_zero or g.is_zero:
+        return _F0
+    _check_index(f.degree + g.degree)
+    return Fraction(*_functional(w, f * g))
 
 
 def orthopoly(w: WeightSpec, n: int) -> Poly:

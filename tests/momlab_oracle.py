@@ -1,11 +1,12 @@
-"""The Fraction moment functional, Fraction Chebyshev algorithm and
-per-degree equivalence comparison of the earlier momlab module, kept
+"""The Fraction moment functional, Fraction Chebyshev algorithm, moment sum
+and per-degree equivalence comparison of the earlier momlab module, kept
 verbatim as independent oracles: ``MomentFunctional._next`` runs one
 Fraction recurrence per classical family and sums a Fraction power for every
 atomic point over the total mass, ``orthopoly`` carries the monic recurrence
-coefficients and mixed moments as Fractions, and ``equivalence_check``
-compares, degree by degree, whether t^j lies in the operator image with
-whether nu_j = 0."""
+coefficients and mixed moments as Fractions, ``integral`` sums the
+coefficients of a polynomial times the moments of a functional, and
+``equivalence_check`` compares, degree by degree, whether t^j lies in the
+operator image with whether nu_j = 0."""
 
 from fractions import Fraction
 
@@ -58,6 +59,16 @@ class MomentFunctional:
             )
         total_mass = sum(w.weights, _F0)
         return sum((wt * (pt ** n) for pt, wt in zip(w.points, w.weights)), _F0) / total_mass
+
+
+def integral(mf, coeffs) -> Fraction:
+    """Normalized integral of the polynomial with ascending coefficients:
+    the sum of each coefficient times the moment mf.moment(n), from the top."""
+    total = _F0
+    for n in range(len(coeffs) - 1, -1, -1):
+        if coeffs[n]:
+            total += coeffs[n] * mf.moment(n)
+    return total
 
 
 def orthopoly(w: WeightSpec, n: int) -> Poly:

@@ -145,6 +145,7 @@ MALFORMED_CASES = (
     (("radical-probe", "--poly", "t", "--window", "3", "--weight", "hermite"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "1_0:2_0", "--weight", "hermite"), "BAD_INPUT"),
     (("radical-probe", "--poly", "t", "--window", "\u0663:4", "--weight", "hermite"), "BAD_INPUT"),
+    (("radical-probe", "--poly", "t", "--window", "-1:3", "--weight", "hermite"), "BAD_INPUT"),
     (("verify-cert",), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":[1]}'), "BAD_INPUT"),
     (("mathieu", "--space", '{"modulus":[["t",1]],"vbar_basis":5}'), "BAD_INPUT"),
@@ -364,7 +365,7 @@ def reference_main(argv):
     """Reference for ``main``: the same dispatch on a parser built for this call alone."""
     parser = cli.build_parser.__wrapped__()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(cli._attach_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

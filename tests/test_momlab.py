@@ -10,7 +10,7 @@ import pytest
 import momlab_oracle
 from mathieulab import momlab
 from mathieulab.certlab import bracket_factorial
-from mathieulab.corealg import QQ, parse_poly, poly_one, qq_poly, t_monomial
+from mathieulab.corealg import QQ, Poly, parse_poly, poly_one, qq_poly, t_monomial
 from mathieulab.errors import BadInput, BadPair, BadWeight, Degenerate
 from mathieulab.momlab import (
     MAX_MOMENT_INDEX,
@@ -28,7 +28,7 @@ from mathieulab.momlab import (
     parse_weight,
     vb_member,
 )
-from mathieulab.opimage import hermite_operator, laguerre_operator, lzero
+from mathieulab.opimage import apply_operator, hermite_operator, laguerre_operator, lzero
 from mathieulab.opimage import JacobiOperator
 from mathieulab.radlab import radical_probe
 
@@ -241,6 +241,86 @@ def test_integer_atomic_moments_match_fraction_oracle():
         for n in [12, 3, 0, 13, 7, top, 25]:
             assert first.moment(n) == oracle.moment(n), (str(w), n)
             assert second.moment(top - n) == oracle.moment(top - n), (str(w), top - n)
+
+
+def _functional_weights(rng):
+    """The weights of the functional cross-oracle: zero, negative and 7-digit
+    parameters, alpha = beta, alpha + beta = -1 and one-point atomic weights,
+    then seeded ones."""
+    third = Fraction(1, 3)
+    seven = Fraction(rng.randint(10 ** 6, 10 ** 7 - 1), rng.randint(10 ** 6, 10 ** 7 - 1))
+    unit = Fraction(rng.randint(10 ** 6, 10 ** 7 - 1), 10 ** 7 + 19)  # in (0, 1)
+    weights = [
+        HermiteWeight(), LaguerreWeight(0), LaguerreWeight(Fraction(-1, 2)),
+        LaguerreWeight(Fraction(-999982, 999983)), LaguerreWeight(seven), LaguerreWeight(-unit),
+        JacobiWeight(third, third), JacobiWeight(-third, -third), JacobiWeight(0, 0),
+        # alpha + beta = -1: the top factor vanishes at degree 0
+        JacobiWeight(-third, -2 * third), JacobiWeight(-unit, unit - 1),
+        JacobiWeight(Fraction(-999982, 999983), Fraction(-999978, 999979)),
+        JacobiWeight(Fraction(-999982, 999983), seven),
+        AtomicWeight((Fraction(5, 7),), (Fraction(3, 11),)), AtomicWeight((0,), (1,)),
+        AtomicWeight((Fraction(1, 2), Fraction(-3, 5), 2), (Fraction(2, 3), 1, Fraction(9, 4))),
+    ]
+    for i in range(24):
+        weights.append(_oracle_weight(rng, ("atomic", "jacobi", "laguerre", "hermite")[i % 4]))
+    return weights
+
+
+def test_functional_matches_moment_sum():
+    # vb_member and inner_product, which build no moment, against the sum of
+    # coefficients times Fraction moments that they replace
+    rng = random.Random(26026)
+    weights = _functional_weights(rng)
+    functionals = {w: momlab_oracle.MomentFunctional(w) for w in weights}
+
+    def integral(w, f):
+        return momlab_oracle.integral(functionals[w], f.qq_coeffs())
+
+    def poly(kind):
+        if kind == "zero":
+            return qq_poly([])
+        size = 1 if kind == "constant" else rng.randint(2, 13)
+        return qq_poly([Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)])
+
+    kinds = ("zero", "constant", "dense", "dense", "planted")
+    verdicts = set()
+    for i in range(2400):
+        w = weights[i % len(weights)]
+        kind = kinds[i // len(weights) % len(kinds)]
+        f = poly("dense" if kind == "planted" else kind)
+        if kind == "planted":  # f - L(f) lies in ker L
+            f = f - qq_poly([integral(w, f)])
+        g = poly(kinds[i % len(kinds)])
+        member = vb_member(w, f)
+        assert member == (integral(w, f) == 0), (str(w), f)
+        assert member or kind not in ("zero", "planted"), (str(w), f)
+        assert inner_product(w, f, g) == integral(w, f * g), (str(w), f, g)
+        verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("w", [JacobiWeight(Fraction(123, 457), Fraction(511, 997)),
+                               LaguerreWeight(Fraction(123, 457))])
+def test_functional_at_the_moment_index_limit_is_fast(w):
+    # dense inputs of total degree 2000; D(h) for the matched operator D lies
+    # in ker L, so g h - <g, h> + D(h) is a member and one more than it is not
+    rng = random.Random(2000)
+
+    def dense(degree):
+        return Poly.from_ints([rng.randint(-9, 9) for _ in range(degree)] + [1], rng.randint(1, 9))
+
+    h = dense(1999) * (qq_poly([1, 0, -1]) if isinstance(w, JacobiWeight) else qq_poly([0, 1]))
+    image = apply_operator(momlab.matched_operator(w), h)
+    g, k = dense(1000), dense(1000)
+    start = time.perf_counter()
+    value = inner_product(w, g, k)
+    assert time.perf_counter() - start < 2.0
+    planted = g * k - qq_poly([value]) + image
+    assert planted.degree == 2000
+    for f, expected in ((planted, True), (planted + poly_one(), False)):
+        start = time.perf_counter()
+        assert vb_member(w, f) is expected
+        assert time.perf_counter() - start < 2.0
 
 
 def test_singular_gram_matrix_is_degenerate(monkeypatch):
