@@ -1,82 +1,115 @@
-"""Exact linear algebra: sparse column elimination and a banded row solver.
+"""Exact linear algebra on integers: sparse column elimination and a banded
+row solver, both fraction-free.
 
-Sparse column elimination runs over Fraction.  A vector is a dict
-{index: nonzero int or Fraction}.  Columns are fed one at a time, in order,
-into a list of pivots (row, reduced vector with 1 on that row, the
-combination of columns equal to it).  A later pivot is zero on every
-earlier pivot's row, so one pass in order clears all their rows.  It serves
-radlab's annihilator (`nullspace`) and ufdlab's echelon basis of the kernel
-of a truncated shift operator.  `solve_band`, on integers, serves opimage's
-image elimination, momlab's classical orthogonal polynomials and ufdlab's
-x-levels.
+Sparse column elimination: a vector is a dict {index: nonzero int}.
+Columns are fed one at a time, in order, into a list of pivots (row,
+reduced vector, the combination of columns equal to it), each held as a
+primitive integer pair whose value p at its row is positive; as rationals
+the pivot is that pair divided by p.  A later pivot is zero on every earlier
+pivot's row, so one pass in order clears all their rows.  It serves radlab's
+annihilator (`nullspace`) and ufdlab's echelon basis of the kernel of a
+truncated shift operator.  `solve_band` serves opimage's image elimination,
+momlab's classical orthogonal polynomials and ufdlab's x-levels.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-Mat = list[list[Fraction]]
 Pivot = tuple[int, dict, dict]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def eliminate(pivots: Sequence[Pivot], vec: dict, comb: dict) -> None:
+def eliminate(pivots: Sequence[Pivot], vec: dict, comb: dict) -> int:
     """Reduce vec in place against the pivots, subtracting the same
-    multiples of the pivots' combinations from comb."""
+    multiples of the pivots' combinations from comb; return the positive
+    scale s such that the rational reduction is vec / s (and comb / s).
+
+    Fraction-free: against a pivot with p at its row, where vec holds f, a
+    step is vec <- p vec - f pvec and the same on comb, with p and f first
+    divided by their gcd.  The running scale takes the factor p, and then it
+    and both dicts are divided by their common gcd, so that they are the
+    rational values over their least common denominator and grow no faster
+    than Fractions would.
+    """
+    scale = 1
     for row, pvec, pcomb in pivots:
-        factor = vec.get(row)
-        if factor:
-            _axpy(vec, -factor, pvec)
-            _axpy(comb, -factor, pcomb)
+        f = vec.get(row)
+        if f:
+            p = pvec[row]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            _step(vec, p, f, pvec)
+            _step(comb, p, f, pcomb)
+            scale *= p
+            if scale != 1:
+                g = gcd(scale, *vec.values(), *comb.values())
+                if g != 1:
+                    scale //= g
+                    _divide(vec, g)
+                    _divide(comb, g)
+    return scale
 
 
-def _axpy(y: dict, s: Fraction, x: dict) -> None:
+def _step(y: dict, p: int, f: int, x: dict) -> None:
+    """y <- p y - f x, dropping the entries that cancel."""
+    if p != 1:
+        for key in y:
+            y[key] *= p
     for key, v in x.items():
-        w = y.get(key, _ZERO) + s * v
+        w = y.get(key, 0) - f * v
         if w:
             y[key] = w
         else:
             del y[key]
 
 
+def _divide(y: dict, g: int) -> None:
+    for key in y:
+        y[key] //= g
+
+
 def add_column(pivots: list[Pivot], vec: dict, index: int) -> Optional[dict]:
-    """Eliminate column number index (vec, consumed) against the pivots.
+    """Eliminate column number index (an integer vec, consumed) against the
+    pivots.
 
     A column the pivots do not clear becomes a new pivot on its least
     nonzero row, and None is returned.  A column they clear returns its
-    combination: a kernel vector with 1 at index, supported on index and the
-    independent columns before it.
+    combination: the primitive integer kernel vector that is positive at
+    index, supported on index and the independent columns before it.
     """
-    comb = {index: _ONE}
+    comb = {index: 1}
     eliminate(pivots, vec, comb)
     if not vec:
+        # comb[index] is the scale, and the scale has no factor common to
+        # every entry, so comb is primitive
         return comb
     row = min(vec)
-    inv = _ONE / vec[row]
-    pivots.append((row, {r: v * inv for r, v in vec.items()},
-                   {j: v * inv for j, v in comb.items()}))
+    g = gcd(*vec.values(), *comb.values())
+    if vec[row] < 0:
+        g = -g
+    if g != 1:
+        _divide(vec, g)
+        _divide(comb, g)
+    pivots.append((row, vec, comb))
     return None
 
 
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> Mat:
-    """Basis of the right nullspace {x : M x = 0} of an int or Fraction
-    matrix: one Fraction vector per dependent column, with 1 there and
-    support on it and the independent columns before it (the free-column
-    vectors of the reduced row echelon form)."""
+def nullspace(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of the right nullspace {x : M x = 0} of an integer matrix: one
+    primitive integer vector per dependent column, positive there and
+    supported on it and the independent columns before it (the free-column
+    vectors of the reduced row echelon form, cleared of denominators)."""
     if not matrix:
         return []
     ncols = len(matrix[0])
     pivots: list[Pivot] = []
-    basis: Mat = []
+    basis = []
     for col in range(ncols):
         vec = {r: row[col] for r, row in enumerate(matrix) if row[col]}
         comb = add_column(pivots, vec, col)
         if comb is not None:
-            basis.append([comb.get(j, _ZERO) for j in range(ncols)])
+            basis.append([comb.get(j, 0) for j in range(ncols)])
     return basis
 
 

@@ -36,7 +36,6 @@ from .corealg import (
     QQ_POLY,
     Ring,
     RingElement,
-    clear_denominators,
     exact_divide,
     parse_exponent,
     parse_key_values,
@@ -286,12 +285,14 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     is a nonzero constant, by integration with constant term 0 when A_0 = 0.
     Each level is a QQ polynomial on integer numerators over one denominator,
     solved by `linalg.solve_band` on P h_j' - R h_j = S g for c_0 = p/q,
-    A_0 = r/s, P = p*s, R = r*q and S = q*s; no Fraction is built before the
-    witness vector.  Then D has one kernel vector K_j per level, the lift of
-    0 from h = x^j, and the witness is reduced against their echelon basis
-    keyed by highest column (t^i x^l is column i*k + l): it is zero on every
-    column whose image depends on earlier ones, the least-degree solution on
-    the independent columns.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
+    A_0 = r/s, P = p*s, R = r*q and S = q*s.  Then D has one kernel vector
+    K_j per level, the lift of 0 from h = x^j, and the witness is reduced
+    against their echelon basis keyed by highest column (t^i x^l is column
+    i*k + l): it is zero on every column whose image depends on earlier
+    ones, the least-degree solution on the independent columns.  The vectors
+    are integer numerators over the lcm of their levels' denominators, and
+    `linalg.eliminate` returns the scale that joins that denominator, so no
+    Fraction is built.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
 
     Each returned witness is checked on its levels read back from h:
     sum_(i<=j) (c_i h_(j-i)' - A_i h_(j-i)) = f_j for every j < k, which is
@@ -346,24 +347,25 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
             h.append(Poly.from_ints(x, scale * g.den))
         return h
 
-    def vector(levels: list[Poly]) -> dict:
-        # t^i x^j is keyed -(i*k + j), so that a pivot sits on its highest column
-        return {-(i * k + j): Fraction(v, hj.den)
-                for j, hj in enumerate(levels) for i, v in enumerate(hj.num) if v}
+    def vector(levels: list[Poly]) -> tuple[dict, int]:
+        """(vec, den): the levels as integers over den, the lcm of their
+        denominators; t^i x^j is keyed -(i*k + j), so that a pivot sits on
+        its highest column."""
+        den = math.lcm(*(hj.den for hj in levels))
+        return {-(i * k + j): v * (den // hj.den)
+                for j, hj in enumerate(levels) for i, v in enumerate(hj.num) if v}, den
 
     zero = [poly_zero()] * k
     pivots: list = []  # an echelon basis of the kernel of D, which is 0 unless A_0 = 0
     for j in range(0 if big_r else k):
-        linalg.add_column(pivots, vector(lift(zero, zero[:j] + [poly_one()])), j)
+        linalg.add_column(pivots, vector(lift(zero, zero[:j] + [poly_one()]))[0], j)
 
     def solve(n: int) -> Poly:
         """The witness h of D h = t^n, whose levels are t^n, 0, ..., 0."""
         fl = [Poly.from_ints([0] * n + [1])] + zero[1:]
-        vec = vector(lift(fl, []))
-        linalg.eliminate(pivots, vec, {})
-        den, num = clear_denominators(vec.values())
-        ints = dict(zip(vec, num))
-        h = Poly(ring, [RingElement.from_ints(ring, [ints.get(-(i * k + l), 0)
+        vec, den = vector(lift(fl, []))
+        den *= linalg.eliminate(pivots, vec, {})
+        h = Poly(ring, [RingElement.from_ints(ring, [vec.get(-(i * k + l), 0)
                                                      for l in range(k)], den)
                         for i in range(-min(vec, default=0) // k + 1)])
         # D h = t^n level by level, on the levels read back from h

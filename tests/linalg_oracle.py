@@ -1,5 +1,7 @@
-"""Dense exact linear algebra over Fraction, used by the tests as an
-independent oracle for the package's sparse column elimination."""
+"""Exact linear algebra over Fraction, used by the tests as an independent
+oracle for the package's integer elimination: a dense RREF, the sparse
+column echelon on Fractions that the integer one replaced, and banded
+back-substitution."""
 
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,6 +46,62 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         for row, p in zip(rows, pivots):
             vec[p] = -row[fc]
         basis.append(vec)
+    return basis
+
+
+def eliminate(pivots, vec: dict, comb: dict) -> None:
+    """Reduce vec in place against the pivots (row, reduced vector with 1 on
+    that row, its combination of columns), subtracting the same multiples
+    of the pivots' combinations from comb."""
+    for row, pvec, pcomb in pivots:
+        factor = vec.get(row)
+        if factor:
+            _axpy(vec, -factor, pvec)
+            _axpy(comb, -factor, pcomb)
+
+
+def _axpy(y: dict, s: Fraction, x: dict) -> None:
+    for key, v in x.items():
+        w = y.get(key, Fraction(0)) + s * v
+        if w:
+            y[key] = w
+        else:
+            del y[key]
+
+
+def add_column(pivots: list, vec: dict, index: int) -> Optional[dict]:
+    """Eliminate column number index (vec, consumed) against the pivots.
+
+    A column the pivots do not clear becomes a new pivot on its least
+    nonzero row, and None is returned.  A column they clear returns its
+    combination: a kernel vector with 1 at index, supported on index and the
+    independent columns before it.
+    """
+    comb = {index: Fraction(1)}
+    eliminate(pivots, vec, comb)
+    if not vec:
+        return comb
+    row = min(vec)
+    inv = 1 / Fraction(vec[row])
+    pivots.append((row, {r: v * inv for r, v in vec.items()},
+                   {j: v * inv for j, v in comb.items()}))
+    return None
+
+
+def fraction_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The sparse column echelon's nullspace basis: one Fraction vector per
+    dependent column, with 1 there and support on it and the independent
+    columns before it."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    pivots: list = []
+    basis = []
+    for col in range(ncols):
+        vec = {r: row[col] for r, row in enumerate(matrix) if row[col]}
+        comb = add_column(pivots, vec, col)
+        if comb is not None:
+            basis.append([comb.get(j, Fraction(0)) for j in range(ncols)])
     return basis
 
 

@@ -1,8 +1,12 @@
-"""The largest interior ideal of a cofinite subspace by Krylov rows and a
-nullspace, used by the tests as an independent oracle for radlab's
-one-gcd-per-block generator."""
+"""Oracles for radlab: the largest interior ideal of a cofinite subspace by
+Krylov rows and a nullspace, against radlab's one-gcd-per-block generator,
+and the radical window on residues taken by `euclid_divmod`, against the
+window on integer pseudo-division residues."""
 
-from mathieulab.corealg import QQ, poly_gcd, poly_one, qq_poly, squarefree_part
+import math
+
+from mathieulab.corealg import QQ, euclid_divmod, poly_gcd, poly_one, qq_poly, squarefree_part
+from mathieulab.radlab import _times_t
 
 from linalg_oracle import nullspace
 
@@ -43,3 +47,35 @@ def krylov_interior_ideal(space):
             r = r * (squarefree_part(h_i) if p in space.unverified_factors else p)
     return h, r, live
 
+
+def divmod_radical_member_cofinite(space, f):
+    """radlab.radical_member_cofinite with each block's residue r_i = f mod
+    b_i taken by `euclid_divmod` as a canonical Poly: the columns
+    t^j r_i mod b_i are stepped on integer numerators by the companion
+    shift, den times them makes each block's multiplication matrix N_i an
+    integer matrix, and f^m lies in V for every m in [D, 2D] exactly when
+    each w_m = N_i w_(m-1), from the residue of 1, passes the membership
+    test."""
+    d = space.dim
+    blocks = []
+    for block in space._blocks:
+        n, low, scale = block.degree, block.num[:-1], block.den
+        r = euclid_divmod(f, block)[1]
+        col, col_den = list(r.num) + [0] * (n - len(r.num)), r.den
+        cols = []
+        for j in range(n):
+            if j:
+                col, col_den = _times_t(col, low, scale), col_den * scale
+            g = math.gcd(col_den, *col)
+            cols.append(([x // g for x in col], col_den // g))
+        blocks.append(cols)
+    den = math.lcm(*(c for cols in blocks for _, c in cols))
+    mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
+            for cols in blocks]
+    powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
+    for m in range(1, 2 * d + 1):
+        powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
+                  for mat, w in zip(mats, powers)]
+        if m >= d and not space.contains_vec([x for w in powers for x in w]):
+            return False
+    return True

@@ -1,11 +1,16 @@
-"""linalg's sparse column echelon against the dense RREF in linalg_oracle,
-and its fraction-free banded solver against Fraction back-substitution."""
+"""linalg's integer column echelon against the dense RREF and the Fraction
+column echelon in linalg_oracle, and its fraction-free banded solver
+against Fraction back-substitution."""
 
 import random
 from fractions import Fraction
 
-from mathieulab.linalg import nullspace, solve_band
+from mathieulab.corealg import clear_denominators
+from mathieulab.linalg import add_column, eliminate, nullspace, solve_band
 
+from linalg_oracle import add_column as fraction_add_column
+from linalg_oracle import eliminate as fraction_eliminate
+from linalg_oracle import fraction_nullspace
 from linalg_oracle import nullspace as dense_nullspace
 from linalg_oracle import solve_band as fraction_solve_band
 
@@ -52,15 +57,66 @@ def test_nullspace_matches_dense_oracle():
     seen = set()
     for _ in range(3000):
         matrix, features = random_matrix(rng)
-        got = nullspace(matrix)
-        assert got == dense_nullspace(matrix), matrix
-        assert all(type(v) is Fraction for vec in got for v in vec)
+        # rows cleared of denominators have the same nullspace
+        got = nullspace([clear_denominators(row)[1] for row in matrix])
+        assert got == [clear_denominators(v)[1] for v in dense_nullspace(matrix)], matrix
+        assert all(type(v) is int for vec in got for v in vec)
         for vec in got:
             for row in matrix:
                 assert sum(a * x for a, x in zip(row, vec)) == 0
         seen |= features
     assert seen == {"int", "rational", "empty", "no columns", "zero row", "zero column",
                     "dependent rows"}
+
+
+def test_integer_echelon_matches_fraction_echelon_on_large_rationals():
+    """Kernel rows, and the reduction of a further vector with its scale,
+    against the Fraction echelon on 7-digit rationals with dependent rows."""
+    rng = random.Random(2727)
+    seen = set()
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+
+        def entry():
+            return 0 if rng.random() < 0.2 else Fraction(rng.randint(-10 ** 7, 10 ** 7),
+                                                         rng.randint(1, 10 ** 7))
+
+        matrix = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randint(1, 3)):  # combinations of earlier rows
+            a, b = rng.choice(matrix), rng.choice(matrix)
+            s = Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, 10 ** 7))
+            matrix.append([x + s * y for x, y in zip(a, b)])
+        rng.shuffle(matrix)
+        ints = [clear_denominators(row)[1] for row in matrix]
+        got = nullspace(ints)
+        assert got == [clear_denominators(v)[1] for v in fraction_nullspace(matrix)], matrix
+        assert all(type(v) is int for vec in got for v in vec)
+        seen.add("kernel" if got else "no kernel")
+        # the same integer columns as pivots, then one more vector reduced
+        # against them
+        pivots, fraction_pivots = [], []
+        for col in range(ncols):
+            column = {r: row[col] for r, row in enumerate(ints) if row[col]}
+            add_column(pivots, dict(column), col)
+            fraction_add_column(fraction_pivots, column, col)
+        if rng.random() < 0.3:  # a combination of the columns, which reduces to zero
+            cols = rng.sample(range(ncols), min(2, ncols))
+            extra = {r: sum(rng.randint(-99, 99) * row[c] for c in cols)
+                     for r, row in enumerate(ints)}
+        else:
+            extra = {r: rng.randint(-10 ** 7, 10 ** 7) for r in range(len(matrix))}
+        extra = {r: v for r, v in extra.items() if v}
+        vec, comb = dict(extra), {ncols: 1}
+        scale = eliminate(pivots, vec, comb)
+        want_vec, want_comb = {r: Fraction(v) for r, v in extra.items()}, {ncols: Fraction(1)}
+        fraction_eliminate(fraction_pivots, want_vec, want_comb)
+        assert scale > 0 and all(type(v) is int for v in [*vec.values(), *comb.values()])
+        assert {r: Fraction(v, scale) for r, v in vec.items()} == want_vec
+        assert {j: Fraction(v, scale) for j, v in comb.items()} == want_comb
+        seen.add("scale > 1" if scale > 1 else "scale 1")
+        seen.add("reduced to zero" if not vec else "not reduced to zero")
+    assert seen == {"kernel", "no kernel", "scale > 1", "scale 1", "reduced to zero",
+                    "not reduced to zero"}
 
 
 def random_band(rng):

@@ -48,7 +48,7 @@ from mathieulab.radlab import (
 )
 
 from linalg_oracle import nullspace, solve_linear
-from radlab_oracle import krylov_interior_ideal
+from radlab_oracle import divmod_radical_member_cofinite, krylov_interior_ideal
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
@@ -892,6 +892,103 @@ def test_radical_window_matches_poly_window():
             assert expected, (space.to_dict(), member)
     # both answers occur on the integer spaces and on the rational-block spaces
     assert answers == {False: {False, True}, True: {False, True}}
+
+
+def window_residue_spaces(seed, count):
+    """Seeded (space, member) pairs: 1 to 4 monic factors of multiplicity 1
+    or 2 (or (t + 12345/67891)^3), many of whose blocks have non-unit
+    numerators, and V/(g) from random rational entries, 7-digit in part.
+
+    Even entries take random basis vectors and no member.  Odd entries cut
+    V out by a random functional that kills e_S for a random set S of
+    blocks, so the member c e_S lies in rad(V) without being nilpotent.
+    """
+    rng = random.Random(seed)
+    fixed = ["t + 12345/67891", "t^2 - 3/7", "t^2 + 1", "t^3 - 2", "t - 1"]
+    out = []
+    while len(out) < count:
+        factors = [(parse_poly(p), 3 if p == fixed[0] and rng.random() < 0.5 else rng.randint(1, 2))
+                   for p in rng.sample(fixed, rng.randint(0, 2))]
+        for _ in range(rng.randint(0 if factors else 1, 4 - len(factors))):
+            a = (Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, 10 ** 7))
+                 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            factors.append((qq_poly([-a, 1]), rng.randint(1, 2)))
+        dim = sum(p.degree * m for p, m in factors)
+        if dim > 10:
+            continue
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if rng.random() < 0.3:
+                return Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, 10 ** 7))
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        try:
+            if len(out) % 2 == 0:
+                basis = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, dim - 1))]
+                out.append((CofiniteSubspace(factors, basis), None))
+                continue
+            coords = CofiniteSubspace(factors, [])
+            e = _set_idempotent(coords, rng.randint(1, (1 << len(factors)) - 1))
+            ev = coords.residue_vec(e)
+            lam = [entry() for _ in range(dim)]
+            k = next(i for i, v in enumerate(ev) if v)
+            lam[k] = 0
+            lam[k] = -sum(l * v for l, v in zip(lam, ev)) / ev[k]
+            if any(lam):
+                member = e.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                out.append((CofiniteSubspace(factors, nullspace([lam])), member))
+        except BadInput:  # a repeated point or a dependent basis
+            continue
+    return out
+
+
+def test_radical_window_matches_divmod_residues():
+    rng = random.Random(2707)
+    seen = set()
+    pairs = 0
+    for space, member in window_residue_spaces(2706, 240):
+        top = max(b.degree for b in space._blocks)
+        candidates = [
+            poly_zero(),
+            qq_poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9))]),
+            qq_poly([Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, 10 ** 7))
+                     for _ in range(rng.randint(2, space.dim + 3))]),
+            squarefree_part(space.modulus) * qq_poly([rng.randint(-3, 3) for _ in range(2)]),
+        ]
+        if top >= 2:
+            candidates.append(qq_poly([rng.randint(-5, 5) for _ in range(rng.randint(1, top - 1))]
+                                      + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]))
+        if member is not None:
+            candidates.append(member)
+        for f in candidates:
+            got = radical_member_cofinite(space, f)
+            assert got == divmod_radical_member_cofinite(space, f), (space.to_dict(), f)
+            pairs += 1
+            seen.add(got)
+            if f.is_zero:
+                seen.add("f = 0")
+            elif f.degree == 0:
+                seen.add("constant f")
+            elif f.degree < top:
+                seen.add("deg f < deg b")
+            if max(map(abs, (*f.num, f.den)), default=0) >= 10 ** 6:
+                seen.add("7-digit f")
+        if member is not None:  # the last candidate
+            assert got, (space.to_dict(), member)
+            # the pseudo-division's scale s is not 1 on these blocks
+            if any(b.den != 1 and member.degree >= b.degree for b in space._blocks):
+                seen.add("member divided by a non-unit block")
+        for (p, m), block in zip(space.factors, space._blocks):
+            if block.den != 1:
+                seen.add("non-unit block numerator")
+            if str(p) in ("t + 12345/67891", "t^2 - 3/7"):
+                seen.add(f"({p})^{m}")
+    assert pairs >= 1000
+    assert {True, False, "f = 0", "constant f", "deg f < deg b", "7-digit f",
+            "member divided by a non-unit block", "non-unit block numerator",
+            "(t + 12345/67891)^3", "(t^2 - 3/7)^1"} <= seen
 
 
 def test_witness_loop_matches_coefficient_reference_on_rational_blocks():

@@ -39,7 +39,7 @@ from mathieulab.ufdlab import (
     va_valuation,
 )
 
-from linalg_oracle import solve_linear
+from linalg_oracle import add_column, eliminate, solve_linear
 from ufdlab_oracle import solve_level
 
 X = ring_monomial(QQ_POLY, 1)
@@ -363,6 +363,7 @@ def test_surjectivity_matches_dense_reference():
 # column number i*k + j, and each target is reduced by the pivots of the
 # columns with i <= D for D = deg f, deg f + 1, ..., up to the witness-degree
 # budget; the witness is the solution supported on the independent columns.
+# It runs on linalg_oracle's Fraction column echelon.
 def _image(c, a, k, col):
     i, j = divmod(col, k)
     vec = {}
@@ -396,9 +397,9 @@ def column_search_surjectivity_check(ring, c, a, deg_bound):
             n = (max_deg + 1) * k
             while len(rank) <= n:
                 col = len(rank) - 1
-                linalg.add_column(pivots, _image(c, a, k, col), col)
+                add_column(pivots, _image(c, a, k, col), col)
                 rank.append(len(pivots))
-            linalg.eliminate(pivots[used:rank[n]], vec, comb)
+            eliminate(pivots[used:rank[n]], vec, comb)
             used = rank[n]
             if not vec:
                 return Poly(ring, tuple(
@@ -575,9 +576,10 @@ def test_surjectivity_rejects_a_corrupted_witness(monkeypatch, text):
 
     def corrupt(pivots, vec, comb):
         witness = not comb  # a kernel vector comes with its column's combination
-        eliminate(pivots, vec, comb)
+        scale = eliminate(pivots, vec, comb)
         if witness:
             vec[min(vec)] += 1
+        return scale
 
     ring, c, a = parse_trunc_context(text)
     monkeypatch.setattr(linalg, "eliminate", corrupt)
