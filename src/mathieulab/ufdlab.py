@@ -18,7 +18,8 @@ implemented alongside:
 * a surjectivity check over the truncated rings QQ[x]/(x^k), decided mod x
   (c*d/dt - a(t) is onto iff c_0*d/dt - A_0 is onto QQ[t]), with the
   witnesses for the monomials t^n solved level by level in powers of x: each
-  x-level is a QQ[t] polynomial on integer numerators over one denominator,
+  x-level is an integer pair (numerators in t, one denominator), stepped with
+  corealg's integer kernels, so the only Poly built is the witness returned,
   and every witness is re-applied to D level by level before it is returned.
   Its cost is bounded up front by MAX_TRUNC and MAX_WITNESS_SIZE.
 """
@@ -36,12 +37,14 @@ from .corealg import (
     QQ_POLY,
     Ring,
     RingElement,
+    _zadd,
+    _zmul,
+    _zstrip,
     exact_divide,
     parse_exponent,
     parse_key_values,
     parse_poly,
     parse_ring_element,
-    poly_one,
     poly_zero,
     qq_poly_trunc,
     ring_gcd,
@@ -52,8 +55,9 @@ from .errors import BadInput, NotInRadical
 
 INFINITE = math.inf
 
-# cost limits of surjectivity_check: at the size limit, k = 16 and a dense a
-# of t-degree 8 with rational coefficients take 2.8 s on a 2-vCPU Xeon
+# cost limits of surjectivity_check: at the size limit, k = 16 with
+# c = 1 + x/3, the dense a = sum_(1<=j<=15, 0<=i<=8) (2i+1)/(j+2) x^j t^i and
+# deg bound 15 take 0.8 s on a 2-vCPU Xeon (0.3 s for a + 1, where A_0 = 1)
 MAX_TRUNC = 16
 MAX_WITNESS_SIZE = 40_000
 
@@ -264,12 +268,39 @@ def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
     return ring, c, a
 
 
-def _levels(p: Poly, k: int) -> list[Poly]:
-    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j,
-    over the common denominator of p's coefficients."""
+def _int_levels(p: Poly, k: int) -> list[tuple[list[int], int]]:
+    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j, as
+    integer pairs (numerators, den) over the lcm of p's coefficients'
+    denominators."""
     den = math.lcm(*(cf.den for cf in p.coeffs))
-    return [Poly.from_ints([cf.num[j] * (den // cf.den) if j < len(cf.num) else 0
-                            for cf in p.coeffs], den) for j in range(k)]
+    return [(_zstrip([cf.num[j] * (den // cf.den) if j < len(cf.num) else 0 for cf in p.coeffs]), den)
+            for j in range(k)]
+
+
+def _residual(g: tuple, h: list, j: int, first: int, cs: list, big_a: list) -> tuple[list[int], int]:
+    """g - sum_(i=first..j) (c_i h_(j-i)' - A_i h_(j-i)) for g = f_j, as the
+    integer pair (numerators, den), stripped but not in lowest terms.
+
+    g, the levels h_l and A_i = big_a[i] are pairs (numerators, den), and
+    c_i = cs[i] = (cp, cq) is a ratio of integers.  Each term
+    A_i h_l - c_i h_l' is formed over cq*aden*hd and added with `_zadd`.
+    """
+    num, den = g
+    for i in range(first, j + 1):
+        hn, hd = h[j - i]
+        if not hn:
+            continue
+        cp, cq = cs[i]
+        an, aden = big_a[i]
+        term = [cq * v for v in _zmul(an, hn)]
+        if cp:
+            w = cp * aden
+            term += [0] * (len(hn) - 1 - len(term))
+            for m in range(1, len(hn)):
+                term[m - 1] -= w * m * hn[m]
+        if term:
+            num, den = _zadd(num, den, term, cq * aden * hd)
+    return _zstrip(num), den
 
 
 def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> SurjectivityReport:
@@ -283,18 +314,22 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     h = sum h_j x^j solve c_0 h_j' - A_0 h_j = f_j - sum_(i=1..j)
     (c_i h_(j-i)' - A_i h_(j-i)) in turn: from the top degree down when A_0
     is a nonzero constant, by integration with constant term 0 when A_0 = 0.
-    Each level is a QQ polynomial on integer numerators over one denominator,
-    solved by `linalg.solve_band` on P h_j' - R h_j = S g for c_0 = p/q,
-    A_0 = r/s, P = p*s, R = r*q and S = q*s.  Then D has one kernel vector
-    K_j per level, the lift of 0 from h = x^j, and the witness is reduced
-    against their echelon basis keyed by highest column (t^i x^l is column
-    i*k + l): it is zero on every column whose image depends on earlier
-    ones, the least-degree solution on the independent columns.  The vectors
+    Each level, like c_i and A_i, is an integer pair (numerators, den).  The
+    right-hand side g is formed on integers and not brought to lowest terms,
+    as the solve is linear in it; `linalg.solve_band` solves P h_j' - R h_j =
+    S g for c_0 = p/q, A_0 = r/s, P = p*s, R = r*q and S = q*s, and one gcd
+    brings each solved level to lowest terms.  Only the witness returned is
+    built as a Poly.  Then D has one kernel vector K_j per level, the lift
+    of 0 from h = x^j, and the witness is reduced against their echelon
+    basis keyed by highest column (t^i x^l is column i*k + l): it is zero on
+    every column whose image depends on earlier ones, the least-degree
+    solution on the independent columns.  The vectors
     are integer numerators over the lcm of their levels' denominators, and
     `linalg.eliminate` returns the scale that joins that denominator, so no
     Fraction is built.  deg h <= deg f + 1 + (k-1)(deg_t a + 1).
 
-    Each returned witness is checked on its levels read back from h:
+    Each returned witness is checked on its levels read back from h, as
+    integers over the lcm of its coefficients' denominators:
     sum_(i<=j) (c_i h_(j-i)' - A_i h_(j-i)) = f_j for every j < k, which is
     c*h' - a*h = f in QQ[x]/(x^k)[t].  Before any work, BadInput refuses
     k > MAX_TRUNC and more than MAX_WITNESS_SIZE witness coefficients at the
@@ -319,59 +354,53 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         note = None if low else ("every image value lies in the proper ideal generated by c and "
                                  "the coefficients of a, so 1 is structurally unreachable")
         return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
-    cs = [Fraction(v, c.den) for v in c.num] + [0] * (k - len(c.num))
-    big_a = _levels(a, k)
+    cs = [Fraction(v, c.den).as_integer_ratio() for v in c.num] + [(0, 1)] * (k - len(c.num))
+    big_a = _int_levels(a, k)
     # -R h_n = S g_n - P (n+1) h_(n+1); when A_0 = 0, P n h_n = S g_(n-1) and h_0 = 0
-    p, q = cs[0].as_integer_ratio()
-    r, s = big_a[0].coeff(0).as_integer_ratio()
+    p, q = cs[0]
+    a0, aden = big_a[0]
+    r, s = Fraction(a0[0] if a0 else 0, aden).as_integer_ratio()
     big_p, big_r, big_s = p * s, r * q, q * s
     lead, terms, shift = ((-big_r, 0), [(1, big_p, big_p)], 0) if big_r else ((0, big_p), (), 1)
 
-    def residual(g: Poly, h: list[Poly], j: int, first: int) -> Poly:
-        """g - sum_(i=first..j) (c_i h_(j-i)' - A_i h_(j-i)), for g = f_j."""
-        for i in range(first, j + 1):
-            hi = h[j - i]
-            if hi.is_zero:
-                continue
-            if cs[i]:
-                g = g - hi.derivative().scale(cs[i])
-            if not big_a[i].is_zero:
-                g = g + big_a[i] * hi
-        return g
-
-    def lift(f: list[Poly], h: list[Poly]) -> list[Poly]:
-        """Extend the given lowest levels h of a solution of D h = f to all k."""
+    def lift(f: list, h: list) -> list:
+        """Extend the given lowest levels h of a solution of D h = f to all k;
+        each solved level x / (scale*den) is cut down by one gcd."""
         for j in range(len(h), k):
-            g = residual(f[j], h, j, 1)
-            x, _, scale = linalg.solve_band(lead, [0] * shift + [big_s * v for v in g.num], terms)
-            h.append(Poly.from_ints(x, scale * g.den))
+            num, den = _residual(f[j], h, j, 1, cs, big_a)
+            x, _, scale = linalg.solve_band(lead, [0] * shift + [big_s * v for v in num], terms)
+            den *= scale
+            g = math.gcd(den, *x)
+            if den < 0:
+                g = -g
+            h.append((_zstrip([v // g for v in x]), den // g))
         return h
 
-    def vector(levels: list[Poly]) -> tuple[dict, int]:
+    def vector(levels: list) -> tuple[dict, int]:
         """(vec, den): the levels as integers over den, the lcm of their
         denominators; t^i x^j is keyed -(i*k + j), so that a pivot sits on
         its highest column."""
-        den = math.lcm(*(hj.den for hj in levels))
-        return {-(i * k + j): v * (den // hj.den)
-                for j, hj in enumerate(levels) for i, v in enumerate(hj.num) if v}, den
+        den = math.lcm(*(d for _, d in levels))
+        return {-(i * k + j): v * (den // d)
+                for j, (num, d) in enumerate(levels) for i, v in enumerate(num) if v}, den
 
-    zero = [poly_zero()] * k
+    zero = [([], 1)] * k
     pivots: list = []  # an echelon basis of the kernel of D, which is 0 unless A_0 = 0
     for j in range(0 if big_r else k):
-        linalg.add_column(pivots, vector(lift(zero, zero[:j] + [poly_one()]))[0], j)
+        linalg.add_column(pivots, vector(lift(zero, zero[:j] + [([1], 1)]))[0], j)
 
     def solve(n: int) -> Poly:
         """The witness h of D h = t^n, whose levels are t^n, 0, ..., 0."""
-        fl = [Poly.from_ints([0] * n + [1])] + zero[1:]
+        fl = [([0] * n + [1], 1)] + zero[1:]
         vec, den = vector(lift(fl, []))
         den *= linalg.eliminate(pivots, vec, {})
         h = Poly(ring, [RingElement.from_ints(ring, [vec.get(-(i * k + l), 0)
                                                      for l in range(k)], den)
                         for i in range(-min(vec, default=0) // k + 1)])
         # D h = t^n level by level, on the levels read back from h
-        hl = _levels(h, k)
+        hl = _int_levels(h, k)
         for j in range(k):
-            if not residual(fl[j], hl, j, 0).is_zero:
+            if _residual(fl[j], hl, j, 0, cs, big_a)[0]:
                 raise BadInput(f"internal inconsistency: c*h' - a*h differs from t^{n} at x^{j}")
         if h.degree > n + extra:
             raise BadInput("internal inconsistency: witness exceeds its degree budget")

@@ -9,12 +9,15 @@ import pytest
 
 from mathieulab.corealg import (
     Poly,
+    QQ,
     QQ_POLY,
     RingElement,
     exact_divide,
     parse_poly,
     parse_ring_element,
     poly_one,
+    poly_zero,
+    qq_poly,
     qq_poly_trunc,
     ring_monomial,
     ring_scalar,
@@ -25,6 +28,8 @@ from mathieulab import linalg
 from mathieulab.errors import BadInput, NotInRadical
 from mathieulab.ufdlab import (
     SurjectivityReport,
+    _int_levels,
+    _residual,
     UfdContext,
     absorption_bound,
     factorial_map,
@@ -40,7 +45,7 @@ from mathieulab.ufdlab import (
 )
 
 from linalg_oracle import add_column, eliminate, solve_linear
-from ufdlab_oracle import solve_level
+from ufdlab_oracle import levels, residual, solve_level
 
 X = ring_monomial(QQ_POLY, 1)
 X2 = ring_monomial(QQ_POLY, 2)
@@ -536,6 +541,96 @@ def test_level_solve_matches_the_top_down_loop(monkeypatch):
                     "nonzero level", "7 digits"}
 
 
+def test_integer_residual_matches_poly_residual():
+    """The level residual of surjectivity_check on integer pairs equals the
+    canonical Poly residual of the oracle, as rationals, on 1,200 seeded
+    cases, for every level j and from i = 0 and i = 1.
+
+    c and the levels of a mix small and 7-digit rationals, A_0 is zero or a
+    nonzero constant, and levels can be zero.  Half of the cases take h from
+    a witness of surjectivity_check, read back by both level readers, so the
+    residual from i = 0 vanishes at every level, and most of those then
+    corrupt h: a bumped coefficient, a doubled witness, a doubled or a
+    dropped level.  The other half feed random levels as pairs over a
+    denominator that need not be the least.  The integer residual must be
+    nonzero exactly when the oracle's is.
+    """
+    rng = random.Random(2828)
+
+    def rational(big):
+        if big:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 7), rng.choice([1000003, 9999991]))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    def level(deg, big):
+        """A random level in QQ[t], zero about one time in four."""
+        if rng.random() < 0.25:
+            return poly_zero()
+        return qq_poly([rational(big) for _ in range(rng.randint(1, deg + 1))])
+
+    def pair(p):
+        m = rng.choice([1, 1, 2, 6])
+        return [v * m for v in p.num], p.den * m
+
+    def bivariate(ring, lev):
+        """sum_j x^j lev[j] over ring."""
+        width = max(p.degree + 1 for p in lev)
+        return Poly(ring, [RingElement(ring, tuple(p.coeff(i) for p in lev)) for i in range(width)])
+
+    seen = set()
+    for case in range(1200):
+        k = rng.randint(1, 4)
+        ring = qq_poly_trunc(k)
+        big = case % 3 == 0
+        cs = [rational(big and rng.random() < 0.5) for _ in range(k)]
+        a0 = rational(big) if case % 2 else Fraction(0)
+        a = bivariate(ring, [qq_poly([a0])] + [level(3, big and rng.random() < 0.5) for _ in range(k - 1)])
+        big_a, int_a = levels(a, k), _int_levels(a, k)
+        assert [Poly.from_ints(*v) for v in int_a] == big_a
+        c_pairs = [q.as_integer_ratio() for q in cs]
+        witness = case % 4 < 2 and (cs[0] or a0)
+        if witness:
+            n = rng.randint(0, 3)
+            report = surjectivity_check(ring, RingElement(ring, tuple(cs)), a, n)
+            lev = levels(report.monomials[n][1], k)
+            g = [t_monomial(QQ, n)] + [poly_zero()] * (k - 1)
+            kind = rng.choice(["exact", "bump", "double", "double a level", "drop a level"])
+            j = rng.choice([j for j, p in enumerate(lev) if not p.is_zero])
+            if kind == "bump":
+                lev[j] = lev[j] + t_monomial(QQ, rng.randint(0, 3))
+            elif kind == "double":
+                lev = [p.scale(2) for p in lev]
+            elif kind == "double a level":
+                lev[j] = lev[j].scale(2)
+            elif kind == "drop a level":
+                lev[j] = poly_zero()
+            h = bivariate(ring, lev)
+            h_levels, h_pairs = levels(h, k), _int_levels(h, k)
+            g_pairs = [(list(p.num), p.den) for p in g]
+        else:
+            kind = "random"
+            h_levels = [level(4, big and rng.random() < 0.5) for _ in range(k)]
+            g = [level(5, big and rng.random() < 0.5) for _ in range(k)]
+            h_pairs, g_pairs = [pair(p) for p in h_levels], [pair(p) for p in g]
+        for j in range(k):
+            for first in (0, 1):
+                num, den = _residual(g_pairs[j], h_pairs, j, first, c_pairs, int_a)
+                want = residual(g[j], h_levels, j, first, cs, big_a)
+                assert Poly.from_ints(num, den) == want, (case, j, first)
+                assert bool(num) == (not want.is_zero), (case, j, first)
+                if first == 0 and want.is_zero and kind == "exact":
+                    seen.add("exact witness")
+                elif first == 0 and not want.is_zero and kind not in ("exact", "random"):
+                    seen.add(f"corrupted: {kind}")
+        seen.add("A_0 = 0" if not a0 else "A_0 != 0")
+        if big:
+            seen.add("7 digits")
+        if any(p.is_zero for p in h_levels):
+            seen.add("zero level")
+    assert seen == {"exact witness", "corrupted: bump", "corrupted: double", "corrupted: double a level",
+                    "corrupted: drop a level", "A_0 = 0", "A_0 != 0", "7 digits", "zero level"}
+
+
 def test_surjectivity_eliminates_only_kernel_vectors(monkeypatch):
     calls = []
     add_column = linalg.add_column
@@ -570,21 +665,45 @@ def test_surjectivity_check_is_fast():
     assert elapsed < 1.5, elapsed
 
 
-@pytest.mark.parametrize("text", ["trunc:k=3,c=1,a=-2/3 + x^2*t", "trunc:k=4,c=x + 1,a=x*t + x"])
-def test_surjectivity_rejects_a_corrupted_witness(monkeypatch, text):
+def _run_with_corrupted_witness(monkeypatch, text, corruption):
+    """surjectivity_check on text, with every witness changed by corruption
+    after elimination."""
     eliminate = linalg.eliminate
 
     def corrupt(pivots, vec, comb):
         witness = not comb  # a kernel vector comes with its column's combination
         scale = eliminate(pivots, vec, comb)
         if witness:
-            vec[min(vec)] += 1
+            if corruption == "bump an entry":
+                vec[min(vec)] += 1
+            elif corruption == "double every entry":
+                for key in vec:
+                    vec[key] *= 2
+            else:
+                scale *= 2
         return scale
 
     ring, c, a = parse_trunc_context(text)
     monkeypatch.setattr(linalg, "eliminate", corrupt)
+    surjectivity_check(ring, c, a, 3)
+
+
+CORRUPTED_WITNESS_CONTEXTS = ["trunc:k=3,c=1,a=-2/3 + x^2*t", "trunc:k=4,c=x + 1,a=x*t + x"]
+
+
+@pytest.mark.parametrize("text", CORRUPTED_WITNESS_CONTEXTS)
+def test_surjectivity_rejects_a_corrupted_witness(monkeypatch, text):
     with pytest.raises(BadInput, match="internal inconsistency"):
-        surjectivity_check(ring, c, a, 3)
+        _run_with_corrupted_witness(monkeypatch, text, "bump an entry")
+
+
+@pytest.mark.parametrize("corruption", ["double every entry", "double the scale"])
+@pytest.mark.parametrize("text", CORRUPTED_WITNESS_CONTEXTS)
+def test_surjectivity_rejects_a_rescaled_witness(monkeypatch, text, corruption):
+    """Doubling every entry or the scale keeps every numerator ratio, so a
+    check that ignored the denominator would let these witnesses through."""
+    with pytest.raises(BadInput, match="internal inconsistency"):
+        _run_with_corrupted_witness(monkeypatch, text, corruption)
 
 
 def test_surjectivity_refuses_costly_requests_at_once():

@@ -1,6 +1,7 @@
-"""The x-level solve of ufdlab's surjectivity check as its own top-down
-loop, used by the tests as an independent oracle for the same solve routed
-through `linalg.solve_band`."""
+"""Independent oracles for ufdlab's surjectivity check: the x-level solve
+as its own top-down loop, for the same solve routed through
+`linalg.solve_band`, and the level residual in canonical `Poly` arithmetic,
+for the integer residual on (numerators, den) pairs."""
 
 import math
 from fractions import Fraction
@@ -26,3 +27,25 @@ def solve_level(g: Poly, c0: Fraction, a0: Fraction) -> Poly:
     for n in range(len(num) - 1, -1, -1):
         out[n] = acc = (big_p * (n + 1) * acc - big_s * num[n] * top) // big_r
     return Poly.from_ints(out, den * top)
+
+
+def levels(p: Poly, k: int) -> list[Poly]:
+    """The x-adic levels p_0, ..., p_(k-1) in QQ[t] of p = sum_j x^j p_j,
+    over the common denominator of p's coefficients."""
+    den = math.lcm(*(cf.den for cf in p.coeffs))
+    return [Poly.from_ints([cf.num[j] * (den // cf.den) if j < len(cf.num) else 0
+                            for cf in p.coeffs], den) for j in range(k)]
+
+
+def residual(g: Poly, h: list[Poly], j: int, first: int, cs: list[Fraction],
+             big_a: list[Poly]) -> Poly:
+    """g - sum_(i=first..j) (c_i h_(j-i)' - A_i h_(j-i)), for g = f_j."""
+    for i in range(first, j + 1):
+        hi = h[j - i]
+        if hi.is_zero:
+            continue
+        if cs[i]:
+            g = g - hi.derivative().scale(cs[i])
+        if not big_a[i].is_zero:
+            g = g + big_a[i] * hi
+    return g
