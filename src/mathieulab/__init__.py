@@ -10,14 +10,12 @@ from .corealg import (
     Poly,
     QQ,
     QQ_POLY,
-    Rational,
     Ring,
     RingElement,
     euclid_divmod,
     exact_divide,
     format_poly,
     parse_poly,
-    poly_arith,
     qq_poly,
     qq_poly_trunc,
     squarefree_part,
@@ -55,10 +53,8 @@ from .certlab import (
     certificate_nonmembership,
     dirichlet_prime,
     is_prime,
-    lzero_monomial,
     phi_expansion,
     verify_certificate,
-    vp,
 )
 from .momlab import (
     AtomicWeight,
@@ -69,7 +65,6 @@ from .momlab import (
     WeightSpec,
     equivalence_check,
     inner_product,
-    normalized_moment,
     orthopoly,
     parse_weight,
     vb_member,
@@ -82,9 +77,7 @@ from .ufdlab import (
     member_ufd,
     member_via_factorial,
     radical_via_coefficients,
-    s_of,
     surjectivity_check,
-    va_valuation,
 )
 
 __version__ = "0.1.0"

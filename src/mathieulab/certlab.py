@@ -40,7 +40,6 @@ from .errors import (
     BudgetExhausted,
     NotCoprime,
     NotNormalized,
-    NotPrime,
     ZeroInput,
 )
 from .opimage import MonomialOperator, lzero
@@ -158,13 +157,6 @@ def _valuation(x: Union[Fraction, int], p: int) -> Union[int, float]:
     return v
 
 
-def vp(x: Union[Fraction, int], p: int) -> Union[int, float]:
-    """p-adic valuation on the rationals; vp(0) is +infinity."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return _valuation(x, p)
-
-
 def dirichlet_prime(a: int, b: int, m_min: int, budget: int) -> Optional[tuple[int, int]]:
     """Smallest m >= m_min with a*m + b prime, trying ``budget`` candidates.
 
@@ -191,17 +183,6 @@ def bracket_factorial(q: int, n: int, alpha: Fraction) -> Fraction:
     for j in range(q):
         out *= j * n + 1 + alpha
     return out
-
-
-def lzero_monomial(q: int, i: int, d: int, alpha: Fraction) -> Fraction:
-    """Closed form of the normal-form constant functional on t^(q(d+1)+i)."""
-    if not (0 <= i <= d):
-        raise BadInput("residue index out of range")
-    if q < 0:
-        raise BadInput("q must be non-negative")
-    if i > 0:
-        return _F0
-    return bracket_factorial(q, d + 1, alpha)
 
 
 def _normalized_lowest(f: Poly) -> int:
@@ -262,8 +243,8 @@ class Certificate:
     h: int
     q: int
     r: int
-    bi_valuations: tuple  # of (i, vp(b_i)), for i = 1..i_max
-    phi_valuations: tuple  # of (i, vp(phi)), for the nonzero phi only
+    bi_valuations: tuple  # of (i, v_p(b_i)), for i = 1..i_max
+    phi_valuations: tuple  # of (i, v_p(phi)), for the nonzero phi only
     conclusion_exponent: int  # m*(d+1)
 
 

@@ -66,8 +66,6 @@ from .errors import (
     ZeroInput,
 )
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 
 # largest exponent of t or x that parse_poly accepts: the parser builds a
@@ -614,11 +612,6 @@ class Poly:
             return self.coeffs[i]
         return ring_scalar(self.ring, 0)
 
-    def leading(self):
-        if not self.num:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def lowest_degree(self) -> Optional[int]:
         """Smallest exponent with a nonzero coefficient; None for zero."""
         for i, c in enumerate(self.num):
@@ -766,10 +759,6 @@ def poly_one(ring: Ring = QQ) -> Poly:
     return Poly(ring, (ring_scalar(ring, 1),))
 
 
-def poly_t(ring: Ring = QQ) -> Poly:
-    return t_monomial(ring, 1)
-
-
 def t_monomial(ring: Ring, n: int, coeff=1) -> Poly:
     if n < 0:
         raise BadInput("negative exponent")
@@ -777,21 +766,6 @@ def t_monomial(ring: Ring, n: int, coeff=1) -> Poly:
         return _qq([0] * n + [coeff], 1)
     c = coeff if isinstance(coeff, RingElement) else ring_scalar(ring, coeff)
     return Poly(ring, (ring_scalar(ring, 0),) * n + (c,))
-
-
-def poly_arith(op: str, f: Poly, g) -> Poly:
-    """Dispatcher over {add, sub, mul, pow}; pow takes an integer exponent."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        if not isinstance(g, int) or g < 0:
-            raise BadInput("pow needs a non-negative integer exponent")
-        return f ** g
-    raise BadInput(f"unknown operation {op!r}")
 
 
 # --------------------------------------------------------------------------

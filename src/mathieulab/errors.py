@@ -51,10 +51,6 @@ class NotNormalized(AlgebraError):
     code = "NOT_NORMALIZED"
 
 
-class NotPrime(AlgebraError):
-    code = "NOT_PRIME"
-
-
 class NotCoprime(AlgebraError):
     code = "NOT_COPRIME"
 

@@ -262,10 +262,6 @@ def _moment_row(w: WeightSpec):
     return ((-1, 0, q), (0, b - a, 0), top) if b != a else ((-1, 0, q), top)
 
 
-def normalized_moment(w: WeightSpec, n: int) -> Fraction:
-    return MomentFunctional(w).moment(n)
-
-
 def _check_index(n: int) -> None:
     if n > MAX_MOMENT_INDEX:
         raise BadInput(f"moment index {n} is above the limit of {MAX_MOMENT_INDEX}")
@@ -506,6 +502,11 @@ def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> Equiva
     The verdict covers every degree, and degrees_checked is deg_bound + 1.
     If the rows differ, violations lists the n0 <= n <= deg_bound whose
     image element L does not kill on the moments.
+
+    For a matched pair the rows differ only when 1 lies in the image (Jacobi
+    with a zero parameter), and the function returns before it compares
+    them.  So the per-degree loop runs only on a wrong moment row: it is
+    the refutation path, and tests reach it by mutating `_moment_row`.
     """
     if deg_bound < 1:
         raise BadInput("degree bound must be at least 1")

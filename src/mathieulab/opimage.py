@@ -54,11 +54,6 @@ from .linalg import solve_band
 
 _F0 = Fraction(0)
 
-S_CAP_ZERO = "ZERO"
-S_CAP_SPAN_TD = "SPAN_TD"
-S_CAP_ALL = "ALL"
-
-
 @dataclass(frozen=True, slots=True)
 class MonomialOperator:
     """c*d/dt + alpha/t - lam*t^d with rational parameters, d >= 0."""
@@ -143,7 +138,6 @@ class ReductionResult:
 
 @dataclass(frozen=True, slots=True)
 class ImStructure:
-    s_cap_im: str
     one_in_image: bool
 
 
@@ -288,20 +282,5 @@ def lzero(op: MonomialOperator, f: Poly) -> Fraction:
 
 
 def im_structure(op: OperatorSpec) -> ImStructure:
-    """Shape of (residue space) ∩ (image), plus whether 1 is in the image.
-
-    The s_cap_im classification refers to the lam != 0 normal-form space of
-    the monomial family; one_in_image is always decided by the exact solver.
-    """
-    one = poly_one()
-    one_in = member(op, one)[0]
-    if isinstance(op, MonomialOperator):
-        if op.alpha != 0:
-            cap = S_CAP_ZERO
-        elif op.d >= 1:
-            cap = S_CAP_SPAN_TD
-        else:
-            cap = S_CAP_ALL
-        return ImStructure(cap, one_in)
-    cap = S_CAP_ZERO if (op.alpha != 0 and op.beta != 0) else S_CAP_ALL
-    return ImStructure(cap, one_in)
+    """Whether 1 lies in the image, decided by the exact solver."""
+    return ImStructure(member(op, poly_one())[0])

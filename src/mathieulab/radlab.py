@@ -87,7 +87,7 @@ from .corealg import (
     squarefree_part,
     t_monomial,
 )
-from .errors import BadInput, ZeroInput
+from .errors import BadInput, RingMismatch, ZeroInput
 from .opimage import OperatorSpec, member
 
 _F0 = Fraction(0)
@@ -173,6 +173,20 @@ def _times_t(vec: Sequence, low: Sequence, scale=1) -> list:
     return [scale * x - top * c for x, c in zip([0, *vec[:-1]], low)]
 
 
+def _block_residue(f: Poly, block: Poly) -> tuple[list[int], int]:
+    """f mod a monic block b as deg b integer numerators over one denominator.
+
+    The integer pseudo-division s f.num = q b.num + R by the numerators of
+    the block gives f mod b = R / (s f.den), where s > 0 is a power of b's
+    leading numerator; the quotient is dropped and nothing is brought to
+    lowest terms.
+    """
+    if f.ring != QQ:
+        raise RingMismatch("operands in different rings")
+    _, rem, s = _zdivmod(f.num, block.num)
+    return rem + [0] * (block.degree - len(rem)), s * f.den
+
+
 class CofiniteSubspace:
     """V ⊆ QQ[t] with (g) ⊆ V, encoded by g's factorization and V/(g)."""
 
@@ -246,9 +260,8 @@ class CofiniteSubspace:
     def residue_vec(self, f: Poly) -> list[Fraction]:
         out: list[Fraction] = []
         for block in self._blocks:
-            coeffs = euclid_divmod(f, block)[1].qq_coeffs()
-            out.extend(coeffs)
-            out.extend([_F0] * (block.degree - len(coeffs)))
+            rem, den = _block_residue(f, block)
+            out.extend(Fraction(x, den) for x in rem)
         return out
 
     def reduce_vec(self, f: Poly) -> list[Fraction]:
@@ -392,18 +405,16 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     the positive factor den^m leaves each verdict of the window unchanged.
     For split moduli the residues r_i are the values f(a_i).
 
-    Each r_i is read on integers, with no Poly built: the integer
-    pseudo-division s f.num = q b.num + R by the numerators b.num of the
-    block gives r_i = R / (s f.den), which the first column's gcd brings to
-    lowest terms.
+    Each r_i is read on integers by `_block_residue`, as `residue_vec`
+    reads it, with no Poly built: r_i = R / (s f.den), which the first
+    column's gcd brings to lowest terms.
     """
     d = space.dim
     blocks = []
     for block in space._blocks:
         # the monic block is num / den, so num[:-1] is den times its low part
         n, low, scale = block.degree, block.num[:-1], block.den
-        _, rem, s = _zdivmod(f.num, block.num)
-        col, col_den = rem + [0] * (n - len(rem)), s * f.den
+        col, col_den = _block_residue(f, block)
         cols = []  # column j is t^j r mod the block, as (numerators, denominator)
         for j in range(n):
             if j:

@@ -14,7 +14,6 @@ implemented alongside:
 * an absorption bound N(d+1) after which g * p(a*t)^m stays in the image;
 * the gcd lift producing u, d~_i with u d_i = d~_i a and some d~_i outside
   the radical of (a);
-* the graded valuation v_a(c t^i) = v_a(c) - i;
 * a surjectivity check over the truncated rings QQ[x]/(x^k), decided mod x
   (c*d/dt - a(t) is onto iff c_0*d/dt - A_0 is onto QQ[t]), with the
   witnesses for the monomials t^n solved level by level in powers of x: each
@@ -52,8 +51,6 @@ from .corealg import (
     squarefree_part,
 )
 from .errors import BadInput, NotInRadical
-
-INFINITE = math.inf
 
 # cost limits of surjectivity_check: at the size limit, k = 16 with
 # c = 1 + x/3, the dense a = sum_(1<=j<=15, 0<=i<=8) (2i+1)/(j+2) x^j t^i and
@@ -212,32 +209,6 @@ def gcd_lift(a: RingElement, d_list: Sequence[RingElement]) -> tuple[RingElement
     if all(dt.is_zero or exact_divide(dt, rho) is not None for dt in lifted):
         raise BadInput("internal inconsistency: lift stayed inside the radical")
     return u, lifted
-
-
-def va_valuation(ctx: UfdContext, c: RingElement, i: int = 0):
-    """Graded valuation v_a(c * t^i) = v_a(c) - i, with v_a(0) infinite."""
-    if c.ring != ctx.ring:
-        raise BadInput("element from a different ring")
-    if i < 0:
-        raise BadInput("term exponent must be non-negative")
-    if c.is_zero:
-        return INFINITE
-    v = 0
-    current = c
-    while True:
-        nxt = exact_divide(current, ctx.a)
-        if nxt is None:
-            return v - i
-        current = nxt
-        v += 1
-
-
-def s_of(ctx: UfdContext, f: Poly):
-    """Minimum of v_a(c_i t^i) over the terms of f; infinite for zero."""
-    if f.ring != ctx.ring:
-        raise BadInput("polynomial from a different ring")
-    values = [va_valuation(ctx, c, i) for i, c in enumerate(f.coeffs) if not c.is_zero]
-    return min(values) if values else INFINITE
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@ verbatim as an independent oracle for the single derivation that both now
 share: the search derives (s0, s_star, h) and the prime in its own loop, and
 the checker re-checks each progression condition by hand before it compares
 the valuations.  ``certificate_to_dict`` is the earlier JSON writer, which
-names every field by hand."""
+names every field by hand.  ``lzero_monomial`` is the closed form of the
+normal-form constant functional on a monomial, which tests compare with
+``opimage.lzero``."""
 
 import math
 from fractions import Fraction
@@ -14,11 +16,23 @@ from mathieulab.certlab import (
     _alpha_admissible,
     _derive_valuations,
     _normalized_lowest,
+    bracket_factorial,
     dirichlet_prime,
     is_prime,
 )
 from mathieulab.corealg import Poly, format_poly
 from mathieulab.errors import AlgebraError, BadInput, BudgetExhausted, NotCoprime
+
+
+def lzero_monomial(q: int, i: int, d: int, alpha: Fraction) -> Fraction:
+    """Closed form of the normal-form constant functional on t^(q(d+1)+i)."""
+    if not (0 <= i <= d):
+        raise BadInput("residue index out of range")
+    if q < 0:
+        raise BadInput("q must be non-negative")
+    if i > 0:
+        return Fraction(0)
+    return bracket_factorial(q, d + 1, alpha)
 
 
 def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10 ** 6) -> Certificate:

@@ -1,9 +1,10 @@
 """Oracles for radlab: the largest interior ideal of a cofinite subspace by
 Krylov rows and a nullspace, against radlab's one-gcd-per-block generator,
-and the radical window on residues taken by `euclid_divmod`, against the
-window on integer pseudo-division residues."""
+and the residue vector and the radical window on residues taken by
+`euclid_divmod`, against both on integer pseudo-division residues."""
 
 import math
+from fractions import Fraction
 
 from mathieulab.corealg import QQ, euclid_divmod, poly_gcd, poly_one, qq_poly, squarefree_part
 from mathieulab.radlab import _times_t
@@ -79,3 +80,14 @@ def divmod_radical_member_cofinite(space, f):
         if m >= d and not space.contains_vec([x for w in powers for x in w]):
             return False
     return True
+
+
+def divmod_residue_vec(space, f):
+    """CofiniteSubspace.residue_vec with each block's residue f mod b_i
+    taken by `euclid_divmod` as a canonical Poly and read as Fractions."""
+    out = []
+    for block in space._blocks:
+        coeffs = euclid_divmod(f, block)[1].qq_coeffs()
+        out.extend(coeffs)
+        out.extend([Fraction(0)] * (block.degree - len(coeffs)))
+    return out

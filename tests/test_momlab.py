@@ -23,13 +23,12 @@ from mathieulab.momlab import (
     MomentFunctional,
     equivalence_check,
     inner_product,
-    normalized_moment,
     orthopoly,
     parse_weight,
     vb_member,
 )
 from mathieulab.opimage import apply_operator, hermite_operator, laguerre_operator, lzero
-from mathieulab.opimage import JacobiOperator
+from mathieulab.opimage import JacobiOperator, _image_row, im_structure
 from mathieulab.radlab import radical_probe
 
 
@@ -68,18 +67,18 @@ def gram_schmidt_orthopoly(w, n):
 
 def test_moment_examples():
     # oracle for the Gaussian weight: nu_4 = (3/2)(1/2)
-    assert normalized_moment(HermiteWeight(), 4) == Fraction(3, 4)
+    assert MomentFunctional(HermiteWeight()).moment(4) == Fraction(3, 4)
     # oracle for the Laguerre weight: prod_{j=1..3} (1+j) = 24
-    assert normalized_moment(LaguerreWeight(1), 3) == 24
+    assert MomentFunctional(LaguerreWeight(1)).moment(3) == 24
     # oracle: (int t^2 dt) / (int dt) over (-1,1) = 1/3
-    assert normalized_moment(JacobiWeight(0, 0), 2) == Fraction(1, 3)
-    assert normalized_moment(AtomicWeight((0, 1), (1, 1)), 3) == Fraction(1, 2)
+    assert MomentFunctional(JacobiWeight(0, 0)).moment(2) == Fraction(1, 3)
+    assert MomentFunctional(AtomicWeight((0, 1), (1, 1))).moment(3) == Fraction(1, 2)
 
 
 def test_moment_normalization_and_parity():
     for w in (HermiteWeight(), LaguerreWeight(Fraction(1, 2)), JacobiWeight(1, 2)):
-        assert normalized_moment(w, 0) == 1
-    assert normalized_moment(HermiteWeight(), 7) == 0
+        assert MomentFunctional(w).moment(0) == 1
+    assert MomentFunctional(HermiteWeight()).moment(7) == 0
 
 
 def test_jacobi_closed_form_matches_recursion():
@@ -127,7 +126,7 @@ def test_orthopoly_monic_orthogonal():
               AtomicWeight((0, 1, 2, 3, 4, 5, 6, 7, 8), (1,) * 9)):
         polys = [orthopoly(w, n) for n in range(9)]
         for n, p in enumerate(polys):
-            assert p.degree == n and p.leading() == 1
+            assert p.degree == n and p.coeffs[-1] == 1
         for i in range(9):
             for j in range(i):
                 assert inner_product(w, polys[i], polys[j]) == 0
@@ -338,7 +337,7 @@ def test_orthopoly_degree_40_is_fast():
     start = time.perf_counter()
     p = orthopoly(w, 40)
     assert time.perf_counter() - start < 2.0
-    assert p.degree == 40 and p.leading() == 1
+    assert p.degree == 40 and p.coeffs[-1] == 1
     for j in range(40):
         assert inner_product(w, p, t_monomial(QQ, j)) == 0
 
@@ -348,7 +347,7 @@ def test_jacobi_degree_200_is_fast_and_solves_its_equation():
     start = time.perf_counter()
     p = orthopoly(JacobiWeight(a, b), 200)
     assert time.perf_counter() - start < 1.0
-    assert p.degree == 200 and p.leading() == 1
+    assert p.degree == 200 and p.coeffs[-1] == 1
     # (1 - t^2) p'' + (b - a - (a + b + 2) t) p' + n (n + a + b + 1) p = 0
     d1 = p.derivative()
     lhs = (qq_poly([1, 0, -1]) * d1.derivative() + qq_poly([b - a, -(a + b + 2)]) * d1
@@ -421,13 +420,42 @@ def test_equivalence_refutes_a_mutated_moment_row(monkeypatch, change, w, bound,
     assert rep == EquivalenceReport(False, bound + 1, violations, False)
 
 
+@pytest.mark.parametrize("w", [
+    HermiteWeight(),
+    *(LaguerreWeight(Fraction(a)) for a in ("0", "1/2", "-1/2", "3", "123/457")),
+    *(JacobiWeight(Fraction(a), Fraction(b)) for a, b in (
+        ("0", "0"), ("0", "1/2"), ("-1/3", "0"), ("2", "0"),  # a zero parameter
+        ("1/2", "1/2"), ("-1/2", "-1/2"), ("3", "3"),  # equal
+        ("1/2", "1/3"), ("2", "5"),  # distinct
+        ("-1/2", "2/3"), ("-1/3", "-2/5"),  # negative
+    )),
+], ids=str)
+def test_equivalence_loop_is_reached_only_by_a_wrong_moment_row(monkeypatch, w):
+    # a matched pair's image row differs from its moment row only when 1 is
+    # in the image, where equivalence_check returns first; with equal rows
+    # the only moment it reads is Hermite's nu_1, so no degree is looped over
+    op = momlab.matched_operator(w)
+    _, _, _, top, rest, _ = _image_row(op)
+    rows_equal = (*reversed(rest), top) == momlab._moment_row(w)
+    one_in_image = im_structure(op).one_in_image
+    assert rows_equal != one_in_image or (isinstance(w, LaguerreWeight) and w.alpha == 0)
+    if not rows_equal:
+        assert isinstance(w, JacobiWeight) and 0 in (w.alpha, w.beta)
+    reads = []
+    moment = MomentFunctional.moment
+    monkeypatch.setattr(MomentFunctional, "moment", lambda mf, n: reads.append(n) or moment(mf, n))
+    rep = equivalence_check(w, op, 50)
+    assert rep.equivalent is (None if one_in_image else True)
+    assert reads == ([1] if isinstance(w, HermiteWeight) else [])
+
+
 def test_moment_index_limit_refuses_before_any_work():
     w = JacobiWeight(Fraction(1, 2), Fraction(1, 3))
     high = t_monomial(QQ, MAX_MOMENT_INDEX + 1)
     half = t_monomial(QQ, MAX_MOMENT_INDEX // 2 + 1)
     calls = (
         (lambda: MomentFunctional(w).moment(MAX_MOMENT_INDEX + 1), MAX_MOMENT_INDEX + 1),
-        (lambda: normalized_moment(w, 10 ** 9), 10 ** 9),
+        (lambda: MomentFunctional(w).moment(10 ** 9), 10 ** 9),
         (lambda: vb_member(w, high), MAX_MOMENT_INDEX + 1),
         (lambda: inner_product(w, half, half), MAX_MOMENT_INDEX + 2),
     )
@@ -436,7 +464,7 @@ def test_moment_index_limit_refuses_before_any_work():
         with pytest.raises(BadInput, match=f"^moment index {index} is above the limit of 2000$"):
             call()
         assert time.perf_counter() - start < 0.2
-    assert normalized_moment(HermiteWeight(), MAX_MOMENT_INDEX) > 0
+    assert MomentFunctional(HermiteWeight()).moment(MAX_MOMENT_INDEX) > 0
 
 
 def test_equivalence_rejects_mismatched_pair():

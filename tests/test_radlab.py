@@ -18,6 +18,7 @@ from mathieulab import radlab
 from mathieulab.cli import main
 from mathieulab.corealg import (
     QQ,
+    QQ_POLY,
     Poly,
     euclid_divmod,
     parse_poly,
@@ -30,7 +31,7 @@ from mathieulab.corealg import (
     squarefree_part,
     t_monomial,
 )
-from mathieulab.errors import BadInput, ZeroInput
+from mathieulab.errors import BadInput, RingMismatch, ZeroInput
 from mathieulab.opimage import MonomialOperator, member
 from mathieulab.radlab import (
     CONSISTENT_UP_TO_BUDGET,
@@ -48,7 +49,7 @@ from mathieulab.radlab import (
 )
 
 from linalg_oracle import nullspace, solve_linear
-from radlab_oracle import divmod_radical_member_cofinite, krylov_interior_ideal
+from radlab_oracle import divmod_radical_member_cofinite, divmod_residue_vec, krylov_interior_ideal
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
@@ -963,6 +964,10 @@ def test_radical_window_matches_divmod_residues():
         if member is not None:
             candidates.append(member)
         for f in candidates:
+            # residue_vec reads each block residue as the window does
+            residues = space.residue_vec(f)
+            assert residues == divmod_residue_vec(space, f), (space.to_dict(), f)
+            assert all(type(x) is Fraction for x in residues)
             got = radical_member_cofinite(space, f)
             assert got == divmod_radical_member_cofinite(space, f), (space.to_dict(), f)
             pairs += 1
@@ -989,6 +994,8 @@ def test_radical_window_matches_divmod_residues():
     assert {True, False, "f = 0", "constant f", "deg f < deg b", "7-digit f",
             "member divided by a non-unit block", "non-unit block numerator",
             "(t + 12345/67891)^3", "(t^2 - 3/7)^1"} <= seen
+    with pytest.raises(RingMismatch):
+        space.residue_vec(parse_poly("x*t", QQ_POLY))
 
 
 def test_witness_loop_matches_coefficient_reference_on_rational_blocks():

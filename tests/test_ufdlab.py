@@ -1,6 +1,5 @@
 """Coefficient-ring operators: membership, criteria, bounds, lifts."""
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -39,9 +38,7 @@ from mathieulab.ufdlab import (
     parse_trunc_context,
     parse_ufd_context,
     radical_via_coefficients,
-    s_of,
     surjectivity_check,
-    va_valuation,
 )
 
 from linalg_oracle import add_column, eliminate, solve_linear
@@ -180,13 +177,6 @@ def test_gcd_lift_postconditions_random():
         for d, dt in zip(d_list, lifted):
             assert u * d == dt * a
         assert any(exact_divide(dt, rho) is None for dt in lifted if not dt.is_zero)
-
-
-def test_valuation_examples():
-    assert va_valuation(CTX_X2, ring_monomial(QQ_POLY, 6), 1) == 2
-    assert va_valuation(CTX_X2, ring_scalar(QQ_POLY, 0), 0) == math.inf
-    f = parse_poly("x^2*t + x^6*t", QQ_POLY)
-    assert s_of(CTX_X2, f) == 0
 
 
 def test_power_congruence_identities():
