@@ -11,17 +11,20 @@ questions — does every large power of f land in V, what is the largest
 ideal inside V, is V a Mathieu subspace — reduce to finite exact linear
 algebra:
 
-* membership of f^m in V for every m in the window [D, 2D] (D = deg g)
-  already decides membership for *all* large m.  The powers of f in the
-  D-dimensional algebra QQ[t]/(g) satisfy the linear recurrence given by
-  the minimal polynomial of f (Cayley-Hamilton: degree <= D), so once D+1
-  consecutive powers with exponent >= D lie in the subspace the recurrence
-  propagates membership upward; conversely multiplication is invertible on
-  the stable range im(T^D) of the multiplication operator T, so eventual
-  membership propagates downward to exponent D.  The same two-sided
-  recurrence argument applies to the sequence a^m * b, which makes the
-  absorption condition behind the Mathieu property exactly decidable per
-  pair (a, b).
+* eventual membership of the powers f^m in V is one Krylov test on the
+  blocks where f is not nilpotent (see `radical_member_cofinite`).  Drop
+  the blocks b_i = p_i^(m_i) with p_i | f, where f is nilpotent, and call
+  the rest S; f is a unit on each verified block of S, and f^L with
+  L = max deg b_i over the trusted blocks of S kills its nilpotent part on
+  the others.  So f acts invertibly on W = f^L e_S QQ[f], which by
+  Cayley-Hamilton is spanned by e_S f^j for the dim_S = sum_S deg b_i
+  exponents j = L .. L + dim_S - 1 and holds e_S f^m for every m >= L;
+  f lies in rad(V) exactly when the annihilator kills those dim_S
+  vectors.  It is equivalent to the classical window: f^m in V for every
+  m in [D, 2D] (D = deg g), which `mathieu --full` still reports as
+  `budget_used.window`.  The same argument applies to the sequence
+  a^m * b, which makes the absorption condition behind the Mathieu
+  property exactly decidable per pair (a, b).
 * the largest ideal inside V is the product of one ideal per block
   b_i = p_i^(m_i), generated by b_i / gcd(b_i, N_1, ..., N_r): N_r / b_i is
   the generating function of the sequence j -> lam_r(t^j mod b_i), whose
@@ -52,13 +55,13 @@ these are plain point evaluations.  They are coordinates of QQ[t]/(g) only
 when the factors are pairwise coprime, which the constructor checks.
 
 Integer residue vectors: each annihilator row is stored times the lcm of
-its denominators, and the two inner loops (the radical window and the
+its denominators, and the two inner loops (the radical Krylov test and the
 witness search) step integer vectors that are a known positive multiple of
 the residue vector they stand for: one common factor per step, shared by
 every block.  Every membership test is lam . v = 0, and a positive factor on
 lam or on v does not change whether that holds, so the loops decide exactly
-what they would decide on rationals.  They call corealg once per block to
-set up (one integer pseudo-division, or none), not once per step.
+what they would decide on rationals.  They call corealg at most twice per
+block to set up (integer pseudo-divisions), not once per step.
 """
 
 from __future__ import annotations
@@ -392,29 +395,50 @@ def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: It
 def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     """Exact decision of 'all large powers of f lie in V'.
 
-    Checks f^m in V for m in [D, 2D], D = deg g; by the two-sided
-    Cayley-Hamilton recurrence described in the module docstring this window
-    is equivalent to eventual membership.  The powers are taken block by
-    block on integer residue vectors.  With r_i = f mod p_i^(m_i), taken once
-    per block, the columns t^j r_i mod p_i^(m_i) form the matrix of
-    multiplication by f on block i.  They are stepped on integer numerators
-    by the companion shift, each over its own denominator, and den, the lcm
-    of those denominators, makes den times each matrix an integer matrix
-    N_i.  From the residue of 1, w_m = N_i w_(m-1) is den^m times the
-    residue vector of f^m, and since every membership test is lam . w = 0
-    the positive factor den^m leaves each verdict of the window unchanged.
-    For split moduli the residues r_i are the values f(a_i).
+    With r_i = f mod b_i, b_i = p_i^(m_i), the blocks where p_i | r_i are
+    the ones where f is nilpotent (r_i^(m_i) = 0 there), and they are
+    dropped.  Call the rest S, dim_S their total degree, and L the largest
+    deg b_i over the trusted (unverified) blocks in S, 0 when there are
+    none.  Then f lies in rad(V) exactly when Lambda kills e_S f^j for
+    j = L .. L + dim_S - 1:
 
-    Each r_i is read on integers by `_block_residue`, as `residue_vec`
-    reads it, with no Poly built: r_i = R / (s f.den), which the first
-    column's gcd brings to lowest terms.
+    * on a verified block p_i is irreducible, so p_i not dividing r_i
+      makes f a unit there;
+    * on a trusted block f^L kills f's nilpotent part, because no element
+      of QQ[t]/(b_i) has nilpotency index above deg b_i (an index bounded
+      by m_i would be wrong: p_i = (t^2 - 2)^2 trusted, f = t^2 - 2);
+    * so W = f^L e_S QQ[f] is f-stable, f acts on it invertibly, and
+      dim W <= dim_S.  By Cayley-Hamilton W is spanned by the dim_S tested
+      vectors, and it equals span{e_S f^m : m >= M} for every M >= L;
+    * f^m e_S is f^m less its nilpotent blocks, which vanish for m >= D,
+      hence f^m lies in V for all large m exactly when Lambda kills W.
+
+    This decides what the window m in [D, 2D] of the module docstring
+    decides, in at most L + dim_S - 1 <= 2D steps and dim_S <= D tests.
+
+    The powers are taken block by block on integer residue vectors.  Each
+    r_i is read on integers by `_block_residue`, as `residue_vec` reads it,
+    with no Poly built: r_i = R / (s f.den); p_i | r_i is R = 0 when
+    m_i = 1 and one `_zdivmod` by p_i otherwise.  On the blocks of S the
+    columns t^j r_i mod b_i form the matrix of multiplication by f.  They
+    are stepped on integer numerators by the companion shift, each over its
+    own denominator brought to lowest terms, and den, the lcm of those
+    denominators, makes den times each matrix an integer matrix N_i.  From
+    the residue of 1, w_j = N_i w_(j-1) is den^j times the residue vector
+    of e_S f^j, and since every test is lam . w = 0 on the coordinates of
+    S, the positive factor den^j leaves each verdict unchanged.  For split
+    moduli the residues r_i are the values f(a_i).
     """
-    d = space.dim
-    blocks = []
-    for block in space._blocks:
+    blocks, lam_cols = [], []
+    first = 0  # L, the first exponent tested
+    for (p, m), block, start in zip(space.factors, space._blocks, space._starts):
+        col, col_den = _block_residue(f, block)
+        if not any(col if m == 1 else _zdivmod(col, p.num)[1]):
+            continue  # p_i | r_i: f is nilpotent on this block
+        if p in space.unverified_factors:
+            first = max(first, block.degree)
         # the monic block is num / den, so num[:-1] is den times its low part
         n, low, scale = block.degree, block.num[:-1], block.den
-        col, col_den = _block_residue(f, block)
         cols = []  # column j is t^j r mod the block, as (numerators, denominator)
         for j in range(n):
             if j:
@@ -422,16 +446,22 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
             g = math.gcd(col_den, *col)
             cols.append(([x // g for x in col], col_den // g))
         blocks.append(cols)
+        lam_cols.extend(range(start, start + n))
     den = math.lcm(*(c for cols in blocks for _, c in cols))
     # N_i row by row: row k holds den times coefficient k of each column
     mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
             for cols in blocks]
+    # the annihilator rows on the coordinates of S
+    lams = [[lam[k] for k in lam_cols] for lam in space._ann]
     powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
-    for m in range(1, 2 * d + 1):
-        powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
-                  for mat, w in zip(mats, powers)]
-        if m >= d and not space.contains_vec([x for w in powers for x in w]):
-            return False
+    for j in range(first + len(lam_cols)):
+        if j:
+            powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
+                      for mat, w in zip(mats, powers)]
+        if j >= first:
+            vec = [x for w in powers for x in w]
+            if any(sum(l * v for l, v in zip(lam, vec)) for lam in lams):
+                return False
     return True
 
 

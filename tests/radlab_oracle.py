@@ -1,13 +1,15 @@
 """Oracles for radlab: the largest interior ideal of a cofinite subspace by
-Krylov rows and a nullspace, against radlab's one-gcd-per-block generator,
-and the residue vector and the radical window on residues taken by
-`euclid_divmod`, against both on integer pseudo-division residues."""
+Krylov rows and a nullspace, against radlab's one-gcd-per-block generator;
+the residue vector and the radical window on residues taken by
+`euclid_divmod`, against both on integer pseudo-division residues; and the
+radical window m in [D, 2D] on those integer residues, against radlab's
+Krylov test on the blocks where f is a unit."""
 
 import math
 from fractions import Fraction
 
 from mathieulab.corealg import QQ, euclid_divmod, poly_gcd, poly_one, qq_poly, squarefree_part
-from mathieulab.radlab import _times_t
+from mathieulab.radlab import _block_residue, _times_t
 
 from linalg_oracle import nullspace
 
@@ -91,3 +93,55 @@ def divmod_residue_vec(space, f):
         out.extend(coeffs)
         out.extend([Fraction(0)] * (block.degree - len(coeffs)))
     return out
+
+
+def window_radical_member_cofinite(space, f):
+    """radlab.radical_member_cofinite as the window m in [D, 2D] decided it
+    before the Krylov test on the unit blocks: exact for 'all large powers
+    of f lie in V'.
+
+    Checks f^m in V for m in [D, 2D], D = deg g; this window is equivalent
+    to eventual membership by a two-sided Cayley-Hamilton recurrence: the
+    powers of f in QQ[t]/(g) satisfy the recurrence of f's minimal
+    polynomial (degree <= D), so D + 1 consecutive members from exponent D
+    on propagate upward, and multiplication by f is invertible on the
+    stable range of f^D, so eventual membership propagates down to
+    exponent D.  The powers are taken block by block on integer residue
+    vectors.  With r_i = f mod p_i^(m_i), taken once per block, the columns
+    t^j r_i mod p_i^(m_i) form the matrix of multiplication by f on block i.
+    They are stepped on integer numerators by the companion shift, each over
+    its own denominator, and den, the lcm of those denominators, makes den
+    times each matrix an integer matrix N_i.  From the residue of 1,
+    w_m = N_i w_(m-1) is den^m times the residue vector of f^m, and since
+    every membership test is lam . w = 0 the positive factor den^m leaves
+    each verdict of the window unchanged.
+    For split moduli the residues r_i are the values f(a_i).
+
+    Each r_i is read on integers by `_block_residue`, as `residue_vec`
+    reads it, with no Poly built: r_i = R / (s f.den), which the first
+    column's gcd brings to lowest terms.
+    """
+    d = space.dim
+    blocks = []
+    for block in space._blocks:
+        # the monic block is num / den, so num[:-1] is den times its low part
+        n, low, scale = block.degree, block.num[:-1], block.den
+        col, col_den = _block_residue(f, block)
+        cols = []  # column j is t^j r mod the block, as (numerators, denominator)
+        for j in range(n):
+            if j:
+                col, col_den = _times_t(col, low, scale), col_den * scale
+            g = math.gcd(col_den, *col)
+            cols.append(([x // g for x in col], col_den // g))
+        blocks.append(cols)
+    den = math.lcm(*(c for cols in blocks for _, c in cols))
+    # N_i row by row: row k holds den times coefficient k of each column
+    mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
+            for cols in blocks]
+    powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
+    for m in range(1, 2 * d + 1):
+        powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
+                  for mat, w in zip(mats, powers)]
+        if m >= d and not space.contains_vec([x for w in powers for x in w]):
+            return False
+    return True

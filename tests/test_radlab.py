@@ -10,7 +10,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -49,7 +49,12 @@ from mathieulab.radlab import (
 )
 
 from linalg_oracle import nullspace, solve_linear
-from radlab_oracle import divmod_radical_member_cofinite, divmod_residue_vec, krylov_interior_ideal
+from radlab_oracle import (
+    divmod_radical_member_cofinite,
+    divmod_residue_vec,
+    krylov_interior_ideal,
+    window_radical_member_cofinite,
+)
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
@@ -1156,6 +1161,131 @@ def test_set_idempotent_matches_full_xgcd():
                 (space.to_dict(), mask)
 
 
+# -- the Krylov test on the unit blocks against the [D, 2D] window ---------------
+
+def trusted_square_spaces(seed, count):
+    """Seeded spaces with one trusted factor that is not squarefree:
+    (t^2 - 2)^2, (t^2 + 1)^2 or (t^2 + 1)^2 (t - 3), with multiplicity 1 or
+    2, beside up to two coprime verified factors.  V holds an ideal (d), d a
+    product of the trusted factor's own parts, and at most one more vector,
+    so f = t^2 - 2, t^2 + 1 and their products are nilpotent on part of the
+    trusted block, with an index up to twice its multiplicity, and a unit
+    on the rest."""
+    rng = random.Random(seed)
+    squares = {"t^4 - 4*t^2 + 4": ["t^2 - 2"] * 2,
+               "t^4 + 2*t^2 + 1": ["t^2 + 1"] * 2,
+               "t^5 - 3*t^4 + 2*t^3 - 6*t^2 + t - 3": ["t^2 + 1", "t^2 + 1", "t - 3"]}
+    spaces = []
+    while len(spaces) < count:
+        square = rng.choice(sorted(squares))
+        mult = rng.randint(1, 2)
+        factors = [(parse_poly(square), mult)]
+        factors += [(parse_poly(p), rng.randint(1, 2))
+                    for p in rng.sample(["t - 5", "t^2 + 5", "t"], rng.randint(0, 2))]
+        dim = sum(p.degree * m for p, m in factors)
+        if dim > 12:
+            continue
+        d = poly_one()
+        for part in squares[square] * mult:
+            d = d * parse_poly(part) ** rng.randint(0, 1)
+        for p, m in factors[1:]:
+            d = d * p ** rng.randint(0, m)
+        basis = [list((d * t_monomial(QQ, j)).qq_coeffs()) + [0] * (dim - d.degree - j - 1)
+                 for j in range(dim - d.degree)]
+        basis += [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 1))]
+        try:
+            spaces.append(coefficient_space(factors, basis))
+        except BadInput:
+            continue  # dependent basis
+    return spaces
+
+
+def unit_blocks(space, f):
+    """(mask S of the blocks where f is not nilpotent, L, whether a verified
+    block with m > 1 has p | r != 0), read with euclid_divmod."""
+    mask, first, repeated = 0, 0, False
+    for i, ((p, m), block) in enumerate(zip(space.factors, space._blocks)):
+        r = euclid_divmod(f, block)[1]
+        if poly_divides(p, r):
+            repeated |= m > 1 and not r.is_zero and p not in space.unverified_factors
+            continue
+        mask |= 1 << i
+        if p in space.unverified_factors:
+            first = max(first, block.degree)
+    return mask, first, repeated
+
+
+def test_radical_decision_matches_both_windows():
+    rng = random.Random(3001)
+    t2m2, t2p1 = parse_poly("t^2 - 2"), parse_poly("t^2 + 1")
+    squares = [t2m2, t2p1, t2m2 * t2p1, t2p1 * parse_poly("t - 3")]
+    cases = ([(space, None, "random") for space in random_spaces(3002, 80)]
+             + [(space, None, "split") for space in split_codim2_spaces(3003, 40)]
+             + [(space, m, "rational") for space, m in rational_block_spaces(3004, 40)]
+             + [(space, m, "residue") for space, m in window_residue_spaces(3005, 60)]
+             + [(space, None, "quartic") for space in trusted_quartic_spaces(3006, 50)]
+             + [(space, None, "square") for space in trusted_square_spaces(3007, 120)])
+    seen = set()
+    pairs = 0
+    for space, member, family in cases:
+        parts = [p for p, _ in space.factors if rng.random() < 0.5] or [space.factors[0][0]]
+        candidates = [
+            poly_zero(),
+            qq_poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9))]),
+            qq_poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, space.dim + 2))]),
+            squarefree_part(space.modulus) * qq_poly([rng.randint(-3, 3) for _ in range(2)]),
+            # nilpotent on the blocks of `parts`, a unit on most others
+            prod(parts, start=poly_one()) * qq_poly([rng.randint(1, 3), rng.randint(-2, 2)]),
+        ]
+        if family == "square":
+            candidates += [g.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5))) for g in squares]
+            candidates.append(rng.choice(squares) + qq_poly([rng.randint(-2, 2)]))
+        for f in candidates:
+            got = radical_member_cofinite(space, f)
+            assert got == window_radical_member_cofinite(space, f), (space.to_dict(), str(f))
+            assert got == divmod_radical_member_cofinite(space, f), (space.to_dict(), str(f))
+            pairs += 1
+            mask, first, repeated = unit_blocks(space, f)
+            seen.add((family, got))
+            if not mask:
+                seen.add("S empty")
+            if first:
+                seen.add(("L > 0", got))
+            if repeated:
+                seen.add("verified m > 1, p | r != 0")
+            if not got and not first and not space.contains(_set_idempotent(space, mask)):
+                seen.add("fails at j = 0")
+        if member is not None:
+            assert radical_member_cofinite(space, member), (space.to_dict(), str(member))
+            assert window_radical_member_cofinite(space, member)
+    assert pairs >= 2000
+    families = {"random", "split", "rational", "residue", "quartic", "square"}
+    assert {(family, got) for family in families for got in (True, False)} <= seen
+    assert {"S empty", ("L > 0", True), ("L > 0", False), "verified m > 1, p | r != 0",
+            "fails at j = 0"} <= seen
+
+
+def test_radical_decision_at_the_modulus_degree_limit():
+    # 32 points +-k with weights w_k at k and -w_k at -k: an even f is in
+    # rad(V), nonzero at every point, so all 32 tests run from j = 0
+    points = [k for k in range(1, 17)] + [-k for k in range(1, 17)]
+    weights = [k * k + 1 for k in range(1, 17)] + [-(k * k + 1) for k in range(1, 17)]
+    split = atomic_space(points, weights)
+    even = parse_poly("3/7*t^2 + 5/11")
+    ring = CofiniteSubspace([(parse_poly("t^2 + 1"), 16)], [])
+    whole = CofiniteSubspace([(parse_poly("t^2 + 1"), 16)],
+                             [[int(i == j) for i in range(32)] for j in range(32)])
+    odd = parse_poly("123/457*t + 511/997")
+    for space, f, expected in ((split, even, True), (split, odd, False),
+                               (ring, odd, False), (whole, odd, True)):
+        assert space.dim == radlab.MAX_MODULUS_DEGREE
+        start = time.perf_counter()
+        got = radical_member_cofinite(space, f)
+        assert time.perf_counter() - start < 0.25
+        assert got == expected == window_radical_member_cofinite(space, f), (space.to_dict(), str(f))
+
+
 class CallCounter:
     """Call counts of wrapped functions; calls made inside a paused function
     are not counted."""
@@ -1188,13 +1318,24 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
     f = qq_poly([Fraction(k - 5, k + 1) for k in range(15)])
     counter = CallCounter()
     monkeypatch.setattr(radlab, "euclid_divmod", counter.count("divmod", euclid_divmod))
+    monkeypatch.setattr(radlab, "_zdivmod", counter.count("_zdivmod", radlab._zdivmod))
+    monkeypatch.setattr(radlab, "_times_t", counter.count("_times_t", radlab._times_t))
     monkeypatch.setattr(Poly, "__mul__", counter.count("mul", Poly.__mul__))
-    for g in (f, poly_one(), f * f):
+    # (t^2 + 1)^3 (t - 2)^2: f is nilpotent on both blocks, so no block is
+    # stepped; the repeated blocks take a second pseudo-division each
+    repeated = CofiniteSubspace([(parse_poly("t^2 + 1"), 3), (parse_poly("t - 2"), 2)],
+                                [[1, 2, 0, -1, 3, 0, 1, 1]])
+    nilpotent = parse_poly("t^3 - 2*t^2 + t - 2")  # (t^2 + 1)(t - 2)
+    for s, g in [(space, g) for g in (f, poly_one(), f * f)] + [(repeated, nilpotent)]:
         counter.counts.clear()
-        radical_member_cofinite(space, g)
-        assert counter.counts.get("divmod", 0) <= len(space._blocks)
+        radical_member_cofinite(s, g)
+        assert counter.counts.get("_zdivmod", 0) <= 2 * len(s._blocks)
+        assert counter.counts.get("divmod", 0) == 0
         assert counter.counts.get("mul", 0) == 0
-    # the witness loop: only the sanity window divides, and e_S is formed once
+    assert "_times_t" not in counter.counts
+    assert counter.counts["_zdivmod"] == 4
+    # the witness loop and the sanity test on r make no Poly division, and
+    # e_S is formed once
     monkeypatch.setattr(radlab, "_interior_ideal",
                         counter.pause("_interior_ideal", radlab._interior_ideal))
     monkeypatch.setattr(radlab, "_set_idempotent",
@@ -1203,7 +1344,7 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
     verdict = mathieu_check(space)
     assert verdict.status == NOT_MATHIEU and verdict.witness[1] == parse_poly("t")
     assert counter.counts["_set_idempotent"] == 1
-    assert counter.counts.get("divmod", 0) <= len(space._blocks)
+    assert counter.counts.get("divmod", 0) == 0
     assert counter.counts.get("mul", 0) == 0
     counter.counts.clear()
     assert mathieu_check(VALUE_SUM).status == MATHIEU_EXACT
