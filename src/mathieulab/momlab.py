@@ -7,23 +7,20 @@ with rational points and positive rational weights.  The vanishing-integral
 subspace, the induced inner product, monic orthogonal polynomials and the
 image/integral agreement check all live here.
 
-The monic orthogonal polynomials of the three classical weights need no
-moments.  Each p_n solves a second-order differential equation (Szego,
-*Orthogonal Polynomials*, ch. 4-5), and comparing coefficients gives every
-coefficient of p_n from the ones above it, top-down from the leading 1:
+Each classical weight rho is one Pearson pair (`_weight_pair`), integer
+polynomials phi and psi with (phi rho)' = psi rho, and each classical
+algorithm here is one row derived from that pair:
 
-    Hermite   y'' - 2t y' + 2n y = 0
-              c_k = -(k+2)(k+1) c_(k+2) / (2(n-k))
-    Laguerre  t y'' + (a+1-t) y' + n y = 0
-              c_k = -(k+1)(k+a+1) c_(k+1) / (n-k)
-    Jacobi    (1-t^2) y'' + (b-a-(a+b+2)t) y' + n(n+a+b+1) y = 0
-              c_k = -[(k+2)(k+1) c_(k+2) + (b-a)(k+1) c_(k+1)]
-                    / ((n-k)(n+k+a+b+1))
+    weight    rho                  phi        psi
+    Hermite   exp(-t^2)            1          -2t
+    Laguerre  t^a exp(-t)          t          (a+1) - t
+    Jacobi    (1-t)^a (1+t)^b      1 - t^2    (b-a) - (a+b+2)t
 
-`_ode_row` writes each of them as one row of integer factors, and
-`_classical_orthopoly` solves the row with `linalg.solve_band`, the
-fraction-free banded solver that opimage's elimination uses too, on
-integers over one running denominator.
+The monic orthogonal p_n solves Bochner's equation (Bochner 1929)
+phi y'' + psi y' + lam_n y = 0, which gives each coefficient of p_n from
+the ones above it: one row of integer factors (`_bochner_row`), which
+`_classical_orthopoly` solves with `linalg.solve_band`, the fraction-free
+banded solver of opimage's elimination, with no moments.
 
 For atomic weights the monic orthogonal polynomials come from the moments
 by the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
@@ -38,14 +35,12 @@ is built past the moments.  Atomic moments are likewise integer sums over
 one common denominator.  The same algorithm runs on the moments of any
 weight, which makes it the cross-check of the classical recurrences.
 
-The moments of a classical weight obey one identity in n, written once as
-a row of integer factors (`_moment_row`) and solved for its top term moment
-by moment.  Integrating by parts turns it into the paper's second result:
-the row is, term by term, the row of image elements D(w t^n) of the matched
-operator D = w^(-1) d/dt w (`opimage._image_row`), so L kills every element
-of Im(D), and because no leading factor of that row vanishes, Im(D) is all
-of ker L.  `equivalence_check` decides Im(D) = ker L in every degree by
-comparing the two rows, with no loop over the degrees.
+Integrating (phi rho t^n)' over the support gives the moments one
+identity in n, the row `opimage.pearson_row` of the pair read on moments,
+which `MomentFunctional` solves for its top term.  This is the paper's
+second result: read on polynomials, the same row spans the image of the
+matched operator D = rho^(-1) d/dt rho, so L kills Im(D), and because no
+lead of that row vanishes, Im(D) is all of ker L (`equivalence_check`).
 
 The same row is the algorithm for L itself.  Its polynomials lead at every
 degree k >= 1, so eliminating f top-down by them (one `linalg.solve_band`
@@ -76,11 +71,11 @@ from .linalg import solve_band
 from .opimage import (
     JacobiOperator,
     OperatorSpec,
-    _image_row,
     hermite_operator,
     im_structure,
     laguerre_operator,
     member,
+    pearson_row,
 )
 
 _F0 = Fraction(0)
@@ -193,8 +188,8 @@ class MomentFunctional:
     observable behaviour is pure and deterministic; share per task or create
     fresh instances freely.
 
-    A classical weight solves its row of `_moment_row` for the top term, one
-    step per moment.  An atomic weight with points x_i and weights w_i is held on integers:
+    A classical weight solves its moment row for the top term, one step per
+    moment.  An atomic weight with points x_i and weights w_i is held on integers:
     a_i = x_i d and W_i = w_i e for the lcm d of the point denominators and
     e of the weight denominators.  The running products W_i a_i^n and
     W d^n, W = sum W_i, advance by one integer product per point and
@@ -204,7 +199,8 @@ class MomentFunctional:
     def __init__(self, weight: WeightSpec):
         self.weight = weight
         self._cache: list[Fraction] = [_F1]
-        self._row = None if isinstance(weight, AtomicWeight) else _moment_row(weight)
+        self._row = (None if isinstance(weight, AtomicWeight)
+                     else pearson_row(*_weight_pair(weight)[2:]))
         if self._row is None:
             self._point_den, self._points = clear_denominators(weight.points)
             self._terms = clear_denominators(weight.weights)[1]
@@ -230,36 +226,28 @@ class MomentFunctional:
         return -total / (a + b * n)
 
 
-def _moment_row(w: WeightSpec):
-    """The moment recurrence of a classical weight as one row of integer terms.
+def _weight_pair(w: WeightSpec):
+    """The Pearson pair (w, q, phi, psi) of a classical weight rho, in the
+    shape of `opimage.pearson_pair`: (phi rho)' = psi rho, and w = phi / q.
+    With a = A/q and b = B/q over one common denominator q > 0:
 
-    A term (shift, a, b) stands for (a + b*n) nu_(n+shift), the terms sum to
-    zero, and the top term comes last, in the shape of `opimage._image_row`.
-    With the parameters alpha = A/q and beta = B/q over one common
-    denominator q > 0, the rows are
+        Hermite   exp(-t^2)            phi = 1            psi = -2t
+        Laguerre  t^a exp(-t)          phi = q t          psi = (A + q) - q t
+        Jacobi    (1-t)^a (1+t)^b      phi = q (1 - t^2)  psi = (B - A) - (A + B + 2q) t
 
-        Hermite   n nu_(n-1) - 2 nu_(n+1)                                  n >= 0
-        Laguerre  (A + q n) nu_(n-1) - q nu_n                              n >= 1
-        Jacobi    q n nu_(n-1) + (B - A) nu_n - (q n + 2q + A + B) nu_(n+1)  n >= 0
-
-    and the Jacobi row drops its nu_n term when A = B.  Each is the integral
-    of a derivative over the support, which is zero: of t^n exp(-t^2), of
-    t^(n+alpha) exp(-t) and of t^n (1-t)^(alpha+1) (1+t)^(beta+1), which is
-    t^n times the weight times (1-t)(1+t).  The boundary terms vanish
-    because alpha, beta > -1 (for Laguerre, t^(n+alpha) at 0 needs n >= 1).
-    Divided by the weight and times q, the derivatives are the rows above;
-    for Jacobi, n t^(n-1) (1-t^2) - (alpha+1) t^n (1+t) + (beta+1) t^n (1-t).
-    The top factor never vanishes: it is -2, -q, or
-    -q(n + 2 + alpha + beta) < 0.
+    Its moment row is `opimage.pearson_row` read on moments: the terms
+    (a + b n) nu_(n+s) sum to zero for every n >= 0, because
+    (phi rho t^n)' = (n phi t^(n-1) + psi t^n) rho and phi rho t^n vanishes
+    at the ends of the support for a, b > -1.  The top factor is -2, -q,
+    or -q(n + 2 + a + b) < 0, never zero.
     """
     if isinstance(w, HermiteWeight):
-        return (-1, 0, 1), (1, -2, 0)
+        return (1,), 1, (1,), (0, -2)
     if isinstance(w, LaguerreWeight):
         q, a = w.alpha.denominator, w.alpha.numerator
-        return (-1, a, q), (0, -q, 0)
+        return (0, 1), q, (0, q), (a + q, -q)
     q, (a, b) = clear_denominators((w.alpha, w.beta))
-    top = (1, -(2 * q + a + b), -q)
-    return ((-1, 0, q), (0, b - a, 0), top) if b != a else ((-1, 0, q), top)
+    return (1, 0, -1), q, (q, 0, -q), (b - a, -(a + b + 2 * q))
 
 
 def _check_index(n: int) -> None:
@@ -271,11 +259,11 @@ def _functional(w: WeightSpec, f: Poly) -> tuple[int, int]:
     """The normalized integral L(f) of f against the weight as (num, den),
     integers with den != 0, built from no moment.
 
-    Classical weights.  Each n of `_moment_row` gives a polynomial
+    Classical weights.  Each n >= 0 of the moment row gives a polynomial
     P_n = sum over its terms (s, a, b) of (a + b n) t^(n+s) with L(P_n) = 0,
-    from n = 1 for Laguerre and n = 0 otherwise, so P_n leads at degree
-    k = n + s >= 1 with the top factor a + b (k - s), which never vanishes
-    there.  Eliminating f's terms top-down by these P_n is the banded solve
+    which leads at degree k = n + s >= 1 (the top's s is 1) with the top
+    factor a + b (k - s), which never vanishes.  Eliminating f's terms
+    top-down by these P_n is the banded solve
     lead(k) x_k = f_k - sum (c - d e + d k) x_(k+s-e) over the lower terms
     (e, c, d), for k >= 1, as `opimage._eliminate` solves the image row.
     It leaves f = sum x_k P_(k-s) + r_0 with the constant r_0, and
@@ -303,7 +291,7 @@ def _functional(w: WeightSpec, f: Poly) -> tuple[int, int]:
                 h = h * a + x
             total += c * h
         return total, sum(weights) * d ** (len(num) - 1) * f.den
-    *lower, (s, a, b) = _moment_row(w)
+    *lower, (s, a, b) = pearson_row(*_weight_pair(w)[2:])
     _, r, scale = solve_band((a - b * s, b), num, [(s - e, c - d * e, d) for e, c, d in lower], 1)
     return r[0], scale * f.den
 
@@ -347,7 +335,7 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
         raise BadInput("degree must be non-negative")
     if isinstance(w, AtomicWeight):
         return _chebyshev_orthopoly(w, n)
-    row = _ode_row(w, n)
+    row = _bochner_row(*_weight_pair(w)[2:], n)
     bits = _output_bits(n, row)
     if bits > MAX_ORTHOPOLY_BITS:
         raise BadInput(f"degree {n} for weight {w} would build coefficients of about {bits} "
@@ -355,38 +343,28 @@ def orthopoly(w: WeightSpec, n: int) -> Poly:
     return _classical_orthopoly(n, row)
 
 
-def _ode_row(w: WeightSpec, n: int):
+def _bochner_row(phi, psi, n: int):
     """The coefficient recurrence of the classical p_n as one row of integer factors.
 
-    Returns (lead, rest) for the scaled coefficients e_k = c_k / C(n, k):
-    lead = (a, b) and each term (j, a, b) of rest stand for the integers
-    a + b*k, and the row reads
+    p_n solves Bochner's equation phi y'' + psi y' + lam_n y = 0 with
+    lam_n = -n((n-1) phi_2 + psi_1), deg phi <= 2 and deg psi <= 1, so its
+    coefficients obey (n-k)(phi_2 (n+k-1) + psi_1) c_k =
+    (k+1)(psi_0 + phi_1 k) c_(k+1) + phi_0 (k+2)(k+1) c_(k+2).  For
+    e_k = c_k / C(n, k) the factor n - k cancels, because
+    C(n, k+j) (k+1)...(k+j) = C(n, k) (n-k)...(n-k-j+1).  Returns
+    (lead, rest): (a, b) and the terms (j, a, b) stand for a + b k in
 
-        (a_lead + b_lead k) e_k = -sum over (j, a, b) of (a + b k) e_(k+j).
+        (a_lead + b_lead k) e_k = -sum over (j, a, b) of (a + b k) e_(k+j),
 
-    Dividing the module docstring's recurrence for c_k by C(n, k), with
-    C(n, k+j) (k+1)...(k+j) = C(n, k) (n-k)...(n-k-j+1), cancels its factor
-    n - k.  With the parameters a = A/q and b = B/q over one common
-    denominator q > 0, the three rows are
-
-        Hermite   2 e_k = -(n-1-k) e_(k+2)
-        Laguerre  q e_k = -(q + A + q k) e_(k+1)
-        Jacobi    (q(n+1) + A + B + q k) e_k = -(B - A) e_(k+1) - q(n-1-k) e_(k+2)
-
-    The lead is positive for 0 <= k < n: q > 0, and in the Jacobi row
-    q(n+k+1+a+b) > 0 because n+k+1 >= 2 and a, b > -1.  So every step
-    divides by a nonzero integer, and the factor n - k cancelled above is
-    at least 1.  rest holds no zero term: the Jacobi row drops its e_(k+1)
-    term when A = B, and its odd coefficients are then zero.
+    lead (-(phi_2 (n-1) + psi_1), -phi_2), rest (1, psi_0, phi_1) and
+    (2, phi_0 (n-1), -phi_0), zero terms dropped.  The classical leads 2, q
+    and q(n+k+1) + A + B are positive for 0 <= k < n (n+k+1 >= 2 and
+    a, b > -1), so every step divides by a nonzero integer.
     """
-    if isinstance(w, HermiteWeight):
-        return (2, 0), ((2, n - 1, -1),)
-    if isinstance(w, LaguerreWeight):
-        q, a = w.alpha.denominator, w.alpha.numerator
-        return (q, 0), ((1, q + a, q),)
-    q, (a, b) = clear_denominators((w.alpha, w.beta))
-    down = (2, q * (n - 1), -q)
-    return (q * (n + 1) + a + b, q), ((1, b - a, 0), down) if b != a else (down,)
+    p0, p1, p2 = phi + (0,) * (3 - len(phi))
+    s0, s1 = psi + (0,) * (2 - len(psi))
+    rest = ((1, s0, p1), (2, p0 * (n - 1), -p0))
+    return (-(p2 * (n - 1) + s1), -p2), tuple([t for t in rest if t[1] or t[2]])
 
 
 def _output_bits(n: int, row) -> int:
@@ -400,7 +378,7 @@ def _output_bits(n: int, row) -> int:
 
 
 def _classical_orthopoly(n: int, row) -> Poly:
-    """Solve the row of `_ode_row` with `linalg.solve_band` for the right-hand
+    """Solve the row of `_bochner_row` with `linalg.solve_band` for the right-hand
     side lead(n) at n and 0 below, so e_n = 1, and read c_i = C(n, i) e_i.
     p_0 = 1 needs no solve (the Jacobi lead can vanish at k = n = 0)."""
     if not n:
@@ -488,25 +466,18 @@ class EquivalenceReport:
 def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> EquivalenceReport:
     """Decide Im(D) = ker L in every degree for a matched weight and operator.
 
-    When 1 lies in the operator image the image is the whole polynomial ring
-    and no agreement with the vanishing-integral hyperplane is claimed.
-
-    Otherwise Im(D) is spanned by the elements D(w t^n), n >= n0, of
-    `opimage._image_row`.  Their row equals `_moment_row` term by term, and
-    the moment row holds from an n no larger than n0, so L kills all of
-    Im(D); no moment is read for this.  No lead of the image row vanishes,
-    so every f reduces modulo Im(D) to a remainder r on the degrees below
-    low = n0 + the top's shift.  For f in ker L, L(r) = 0 and nu_0 = 1 give
-    r = sum over 1 <= k < low of r_k (t^k - nu_k), so ker L lies in Im(D)
-    once each t^k - nu_k does.  Only Hermite has such a k: t = D(-1/2).
-    The verdict covers every degree, and degrees_checked is deg_bound + 1.
-    If the rows differ, violations lists the n0 <= n <= deg_bound whose
-    image element L does not kill on the moments.
-
-    For a matched pair the rows differ only when 1 lies in the image (Jacobi
-    with a zero parameter), and the function returns before it compares
-    them.  So the per-degree loop runs only on a wrong moment row: it is
-    the refutation path, and tests reach it by mutating `_moment_row`.
+    When 1 lies in the image, Im(D) is the whole ring and no agreement with
+    the hyperplane ker L is claimed.  Otherwise D has the weight's Pearson
+    pair (of the matched pairs only Laguerre alpha = 0 and Jacobi with a
+    zero parameter differ, and 1 lies in their images), so Im(D) is spanned
+    by the elements of the row `opimage.pearson_row`, which is also the
+    weight's moment recurrence: L kills Im(D), and no moment is read for
+    this.  No lead of the row vanishes, so f reduces modulo Im(D) to r on
+    the degrees below low (the top's shift, plus one for w = 1), and for f
+    in ker L, r = sum over 1 <= k < low of r_k (t^k - nu_k).  So
+    ker L = Im(D) once each such t^k - nu_k is in Im(D); only Hermite has
+    one, t = D(-1/2).  The verdict covers every degree, and
+    degrees_checked is deg_bound + 1.
     """
     if deg_bound < 1:
         raise BadInput("degree bound must be at least 1")
@@ -515,13 +486,8 @@ def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> Equiva
         raise BadPair(f"weight {w} is not matched with operator {op}")
     if im_structure(op).one_in_image:
         return EquivalenceReport(True, 0, (), None)
-    mf = MomentFunctional(w)
-    _, n0, _, top, rest, _ = _image_row(op)
-    row = (*reversed(rest), top)
-    if row == _moment_row(w):
-        violations = [k for k in range(1, n0 + top[0])
-                      if not member(op, t_monomial(QQ, k) - t_monomial(QQ, 0, mf.moment(k)))[0]]
-    else:
-        violations = [n for n in range(n0, deg_bound + 1)
-                      if sum((a + b * n) * mf.moment(n + e) for e, a, b in row if n + e >= 0)]
+    wf, _, phi, psi = _weight_pair(w)
+    low = pearson_row(phi, psi)[-1][0] + (len(wf) == 1)
+    violations = [k for k in range(1, low) if not member(
+        op, t_monomial(QQ, k) - t_monomial(QQ, 0, MomentFunctional(w).moment(k)))[0]]
     return EquivalenceReport(False, deg_bound + 1, tuple(violations), not violations)

@@ -5,54 +5,49 @@ Two operator families are supported:
 * ``MonomialOperator(c, alpha, lam, d)`` acting as  c*d/dt + alpha/t - lam*t^d;
 * ``JacobiOperator(alpha, beta)``        acting as  d/dt - alpha/(1-t) + beta/(1+t).
 
-The *polynomial image* of an operator D is the set of polynomials D(h)
-where h ranges over the polynomials keeping D(h) pole-free: t | h when
-alpha != 0 in the monomial family, and (1-t) | h resp. (1+t) | h for each
-nonzero Jacobi parameter.  It is spanned by the elements D(w*t^n), w the
-product of the required factors, and each of them has coefficients affine
-in n (the table in `_image_row`).  Eliminating the top term of f against
-the element that leads at its degree, top degree down, produces an exact
+The *polynomial image* of D is the set of the D(h) with h keeping D(h)
+pole-free: t | h when alpha != 0 in the monomial family, and (1-t) | h
+resp. (1+t) | h for each nonzero Jacobi parameter.  With w the product of
+the required factors, each operator is one Pearson pair (`pearson_pair`),
+D(w g) = phi g' + psi g, and its image is spanned by the elements
+D(w t^n) = n phi t^(n-1) + psi t^n, whose coefficients are affine in n:
+one row of terms (`pearson_row`).  Eliminating the top term of f against
+the element that leads at its degree, top degree down, gives an exact
 normal form in a small residue space, and with it a membership decision
 with an explicit witness.  A leading coefficient can vanish at one n: with
-lam = 0 in the monomial family no image element reaches that degree, so
-the term stays and f is not a member; in the Jacobi family (a parameter
-<= -1) the elimination raises DegenerateDiagonal.
+lam = 0 in the monomial family no element reaches that degree, so the term
+stays and f is not a member; in the Jacobi family (a parameter <= -1) the
+elimination raises DegenerateDiagonal.
 
-All decisions are made over QQ, on integers.  The defining linear systems
-have rational coefficients, so solvability over any extension field
-coincides with solvability over QQ.  The table's factors are integers over
-the common denominator q of the operator's parameters, and the elimination
-is `linalg.solve_band`, the fraction-free banded solver that momlab's
-classical orthogonal polynomials use too: f's numerators, the witness and
-the normal form are integers over one running denominator, with no Fraction
-on the way, and each result is read into one Poly.
+All decisions are made over QQ, which decides solvability over any
+extension field too, and on integers: the pair's coefficients are
+integers over the common denominator q of the operator's parameters, and
+the elimination is `linalg.solve_band`, the fraction-free banded solver
+that momlab's classical orthogonal polynomials use too, on f's numerators
+over one running denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Union
 
 from .corealg import (
     Poly,
     QQ,
+    _zdivmod,
+    _zmul,
     clear_denominators,
-    euclid_divmod,
     parse_exponent,
     parse_key_values,
     parse_rational,
     poly_one,
-    qq_poly,
 )
-from .errors import (
-    BadInput,
-    DegenerateDiagonal,
-    UnsupportedReduction,
-)
+from .errors import BadInput, DegenerateDiagonal, UnsupportedReduction
 from .linalg import solve_band
 
-_F0 = Fraction(0)
 
 @dataclass(frozen=True, slots=True)
 class MonomialOperator:
@@ -146,106 +141,106 @@ def _require_qq(f: Poly):
         raise BadInput("operator calculus works over QQ coefficients")
 
 
-def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
-    """Apply D to an admissible h; raises BadInput when h has a pole."""
-    _require_qq(h)
-    if isinstance(op, MonomialOperator):
-        out = h.derivative().scale(op.c)
-        if op.alpha != 0:
-            coeffs = h.qq_coeffs()
-            if coeffs and coeffs[0] != 0:
-                raise BadInput("witness must be divisible by t when alpha != 0")
-            out = out + qq_poly([c * op.alpha for c in coeffs[1:]])
-        if op.lam != 0:
-            shifted = [_F0] * op.d + [c * op.lam for c in h.qq_coeffs()]
-            out = out - qq_poly(shifted)
-        return out
-    out = h.derivative()
-    if op.alpha != 0:
-        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
-        if not r.is_zero:
-            raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
-        out = out - q.scale(op.alpha)
-    if op.beta != 0:
-        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
-        if not r.is_zero:
-            raise BadInput("witness must be divisible by (1 + t) when beta != 0")
-        out = out + q.scale(op.beta)
-    return out
+def pearson_pair(op: OperatorSpec):
+    """The Pearson pair of D: D(w g) = (phi g' + psi g) / q for every g.
 
+    Returns (w, q, phi, psi): integer tuples in ascending powers of t, w the
+    witness factor, and q > 0 the common denominator of the parameters c,
+    alpha (or the Jacobi alpha), lam and beta, which are C, A, L, B over q:
 
-_ONE_MINUS_T2 = Poly.from_ints([1, 0, -1])
-_ONE_MINUS_T = Poly.from_ints([1, -1])
-_ONE_PLUS_T = Poly.from_ints([1, 1])
+        mono, alpha = 0      w = 1        phi = C           psi = -L t^d
+        mono, alpha != 0     w = t        phi = C t         psi = (C + A) - L t^(d+1)
+        jacobi, alpha, beta  w = 1 - t^2  phi = q (1 - t^2) psi = (B - A) - (A + B + 2q) t
+        jacobi, alpha only   w = 1 - t    phi = q (1 - t)   psi = -(q + A)
+        jacobi, beta only    w = 1 + t    phi = q (1 + t)   psi = q + B
+        jacobi, plain d/dt   w = 1        phi = 1           psi = 0
 
-
-def _image_row(op: OperatorSpec):
-    """The admissible image elements D(w*t^n), n >= n0, as one row.
-
-    Returns (w, n0, q, top, rest, where).  A term (e, a, b) stands for the
-    coefficient (a + b*n)/q on t^(n+e), with integers a, b and q > 0 the
-    common denominator of the operator's parameters; top is the leading
-    term and rest the nonzero lower ones (the two-factor row drops its t^n
-    term when A = B).  w is the witness factor, None for 1.
-    where names the solve that raises DegenerateDiagonal when the leading
-    coefficient vanishes on a term to be eliminated; None leaves that term
-    in place.  With C, A, L, B the parameters c, alpha (or the Jacobi
-    alpha), lam and beta times q, the rows in units of 1/q are
-
-        mono, lam != 0       (A + C n) t^(n-1) - L t^(n+d)                 n >= 1
-        mono, lam = 0        (A + C n) t^(n-1)                             n >= 1
-        jacobi, alpha, beta  q n t^(n-1) + (B - A) t^n
-                               - (q n + 2q + A + B) t^(n+1)  w = 1 - t^2,  n >= 0
-        jacobi, alpha only   q n t^(n-1) - (q n + q + A) t^n  w = 1 - t,    n >= 0
-        jacobi, beta only    q n t^(n-1) + (q n + q + B) t^n  w = 1 + t,    n >= 0
-        jacobi, plain d/dt   n t^(n-1)                        q = 1,        n >= 1
+    Each is read off D(w g) = c (w g)' + (alpha / t - lam t^d) w g, resp.
+    (w g)' + (beta / (1 + t) - alpha / (1 - t)) w g.  For a classical weight
+    rho, (phi rho)' = psi rho is Pearson's equation, and the matched operator
+    has the weight's pair (`momlab._weight_pair`) unless 1 is in its image.
     """
     if isinstance(op, MonomialOperator):
         q, (c, alpha, lam) = clear_denominators((op.c, op.alpha, op.lam))
-        low = (-1, alpha, c)
-        if not lam:
-            return None, 1, q, low, (), None
-        return None, 1, q, (op.d, -lam, 0), (low,), None
+        tail = (0,) * op.d + (-lam,) if lam else ()
+        if not alpha:
+            return (1,), q, (c,), tail
+        return (0, 1), q, (0, c), (c + alpha, *tail)
     q, (alpha, beta) = clear_denominators((op.alpha, op.beta))
-    down = (-1, 0, q)
     if alpha and beta:
-        top = (1, -(2 * q + alpha + beta), -q)
-        rest = ((0, beta - alpha, 0), down) if beta != alpha else (down,)
-        return _ONE_MINUS_T2, 0, q, top, rest, "two-factor"
+        return (1, 0, -1), q, (q, 0, -q), (beta - alpha, -(alpha + beta + 2 * q))
     if alpha:
-        return _ONE_MINUS_T, 0, q, (0, -(q + alpha), -q), (down,), "single-factor"
+        return (1, -1), q, (q, -q), (-(q + alpha),)
     if beta:
-        return _ONE_PLUS_T, 0, q, (0, q + beta, q), (down,), "single-factor"
-    return None, 1, q, down, (), None
+        return (1, 1), q, (q, q), (q + beta,)
+    return (1,), q, (1,), ()
 
 
-def _eliminate(op: OperatorSpec, f: Poly) -> tuple[Poly, Poly]:
-    """(normal form, witness): eliminate f's terms top-down by `_image_row`.
+def pearson_row(phi, psi) -> list:
+    """The elements D(w t^n) = (n phi t^(n-1) + psi t^n) / q as one row.
 
-    Degree k is removed by the element of n = k - e with the multiplier
-    q y_k, so in terms of k the row reads (lead_a + lead_b (k - e)) y_k =
-    f_k - sum (a + b (k - j)) y_(k + e - j) over the lower terms (j, a, b),
-    which `linalg.solve_band` solves on f's numerators.  A degree below
-    n0 + e, or one whose lead vanishes, keeps its term in the normal form;
-    when `where` is set such a term at a degree an element leads raises
-    DegenerateDiagonal.
+    A term (s, a, b) stands for (a + b n) t^(n+s), with a = psi_s and
+    b = phi_(s+1), s >= -1, and the top term comes last.  Zero terms are
+    dropped; D = 0 keeps the one term (-1, 0, 0).  Read on moments, with
+    nu_(n+s) for t^(n+s), the same row is a weight's moment recurrence.
     """
-    w, n0, q, (e, lead_a, lead_b), rest, where = _image_row(op)
-    low = n0 + e  # the lowest degree that an image element leads
+    row = []
+    for s in range(-1, max(len(phi) - 1, len(psi))):
+        a = psi[s] if 0 <= s < len(psi) else 0
+        b = phi[s + 1] if s + 1 < len(phi) else 0
+        if a or b:
+            row.append((s, a, b))
+    return row or [(-1, 0, 0)]
+
+
+def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
+    """Apply D to an admissible h; raises BadInput when h has a pole.
+
+    h = w g for the witness factor w of `pearson_pair`, checked root by root
+    (t, then 1 - t, then 1 + t), and D(h) = (phi g' + psi g) / q.
+    """
+    _require_qq(h)
+    w, q, phi, psi = pearson_pair(op)
+    for root, factor in ((0, "t when alpha"), (1, "(1 - t) when alpha"), (-1, "(1 + t) when beta")):
+        w_at, h_at = (sum(c * root ** i for i, c in enumerate(p)) for p in (w, h.num))
+        if not w_at and h_at:
+            raise BadInput(f"witness must be divisible by {factor} != 0")
+    g, _, sign = _zdivmod(h.num, w)  # exact, and lc(w) = +-1 makes sign = +-1
+    dg = [i * c for i, c in enumerate(g)][1:]
+    out = [a + b for a, b in zip_longest(_zmul(phi, dg), _zmul(psi, g), fillvalue=0)]
+    return Poly.from_ints(out, q * h.den * sign)
+
+
+def _eliminate(op: OperatorSpec, pair, f: Poly) -> tuple[Poly, Poly]:
+    """(normal form, witness): eliminate f's terms top-down by the elements
+    D(w t^n), n >= n0, of the operator's pair; n0 = 1 for w = 1, so that
+    D(1) = psi / q stays in the normal form for `member`, and 0 otherwise.
+    Degree k is removed by the element of n = k - e, e the top's shift,
+    with the multiplier q y_k: (lead_a + lead_b (k - e)) y_k = f_k - sum
+    (a + b (k - j)) y_(k + e - j) over the lower terms (j, a, b), solved by
+    `linalg.solve_band` on f's numerators.  A degree below n0 + e, or one
+    whose lead vanishes, keeps its term in the normal form; under a Jacobi
+    factor w such a term where an element leads raises DegenerateDiagonal.
+    The witness is w times g, g_n = q y_(n+e), by one integer product.
+    """
+    w, q, phi, psi = pair
+    *rest, (e, lead_a, lead_b) = pearson_row(phi, psi)
+    low = e + (len(w) == 1)  # the lowest degree that an image element leads
     y, r, scale = solve_band((lead_a - lead_b * e, lead_b), f.num,
                              [(e - j, a - b * j, b) for j, a, b in rest], low)
-    if where is not None and any(r[low:]):
+    if isinstance(op, JacobiOperator) and len(w) > 1 and any(r[low:]):
+        where = "two-factor" if len(w) == 3 else "single-factor"
         raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
     den = f.den * scale
-    witness = Poly.from_ints([q * v for v in ([0] * -e + y if e < 0 else y[e:])], den)
-    return Poly.from_ints(r, den), witness if w is None else w * witness
+    g = [q * v for v in ([0] * -e + y if e < 0 else y[e:])]
+    return Poly.from_ints(r, den), Poly.from_ints(_zmul(w, g), den)
 
 
 def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
     """Exact normal form of f modulo the polynomial image of D.
 
     Eliminates the top term of f against the image element of
-    `_image_row` that leads at its degree, from the top degree down.  The
+    `pearson_row` that leads at its degree, from the top degree down.  The
     normal form keeps the degrees no element leads: 1..t^d in the monomial
     family (for alpha = 0, t^d = D(-1/lam) is itself an image element, which
     `member` takes out), the constants for Jacobi with both parameters
@@ -257,20 +252,19 @@ def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
     _require_qq(f)
     if isinstance(op, MonomialOperator) and op.lam == 0:
         raise UnsupportedReduction("lam = 0 has no finite residue space; use member")
-    return ReductionResult(*_eliminate(op, f), True)
+    return ReductionResult(*_eliminate(op, pearson_pair(op), f), True)
 
 
 def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
     """Does f lie in the polynomial image of D?  Returns (flag, witness)."""
     _require_qq(f)
-    nf, witness = _eliminate(op, f)
-    if (isinstance(op, MonomialOperator) and op.lam != 0 and op.alpha == 0
-            and nf.degree == op.d and not any(nf.num[:-1])):
-        # t^d = D(-1/lam) is the one image element of the residue space
-        p, q = op.lam.as_integer_ratio()
-        return True, witness - Poly.from_ints([nf.num[-1] * q], nf.den * p)
+    w, q, _, psi = pair = pearson_pair(op)
+    nf, witness = _eliminate(op, pair, f)
     if nf.is_zero:
         return True, witness
+    if len(w) == 1 and psi and nf.degree == len(psi) - 1 and not any(nf.num[:-1]):
+        # D(1) = psi / q = -lam t^d is the one image element of the residue space
+        return True, witness + Poly.from_ints([nf.num[-1] * q], nf.den * psi[-1])
     return False, None
 
 

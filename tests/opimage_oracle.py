@@ -1,17 +1,21 @@
-"""Two earlier versions of the opimage module, kept verbatim as independent
-oracles for the integer elimination.
+"""Earlier versions of the opimage module, kept verbatim as independent
+oracles for the integer elimination and the Pearson pair.
 
 * The per-family loops: one hand-written loop per operator family
   (``_reduce_monomial``, the three branches of ``_reduce_jacobi`` and
   ``_member_monomial_no_tail``) behind ``reduce``, ``member`` and ``lzero``.
 * The table-driven elimination on Fractions: ``_image_row`` with its
   factors as Fractions and ``_eliminate`` on ``qq_coeffs()`` lists, behind
-  ``table_reduce``, ``table_member`` and ``table_lzero``."""
+  ``table_reduce``, ``table_member`` and ``table_lzero``.
+* The hand-written integer table ``image_row``, one case per operator
+  family, and ``apply_operator`` with one branch per parameter: the rows
+  and the operator that ``opimage.pearson_pair`` now derives from one
+  pair (phi, psi)."""
 
 from fractions import Fraction
 from typing import Optional
 
-from mathieulab.corealg import Poly, QQ, poly_zero, qq_poly
+from mathieulab.corealg import Poly, QQ, clear_denominators, euclid_divmod, poly_zero, qq_poly
 from mathieulab.errors import BadInput, DegenerateDiagonal, UnsupportedReduction
 from mathieulab.opimage import JacobiOperator, MonomialOperator, OperatorSpec, ReductionResult
 
@@ -245,3 +249,73 @@ def table_lzero(op: MonomialOperator, f: Poly) -> Fraction:
     if not isinstance(op, MonomialOperator):
         raise BadInput("the normal-form functional is defined for the monomial family")
     return table_reduce(op, f).normal_form.coeff(0)
+
+
+# -- the hand-written integer table and operator --------------------------------
+
+def image_row(op: OperatorSpec):
+    """The admissible image elements D(w*t^n), n >= n0, as one row.
+
+    Returns (w, n0, q, top, rest, where).  A term (e, a, b) stands for the
+    coefficient (a + b*n)/q on t^(n+e), with integers a, b and q > 0 the
+    common denominator of the operator's parameters; top is the leading
+    term and rest the nonzero lower ones (the two-factor row drops its t^n
+    term when A = B).  w is the witness factor, None for 1.
+    where names the solve that raises DegenerateDiagonal when the leading
+    coefficient vanishes on a term to be eliminated; None leaves that term
+    in place.  With C, A, L, B the parameters c, alpha (or the Jacobi
+    alpha), lam and beta times q, the rows in units of 1/q are
+
+        mono, lam != 0       (A + C n) t^(n-1) - L t^(n+d)                 n >= 1
+        mono, lam = 0        (A + C n) t^(n-1)                             n >= 1
+        jacobi, alpha, beta  q n t^(n-1) + (B - A) t^n
+                               - (q n + 2q + A + B) t^(n+1)  w = 1 - t^2,  n >= 0
+        jacobi, alpha only   q n t^(n-1) - (q n + q + A) t^n  w = 1 - t,    n >= 0
+        jacobi, beta only    q n t^(n-1) + (q n + q + B) t^n  w = 1 + t,    n >= 0
+        jacobi, plain d/dt   n t^(n-1)                        q = 1,        n >= 1
+    """
+    if isinstance(op, MonomialOperator):
+        q, (c, alpha, lam) = clear_denominators((op.c, op.alpha, op.lam))
+        low = (-1, alpha, c)
+        if not lam:
+            return None, 1, q, low, (), None
+        return None, 1, q, (op.d, -lam, 0), (low,), None
+    q, (alpha, beta) = clear_denominators((op.alpha, op.beta))
+    down = (-1, 0, q)
+    if alpha and beta:
+        top = (1, -(2 * q + alpha + beta), -q)
+        rest = ((0, beta - alpha, 0), down) if beta != alpha else (down,)
+        return qq_poly([1, 0, -1]), 0, q, top, rest, "two-factor"
+    if alpha:
+        return qq_poly([1, -1]), 0, q, (0, -(q + alpha), -q), (down,), "single-factor"
+    if beta:
+        return qq_poly([1, 1]), 0, q, (0, q + beta, q), (down,), "single-factor"
+    return None, 1, q, down, (), None
+
+
+def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
+    """Apply D to an admissible h; raises BadInput when h has a pole."""
+    _require_qq(h)
+    if isinstance(op, MonomialOperator):
+        out = h.derivative().scale(op.c)
+        if op.alpha != 0:
+            coeffs = h.qq_coeffs()
+            if coeffs and coeffs[0] != 0:
+                raise BadInput("witness must be divisible by t when alpha != 0")
+            out = out + qq_poly([c * op.alpha for c in coeffs[1:]])
+        if op.lam != 0:
+            shifted = [_F0] * op.d + [c * op.lam for c in h.qq_coeffs()]
+            out = out - qq_poly(shifted)
+        return out
+    out = h.derivative()
+    if op.alpha != 0:
+        q, r = euclid_divmod(h, qq_poly([1, -1]))  # h / (1 - t)
+        if not r.is_zero:
+            raise BadInput("witness must be divisible by (1 - t) when alpha != 0")
+        out = out - q.scale(op.alpha)
+    if op.beta != 0:
+        q, r = euclid_divmod(h, qq_poly([1, 1]))  # h / (1 + t)
+        if not r.is_zero:
+            raise BadInput("witness must be divisible by (1 + t) when beta != 0")
+        out = out + q.scale(op.beta)
+    return out

@@ -3,7 +3,9 @@ Krylov rows and a nullspace, against radlab's one-gcd-per-block generator;
 the residue vector and the radical window on residues taken by
 `euclid_divmod`, against both on integer pseudo-division residues; and the
 radical window m in [D, 2D] on those integer residues, against radlab's
-Krylov test on the blocks where f is a unit."""
+Krylov test on the blocks where f is a unit; and the walk over all masks
+for the least zero-sum set of factors, against radlab's meet in the
+middle."""
 
 import math
 from fractions import Fraction
@@ -145,3 +147,22 @@ def window_radical_member_cofinite(space, f):
         if m >= d and not space.contains_vec([x for w in powers for x in w]):
             return False
     return True
+
+
+def first_zero_sum_walk(vectors, live):
+    """Least mask S meeting `live` with sum_{i in S} vectors[i] = 0, else None.
+
+    Masks are walked in increasing order with one running sum.  Going from
+    mask - 1 to mask, whose lowest set bit is i, removes vectors 0..i-1 and
+    adds vector i, so each step is one precomputed vector addition.
+    """
+    steps, below = [], [0] * len(vectors[0])
+    for u in vectors:
+        steps.append([a - b for a, b in zip(u, below)])
+        below = [a + b for a, b in zip(below, u)]
+    total = [0] * len(below)
+    for mask in range(1, 1 << len(vectors)):
+        total = [a + b for a, b in zip(total, steps[(mask & -mask).bit_length() - 1])]
+        if mask & live and not any(total):
+            return mask
+    return None

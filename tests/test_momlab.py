@@ -28,7 +28,7 @@ from mathieulab.momlab import (
     vb_member,
 )
 from mathieulab.opimage import apply_operator, hermite_operator, laguerre_operator, lzero
-from mathieulab.opimage import JacobiOperator, _image_row, im_structure
+from mathieulab.opimage import JacobiOperator, im_structure, pearson_pair, pearson_row
 from mathieulab.radlab import radical_probe
 
 
@@ -357,7 +357,8 @@ def test_jacobi_degree_200_is_fast_and_solves_its_equation():
 
 def test_orthopoly_cost_limit_refuses_before_any_work():
     jacobi = JacobiWeight(Fraction(123, 457), Fraction(511, 997))
-    assert momlab._output_bits(1000, momlab._ode_row(jacobi, 1000)) <= MAX_ORTHOPOLY_BITS
+    row = momlab._bochner_row(*momlab._weight_pair(jacobi)[2:], 1000)
+    assert momlab._output_bits(1000, row) <= MAX_ORTHOPOLY_BITS
     for w, n in ((jacobi, 1001), (HermiteWeight(), 2400), (LaguerreWeight(1), 10 ** 9)):
         start = time.perf_counter()
         with pytest.raises(BadInput, match="above the limit of 30000$"):
@@ -401,23 +402,30 @@ def test_equivalence_matches_per_degree_oracle():
                      (False, True, True)}
 
 
-@pytest.mark.parametrize("change, w, bound, violations", [
-    # Hermite top -2 -> -3: nu_2 = 1/3, and the odd rows n >= 1 fail
-    (lambda row: (row[0], (1, -3, 0)), HermiteWeight(), 12, (1, 3, 5, 7, 9, 11)),
-    # Laguerre nu_(n-1) factor A + q n -> A + q n + 1: nu_n = (n + 1) nu_(n-1),
-    # and the true row leaves -nu_(n-1) at every n >= 1
-    (lambda row: ((-1, row[0][1] + 1, row[0][2]), row[1]),
-     LaguerreWeight(Fraction(1, 2)), 6, tuple(range(1, 7))),
-    # Jacobi nu_n factor B - A = -1 -> 0: the odd moments vanish, and the
-    # true row leaves -nu_n, nonzero for even n
-    (lambda row: (row[0], (0, row[1][1] + 1, 0), row[2]),
-     JacobiWeight(Fraction(1, 2), Fraction(1, 3)), 6, (0, 2, 4, 6)),
-])
-def test_equivalence_refutes_a_mutated_moment_row(monkeypatch, change, w, bound, violations):
-    row_of = momlab._moment_row
-    monkeypatch.setattr(momlab, "_moment_row", lambda v: change(row_of(v)))
-    rep = equivalence_check(w, momlab.matched_operator(w), bound)
-    assert rep == EquivalenceReport(False, bound + 1, violations, False)
+def test_weight_rows_match_the_hand_written_rows():
+    """The moment row and the Bochner row of the weight's pair against the
+    three-case rows of the earlier module, on seeded weights with zero,
+    negative and equal parameters.  The Laguerre moment row is the old one
+    shifted by n -> n - 1: its pair has w = t, so its n is the old n - 1."""
+    rng = random.Random(3133)
+    half = Fraction(1, 2)
+    weights = [HermiteWeight(), LaguerreWeight(0), JacobiWeight(0, 0), JacobiWeight(0, half),
+               JacobiWeight(-half, -half), LaguerreWeight(Fraction(-999982, 999983))]
+    for i in range(3000):
+        w = _oracle_weight(rng, ("jacobi", "laguerre", "hermite")[i % 3])
+        weights.append(JacobiWeight(w.alpha, w.alpha) if i % 7 == 0 and i % 3 == 0 else w)
+    kinds = set()
+    for w in weights:
+        _, _, phi, psi = momlab._weight_pair(w)
+        old = momlab_oracle.moment_row(w)
+        if isinstance(w, LaguerreWeight):
+            old = tuple((e + 1, a + b, b) for e, a, b in old)
+        assert tuple(pearson_row(phi, psi)) == old, str(w)
+        for n in (1, 2, 5, 17, 40):
+            assert momlab._bochner_row(phi, psi, n) == momlab_oracle.ode_row(w, n), (str(w), n)
+        kinds.add((type(w).__name__, len(old),
+                   any(getattr(w, name, 1) <= 0 for name in ("alpha", "beta"))))
+    assert len(kinds) == 7
 
 
 @pytest.mark.parametrize("w", [
@@ -430,22 +438,21 @@ def test_equivalence_refutes_a_mutated_moment_row(monkeypatch, change, w, bound,
         ("-1/2", "2/3"), ("-1/3", "-2/5"),  # negative
     )),
 ], ids=str)
-def test_equivalence_loop_is_reached_only_by_a_wrong_moment_row(monkeypatch, w):
-    # a matched pair's image row differs from its moment row only when 1 is
-    # in the image, where equivalence_check returns first; with equal rows
-    # the only moment it reads is Hermite's nu_1, so no degree is looped over
+def test_matched_operator_pair_is_the_weight_pair(monkeypatch, w):
+    # equivalence_check rests on this: the matched operator's Pearson pair is
+    # the weight's exactly when 1 is not in the image, and Laguerre alpha = 0
+    # and a zero Jacobi parameter are the only mismatches; the only moment
+    # it reads is Hermite's nu_1
     op = momlab.matched_operator(w)
-    _, _, _, top, rest, _ = _image_row(op)
-    rows_equal = (*reversed(rest), top) == momlab._moment_row(w)
     one_in_image = im_structure(op).one_in_image
-    assert rows_equal != one_in_image or (isinstance(w, LaguerreWeight) and w.alpha == 0)
-    if not rows_equal:
-        assert isinstance(w, JacobiWeight) and 0 in (w.alpha, w.beta)
+    assert (pearson_pair(op) == momlab._weight_pair(w)) is not one_in_image
+    assert one_in_image is (0 in (getattr(w, "alpha", 1), getattr(w, "beta", 1)))
     reads = []
     moment = MomentFunctional.moment
     monkeypatch.setattr(MomentFunctional, "moment", lambda mf, n: reads.append(n) or moment(mf, n))
     rep = equivalence_check(w, op, 50)
-    assert rep.equivalent is (None if one_in_image else True)
+    assert rep == EquivalenceReport(one_in_image, 0 if one_in_image else 51, (),
+                                    None if one_in_image else True)
     assert reads == ([1] if isinstance(w, HermiteWeight) else [])
 
 

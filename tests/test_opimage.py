@@ -13,6 +13,7 @@ import pytest
 from mathieulab.corealg import (
     QQ,
     QQ_POLY,
+    Poly,
     parse_poly,
     poly_one,
     qq_poly,
@@ -29,6 +30,8 @@ from mathieulab.opimage import (
     lzero,
     member,
     parse_operator,
+    pearson_pair,
+    pearson_row,
     reduce,
 )
 
@@ -417,3 +420,69 @@ def test_image_table_matches_per_family_loops():
         big += f.ring == QQ and (f.degree > 8 or f.den > 10 ** 6)
     assert len(rows) == 6
     assert degenerate and lam_zero_nonmember and big > 500
+
+
+# -- cross-oracle: the Pearson pair against the hand-written table and operator --
+
+def random_operator(rng):
+    """An operator of any table row: zero, negative, equal and 7-digit
+    parameters, c = 0 and lam = 0 included, d up to 4."""
+    def param():
+        r = rng.random()
+        if r < 0.2:
+            return Fraction(0)
+        if r < 0.3:
+            den = rng.randint(10 ** 5, 10 ** 7)
+            return Fraction(rng.choice((-1, 1)) * (den - rng.randint(1, 20)), den)
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    if rng.random() < 0.5:
+        return MonomialOperator(param(), param(), param(), rng.randint(0, 4))
+    alpha = param()
+    return JacobiOperator(alpha, alpha if rng.random() < 0.15 else param())
+
+
+def test_pearson_rows_match_the_hand_written_table():
+    """pearson_row of the pair is the six-case table row term by term: the
+    table's zero terms dropped, and for w = t each n shifted down by one,
+    because D(t t^n) is the table's element of n + 1."""
+    rng = random.Random(3131)
+    cases = set()
+    for _ in range(3000):
+        op = random_operator(rng)
+        w, q, phi, psi = pearson_pair(op)
+        old_w, n0, old_q, top, rest, where = opimage_oracle.image_row(op)
+        old = sorted(rest) + [top]
+        if w == (0, 1):
+            old, n0 = [(e + 1, a + b, b) for e, a, b in old], n0 - 1
+        assert pearson_row(phi, psi) == [t for t in old[:-1] if t[1] or t[2]] + old[-1:], op
+        assert q == old_q and n0 == (len(w) == 1)
+        assert old_w == (None if len(w) == 1 or w == (0, 1) else Poly.from_ints(w))
+        assert where == ({2: "single-factor", 3: "two-factor"}.get(len(w)) if w[0] else None)
+        cases.add((w, op.lam == 0 if isinstance(op, MonomialOperator) else None))
+    assert len(cases) == 8
+
+
+def test_apply_operator_is_the_pearson_form():
+    """apply_operator(op, w g) = (phi g' + psi g) / q, and it agrees with the
+    per-parameter operator of the earlier module, its three divisibility
+    messages included, on admissible and inadmissible h."""
+    rng = random.Random(3132)
+    seen, cases = set(), set()
+    for _ in range(1500):
+        op = random_operator(rng)
+        w, q, phi, psi = pearson_pair(op)
+        g = rand_qq(rng, max_deg=rng.choice((0, 3, 8)), height=7)
+        h = Poly.from_ints(w) * g
+        want = Poly.from_ints(phi, q) * g.derivative() + Poly.from_ints(psi, q) * g
+        assert apply_operator(op, h) == want == opimage_oracle.apply_operator(op, h), (op, g)
+        bad = h + rand_qq(rng, max_deg=2, height=3)
+        got = outcome(apply_operator, op, bad)
+        assert got == outcome(opimage_oracle.apply_operator, op, bad), (op, bad)
+        if isinstance(got, tuple):
+            seen.add(got[1])
+        cases.add((w, op.lam == 0 if isinstance(op, MonomialOperator) else None, g.degree > 3))
+    assert seen == {"witness must be divisible by t when alpha != 0",
+                    "witness must be divisible by (1 - t) when alpha != 0",
+                    "witness must be divisible by (1 + t) when beta != 0"}
+    assert len(cases) == 16

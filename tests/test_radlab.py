@@ -52,6 +52,7 @@ from linalg_oracle import nullspace, solve_linear
 from radlab_oracle import (
     divmod_radical_member_cofinite,
     divmod_residue_vec,
+    first_zero_sum_walk,
     krylov_interior_ideal,
     window_radical_member_cofinite,
 )
@@ -647,6 +648,40 @@ def test_mathieu_zero_sum_walk_is_fast():
     assert time.perf_counter() - start < 2.0
     assert verdict.status == MATHIEU_EXACT
     assert verdict.budget_used["candidates_tried"] == 2 ** 14 - 1
+
+
+def test_mathieu_zero_sum_search_at_32_factors_is_fast():
+    # the modulus limit admits 32 split factors; a walk over all 2^32 masks
+    # took about 40 minutes, meet in the middle forms 2 * 2^16 sums
+    weights = [(-1) ** i * 2 ** e * (1, 3, 5)[i % 3] for i, e in enumerate(
+        random.Random(3232).sample(range(32), 32))]
+    space = atomic_space(range(-16, 16), weights)
+    start = time.perf_counter()
+    verdict = mathieu_check(space)
+    assert time.perf_counter() - start < 5.0
+    assert verdict.status == MATHIEU_EXACT
+    assert verdict.budget_used["candidates_tried"] == 2 ** 32 - 1
+
+
+def test_first_zero_sum_matches_the_walk_over_all_masks():
+    """Meet in the middle against the walk over all masks on seeded vectors
+    with small entries, so that zero sums are common, and seeded live masks."""
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(3000):
+        n, dim = rng.randint(1, 11), rng.randint(1, 3)
+        vectors = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(n)]
+        live = rng.choice((0, (1 << n) - 1, rng.getrandbits(n), 1 << rng.randrange(n)))
+        got = radlab._first_zero_sum(vectors, live)
+        assert got == first_zero_sum_walk(vectors, live), (vectors, live)
+        h = (n + 1) // 2
+        if got is None:
+            seen.add("none")
+        elif got < 1 << h:
+            seen.add("low half")
+        else:
+            seen.add("high part live" if got >> h << h & live else "low part live")
+    assert seen == {"none", "low half", "high part live", "low part live"}
 
 
 def test_crt_idempotents():
