@@ -470,40 +470,24 @@ def ring_monomial(ring: Ring, n: int, coeff=1) -> RingElement:
 
 
 def exact_divide(b: RingElement, a: RingElement) -> Optional[RingElement]:
-    """Some c with b = a*c, or None when no such c exists in the ring.
+    """Some c with b = a*c in QQ_POLY, or None when no such c exists.
 
-    In QQ_POLY_TRUNC the solution need not be unique; the minimal-degree
-    one is returned.  Dividing zero by zero is ambiguous (every c works)
-    and raises rather than guessing.
+    Dividing zero by zero is ambiguous (every c works) and raises rather
+    than guessing.
     """
     if b.ring != a.ring:
         raise RingMismatch(f"cannot mix {b.ring} and {a.ring}")
     ring = a.ring
+    if ring.kind != "QQ_POLY":
+        raise BadInput("exact division is only defined over QQ_POLY")
     if a.is_zero:
         if b.is_zero:
             raise AmbiguousDivision("0 = 0 * c holds for every c")
         return None
     if b.is_zero:
         return ring_scalar(ring, 0)
-    if ring.kind == "QQ_POLY":
-        q, r = _qq_divmod(b.den, b.num, a.den, a.num, RingElement, ring)
-        return None if r else q
-    # truncated ring: forward-substitute past the x-adic valuation of a
-    k = ring.trunc
-    av = a.data
-    v = next(i for i, c in enumerate(av) if c != 0)
-    bv = b.data
-    if any(c != 0 for c in bv[:v]):
-        return None
-    lead = av[v]
-    width = k - v
-    c = [_F0] * width
-    for j in range(width):
-        target = bv[v + j] if v + j < len(bv) else _F0
-        acc = sum(av[v + i] * c[j - i] for i in range(1, j + 1) if v + i < len(av))
-        c[j] = (target - acc) / lead
-    cand = RingElement(ring, tuple(c))
-    return cand if a * cand == b else None
+    q, r = _qq_divmod(b.den, b.num, a.den, a.num, RingElement, ring)
+    return None if r else q
 
 
 def ring_gcd(*elements: RingElement) -> RingElement:

@@ -39,14 +39,6 @@ class ParseError(AlgebraError):
         self.position = position
 
 
-class UnsupportedReduction(AlgebraError):
-    code = "UNSUPPORTED_REDUCTION"
-
-
-class DegenerateDiagonal(AlgebraError):
-    code = "DEGENERATE_DIAGONAL"
-
-
 class NotNormalized(AlgebraError):
     code = "NOT_NORMALIZED"
 

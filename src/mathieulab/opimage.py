@@ -13,18 +13,16 @@ D(w g) = phi g' + psi g, and its image is spanned by the elements
 D(w t^n) = n phi t^(n-1) + psi t^n, whose coefficients are affine in n:
 one row of terms (`pearson_row`).  Eliminating the top term of f against
 the element that leads at its degree, top degree down, gives an exact
-normal form in a small residue space, and with it a membership decision
-with an explicit witness.  A leading coefficient can vanish at one n: with
-lam = 0 in the monomial family no element reaches that degree, so the term
-stays and f is not a member; in the Jacobi family (a parameter <= -1) the
-elimination raises DegenerateDiagonal.
+normal form and an explicit witness.  The one membership rule: Im D
+is spanned by the leading elements, those whose top coefficient is nonzero,
+and at most one non-leading element, D(1) when w = 1 or D(w t^n*) where the
+top coefficient vanishes at an integer n* >= 0 (`member`).
 
 All decisions are made over QQ, which decides solvability over any
-extension field too, and on integers: the pair's coefficients are
-integers over the common denominator q of the operator's parameters, and
-the elimination is `linalg.solve_band`, the fraction-free banded solver
-that momlab's classical orthogonal polynomials use too, on f's numerators
-over one running denominator.
+extension field too, and on integers: the pair's coefficients are integers
+over the common denominator q of the operator's parameters, and the
+elimination is `linalg.solve_band`, the fraction-free banded solver that
+momlab's orthogonal polynomials use too, on f's numerators.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .corealg import (
     parse_rational,
     poly_one,
 )
-from .errors import BadInput, DegenerateDiagonal, UnsupportedReduction
+from .errors import BadInput
 from .linalg import solve_band
 
 
@@ -101,25 +99,20 @@ def parse_operator(text: str) -> OperatorSpec:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     args = parse_key_values(rest, "operator")
-    if head == "mono":
-        known = {"c", "alpha", "lambda", "d"}
-        if set(args) - known:
-            raise BadInput(f"unknown operator arguments {sorted(set(args) - known)}")
-        return MonomialOperator(
-            parse_rational(args.get("c", "1")),
-            parse_rational(args.get("alpha", "0")),
-            parse_rational(args.get("lambda", "1")),
-            parse_exponent(args.get("d", "0"), "exponent d must be a non-negative integer"),
-        )
+    if head not in ("mono", "jacobi"):
+        raise BadInput(f"unknown operator family {head!r}")
+    unknown = set(args) - ({"c", "alpha", "lambda", "d"} if head == "mono" else {"alpha", "beta"})
+    if unknown:
+        raise BadInput(f"unknown operator arguments {sorted(unknown)}")
     if head == "jacobi":
-        known = {"alpha", "beta"}
-        if set(args) - known:
-            raise BadInput(f"unknown operator arguments {sorted(set(args) - known)}")
-        return JacobiOperator(
-            parse_rational(args.get("alpha", "0")),
-            parse_rational(args.get("beta", "0")),
-        )
-    raise BadInput(f"unknown operator family {head!r}")
+        return JacobiOperator(parse_rational(args.get("alpha", "0")),
+                              parse_rational(args.get("beta", "0")))
+    return MonomialOperator(
+        parse_rational(args.get("c", "1")),
+        parse_rational(args.get("alpha", "0")),
+        parse_rational(args.get("lambda", "1")),
+        parse_exponent(args.get("d", "0"), "exponent d must be a non-negative integer"),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,6 +186,13 @@ def pearson_row(phi, psi) -> list:
     return row or [(-1, 0, 0)]
 
 
+def _pearson_form(phi, psi, g) -> list:
+    """phi g' + psi g on integer coefficient lists: q D(w g)."""
+    out = _zmul(psi, g)
+    dg = [i * c for i, c in enumerate(g)][1:]
+    return [a + b for a, b in zip_longest(_zmul(phi, dg), out, fillvalue=0)] if dg else out
+
+
 def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
     """Apply D to an admissible h; raises BadInput when h has a pole.
 
@@ -206,70 +206,76 @@ def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
         if not w_at and h_at:
             raise BadInput(f"witness must be divisible by {factor} != 0")
     g, _, sign = _zdivmod(h.num, w)  # exact, and lc(w) = +-1 makes sign = +-1
-    dg = [i * c for i, c in enumerate(g)][1:]
-    out = [a + b for a, b in zip_longest(_zmul(phi, dg), _zmul(psi, g), fillvalue=0)]
-    return Poly.from_ints(out, q * h.den * sign)
+    return Poly.from_ints(_pearson_form(phi, psi, g), q * h.den * sign)
 
 
-def _eliminate(op: OperatorSpec, pair, f: Poly) -> tuple[Poly, Poly]:
-    """(normal form, witness): eliminate f's terms top-down by the elements
-    D(w t^n), n >= n0, of the operator's pair; n0 = 1 for w = 1, so that
-    D(1) = psi / q stays in the normal form for `member`, and 0 otherwise.
-    Degree k is removed by the element of n = k - e, e the top's shift,
-    with the multiplier q y_k: (lead_a + lead_b (k - e)) y_k = f_k - sum
-    (a + b (k - j)) y_(k + e - j) over the lower terms (j, a, b), solved by
-    `linalg.solve_band` on f's numerators.  A degree below n0 + e, or one
-    whose lead vanishes, keeps its term in the normal form; under a Jacobi
-    factor w such a term where an element leads raises DegenerateDiagonal.
-    The witness is w times g, g_n = q y_(n+e), by one integer product.
+def _eliminate(pair, f: Poly) -> tuple[Poly, Poly, Optional[int]]:
+    """(normal form, witness, n): f modulo the leading elements of Im D.
+
+    The leading elements are the D(w t^n) of `pearson_row` whose lead is
+    nonzero, n >= 1 for w = 1, and D(w t^n) leads at degree n + e, e the
+    top's shift.  Top degree down, degree k takes the multiplier q y_k:
+    (lead_a + lead_b (k - e)) y_k = f_k - sum (a + b (k - j)) y_(k + e - j)
+    over the lower terms (j, a, b), solved by `linalg.solve_band` on f's
+    numerators.  The normal form keeps the degrees below e (e + 1 for w = 1)
+    and n* + e where the lead vanishes; the witness is w g, g_n = q y_(n+e).
+    n indexes the non-leading element D(w t^n): 0 for w = 1, else n*, if any.
     """
     w, q, phi, psi = pair
     *rest, (e, lead_a, lead_b) = pearson_row(phi, psi)
-    low = e + (len(w) == 1)  # the lowest degree that an image element leads
     y, r, scale = solve_band((lead_a - lead_b * e, lead_b), f.num,
-                             [(e - j, a - b * j, b) for j, a, b in rest], low)
-    if isinstance(op, JacobiOperator) and len(w) > 1 and any(r[low:]):
-        where = "two-factor" if len(w) == 3 else "single-factor"
-        raise DegenerateDiagonal(f"vanishing diagonal entry in the {where} solve")
+                             [(e - j, a - b * j, b) for j, a, b in rest], e + (len(w) == 1))
     den = f.den * scale
     g = [q * v for v in ([0] * -e + y if e < 0 else y[e:])]
-    return Poly.from_ints(r, den), Poly.from_ints(_zmul(w, g), den)
+    vanishes = lead_b and not lead_a % lead_b and lead_a * lead_b <= 0  # at an integer n* >= 0
+    n = 0 if len(w) == 1 else -lead_a // lead_b if vanishes else None
+    return Poly.from_ints(r, den), Poly.from_ints(_zmul(w, g), den), n
 
 
 def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
-    """Exact normal form of f modulo the polynomial image of D.
+    """Exact normal form of f modulo the leading elements of Im D.
 
-    Eliminates the top term of f against the image element of
-    `pearson_row` that leads at its degree, from the top degree down.  The
-    normal form keeps the degrees no element leads: 1..t^d in the monomial
-    family (for alpha = 0, t^d = D(-1/lam) is itself an image element, which
-    `member` takes out), the constants for Jacobi with both parameters
-    nonzero, and nothing for the other Jacobi cases.  A Jacobi leading
-    coefficient n+2+alpha+beta or n+1+parameter vanishes only for
-    parameters <= -1, and raises DegenerateDiagonal.  lam = 0 leaves no
-    finite residue space and raises UnsupportedReduction.
+    f = D(witness) + normal form, on the degrees no leading element leads
+    (`_eliminate`): 1..t^d for lam != 0, the constants for Jacobi with both
+    parameters nonzero, and the degree where a lead vanishes.  For
+    alpha = 0, t^d = D(-1/lam) is the non-leading element of `member`.
     """
     _require_qq(f)
-    if isinstance(op, MonomialOperator) and op.lam == 0:
-        raise UnsupportedReduction("lam = 0 has no finite residue space; use member")
-    return ReductionResult(*_eliminate(op, pearson_pair(op), f), True)
+    return ReductionResult(*_eliminate(pearson_pair(op), f)[:2], True)
 
 
 def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
-    """Does f lie in the polynomial image of D?  Returns (flag, witness)."""
+    """Does f lie in the polynomial image of D?  Returns (flag, witness).
+
+    The rule: Im D is spanned by the leading elements and at most one
+    non-leading element E = D(w t^n) (`_eliminate`), so f is a member
+    exactly when its normal form is mu times E's.  Then
+    f = D(witness + mu (w t^n - h)), where E = D(h) + its normal form.  E
+    reaches a degree that some element leads only for n >= 1, where the lead
+    vanishes in the Jacobi family.  With alpha = -4, beta = 1 the lead of
+    D((1 - t^2) t^n) vanishes at n = 1, and 1 = D((1 - t^2)(5 - t)) / 24.
+    """
     _require_qq(f)
-    w, q, _, psi = pair = pearson_pair(op)
-    nf, witness = _eliminate(op, pair, f)
-    if nf.is_zero:
-        return True, witness
-    if len(w) == 1 and psi and nf.degree == len(psi) - 1 and not any(nf.num[:-1]):
-        # D(1) = psi / q = -lam t^d is the one image element of the residue space
-        return True, witness + Poly.from_ints([nf.num[-1] * q], nf.den * psi[-1])
-    return False, None
+    pair = pearson_pair(op)
+    nf, witness, n = _eliminate(pair, f)
+    if nf.is_zero or n is None:
+        return nf.is_zero, witness if nf.is_zero else None
+    w, q, phi, psi = pair
+    g = [0] * n + [1]
+    elem = Poly.from_ints(_pearson_form(phi, psi, g), q)
+    if n:  # E = D(h) + its normal form
+        elem, h, _ = _eliminate(pair, elem)
+    a, b = nf.num, elem.num
+    if len(a) != len(b) or [x * b[-1] for x in a] != [y * a[-1] for y in b]:
+        return False, None
+    base = Poly.from_ints(_zmul(w, g))  # D(w t^n - h) is E's normal form
+    if n:
+        base -= h
+    return True, witness + base.scale(Fraction(a[-1] * elem.den, nf.den * b[-1]))
 
 
 def lzero(op: MonomialOperator, f: Poly) -> Fraction:
-    """Constant term of the normal form (monomial family, lam != 0)."""
+    """Constant term of the normal form (monomial family)."""
     if not isinstance(op, MonomialOperator):
         raise BadInput("the normal-form functional is defined for the monomial family")
     return reduce(op, f).normal_form.coeff(0)

@@ -582,26 +582,31 @@ def _set_idempotent(space: CofiniteSubspace, mask: int) -> Poly:
     return u * rest
 
 
-def _subset_sums(vectors: Sequence[Sequence[int]], dim: int) -> Iterator[tuple[int, list]]:
-    """(mask, sum_{i in mask} vectors[i]) for every mask in increasing order.
+def _subset_sums(values: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(mask, sum_{i in mask} values[i]) for every mask in increasing order.
 
     One running sum: going from mask - 1 to mask, whose lowest set bit is
-    i, removes vectors 0..i-1 and adds vector i, so each step is one
-    precomputed vector addition.
+    i, removes values 0..i-1 and adds value i, so each step is one addition
+    of a precomputed integer.
     """
-    steps, below = [], [0] * dim
-    for u in vectors:
-        steps.append([a - b for a, b in zip(u, below)])
-        below = [a + b for a, b in zip(below, u)]
-    total = [0] * dim
+    steps, below = [], 0
+    for u in values:
+        steps.append(u - below)
+        below += u
+    total = 0
     yield 0, total
-    for mask in range(1, 1 << len(vectors)):
-        total = [a + b for a, b in zip(total, steps[(mask & -mask).bit_length() - 1])]
+    for mask in range(1, 1 << len(values)):
+        total += steps[(mask & -mask).bit_length() - 1]
         yield mask, total
 
 
 def _first_zero_sum(vectors: Sequence[Sequence[int]], live: int) -> Optional[int]:
     """Least mask S meeting `live` with sum_{i in S} vectors[i] = 0, else None.
+
+    Each vector x is packed into one integer sum_r x_r B^r, B = 2 M + 1 with
+    M the sum of |x_r| over all vectors.  A subset sum, and the difference or
+    sum of two, has entries of size at most 2 M < B, so a sum is zero, or
+    equals or cancels another, exactly when its packed integer does.
 
     Meet in the middle (Horowitz and Sahni 1974).  The masks below 2^h, the
     subsets of the low half 0..h-1 with h = ceil(n/2), are walked in
@@ -612,20 +617,20 @@ def _first_zero_sum(vectors: Sequence[Sequence[int]], live: int) -> Optional[int
     the least recorded L whose sum cancels H's, one meeting `live` unless
     H does, so the first H with a hit gives the least mask overall.  That
     is 2^h + 2^(n-h) sums in place of up to 2^n - 1; n <= 32 bounds the
-    table at 2^16 entries.
+    table at 2^16 integer keys.
     """
-    dim, h = len(vectors[0]), (len(vectors) + 1) // 2
+    base = 2 * sum(abs(x) for u in vectors for x in u) + 1
+    packed = [sum(x * base ** r for r, x in enumerate(u)) for u in vectors]
+    h = (len(packed) + 1) // 2
     least, least_live = {}, {}
-    for mask, total in _subset_sums(vectors[:h], dim):
-        if mask & live and not any(total):
+    for mask, total in _subset_sums(packed[:h]):
+        if mask & live and not total:
             return mask
-        key = tuple(total)
-        least.setdefault(key, mask)
+        least.setdefault(total, mask)
         if mask & live:
-            least_live.setdefault(key, mask)
-    for high, total in _subset_sums(vectors[h:], dim):
-        key = tuple(-x for x in total)
-        low = least.get(key) if high << h & live else least_live.get(key)
+            least_live.setdefault(total, mask)
+    for high, total in _subset_sums(packed[h:]):
+        low = least.get(-total) if high << h & live else least_live.get(-total)
         if low is not None:
             return high << h | low
     return None

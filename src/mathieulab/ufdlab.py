@@ -79,9 +79,6 @@ class UfdContext:
     def apply(self, h: Poly) -> Poly:
         return h.derivative() - h.scale(self.a)
 
-    def __str__(self):
-        return f"ufd:a={self.a}"
-
 
 def parse_ufd_context(text: str) -> UfdContext:
     head, _, rest = text.partition(":")
@@ -222,7 +219,6 @@ class SurjectivityReport:
     monomials: tuple  # of (n, witness Poly)
     unresolved: tuple  # monomial degrees left unsolved: all of them when 1 is not in the image
     note: Optional[str]
-    witness_degree_budget: int
 
 
 def parse_trunc_context(text: str) -> tuple[Ring, RingElement, Poly]:
@@ -324,7 +320,7 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
     if not (c.is_unit or low) or max(low, default=0) >= 1:
         note = None if low else ("every image value lies in the proper ideal generated by c and "
                                  "the coefficients of a, so 1 is structurally unreachable")
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note)
     cs = [Fraction(v, c.den).as_integer_ratio() for v in c.num] + [(0, 1)] * (k - len(c.num))
     big_a = _int_levels(a, k)
     # -R h_n = S g_n - P (n+1) h_(n+1); when A_0 = 0, P n h_n = S g_(n-1) and h_0 = 0
@@ -378,4 +374,4 @@ def surjectivity_check(ring: Ring, c: RingElement, a: Poly, deg_bound: int) -> S
         return h
 
     monomials = tuple((n, solve(n)) for n in range(deg_bound + 1))
-    return SurjectivityReport("ONE_IN_IMAGE", monomials[0][1], monomials, (), None, extra)
+    return SurjectivityReport("ONE_IN_IMAGE", monomials[0][1], monomials, (), None)

@@ -1,5 +1,6 @@
 """Earlier versions of the opimage module, kept verbatim as independent
-oracles for the integer elimination and the Pearson pair.
+oracles for the integer elimination and the Pearson pair.  Their refusals,
+``UnsupportedReduction`` and ``DegenerateDiagonal``, are kept here with them.
 
 * The per-family loops: one hand-written loop per operator family
   (``_reduce_monomial``, the three branches of ``_reduce_jacobi`` and
@@ -16,8 +17,20 @@ from fractions import Fraction
 from typing import Optional
 
 from mathieulab.corealg import Poly, QQ, clear_denominators, euclid_divmod, poly_zero, qq_poly
-from mathieulab.errors import BadInput, DegenerateDiagonal, UnsupportedReduction
+from mathieulab.errors import AlgebraError, BadInput
 from mathieulab.opimage import JacobiOperator, MonomialOperator, OperatorSpec, ReductionResult
+
+
+class UnsupportedReduction(AlgebraError):
+    """The earlier refusal of lam = 0 in the monomial family."""
+
+    code = "UNSUPPORTED_REDUCTION"
+
+
+class DegenerateDiagonal(AlgebraError):
+    """The earlier refusal of a vanishing Jacobi lead."""
+
+    code = "DEGENERATE_DIAGONAL"
 
 _F0 = Fraction(0)
 

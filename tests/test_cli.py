@@ -1,5 +1,6 @@
 """Command-line interface: exact JSON payloads, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 from mathieulab import cli
 from mathieulab.cli import main
 from mathieulab.errors import AlgebraError
+
+import cli_corpus
 
 
 def run_cli(capsys, *argv):
@@ -29,12 +32,41 @@ def test_member_example(capsys):
     payload = run_json(capsys, "member", "--op", "mono:c=1,alpha=1,lambda=1,d=0",
                        "--poly", "t-2")
     assert payload == {"member": True, "witness": "-t"}
+    # the lead of D((1 - t^2) t^n) vanishes at n = 1, and D((1 - t^2) t) reduces to a constant
+    payload = run_json(capsys, "member", "--op", "jacobi:alpha=-4,beta=1", "--poly", "1")
+    assert payload == {"member": True, "witness": "1/24*t^3 - 5/24*t^2 - 1/24*t + 5/24"}
+    payload = run_json(capsys, "member", "--op", "jacobi:alpha=-2,beta=0", "--poly", "t")
+    assert payload == {"member": False, "witness": None}
 
 
 def test_mathieu_example(capsys):
     payload = run_json(capsys, "mathieu", "--space",
                        '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}')
     assert payload == {"status": "NOT_MATHIEU", "witness_a": "1", "witness_b": "t"}
+
+
+def test_mathieu_full_fields(capsys):
+    # budget_used: the window [D, 2D] that the radical decision is equivalent
+    # to, and how the verdict was reached: the rank of the refuting factor set
+    # and the witness family, the rank 2^n - 1 when no set refutes, or an ideal
+    def full(space):
+        return run_json(capsys, "mathieu", "--full", "--space", space)
+
+    assert full('{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}') == {
+        "status": "NOT_MATHIEU", "witness_a": "1", "witness_b": "t",
+        "i_v_generator": "t^2 - t", "radical_iv_generator": "t^2 - t",
+        "budget_used": {"window": [2, 4], "candidates_tried": 3,
+                        "witness_family": "crt_idempotent"}}
+    assert full('{"modulus":[["t",1],["t - 1",1],["t + 1",1]],"vbar_basis":[[1,2,0]]}') == {
+        "status": "MATHIEU_EXACT", "i_v_generator": "t^3 - t", "radical_iv_generator": "t^3 - t",
+        "budget_used": {"window": [3, 6], "candidates_tried": 7}}
+    assert full('{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,0]]}') == {
+        "status": "MATHIEU_EXACT", "i_v_generator": "t - 1", "radical_iv_generator": "t - 1",
+        "budget_used": {"window": [2, 4], "structural_case": "ideal"}}
+    payload = full('{"modulus":[["t^4 + t + 7",1],["t",1]],"vbar_basis":[[1,0,0,0,2]]}')
+    assert list(payload) == ["status", "i_v_generator", "radical_iv_generator", "budget_used",
+                             "diagnostics"]
+    assert payload["budget_used"] == {"window": [5, 10], "candidates_tried": 3}
 
 
 def test_lzero_example(capsys):
@@ -47,16 +79,23 @@ def test_reduce_and_escape(capsys):
     payload = run_json(capsys, "reduce", "--op", "mono:c=1,alpha=0,lambda=1,d=1",
                        "--poly", "t^3")
     assert payload == {"normal_form": "2*t", "witness": "-t^2", "admissible": True}
+    payload = run_json(capsys, "reduce", "--op", "mono:c=1,alpha=1,lambda=0,d=0", "--poly", "t")
+    assert payload == {"normal_form": "0", "witness": "1/3*t^2", "admissible": True}
     payload = run_json(capsys, "escape", "--op", "mono:c=1,alpha=1,lambda=1,d=0",
                        "--poly", "t-2")
     assert payload == {"escape_exponent": 2}
 
 
-def test_certify_and_verify_roundtrip(capsys):
+def test_certify_and_verify_roundtrip(capsys, tmp_path):
     cert = run_json(capsys, "certify", "--poly", "t+t^2", "--d", "1", "--alpha", "0")
     assert cert["m"] == 1 and cert["prime"] == 3
     payload = run_json(capsys, "verify-cert", "--cert", json.dumps(cert))
     assert payload == {"valid": True}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert run_json(capsys, "verify-cert", "--cert-file", str(path)) == {"valid": True}
+    code, out, err = run_cli(capsys, "verify-cert", "--cert-file", str(tmp_path / "missing.json"))
+    assert code == 2 and not out and json.loads(err)["code"] == "BAD_INPUT"
     tampered = dict(cert)
     tampered["prime"] = 4
     code, out, err = run_cli(capsys, "verify-cert", "--cert", json.dumps(tampered))
@@ -297,6 +336,10 @@ def test_unverified_factor_diagnostics(capsys):
                        '{"modulus":[["t^4 + t + 7",1]],"vbar_basis":[]}')
     assert payload["generator"] == "t^4 + t + 7"
     assert any("trusted" in line for line in payload["diagnostics"])
+    payload = run_json(capsys, "mathieu", "--space",
+                       '{"modulus":[["t^4 + t + 7",1],["t",1]],"vbar_basis":[[1,0,0,0,2]]}')
+    assert payload == {"status": "CONSISTENT_UP_TO_BUDGET", "diagnostics": [
+        "factor t^4 + t + 7 exceeds degree 3; irreducibility trusted, not verified"]}
     # the pinned example space has no flagged factors and no diagnostics key
     clean = run_json(capsys, "mathieu", "--space",
                      '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,1]]}')
@@ -427,6 +470,17 @@ def test_polynomial_values_may_start_with_a_minus_sign(capsys):
     # the last case is a parse error of the value, not an argparse usage error
     assert json.loads(expected[2])["code"] == "PARSE_ERROR"
     assert run_cli(capsys, *SIGNED_POLY_CASES[1])[:2] == (1, '{"holds": false, "window": [1, 4]}\n')
+
+
+def test_cli_corpus_covers_every_subcommand():
+    # tests/cli_corpus.py hashes the replies of a seeded request corpus per
+    # subcommand; it must cover exactly the subcommands the parser has
+    parser = cli.build_parser.__wrapped__()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(cli_corpus.SUBCOMMANDS) == sorted(sub.choices)
+    corpus = cli_corpus.requests()
+    assert all(corpus[name] and all(argv[0] == name for argv in corpus[name])
+               for name in cli_corpus.SUBCOMMANDS)
 
 
 def test_repeated_calls_reuse_the_parser(capsys):

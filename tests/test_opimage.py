@@ -5,6 +5,7 @@ inside this module: direct differentiation for witness identities, the
 Gaussian and Laguerre moment recursions for normal-form constants.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from mathieulab.corealg import (
     qq_poly,
     t_monomial,
 )
-from mathieulab.errors import AlgebraError, BadInput, DegenerateDiagonal, UnsupportedReduction
+from mathieulab.errors import AlgebraError, BadInput, ZeroInput
 from mathieulab.opimage import (
     JacobiOperator,
     MonomialOperator,
@@ -34,9 +35,9 @@ from mathieulab.opimage import (
     pearson_row,
     reduce,
 )
+from mathieulab.radlab import escape_exponent
 
 import opimage_oracle
-from linalg_oracle import solve_linear
 
 
 def double_factorial_odd(q):
@@ -104,11 +105,18 @@ def test_reduce_examples():
         assert rr.witness.is_zero
 
 
-def test_reduce_lambda_zero_rejected():
-    with pytest.raises(UnsupportedReduction):
-        reduce(MonomialOperator(1, 1, 0, 0), parse_poly("t"))
-    with pytest.raises(UnsupportedReduction):
-        lzero(MonomialOperator(1, 1, 0, 0), parse_poly("t"))
+def test_reduce_lambda_zero_decided():
+    # D = d/dt + 1/t: D(t^(n+1)) = (n + 2) t^n leads at every degree
+    op = MonomialOperator(1, 1, 0, 0)
+    rr = reduce(op, parse_poly("t"))
+    assert rr.normal_form.is_zero and rr.witness == parse_poly("1/3*t^2")
+    assert lzero(op, parse_poly("t")) == 0
+    # D = d/dt - 2/t: the lead n - 1 of D(t^(n+1)) vanishes at n = 1, so t stays
+    op = MonomialOperator(1, -2, 0, 0)
+    rr = reduce(op, parse_poly("t^2 + t + 1"))
+    assert rr.normal_form == parse_poly("t")
+    assert apply_operator(op, rr.witness) == parse_poly("t^2 + 1")
+    assert lzero(op, parse_poly("t^2 + t + 1")) == 0
 
 
 def test_reduce_normal_form_degrees():
@@ -204,10 +212,7 @@ def test_witness_soundness_random():
     for op in MONOMIAL_SAMPLE + JACOBI_SAMPLE:
         for _ in range(15):
             f = rand_qq(rng)
-            try:
-                rr = reduce(op, f)
-            except DegenerateDiagonal:
-                continue
+            rr = reduce(op, f)
             assert apply_operator(op, rr.witness) + rr.normal_form == f
             ok, witness = member(op, f)
             if ok:
@@ -246,11 +251,8 @@ def test_witness_determinism():
     rng = random.Random(41)
     for op in MONOMIAL_SAMPLE + JACOBI_SAMPLE[:4]:
         f = rand_qq(rng)
-        try:
-            first = reduce(op, f)
-            second = reduce(op, f)
-        except DegenerateDiagonal:
-            continue
+        first = reduce(op, f)
+        second = reduce(op, f)
         assert first.witness == second.witness
         assert first.normal_form == second.normal_form
 
@@ -266,9 +268,21 @@ def test_basic_image_relation_instances():
             assert member(op, f)[0]
 
 
-def test_jacobi_degenerate_diagonal_raises():
-    with pytest.raises(DegenerateDiagonal):
-        reduce(JacobiOperator(-2, 0), parse_poly("t^2"))
+def test_jacobi_degenerate_diagonal_decided():
+    # alpha = -2: the lead n - 1 of D((1 - t) t^n) vanishes at n = 1, so the
+    # normal form keeps t, and D((1 - t) t) = 1 is one more image element
+    op = JacobiOperator(-2, 0)
+    rr = reduce(op, parse_poly("t^2"))
+    assert rr.normal_form == parse_poly("2*t")
+    assert apply_operator(op, rr.witness) == parse_poly("t^2 - 2*t")
+    assert member(op, parse_poly("t")) == (False, None)
+    ok, witness = member(op, parse_poly("t^2 - 2*t"))
+    assert ok and apply_operator(op, witness) == parse_poly("t^2 - 2*t")
+    # alpha = -4, beta = 1: the lead of D((1 - t^2) t^n) vanishes at n = 1,
+    # and D((1 - t^2) t) = 1 + 5t reduces to the constant -24
+    op = JacobiOperator(-4, 1)
+    assert member(op, poly_one()) == (True, parse_poly("1/24*t^3 - 5/24*t^2 - 1/24*t + 5/24"))
+    assert im_structure(op).one_in_image
 
 
 def test_apply_operator_rejects_inadmissible():
@@ -279,8 +293,11 @@ def test_apply_operator_rejects_inadmissible():
 
 
 def member_by_linear_solve(op, f):
-    """Independent membership oracle: solve D(h) = f by exact Gaussian
-    elimination over the admissible monomial basis, no triangular shortcuts."""
+    """Independent membership oracle: is f in the span of the D(h) over the
+    admissible monomial basis?  Exact Gaussian elimination, no triangular
+    shortcuts, on integer rows (the columns are the numerators of D(h) and
+    f, and each new row is divided by its content): f is a member exactly
+    when its column, taken last, gets no pivot."""
     if isinstance(op, MonomialOperator):
         start = 1 if op.alpha != 0 else 0
         max_h = max(f.degree - op.d, f.degree, 0) + 1
@@ -291,17 +308,26 @@ def member_by_linear_solve(op, f):
             factor = factor * parse_poly("1 - t")
         if op.beta != 0:
             factor = factor * parse_poly("1 + t")
-        basis = [factor * t_monomial(QQ, n) for n in range(0, f.degree + 3)]
-    try:
-        columns = [apply_operator(op, h) for h in basis]
-    except DegenerateDiagonal:
-        raise
-    out_deg = max([f.degree] + [c.degree for c in columns])
-    if out_deg < 0:
-        return True
-    rows = [[c.coeff(i) for c in columns] for i in range(out_deg + 1)]
-    target = [f.coeff(i) for i in range(out_deg + 1)]
-    return solve_linear(rows, target) is not None
+        # D(w t^n) drops in degree where its lead vanishes, at some
+        # n <= |alpha| + |beta|, so the basis reaches past that n
+        reach = f.degree + 3 + math.floor(abs(op.alpha) + abs(op.beta))
+        basis = [factor * t_monomial(QQ, n) for n in range(0, reach)]
+    columns = [apply_operator(op, h) for h in basis] + [f]
+    rows = [[c.num[i] if i < len(c.num) else 0 for c in columns]
+            for i in range(max(c.degree for c in columns) + 1)]
+    for col in range(len(columns)):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        if col == len(columns) - 1:
+            return False
+        rows.remove(pivot)
+        for i, row in enumerate(rows):
+            if row[col]:
+                row = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+    return True
 
 
 def test_membership_matches_linear_solve_oracle():
@@ -398,28 +424,127 @@ def outcome(fn, op, f):
         return type(exc), str(exc)
 
 
+def two_factor_spare(op):
+    """Whether op is two-factor Jacobi whose lead vanishes at an integer
+    n* = -(alpha + beta + 2) >= 0, where the per-family loops miss D(w t^n*)."""
+    if not isinstance(op, JacobiOperator) or not (op.alpha and op.beta):
+        return False
+    n = -(op.alpha + op.beta + 2)
+    return n.denominator == 1 and n >= 0
+
+
+def checked_member(op, f, got=None):
+    """member's flag, checked: D(witness) = f proves a member, and the linear
+    solve confirms a non-member."""
+    ok, witness = got or member(op, f)
+    if ok:
+        assert apply_operator(op, witness) == f, (op, f)
+    else:
+        assert witness is None and not member_by_linear_solve(op, f), (op, f)
+    return ok
+
+
+def check_by_linear_solve(op, f, name, got):
+    """What the rule answers where the earlier code refused or missed an
+    element: member as `checked_member`, and f = D(witness) + normal form
+    with lzero its constant term."""
+    if name == "member":
+        checked_member(op, f, got)
+    elif name == "reduce":
+        assert apply_operator(op, got.witness) + got.normal_form == f, (op, f)
+    else:
+        assert got == reduce(op, f).normal_form.coeff(0), (op, f)
+
+
 def test_image_table_matches_per_family_loops():
     """The integer elimination against the per-family Fraction loops on every
     case, and on the wide cases also against the Fraction table elimination,
-    exceptions included."""
+    exceptions included; where these refuse (a vanishing Jacobi lead, lam = 0)
+    or, in member, miss the element of a two-factor n* >= 0, against the
+    linear solve."""
     rng = random.Random(1414)
+    refusals = (opimage_oracle.DegenerateDiagonal, opimage_oracle.UnsupportedReduction)
     loop_fns = (opimage_oracle.reduce, opimage_oracle.member, opimage_oracle.lzero)
     table_fns = (opimage_oracle.table_reduce, opimage_oracle.table_member,
                  opimage_oracle.table_lzero)
-    rows, degenerate, lam_zero_nonmember, big = set(), 0, 0, 0
+    rows, decided, lam_zero_nonmember, big = set(), 0, 0, 0
     for i in range(20_000 + 1_500):
         wide = i >= 20_000
         op, f, row = random_image_case(rng, wide)
         rows.add(row)
         got = [outcome(fn, op, f) for fn in (reduce, member, lzero)]
-        assert got == [outcome(fn, op, f) for fn in loop_fns], (op, f)
-        if wide:
-            assert got == [outcome(fn, op, f) for fn in table_fns], (op, f)
-        degenerate += isinstance(got[0], tuple) and got[0][0] is DegenerateDiagonal
+        for fns in (loop_fns, table_fns) if wide else (loop_fns,):
+            for name, answer, fn in zip(("reduce", "member", "lzero"), got, fns):
+                want = outcome(fn, op, f)
+                if (isinstance(want, tuple) and want[0] in refusals
+                        or name == "member" and two_factor_spare(op) and f.ring == QQ):
+                    check_by_linear_solve(op, f, name, answer)
+                    decided += 1
+                else:
+                    assert answer == want, (op, f, name)
         lam_zero_nonmember += row == "mono lam=0" and got[1] == (False, None)
         big += f.ring == QQ and (f.degree > 8 or f.den > 10 ** 6)
     assert len(rows) == 6
-    assert degenerate and lam_zero_nonmember and big > 500
+    assert decided and lam_zero_nonmember and big > 500
+
+
+def random_degenerate_case(rng):
+    """(family, operator): an operator whose image needs the non-leading
+    element, or one the earlier code refused.  Two-factor Jacobi with
+    alpha + beta in -2..-9, integer or half-integer (n* = 0..7); one-factor
+    Jacobi with the parameter in -1..-7; lam = 0 with and without a
+    vanishing lead; c = 0 with any alpha, lam and d."""
+    family = rng.choice(("jacobi two-factor", "jacobi one-factor", "mono lam=0 vanishing",
+                         "mono lam=0", "mono c=0"))
+    if family == "jacobi two-factor":
+        total = -rng.randint(2, 9)
+        alpha = Fraction(rng.randint(2 * total - 4, 4), rng.choice((1, 2)))
+        if alpha in (0, total):
+            alpha = Fraction(total, 2)
+        return family, JacobiOperator(alpha, total - alpha)
+    if family == "jacobi one-factor":
+        param = -rng.randint(1, 7)
+        return family, JacobiOperator(param, 0) if rng.random() < 0.5 else JacobiOperator(0, param)
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+    d = rng.randint(0, 3)
+    if family == "mono lam=0 vanishing":
+        return family, MonomialOperator(c, -c * rng.randint(0, 5), 0, d)
+    if family == "mono lam=0":
+        return family, MonomialOperator(c, c * Fraction(rng.randint(1, 5), rng.randint(2, 3)), 0, d)
+    value = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))  # noqa: E731
+    return family, MonomialOperator(0, value(), value(), d)
+
+
+def test_membership_rule_matches_linear_solve_on_degenerate_operators():
+    """member, reduce, im_structure and escape against the linear solve on
+    the operators whose image needs the non-leading element."""
+    rng = random.Random(3333)
+    seen = set()
+    for _ in range(300):
+        family, op = random_degenerate_case(rng)
+        assert im_structure(op).one_in_image == checked_member(op, poly_one()), op
+        w = Poly.from_ints(pearson_pair(op)[0])
+        for f in (rand_qq(rng, max_deg=5, height=5),
+                  apply_operator(op, w * rand_qq(rng, max_deg=4, height=4)) + rand_qq(rng, 0, 3),
+                  t_monomial(QQ, rng.randint(0, 4))):
+            ok = checked_member(op, f)
+            rr = reduce(op, f)
+            assert apply_operator(op, rr.witness) + rr.normal_form == f, (op, f)
+            seen.add((family, ok, ok and not rr.normal_form.is_zero))
+            if f.is_zero:
+                with pytest.raises(ZeroInput):
+                    escape_exponent(op, f, 3)
+                continue
+            want = next((m for m in (1, 2, 3) if not checked_member(op, f ** m)), None)
+            assert escape_exponent(op, f, 3) == want, (op, f)
+    # members and non-members in every family but lam = 0 without a vanishing
+    # lead, where every f is a member, and members whose normal form is
+    # nonzero: those that need the non-leading element
+    assert {(family, ok) for family, ok, _ in seen} == {
+        (family, ok) for family in ("jacobi two-factor", "jacobi one-factor",
+                                    "mono lam=0 vanishing", "mono lam=0", "mono c=0")
+        for ok in (False, True)} - {("mono lam=0", False)}
+    assert ("jacobi two-factor", True, True) in seen and ("mono c=0", True, True) in seen
 
 
 # -- cross-oracle: the Pearson pair against the hand-written table and operator --

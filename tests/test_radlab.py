@@ -9,6 +9,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm, prod
 
@@ -227,6 +228,11 @@ def test_radical_probe_examples():
     assert radical_probe(VALUE_SUM.contains, poly_zero(), range(1, 3))
     with pytest.raises(BadInput):
         radical_probe(VALUE_SUM.contains, poly_one(), [])
+    with pytest.raises(BadInput, match="^window exponents must be non-negative$"):
+        radical_probe(lambda p: True, poly_one(), [-1, 2])
+    for window in ([2, 2], [3, 1]):
+        with pytest.raises(BadInput, match="^window exponents must increase$"):
+            radical_probe(lambda p: True, poly_one(), window)
 
 
 def test_escape_exponent_examples():
@@ -659,6 +665,23 @@ def test_mathieu_zero_sum_search_at_32_factors_is_fast():
     start = time.perf_counter()
     verdict = mathieu_check(space)
     assert time.perf_counter() - start < 5.0
+    assert verdict.status == MATHIEU_EXACT
+    assert verdict.budget_used["candidates_tried"] == 2 ** 32 - 1
+    # a one-vector basis leaves 31 annihilator rows; its entries are distinct
+    # and nonzero, so no indicator of a factor set is in V.  Each sum packs
+    # into one integer key: 2^16 tuples of 31 entries took about 50 MB
+    space = CofiniteSubspace.from_dict({
+        "modulus": [[f"t + {-k}" if k < 0 else f"t - {k}", 1] for k in range(-16, 16)],
+        "vbar_basis": [list(range(1, 33))]})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = mathieu_check(space)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0 and peak < 20 * 2 ** 20, (elapsed, peak)
     assert verdict.status == MATHIEU_EXACT
     assert verdict.budget_used["candidates_tried"] == 2 ** 32 - 1
 

@@ -312,7 +312,7 @@ def reference_surjectivity_check(ring, c, a, deg_bound):
         if all(g.is_zero or not g.is_unit for g in [c] + list(a.coeffs)):
             note = ("every image value lies in the proper ideal generated by c and "
                     "the coefficients of a, so 1 is structurally unreachable")
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note)
     monomials, unresolved = [], []
     for n in range(deg_bound + 1):
         h = solve(t_monomial(ring, n))
@@ -320,7 +320,7 @@ def reference_surjectivity_check(ring, c, a, deg_bound):
             unresolved.append(n)
         else:
             monomials.append((n, h))
-    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None, extra)
+    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None)
 
 
 def test_surjectivity_matches_dense_reference():
@@ -379,7 +379,7 @@ def column_search_surjectivity_check(ring, c, a, deg_bound):
     if not any(g.is_unit for g in (c, *a.coeffs)):
         note = ("every image value lies in the proper ideal generated by c and "
                 "the coefficients of a, so 1 is structurally unreachable")
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note, extra)
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), note)
     pivots = []
     rank = [0]  # rank[n]: number of pivots among the first n columns
 
@@ -404,7 +404,7 @@ def column_search_surjectivity_check(ring, c, a, deg_bound):
 
     h_one = solve(poly_one(ring))
     if h_one is None:
-        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), None, extra)
+        return SurjectivityReport("UNDECIDED_ONE", None, (), tuple(range(deg_bound + 1)), None)
     monomials, unresolved = [], []
     for n in range(deg_bound + 1):
         h = solve(t_monomial(ring, n))
@@ -412,7 +412,7 @@ def column_search_surjectivity_check(ring, c, a, deg_bound):
             unresolved.append(n)
         else:
             monomials.append((n, h))
-    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None, extra)
+    return SurjectivityReport("ONE_IN_IMAGE", h_one, tuple(monomials), tuple(unresolved), None)
 
 
 SURJECTIVITY_BRANCHES = ("unit", "integral", "raising", "structural", "zero")
