@@ -39,16 +39,17 @@ Integrating (phi rho t^n)' over the support gives the moments one
 identity in n, the row `opimage.pearson_row` of the pair read on moments,
 which `MomentFunctional` solves for its top term.  This is the paper's
 second result: read on polynomials, the same row spans the image of the
-matched operator D = rho^(-1) d/dt rho, so L kills Im(D), and because no
-lead of that row vanishes, Im(D) is all of ker L (`equivalence_check`).
+matched operator D = rho^(-1) d/dt rho, so L kills Im(D), and because its
+polynomials lead at every degree k >= 1, Im(D) is all of ker L
+(`equivalence_check`).
 
-The same row is the algorithm for L itself.  Its polynomials lead at every
-degree k >= 1, so eliminating f top-down by them (one `linalg.solve_band`
-call, on integers) leaves a constant, and that constant is L(f).
-`vb_member` and `inner_product` read L this way (`_functional`), and an
-atomic weight by integer Horner at its points, so neither builds a moment.
-`MomentFunctional` builds the moments for the `moments` printout, the
-atomic Chebyshev algorithm and `equivalence_check`.
+The same row is the algorithm for L itself: eliminating f top-down by its
+polynomials, with opimage's integer elimination (`opimage._solve_row`),
+leaves a constant, and that constant is L(f).  `vb_member` and
+`inner_product` read L this way (`_functional`), and an atomic weight by
+integer Horner at its points, so neither builds a moment.
+`MomentFunctional` builds the moments for the `moments` printout and the
+atomic Chebyshev algorithm.
 """
 
 from __future__ import annotations
@@ -64,17 +65,16 @@ from .corealg import (
     clear_denominators,
     parse_key_values,
     parse_rational,
-    t_monomial,
 )
 from .errors import BadInput, BadPair, BadWeight, Degenerate
 from .linalg import solve_band
 from .opimage import (
     JacobiOperator,
     OperatorSpec,
+    _solve_row,
     hermite_operator,
     im_structure,
     laguerre_operator,
-    member,
     pearson_row,
 )
 
@@ -261,14 +261,11 @@ def _functional(w: WeightSpec, f: Poly) -> tuple[int, int]:
 
     Classical weights.  Each n >= 0 of the moment row gives a polynomial
     P_n = sum over its terms (s, a, b) of (a + b n) t^(n+s) with L(P_n) = 0,
-    which leads at degree k = n + s >= 1 (the top's s is 1) with the top
-    factor a + b (k - s), which never vanishes.  Eliminating f's terms
-    top-down by these P_n is the banded solve
-    lead(k) x_k = f_k - sum (c - d e + d k) x_(k+s-e) over the lower terms
-    (e, c, d), for k >= 1, as `opimage._eliminate` solves the image row.
-    It leaves f = sum x_k P_(k-s) + r_0 with the constant r_0, and
-    L(1) = nu_0 = 1 gives L(f) = r_0.  `linalg.solve_band` returns r_0 times
-    its scale, on f's numerators over f.den.
+    which leads at degree n + 1 (the top's s is 1) with a top factor that
+    never vanishes.  Eliminating f's numerators top-down by these P_n
+    (`opimage._solve_row`, the image elimination) leaves f = sum of
+    multiples of the P_n + r_0 with a constant r_0, returned times the
+    solve's scale, and L(1) = nu_0 = 1 gives L(f) = r_0.
 
     Atomic weights.  With points a_i / d and weights W_i / e over the lcms
     d and e of their denominators, L(f) = sum W_i f(a_i / d) / sum W_i, and
@@ -291,8 +288,7 @@ def _functional(w: WeightSpec, f: Poly) -> tuple[int, int]:
                 h = h * a + x
             total += c * h
         return total, sum(weights) * d ** (len(num) - 1) * f.den
-    *lower, (s, a, b) = pearson_row(*_weight_pair(w)[2:])
-    _, r, scale = solve_band((a - b * s, b), num, [(s - e, c - d * e, d) for e, c, d in lower], 1)
+    _, r, scale = _solve_row(pearson_row(*_weight_pair(w)[2:]), num)
     return r[0], scale * f.den
 
 
@@ -471,13 +467,11 @@ def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> Equiva
     pair (of the matched pairs only Laguerre alpha = 0 and Jacobi with a
     zero parameter differ, and 1 lies in their images), so Im(D) is spanned
     by the elements of the row `opimage.pearson_row`, which is also the
-    weight's moment recurrence: L kills Im(D), and no moment is read for
-    this.  No lead of the row vanishes, so f reduces modulo Im(D) to r on
-    the degrees below low (the top's shift, plus one for w = 1), and for f
-    in ker L, r = sum over 1 <= k < low of r_k (t^k - nu_k).  So
-    ker L = Im(D) once each such t^k - nu_k is in Im(D); only Hermite has
-    one, t = D(-1/2).  The verdict covers every degree, and
-    degrees_checked is deg_bound + 1.
+    weight's moment recurrence: L kills Im(D).  The row's top shift is 1 and
+    no lead vanishes, so every f is D(h) + c for a constant c, and
+    L(f) = L(c) = c.  Hence f lies in Im(D) exactly when L(f) = 0, in every
+    degree, with no moment read; degrees_checked is deg_bound + 1 and there
+    are no violations.
     """
     if deg_bound < 1:
         raise BadInput("degree bound must be at least 1")
@@ -486,8 +480,4 @@ def equivalence_check(w: WeightSpec, op: OperatorSpec, deg_bound: int) -> Equiva
         raise BadPair(f"weight {w} is not matched with operator {op}")
     if im_structure(op).one_in_image:
         return EquivalenceReport(True, 0, (), None)
-    wf, _, phi, psi = _weight_pair(w)
-    low = pearson_row(phi, psi)[-1][0] + (len(wf) == 1)
-    violations = [k for k in range(1, low) if not member(
-        op, t_monomial(QQ, k) - t_monomial(QQ, 0, MomentFunctional(w).moment(k)))[0]]
-    return EquivalenceReport(False, deg_bound + 1, tuple(violations), not violations)
+    return EquivalenceReport(False, deg_bound + 1, (), True)

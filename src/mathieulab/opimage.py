@@ -14,9 +14,10 @@ D(w t^n) = n phi t^(n-1) + psi t^n, whose coefficients are affine in n:
 one row of terms (`pearson_row`).  Eliminating the top term of f against
 the element that leads at its degree, top degree down, gives an exact
 normal form and an explicit witness.  The one membership rule: Im D
-is spanned by the leading elements, those whose top coefficient is nonzero,
-and at most one non-leading element, D(1) when w = 1 or D(w t^n*) where the
-top coefficient vanishes at an integer n* >= 0 (`member`).
+is spanned by the leading elements, those whose top coefficient is nonzero
+(D(1) = -lam t^d when w = 1), and at most one non-leading element D(w t^n*)
+where the top coefficient vanishes at an integer n* >= 0 (`member`).  Only
+`reduce` leaves D(1) out, as the paper's functional L0 (`lzero`) needs.
 
 All decisions are made over QQ, which decides solvability over any
 extension field too, and on integers: the pair's coefficients are integers
@@ -209,39 +210,45 @@ def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
     return Poly.from_ints(_pearson_form(phi, psi, g), q * h.den * sign)
 
 
-def _eliminate(pair, f: Poly) -> tuple[Poly, Poly, Optional[int]]:
-    """(normal form, witness, n): f modulo the leading elements of Im D.
+def _solve_row(row, num, extra=0) -> tuple[list, list, int]:
+    """`linalg.solve_band` on the numerators num for a row of `pearson_row`:
+    (y, r, scale).  Degree k takes the multiplier q y_k of the element that
+    leads there, n = k - e for the top's shift e, top degree down:
+    (lead_a + lead_b (k - e)) y_k = num_k - sum (a + b (k - j)) y_(k + e - j)
+    over the lower terms (j, a, b).  Degrees below e + extra keep r_k."""
+    *rest, (e, lead_a, lead_b) = row
+    return solve_band((lead_a - lead_b * e, lead_b), num,
+                      [(e - j, a - b * j, b) for j, a, b in rest], e + extra)
 
-    The leading elements are the D(w t^n) of `pearson_row` whose lead is
-    nonzero, n >= 1 for w = 1, and D(w t^n) leads at degree n + e, e the
-    top's shift.  Top degree down, degree k takes the multiplier q y_k:
-    (lead_a + lead_b (k - e)) y_k = f_k - sum (a + b (k - j)) y_(k + e - j)
-    over the lower terms (j, a, b), solved by `linalg.solve_band` on f's
-    numerators.  The normal form keeps the degrees below e (e + 1 for w = 1)
-    and n* + e where the lead vanishes; the witness is w g, g_n = q y_(n+e).
-    n indexes the non-leading element D(w t^n): 0 for w = 1, else n*, if any.
-    """
+
+def _eliminate(pair, f: Poly, extra=0) -> tuple[Poly, Poly, Optional[int]]:
+    """(normal form, witness, n*): f modulo the leading elements of Im D,
+    the D(w t^n) with n >= extra whose lead is nonzero (`_solve_row`).  The
+    normal form keeps the degrees below e + extra and n* + e, where the lead
+    vanishes at an integer n* >= 0 (None if none); the witness is w g,
+    g_n = q y_(n+e)."""
     w, q, phi, psi = pair
-    *rest, (e, lead_a, lead_b) = pearson_row(phi, psi)
-    y, r, scale = solve_band((lead_a - lead_b * e, lead_b), f.num,
-                             [(e - j, a - b * j, b) for j, a, b in rest], e + (len(w) == 1))
+    row = pearson_row(phi, psi)
+    e, lead_a, lead_b = row[-1]
+    y, r, scale = _solve_row(row, f.num, extra)
     den = f.den * scale
     g = [q * v for v in ([0] * -e + y if e < 0 else y[e:])]
-    vanishes = lead_b and not lead_a % lead_b and lead_a * lead_b <= 0  # at an integer n* >= 0
-    n = 0 if len(w) == 1 else -lead_a // lead_b if vanishes else None
+    vanishes = lead_b and not lead_a % lead_b and lead_a * lead_b <= 0
+    n = -lead_a // lead_b if vanishes else None
     return Poly.from_ints(r, den), Poly.from_ints(_zmul(w, g), den), n
 
 
 def reduce(op: OperatorSpec, f: Poly) -> ReductionResult:
-    """Exact normal form of f modulo the leading elements of Im D.
+    """Exact normal form of f modulo the leading elements of Im D but D(1).
 
     f = D(witness) + normal form, on the degrees no leading element leads
     (`_eliminate`): 1..t^d for lam != 0, the constants for Jacobi with both
-    parameters nonzero, and the degree where a lead vanishes.  For
-    alpha = 0, t^d = D(-1/lam) is the non-leading element of `member`.
+    parameters nonzero, and the degree where a lead vanishes.  For w = 1 and
+    lam != 0 it keeps t^d = D(-1/lam), the term the paper's L0 (`lzero`) reads.
     """
     _require_qq(f)
-    return ReductionResult(*_eliminate(pearson_pair(op), f)[:2], True)
+    pair = pearson_pair(op)
+    return ReductionResult(*_eliminate(pair, f, len(pair[0]) == 1)[:2], True)
 
 
 def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
@@ -254,6 +261,7 @@ def member(op: OperatorSpec, f: Poly) -> tuple[bool, Optional[Poly]]:
     reaches a degree that some element leads only for n >= 1, where the lead
     vanishes in the Jacobi family.  With alpha = -4, beta = 1 the lead of
     D((1 - t^2) t^n) vanishes at n = 1, and 1 = D((1 - t^2)(5 - t)) / 24.
+    For w = 1 and lam = 0, E = D(1) = 0.
     """
     _require_qq(f)
     pair = pearson_pair(op)

@@ -24,7 +24,7 @@ algebra:
   m in [D, 2D] (D = deg g), which `mathieu --full` still reports as
   `budget_used.window`.  The same argument applies to the sequence
   a^m * b, which makes the absorption condition behind the Mathieu
-  property exactly decidable per pair (a, b).
+  property exactly decidable per pair (a, b) (`definition_witness`).
 * the largest ideal inside V is the product of one ideal per block
   b_i = p_i^(m_i), generated by b_i / gcd(b_i, N_1, ..., N_r): N_r / b_i is
   the generating function of the sequence j -> lam_r(t^j mod b_i), whose
@@ -70,7 +70,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
@@ -96,11 +96,11 @@ from .opimage import OperatorSpec, member
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# largest t-degree of a power f^m that the power walks of radical_probe,
-# escape_exponent and definition_witness build, a constant f counting as
-# degree 1; the cost of a walk grows about fivefold per doubling of that
-# degree.  At the limit, walking f = 123/457*t + 511/997 through every power
-# on a space that contains them all takes 5.0 s, and t^2 against
+# largest t-degree of a power f^m that the power walks of radical_probe and
+# escape_exponent build, a constant f counting as degree 1; the cost of a
+# walk grows about fivefold per doubling of that degree.  At the limit,
+# walking f = 123/457*t + 511/997 through every power on a space that
+# contains them all takes 5.0 s, and t^2 against
 # mono:c=1,alpha=-1,lambda=1,d=1 0.5 s, on a 2-vCPU Xeon; larger
 # coefficients cost more
 MAX_POWER_DEGREE = 500
@@ -354,40 +354,41 @@ def atomic_space(points: Sequence, weights: Sequence) -> CofiniteSubspace:
 # radical probes and exact cofinite decisions
 # --------------------------------------------------------------------------
 
-def _check_power_degree(f: Poly, m: int) -> None:
-    if m * max(f.degree, 1) > MAX_POWER_DEGREE:
-        if f.degree < 1:
-            raise BadInput(f"f^{m} of a constant f is above the limit of "
-                           f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE} powers")
-        raise BadInput(f"f^{m} would have degree {m * f.degree}, above the limit "
-                       f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
-
-
 def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]:
     """(m, f^m) for the exponents in the order given, each power stepped from
-    the one before.  BadInput for an empty walk, for an exponent that is
-    negative or not above the one before, and before building f^m once
+    the one before.  BadInput before the first power for an empty window and
+    an exponent that is negative or not above the one before, read over the
+    first MAX_POWER_DEGREE + 2 exponents (an increasing window passes the
+    limit by then); and BadInput before building f^m once
     m * max(deg f, 1) > MAX_POWER_DEGREE (powers of a constant still grow)."""
-    power, prev = poly_one(QQ), None
-    for m in exponents:
+    window = list(islice(exponents, MAX_POWER_DEGREE + 2))
+    if not window:
+        raise BadInput("empty probe window")
+    for prev, m in zip([-1, *window], window):
         if m < 0:
             raise BadInput("window exponents must be non-negative")
-        if prev is not None and m <= prev:
+        if m <= prev:
             raise BadInput("window exponents must increase")
-        _check_power_degree(f, m)
-        power = power * f ** (m - (prev or 0))
+    power, prev = poly_one(QQ), 0
+    for m in window:
+        if m * max(f.degree, 1) > MAX_POWER_DEGREE:
+            if f.degree < 1:
+                raise BadInput(f"f^{m} of a constant f is above the limit of "
+                               f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE} powers")
+            raise BadInput(f"f^{m} would have degree {m * f.degree}, above the limit "
+                           f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+        power = power * f ** (m - prev)
         prev = m
         yield m, power
-    if prev is None:
-        raise BadInput("empty probe window")
 
 
 def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: Iterable[int]) -> bool:
     """Do all powers f^m for m in the window satisfy the oracle?
 
     This is a finite probe, not a proof of radical membership; callers
-    interpret it under their chosen window rule.  The window is read in order
-    and must increase; a power past the MAX_POWER_DEGREE limit is BadInput.
+    interpret it under their chosen window rule.  The window must increase
+    (checked before the first oracle call), and a power past the
+    MAX_POWER_DEGREE limit is BadInput.
     """
     return all(membership_oracle(power) for _, power in _power_walk(f, window))
 
@@ -535,19 +536,20 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
     return h, math.prod((r_i for _, r_i in radical_parts), start=poly_one(QQ)), live
 
 
-def definition_witness(membership_oracle: Callable[[Poly], bool], a: Poly, b: Poly,
-                       budget: int) -> Optional[int]:
-    """Smallest N <= budget with a^m * b inside V for every m in [N, budget].
-    The walk always runs to a^budget, so a budget past the MAX_POWER_DEGREE
-    limit is refused with BadInput before the first power."""
-    if budget < 1:
-        raise BadInput("budget must be at least 1")
-    _check_power_degree(a, budget)
-    last_out = 0
-    for m, power in _power_walk(a, range(1, budget + 1)):
-        if not membership_oracle(power * b):
+def definition_witness(space: CofiniteSubspace, a: Poly, b: Poly) -> Optional[int]:
+    """Smallest N >= 1 with a^m * b in V for every m >= N, None if there is
+    none; exact.  The a^m * b with m >= D = deg g lie where a acts invertibly,
+    on at most D dimensions, so each annihilator row reads them as a
+    recurrence of order at most D that also runs backwards: the steps
+    m in [D, 2D) decide whether any m >= D leaves V (module docstring)."""
+    power, last_out = space.mod(b), 0
+    for m in range(1, 2 * space.dim):
+        power = space.mod(power * a)
+        if not space.contains(power):
+            if m >= space.dim:
+                return None
             last_out = m
-    return None if last_out == budget else last_out + 1
+    return last_out + 1
 
 
 # --------------------------------------------------------------------------

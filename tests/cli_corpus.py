@@ -9,9 +9,11 @@ SHA-256 over the (exit code, stdout, stderr) of its requests in order.  Equal
 digests mean byte-identical replies.  The requests are built from the seed
 alone, with the standard library, so both commits answer the same requests:
 seeded valid and malformed requests of every subcommand, the README
-examples, and the operators whose image needs the non-leading element
-(Jacobi parameters with a vanishing lead, lam = 0, c = 0).  `verify-cert`
-reads the certificates that this run's `certify` requests printed.
+examples, the operators whose image needs the non-leading element
+(Jacobi parameters with a vanishing lead, lam = 0, c = 0), and 1, t and t^2
+under operators with witness factor w = 1, where D(1) is an image element.
+`verify-cert` reads the certificates that this run's `certify` requests
+printed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ README = (
     ("member", "--op", "jacobi:alpha=-2,beta=0", "--poly", "t"),
     ("reduce", "--op", "mono:c=1,alpha=1,lambda=0,d=0", "--poly", "t"),
 )
+# w = 1: D(1) = -lam t^d leads at degree d, or is 0 when lam = 0
+UNIT_FACTOR_OPS = ("mono:c=1,alpha=0,lambda=2,d=1", "mono:c=2,alpha=0,lambda=-1,d=0",
+                   "mono:c=1,alpha=0,lambda=0,d=2", "jacobi:alpha=0,beta=0")
+UNIT_FACTOR = tuple(
+    (name, "--op", op, "--poly", poly, *extra)
+    for name, extra in (("member", ()), ("reduce", ()), ("lzero", ()),
+                        ("escape", ("--budget", "3")), ("radical-probe", ("--window", "1:4")))
+    for op in UNIT_FACTOR_OPS for poly in ("1", "t", "t^2"))
 PER_COMMAND = 60
 
 
@@ -175,7 +185,8 @@ def _request(rng, name):
 def requests(seed: int = SEED) -> dict:
     """Subcommand -> list of argv; verify-cert is filled in by `run`."""
     rng = random.Random(seed)
-    out = {name: [list(argv) for argv in README if argv[0] == name] for name in SUBCOMMANDS}
+    out = {name: [list(argv) for argv in README + UNIT_FACTOR if argv[0] == name]
+           for name in SUBCOMMANDS}
     for name in SUBCOMMANDS:
         if name != "verify-cert":
             out[name] += [_request(rng, name) for _ in range(PER_COMMAND)]

@@ -5,7 +5,8 @@ the residue vector and the radical window on residues taken by
 radical window m in [D, 2D] on those integer residues, against radlab's
 Krylov test on the blocks where f is a unit; and the walk over all masks
 for the least zero-sum set of factors, against radlab's meet in the
-middle."""
+middle; and the power walk of `definition_witness` to a budget, against its
+exact test on the steps m < 2D."""
 
 import math
 from fractions import Fraction
@@ -166,3 +167,16 @@ def first_zero_sum_walk(vectors, live):
         if mask & live and not any(total):
             return mask
     return None
+
+
+def definition_witness_walk(membership_oracle, a, b, budget):
+    """radlab.definition_witness as the power walk to a budget decided it
+    before the exact test on a cofinite space: the smallest N <= budget with
+    a^m * b inside V for every m in [N, budget], None when a^budget * b is
+    not.  Exact only when the budget reaches past the last m that leaves V."""
+    last_out, power = 0, poly_one(QQ)
+    for m in range(1, budget + 1):
+        power = power * a
+        if not membership_oracle(power * b):
+            last_out = m
+    return None if last_out == budget else last_out + 1

@@ -191,7 +191,7 @@ def test_criterion_7_mathieu_engine():
         a, b = verdict.witness
         assert radical_member_cofinite(equal_values, a)
         assert not poly_divides(verdict.radical_iv_generator, a)
-        assert definition_witness(equal_values.contains, a, b, 4 * equal_values.dim) is None
+        assert definition_witness(equal_values, a, b) is None
         assert equal_values.mod(a * a) == equal_values.mod(a)  # powers stabilize
     print("criterion 7: PASS — atomic space exactly Mathieu, value-equality space refuted, both repeatable")
 

@@ -441,8 +441,7 @@ def test_weight_rows_match_the_hand_written_rows():
 def test_matched_operator_pair_is_the_weight_pair(monkeypatch, w):
     # equivalence_check rests on this: the matched operator's Pearson pair is
     # the weight's exactly when 1 is not in the image, and Laguerre alpha = 0
-    # and a zero Jacobi parameter are the only mismatches; the only moment
-    # it reads is Hermite's nu_1
+    # and a zero Jacobi parameter are the only mismatches; it reads no moment
     op = momlab.matched_operator(w)
     one_in_image = im_structure(op).one_in_image
     assert (pearson_pair(op) == momlab._weight_pair(w)) is not one_in_image
@@ -453,7 +452,7 @@ def test_matched_operator_pair_is_the_weight_pair(monkeypatch, w):
     rep = equivalence_check(w, op, 50)
     assert rep == EquivalenceReport(one_in_image, 0 if one_in_image else 51, (),
                                     None if one_in_image else True)
-    assert reads == ([1] if isinstance(w, HermiteWeight) else [])
+    assert reads == []
 
 
 def test_moment_index_limit_refuses_before_any_work():

@@ -493,9 +493,16 @@ def random_degenerate_case(rng):
     element, or one the earlier code refused.  Two-factor Jacobi with
     alpha + beta in -2..-9, integer or half-integer (n* = 0..7); one-factor
     Jacobi with the parameter in -1..-7; lam = 0 with and without a
-    vanishing lead; c = 0 with any alpha, lam and d."""
+    vanishing lead; c = 0 with any alpha, lam and d; and witness factor
+    w = 1, where D(1) leads: alpha = 0 with d = 0..3, c and lam zero or
+    not, and jacobi:alpha=0,beta=0."""
     family = rng.choice(("jacobi two-factor", "jacobi one-factor", "mono lam=0 vanishing",
-                         "mono lam=0", "mono c=0"))
+                         "mono lam=0", "mono c=0", "w = 1"))
+    if family == "w = 1":
+        if rng.random() < 0.2:
+            return family, JacobiOperator(0, 0)
+        return family, MonomialOperator(rng.choice((0, 1, 2, Fraction(-1, 2))), 0,
+                                        rng.choice((0, 1, -2, Fraction(3, 2))), rng.randint(0, 3))
     if family == "jacobi two-factor":
         total = -rng.randint(2, 9)
         alpha = Fraction(rng.randint(2 * total - 4, 4), rng.choice((1, 2)))
@@ -517,12 +524,16 @@ def random_degenerate_case(rng):
 
 def test_membership_rule_matches_linear_solve_on_degenerate_operators():
     """member, reduce, im_structure and escape against the linear solve on
-    the operators whose image needs the non-leading element."""
+    the operators whose image needs the non-leading element, and on those
+    with w = 1, where member eliminates D(1) and reduce keeps t^d."""
     rng = random.Random(3333)
     seen = set()
     for _ in range(300):
         family, op = random_degenerate_case(rng)
         assert im_structure(op).one_in_image == checked_member(op, poly_one()), op
+        if family == "w = 1" and isinstance(op, MonomialOperator) and op.lam:
+            rr = reduce(op, t_monomial(QQ, op.d))  # D(1) = -lam t^d is left out
+            assert rr.normal_form == t_monomial(QQ, op.d) and rr.witness.is_zero, op
         w = Poly.from_ints(pearson_pair(op)[0])
         for f in (rand_qq(rng, max_deg=5, height=5),
                   apply_operator(op, w * rand_qq(rng, max_deg=4, height=4)) + rand_qq(rng, 0, 3),
@@ -539,12 +550,13 @@ def test_membership_rule_matches_linear_solve_on_degenerate_operators():
             assert escape_exponent(op, f, 3) == want, (op, f)
     # members and non-members in every family but lam = 0 without a vanishing
     # lead, where every f is a member, and members whose normal form is
-    # nonzero: those that need the non-leading element
+    # nonzero: those that need the non-leading element, or D(1) for w = 1
     assert {(family, ok) for family, ok, _ in seen} == {
         (family, ok) for family in ("jacobi two-factor", "jacobi one-factor",
-                                    "mono lam=0 vanishing", "mono lam=0", "mono c=0")
+                                    "mono lam=0 vanishing", "mono lam=0", "mono c=0", "w = 1")
         for ok in (False, True)} - {("mono lam=0", False)}
-    assert ("jacobi two-factor", True, True) in seen and ("mono c=0", True, True) in seen
+    assert {("jacobi two-factor", True, True), ("mono c=0", True, True),
+            ("w = 1", True, True)} <= seen
 
 
 # -- cross-oracle: the Pearson pair against the hand-written table and operator --

@@ -51,6 +51,7 @@ from mathieulab.radlab import (
 
 from linalg_oracle import nullspace, solve_linear
 from radlab_oracle import (
+    definition_witness_walk,
     divmod_radical_member_cofinite,
     divmod_residue_vec,
     first_zero_sum_walk,
@@ -226,13 +227,19 @@ def test_radical_probe_examples():
     # (2t-1)^2 has value sum 1 + 1 = 2 at {0, 1}
     assert not radical_probe(VALUE_SUM.contains, parse_poly("2*t - 1"), range(1, 3))
     assert radical_probe(VALUE_SUM.contains, poly_zero(), range(1, 3))
-    with pytest.raises(BadInput):
-        radical_probe(VALUE_SUM.contains, poly_one(), [])
-    with pytest.raises(BadInput, match="^window exponents must be non-negative$"):
-        radical_probe(lambda p: True, poly_one(), [-1, 2])
-    for window in ([2, 2], [3, 1]):
-        with pytest.raises(BadInput, match="^window exponents must increase$"):
-            radical_probe(lambda p: True, poly_one(), window)
+    # a malformed window is refused before the first oracle call, so an
+    # accepting and a rejecting oracle get the same answer
+    asked = []
+    for accepts in (lambda p: True, VALUE_SUM.contains):
+        oracle = lambda p, accepts=accepts: asked.append(p) or accepts(p)  # noqa: E731
+        with pytest.raises(BadInput, match="^empty probe window$"):
+            radical_probe(oracle, poly_one(), [])
+        with pytest.raises(BadInput, match="^window exponents must be non-negative$"):
+            radical_probe(oracle, poly_one(), [-1, 2])
+        for window in ([2, 2], [3, 1], [1, 5, 4]):
+            with pytest.raises(BadInput, match="^window exponents must increase$"):
+                radical_probe(oracle, poly_one(), window)
+    assert asked == []
 
 
 def test_escape_exponent_examples():
@@ -277,7 +284,6 @@ def test_power_walks_are_bounded_for_constants_windows_and_witnesses(capsys):
         lambda: radical_probe(lambda p: True, t, window()),
         lambda: radical_probe(lambda p: True, c, range(1, 10 ** 9)),
         lambda: escape_exponent(MonomialOperator(1, 0, 0, 0), c, 4000),
-        lambda: definition_witness(lambda p: True, parse_poly("3/7*t + 5/11"), poly_one(), 700),
     ]
     for case in cases:
         start = time.perf_counter()
@@ -431,12 +437,53 @@ def test_degenerate_parameter_membership_suite():
 
 
 def test_definition_witness_examples():
-    op = MonomialOperator(1, -1, 1, 1)
-    oracle = lambda p: member(op, p)[0]  # noqa: E731
-    assert definition_witness(oracle, parse_poly("t^2"), poly_one(), 15) == 1
-    assert definition_witness(oracle, parse_poly("t^2"), parse_poly("t"), 15) is None
     ideal = CofiniteSubspace([(parse_poly("t"), 1)], [])
-    assert definition_witness(ideal.contains, parse_poly("t"), parse_poly("7*t^3 - 1"), 10) == 1
+    assert definition_witness(ideal, parse_poly("t"), parse_poly("7*t^3 - 1")) == 1
+    assert definition_witness(ideal, poly_one(), parse_poly("t - 1")) is None
+    # (2t - 1)^m is -1 at 0 and 1 at 1, so m must be even: never from some N on
+    assert definition_witness(VALUE_EQUAL, parse_poly("2*t - 1"), poly_one()) is None
+    # t^m (t - 2) has values 0 and -1 at {0, 1}: outside the value-sum space for every m
+    assert definition_witness(VALUE_SUM, parse_poly("t"), parse_poly("t - 2")) is None
+    # V = {f : f(1) = 0, f''(0) = 0} modulo t^3 (t - 1), spanned by t - 1 and
+    # t^3 - 1: t^m (t - 1) has t^2-coefficient 1, -1, 0, 0, ... for m = 1, 2, ...
+    space = coefficient_space([(parse_poly("t"), 3), (parse_poly("t - 1"), 1)],
+                              [[-1, 1], [-1, 0, 0, 1]])
+    b = parse_poly("t - 1")
+    assert [space.contains(t_monomial(QQ, m) * b) for m in range(1, 6)] == [
+        False, False, True, True, True]
+    assert definition_witness(space, parse_poly("t"), b) == 3
+
+
+def test_definition_witness_matches_the_power_walk():
+    """The exact test against the walk it replaced, on seeded (space, a, b)
+    over seven spaces with multiplicity and t^2 + 1 blocks, and two budgets
+    past 2D: the answers agree where the walk's last failure
+    is below D, and where it is not, the exact answer is None."""
+    rng = random.Random(2400)
+    t = parse_poly("t")
+    spaces = [VALUE_SUM, VALUE_EQUAL, atomic_space([0, 1, 2], [1, -2, 1]),
+              CofiniteSubspace([(t, 2), (parse_poly("t - 1"), 1)], [[0, 1, 0], [1, 0, -1]]),
+              CofiniteSubspace([(parse_poly("t^2 + 1"), 1), (parse_poly("t + 2"), 2)],
+                               [[1, 0, 0, 1], [0, 1, 1, 0]]),
+              CofiniteSubspace([(parse_poly("t^2 + 1"), 2)], [[1, 0, 2, 0], [0, 1, 0, -1]]),
+              coefficient_space([(t, 3), (parse_poly("t - 1"), 1)], [[-1, 1], [-1, 0, 0, 1]])]
+    answers = set()
+    for space in spaces:
+        d = space.dim
+        for _ in range(60):
+            a = qq_poly([rng.randint(-2, 2) for _ in range(rng.randint(1, d + 1))])
+            if rng.random() < 0.5:  # nilpotent on a block
+                a = a * rng.choice(space.factors)[0]
+            b = qq_poly([rng.randint(-2, 2) for _ in range(rng.randint(1, d))])
+            got = definition_witness(space, a, b)
+            answers.add(got)
+            for budget in (3 * d, 4 * d + 1):
+                walked = definition_witness_walk(space.contains, a, b, budget)
+                if got is None:
+                    assert walked is None or walked > d, (space.to_dict(), a, b)
+                else:
+                    assert walked == got, (space.to_dict(), a, b, budget)
+    assert answers == {None, 1, 2, 3}, answers
 
 
 # -- Mathieu verdicts -----------------------------------------------------
@@ -457,7 +504,7 @@ def test_mathieu_value_equality_space_refuted():
     assert radical_member_cofinite(VALUE_EQUAL, a)
     assert not poly_divides(verdict.radical_iv_generator, a)
     # and the absorption property fails on a doubled finite budget
-    assert definition_witness(VALUE_EQUAL.contains, a, b, 4 * VALUE_EQUAL.dim) is None
+    assert definition_witness(VALUE_EQUAL, a, b) is None
     # structural stabilization: powers of a are eventually constant mod g
     second = VALUE_EQUAL.mod(a * a)
     assert second == VALUE_EQUAL.mod(a)
