@@ -153,17 +153,17 @@ def _cmd_radical_probe(args):
     sources = [s for s in (args.space, args.op, args.weight) if s]
     if len(sources) != 1:
         raise BadInput("give exactly one of --space, --op, --weight")
+    # the space, operator or weight is parsed before the window, so its error wins
     if args.space:
-        space = _space_from_arg(args.space)
-        oracle = space.contains
+        probe = functools.partial(radlab.radical_probe_space, _space_from_arg(args.space))
     elif args.op:
         op = parse_operator(args.op)
-        oracle = lambda p: opimage.member(op, p)[0]  # noqa: E731
+        probe = functools.partial(radlab.radical_probe, lambda p: opimage.member(op, p)[0])
     else:
         w = parse_weight(args.weight)
-        oracle = lambda p: momlab.vb_member(w, p)  # noqa: E731
+        probe = functools.partial(radlab.radical_probe, lambda p: momlab.vb_member(w, p))
     window = _parse_window(args.window)
-    holds = radlab.radical_probe(oracle, f, window)
+    holds = probe(f, window)
     return {"holds": holds, "window": [window.start, window.stop - 1]}, not holds
 
 

@@ -55,13 +55,19 @@ these are plain point evaluations.  They are coordinates of QQ[t]/(g) only
 when the factors are pairwise coprime, which the constructor checks.
 
 Integer residue vectors: each annihilator row is stored times the lcm of
-its denominators, and the two inner loops (the radical Krylov test and the
-witness search) step integer vectors that are a known positive multiple of
-the residue vector they stand for: one common factor per step, shared by
-every block.  Every membership test is lam . v = 0, and a positive factor on
-lam or on v does not change whether that holds, so the loops decide exactly
-what they would decide on rationals.  They call corealg at most twice per
-block to set up (integer pseudo-divisions), not once per step.
+its denominators, and the inner loops step integer vectors that are a known
+positive multiple of the residue vector they stand for: one common factor
+per step, shared by every block.  One walk, `_krylov`, steps s f^m for
+m = 0, 1, ... from integer matrices of multiplication by f on the blocks.
+Three callers share it: the radical Krylov test `radical_member_cofinite`
+(s = e_S), the absorption test `definition_witness` (s = b, f = a) and the
+window probe `radical_probe_space` (s = 1).  The witness search of
+`mathieu_check` steps e_S t^j by the companion shift alone.  Every
+membership test is lam . v = 0, and a positive factor on lam or on v does
+not change whether that holds, so the loops decide exactly what they would
+decide on rationals.  They call corealg at most twice per block to set up
+(integer pseudo-divisions), not once per step, and no cofinite question
+about powers builds a Poly power.
 """
 
 from __future__ import annotations
@@ -96,13 +102,15 @@ from .opimage import OperatorSpec, member
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# largest t-degree of a power f^m that the power walks of radical_probe and
-# escape_exponent build, a constant f counting as degree 1; the cost of a
-# walk grows about fivefold per doubling of that degree.  At the limit,
-# walking f = 123/457*t + 511/997 through every power on a space that
-# contains them all takes 5.0 s, and t^2 against
-# mono:c=1,alpha=-1,lambda=1,d=1 0.5 s, on a 2-vCPU Xeon; larger
-# coefficients cost more
+# largest t-degree of a power f^m that the power walks of radical_probe,
+# radical_probe_space and escape_exponent reach, a constant f counting as
+# degree 1.  radical_probe and escape_exponent build f^m, and their cost
+# grows about fivefold per doubling of that degree: at the limit, walking
+# f = 123/457*t + 511/997 through every power takes 5.2 s under
+# mono:c=1,alpha=0,lambda=0,d=0, whose image holds them all, and t^2 under
+# mono:c=1,alpha=-1,lambda=1,d=1 0.07 s.  radical_probe_space steps residues
+# and builds no power; it walks the first f on a space holding every power
+# in 0.004 s, on a 2-vCPU Xeon.  Larger coefficients cost more
 MAX_POWER_DEGREE = 500
 
 # largest degree D = sum of deg(p) * m over the modulus factors (p, m) of a
@@ -354,14 +362,14 @@ def atomic_space(points: Sequence, weights: Sequence) -> CofiniteSubspace:
 # radical probes and exact cofinite decisions
 # --------------------------------------------------------------------------
 
-def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]:
-    """(m, f^m) for the exponents in the order given, each power stepped from
-    the one before.  BadInput before the first power for an empty window and
-    an exponent that is negative or not above the one before, read over the
+def _exponents(f: Poly, window: Iterable[int]) -> Iterator[int]:
+    """The window's exponents in the order given, for a walk over the powers
+    of f.  BadInput before the first exponent for an empty window and an
+    exponent that is negative or not above the one before, read over the
     first MAX_POWER_DEGREE + 2 exponents (an increasing window passes the
-    limit by then); and BadInput before building f^m once
+    limit by then); and BadInput before yielding m once
     m * max(deg f, 1) > MAX_POWER_DEGREE (powers of a constant still grow)."""
-    window = list(islice(exponents, MAX_POWER_DEGREE + 2))
+    window = list(islice(window, MAX_POWER_DEGREE + 2))
     if not window:
         raise BadInput("empty probe window")
     for prev, m in zip([-1, *window], window):
@@ -369,7 +377,6 @@ def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]
             raise BadInput("window exponents must be non-negative")
         if m <= prev:
             raise BadInput("window exponents must increase")
-    power, prev = poly_one(QQ), 0
     for m in window:
         if m * max(f.degree, 1) > MAX_POWER_DEGREE:
             if f.degree < 1:
@@ -377,9 +384,53 @@ def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]
                                f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE} powers")
             raise BadInput(f"f^{m} would have degree {m * f.degree}, above the limit "
                            f"MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+        yield m
+
+
+def _power_walk(f: Poly, exponents: Iterable[int]) -> Iterator[tuple[int, Poly]]:
+    """(m, f^m) for the exponents checked by `_exponents`, each power stepped
+    from the one before."""
+    power, prev = poly_one(QQ), 0
+    for m in _exponents(f, exponents):
         power = power * f ** (m - prev)
         prev = m
         yield m, power
+
+
+def _krylov(space: CofiniteSubspace, residues: Iterable[tuple[list[int], int]],
+            start: Sequence[Optional[list[int]]]) -> Iterator[list[int]]:
+    """Integer vectors w_0, w_1, ..., each w_m a positive multiple of the
+    residue vector of s f^m.
+
+    residues holds r_i = f mod b_i per block, as `_block_residue` reads it,
+    and start the residues of s per block, all over one common denominator,
+    or None where s is 0 (r_i is not used there).  The columns t^j r_i mod
+    b_i form the matrix of multiplication by f on block i.  They are stepped
+    on integer numerators by the companion shift, each over its own
+    denominator brought to lowest terms, and den, the lcm of those
+    denominators, makes den times each matrix an integer matrix N_i.  So
+    w_m = N_i w_(m-1) on each block is den^m times the residue of s f^m over
+    the start's denominator: one positive factor per step, shared by every
+    block, which leaves each test lam . w = 0 unchanged.
+    """
+    blocks, vecs = [], []
+    for (col, col_den), block, s in zip(residues, space._blocks, start):
+        vecs.append(s or [0] * len(col))
+        cols = []  # column j is t^j r mod the block, as (numerators, denominator)
+        for j in range(len(col) if s else 0):
+            if j:  # the monic block is num / den, so num[:-1] is den times its low part
+                col, col_den = _times_t(col, block.num[:-1], block.den), col_den * block.den
+            g = math.gcd(col_den, *col)
+            cols.append(([x // g for x in col], col_den // g))
+        blocks.append(cols)
+    den = math.lcm(*(c for cols in blocks for _, c in cols))
+    # N_i row by row: row k holds den times coefficient k of each column
+    mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
+            for cols in blocks]
+    while True:
+        yield [x for v in vecs for x in v]
+        vecs = [[sum(a * x for a, x in zip(row, v)) for row in mat] if mat else v
+                for mat, v in zip(mats, vecs)]
 
 
 def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: Iterable[int]) -> bool:
@@ -391,6 +442,19 @@ def radical_probe(membership_oracle: Callable[[Poly], bool], f: Poly, window: It
     MAX_POWER_DEGREE limit is BadInput.
     """
     return all(membership_oracle(power) for _, power in _power_walk(f, window))
+
+
+def radical_probe_space(space: CofiniteSubspace, f: Poly, window: Iterable[int]) -> bool:
+    """radical_probe(space.contains, f, window), decided on residue vectors.
+
+    The residues of f^m are stepped from those of 1 by `_krylov` and no
+    power is built; the window is checked by the same `_exponents`, so the
+    refusals come at the same exponent with the same message.
+    """
+    ones = [[1] + [0] * (block.degree - 1) for block in space._blocks]
+    walk = enumerate(_krylov(space, (_block_residue(f, b) for b in space._blocks), ones))
+    return all(space.contains_vec(next(v for j, v in walk if j == m))
+               for m in _exponents(f, window))
 
 
 def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
@@ -417,53 +481,23 @@ def radical_member_cofinite(space: CofiniteSubspace, f: Poly) -> bool:
     This decides what the window m in [D, 2D] of the module docstring
     decides, in at most L + dim_S - 1 <= 2D steps and dim_S <= D tests.
 
-    The powers are taken block by block on integer residue vectors.  Each
-    r_i is read on integers by `_block_residue`, as `residue_vec` reads it,
-    with no Poly built: r_i = R / (s f.den); p_i | r_i is R = 0 when
-    m_i = 1 and one `_zdivmod` by p_i otherwise.  On the blocks of S the
-    columns t^j r_i mod b_i form the matrix of multiplication by f.  They
-    are stepped on integer numerators by the companion shift, each over its
-    own denominator brought to lowest terms, and den, the lcm of those
-    denominators, makes den times each matrix an integer matrix N_i.  From
-    the residue of 1, w_j = N_i w_(j-1) is den^j times the residue vector
-    of e_S f^j, and since every test is lam . w = 0 on the coordinates of
-    S, the positive factor den^j leaves each verdict unchanged.  For split
-    moduli the residues r_i are the values f(a_i).
+    Each r_i is read once on integers by `_block_residue`, as `residue_vec`
+    reads it, with no Poly built: p_i | r_i is R = 0 when m_i = 1 and one
+    `_zdivmod` by p_i otherwise.  The vectors e_S f^j are stepped from e_S
+    by `_krylov`.  For split moduli the residues r_i are the values f(a_i).
     """
-    blocks, lam_cols = [], []
-    first = 0  # L, the first exponent tested
-    for (p, m), block, start in zip(space.factors, space._blocks, space._starts):
-        col, col_den = _block_residue(f, block)
+    residues = [_block_residue(f, block) for block in space._blocks]
+    start, first, dim_s = [], 0, 0  # e_S on the blocks of S; L; dim_S
+    for (p, m), block, (col, _) in zip(space.factors, space._blocks, residues):
         if not any(col if m == 1 else _zdivmod(col, p.num)[1]):
-            continue  # p_i | r_i: f is nilpotent on this block
+            start.append(None)  # p_i | r_i: f is nilpotent on this block
+            continue
         if p in space.unverified_factors:
             first = max(first, block.degree)
-        # the monic block is num / den, so num[:-1] is den times its low part
-        n, low, scale = block.degree, block.num[:-1], block.den
-        cols = []  # column j is t^j r mod the block, as (numerators, denominator)
-        for j in range(n):
-            if j:
-                col, col_den = _times_t(col, low, scale), col_den * scale
-            g = math.gcd(col_den, *col)
-            cols.append(([x // g for x in col], col_den // g))
-        blocks.append(cols)
-        lam_cols.extend(range(start, start + n))
-    den = math.lcm(*(c for cols in blocks for _, c in cols))
-    # N_i row by row: row k holds den times coefficient k of each column
-    mats = [[list(row) for row in zip(*([x * (den // c) for x in col] for col, c in cols))]
-            for cols in blocks]
-    # the annihilator rows on the coordinates of S
-    lams = [[lam[k] for k in lam_cols] for lam in space._ann]
-    powers = [[1] + [0] * (len(mat) - 1) for mat in mats]
-    for j in range(first + len(lam_cols)):
-        if j:
-            powers = [[sum(a * x for a, x in zip(row, w)) for row in mat]
-                      for mat, w in zip(mats, powers)]
-        if j >= first:
-            vec = [x for w in powers for x in w]
-            if any(sum(l * v for l, v in zip(lam, vec)) for lam in lams):
-                return False
-    return True
+        start.append([1] + [0] * (len(col) - 1))
+        dim_s += len(col)
+    return all(map(space.contains_vec,
+                   islice(_krylov(space, residues, start), first, first + dim_s)))
 
 
 def escape_exponent(op: OperatorSpec, f: Poly, budget: int) -> Optional[int]:
@@ -541,11 +575,19 @@ def definition_witness(space: CofiniteSubspace, a: Poly, b: Poly) -> Optional[in
     none; exact.  The a^m * b with m >= D = deg g lie where a acts invertibly,
     on at most D dimensions, so each annihilator row reads them as a
     recurrence of order at most D that also runs backwards: the steps
-    m in [D, 2D) decide whether any m >= D leaves V (module docstring)."""
-    power, last_out = space.mod(b), 0
-    for m in range(1, 2 * space.dim):
-        power = space.mod(power * a)
-        if not space.contains(power):
+    m in [D, 2D) decide whether any m >= D leaves V (module docstring).
+
+    The residues of a^m * b are stepped from b's by `_krylov`; b's block
+    residues are brought to one common denominator first, so that the
+    start is one positive multiple of b's residue vector on every block.
+    """
+    residues = [_block_residue(b, block) for block in space._blocks]
+    den = math.lcm(*(d for _, d in residues))
+    start = [[x * (den // d) for x in rem] if any(rem) else None for rem, d in residues]
+    walk = _krylov(space, [_block_residue(a, block) for block in space._blocks], start)
+    last_out = 0
+    for m, vec in enumerate(islice(walk, 1, 2 * space.dim), 1):
+        if not space.contains_vec(vec):
             if m >= space.dim:
                 return None
             last_out = m

@@ -11,7 +11,9 @@ alone, with the standard library, so both commits answer the same requests:
 seeded valid and malformed requests of every subcommand, the README
 examples, the operators whose image needs the non-leading element
 (Jacobi parameters with a vanishing lead, lam = 0, c = 0), and 1, t and t^2
-under operators with witness factor w = 1, where D(1) is an image element.
+under operators with witness factor w = 1, where D(1) is an image element,
+and `radical-probe --space` windows of 250 and 500 powers, one past the
+power limit and one with both the space and the window malformed.
 `verify-cert` reads the certificates that this run's `certify` requests
 printed.
 """
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 
 SEED = 3333
 SUBCOMMANDS = (
@@ -60,6 +63,23 @@ UNIT_FACTOR = tuple(
     for name, extra in (("member", ()), ("reduce", ()), ("lzero", ()),
                         ("escape", ("--budget", "3")), ("radical-probe", ("--window", "1:4")))
     for op in UNIT_FACTOR_OPS for poly in ("1", "t", "t^2"))
+# radical-probe --space over long windows: 16 split points +-1..+-8 with
+# paired weights +-(k^2 + 1), where every even f lies in rad(V), and the
+# space of all residues mod t (t - 1), walked to the power limit and past it
+_POINTS = [*range(1, 9), *range(-1, -9, -1)]
+_WEIGHTS = [k * k + 1 for k in range(1, 9)] + [-(k * k + 1) for k in range(1, 9)]
+PAIRED = json.dumps({
+    "modulus": [[f"t - {p}" if p > 0 else f"t + {-p}", 1] for p in _POINTS],
+    "vbar_basis": [[str(Fraction(-w, _WEIGHTS[0]))] + [int(i == j) for i in range(1, 16)]
+                   for j, w in enumerate(_WEIGHTS[1:], 1)]})
+WHOLE = '{"modulus":[["t",1],["t - 1",1]],"vbar_basis":[[1,0],[0,1]]}'
+SPACE_PROBES = tuple(
+    ("radical-probe", "--space", space, "--poly", poly, "--window", window)
+    for space, poly, window in (
+        (PAIRED, "t^2 + 1", "0:250"), (PAIRED, "123/457*t^2 + 511/997", "0:250"),
+        (WHOLE, "123/457*t + 511/997", "1:500"), (WHOLE, "123/457*t + 511/997", "1:501"),
+        (WHOLE, "3/7", "1:501"),
+        ('{"modulus":[["t",1]],"vbar_basis":5}', "t", "a:b")))  # the space error wins
 PER_COMMAND = 60
 
 
@@ -185,7 +205,7 @@ def _request(rng, name):
 def requests(seed: int = SEED) -> dict:
     """Subcommand -> list of argv; verify-cert is filled in by `run`."""
     rng = random.Random(seed)
-    out = {name: [list(argv) for argv in README + UNIT_FACTOR if argv[0] == name]
+    out = {name: [list(argv) for argv in README + UNIT_FACTOR + SPACE_PROBES if argv[0] == name]
            for name in SUBCOMMANDS}
     for name in SUBCOMMANDS:
         if name != "verify-cert":

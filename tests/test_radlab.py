@@ -47,6 +47,7 @@ from mathieulab.radlab import (
     mathieu_check,
     radical_member_cofinite,
     radical_probe,
+    radical_probe_space,
 )
 
 from linalg_oracle import nullspace, solve_linear
@@ -456,7 +457,8 @@ def test_definition_witness_examples():
 
 def test_definition_witness_matches_the_power_walk():
     """The exact test against the walk it replaced, on seeded (space, a, b)
-    over seven spaces with multiplicity and t^2 + 1 blocks, and two budgets
+    over ten spaces with multiplicity and t^2 + 1 blocks, blocks t - 1/2 and
+    t^2 - 1/3 and atomic points k/3 and k/2, and two budgets
     past 2D: the answers agree where the walk's last failure
     is below D, and where it is not, the exact answer is None."""
     rng = random.Random(2400)
@@ -466,15 +468,31 @@ def test_definition_witness_matches_the_power_walk():
               CofiniteSubspace([(parse_poly("t^2 + 1"), 1), (parse_poly("t + 2"), 2)],
                                [[1, 0, 0, 1], [0, 1, 1, 0]]),
               CofiniteSubspace([(parse_poly("t^2 + 1"), 2)], [[1, 0, 2, 0], [0, 1, 0, -1]]),
-              coefficient_space([(t, 3), (parse_poly("t - 1"), 1)], [[-1, 1], [-1, 0, 0, 1]])]
+              coefficient_space([(t, 3), (parse_poly("t - 1"), 1)], [[-1, 1], [-1, 0, 0, 1]]),
+              # monic blocks with non-integer coefficients: each block residue
+              # comes over its own denominator
+              CofiniteSubspace([(parse_poly("t - 1/2"), 2), (parse_poly("t^2 - 1/3"), 1)],
+                               [[1, 0, 0, 1], [0, 1, 2, 0]]),
+              atomic_space([Fraction(k, 3) for k in (-4, -1, 1, 2, 5)], [1, -2, 3, -1, 2]),
+              atomic_space([Fraction(k, 3) for k in (-2, 1, 4)] + [Fraction(1, 2), Fraction(-3, 2)],
+                           [2, 1, -1, -2, 3])]
     answers = set()
-    for space in spaces:
+    for index, space in enumerate(spaces):
         d = space.dim
         for _ in range(60):
             a = qq_poly([rng.randint(-2, 2) for _ in range(rng.randint(1, d + 1))])
             if rng.random() < 0.5:  # nilpotent on a block
                 a = a * rng.choice(space.factors)[0]
             b = qq_poly([rng.randint(-2, 2) for _ in range(rng.randint(1, d))])
+            if index >= 7 and rng.random() < 0.5:
+                # b in V, past the degree of g, so that each block reads its
+                # residue over another denominator; a a unit mod g half the time
+                coeffs = [rng.randint(-2, 2) for _ in space._basis]
+                vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*space._basis)]
+                b = (residue_lift(space, crt_idempotents(space), vec)
+                     + space.modulus * qq_poly([rng.randint(-2, 2), rng.randint(1, 2)]))
+                if rng.random() < 0.5:
+                    a = space.modulus * qq_poly([rng.randint(-2, 2)]) + qq_poly([rng.randint(1, 3)])
             got = definition_witness(space, a, b)
             answers.add(got)
             for budget in (3 * d, 4 * d + 1):
@@ -1391,6 +1409,91 @@ def test_radical_decision_at_the_modulus_degree_limit():
         assert got == expected == window_radical_member_cofinite(space, f), (space.to_dict(), str(f))
 
 
+def poly_walk_outcome(space, f, window):
+    """(verdict or BadInput message, oracle calls) of the Poly walk through
+    space.contains."""
+    asked = []
+
+    def oracle(power):
+        asked.append(power)
+        return space.contains(power)
+
+    try:
+        return radical_probe(oracle, f, window), len(asked)
+    except BadInput as exc:
+        return str(exc), len(asked)
+
+
+def space_probe_outcome(space, f, window):
+    try:
+        return radical_probe_space(space, f, window)
+    except BadInput as exc:
+        return str(exc)
+
+
+def test_space_probe_matches_the_poly_walk():
+    """radical_probe_space against the Poly walk through space.contains, on
+    seeded spaces with split, non-split, rational, multiplicity and trusted
+    quartic blocks.  f is 0, a constant, nilpotent on some blocks, dense or
+    a planted member of rad(V).  Windows start at 0, have gaps, or reach
+    past MAX_POWER_DEGREE, where both must return False at the same earlier
+    exponent or give the same refusal; malformed windows get the same
+    refusal too."""
+    rng = random.Random(3501)
+    limit = radlab.MAX_POWER_DEGREE
+    cases = ([(space, None) for space in random_spaces(3502, 24) + split_codim2_spaces(3503, 8)]
+             + rational_block_spaces(3504, 12) + window_residue_spaces(3505, 8)
+             + [(space, None) for space in trusted_quartic_spaces(3506, 6)
+                + trusted_square_spaces(3507, 4)])
+    seen = set()
+    for k, (space, member) in enumerate(cases):
+        parts = [p for p, _ in space.factors if rng.random() < 0.5] or [space.factors[0][0]]
+        candidates = [
+            poly_zero(),
+            qq_poly([Fraction(rng.choice((-9, -2, -1, 1, 3, 7)), rng.randint(1, 9))]),
+            prod(parts, start=poly_one()) * qq_poly([rng.randint(1, 3), rng.randint(-2, 2)]),
+            qq_poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(2, space.dim + 2))]),
+        ]
+        if member is not None:
+            candidates.append(member)
+        for f in candidates:
+            top = limit // max(f.degree, 1)  # the last exponent below the limit
+            windows = [range(rng.randint(1, 2 * space.dim + 2)),
+                       sorted(rng.sample(range(3 * space.dim + 3), rng.randint(1, space.dim + 1)))]
+            if k % 3 == 0 or f.degree < 1:  # the Poly walk to the limit is slow
+                windows.append(sorted(rng.sample(range(1, 2 * space.dim + 2), 3))
+                               + [top - rng.randint(0, 2), top + 1])
+            for window in windows:
+                expected, asked = poly_walk_outcome(space, f, window)
+                assert space_probe_outcome(space, f, window) == expected, (
+                    space.to_dict(), str(f), window)
+                if expected is False:  # the space walk fails at the same exponent
+                    assert radical_probe_space(space, f, window[:asked]) is False
+                    assert asked == 1 or radical_probe_space(space, f, window[:asked - 1])
+                    seen.add(("False", window[-1] > top))
+                else:
+                    seen.add(expected if expected is True else expected.split(" ")[1])
+        for window in ([], [-1, 2], [2, 2], [3, 1], [1, 5, 4]):
+            expected, asked = poly_walk_outcome(space, candidates[-1], window)
+            assert asked == 0 and space_probe_outcome(space, candidates[-1], window) == expected
+            seen.add(expected)
+    assert {True, ("False", False), ("False", True), "would", "of", "empty probe window",
+            "window exponents must be non-negative", "window exponents must increase"} <= seen, seen
+
+
+def test_space_probe_to_the_limit_is_fast():
+    space = CofiniteSubspace.from_dict({"modulus": [["t", 1], ["t - 1", 1]],
+                                        "vbar_basis": [[1, 0], [0, 1]]})
+    f = parse_poly("123/457*t + 511/997")
+    start = time.perf_counter()
+    assert radical_probe_space(space, f, range(1, 501))
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(BadInput, match=re.escape("f^501 would have degree 501")):
+        radical_probe_space(space, f, range(1, 502))
+    assert time.perf_counter() - start < 1.0
+
+
 class CallCounter:
     """Call counts of wrapped functions; calls made inside a paused function
     are not counted."""
@@ -1426,6 +1529,7 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
     monkeypatch.setattr(radlab, "_zdivmod", counter.count("_zdivmod", radlab._zdivmod))
     monkeypatch.setattr(radlab, "_times_t", counter.count("_times_t", radlab._times_t))
     monkeypatch.setattr(Poly, "__mul__", counter.count("mul", Poly.__mul__))
+    monkeypatch.setattr(CofiniteSubspace, "mod", counter.count("mod", CofiniteSubspace.mod))
     # (t^2 + 1)^3 (t - 2)^2: f is nilpotent on both blocks, so no block is
     # stepped; the repeated blocks take a second pseudo-division each
     repeated = CofiniteSubspace([(parse_poly("t^2 + 1"), 3), (parse_poly("t - 2"), 2)],
@@ -1437,8 +1541,20 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
         assert counter.counts.get("_zdivmod", 0) <= 2 * len(s._blocks)
         assert counter.counts.get("divmod", 0) == 0
         assert counter.counts.get("mul", 0) == 0
+        assert counter.counts.get("mod", 0) == 0
     assert "_times_t" not in counter.counts
     assert counter.counts["_zdivmod"] == 4
+    # the window probe and the absorption test step residues too, with no
+    # Poly power, product, division or reduction mod g, on a space that
+    # holds every power and on ones that do not
+    whole = CofiniteSubspace(space.factors, [[int(i == j) for i in range(12)] for j in range(12)])
+    cases = [(s, g) for s in (space, whole) for g in (f, poly_one(), f * f)]
+    for s, g in cases + [(repeated, nilpotent)]:
+        counter.counts.clear()
+        assert radical_probe_space(s, g, [0, 3, 4, 9, 17]) == (s is whole)
+        definition_witness(s, g, f)
+        definition_witness(s, f, g)
+        assert not {"divmod", "mul", "mod"} & set(counter.counts), counter.counts
     # the witness loop and the sanity test on r make no Poly division, and
     # e_S is formed once
     monkeypatch.setattr(radlab, "_interior_ideal",
