@@ -31,11 +31,11 @@ monic integer divisor divides the numerators with no scaling at all, and
 any other divisor first loses its content and then multiplies each
 remainder coefficient by the powers of its leading coefficient only when
 the loop reaches it, so the work stays one multiply per divisor term and
-step however many steps there are.  Gcds and squarefree parts run the
-primitive remainder sequence (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 6) on the numerators.
+step however many steps there are.  Gcds, extended gcds and squarefree
+parts run the primitive remainder sequence (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 6) on the numerators.
 
-Text format (whitespace-insensitive)::
+Text format (whitespace-insensitive; digits and spaces are ASCII)::
 
     poly := ['-'] term (('+'|'-') term)* ;  term := coeff ('*'? mono)? | mono ;
     mono := 'x' ('^' uint)? ('*' 't' ('^' uint)?)? | 't' ('^' uint)? ;
@@ -292,6 +292,43 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, _prim(_zstrip(_zdivmod(a, b)[1]))
     return a
+
+
+def _zxgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """(d, u, k) for stripped integer lists a and b: d their primitive gcd
+    with positive leading coefficient ([] when both are zero), and an
+    integer list u and an integer k != 0 with u a = k d mod b and
+    deg u < deg b (u a = k d when b = 0).
+
+    The remainders a_i form the primitive remainder sequence from
+    a_0 = a / c_a and a_1 = b / c_b, and the loop carries one cofactor of
+    each, u_i a = k_i a_i mod b, from u_0 = 1, k_0 = c_a and u_1 = 0, k_1 = 1:
+    s a_(i-1) = q a_i + r and a_(i+1) = r / c give
+    u_(i+1) = s k_i u_(i-1) - k_(i-1) q u_i and k_(i+1) = c k_(i-1) k_i, both
+    over gcd(k_(i-1), k_i) and then over their common content.  No cofactor
+    of b is formed.
+    """
+    u0, k0 = [1], _content(a) if a else 1
+    u1, k1 = [], 1
+    a, b = _prim(a), _prim(b)
+    while b:
+        q, r, s = _zdivmod(a, b)
+        r = _zstrip(r)
+        if not r:
+            return b, u1, k1
+        c = _content(r)
+        g = math.gcd(k0, k1)
+        u2, _ = _zadd([x * (s * (k1 // g)) for x in u0], 1,
+                      [x * (k0 // g) for x in _zmul(q, u1)], 1, -1)
+        u2, k2 = _zstrip(u2), c * (k0 // g) * k1
+        e = math.gcd(k2, *u2)
+        if e != 1:
+            u2, k2 = [x // e for x in u2], k2 // e
+        if len(r) == 1:  # a nonzero constant: the gcd is 1, and a_(i+1) = 1
+            return [1], u2, k2
+        u0, k0, u1, k1 = u1, k1, u2, k2
+        a, b = b, [x // c for x in r]
+    return a, u0, k0
 
 
 def _zsquarefree(a: list[int]) -> list[int]:
@@ -783,35 +820,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ).
 
-    The remainders form the primitive remainder sequence of the numerators,
-    and the loop carries only the cofactor u of each remainder a_i = u_i f
-    mod g: from s a_(i-1) = Q a_i + R and a_(i+1) = R / c, u_(i+1) =
-    (s u_(i-1) - Q u_i) / c.  v = (d - u*f) / g is one exact division at
+    d and u come from the integer cofactor loop `_zxgcd` on the numerators:
+    u f.num = k d_0 mod g, d_0 primitive, gives d = d_0 / lc(d_0) and
+    u = u f.den / (k lc(d_0)).  v = (d - u*f) / g is one exact division at
     the end (v = 0 when g = 0).
     """
     if f.ring != g.ring:
         raise RingMismatch("operands in different rings")
     if f.den is None:
         raise BadInput("Euclidean division needs field coefficients")
-    ring = f.ring
-    a, b = _prim(list(f.num)), _prim(list(g.num))
-    # f = (c / f.den) a for the signed content c of f.num, so a = u0 f
-    u0 = Poly.from_ints([f.den], f.num[-1] // a[-1]) if a else poly_one(ring)
-    u1 = poly_zero(ring)
-    while b:
-        q, r, s = _zdivmod(a, b)
-        r = _zstrip(r)
-        if r:
-            c = _content(r)
-            u0, u1 = u1, (u0.scale(s) - _qq(q, 1) * u1).scale(Fraction(1, c))
-            a, b = b, [x // c for x in r]
-        else:
-            u0, a, b = u1, b, r
-    if not a:
-        return poly_zero(ring), u0, poly_zero(ring)
-    d = _build(Poly, QQ, tuple(a), a[-1])
-    u = u0.scale(Fraction(1, a[-1]))
-    v = poly_zero(ring) if g.is_zero else euclid_divmod(d - u * f, g)[0]
+    d, u, k = _zxgcd(list(f.num), list(g.num))
+    if not d:
+        return poly_zero(), _qq(u, k), poly_zero()
+    u = _qq([x * f.den for x in u], k * d[-1])
+    # a primitive list over its positive leading entry is in lowest terms
+    d = _build(Poly, QQ, tuple(d), d[-1])
+    v = poly_zero() if g.is_zero else euclid_divmod(d - u * f, g)[0]
     return d, u, v
 
 
@@ -846,21 +870,33 @@ def squarefree_part(value):
 # parsing and printing
 # --------------------------------------------------------------------------
 
-# any character outside the alphabet; it is reported before any grammar error
-_BAD_CHAR = re.compile(r"[^\s\dxt^*/+-]")
+# any character outside the alphabet; it is reported before any grammar error.
+# Every pattern is ASCII, as in parse_rational: a digit is 0-9 and a space is
+# one of " \t\n\r\f\v", so '٣', '３' and U+2003 are unexpected characters
+_BAD_CHAR = re.compile(r"[^\s\dxt^*/+-]", re.ASCII)
 # one term at the cursor: sign, numerator, denominator, '*', then the factors
 # [xt] ('^' INT)? joined only by '*'.  A '/' or '^' without digits still
 # matches, with empty digits, so that the error can name what follows it.
 _TERM = re.compile(r"""\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d*)\s*)?(\*?)\s*)?
-    ((?:[xt]\s*(?:\^\s*\d*\s*)?(?:\*\s*[xt]\s*(?:\^\s*\d*\s*)?)*)?)""", re.X)
-_FACTOR = re.compile(r"([xt])\s*(?:\^\s*(\d*))?")
+    ((?:[xt]\s*(?:\^\s*\d*\s*)?(?:\*\s*[xt]\s*(?:\^\s*\d*\s*)?)*)?)""", re.X | re.ASCII)
+_FACTOR = re.compile(r"([xt])\s*(?:\^\s*(\d*))?", re.ASCII)
 # the token at a position: a digit run, one character, or '' at the end
-_NEXT = re.compile(r"\s*(\d+|\S?)")
+_NEXT = re.compile(r"\s*(\d+|\S?)", re.ASCII)
 
 
 def _expected(what: str, text: str, pos: int):
     tok = _NEXT.match(text, pos)
     raise ParseError(f"expected {what}, found {tok[1]!r}", tok.start(1))
+
+
+def _integer(digits: str, pos: int) -> int:
+    """int(digits) for the ASCII digits read at pos; BadInput past the
+    limit of sys.get_int_max_str_digits() digits, which int() refuses."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise BadInput(f"integer above the limit of {sys.get_int_max_str_digits()} digits "
+                       f"(at position {pos})") from None
 
 
 def _read_term(text: str, m, ring: Ring) -> tuple[int, int, int, int]:
@@ -872,10 +908,10 @@ def _read_term(text: str, m, ring: Ring) -> tuple[int, int, int, int]:
             _expected("a term", text, m.end(1))
         num, den = 1, 1
     else:
-        num = int(num)
+        num = _integer(num, m.start(2))
         if den == "":
             _expected("INT", text, m.end(3))
-        den = 1 if den is None else int(den)
+        den = 1 if den is None else _integer(den, m.start(3))
         if den == 0:
             raise ParseError("zero denominator", m.start(3))
         if star and not run:
@@ -923,7 +959,8 @@ def _sum_terms(terms, ring: Ring) -> Poly:
 
 def parse_poly(text: str, ring: Ring = QQ) -> Poly:
     """Parse the polynomial grammar one term at a time; raises ParseError
-    with a position, and BadInput for an exponent above MAX_EXPONENT."""
+    with a position, and BadInput with a position for an exponent above
+    MAX_EXPONENT or an integer of more digits than int() converts."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
@@ -951,9 +988,9 @@ _RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9
                        re.ASCII)
 
 
-def parse_rational(text: str) -> Fraction:
-    """An integer, p/q or plain decimal literal in ASCII, with optional
-    sign and surrounding whitespace; anything else raises BadInput."""
+def _read_rational(text: str) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, for the text that `parse_rational`
+    reads; BadInput for anything else."""
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise BadInput(f"bad rational literal {text!r}")
@@ -968,9 +1005,18 @@ def parse_rational(text: str) -> Fraction:
             num = num * den + int(frac)
         else:
             den = 1
-        return Fraction(-num if sign == "-" else num, den)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise BadInput(f"bad rational literal {text!r}") from exc
+    if not den:
+        raise BadInput(f"bad rational literal {text!r}")
+    g = math.gcd(num, den)
+    return (-num if sign == "-" else num) // g, den // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer, p/q or plain decimal literal in ASCII, with optional
+    sign and surrounding whitespace; anything else raises BadInput."""
+    return Fraction(*_read_rational(text))
 
 
 _EXPONENT = re.compile(r"\s*([0-9]+)\s*", re.ASCII)
@@ -1029,9 +1075,14 @@ def _magnitude(n: int, d: int) -> str:
     return n if d == 1 else f"{n}/{_decimal(d)}"
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n / d (d > 0) as str(Fraction(n, d)) writes it, at any size."""
+    return ("-" if n < 0 else "") + _magnitude(n, d)
+
+
 def format_rational(x: Fraction) -> str:
     """x as str(Fraction) writes it, at any size."""
-    return ("-" if x < 0 else "") + _magnitude(x.numerator, x.denominator)
+    return _ratio_text(x.numerator, x.denominator)
 
 
 def _term_strings(p: Poly):

@@ -68,6 +68,13 @@ not change whether that holds, so the loops decide exactly what they would
 decide on rationals.  They call corealg at most twice per block to set up
 (integer pseudo-divisions), not once per step, and no cofinite question
 about powers builds a Poly power.
+
+The Mathieu verdict runs on integers from the JSON to the returned Polys.
+The constructor reads each basis row as integers over the lcm of its
+denominators, `_interior_ideal` keeps each block's gcd and quotient as
+integer lists, and `_set_idempotent` multiplies the block numerators and
+calls corealg's integer xgcd kernel `_zxgcd` once.  The only Polys built
+are the returned h, r, e_S and t^j.
 """
 
 from __future__ import annotations
@@ -83,17 +90,21 @@ from . import linalg
 from .corealg import (
     Poly,
     QQ,
+    _prim,
+    _ratio_text,
+    _read_rational,
     _zdivmod,
-    clear_denominators,
+    _zgcd,
+    _zmul,
+    _zsquarefree,
+    _zstrip,
+    _zxgcd,
     euclid_divmod,
     format_poly,
     parse_poly,
-    parse_rational,
     poly_gcd,
     poly_one,
-    poly_xgcd,
     qq_poly,
-    squarefree_part,
     t_monomial,
 )
 from .errors import BadInput, RingMismatch, ZeroInput
@@ -241,28 +252,29 @@ class CofiniteSubspace:
         self._starts = tuple(accumulate(degrees[:-1], initial=0))
         self.dim: int = sum(degrees)
 
+        # each basis row as integers over the lcm of its entries' denominators
         basis = []
         for vec in vbar_basis:
             if any(isinstance(v, bool) for v in vec):
                 raise BadInput("basis entries must be integers or rational strings")
             if any(isinstance(v, float) for v in vec):
                 raise BadInput("basis vectors must be exact rationals, not floats")
-            # strings go through parse_rational, which refuses exponent notation
+            # strings go through _read_rational, which refuses exponent notation
             try:
-                entries = [v if type(v) is Fraction
-                           else parse_rational(v) if isinstance(v, str) else Fraction(v)
-                           for v in vec]
+                pairs = [v.as_integer_ratio() if type(v) is int or type(v) is Fraction
+                         else _read_rational(v) if isinstance(v, str)
+                         else Fraction(v).as_integer_ratio() for v in vec]
             except TypeError:
                 raise BadInput("basis entries must be integers or rational strings") from None
-            if len(entries) != self.dim:
+            if len(pairs) != self.dim:
                 raise BadInput(f"basis vectors must have length {self.dim}")
-            basis.append(tuple(entries))
+            den = math.lcm(*(q for _, q in pairs))
+            basis.append(([p * (den // q) for p, q in pairs], den))
         self._basis = tuple(basis)
         # annihilator rows: V/(g) = {v : lam . v = 0 for every row lam}, as
-        # primitive integer rows; the basis rows are cleared of denominators
-        # first, which leaves their nullspace as it is
-        self._ann = linalg.nullspace([clear_denominators(row)[1] for row in self._basis]
-                                     or [[0] * self.dim])
+        # primitive integer rows; the integer basis rows have the nullspace
+        # of the rational ones
+        self._ann = linalg.nullspace([row for row, _ in self._basis] or [[0] * self.dim])
         if len(self._ann) + len(self._basis) != self.dim:
             raise BadInput("basis vectors are linearly dependent")
 
@@ -333,7 +345,7 @@ class CofiniteSubspace:
     def to_dict(self) -> dict:
         return {
             "modulus": [[format_poly(p), m] for p, m in self.factors],
-            "vbar_basis": [[str(v) for v in vec] for vec in self._basis],
+            "vbar_basis": [[_ratio_text(x, den) for x in row] for row, den in self._basis],
         }
 
 
@@ -368,11 +380,16 @@ def _exponents(f: Poly, window: Iterable[int]) -> Iterator[int]:
     exponent that is negative or not above the one before, read over the
     first MAX_POWER_DEGREE + 2 exponents (an increasing window passes the
     limit by then); and BadInput before yielding m once
-    m * max(deg f, 1) > MAX_POWER_DEGREE (powers of a constant still grow)."""
-    window = list(islice(window, MAX_POWER_DEGREE + 2))
-    if not window:
+    m * max(deg f, 1) > MAX_POWER_DEGREE (powers of a constant still grow).
+    A range is checked on its first two exponents alone: its steps are all
+    equal, so an exponent that fails the order check is one of them."""
+    if isinstance(window, range):
+        checked = list(window[:2])
+    else:
+        window = checked = list(islice(window, MAX_POWER_DEGREE + 2))
+    if not checked:
         raise BadInput("empty probe window")
-    for prev, m in zip([-1, *window], window):
+    for prev, m in zip([-1, *checked], checked):
         if m < 0:
             raise BadInput("window exponents must be non-negative")
         if m <= prev:
@@ -541,33 +558,38 @@ def _interior_ideal(space: CofiniteSubspace) -> tuple[Poly, Poly, int]:
     coprime factors is the product of theirs, so r is the squarefree part
     of h, found without any gcd of degree up to D.  When every live r_i is
     h_i itself (a split space with simple points, say), r is h.
+
+    Every gcd, quotient and product runs on primitive integer lists with a
+    positive leading entry (the numerators of a monic Poly are one), and
+    such a list over its leading entry is the monic polynomial it stands
+    for, so h and r are built as Polys once, at the end.
     """
-    h = poly_one(QQ)
-    live = 0
-    if not space._ann:
-        return h, h, live
-    radical_parts = []  # (h_i, r_i) of the live blocks
+    live, h_parts, r_parts = 0, [], []  # h_i and r_i of the live blocks
     for i, ((p, _), block, start) in enumerate(zip(space.factors, space._blocks, space._starts)):
-        b, n = block.num, block.degree
-        g = block  # gcd(b, N_1, ..., N_r), stopping once it is 1
+        b, n = list(block.num), block.degree
+        g = b  # gcd(b, N_1, ..., N_r), stopping once it is 1
         for lam in space._ann:
             lam = lam[start:start + n]
             # N = lam((b(z) - b(t)) / (z - t)) = sum_(m+j<n) b_(m+j+1) z^m lam_j
             numer = [sum(bk * lk for bk, lk in zip(b[m + 1:], lam)) for m in range(n)]
             if any(numer[1:]):
-                g = poly_gcd(g, Poly.from_ints(numer))
+                g = _zgcd(g, _zstrip(numer))
             elif numer[0]:
-                g = poly_one(QQ)
-            if not g.degree:
+                g = [1]
+            if len(g) == 1:
                 break
-        h_i = euclid_divmod(block, g)[0] if g.degree else block
-        h = h * h_i
-        if h_i.degree >= 1:
-            live |= 1 << i
-            radical_parts.append((h_i, squarefree_part(h_i) if p in space.unverified_factors else p))
-    if all(h_i == r_i for h_i, r_i in radical_parts):
+        if len(g) == len(b):
+            continue  # every row vanishes on the block (or there is none): h_i = 1
+        h_i = _prim(_zdivmod(b, g)[0]) if len(g) > 1 else b
+        live |= 1 << i
+        h_parts.append(h_i)
+        r_parts.append(_zsquarefree(h_i) if p in space.unverified_factors else list(p.num))
+    h = functools.reduce(_zmul, h_parts, [1])
+    h = Poly.from_ints(h, h[-1])
+    if r_parts == h_parts:
         return h, h, live
-    return h, math.prod((r_i for _, r_i in radical_parts), start=poly_one(QQ)), live
+    r = functools.reduce(_zmul, r_parts, [1])
+    return h, Poly.from_ints(r, r[-1]), live
 
 
 def definition_witness(space: CofiniteSubspace, a: Poly, b: Poly) -> Optional[int]:
@@ -610,20 +632,23 @@ class MathieuVerdict:
 def _set_idempotent(space: CofiniteSubspace, mask: int) -> Poly:
     """e_S = 1 mod the blocks in S (the set bits of mask) and 0 mod the rest.
 
-    With B_S and B_rest the products of the blocks in and outside S, one
-    xgcd on (B_rest mod B_S, B_S) gives u B_rest + v B_S = 1 (the blocks are
-    coprime) with deg u < deg B_S, so u B_rest has degree < deg g and needs
-    no reduction mod g.  It is e_S: the unique residue with those values, so
-    it equals the sum of the single-block idempotents e_i over S.
+    B_S and B_rest, the products of the block numerators in and outside S,
+    are multiplied as integer lists.  The blocks are coprime, so the integer
+    cofactor loop `_zxgcd` on (B_rest, B_S) gives u B_rest = k mod B_S with
+    an integer k != 0 and deg u < deg B_S.  Then u B_rest / k has degree
+    < deg g and needs no reduction mod g.  It is e_S: the unique residue
+    with those values, so it equals the sum of the single-block idempotents
+    e_i over S.  The one Poly built is e_S itself, and no cofactor of B_S is
+    formed.
     """
-    chosen, rest = poly_one(QQ), poly_one(QQ)
+    chosen, rest = [1], [1]
     for i, block in enumerate(space._blocks):
         if mask >> i & 1:
-            chosen = chosen * block
+            chosen = _zmul(chosen, block.num)
         else:
-            rest = rest * block
-    _, u, _ = poly_xgcd(euclid_divmod(rest, chosen)[1], chosen)
-    return u * rest
+            rest = _zmul(rest, block.num)
+    _, u, k = _zxgcd(rest, chosen)
+    return Poly.from_ints(_zmul(u, rest), k)
 
 
 def _subset_sums(values: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -712,13 +737,14 @@ def mathieu_check(space: CofiniteSubspace) -> MathieuVerdict:
     integer residue vectors: e_S t^j is t^j mod the blocks in S and 0 mod
     the rest, stepped by the companion shift.  e_S itself comes from one
     CRT step that splits g into the blocks in and outside S
-    (`_set_idempotent`), taken once j is known; the single e_i are never
-    formed.  With no such mask the verdict is MATHIEU_EXACT, or
-    CONSISTENT_UP_TO_BUDGET when a factor of degree >= 4 is trusted
-    unverified and might split.  budget_used's candidates_tried is a rank,
-    not a count of work done: the mask S itself, which is the number of
-    masks up to and including S in increasing order, or 2^n - 1 when there
-    is no refuting mask.
+    (`_set_idempotent`, one integer xgcd on the block numerators), taken
+    once j is known; the single e_i are never formed, and h, r, e_S and t^j
+    are the only Polys built.  With no such mask the verdict is
+    MATHIEU_EXACT, or CONSISTENT_UP_TO_BUDGET when a factor of degree >= 4
+    is trusted unverified and might split.  budget_used's candidates_tried
+    is a rank, not a count of work done: the mask S itself, which is the
+    number of masks up to and including S in increasing order, or 2^n - 1
+    when there is no refuting mask.
     """
     h, r, live = _interior_ideal(space)
     budget_used = {"window": [space.dim, 2 * space.dim]}

@@ -354,7 +354,8 @@ def squarefree_part(value):
     return qq_poly(q) if isinstance(value, Poly) else RingElement(value.ring, q)
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([xt])|(\^)|(\*)|(/)|(\+)|(-)|(\S)")
+# ASCII digits and spaces only: any other character is unexpected
+_TOKEN_RE = re.compile(r"(\d+)|([xt])|(\^)|(\*)|(/)|(\+)|(-)|(\S)", re.ASCII)
 
 
 def _tokenize(text: str):

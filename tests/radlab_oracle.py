@@ -6,12 +6,32 @@ radical window m in [D, 2D] on those integer residues, against radlab's
 Krylov test on the blocks where f is a unit; and the walk over all masks
 for the least zero-sum set of factors, against radlab's meet in the
 middle; and the power walk of `definition_witness` to a budget, against its
-exact test on the steps m < 2D."""
+exact test on the steps m < 2D; and e_S by Poly products and a cofactor loop
+on Poly values, against radlab's integer xgcd kernel; and the basis rows read
+as one Fraction per entry, against the integer rows over one denominator."""
 
 import math
 from fractions import Fraction
 
-from mathieulab.corealg import QQ, euclid_divmod, poly_gcd, poly_one, qq_poly, squarefree_part
+from mathieulab import linalg
+from mathieulab.corealg import (
+    QQ,
+    Poly,
+    _build,
+    _content,
+    _prim,
+    _qq,
+    _zdivmod,
+    _zstrip,
+    clear_denominators,
+    euclid_divmod,
+    poly_gcd,
+    poly_one,
+    poly_zero,
+    qq_poly,
+    squarefree_part,
+)
+from mathieulab.errors import BadInput
 from mathieulab.radlab import _block_residue, _times_t
 
 from linalg_oracle import nullspace
@@ -180,3 +200,96 @@ def definition_witness_walk(membership_oracle, a, b, budget):
         if not membership_oracle(power * b):
             last_out = m
     return None if last_out == budget else last_out + 1
+
+
+def poly_xgcd(f, g):
+    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ), as
+    corealg.poly_xgcd computed them before its integer kernel.
+
+    The remainders form the primitive remainder sequence of the numerators,
+    and the loop carries only the cofactor u of each remainder a_i = u_i f
+    mod g: from s a_(i-1) = Q a_i + R and a_(i+1) = R / c, u_(i+1) =
+    (s u_(i-1) - Q u_i) / c.  v = (d - u*f) / g is one exact division at
+    the end (v = 0 when g = 0).
+    """
+    ring = f.ring
+    a, b = _prim(list(f.num)), _prim(list(g.num))
+    # f = (c / f.den) a for the signed content c of f.num, so a = u0 f
+    u0 = Poly.from_ints([f.den], f.num[-1] // a[-1]) if a else poly_one(ring)
+    u1 = poly_zero(ring)
+    while b:
+        q, r, s = _zdivmod(a, b)
+        r = _zstrip(r)
+        if r:
+            c = _content(r)
+            u0, u1 = u1, (u0.scale(s) - _qq(q, 1) * u1).scale(Fraction(1, c))
+            a, b = b, [x // c for x in r]
+        else:
+            u0, a, b = u1, b, r
+    if not a:
+        return poly_zero(ring), u0, poly_zero(ring)
+    d = _build(Poly, QQ, tuple(a), a[-1])
+    u = u0.scale(Fraction(1, a[-1]))
+    v = poly_zero(ring) if g.is_zero else euclid_divmod(d - u * f, g)[0]
+    return d, u, v
+
+
+def poly_set_idempotent(space, mask):
+    """e_S = 1 mod the blocks in S (the set bits of mask) and 0 mod the rest,
+    as radlab._set_idempotent computed it on Polys.
+
+    With B_S and B_rest the products of the blocks in and outside S, one
+    xgcd on (B_rest mod B_S, B_S) gives u B_rest + v B_S = 1 (the blocks are
+    coprime) with deg u < deg B_S, so u B_rest has degree < deg g and needs
+    no reduction mod g.  It is e_S: the unique residue with those values, so
+    it equals the sum of the single-block idempotents e_i over S.
+    """
+    chosen, rest = poly_one(QQ), poly_one(QQ)
+    for i, block in enumerate(space._blocks):
+        if mask >> i & 1:
+            chosen = chosen * block
+        else:
+            rest = rest * block
+    _, u, _ = poly_xgcd(euclid_divmod(rest, chosen)[1], chosen)
+    return u * rest
+
+
+def fraction_literal(text):
+    """The rational that corealg.parse_rational reads, by Fraction itself:
+    Fraction's literal grammar restricted to ASCII, with no '_' and no
+    exponent; BadInput for anything else."""
+    if text.isascii() and "_" not in text and "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise BadInput(f"bad rational literal {text!r}")
+
+
+def fraction_basis(dim, vbar_basis):
+    """(basis rows, annihilator rows) of V/(g) in residue coordinates of
+    dimension dim, as CofiniteSubspace read them with one Fraction per
+    entry: the rows as Fractions, and the annihilator as the nullspace of
+    the rows cleared of denominators.  BadInput with the constructor's
+    message for a bool, a float, another non-rational entry, a bad
+    literal, a wrong length or dependent rows, checked row by row in that
+    order."""
+    basis = []
+    for vec in vbar_basis:
+        if any(isinstance(v, bool) for v in vec):
+            raise BadInput("basis entries must be integers or rational strings")
+        if any(isinstance(v, float) for v in vec):
+            raise BadInput("basis vectors must be exact rationals, not floats")
+        try:
+            entries = [v if type(v) is Fraction
+                       else fraction_literal(v) if isinstance(v, str) else Fraction(v)
+                       for v in vec]
+        except TypeError:
+            raise BadInput("basis entries must be integers or rational strings") from None
+        if len(entries) != dim:
+            raise BadInput(f"basis vectors must have length {dim}")
+        basis.append(entries)
+    ann = linalg.nullspace([clear_denominators(row)[1] for row in basis] or [[0] * dim])
+    if len(ann) + len(basis) != dim:
+        raise BadInput("basis vectors are linearly dependent")
+    return basis, ann

@@ -492,3 +492,55 @@ def test_repeated_calls_reuse_the_parser(capsys):
     elapsed = time.perf_counter() - start
     assert capsys.readouterr().out == '{"value": "3"}\n' * 301
     assert elapsed < 0.6, elapsed
+
+
+def test_polynomial_text_is_ascii_and_within_the_digit_limit(capsys):
+    # a non-ASCII digit or space is a parse error at its position, and an
+    # integer past int()'s digit limit is BAD_INPUT at its position, for
+    # --poly and for a modulus factor of --space alike
+    op = ("reduce", "--op", "mono:c=1,alpha=1,lambda=1,d=0", "--poly")
+    limit = sys.get_int_max_str_digits()
+    big = f"integer above the limit of {limit} digits (at position %d)"
+    space = '{"modulus":[["%s",1]],"vbar_basis":[]}'
+    cases = (
+        ((*op, "٣*t"), "PARSE_ERROR", "unexpected character '٣' (at position 0)"),
+        ((*op, "t^\uff13"), "PARSE_ERROR", "unexpected character '３' (at position 2)"),
+        ((*op, "t\u2003+ 1"), "PARSE_ERROR", "unexpected character '\\u2003' (at position 1)"),
+        ((*op, "1" * (limit + 1) + "*t"), "BAD_INPUT", big % 0),
+        ((*op, "t + 1/" + "7" * (limit + 1)), "BAD_INPUT", big % 6),
+        (("mathieu", "--space", space % ("t - " + "1" * (limit + 1))), "BAD_INPUT", big % 4),
+        (("largest-ideal", "--space", space % "٣*t"), "PARSE_ERROR",
+         "unexpected character '٣' (at position 0)"),
+    )
+    for argv, code, message in cases:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and not out, argv
+        assert json.loads(err) == {"status": "error", "code": code, "message": message}, argv
+
+
+# SHA-256 digests of tests/cli_corpus.py's replies per subcommand, with the
+# request count: a change that moves one changes that subcommand's output
+CLI_CORPUS_DIGESTS = {
+    "reduce": (73, "9fbbd5309bcf470c241d48b01ddf3154633e59986a7cd4a1d0cbeecaa4d6e095"),
+    "member": (75, "e354dd3fc9cec1805ac18d07e33399ffe053ee71c85d1f5546bbec2d7dcc12b0"),
+    "lzero": (73, "75696b29af0b4bb4f83dd4d1848d87fdf2941ea0b5249fa52a7a0155d3b82751"),
+    "escape": (73, "761324eeba59a7080ce473963a169a1b184e160be4821c596b0f935dbf16d42c"),
+    "certify": (61, "7d359e84a569d704a7e94f1cce81a6e2bb237a25504917045b3a478bc2fed285"),
+    "verify-cert": (69, "6efec190a65972546c8213c61b4abaa2e8f99a44d3eb8a7998eb12bf4d5fb36d"),
+    "moments": (61, "0498e7fb6b4e9e75b8046cf4bdfd6ef98d73db29c6eb0ebbbec08cd3a39c5cd4"),
+    "vb-member": (60, "cd0d4ccd4579088686d9b92511a88ee6c5023629f79089a3bd05ac549b8f5da3"),
+    "orthopoly": (61, "6f93412259439b44e03d99a34f4876fa5868e9575dd260782b6a951b5f4b8f15"),
+    "equiv": (61, "dedeeade7e642e0d947831e9ba22ec083ddc7bef469c1c2f7e2997893e198f0a"),
+    "mathieu": (61, "0bf21910cc8b77a5aa1af2cb3302e9d4155cdcc7beba29ef6dca22ec2c5d87e3"),
+    "largest-ideal": (61, "f53d374fa4ffc2e813be851568bf30b0569ae238f140479cd079a2d05008da00"),
+    "radical-probe": (79, "bf7910c6b6624602aca9fd14967ee44019d551a8f99255b0d73cc5805af72348"),
+    "ufd-member": (61, "58d27b0fed9e4686b9c5ee9c0470a0e8efcc594e63f3cb2824902c505cbd4194"),
+    "ufd-radical": (61, "731d489a5849b3b7b5f8dbf9ea3cea30d1d61142d77ae60ba1372417d75869c5"),
+    "absorb-bound": (61, "53362b3cea18764a5d6d833592c69e93d9ba5fe58f33be592c102c79d2ed48fc"),
+    "gcd-lift": (61, "716158556a5f4ad09fd7eb9de00f807043766d9cd98f7db6de0885cb79261e12"),
+    "surjective": (61, "5e55a543937c21a7dfb5d0b21f35c4873b6d1de5e7eddfadc17ee4139f49b557"),
+}
+
+
+def test_cli_corpus_digests_are_pinned():
+    assert cli_corpus.run() == CLI_CORPUS_DIGESTS

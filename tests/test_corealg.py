@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,8 @@ from mathieulab.corealg import (
     QQ,
     QQ_POLY,
     RingElement,
+    _zmul,
+    _zxgcd,
     clear_denominators,
     euclid_divmod,
     exact_divide,
@@ -86,6 +89,28 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_poly("t^2 + %")
     assert err.value.position == 6
+    # digits and spaces are ASCII, as in parse_rational: an Arabic-Indic or a
+    # fullwidth digit and an em space are unexpected characters, in the
+    # parser and in the token oracle
+    for text, pos in (("\u0663*t", 0), ("t^\u0663", 2), ("\uff13*t", 0), ("t\u2003+ 1", 1),
+                      ("3*t + \u0661/2", 6), ("t^2 +\u00a01", 5)):
+        for parse in (parse_poly, corealg_oracle.parse_poly):
+            message = re.escape(f"unexpected character {text[pos]!r} ")
+            with pytest.raises(ParseError, match=message) as err:
+                parse(text)
+            assert err.value.position == pos, (text, parse)
+
+
+def test_parse_refuses_integers_past_the_digit_limit():
+    # int() refuses more than sys.get_int_max_str_digits() digits; the parser
+    # names the position of the numerator or denominator instead
+    limit = sys.get_int_max_str_digits()
+    big = "1" * (limit + 1)
+    for text, pos in ((f"{big}*t", 0), (f"t + 3/{big}", 6), (f"t^2 - {big}/7*t", 6)):
+        with pytest.raises(BadInput, match=re.escape(
+                f"integer above the limit of {limit} digits (at position {pos})")):
+            parse_poly(text)
+    assert parse_poly("1" * limit + "*t").num == (0, int("1" * limit))
 
 
 def test_parse_rejects_x_over_qq():
@@ -808,6 +833,14 @@ def test_xgcd_matches_two_cofactor_loop():
         d, u, v = poly_xgcd(f, g)
         assert (d, u, v) == two_cofactor_xgcd(f, g), (f, g)
         assert u * f + v * g == d
+        # the integer kernel behind it: u a = k d mod b with deg u < deg b
+        d, u, k = _zxgcd(list(f.num), list(g.num))
+        assert k and (not d or d[-1] > 0) and Poly.from_ints(d, d[-1] if d else 1) == poly_gcd(f, g)
+        rest = Poly.from_ints(_zmul(u, f.num)) - Poly.from_ints(d).scale(k)
+        if g.is_zero:
+            assert rest.is_zero
+        else:
+            assert len(u) < len(g.num) and euclid_divmod(rest, g)[1].is_zero, (f, g)
 
 
 # -- cross-oracle: integer-numerator Poly against the Fraction Poly ----------

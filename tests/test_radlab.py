@@ -4,8 +4,10 @@ The window rule behind the exact radical decision is cross-checked here
 against an independent oracle built from multiplication matrices.
 """
 
+import collections
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -15,7 +17,7 @@ from math import lcm, prod
 
 import pytest
 
-from mathieulab import radlab
+from mathieulab import corealg, radlab
 from mathieulab.cli import main
 from mathieulab.corealg import (
     QQ,
@@ -56,12 +58,19 @@ from radlab_oracle import (
     divmod_radical_member_cofinite,
     divmod_residue_vec,
     first_zero_sum_walk,
+    fraction_basis,
     krylov_interior_ideal,
+    poly_set_idempotent,
     window_radical_member_cofinite,
 )
 
 VALUE_SUM = atomic_space([0, 1], [1, 1])          # {f : f(0) + f(1) = 0}
 VALUE_EQUAL = atomic_space([0, 1], [1, -1])       # {f : f(0) = f(1)}
+
+
+def basis_fractions(space):
+    """The basis rows of V/(g) that space was built from, as Fractions."""
+    return [[Fraction(x, den) for x in row] for row, den in space._basis]
 
 
 def coefficient_space(factors, basis):
@@ -147,10 +156,12 @@ def test_constructor_parses_basis_strings_and_keeps_fractions():
     for text in ("1e3", "2E-1", "1e10000000", "abc", "1/0"):
         with pytest.raises(BadInput, match="^bad rational literal"):
             CofiniteSubspace(factors, [[text, "1"]])
-    assert CofiniteSubspace(factors, [["-1/2", " 3 "]])._basis == ((Fraction(-1, 2), Fraction(3)),)
-    assert CofiniteSubspace(factors, [["0.25", 2]])._basis == ((Fraction(1, 4), Fraction(2)),)
-    half = Fraction(1, 2)
-    assert CofiniteSubspace(factors, [[half, 1]])._basis[0][0] is half
+    # each row is held as integers over the lcm of its denominators
+    assert CofiniteSubspace(factors, [["-1/2", " 3 "]])._basis == (([-1, 6], 2),)
+    assert CofiniteSubspace(factors, [["0.25", 2]])._basis == (([1, 8], 4),)
+    assert CofiniteSubspace(factors, [[Fraction(1, 2), 1]])._basis == (([1, 2], 2),)
+    lowest = CofiniteSubspace(factors, [["2/6", "-007/014"]])
+    assert lowest.to_dict()["vbar_basis"] == [["1/3", "-1/2"]]
     with pytest.raises(BadInput, match="not floats"):
         CofiniteSubspace(factors, [[0.5, 1]])
 
@@ -241,6 +252,34 @@ def test_radical_probe_examples():
             with pytest.raises(BadInput, match="^window exponents must increase$"):
                 radical_probe(oracle, poly_one(), window)
     assert asked == []
+    # a range is checked from its start and step, with the message and at
+    # the exponent of the same window read one exponent at a time
+    t3, limit = parse_poly("t^3"), radlab.MAX_POWER_DEGREE
+
+    def walk(window):
+        out = []
+        try:
+            for m in radlab._exponents(t3, window):
+                out.append(m)
+        except BadInput as exc:
+            return out, str(exc)
+        return out, None
+
+    cases = {
+        range(0): (0, "empty probe window"), range(5, 5): (0, "empty probe window"),
+        range(-1, 3): (0, "window exponents must be non-negative"),
+        range(-3, 9, 4): (0, "window exponents must be non-negative"),
+        range(5, 0, -1): (0, "window exponents must increase"),
+        range(2, -3, -1): (0, "window exponents must increase"),
+        range(0, -5, -1): (0, "window exponents must be non-negative"),
+        range(3, 2, -1): (1, None), range(1, 10 ** 30): (166, "f^167 would have degree 501"),
+        range(160, 10 ** 9, 3): (3, "f^169 would have degree 507"), range(2, 40, 7): (6, None),
+    }
+    for window, (count, message) in cases.items():
+        got = walk(window)
+        assert got == walk(iter(window)) == walk(list(window[:limit + 2])), window
+        assert got[0] == list(window[:count]), window
+        assert got[1] is None if message is None else got[1].startswith(message), (window, got)
 
 
 def test_escape_exponent_examples():
@@ -487,8 +526,9 @@ def test_definition_witness_matches_the_power_walk():
             if index >= 7 and rng.random() < 0.5:
                 # b in V, past the degree of g, so that each block reads its
                 # residue over another denominator; a a unit mod g half the time
-                coeffs = [rng.randint(-2, 2) for _ in space._basis]
-                vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*space._basis)]
+                rows = basis_fractions(space)
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
                 b = (residue_lift(space, crt_idempotents(space), vec)
                      + space.modulus * qq_poly([rng.randint(-2, 2), rng.randint(1, 2)]))
                 if rng.random() < 0.5:
@@ -638,7 +678,7 @@ def search_candidates(space, height=2, max_combinations=200):
         item = emit(total, "crt_idempotent")
         if item:
             yield item
-    basis = [residue_lift(space, idems, vec) for vec in space._basis]
+    basis = [residue_lift(space, idems, vec) for vec in basis_fractions(space)]
     produced = 0
     for coords in itertools.product(range(-height, height + 1), repeat=len(basis)):
         if produced >= max_combinations:
@@ -903,7 +943,7 @@ def test_residue_coordinates_match_coefficient_reference():
     rng = random.Random(9)
     statuses, answers = set(), set()
     for space in spaces:
-        ref = CoefficientReference(space.factors, space._basis)
+        ref = CoefficientReference(space.factors, basis_fractions(space))
         status, witness, h, r, budget = ref.mathieu()
         verdict = mathieu_check(space)
         assert verdict.status == status, space.to_dict()
@@ -927,7 +967,7 @@ def poly_window_radical_member(space, f):
     """The earlier window: powers of f mod each block by Poly products and
     divisions, tested against the Fraction annihilator of the basis."""
     d, blocks = space.dim, space._blocks
-    ann = nullspace(space._basis or [[Fraction(0)] * d])
+    ann = nullspace(basis_fractions(space) or [[Fraction(0)] * d])
     bases = [euclid_divmod(f, b)[1] for b in blocks]
     powers = [euclid_divmod(r ** d, b)[1] for r, b in zip(bases, blocks)]
     for _ in range(d, 2 * d + 1):
@@ -1130,7 +1170,8 @@ def test_witness_loop_matches_coefficient_reference_on_rational_blocks():
     statuses = set()
     deep = 0
     for space, _ in rational_block_spaces(1104, 60):
-        status, witness, h, r, budget = CoefficientReference(space.factors, space._basis).mathieu()
+        ref = CoefficientReference(space.factors, basis_fractions(space))
+        status, witness, h, r, budget = ref.mathieu()
         verdict = mathieu_check(space)
         assert (verdict.status, verdict.witness, verdict.budget_used) == (status, witness, budget)
         assert (verdict.i_v_generator, verdict.radical_iv_generator) == (h, r)
@@ -1282,6 +1323,115 @@ def test_set_idempotent_matches_full_xgcd():
         for mask in {rng.randint(1, (1 << n) - 1) for _ in range(6)} | {1, (1 << n) - 1}:
             assert _set_idempotent(space, mask) == full_xgcd_set_idempotent(space, mask), \
                 (space.to_dict(), mask)
+
+
+def idempotent_spaces(seed):
+    """Seeded factor sets for e_S, at most six factors each: split points
+    with rational roots of multiplicity 1 or 2, quadratics t^2 + b, the
+    non-reduced t^2 (t^2 + b)^2, the trusted quartic t^4 + t + 7 and
+    t^2 - P with a 13-digit P that is not a square, each beside others."""
+    rng = random.Random(seed)
+    points = sorted({Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3, 7, 10)})
+    big = next(p for p in range(10 ** 12 + 7, 10 ** 13) if math.isqrt(p) ** 2 != p)
+    spaces = []
+    for k, kind in enumerate(("split", "quadratic", "non-reduced", "quartic", "wide") * 12):
+        pts = rng.sample(points, 6)
+        factors = [(qq_poly([-a, 1]), rng.randint(1, 2) if kind == "split" else 1)
+                   for a in pts[:1 + k // 5 % 6 if kind == "split" else rng.randint(1, 3)]]
+        if kind == "quadratic":
+            factors += [(qq_poly([b, 0, 1]), rng.randint(1, 2))
+                        for b in rng.sample([Fraction(1), Fraction(2), Fraction(5, 3)],
+                                            rng.randint(1, 2))]
+        elif kind == "non-reduced":
+            b = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            factors = [(parse_poly("t"), 2), (qq_poly([b, 0, 1]), 2)] + [
+                (f, m) for f, m in factors if f.num[0]]
+        elif kind == "quartic":
+            factors.append((parse_poly("t^4 + t + 7"), rng.randint(1, 2)))
+        elif kind == "wide":
+            factors.append((qq_poly([-(big + rng.randrange(10 ** 9)), 0, 1]), 1))
+        try:
+            spaces.append(CofiniteSubspace(factors[:6], []))
+        except BadInput:
+            continue  # a square P or a modulus past the degree limit
+    return spaces
+
+
+def test_set_idempotent_matches_poly_cofactor_loop():
+    seen = collections.Counter()
+    for space in idempotent_spaces(3601):
+        n = len(space._blocks)
+        for mask in range(1 << n):
+            e = _set_idempotent(space, mask)
+            assert e == poly_set_idempotent(space, mask), (space.to_dict(), mask)
+        seen[n] += 1
+        seen["trusted"] += bool(space.unverified_factors)
+        seen["repeated"] += any(m > 1 for _, m in space.factors)
+        seen["non-integer"] += any(p.den > 1 for p, _ in space.factors)
+        seen["13 digits"] += any(len(str(abs(p.num[0]))) == 13 for p, _ in space.factors)
+    assert all(seen[k] >= 2 for k in (1, 2, 3, 4, 5, 6, "trusted", "repeated", "non-integer",
+                                      "13 digits")), seen
+
+
+def basis_json_cases(seed, count):
+    """Seeded (factors, rows) pairs: rows of ints, integer, p/q and decimal
+    strings with signs, spaces and leading zeros, Fractions and big
+    numerators, and about one in four with a fault: a bool, a float, None,
+    a list, a bad literal, a wrong length or a dependent row."""
+    rng = random.Random(seed)
+    pool = ["t", "t - 1", "t + 2", "t^2 + 1", "t - 1/3"]
+
+    def entry():
+        n, d = rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 12))
+        return rng.choice((
+            n, str(n), f"{n}/{d}", f" {n}/{d} ", f"00{abs(n)}/0{d}", f"{n}.{rng.randint(0, 99)}",
+            f"-.{rng.randint(0, 9)}5", f"+{abs(n)}", Fraction(n, d), 10 ** 30 + n,
+            f"{n}/{3 * 10 ** 20}"))
+
+    faults = (True, False, 0.5, None, [1], "1e3", "1/0", "abc", "1_0", "\u0663", "1 / 2", "")
+    cases = []
+    while len(cases) < count:
+        factors = [(parse_poly(p), rng.randint(1, 2)) for p in rng.sample(pool, rng.randint(1, 3))]
+        dim = sum(p.degree * m for p, m in factors)
+        rows = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, dim))]
+        if rows and rng.random() < 0.25:
+            fault = rng.randrange(3)
+            row = rng.choice(rows)
+            if fault == 0:
+                row[rng.randrange(dim)] = rng.choice(faults)
+            elif fault == 1:
+                row.append(entry()) if rng.random() < 0.5 else row.pop()
+            else:
+                rows.append(list(row))
+        cases.append((factors, rows))
+    return cases
+
+
+def test_basis_rows_match_the_fraction_path():
+    refusals = {"entry": "basis entries must be integers or rational strings",
+                "float": "not floats", "literal": "bad rational literal",
+                "length": "must have length", "dependent": "linearly dependent"}
+    seen = collections.Counter()
+    for factors, rows in basis_json_cases(3602, 800):
+        dim = sum(p.degree * m for p, m in factors)
+        try:
+            want = fraction_basis(dim, rows)
+        except BadInput as exc:
+            want = str(exc)
+        try:
+            space = CofiniteSubspace(factors, rows)
+        except BadInput as exc:
+            assert str(exc) == want, (factors, rows)
+            seen[next(kind for kind, text in refusals.items() if text in want)] += 1
+            continue
+        basis, ann = want
+        assert basis_fractions(space) == basis and space._ann == ann, (factors, rows)
+        data = space.to_dict()
+        assert data["vbar_basis"] == [[str(v) for v in row] for row in basis]
+        again = CofiniteSubspace.from_dict(json.loads(json.dumps(data)))
+        assert (again._basis, again._ann, again.to_dict()) == (space._basis, space._ann, data)
+        seen["accepted"] += 1
+    assert seen["accepted"] >= 300 and min(seen[kind] for kind in refusals) >= 3, seen
 
 
 # -- the Krylov test on the unit blocks against the [D, 2D] window ---------------
@@ -1495,28 +1645,15 @@ def test_space_probe_to_the_limit_is_fast():
 
 
 class CallCounter:
-    """Call counts of wrapped functions; calls made inside a paused function
-    are not counted."""
+    """Call counts of wrapped functions."""
 
     def __init__(self):
         self.counts = {}
-        self.paused = 0
 
     def count(self, name, fn):
         def wrapper(*args):
-            if not self.paused:
-                self.counts[name] = self.counts.get(name, 0) + 1
-            return fn(*args)
-        return wrapper
-
-    def pause(self, name, fn):
-        def wrapper(*args):
             self.counts[name] = self.counts.get(name, 0) + 1
-            self.paused += 1
-            try:
-                return fn(*args)
-            finally:
-                self.paused -= 1
+            return fn(*args)
         return wrapper
 
 
@@ -1555,21 +1692,27 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
         definition_witness(s, g, f)
         definition_witness(s, f, g)
         assert not {"divmod", "mul", "mod"} & set(counter.counts), counter.counts
-    # the witness loop and the sanity test on r make no Poly division, and
-    # e_S is formed once
-    monkeypatch.setattr(radlab, "_interior_ideal",
-                        counter.pause("_interior_ideal", radlab._interior_ideal))
+    # the verdict runs on integer lists from the annihilator to the returned
+    # Polys: no Poly product, division, gcd or xgcd, e_S is formed once, and
+    # the only Polys built are h, r, e_S and t^j
     monkeypatch.setattr(radlab, "_set_idempotent",
-                        counter.pause("_set_idempotent", _set_idempotent))
-    counter.counts.clear()
-    verdict = mathieu_check(space)
-    assert verdict.status == NOT_MATHIEU and verdict.witness[1] == parse_poly("t")
-    assert counter.counts["_set_idempotent"] == 1
-    assert counter.counts.get("divmod", 0) == 0
-    assert counter.counts.get("mul", 0) == 0
-    counter.counts.clear()
-    assert mathieu_check(VALUE_SUM).status == MATHIEU_EXACT
-    assert "_set_idempotent" not in counter.counts
+                        counter.count("_set_idempotent", _set_idempotent))
+    monkeypatch.setattr(radlab, "poly_gcd", counter.count("gcd", radlab.poly_gcd))
+    monkeypatch.setattr(corealg, "poly_xgcd", counter.count("xgcd", corealg.poly_xgcd))
+    monkeypatch.setattr(Poly, "from_ints", staticmethod(counter.count("from_ints", Poly.from_ints)))
+    # a trusted quartic beside (t - 1)^2, where r = (t^4 + t + 7)(t - 1) is not h
+    trusted = CofiniteSubspace([(parse_poly("t^4 + t + 7"), 1), (parse_poly("t - 1"), 2)],
+                               nullspace([[1, 0, 0, 0, 0, -1]]))
+    for s, status, built in ((space, NOT_MATHIEU, 2), (trusted, NOT_MATHIEU, 3),
+                             (VALUE_SUM, MATHIEU_EXACT, 1)):
+        counter.counts.clear()
+        verdict = mathieu_check(s)
+        assert verdict.status == status, s.to_dict()
+        assert counter.counts.get("_set_idempotent", 0) == (status == NOT_MATHIEU)
+        assert counter.counts.get("from_ints", 0) == built, counter.counts
+        assert not {"divmod", "mul", "mod", "gcd", "xgcd"} & set(counter.counts), counter.counts
+        if s is space:
+            assert verdict.witness[1] == parse_poly("t")
 
 
 def test_space_build_is_fast():
