@@ -51,7 +51,6 @@ from .certlab import (
     b_products,
     bracket_factorial,
     certificate_nonmembership,
-    dirichlet_prime,
     is_prime,
     phi_expansion,
     verify_certificate,

@@ -18,12 +18,13 @@ Then the exact identity
 
 forces a positive p-adic valuation on sum b_i phi, so the bracketed factor
 cannot vanish, and f^(m(d+1)) is certified to lie outside the image.  The
-certificate records the integers and valuations of that derivation.  One
-function derives them all from (f, d, alpha, m): the search runs it for each
-candidate m, and the checker runs it again on the certificate's own
-(f, d, r/q, m) and accepts only a rebuilt certificate equal to the one it was
-handed, so it trusts none of the derived fields.  A certificate's prime at or
-above psi_12 ~ 3.19e23 rests on Baillie-PSW, a probable-prime test, not a proof.
+certificate records the integers and valuations of that derivation.  The
+search walks m = 1 .. budget once, testing each candidate p >= 2 once for
+primality and deriving the valuations at each admissible prime; the checker
+rebuilds the certificate from its own (f, d, r/q, m) and accepts only a
+rebuild equal to the one it was handed, so it trusts none of the derived
+fields.  A certificate's prime at or above psi_12 ~ 3.19e23 rests on
+Baillie-PSW, a probable-prime test, not a proof.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     AlgebraError,
     BadInput,
     BudgetExhausted,
-    NotCoprime,
     NotNormalized,
     ZeroInput,
 )
@@ -157,23 +157,6 @@ def _valuation(x: Union[Fraction, int], p: int) -> Union[int, float]:
     return v
 
 
-def dirichlet_prime(a: int, b: int, m_min: int, budget: int) -> Optional[tuple[int, int]]:
-    """Smallest m >= m_min with a*m + b prime, trying ``budget`` candidates.
-
-    Dirichlet guarantees infinitely many primes in the progression when
-    gcd(a, b) = 1, so None only ever signals budget exhaustion.
-    """
-    if a < 1:
-        raise BadInput("progression step must be positive")
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
-    for m in range(m_min, m_min + budget):
-        candidate = a * m + b
-        if candidate >= 2 and is_prime(candidate):
-            return m, candidate
-    return None
-
-
 def bracket_factorial(q: int, n: int, alpha: Fraction) -> Fraction:
     """((q-1)n + 1 + alpha)((q-2)n + 1 + alpha) ... (1 + alpha); empty = 1."""
     if q < 0 or n < 1:
@@ -266,7 +249,8 @@ def _progression(f: Poly, d: int, alpha: Fraction) -> tuple[int, int, int, int]:
 
 def _certificate(f: Poly, d: int, alpha: Fraction, m: int) -> Optional[Certificate]:
     """The certificate for f, D and m with the prime p = (s_star*q)m + h, or
-    None when p is not prime or _derive_valuations rejects it."""
+    None when p is not prime or _derive_valuations rejects it: the rebuild
+    that verify_certificate compares."""
     s, s0, s_star, h = _progression(f, d, alpha)
     q, r = alpha.denominator, alpha.numerator
     p = s_star * q * m + h
@@ -278,34 +262,30 @@ def _certificate(f: Poly, d: int, alpha: Fraction, m: int) -> Optional[Certifica
 def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10 ** 6) -> Certificate:
     """Search for (m, prime) proving f^(m(d+1)) outside the image of D.
 
-    The candidate primes p = (s_star*q)m + h come from _progression, and the
-    first certificate that one of them builds is returned; building it
-    checks the L0 identity exactly.  A p dividing a denominator of f is
-    skipped unbuilt: with c_k t^k the lowest term of f of least p-adic
-    valuation v < 0, phi at t^(k*N), N = m(d+1), has valuation N*v.  The
-    search ends with BudgetExhausted once the next candidate would need a
-    power of degree above MAX_CERT_DEGREE.
+    One walk over m = 1 .. budget tests each candidate p = (s_star*q)m + h
+    >= 2 once with is_prime and returns the first certificate a prime
+    builds; building it checks the L0 identity exactly.  At a prime the walk
+    ends with BudgetExhausted if f^(m(d+1)) would have degree above
+    MAX_CERT_DEGREE, and skips a p dividing a denominator of f unbuilt: with
+    c_k t^k the lowest term of f of least p-adic valuation v < 0, phi at
+    t^(k*N), N = m(d+1), has valuation N*v.  s_star*q and h are coprime, so
+    the progression holds infinitely many primes (Dirichlet).
     """
     alpha = Fraction(alpha)
     if budget < 1:
         raise BadInput("budget must be at least 1")
-    _, _, s_star, h = _progression(f, d, alpha)
-    m_min = 1
-    while m_min <= budget:
-        found = dirichlet_prime(s_star * alpha.denominator, h, m_min, budget - m_min + 1)
-        if found is None:
-            break
-        m, p = found
+    s, s0, s_star, h = _progression(f, d, alpha)
+    q, r = alpha.denominator, alpha.numerator
+    for m in range(1, budget + 1):
+        p = s_star * q * m + h
+        if p < 2 or not is_prime(p):
+            continue
         if f.degree * m * (d + 1) > MAX_CERT_DEGREE:
             raise BudgetExhausted(f"the next candidate m = {m} needs f^{m * (d + 1)} of degree "
                                   f"{f.degree * m * (d + 1)}, above the limit "
                                   f"MAX_CERT_DEGREE = {MAX_CERT_DEGREE}")
-        m_min = m + 1
-        if f.den % p == 0:
-            continue
-        cert = _certificate(f, d, alpha, m)
-        if cert is not None:
-            return cert
+        if f.den % p and (derived := _derive_valuations(f, s, d, alpha, m, p)) is not None:
+            return Certificate(f, m, p, s0, s_star, h, q, r, *derived, m * (d + 1))
     raise BudgetExhausted(f"no admissible prime among {budget} progression candidates")
 
 

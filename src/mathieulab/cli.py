@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -30,6 +31,14 @@ from .ufdlab import parse_ufd_context, parse_trunc_context
 
 def _poly_str(p) -> Optional[str]:
     return None if p is None else format_poly(p)
+
+
+def _ascii_int(text: str) -> int:
+    """An integer option as int reads it, from ASCII digits only (no '_' and
+    no other script's digits); argparse's own message when it is not one."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_window(text: str) -> range:
@@ -247,20 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("member", _cmd_member, **{"--op": op_arg, "--poly": poly_arg})
     cmd("lzero", _cmd_lzero, **{"--op": op_arg, "--poly": poly_arg})
     cmd("escape", _cmd_escape, **{"--op": op_arg, "--poly": poly_arg,
-                                  "--budget": {"type": int, "default": 50}})
+                                  "--budget": {"type": _ascii_int, "default": 50}})
     cmd("certify", _cmd_certify, **{"--poly": poly_arg,
-                                    "--d": {"type": int, "required": True},
+                                    "--d": {"type": _ascii_int, "required": True},
                                     "--alpha": {"required": True},
-                                    "--budget": {"type": int, "default": 10 ** 6}})
+                                    "--budget": {"type": _ascii_int, "default": 10 ** 6}})
     cmd("verify-cert", _cmd_verify_cert, **{"--cert": {"default": None},
                                             "--cert-file": {"default": None}})
     cmd("moments", _cmd_moments, **{"--weight": weight_arg,
-                                    "--upto": {"type": int, "default": 10}})
+                                    "--upto": {"type": _ascii_int, "default": 10}})
     cmd("vb-member", _cmd_vb_member, **{"--weight": weight_arg, "--poly": poly_arg})
     cmd("orthopoly", _cmd_orthopoly, **{"--weight": weight_arg,
-                                        "--n": {"type": int, "required": True}})
+                                        "--n": {"type": _ascii_int, "required": True}})
     cmd("equiv", _cmd_equiv, **{"--weight": weight_arg, "--op": op_arg,
-                                "--deg-bound": {"type": int, "default": 12}})
+                                "--deg-bound": {"type": _ascii_int, "default": 12}})
     cmd("mathieu", _cmd_mathieu, **{"--space": space_arg, "--full": {"action": "store_true"}})
     cmd("largest-ideal", _cmd_largest_ideal, **{"--space": space_arg})
     cmd("radical-probe", _cmd_radical_probe, **{
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                      "help": "comma-separated ring elements"}})
     cmd("surjective", _cmd_surjective, **{"--ctx": {"required": True,
                                                     "help": "trunc:k=2,c=1,a=x"},
-                                          "--deg-bound": {"type": int, "default": 10}})
+                                          "--deg-bound": {"type": _ascii_int, "default": 10}})
     return parser
 
 

@@ -806,39 +806,6 @@ def euclid_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return _qq_divmod(f.den, f.num, g.den, g.num, Poly, QQ)
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over QQ, by the primitive remainder sequence on the numerators."""
-    if f.ring != g.ring:
-        raise RingMismatch("operands in different rings")
-    if f.den is None:
-        raise BadInput("rational coefficient view requires ring QQ")
-    d = _zgcd(list(f.num), list(g.num))
-    # a primitive list over its positive leading entry is in lowest terms
-    return _build(Poly, QQ, tuple(d), d[-1]) if d else poly_zero()
-
-
-def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ).
-
-    d and u come from the integer cofactor loop `_zxgcd` on the numerators:
-    u f.num = k d_0 mod g, d_0 primitive, gives d = d_0 / lc(d_0) and
-    u = u f.den / (k lc(d_0)).  v = (d - u*f) / g is one exact division at
-    the end (v = 0 when g = 0).
-    """
-    if f.ring != g.ring:
-        raise RingMismatch("operands in different rings")
-    if f.den is None:
-        raise BadInput("Euclidean division needs field coefficients")
-    d, u, k = _zxgcd(list(f.num), list(g.num))
-    if not d:
-        return poly_zero(), _qq(u, k), poly_zero()
-    u = _qq([x * f.den for x in u], k * d[-1])
-    # a primitive list over its positive leading entry is in lowest terms
-    d = _build(Poly, QQ, tuple(d), d[-1])
-    v = poly_zero() if g.is_zero else euclid_divmod(d - u * f, g)[0]
-    return d, u, v
-
-
 def poly_divides(d: Poly, f: Poly) -> bool:
     if d.is_zero:
         return f.is_zero

@@ -43,10 +43,6 @@ class NotNormalized(AlgebraError):
     code = "NOT_NORMALIZED"
 
 
-class NotCoprime(AlgebraError):
-    code = "NOT_COPRIME"
-
-
 class BudgetExhausted(AlgebraError):
     code = "BUDGET_EXHAUSTED"
 

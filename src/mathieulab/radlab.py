@@ -102,7 +102,6 @@ from .corealg import (
     euclid_divmod,
     format_poly,
     parse_poly,
-    poly_gcd,
     poly_one,
     qq_poly,
     t_monomial,
@@ -241,7 +240,8 @@ class CofiniteSubspace:
         # distinct verified factors are distinct irreducibles, hence coprime;
         # residue coordinates cover QQ[t]/(g) only when all blocks are coprime
         for p in unverified:
-            if any(q is not p and poly_gcd(p, q).degree >= 1 for q, _ in normalized):
+            if any(q is not p and len(_zgcd(list(p.num), list(q.num))) > 1
+                   for q, _ in normalized):
                 raise BadInput("modulus factors are not pairwise coprime")
         self.factors: tuple = tuple(normalized)
         self.unverified_factors: tuple = tuple(unverified)
@@ -334,9 +334,9 @@ class CofiniteSubspace:
             factors = []
             for text, mult in data["modulus"]:
                 poly = parse_poly(text, QQ)
-                if isinstance(mult, (bool, float)):
+                if type(mult) is not int:  # a JSON integer; bool is a subclass of int
                     raise BadInput("factor multiplicities must be positive integers")
-                factors.append((poly, int(mult)))
+                factors.append((poly, mult))
             vectors = [list(vec) for vec in data.get("vbar_basis", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed subspace description: {exc}") from exc

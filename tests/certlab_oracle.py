@@ -1,7 +1,8 @@
 """The certificate search and checker of the earlier certlab module, kept
-verbatim as an independent oracle for the single derivation that both now
-share: the search derives (s0, s_star, h) and the prime in its own loop, and
-the checker re-checks each progression condition by hand before it compares
+as an independent oracle for the single derivation that both now share: the
+search derives (s0, s_star, h) by hand and restarts its own candidate loop
+after every prime it finds (the earlier ``dirichlet_prime``), and the
+checker re-checks each progression condition by hand before it compares
 the valuations.  ``certificate_to_dict`` is the earlier JSON writer, which
 names every field by hand.  ``lzero_monomial`` is the closed form of the
 normal-form constant functional on a monomial, which tests compare with
@@ -17,11 +18,10 @@ from mathieulab.certlab import (
     _derive_valuations,
     _normalized_lowest,
     bracket_factorial,
-    dirichlet_prime,
     is_prime,
 )
 from mathieulab.corealg import Poly, format_poly
-from mathieulab.errors import AlgebraError, BadInput, BudgetExhausted, NotCoprime
+from mathieulab.errors import AlgebraError, BadInput, BudgetExhausted
 
 
 def lzero_monomial(q: int, i: int, d: int, alpha: Fraction) -> Fraction:
@@ -33,6 +33,16 @@ def lzero_monomial(q: int, i: int, d: int, alpha: Fraction) -> Fraction:
     if i > 0:
         return Fraction(0)
     return bracket_factorial(q, d + 1, alpha)
+
+
+def next_prime(step: int, h: int, m_min: int, budget: int):
+    """(m, p) for the least m in [m_min, budget] with p = step*m + h prime,
+    or None."""
+    for m in range(m_min, budget + 1):
+        p = step * m + h
+        if p >= 2 and is_prime(p):
+            return m, p
+    return None
 
 
 def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10 ** 6) -> Certificate:
@@ -63,12 +73,11 @@ def certificate_nonmembership(f: Poly, d: int, alpha: Fraction, budget: int = 10
     s_star = s * (d + 1) // s0
     h = (q + r) // s0
     step = s_star * q
-    if math.gcd(step, h) != 1:
-        raise NotCoprime("progression parameters are not coprime")
+    assert math.gcd(step, h) == 1  # Dirichlet: the progression holds infinitely many primes
     denominators = {c.denominator for c in f.coeffs if c}
     m_min = 1
     while m_min <= budget:
-        found = dirichlet_prime(step, h, m_min, budget - m_min + 1)
+        found = next_prime(step, h, m_min, budget)
         if found is None:
             break
         m, p = found

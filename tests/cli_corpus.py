@@ -13,8 +13,9 @@ examples, the operators whose image needs the non-leading element
 (Jacobi parameters with a vanishing lead, lam = 0, c = 0), and 1, t and t^2
 under operators with witness factor w = 1, where D(1) is an image element,
 and `radical-probe --space` windows of 250 and 500 powers, one past the
-power limit and one with both the space and the window malformed.
-`verify-cert` reads the certificates that this run's `certify` requests
+power limit and one with both the space and the window malformed, and
+`certify` requests whose primes take `is_prime` past its trial division,
+one of them past psi_12 into the strong Lucas test.  `verify-cert` reads the certificates that this run's `certify` requests
 printed.
 """
 
@@ -80,6 +81,10 @@ SPACE_PROBES = tuple(
         (WHOLE, "123/457*t + 511/997", "1:500"), (WHOLE, "123/457*t + 511/997", "1:501"),
         (WHOLE, "3/7", "1:501"),
         ('{"modulus":[["t",1]],"vbar_basis":5}', "t", "a:b")))  # the space error wins
+# t + t^2, d = 1: p = 631, 6,500,023 and about 4.35e25 (past psi_12), and h < 0
+CERTIFY_PRIMES = tuple(
+    ("certify", "--poly", "t+t^2", "--d", "1", "--alpha", alpha)
+    for alpha in ("1/97", "7/1000003", "1/318665857834031151167461", "-5/3"))
 PER_COMMAND = 60
 
 
@@ -205,7 +210,8 @@ def _request(rng, name):
 def requests(seed: int = SEED) -> dict:
     """Subcommand -> list of argv; verify-cert is filled in by `run`."""
     rng = random.Random(seed)
-    out = {name: [list(argv) for argv in README + UNIT_FACTOR + SPACE_PROBES if argv[0] == name]
+    out = {name: [list(argv) for argv in README + UNIT_FACTOR + SPACE_PROBES + CERTIFY_PRIMES
+                                  if argv[0] == name]
            for name in SUBCOMMANDS}
     for name in SUBCOMMANDS:
         if name != "verify-cert":

@@ -25,7 +25,6 @@ from mathieulab.corealg import (
     _zstrip,
     clear_denominators,
     euclid_divmod,
-    poly_gcd,
     poly_one,
     poly_zero,
     qq_poly,
@@ -34,6 +33,7 @@ from mathieulab.corealg import (
 from mathieulab.errors import BadInput
 from mathieulab.radlab import _block_residue, _times_t
 
+import corealg_oracle
 from linalg_oracle import nullspace
 
 
@@ -202,9 +202,15 @@ def definition_witness_walk(membership_oracle, a, b, budget):
     return None if last_out == budget else last_out + 1
 
 
+def poly_gcd(f, g):
+    """The monic gcd over QQ of two Polys, by corealg_oracle's Euclidean loop
+    on their Fraction coefficients."""
+    return qq_poly(corealg_oracle.poly_gcd(f, g).qq_coeffs())
+
+
 def poly_xgcd(f, g):
-    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ), as
-    corealg.poly_xgcd computed them before its integer kernel.
+    """(d, u, v) with u*f + v*g = d, d the monic gcd (over QQ), as the
+    earlier corealg.poly_xgcd computed them before the integer kernel.
 
     The remainders form the primitive remainder sequence of the numerators,
     and the loop carries only the cofactor u of each remainder a_i = u_i f

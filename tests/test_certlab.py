@@ -21,7 +21,6 @@ from mathieulab.certlab import (
     certificate_from_dict,
     certificate_nonmembership,
     certificate_to_dict,
-    dirichlet_prime,
     is_prime,
     phi_expansion,
     verify_certificate,
@@ -31,7 +30,6 @@ from mathieulab.corealg import QQ, parse_poly, qq_poly, t_monomial
 from mathieulab.errors import (
     BadInput,
     BudgetExhausted,
-    NotCoprime,
     NotNormalized,
     ZeroInput,
 )
@@ -152,15 +150,6 @@ def test_strong_lucas_pseudoprimes():
         else:
             assert not prime, n
     assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
-
-
-def test_dirichlet_prime_examples():
-    assert dirichlet_prime(1, 2, 1, 100) == (1, 3)
-    assert dirichlet_prime(2, 1, 3, 100) == (3, 7)
-    assert dirichlet_prime(4, 1, 1, 100) == (1, 5)
-    with pytest.raises(NotCoprime):
-        dirichlet_prime(4, 2, 1, 100)
-    assert dirichlet_prime(3, 2, 1, 0) is None  # budget exhaustion only
 
 
 def test_certificate_example_alpha_nonzero():
@@ -409,3 +398,46 @@ def test_certificates_match_the_earlier_search_and_checker():
             "lowest term must be a monic t^s with s >= 1", "no admissible prime",
             "the next candidate m = 1"} <= reached, reached
     assert certificates >= 60 and tampered >= 20 * certificates
+
+
+def test_certificate_search_tests_each_candidate_once(monkeypatch):
+    # one walk over m: the certificate or refusal of the earlier search,
+    # which restarted after every prime, with one primality test per
+    # candidate p = (s_star*q)m + h >= 2 up to the m where the walk stopped
+    tested = []
+    monkeypatch.setattr(certlab, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    rng = random.Random(3737)
+    polys = [parse_poly(text) for text in ("t", "t + t^2", "t + 1/3*t^2", "t^2 - 2/5*t^3",
+                                           "t + 1/7*t^2 - 1/3*t^3", "t - 4*t^2 + t^4", "2*t")]
+    alphas = [Fraction(0), Fraction(1), Fraction(1, 97), Fraction(2, 7), Fraction(5, 2),
+              Fraction(-5, 3), Fraction(-7, 2), Fraction(-9, 4), Fraction(-3)]
+    seen = set()
+    for _ in range(160):
+        f, alpha = rng.choice(polys), rng.choice(alphas)
+        d = rng.choice((0, 1, 1, 2, 3, 250))
+        budget = rng.choice((1, 2, 5, 40, 10 ** 6))
+        tested.clear()
+        new = _outcome(certificate_nonmembership, f, d, alpha, budget)
+        assert new == _outcome(certlab_oracle.certificate_nonmembership, f, d, alpha, budget)
+        if new[0] == "ok":
+            last = new[1].m
+            seen.add("certificate")
+        elif new[0] == "BudgetExhausted" and "next candidate" in new[1]:
+            last = int(re.search(r"m = (\d+)", new[1]).group(1))
+            seen.add("degree limit")
+        elif new[0] == "BudgetExhausted":
+            last = budget
+            seen.add("budget")
+        else:
+            assert tested == [], new
+            seen.add("refused")
+            continue
+        _, _, s_star, h = certlab._progression(f, d, alpha)
+        candidates = [s_star * alpha.denominator * m + h for m in range(1, last + 1)]
+        assert tested == [p for p in candidates if p >= 2], (f, d, alpha, budget)
+        if len(tested) < len(candidates):
+            seen.add("p < 2")
+        if any(f.den % p == 0 and is_prime(p) for p in tested):
+            seen.add("p divides den f")
+    assert seen == {"certificate", "degree limit", "budget", "refused", "p < 2",
+                    "p divides den f"}, seen

@@ -497,7 +497,8 @@ def test_repeated_calls_reuse_the_parser(capsys):
 def test_polynomial_text_is_ascii_and_within_the_digit_limit(capsys):
     # a non-ASCII digit or space is a parse error at its position, and an
     # integer past int()'s digit limit is BAD_INPUT at its position, for
-    # --poly and for a modulus factor of --space alike
+    # --poly and for a modulus factor of --space alike; multiplicities and
+    # integer options take ASCII integers only
     op = ("reduce", "--op", "mono:c=1,alpha=1,lambda=1,d=0", "--poly")
     limit = sys.get_int_max_str_digits()
     big = f"integer above the limit of {limit} digits (at position %d)"
@@ -511,11 +512,33 @@ def test_polynomial_text_is_ascii_and_within_the_digit_limit(capsys):
         (("mathieu", "--space", space % ("t - " + "1" * (limit + 1))), "BAD_INPUT", big % 4),
         (("largest-ideal", "--space", space % "٣*t"), "PARSE_ERROR",
          "unexpected character '٣' (at position 0)"),
+        # a factor multiplicity is a JSON integer, not a string int() reads
+        (("largest-ideal", "--space", '{"modulus":[["t","٣"]]}'), "BAD_INPUT", "multiplicities"),
+        (("mathieu", "--space", '{"modulus":[["t"," 2 "]]}'), "BAD_INPUT", "multiplicities"),
+        (("mathieu", "--space", '{"modulus":[["t","1_0"]]}'), "BAD_INPUT", "multiplicities"),
+        # a negative integer option reaches the subcommand's own refusal
+        (("escape", "--op", "mono:c=1,alpha=1,lambda=1,d=0", "--poly", "t-2", "--budget", "-3"),
+         "BAD_INPUT", "budget must be at least 1"),
     )
     for argv, code, message in cases:
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and not out, argv
+        if message == "multiplicities":
+            message = "factor multiplicities must be positive integers"
         assert json.loads(err) == {"status": "error", "code": code, "message": message}, argv
+    # integer options take ASCII digits only, with argparse's own refusal
+    escape = ("escape", "--op", "mono:c=1,alpha=1,lambda=1,d=0", "--poly", "t-2", "--budget")
+    certify = ("certify", "--poly", "t+t^2", "--alpha", "0", "--d")
+    for argv in (("orthopoly", "--weight", "hermite", "--n", "٣"), (*certify, "١"),
+                 (*escape, "1_0"), (*escape, "\u20033"), (*certify, "1", "--budget", "1_0"),
+                 ("moments", "--weight", "hermite", "--upto", "\uff13"),
+                 ("equiv", "--weight", "hermite", "--op", "mono:c=1,alpha=0,lambda=2,d=1",
+                  "--deg-bound", "1_2"),
+                 ("surjective", "--ctx", "trunc:k=2,c=1,a=x", "--deg-bound", "٣")):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and not out, argv
+        assert err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n"), err
+    assert run_json(capsys, "orthopoly", "--weight", "hermite", "--n", " +3 ")["degree"] == 3
 
 
 # SHA-256 digests of tests/cli_corpus.py's replies per subcommand, with the
@@ -525,8 +548,8 @@ CLI_CORPUS_DIGESTS = {
     "member": (75, "e354dd3fc9cec1805ac18d07e33399ffe053ee71c85d1f5546bbec2d7dcc12b0"),
     "lzero": (73, "75696b29af0b4bb4f83dd4d1848d87fdf2941ea0b5249fa52a7a0155d3b82751"),
     "escape": (73, "761324eeba59a7080ce473963a169a1b184e160be4821c596b0f935dbf16d42c"),
-    "certify": (61, "7d359e84a569d704a7e94f1cce81a6e2bb237a25504917045b3a478bc2fed285"),
-    "verify-cert": (69, "6efec190a65972546c8213c61b4abaa2e8f99a44d3eb8a7998eb12bf4d5fb36d"),
+    "certify": (65, "ed395b1979ffdd3ad22c13436cbe5c3a58f08a5ee6add748ec247dba1953eba0"),
+    "verify-cert": (77, "97768c2e0d18d4af6d9b35979705c97ab0dcb51c4fbf6a0cfc3bc1c3c26c8dec"),
     "moments": (61, "0498e7fb6b4e9e75b8046cf4bdfd6ef98d73db29c6eb0ebbbec08cd3a39c5cd4"),
     "vb-member": (60, "cd0d4ccd4579088686d9b92511a88ee6c5023629f79089a3bd05ac549b8f5da3"),
     "orthopoly": (61, "6f93412259439b44e03d99a34f4876fa5868e9575dd260782b6a951b5f4b8f15"),

@@ -1,6 +1,7 @@
 """Properties of the package source as a whole."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -12,9 +13,8 @@ PACKAGE = Path(mathieulab.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 # public names that stay without a caller in src/ or the acceptance suite:
-# apply_operator is the operator D itself, and poly_xgcd is the rational face
-# of the integer xgcd kernel that radlab calls directly
-UNREFERENCED_ALLOWED = {"apply_operator", "poly_xgcd"}
+# apply_operator is the operator D itself
+UNREFERENCED_ALLOWED = {"apply_operator"}
 
 
 def test_no_assert_statements():
@@ -58,6 +58,34 @@ def test_every_public_name_is_reached():
                                 for other in trees.values())):
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def test_bench_tracer_restores_every_name_it_wraps():
+    # bench/trace.py wraps the public functions it finds in each layer module,
+    # which may go, and looks up the methods named in its METHODS, which must
+    # stay; uninstall puts back every module and class binding it replaced
+    import mathieulab.cli  # noqa: F401  (the tracer wraps every layer module)
+    from bench.trace import LAYERS, METHODS, Tracer
+
+    modules = [getattr(mathieulab, layer) for layer in LAYERS]
+    owners = [mathieulab, *modules] + [obj for mod in modules for obj in vars(mod).values()
+                                       if inspect.isclass(obj) and obj.__module__ == mod.__name__]
+    for (layer, cls_name), methods in METHODS.items():
+        missing = set(methods) - set(vars(getattr(getattr(mathieulab, layer), cls_name)))
+        assert not missing, (cls_name, missing)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer(mathieulab, lambda: 0)
+    tracer.install()
+    try:
+        replaced = sum(vars(owner)[name] is not value
+                       for owner, saved in zip(owners, before) for name, value in saved.items())
+        assert tracer.names and replaced >= len(tracer.names)
+    finally:
+        tracer.uninstall()
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys(), owner
+        assert [name for name, value in saved.items() if now[name] is not value] == [], owner
 
 
 def test_readme_library_example_runs():

@@ -17,7 +17,7 @@ from math import lcm, prod
 
 import pytest
 
-from mathieulab import corealg, radlab
+from mathieulab import radlab
 from mathieulab.cli import main
 from mathieulab.corealg import (
     QQ,
@@ -26,9 +26,7 @@ from mathieulab.corealg import (
     euclid_divmod,
     parse_poly,
     poly_divides,
-    poly_gcd,
     poly_one,
-    poly_xgcd,
     poly_zero,
     qq_poly,
     squarefree_part,
@@ -60,7 +58,9 @@ from radlab_oracle import (
     first_zero_sum_walk,
     fraction_basis,
     krylov_interior_ideal,
+    poly_gcd,
     poly_set_idempotent,
+    poly_xgcd,
     window_radical_member_cofinite,
 )
 
@@ -128,9 +128,11 @@ def test_space_validation():
         CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t"), 1)], [])
     with pytest.raises(BadInput, match="multiplicities"):
         CofiniteSubspace([(parse_poly("t"), True)], [])
-    for mult in (2.9, True):
-        with pytest.raises(BadInput, match="multiplicities"):
+    # JSON integers only: no float, bool, null or string, however it reads
+    for mult in (2.9, True, None, "2", "\u0663", " 2 ", "1_0", 2.0, [2]):
+        with pytest.raises(BadInput, match="^factor multiplicities must be positive integers$"):
             CofiniteSubspace.from_dict({"modulus": [["t", mult]], "vbar_basis": []})
+    assert CofiniteSubspace.from_dict({"modulus": [["t", 3]]}).factors[0][1] == 3
     for entry in (True, False, None):
         with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
             CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)], [[entry, 1]])
@@ -1693,12 +1695,11 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
         definition_witness(s, f, g)
         assert not {"divmod", "mul", "mod"} & set(counter.counts), counter.counts
     # the verdict runs on integer lists from the annihilator to the returned
-    # Polys: no Poly product, division, gcd or xgcd, e_S is formed once, and
-    # the only Polys built are h, r, e_S and t^j
+    # Polys: no Poly product or division, e_S is formed once by one integer
+    # xgcd, and the only Polys built are h, r, e_S and t^j
     monkeypatch.setattr(radlab, "_set_idempotent",
                         counter.count("_set_idempotent", _set_idempotent))
-    monkeypatch.setattr(radlab, "poly_gcd", counter.count("gcd", radlab.poly_gcd))
-    monkeypatch.setattr(corealg, "poly_xgcd", counter.count("xgcd", corealg.poly_xgcd))
+    monkeypatch.setattr(radlab, "_zxgcd", counter.count("_zxgcd", radlab._zxgcd))
     monkeypatch.setattr(Poly, "from_ints", staticmethod(counter.count("from_ints", Poly.from_ints)))
     # a trusted quartic beside (t - 1)^2, where r = (t^4 + t + 7)(t - 1) is not h
     trusted = CofiniteSubspace([(parse_poly("t^4 + t + 7"), 1), (parse_poly("t - 1"), 2)],
@@ -1709,8 +1710,9 @@ def test_radlab_loops_make_no_poly_arithmetic(monkeypatch):
         verdict = mathieu_check(s)
         assert verdict.status == status, s.to_dict()
         assert counter.counts.get("_set_idempotent", 0) == (status == NOT_MATHIEU)
+        assert counter.counts.get("_zxgcd", 0) == (status == NOT_MATHIEU)
         assert counter.counts.get("from_ints", 0) == built, counter.counts
-        assert not {"divmod", "mul", "mod", "gcd", "xgcd"} & set(counter.counts), counter.counts
+        assert not {"divmod", "mul", "mod"} & set(counter.counts), counter.counts
         if s is space:
             assert verdict.witness[1] == parse_poly("t")
 
