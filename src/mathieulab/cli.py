@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="shorthand for --format pretty")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when the mathematical verdict is negative")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_ascii_int, default=None,
                         help="accepted for compatibility; every computation is deterministic")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_ascii_int, default=1,
                         help="accepted for compatibility; execution is sequential")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,10 +12,12 @@ A polynomial over QQ (a ``Poly`` in t) and an element of the other two
 rings (a ``RingElement``, a polynomial in x) are both held as a tuple of
 integer numerators ``num`` over one positive denominator ``den``, in lowest
 terms (no prime divides ``den`` and every numerator) and without trailing
-zeros, so each rational polynomial has exactly one representation.  Their
-``fractions.Fraction`` views (``Poly.coeffs`` and ``RingElement.data``) are
-built on first read; equality and hashing use ``ring``, ``num`` and ``den``.
-Over QQ_POLY and QQ_POLY_TRUNC(k) a ``Poly`` coefficient is a RingElement.
+zeros, so each rational polynomial has exactly one representation.  Both
+types hold ``ring``, ``num`` and ``den`` and nothing else: ``Poly.coeffs``,
+``Poly.qq_coeffs()`` and ``RingElement.data`` build a tuple of
+``fractions.Fraction`` from them on each read, and ``Poly.coeff(i)`` reads
+one entry.  Over QQ_POLY and QQ_POLY_TRUNC(k) a ``Poly`` coefficient is a
+RingElement, and ``num`` (which ``coeffs`` returns) is their tuple.
 
 Every value is immutable and every operation exact; there is no floating
 point anywhere.  The canonical zero polynomial has an empty coefficient
@@ -23,23 +25,27 @@ tuple and degree -1 (the distinguished sentinel); all operations branch on
 it explicitly.
 
 The rational arithmetic runs on integers, and one set of kernels serves
-both types: one canonical form, one sum, one convolution (stopped at x^k
-in QQ_POLY_TRUNC(k)), one division and one gcd.  Sums, products, scaling,
-derivatives, evaluation and substitution build no Fraction; one gcd brings
-each result to lowest terms.  Long division is integer pseudo-division: a
-monic integer divisor divides the numerators with no scaling at all, and
-any other divisor first loses its content and then multiplies each
-remainder coefficient by the powers of its leading coefficient only when
-the loop reaches it, so the work stays one multiply per divisor term and
-step however many steps there are.  Gcds, extended gcds and squarefree
-parts run the primitive remainder sequence (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 6) on the numerators.
+both types: one canonical form, one sum, one plain convolution (whose
+product QQ_POLY_TRUNC(k) cuts at x^k), one division and one gcd.  Sums,
+products, scaling, derivatives, evaluation and substitution build no
+Fraction; one gcd brings each result to lowest terms.  Long division is
+integer pseudo-division: a monic integer divisor divides the numerators
+with no scaling at all, and any other divisor first loses its content and
+then multiplies each remainder coefficient by the powers of its leading
+coefficient only when the loop reaches it, so the work stays one multiply
+per divisor term and step however many steps there are.  Gcds, extended
+gcds and squarefree parts run the primitive remainder sequence (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 6) on the numerators.
 
 Text format (whitespace-insensitive; digits and spaces are ASCII)::
 
-    poly := ['-'] term (('+'|'-') term)* ;  term := coeff ('*'? mono)? | mono ;
-    mono := 'x' ('^' uint)? ('*' 't' ('^' uint)?)? | 't' ('^' uint)? ;
-    coeff := int ('/' uint)? .
+    poly := sign? term (sign term)* ;  sign := '+' | '-' ;
+    term := coeff ('*'? mono)? | mono ;  coeff := uint ('/' uint)? ;
+    mono := var ('^' uint)? ('*' var ('^' uint)?)? ;  var := 'x' | 't' .
+
+A mono names each variable at most once, in either order (``3*t*x^2``
+reads as ``3*x^2*t``); a repeated variable is a ParseError, and so is
+``x`` over QQ.
 
 The grammar has no nesting, so it is regular: ``parse_poly`` reads it term
 by term, one regular-expression match per term.  An exponent may not
@@ -127,9 +133,8 @@ def clear_denominators(values: Iterable) -> tuple[int, list[int]]:
 
 
 def _from_values(values: Iterable, limit: Optional[int] = None):
-    """(num, den, view) of rational values cut after ``limit`` entries when
-    given: num and den canonical, and view the stripped values when all of
-    them are Fractions (which are then the Fraction view), else None."""
+    """(num, den) in canonical form of rational values, cut after ``limit``
+    entries when given."""
     values = [c if type(c) is Fraction or type(c) is int else _as_fraction(c) for c in values]
     n = len(values) if limit is None else min(len(values), limit)
     while n and not values[n - 1]:
@@ -138,8 +143,7 @@ def _from_values(values: Iterable, limit: Optional[int] = None):
     # lowest-terms Fractions over the lcm of their denominators are
     # already in lowest terms as a whole
     den, num = clear_denominators(values)
-    view = tuple(values) if all(type(c) is Fraction for c in values) else None
-    return tuple(num), den, view
+    return tuple(num), den
 
 
 def _canonical(cls, ring: "Ring", num: Sequence[int], den: int):
@@ -183,19 +187,14 @@ def _zadd(a: Sequence[int], da: int, b: Sequence[int], db: int,
     return out, da
 
 
-def _zmul(a: Sequence[int], b: Sequence[int], limit: Optional[int] = None) -> list[int]:
-    """The product of two integer lists, stopped after the first ``limit``
-    entries when a limit is given."""
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer lists."""
     if not a or not b:
         return []
-    n = len(a) + len(b) - 1
-    if limit is not None and limit < n:
-        n = limit
-        a = a[:n]
-    out = [0] * n
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b if n - i >= len(b) else b[:n - i], i):
+            for j, bj in enumerate(b, i):
                 out[j] += ai * bj
     return out
 
@@ -373,23 +372,20 @@ class RingElement:
     ``num`` is the tuple of integer numerators in ascending powers of x and
     ``den`` their positive common denominator, in lowest terms, without
     trailing zeros and, over QQ_POLY_TRUNC(k), of length at most k.
-    ``data`` is the Fraction view, built on first read.  Instances are
-    immutable.
+    ``data`` reads them as Fractions.  Instances are immutable.
     """
 
-    __slots__ = ("ring", "num", "den", "_data")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: Ring, data=()):
         if ring.is_field:
             raise BadInput("QQ elements are Fractions, not ring elements")
         if isinstance(data, (int, Fraction)):
             data = (data,)
-        num, den, view = _from_values(data, ring.trunc)
+        num, den = _from_values(data, ring.trunc)
         _set(self, "ring", ring)
         _set(self, "num", num)
         _set(self, "den", den)
-        if view is not None:
-            _set(self, "_data", view)
 
     @staticmethod
     def from_ints(ring: Ring, num: Sequence[int], den: int = 1) -> "RingElement":
@@ -408,13 +404,8 @@ class RingElement:
     @property
     def data(self) -> tuple:
         """Coefficients in ascending powers of x, as Fractions."""
-        try:
-            return self._data
-        except AttributeError:
-            den = self.den
-            view = tuple(Fraction(x, den) for x in self.num)
-            _set(self, "_data", view)
-            return view
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     def __eq__(self, other):
         if type(other) is not RingElement:
@@ -466,7 +457,7 @@ class RingElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return _elem(self.ring, _zmul(self.num, other.num, self.ring.trunc), self.den * other.den)
+        return RingElement.from_ints(self.ring, _zmul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -554,33 +545,27 @@ class Poly:
 
     Over QQ, ``num`` is the tuple of integer numerators and ``den`` their
     positive common denominator, in lowest terms and without trailing zeros;
-    ``coeffs`` is the Fraction view, built on first read.  Over the other
-    rings ``coeffs`` is the tuple of RingElements, ``num`` is the same tuple
-    and ``den`` is None.  Instances are immutable.
+    ``coeffs`` reads them as Fractions.  Over the other rings ``num`` is the
+    tuple of RingElements, ``coeffs`` is ``num`` itself and ``den`` is None.
+    Instances are immutable.
     """
 
-    __slots__ = ("ring", "num", "den", "_coeffs")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: Ring, coeffs: Iterable = ()):
         if ring.is_field:
-            num, den, view = _from_values(coeffs)
-            _set(self, "ring", ring)
-            _set(self, "num", num)
-            _set(self, "den", den)
-            if view is not None:
-                _set(self, "_coeffs", view)
-            return
-        cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c) for c in coeffs]
-        if any(c.ring != ring for c in cleaned):
-            raise RingMismatch("coefficient from a different ring")
-        n = len(cleaned)
-        while n and not cleaned[n - 1]:
-            n -= 1
-        data = tuple(cleaned[:n])
+            num, den = _from_values(coeffs)
+        else:
+            cleaned = [c if isinstance(c, RingElement) else RingElement(ring, c) for c in coeffs]
+            if any(c.ring != ring for c in cleaned):
+                raise RingMismatch("coefficient from a different ring")
+            n = len(cleaned)
+            while n and not cleaned[n - 1]:
+                n -= 1
+            num, den = tuple(cleaned[:n]), None
         _set(self, "ring", ring)
-        _set(self, "num", data)
-        _set(self, "den", None)
-        _set(self, "_coeffs", data)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def from_ints(num: Sequence[int], den: int = 1) -> "Poly":
@@ -594,13 +579,10 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """Coefficients in ascending powers of t: Fractions over QQ."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            view = tuple(Fraction(x, den) for x in self.num)
-            _set(self, "_coeffs", view)
-            return view
+        den = self.den
+        if den is None:
+            return self.num
+        return tuple(Fraction(x, den) for x in self.num)
 
     def __eq__(self, other):
         if type(other) is not Poly:
@@ -630,7 +612,7 @@ class Poly:
 
     def coeff(self, i: int):
         if 0 <= i < len(self.num):
-            return self.coeffs[i]
+            return self.num[i] if self.den is None else Fraction(self.num[i], self.den)
         return ring_scalar(self.ring, 0)
 
     def lowest_degree(self) -> Optional[int]:

@@ -330,6 +330,11 @@ class CofiniteSubspace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CofiniteSubspace":
+        if not isinstance(data, dict):
+            raise BadInput("malformed subspace description: expected a JSON object")
+        for key in data:
+            if key not in ("modulus", "vbar_basis"):
+                raise BadInput(f"malformed subspace description: unknown key {key!r}")
         try:
             factors = []
             for text, mult in data["modulus"]:

@@ -4,8 +4,10 @@ verbatim as an independent oracle for the integer-numerator ``Poly``: a
 ``euclid_divmod`` through the Fraction or monic-integer long division
 ``_tdivmod``, the Euclidean gcd ``_tgcd`` behind ``poly_gcd``,
 ``squarefree_part`` and ``ring_gcd``, ``poly_xgcd``, the parser and
-printer that build and read Fraction coefficients, and the Fraction-tuple
-helpers ``_strip`` and ``_tderiv`` they use."""
+printer that build and read Fraction coefficients, the Fraction-tuple
+helpers ``_strip`` and ``_tderiv`` they use, and ``stopped_convolution``,
+the integer product that stops after k entries, against which a product
+over QQ_POLY_TRUNC(k), a full convolution cut at x^k, is checked."""
 
 import math
 import re
@@ -74,6 +76,21 @@ def _zdivmod(num, den):
                 n[base + j] -= c * dj
     return (_strip([Fraction(c, dn) for c in q]),
             _strip([Fraction(c, dn) for c in n[:dd]]))
+
+
+def stopped_convolution(a, b, limit):
+    """The product of two integer lists, stopped after the first ``limit``
+    entries: no product past x^(limit-1) is formed."""
+    if not a or not b:
+        return []
+    n = min(len(a) + len(b) - 1, limit)
+    a = a[:n]
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b if n - i >= len(b) else b[:n - i], i):
+                out[j] += ai * bj
+    return out
 
 
 def _tgcd(a, b):

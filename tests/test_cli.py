@@ -516,6 +516,11 @@ def test_polynomial_text_is_ascii_and_within_the_digit_limit(capsys):
         (("largest-ideal", "--space", '{"modulus":[["t","٣"]]}'), "BAD_INPUT", "multiplicities"),
         (("mathieu", "--space", '{"modulus":[["t"," 2 "]]}'), "BAD_INPUT", "multiplicities"),
         (("mathieu", "--space", '{"modulus":[["t","1_0"]]}'), "BAD_INPUT", "multiplicities"),
+        # a space description has only the keys modulus and vbar_basis
+        (("mathieu", "--space", '{"modulus":[["t",1],["t - 1",1]],"vbar_bases":[[1,1]]}'),
+         "BAD_INPUT", "malformed subspace description: unknown key 'vbar_bases'"),
+        (("mathieu", "--space", '"hello"'), "BAD_INPUT",
+         "malformed subspace description: expected a JSON object"),
         # a negative integer option reaches the subcommand's own refusal
         (("escape", "--op", "mono:c=1,alpha=1,lambda=1,d=0", "--poly", "t-2", "--budget", "-3"),
          "BAD_INPUT", "budget must be at least 1"),
@@ -538,6 +543,13 @@ def test_polynomial_text_is_ascii_and_within_the_digit_limit(capsys):
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and not out, argv
         assert err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n"), err
+    # so do the global --seed and --jobs
+    orthopoly = ("orthopoly", "--weight", "hermite", "--n", "2")
+    for flag, value in (("--seed", "٣"), ("--jobs", "1_0"), ("--seed", "\uff13"), ("--jobs", "٢")):
+        status, out, err = run_cli(capsys, flag, value, *orthopoly)
+        assert status == 2 and not out, (flag, value)
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n"), err
+    assert run_json(capsys, "--seed", "3", "--jobs", " 2 ", *orthopoly)["degree"] == 2
     assert run_json(capsys, "orthopoly", "--weight", "hermite", "--n", " +3 ")["degree"] == 3
 
 

@@ -122,6 +122,24 @@ def test_parse_accepts_leading_minus_and_juxtaposition():
     assert parse_poly("3t") == qq_poly([0, 3])
 
 
+def test_parse_reads_a_monomial_in_either_order_and_refuses_a_repeat():
+    # mono := var ('^' uint)? ('*' var ('^' uint)?)?, each variable at most once
+    for text, want in (("t*x", "x*t"), ("x*t", "x*t"), ("3*t*x^2", "3*x^2*t"),
+                       ("3*x^2*t", "3*x^2*t"), ("2/3 t^2*x - t*x^3", "2/3*x*t^2 - x^3*t")):
+        p = parse_poly(text, QQ_POLY)
+        assert format_poly(p) == want, text
+        assert parse_poly(want, QQ_POLY) == p
+    assert parse_poly("3*t*x^2", TRUNC3) == parse_poly("3*x^2*t", TRUNC3)
+    assert parse_poly("+t") == parse_poly("t")
+    for text, name, pos in (("t*t", "t", 2), ("x*x", "x", 2), ("x^2*t*x", "x", 6),
+                            ("3*t^2*t", "t", 6), ("t*x*t^3", "t", 4)):
+        with pytest.raises(ParseError, match=f"^variable {name!r} repeated in a term") as err:
+            parse_poly(text, QQ_POLY)
+        assert err.value.position == pos, text
+    with pytest.raises(ParseError, match="coefficient variable x is not allowed over QQ"):
+        parse_poly("t*x", QQ)
+
+
 def test_parse_rational_refuses_exponent_notation():
     for text in ("7", " -3 ", "2/6", "-1.25", ".5", "+1", "1.", "+.5", " \t-0.250\n", "007/014"):
         assert parse_rational(text) == Fraction(text)
@@ -1033,3 +1051,96 @@ def test_parse_poly_refuses_exponents_above_the_limit():
     # the refusal reads the exponent's text; a list as long as the exponent
     # would take gigabytes
     assert peak < 2_000_000
+
+
+# -- the stored fields and the views read from them --------------------------
+
+def _view_cases(rng):
+    """(how, value) pairs: Polys over QQ and RingElements over QQ_POLY and
+    QQ_POLY_TRUNC(k) built from Fractions, from ints and by arithmetic."""
+    for _ in range(60):
+        coeffs = _rand_tuple(rng, rng.randint(0, 8), rng.choice(("int", "rat", "sparse", "big")))
+        f, g = qq_poly(coeffs), rand_qq(rng)
+        k = rng.choice([1, 2, 3, 12]) * rng.choice([1, -1])
+        yield "Poly from Fractions", f
+        yield "Poly from ints", Poly.from_ints([x * k for x in f.num], f.den * k)
+        yield "Poly by arithmetic", rng.choice((f * g, f + g, f - g, -f, f.derivative(),
+                                                f.scale(rand_fraction(rng)), g ** 2))
+        for ring in (QQ_POLY, qq_poly_trunc(rng.randint(1, 5))):
+            ea, eb = rand_element(rng, ring, max_deg=5), rand_element(rng, ring, max_deg=5)
+            yield "RingElement from Fractions", RingElement(ring, coeffs)
+            yield "RingElement from ints", RingElement.from_ints(ring, [x * k for x in ea.num],
+                                                                 ea.den * k)
+            yield "RingElement by arithmetic", rng.choice((ea * eb, ea + eb, ea - eb, -ea,
+                                                           ea.derivative(), ea ** 3,
+                                                           ea.scale(rand_fraction(rng))))
+
+
+def test_views_are_read_from_num_and_den():
+    rng = random.Random(3801)
+    seen = collections.Counter()
+    for how, value in _view_cases(rng):
+        seen[how] += 1
+        want = tuple(Fraction(x, value.den) for x in value.num)
+        if type(value) is Poly:
+            _assert_qq_canonical(value)
+            assert value.coeffs == want and value.qq_coeffs() == want, how
+            for i in range(-1, len(value.num) + 2):
+                got = value.coeff(i)
+                assert type(got) is Fraction, how
+                assert got == (want[i] if 0 <= i < len(want) else 0), (how, i)
+        else:
+            _assert_canonical(value, value.ring)
+            assert value.data == want, how
+    assert min(seen.values()) >= 60 and len(seen) == 6, seen
+    # over a coefficient ring, coeffs is num itself and coeff(i) one entry
+    for ring in (QQ_POLY, TRUNC3):
+        f = rand_poly(rng, ring) + t_monomial(ring, 2, ring_monomial(ring, 1, Fraction(2, 3)))
+        assert f.den is None and f.coeffs is f.num
+        assert all(f.coeff(i) is f.num[i] for i in range(len(f.num)))
+        assert f.coeff(len(f.num)) == ring_scalar(ring, 0)
+        with pytest.raises(BadInput, match="rational coefficient view requires ring QQ"):
+            f.qq_coeffs()
+
+
+def test_stored_fields_are_ring_num_and_den():
+    assert Poly.__slots__ == ("ring", "num", "den")
+    assert RingElement.__slots__ == ("ring", "num", "den")
+    namespace = {"Poly": Poly, "RingElement": RingElement, "Ring": type(QQ), "Fraction": Fraction}
+    rng = random.Random(3802)
+    values = [value for _, value in _view_cases(rng)]
+    values += [rand_poly(rng, ring) for ring in (QQ_POLY, TRUNC3) for _ in range(40)]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        # reading a view leaves nothing behind
+        view = value.data if type(value) is RingElement else value.coeffs
+        assert view == (value.data if type(value) is RingElement else value.coeffs)
+        assert [getattr(value, name) for name in type(value).__slots__] == [
+            value.ring, value.num, value.den]
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                      eval(repr(value), namespace)):
+            assert type(again) is type(value) and again == value and hash(again) == hash(value)
+            assert (again.ring, again.num, again.den) == (value.ring, value.num, value.den)
+        with pytest.raises(AttributeError):
+            value.den = 1
+
+
+def test_truncated_product_matches_stopped_convolution():
+    # a product over QQ_POLY_TRUNC(k) is the full convolution cut at x^k: the
+    # same as the convolution that stops after k entries, and as the QQ_POLY
+    # product cut at x^k
+    rng = random.Random(3803)
+    for k in range(1, 7):
+        ring = qq_poly_trunc(k)
+        for _ in range(80):
+            ea, eb = (RingElement(ring, _rand_tuple(rng, rng.randint(0, k + 2),
+                                                    rng.choice(("int", "rat", "sparse", "big"))))
+                      for _ in range(2))
+            got = ea * eb
+            _assert_canonical(got, ring)
+            stopped = corealg_oracle.stopped_convolution(list(ea.num), list(eb.num), k)
+            assert got == RingElement.from_ints(ring, stopped, ea.den * eb.den)
+            full = RingElement(QQ_POLY, ea.data) * RingElement(QQ_POLY, eb.data)
+            assert got.data == _strip(full.data[:k])
+            assert eb * ea == got and ea.__rmul__(eb) == got
+

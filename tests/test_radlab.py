@@ -133,6 +133,13 @@ def test_space_validation():
         with pytest.raises(BadInput, match="^factor multiplicities must be positive integers$"):
             CofiniteSubspace.from_dict({"modulus": [["t", mult]], "vbar_basis": []})
     assert CofiniteSubspace.from_dict({"modulus": [["t", 3]]}).factors[0][1] == 3
+    # a description is a JSON object with no key but modulus and vbar_basis
+    for data in ("hello", [["t", 1]], None, 3):
+        with pytest.raises(BadInput, match="^malformed subspace description: expected a JSON object$"):
+            CofiniteSubspace.from_dict(data)
+    for key in ("vbar_bases", "Modulus", ""):
+        with pytest.raises(BadInput, match=f"^malformed subspace description: unknown key {key!r}$"):
+            CofiniteSubspace.from_dict({"modulus": [["t", 1], ["t - 1", 1]], key: [[1, 1]]})
     for entry in (True, False, None):
         with pytest.raises(BadInput, match="basis entries must be integers or rational strings"):
             CofiniteSubspace([(parse_poly("t"), 1), (parse_poly("t - 1"), 1)], [[entry, 1]])
