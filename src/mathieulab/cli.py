@@ -4,9 +4,12 @@ JSON on stdout is the stable contract; ``--format pretty`` is for humans
 and deliberately unstable.  Exit codes: 0 ok, 1 negative mathematical
 verdict under ``--check``, 2 usage or input errors.
 
-``main(argv)`` may be called repeatedly in one process.  The argument parser
-is built on the first call and reused by every later one; parsing keeps no
-state between calls.
+``main(argv)`` may be called repeatedly in one process; parsing keeps no state
+between calls.  Each request is read from the option table (``_COMMANDS``):
+global options, the subcommand, then ``--name value``, ``--name=value`` or a
+bare flag, with exact names.  argparse, on a parser built once from the same
+table, reads only the rest: help, usage errors, abbreviated options and a
+separate value that starts with '-'.  The parsing rules are unchanged.
 """
 
 from __future__ import annotations
@@ -80,12 +83,21 @@ def _cmd_certify(args):
     return certlab.certificate_to_dict(cert), False
 
 
+def _json_value(text: str, option: str):
+    """The JSON value of an option; JSON nested past the interpreter's
+    recursion limit is BAD_INPUT, not a traceback."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise BadInput(f"{option} JSON is nested too deeply") from None
+
+
 def _cmd_verify_cert(args):
     if args.cert_file:
         with open(args.cert_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _json_value(fh.read(), "--cert-file")
     elif args.cert:
-        data = json.loads(args.cert)
+        data = _json_value(args.cert, "--cert")
     else:
         raise BadInput("give --cert or --cert-file")
     valid = certlab.verify_certificate(certlab.certificate_from_dict(data))
@@ -123,7 +135,7 @@ def _cmd_equiv(args):
 
 
 def _space_from_arg(text: str) -> radlab.CofiniteSubspace:
-    return radlab.CofiniteSubspace.from_dict(json.loads(text))
+    return radlab.CofiniteSubspace.from_dict(_json_value(text, "--space"))
 
 
 def _space_diagnostics(space: radlab.CofiniteSubspace) -> list[str]:
@@ -222,81 +234,149 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines)
 
 
+class _Option:
+    """One row of the option table: the name, the type of its value (str or
+    _ascii_int, or bool for a flag), whether it is required or else its default,
+    the help text and the choices; a signed option's value may start with '-'."""
+
+    __slots__ = ("name", "dest", "type", "required", "default", "help", "choices", "signed")
+
+    def __init__(self, name, type=str, *, required=False, default=None, help=None,
+                 choices=None, signed=False):
+        self.name, self.dest = name, name[2:].replace("-", "_")
+        self.type, self.required, self.default = type, required, default
+        self.help, self.choices, self.signed = help, choices, signed
+
+
+def _options(*options: _Option) -> dict:
+    return {o.name: o for o in options}
+
+
+_GLOBAL_OPTIONS = _options(
+    _Option("--format", choices=("json", "pretty"), default="json"),
+    _Option("--pretty", bool, default=False, help="shorthand for --format pretty"),
+    _Option("--check", bool, default=False,
+            help="exit 1 when the mathematical verdict is negative"),
+    _Option("--seed", _ascii_int,
+            help="accepted for compatibility; every computation is deterministic"),
+    _Option("--jobs", _ascii_int, default=1,
+            help="accepted for compatibility; execution is sequential"),
+)
+_OP = _Option("--op", required=True, help="operator, e.g. mono:c=1,alpha=1,lambda=1,d=0")
+_POLY = _Option("--poly", required=True, help="polynomial in t", signed=True)
+_WEIGHT = _Option("--weight", required=True, help="weight, e.g. jacobi:alpha=0,beta=0")
+_SPACE = _Option("--space", required=True, help="cofinite subspace JSON")
+_CTX = _Option("--ctx", required=True, help="context, e.g. ufd:a=x^2")
+
+# subcommand -> (handler, options), in the order --help lists them
+_COMMANDS = {
+    "reduce": (_cmd_reduce, _options(_OP, _POLY)),
+    "member": (_cmd_member, _options(_OP, _POLY)),
+    "lzero": (_cmd_lzero, _options(_OP, _POLY)),
+    "escape": (_cmd_escape, _options(_OP, _POLY, _Option("--budget", _ascii_int, default=50))),
+    "certify": (_cmd_certify, _options(
+        _POLY, _Option("--d", _ascii_int, required=True),
+        _Option("--alpha", required=True, signed=True),
+        _Option("--budget", _ascii_int, default=10 ** 6))),
+    "verify-cert": (_cmd_verify_cert, _options(_Option("--cert"), _Option("--cert-file"))),
+    "moments": (_cmd_moments, _options(_WEIGHT, _Option("--upto", _ascii_int, default=10))),
+    "vb-member": (_cmd_vb_member, _options(_WEIGHT, _POLY)),
+    "orthopoly": (_cmd_orthopoly, _options(_WEIGHT, _Option("--n", _ascii_int, required=True))),
+    "equiv": (_cmd_equiv, _options(_WEIGHT, _OP,
+                                   _Option("--deg-bound", _ascii_int, default=12))),
+    "mathieu": (_cmd_mathieu, _options(_SPACE, _Option("--full", bool, default=False))),
+    "largest-ideal": (_cmd_largest_ideal, _options(_SPACE)),
+    "radical-probe": (_cmd_radical_probe, _options(
+        _POLY, _Option("--window", required=True, help="inclusive range lo:hi", signed=True),
+        _Option("--space"), _Option("--op"), _Option("--weight"))),
+    "ufd-member": (_cmd_ufd_member, _options(_CTX, _POLY)),
+    "ufd-radical": (_cmd_ufd_radical, _options(
+        _CTX, _Option("--p", required=True, help="unsubstituted polynomial", signed=True))),
+    "absorb-bound": (_cmd_absorb_bound, _options(
+        _CTX, _Option("--p", required=True, signed=True),
+        _Option("--g", required=True, signed=True))),
+    "gcd-lift": (_cmd_gcd_lift, _options(
+        _Option("--a", required=True, signed=True),
+        _Option("--elements", required=True, help="comma-separated ring elements", signed=True))),
+    "surjective": (_cmd_surjective, _options(
+        _Option("--ctx", required=True, help="trunc:k=2,c=1,a=x"),
+        _Option("--deg-bound", _ascii_int, default=10))),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
+    for o in options.values():
+        if o.type is bool:
+            parser.add_argument(o.name, action="store_true", help=o.help)
+        else:
+            parser.add_argument(o.name, type=o.type, required=o.required, default=o.default,
+                                choices=o.choices, help=o.help)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every call."""
+    """The argument parser built from the option table, once per process and
+    shared by every call that the table's own reader declines."""
     # --help leaves out the docstring's last paragraph, which is for Python callers;
     # under -OO there is no docstring
     description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
     parser = argparse.ArgumentParser(prog="mathieulab", description=description)
-    parser.add_argument("--format", choices=("json", "pretty"), default="json")
-    parser.add_argument("--pretty", action="store_true", help="shorthand for --format pretty")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the mathematical verdict is negative")
-    parser.add_argument("--seed", type=_ascii_int, default=None,
-                        help="accepted for compatibility; every computation is deterministic")
-    parser.add_argument("--jobs", type=_ascii_int, default=1,
-                        help="accepted for compatibility; execution is sequential")
+    _add_options(parser, _GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, **arguments):
+    for name, (handler, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for arg, options in arguments.items():
-            p.add_argument(arg, **options)
-        p.set_defaults(handler=fn)
-        return p
-
-    op_arg = {"required": True, "help": "operator, e.g. mono:c=1,alpha=1,lambda=1,d=0"}
-    poly_arg = {"required": True, "help": "polynomial in t"}
-    weight_arg = {"required": True, "help": "weight, e.g. jacobi:alpha=0,beta=0"}
-    space_arg = {"required": True, "help": "cofinite subspace JSON"}
-    ctx_arg = {"required": True, "help": "context, e.g. ufd:a=x^2"}
-
-    cmd("reduce", _cmd_reduce, **{"--op": op_arg, "--poly": poly_arg})
-    cmd("member", _cmd_member, **{"--op": op_arg, "--poly": poly_arg})
-    cmd("lzero", _cmd_lzero, **{"--op": op_arg, "--poly": poly_arg})
-    cmd("escape", _cmd_escape, **{"--op": op_arg, "--poly": poly_arg,
-                                  "--budget": {"type": _ascii_int, "default": 50}})
-    cmd("certify", _cmd_certify, **{"--poly": poly_arg,
-                                    "--d": {"type": _ascii_int, "required": True},
-                                    "--alpha": {"required": True},
-                                    "--budget": {"type": _ascii_int, "default": 10 ** 6}})
-    cmd("verify-cert", _cmd_verify_cert, **{"--cert": {"default": None},
-                                            "--cert-file": {"default": None}})
-    cmd("moments", _cmd_moments, **{"--weight": weight_arg,
-                                    "--upto": {"type": _ascii_int, "default": 10}})
-    cmd("vb-member", _cmd_vb_member, **{"--weight": weight_arg, "--poly": poly_arg})
-    cmd("orthopoly", _cmd_orthopoly, **{"--weight": weight_arg,
-                                        "--n": {"type": _ascii_int, "required": True}})
-    cmd("equiv", _cmd_equiv, **{"--weight": weight_arg, "--op": op_arg,
-                                "--deg-bound": {"type": _ascii_int, "default": 12}})
-    cmd("mathieu", _cmd_mathieu, **{"--space": space_arg, "--full": {"action": "store_true"}})
-    cmd("largest-ideal", _cmd_largest_ideal, **{"--space": space_arg})
-    cmd("radical-probe", _cmd_radical_probe, **{
-        "--poly": poly_arg,
-        "--window": {"required": True, "help": "inclusive range lo:hi"},
-        "--space": {"default": None},
-        "--op": {"default": None},
-        "--weight": {"default": None},
-    })
-    cmd("ufd-member", _cmd_ufd_member, **{"--ctx": ctx_arg, "--poly": poly_arg})
-    cmd("ufd-radical", _cmd_ufd_radical, **{"--ctx": ctx_arg,
-                                            "--p": {"required": True, "help": "unsubstituted polynomial"}})
-    cmd("absorb-bound", _cmd_absorb_bound, **{"--ctx": ctx_arg,
-                                              "--p": {"required": True},
-                                              "--g": {"required": True}})
-    cmd("gcd-lift", _cmd_gcd_lift, **{"--a": {"required": True},
-                                      "--elements": {"required": True,
-                                                     "help": "comma-separated ring elements"}})
-    cmd("surjective", _cmd_surjective, **{"--ctx": {"required": True,
-                                                    "help": "trunc:k=2,c=1,a=x"},
-                                          "--deg-bound": {"type": _ascii_int, "default": 10}})
+        _add_options(p, options)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _read_request(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace that the parser would read from argv, read from the option
+    table alone: global options, the subcommand, then its options, each as
+    '--name value', '--name=value' or a bare flag, with exact names.  None for
+    anything else (help, an abbreviated or unknown option, a global option after
+    the subcommand, a usage error, '--', a separate value that starts with '-'),
+    which argparse then reads, so that it writes every help text and usage error."""
+    options, command, handler, values = _GLOBAL_OPTIONS, None, None, {}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        option = options.get(name)
+        if option is None:
+            if command is not None or arg not in _COMMANDS:
+                return None
+            command = arg
+            handler, options = _COMMANDS[arg]
+            continue
+        if option.type is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops a '--' value
+                return None
+            try:
+                value = option.type(value)
+            except (argparse.ArgumentTypeError, ValueError):
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+    if command is None or any(o.required and o.dest not in values for o in options.values()):
+        return None
+    namespace = {o.dest: o.default for o in (*_GLOBAL_OPTIONS.values(), *options.values())}
+    namespace.update(values, command=command, handler=handler)
+    return argparse.Namespace(**namespace)
 
 
 # options whose value (a polynomial, a rational or a list of ring elements)
 # may start with a minus sign
-_SIGNED_OPTIONS = frozenset(("--poly", "--p", "--g", "--a", "--alpha", "--elements", "--window"))
+_SIGNED_OPTIONS = frozenset(o.name for _, options in _COMMANDS.values()
+                            for o in options.values() if o.signed)
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -312,11 +392,13 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    args = _read_request(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         payload, negative = args.handler(args)
     except AlgebraError as exc:

@@ -1,8 +1,10 @@
 """Command-line interface: exact JSON payloads, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -100,6 +102,29 @@ def test_certify_and_verify_roundtrip(capsys, tmp_path):
     tampered["prime"] = 4
     code, out, err = run_cli(capsys, "verify-cert", "--cert", json.dumps(tampered))
     assert code == 0 and json.loads(out) == {"valid": False}
+
+
+def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path):
+    # past the interpreter's recursion limit json raises RecursionError, which
+    # the options that read JSON answer as BAD_INPUT naming the option
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    for argv, option in ((("mathieu", "--space", deep), "--space"),
+                         (("largest-ideal", "--space", deep), "--space"),
+                         (("radical-probe", "--space", deep, "--poly", "t", "--window", "1:2"),
+                          "--space"),
+                         (("verify-cert", "--cert", deep), "--cert"),
+                         (("verify-cert", "--cert-file", str(path)), "--cert-file")):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and not out, argv
+        assert json.loads(err) == {"status": "error", "code": "BAD_INPUT",
+                                   "message": f"{option} JSON is nested too deeply"}
+    # nesting within the limit reaches the description's own checks
+    shallow = "[" * 500 + "]" * 500
+    status, _, err = run_cli(capsys, "mathieu", "--space", shallow)
+    assert status == 2 and json.loads(err)["message"] == (
+        "malformed subspace description: expected a JSON object")
 
 
 def test_moments_vb_orthopoly(capsys):
@@ -428,6 +453,59 @@ def reference_main(argv):
     return 1 if args.check and negative else 0
 
 
+VARIANT_KINDS = ("abbreviated", "repeated", "equals", "pretty=1", "global after", "missing",
+                 "-h", "--", "negative", "empty", "unknown")
+
+
+def _variant(rng, argv, other, kind):
+    """A variant of the corpus request argv, in a form that the option table's
+    reader must read as argparse does or leave to argparse; other is a second
+    request of the same subcommand, whose value a repeated option takes."""
+    name, *rest = argv
+    options = [i for i, arg in enumerate(rest) if arg.startswith("--") and arg != "--full"]
+    at = rng.choice(options)
+    option, value = rest[at], rest[at + 1]
+    boundary = rng.choice([i for i, arg in enumerate(rest) if arg.startswith("--")] + [len(rest)])
+    if kind == "abbreviated":
+        cut = rng.randint(3, max(3, len(option) - 1))  # '--p' and the like stay whole
+        rest[at] = "--deg" if option == "--deg-bound" else option[:cut]
+    elif kind == "repeated":
+        rest += [option, other[other.index(option) + 1] if option in other else value]
+    elif kind == "equals":
+        rest[at:at + 2] = [f"{option}={value}"]
+    elif kind == "pretty=1":
+        return ("--pretty=1", name, *rest)
+    elif kind == "global after":
+        rest.insert(boundary, rng.choice(("--check", "--pretty", "--seed=1")))
+    elif kind == "missing":
+        del rest[at:at + 2]
+    elif kind in ("-h", "--"):
+        rest.insert(boundary, kind)
+    elif kind == "negative":
+        numbers = [i for i in options if rest[i + 1].isdigit()]
+        if not numbers:
+            return ("--seed", f"-{rng.randint(1, 9)}", name, *rest)
+        rest[rng.choice(numbers) + 1] = f"-{rng.randint(0, 9)}"
+    elif kind == "empty":
+        rest[at + 1] = ""
+    else:
+        name = rng.choice(("frobnicate", name[:-1], name + "s", name.upper()))
+    return (name, *rest)
+
+
+def variant_requests(seed=40):
+    """One seeded variant of each kind per subcommand, of corpus requests with an option."""
+    rng = random.Random(seed)
+    corpus = cli_corpus.requests()
+    corpus["verify-cert"].append(["verify-cert", "--cert", "{}", "--cert-file", "cert.json"])
+    out = []
+    for name in cli_corpus.SUBCOMMANDS:
+        requests = [argv for argv in corpus[name] if len(argv) > 2]
+        for kind in VARIANT_KINDS:
+            out.append(_variant(rng, rng.choice(requests), rng.choice(requests), kind))
+    return out
+
+
 def test_shared_parser_matches_fresh_parser(capsys):
     cert = run_cli(capsys, *README_EXAMPLES[3])[1].strip()
     base = [*README_EXAMPLES, ("verify-cert", "--cert", cert), *EXIT_CODE_CASES,
@@ -436,10 +514,56 @@ def test_shared_parser_matches_fresh_parser(capsys):
     # cycle the global flags so a flag set on one call is absent on the next
     cases = [GLOBAL_FLAGS[i % len(GLOBAL_FLAGS)] + argv for i, argv in enumerate(base)]
     cases += base
+    variants = variant_requests()
+    assert len(variants) == len(cli_corpus.SUBCOMMANDS) * len(VARIANT_KINDS)
+    cases += variants
     for argv in cases:
         shared = (main(list(argv)), *capsys.readouterr())
         fresh = (reference_main(list(argv)), *capsys.readouterr())
         assert shared == fresh, argv
+
+
+def test_reader_reads_the_namespace_argparse_reads_or_declines(capsys):
+    # on every corpus request and variant, the option table's reader returns
+    # None or exactly what argparse reads, and None whenever argparse exits
+    parser = cli.build_parser.__wrapped__()
+    corpus = [argv for argvs in cli_corpus.requests().values() for argv in argvs]
+    edges = (("member", "--op=--", "--poly", "t"), ("member", "--op", "-x", "--poly", "t"),
+             ("member", "--op", OP, "--poly"), ("member", "--op", OP, "--poly", "-"),
+             ("member", "--op=", "--poly="), ("mathieu", "--full=1", "--space", SPACE),
+             ("--format=xml", "mathieu", "--space", SPACE), ("--seed=", "mathieu", "--space", SPACE),
+             ("--seed= 3 ", "--jobs=+2", "--format=pretty", "mathieu", "--space=" + SPACE),
+             ("orthopoly", "--weight", "hermite", "--n=1_0"), ("mathieu", "mathieu"),
+             ("--check",), ("-", "mathieu", "--space", SPACE), ("mathieu=", "--space", SPACE))
+    cases = [*corpus, *variant_requests(), *(argv for argv, _ in MALFORMED_CASES),
+             *USAGE_CASES, *SIGNED_POLY_CASES, *edges]
+    read = 0
+    for argv in cases:
+        argv = cli._attach_signed_values(list(argv))
+        try:
+            expected = vars(parser.parse_args(list(argv)))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        namespace = cli._read_request(list(argv))
+        assert namespace is None or vars(namespace) == expected, argv
+        read += namespace is not None
+    assert read >= len(corpus) - 18
+
+
+# SHA-256 over the replies to --help, each subcommand's --help and the
+# USAGE_CASES: argparse writes this text, and reference_main shares its parser
+# code with main, so only a pinned digest sees the text change
+HELP_AND_USAGE_DIGEST = "2438de586e94813b7cfc3d92aad82e1d8731118bb323a52f89a9e562203228db"
+
+
+def test_help_and_usage_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    h = hashlib.sha256()
+    for argv in (("--help",), *((name, "--help") for name in cli_corpus.SUBCOMMANDS),
+                 *USAGE_CASES):
+        h.update(repr(run_cli(capsys, *argv)).encode())
+    assert h.hexdigest() == HELP_AND_USAGE_DIGEST
 
 
 SIGNED_POLY_CASES = (
@@ -579,3 +703,17 @@ CLI_CORPUS_DIGESTS = {
 
 def test_cli_corpus_digests_are_pinned():
     assert cli_corpus.run() == CLI_CORPUS_DIGESTS
+
+
+def test_only_declined_requests_reach_argparse(monkeypatch):
+    # the option table's reader reads every corpus request but those with a
+    # separate negative integer value, which argparse reads as a value and the
+    # reader leaves to it; a reader that declined everything would still pass
+    # every output test, so the shared parser's calls are counted
+    parser = cli.build_parser()
+    parse_args, seen = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda args: seen.append(args) or parse_args(args))
+    cli_corpus.run()
+    assert sorted({(argv[0], *argv[-2:]) for argv in seen}) == [
+        ("moments", "--upto", "-1"), ("orthopoly", "--n", "-1")]
+    assert len(seen) == 18
