@@ -337,7 +337,7 @@ def _read_request(argv: list[str]) -> Optional[argparse.Namespace]:
     anything else (help, an abbreviated or unknown option, a global option after
     the subcommand, a usage error, '--', a separate value that starts with '-'),
     which argparse then reads, so that it writes every help text and usage error."""
-    options, command, handler, values = _GLOBAL_OPTIONS, None, None, {}
+    options, command, values = _GLOBAL_OPTIONS, None, {}
     args = iter(argv)
     for arg in args:
         name, eq, value = arg.partition("=")
@@ -346,7 +346,7 @@ def _read_request(argv: list[str]) -> Optional[argparse.Namespace]:
             if command is not None or arg not in _COMMANDS:
                 return None
             command = arg
-            handler, options = _COMMANDS[arg]
+            options = _COMMANDS[arg][1]
             continue
         if option.type is bool:
             if eq:
@@ -369,7 +369,7 @@ def _read_request(argv: list[str]) -> Optional[argparse.Namespace]:
     if command is None or any(o.required and o.dest not in values for o in options.values()):
         return None
     namespace = {o.dest: o.default for o in (*_GLOBAL_OPTIONS.values(), *options.values())}
-    namespace.update(values, command=command, handler=handler)
+    namespace.update(values, command=command, handler=_COMMANDS[command][0])
     return argparse.Namespace(**namespace)
 
 
