@@ -2,8 +2,14 @@
 
 Over the UFD QQ[x] the operator D = d/dt - a sends h to h' - a*h; a
 polynomial in t belongs to the image exactly when the triangular system
-(i+1) h_(i+1) - a h_i = f_i is solvable by exact division from the top
-degree down.  For constants the criterion degenerates to divisibility by a.
+(i+1) h_(i+1) - a h_i = f_i is solvable from the top degree down.  The solve
+runs on integer t-coefficients: with a = (u/v)*A for A primitive in Z[x] and
+f_i = F_i / D, the levels H_i = v*((i+1)*H_(i+1) - u^(n-i)*F_i) / A, with
+h_i = H_i / (D*u^(n-i+1)), are integer lists exactly when f is in the image,
+since by Gauss's lemma a primitive A divides an integer list over QQ[x] only
+with an integer quotient.  Every solution is re-applied to D level by level
+before it is returned or trusted.  For constants the criterion degenerates
+to divisibility by a.
 Several equivalent membership criteria and the bounds they imply are
 implemented alongside:
 
@@ -36,7 +42,9 @@ from .corealg import (
     QQ_POLY,
     Ring,
     RingElement,
+    _content,
     _zadd,
+    _zdivmod,
     _zmul,
     _zstrip,
     exact_divide,
@@ -90,31 +98,84 @@ def parse_ufd_context(text: str) -> UfdContext:
     return UfdContext(QQ_POLY, parse_ring_element(args["a"], QQ_POLY))
 
 
+def _parts(a: RingElement) -> tuple[list[int], int, int]:
+    """(A, u, v) with a = (u/v)*A: A the primitive integer numerator of a,
+    with positive leading entry, and u/v in lowest terms with v > 0."""
+    c = _content(a.num)
+    g = math.gcd(c, a.den)
+    return [x // c for x in a.num], c // g, a.den // g
+
+
+def _t_levels(f: Poly) -> tuple[list[list[int]], int]:
+    """(F, D): the t-coefficients f_i = F_i / D of f over QQ[x] as integer
+    lists over D, the lcm of their denominators."""
+    den = math.lcm(*(c.den for c in f.num))
+    return [[x * (den // c.den) for x in c.num] for c in f.num], den
+
+
+def _solve(parts: tuple, big_f: list[list[int]], den: int) -> Optional[list[tuple[list[int], int]]]:
+    """The t-coefficients h_i of the h with h' - a*h = f, as integer pairs
+    (H_i, D*u^(n-i+1)), for a = (u/v)*A as from `_parts` and f_i = F_i / D of
+    t-degree n; None when f is outside the image.
+
+    From the top degree down, R_i = v*((i+1)*H_(i+1) - u^(n-i)*F_i) and
+    H_i = R_i / A.  A is primitive, so by Gauss's lemma A divides R_i over
+    QQ[x] only if the quotient is an integer list: one `_zdivmod` per level
+    decides membership, s*R_i = Q*A + rem with rem = 0 exactly when A | R_i,
+    and then s divides Q.  No gcd and no Fraction is formed.
+    """
+    big_a, u, v = parts
+    levels: list = [None] * len(big_f)
+    h, upow = [], 1  # H_(i+1) and u^(n-i)
+    for i in range(len(big_f) - 1, -1, -1):
+        r, _ = _zadd([v * (i + 1) * x for x in h], 1, [v * upow * x for x in big_f[i]], 1, -1)
+        q, rem, s = _zdivmod(_zstrip(r), big_a)
+        if any(rem):
+            return None
+        h = [x // s for x in q]
+        upow *= u
+        levels[i] = (h, den * upow)
+    return levels
+
+
+def _check_levels(parts: tuple, big_f: list[list[int]], den: int, levels: list) -> None:
+    """Raise BadInput unless (i+1)*h_(i+1) - a*h_i = f_i at every level i,
+    for the pairs h_i = levels[i] = (numerators, denominator) and
+    f_i = F_i / D.  With h_(i+1) = P/p, h_i = Q/q and a = (u/v)*A, level i
+    reads v*(i+1)*q*D*P - u*p*D*A*Q = v*p*q*F_i: one `_zmul` per level.
+    """
+    big_a, u, v = parts
+    top = max(len(levels), len(big_f))
+    nxt, p = [], 1
+    for i in range(top - 1, -1, -1):
+        num, q = levels[i] if i < len(levels) else ([], 1)
+        lhs, _ = _zadd([v * (i + 1) * q * den * x for x in nxt], 1,
+                       [u * p * den * x for x in _zmul(big_a, num)], 1, -1)
+        rhs = [v * p * q * x for x in big_f[i]] if i < len(big_f) else []
+        if _zstrip(lhs) != rhs:
+            raise BadInput("internal inconsistency: witness h does not solve h' - a*h = f")
+        nxt, p = num, q
+
+
 def member_ufd(ctx: UfdContext, f: Poly) -> tuple[bool, Optional[Poly]]:
     """Membership of f in the image of d/dt - a, with witness.
 
     The witness degree is forced: leading coefficients cannot cancel in a
-    domain, so deg h = deg f and the solve runs strictly top-down.
+    domain, so deg h = deg f and the solve runs strictly top-down, on the
+    integer t-coefficients of f (`_solve`).  The witness is built once and
+    checked on the pairs (num, den) read back from its coefficients.
     """
     if f.ring != ctx.ring:
         raise BadInput("polynomial from a different ring")
     if f.is_zero:
         return True, poly_zero(ctx.ring)
-    n = f.degree
-    h: list[RingElement] = [ring_scalar(ctx.ring, 0)] * (n + 1)
-    top = exact_divide(-f.coeff(n), ctx.a)
-    if top is None:
+    parts = _parts(ctx.a)
+    big_f, den = _t_levels(f)
+    levels = _solve(parts, big_f, den)
+    if levels is None:
         return False, None
-    h[n] = top
-    for i in range(n - 1, -1, -1):
-        rhs = h[i + 1].scale(Fraction(i + 1)) - f.coeff(i)
-        sol = exact_divide(rhs, ctx.a)
-        if sol is None:
-            return False, None
-        h[i] = sol
-    witness = Poly(ctx.ring, tuple(h))
-    if ctx.apply(witness) != f:
-        raise BadInput("internal inconsistency: witness h does not solve h' - a*h = f")
+    witness = Poly(ctx.ring, [RingElement.from_ints(ctx.ring, num, d) for num, d in levels])
+    _check_levels(parts, big_f, den, [(c.num, c.den) for c in witness.num])
     return True, witness
 
 
@@ -157,9 +218,22 @@ def absorption_bound(ctx: UfdContext, p: Poly, g: Poly) -> int:
     By Gauss's lemma over QQ[x] the gcd of the coefficients of p^N is c^N,
     c the gcd of the coefficients of p, so N is the least exponent with
     a | c^N.  Once the radical test has passed, rad(a) divides c, so the
-    loop stops at N <= deg a.  Beyond the bound, g * p(a*t)^m stays in the
-    image; the returned value is validated by solving at the bound and one
-    step past it.
+    loop stops at N <= deg a.
+
+    Beyond the bound, g * p(a*t)^m stays in the image.  Let d = deg g and
+    m >= N(d+1).  The t^k coefficient of p(a*t)^m is a^k times a sum of
+    products of m coefficients of p, so it is divisible by a^k c^m, hence
+    by a^(k+d+1) as a^(d+1) | c^(N(d+1)).  The t^k coefficient F_k of
+    F = g * p(a*t)^m = sum_(j<=d) g_j t^j p(a*t)^m is then divisible by
+    a^(k+1).  So h = -sum_(j>=0) F^(j) / a^(j+1), with F^(j) the j-th
+    t-derivative, has coefficients in QQ[x]: the t^k coefficient of F^(j)
+    is (k+j)!/k! F_(k+j), divisible by a^(k+j+1).  And h' - a*h telescopes
+    to F.
+
+    The returned value is validated by solving at the bound and one step
+    past it, on the integer t-coefficients of g * p(a*t)^m up to a rational
+    scale, which does not change membership: p(a*t)^m by binary powering
+    (`_tmul`), and the solved levels checked as in member_ufd.
     """
     if not radical_via_coefficients(ctx, p):
         raise NotInRadical("some coefficient of p escapes the radical of (a)")
@@ -174,11 +248,61 @@ def absorption_bound(ctx: UfdContext, p: Poly, g: Poly) -> int:
     while exact_divide(power, ctx.a) is None:
         n, power = n + 1, power * c
     bound = n * (g.degree + 1)
-    f = p.scale_argument(ctx.a)
-    at_bound = g * f ** bound
-    if not member_ufd(ctx, at_bound)[0] or not member_ufd(ctx, at_bound * f)[0]:
-        raise BadInput("internal inconsistency: validated bound failed")
+    parts = _parts(ctx.a)
+    f = _substituted(parts, p)
+    f_pow = f
+    for bit in bin(bound)[3:]:
+        f_pow = _tmul(f_pow, f_pow)
+        if bit == "1":
+            f_pow = _tmul(f_pow, f)
+    at_bound = _tmul(_t_levels(g)[0], f_pow)
+    for big_f in (at_bound, _tmul(at_bound, f)):
+        levels = _solve(parts, big_f, 1)
+        if levels is None:
+            raise BadInput("internal inconsistency: validated bound failed")
+        _check_levels(parts, big_f, 1, levels)
     return bound
+
+
+def _tmul(f: list, g: list) -> list:
+    """The product of two polynomials in t whose coefficients are stripped
+    integer lists in x: one `_zmul` per pair of nonzero coefficients, each
+    taken without its low zero entries, as powers of a are often divisible
+    by a power of x, and the shorter one first, as `_zmul` runs over every
+    entry of its second operand for each nonzero entry of its first.  A
+    square forms each pair i < j once and doubles it."""
+    def trimmed(p):
+        out = []
+        for i, c in enumerate(p):
+            if c:
+                s = c.index(next(filter(None, c)))  # the x-adic valuation
+                out.append((i, s, c[s:]))
+        return out
+
+    fs = trimmed(f)
+    gs = fs if g is f else trimmed(g)
+    out: list = [[] for _ in range(len(f) + len(g) - 1)]
+    for n, (i, si, fi) in enumerate(fs):
+        for j, sj, gj in (gs[n:] if g is f else gs):
+            prod = _zmul(fi, gj) if len(fi) <= len(gj) else _zmul(gj, fi)
+            w = 2 if g is f and j != i else 1
+            acc, s = out[i + j], si + sj
+            if len(acc) < s + len(prod):
+                acc.extend([0] * (s + len(prod) - len(acc)))
+            for k, x in enumerate(prod, s):
+                acc[k] += w * x
+    return [_zstrip(c) for c in out]
+
+
+def _substituted(parts: tuple, p: Poly) -> list[list[int]]:
+    """The integer t-coefficients of p(a*t) up to a rational scale:
+    P_k*u^k*v^(m-k)*A^k for p_k = P_k / D, m = deg p and a = (u/v)*A."""
+    big_a, u, v = parts
+    scale, apow, out = v ** p.degree, [1], []
+    for pk in _t_levels(p)[0]:
+        out.append([scale * x for x in _zmul(pk, apow)])
+        scale, apow = scale // v * u, _zmul(big_a, apow)
+    return out
 
 
 def gcd_lift(a: RingElement, d_list: Sequence[RingElement]) -> tuple[RingElement, list[RingElement]]:

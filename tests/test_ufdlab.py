@@ -1,6 +1,10 @@
 """Coefficient-ring operators: membership, criteria, bounds, lifts."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -23,7 +27,7 @@ from mathieulab.corealg import (
     squarefree_part,
     t_monomial,
 )
-from mathieulab import linalg
+from mathieulab import linalg, ufdlab
 from mathieulab.errors import BadInput, NotInRadical
 from mathieulab.ufdlab import (
     SurjectivityReport,
@@ -43,6 +47,7 @@ from mathieulab.ufdlab import (
 
 from linalg_oracle import add_column, eliminate, solve_linear
 from ufdlab_oracle import levels, residual, solve_level
+from ufdlab_oracle import member_ufd as oracle_member
 
 X = ring_monomial(QQ_POLY, 1)
 X2 = ring_monomial(QQ_POLY, 2)
@@ -78,6 +83,9 @@ def test_member_examples():
     assert not ok and w is None
     ok, w = member_ufd(CTX_X2, parse_poly("x^2", QQ_POLY))
     assert ok and w == parse_poly("-1", QQ_POLY)
+    # h_0 = (3x + 3) / (2x + 3), for a primitive a with leading entry 2
+    ok, w = member_ufd(parse_ufd_context("ufd:a=2*x + 3"), parse_poly("-3*x - 3", QQ_POLY))
+    assert not ok and w is None
 
 
 def test_factorial_map_examples():
@@ -229,6 +237,160 @@ def test_radical_implies_absorption():
         f = p.scale_argument(ctx.a)
         for m in range(bound, bound + 4):
             assert member_ufd(ctx, g * f ** m)[0]
+
+
+def rand_ufd_a(rng):
+    """A random context element: degree 1..3 in x, rational entries."""
+    while True:
+        data = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(rng.randint(2, 4))]
+        if data[-1]:
+            return RingElement(QQ_POLY, tuple(data))
+
+
+def rand_rational_p(rng, deg, coeff_deg=2):
+    """A polynomial in t of degree deg with rational entries; lower
+    coefficients are zero about one time in four."""
+    def coeff():
+        return RingElement(QQ_POLY, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                          for _ in range(rng.randint(0, coeff_deg + 1))))
+
+    top = coeff()
+    while top.is_zero:
+        top = coeff()
+    return Poly(QQ_POLY, tuple(coeff() for _ in range(deg)) + (top,))
+
+
+def test_member_matches_the_ring_element_loop():
+    """The integer solve of member_ufd gives the flag and the canonical
+    witness of the earlier RingElement loop on 400 seeded pairs (a, f): a
+    non-monic with rational content, f = 0, deg_t f = 0 and deg_t f >= 6,
+    members D h and non-members."""
+    rng = random.Random(4141)
+    fixed = [parse_ring_element(text, QQ_POLY) for text in ("2/3*x^2 + x", "2*x^3", "x^2 - x", "-5/7*x")]
+    seen = set()
+    for case in range(400):
+        a = fixed[case % 4] if case % 2 else rand_ufd_a(rng)
+        ctx = UfdContext(QQ_POLY, a)
+        kind = rng.choice(["member", "member", "perturbed", "random"])
+        if case % 50 == 0:
+            f = poly_zero(QQ_POLY)
+        elif kind == "random":
+            f = rand_rational_p(rng, rng.choice([0, 2, 7]))
+        else:
+            f = ctx.apply(rand_rational_p(rng, rng.choice([0, 1, 3, 6, 8])))
+            if kind == "perturbed":
+                f = f + t_monomial(QQ_POLY, rng.randint(0, f.degree + 1), ring_monomial(QQ_POLY, rng.randint(0, 2)))
+        got, want = member_ufd(ctx, f), oracle_member(ctx, f)
+        assert got == want, (a, f)
+        seen.add("member" if got[0] else "non-member")
+        seen.add("f = 0" if f.is_zero else "deg_t f = 0" if f.degree == 0 else
+                 "deg_t f >= 6" if f.degree >= 6 else "deg_t f in 1..5")
+        if Fraction(math.gcd(*a.num), a.den) != 1:
+            seen.add("content other than 1")
+        if a.num[-1] != a.den:
+            seen.add("non-monic")
+    assert seen == {"member", "non-member", "f = 0", "deg_t f = 0", "deg_t f >= 6", "deg_t f in 1..5",
+                    "content other than 1", "non-monic"}
+
+
+def test_absorption_bound_matches_the_oracle_solve():
+    """g * p(a*t)^m lies in the image for m = bound and bound + 1, by the
+    earlier RingElement loop, on seeded (a, p, g) with deg g <= 3: a with
+    rational content, p a multiple of the squarefree part of a."""
+    rng = random.Random(4242)
+    pool = ["x", "2*x^2", "1/3*x^2 - 1/3*x", "x^3 + x^2", "3/2*x^2", "-x^3"]
+    bounds = set()
+    for case in range(60):
+        a = parse_ring_element(pool[case % len(pool)], QQ_POLY)
+        ctx = UfdContext(QQ_POLY, a)
+        rho = squarefree_part(a)
+        p = Poly(QQ_POLY, tuple(rho * RingElement(QQ_POLY, (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                                            Fraction(rng.randint(0, 1))))
+                                for _ in range(rng.randint(1, 3))))
+        if p.is_zero:
+            continue
+        g = rand_rational_p(rng, rng.randint(0, 3), coeff_deg=1)
+        bound = absorption_bound(ctx, p, g)
+        f = p.scale_argument(a)
+        for m in (bound, bound + 1):
+            assert oracle_member(ctx, g * f ** m)[0], (a, p, g, m)
+        bounds.add(bound)
+    assert max(bounds) >= 12
+
+
+CORRUPTIONS = ["bump an entry", "double every entry", "double the denominator"]
+
+
+def _corrupt_levels(levels, corruption):
+    """The solved levels (numerators, den) with one corruption applied."""
+    if corruption == "bump an entry":
+        num, den = levels[0]
+        return [([num[0] + 1, *num[1:]] if num else [1], den)] + levels[1:]
+    if corruption == "double every entry":
+        return [([2 * x for x in num], den) for num, den in levels]
+    return [(num, 2 * den) for num, den in levels]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("request_kind", ["member", "absorption"])
+def test_ufd_solve_rejects_a_corrupted_solve(monkeypatch, request_kind, corruption):
+    """A solve that bumps one entry, doubles every entry or doubles every
+    denominator is refused by the check that follows it, in member_ufd on
+    the witness read back and in absorption_bound on the solved levels."""
+    solve = ufdlab._solve
+    monkeypatch.setattr(ufdlab, "_solve", lambda *args: _corrupt_levels(solve(*args), corruption))
+    with pytest.raises(BadInput, match="internal inconsistency"):
+        if request_kind == "member":
+            ctx = parse_ufd_context("ufd:a=2/3*x^2 + x")
+            member_ufd(ctx, ctx.apply(parse_poly("x*t^2 - 1/2*t + 3", QQ_POLY)))
+        else:
+            absorption_bound(CTX_X2, parse_poly("x*t", QQ_POLY), parse_poly("t", QQ_POLY))
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from mathieulab import linalg, ufdlab
+from mathieulab.corealg import QQ_POLY, parse_poly
+from mathieulab.errors import BadInput
+
+solve, eliminate = ufdlab._solve, linalg.eliminate
+
+
+def corrupt(pivots, vec, comb):
+    witness = not comb  # a kernel vector comes with its column's combination
+    scale = eliminate(pivots, vec, comb)
+    return 2 * scale if witness else scale
+
+
+ufdlab._solve = lambda *args: [(num, 2 * den) for num, den in solve(*args)]
+linalg.eliminate = corrupt
+ctx = ufdlab.parse_ufd_context("ufd:a=x^2")
+requests = {
+    "member": lambda: ufdlab.member_ufd(ctx, parse_poly("x^2*t - 1", QQ_POLY)),
+    "absorption": lambda: ufdlab.absorption_bound(ctx, parse_poly("x*t", QQ_POLY), parse_poly("t", QQ_POLY)),
+    "surjectivity": lambda: ufdlab.surjectivity_check(*ufdlab.parse_trunc_context("trunc:k=2,c=1,a=x"), 2),
+}
+print("optimize", sys.flags.optimize)
+for name, call in requests.items():
+    try:
+        call()
+        print(name, "accepted")
+    except BadInput as exc:
+        print(name, exc)
+"""
+
+
+def test_corrupted_solves_are_refused_under_python_O():
+    """The witness checks are plain `if ... raise`, so `python -O`, which
+    strips asserts, still refuses a solve that doubles the denominator."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.join(root, "src")}, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert [line.split()[0] for line in lines[1:]] == ["member", "absorption", "surjectivity"]
+    assert all("internal inconsistency" in line for line in lines[1:]), lines
 
 
 def test_surjectivity_truncated_example():

@@ -1,12 +1,37 @@
-"""Independent oracles for ufdlab's surjectivity check: the x-level solve
-as its own top-down loop, for the same solve routed through
+"""Independent oracles for ufdlab: membership in the image of d/dt - a over
+QQ[x] as the earlier top-down loop in `RingElement` arithmetic, for the solve
+on integer t-coefficients; and, for the surjectivity check, the x-level
+solve as its own top-down loop, for the same solve routed through
 `linalg.solve_band`, and the level residual in canonical `Poly` arithmetic,
 for the integer residual on (numerators, den) pairs."""
 
 import math
 from fractions import Fraction
 
-from mathieulab.corealg import Poly
+from mathieulab.corealg import Poly, exact_divide, poly_zero, ring_scalar
+
+
+def member_ufd(ctx, f: Poly):
+    """(flag, witness) for f in the image of d/dt - a over QQ[x]: the
+    t-coefficients h_i = ((i+1)*h_(i+1) - f_i) / a solved from the top degree
+    down by exact division in QQ[x], and the witness re-applied to D."""
+    if f.is_zero:
+        return True, poly_zero(ctx.ring)
+    n = f.degree
+    h = [ring_scalar(ctx.ring, 0)] * (n + 1)
+    top = exact_divide(-f.coeff(n), ctx.a)
+    if top is None:
+        return False, None
+    h[n] = top
+    for i in range(n - 1, -1, -1):
+        sol = exact_divide(h[i + 1].scale(Fraction(i + 1)) - f.coeff(i), ctx.a)
+        if sol is None:
+            return False, None
+        h[i] = sol
+    witness = Poly(ctx.ring, tuple(h))
+    if ctx.apply(witness) != f:
+        raise AssertionError("witness h does not solve h' - a*h = f")
+    return True, witness
 
 
 def solve_level(g: Poly, c0: Fraction, a0: Fraction) -> Poly:
