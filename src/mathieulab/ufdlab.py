@@ -298,10 +298,11 @@ def _substituted(parts: tuple, p: Poly) -> list[list[int]]:
     """The integer t-coefficients of p(a*t) up to a rational scale:
     P_k*u^k*v^(m-k)*A^k for p_k = P_k / D, m = deg p and a = (u/v)*A."""
     big_a, u, v = parts
-    scale, apow, out = v ** p.degree, [1], []
-    for pk in _t_levels(p)[0]:
+    apow, out = [1], []
+    for k, pk in enumerate(_t_levels(p)[0]):
+        scale = u ** k * v ** (p.degree - k)
         out.append([scale * x for x in _zmul(pk, apow)])
-        scale, apow = scale // v * u, _zmul(big_a, apow)
+        apow = _zmul(big_a, apow)
     return out
 
 
