@@ -47,10 +47,14 @@ A mono names each variable at most once, in either order (``3*t*x^2``
 reads as ``3*x^2*t``); a repeated variable is a ParseError, and so is
 ``x`` over QQ.
 
-The grammar has no nesting, so it is regular: ``parse_poly`` reads it term
-by term, one regular-expression match per term.  An exponent may not
-exceed MAX_EXPONENT.  Canonical printing uses descending powers of t,
-lowest-terms coefficients, '^' exponents and no unary '+'.
+The grammar has no nesting, so it is regular: ``parse_poly`` reads it in
+one pass, one regular-expression match per term that captures its sign,
+its coefficient and its at most two factors (a third one can only repeat
+a variable).  Each term's numerator goes straight into integer numerators
+over one denominator, and the Poly is built once at the end, with no
+Fraction.  An exponent may not exceed MAX_EXPONENT.  Canonical printing
+uses descending powers of t, lowest-terms coefficients, '^' exponents and
+no unary '+'.
 """
 
 from __future__ import annotations
@@ -740,6 +744,11 @@ class Poly:
 _qq = functools.partial(_canonical, Poly, QQ)
 
 
+def _fraction(value) -> Fraction:
+    """value itself when it is a Fraction, else Fraction(value)."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _as_fraction(value) -> Fraction:
     """A QQ coefficient from any value Fraction() accepts; ring elements belong elsewhere."""
     if isinstance(value, RingElement):
@@ -823,12 +832,13 @@ def squarefree_part(value):
 # Every pattern is ASCII, as in parse_rational: a digit is 0-9 and a space is
 # one of " \t\n\r\f\v", so '٣', '３' and U+2003 are unexpected characters
 _BAD_CHAR = re.compile(r"[^\s\dxt^*/+-]", re.ASCII)
-# one term at the cursor: sign, numerator, denominator, '*', then the factors
-# [xt] ('^' INT)? joined only by '*'.  A '/' or '^' without digits still
+# one term at the cursor: sign, numerator, denominator, '*', then up to two
+# factors [xt] ('^' INT)? joined by '*'.  A '/' or '^' without digits still
 # matches, with empty digits, so that the error can name what follows it.
 _TERM = re.compile(r"""\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d*)\s*)?(\*?)\s*)?
-    ((?:[xt]\s*(?:\^\s*\d*\s*)?(?:\*\s*[xt]\s*(?:\^\s*\d*\s*)?)*)?)""", re.X | re.ASCII)
-_FACTOR = re.compile(r"([xt])\s*(?:\^\s*(\d*))?", re.ASCII)
+    (?:([xt])\s*(?:\^\s*(\d*)\s*)?(?:\*\s*([xt])\s*(?:\^\s*(\d*)\s*)?)?)?""", re.X | re.ASCII)
+# a factor after two distinct ones, which can only repeat one of them
+_THIRD = re.compile(r"\*\s*([xt])", re.ASCII)
 # the token at a position: a digit run, one character, or '' at the end
 _NEXT = re.compile(r"\s*(\d+|\S?)", re.ASCII)
 
@@ -848,79 +858,105 @@ def _integer(digits: str, pos: int) -> int:
                        f"(at position {pos})") from None
 
 
-def _read_term(text: str, m, ring: Ring) -> tuple[int, int, int, int]:
-    """(t exponent, x exponent, numerator, denominator) of the term that m
-    matched, checked in reading order."""
-    sign, num, den, star, run = m.groups()
-    if num is None:
-        if not run:
-            _expected("a term", text, m.end(1))
-        num, den = 1, 1
-    else:
-        num = _integer(num, m.start(2))
-        if den == "":
-            _expected("INT", text, m.end(3))
-        den = 1 if den is None else _integer(den, m.start(3))
-        if den == 0:
-            raise ParseError("zero denominator", m.start(3))
-        if star and not run:
-            raise ParseError("expected a variable after '*'", _NEXT.match(text, m.end(4)).start(1))
-    exps = {}
-    for f in _FACTOR.finditer(text, m.start(5), m.end(5)):
-        name, digits = f.groups()
-        if name in exps:
-            raise ParseError(f"variable {name!r} repeated in a term", f.start())
-        if name == "x" and ring.kind == "QQ":
-            raise ParseError("coefficient variable x is not allowed over QQ", f.start())
-        if digits == "":
-            _expected("INT", text, f.end())
-        # compare the digits before converting, so that no huge integer is built
-        digits = (digits or "1").lstrip("0") or "0"
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {f.start(2)})")
-        exps[name] = int(digits)
-    return exps.get("t", 0), exps.get("x", 0), -num if sign == "-" else num, den
+def _exponent(text: str, m, g: int, ring: Ring) -> int:
+    """The exponent of the factor whose variable is group g of the term
+    match m and whose digits are group g + 1, checked in reading order."""
+    if m[g] == "x" and ring.kind == "QQ":
+        raise ParseError("coefficient variable x is not allowed over QQ", m.start(g))
+    digits = m[g + 1]
+    if digits is None:
+        return 1
+    if not digits:
+        _expected("INT", text, m.end(g + 1))
+    # compare the digits before converting, so that no huge integer is built
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {m.start(g + 1)})")
+    return int(digits)
 
 
-def _sum_terms(terms, ring: Ring) -> Poly:
-    """The polynomial of the terms; each coefficient is summed as integers
-    over the lcm of its terms' denominators, and no Fraction is built."""
-    top = max(te for te, _, _, _ in terms)
-    if ring.kind == "QQ":
-        den = math.lcm(*(d for _, _, _, d in terms))
-        num = [0] * (top + 1)
-        for te, _, n, d in terms:
-            num[te] += n * (den // d)
-        return _qq(num, den)
-    parts: dict[int, list] = {}
-    for te, xe, n, d in terms:
-        parts.setdefault(te, []).append((xe, n, d))
-    coeffs = []
-    for te in range(top + 1):
-        here = parts.get(te, ())
-        den = math.lcm(*(d for _, _, d in here))
-        num = [0] * (max((xe for xe, _, _ in here), default=-1) + 1)
-        for xe, n, d in here:
-            num[xe] += n * (den // d)
-        coeffs.append(RingElement.from_ints(ring, num, den))
-    return Poly(ring, coeffs)
+def _accumulate(num: list, den: int, i: int, n: int, d: int) -> tuple[list, int]:
+    """num / den + n / d at index i, over the lcm of den and d."""
+    if den % d:
+        scale = d // math.gcd(den, d)
+        num = [c * scale for c in num]
+        den *= scale
+    if i >= len(num):
+        num += [0] * (i + 1 - len(num))
+    num[i] += n * (den // d)
+    return num, den
 
 
 def parse_poly(text: str, ring: Ring = QQ) -> Poly:
-    """Parse the polynomial grammar one term at a time; raises ParseError
+    """Parse the polynomial grammar, one match per term; raises ParseError
     with a position, and BadInput with a position for an exponent above
-    MAX_EXPONENT or an integer of more digits than int() converts."""
+    MAX_EXPONENT or an integer of more digits than int() converts.
+
+    Each term is added as it is read into integer numerators over one
+    denominator: the t-coefficients' over QQ, each t-coefficient's x-levels
+    over the other rings.  No Fraction is built."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    qq = ring.kind == "QQ"
+    num, den = [], 1  # over QQ
+    parts: dict[int, tuple[list, int]] = {}  # t-exponent -> x-levels over the other rings
     m = _TERM.match(text)
-    terms = [_read_term(text, m, ring)]
-    # every later term starts with its sign
-    while (m := _TERM.match(text, m.end()))[1]:
-        terms.append(_read_term(text, m, ring))
+    while True:
+        sign, n, d, star, var, _, var2, _ = m.groups()
+        if n is None:
+            if var is None:
+                _expected("a term", text, m.end(1))
+            n, d = 1, 1
+        else:
+            n = _integer(n, m.start(2))
+            if d is None:
+                d = 1
+            elif not d:
+                _expected("INT", text, m.end(3))
+            else:
+                d = _integer(d, m.start(3))
+                if not d:
+                    raise ParseError("zero denominator", m.start(3))
+            if star and var is None:
+                raise ParseError("expected a variable after '*'",
+                                 _NEXT.match(text, m.end(4)).start(1))
+        if sign == "-":
+            n = -n
+        te = xe = 0
+        if var is not None:
+            if var == "t":
+                te = _exponent(text, m, 5, ring)
+            else:
+                xe = _exponent(text, m, 5, ring)
+            if var2 is not None:
+                if var2 == var:
+                    raise ParseError(f"variable {var!r} repeated in a term", m.start(7))
+                if var2 == "t":
+                    te = _exponent(text, m, 7, ring)
+                else:
+                    xe = _exponent(text, m, 7, ring)
+                third = _THIRD.match(text, m.end())
+                if third:
+                    raise ParseError(f"variable {third[1]!r} repeated in a term", third.start(1))
+        if qq:
+            num, den = _accumulate(num, den, te, n, d)
+        else:
+            parts[te] = _accumulate(*parts.get(te, ([], 1)), xe, n, d)
+        # every later term starts with its sign
+        m = _TERM.match(text, m.end())
+        if not m[1]:
+            break
     if m.end(1) < len(text):
         _expected("END", text, m.end(1))
-    return _sum_terms(terms, ring)
+    if qq:
+        return _qq(num, den)
+    zero = _elem(ring, (), 1)
+    coeffs = [RingElement.from_ints(ring, *parts[te]) if te in parts else zero
+              for te in range(max(parts) + 1)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return _build(Poly, ring, tuple(coeffs), None)
 
 
 def parse_ring_element(text: str, ring: Ring) -> RingElement:
@@ -935,6 +971,8 @@ def parse_ring_element(text: str, ring: Ring) -> RingElement:
 # build an integer of millions of digits
 _RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\s*",
                        re.ASCII)
+# a comma-separated list of literals, checked by one match
+_RATIONALS = re.compile(rf"(?:{_RATIONAL.pattern},)*{_RATIONAL.pattern}", re.ASCII)
 
 
 def _read_rational(text: str) -> tuple[int, int]:
@@ -965,7 +1003,32 @@ def _read_rational(text: str) -> tuple[int, int]:
 def parse_rational(text: str) -> Fraction:
     """An integer, p/q or plain decimal literal in ASCII, with optional
     sign and surrounding whitespace; anything else raises BadInput."""
-    return Fraction(*_read_rational(text))
+    p, q = _read_rational(text)
+    return Fraction(p) if q == 1 else Fraction(p, q)
+
+
+def _literal(piece: str):
+    """The value of one literal of a list that `_RATIONALS` has checked: int()
+    reads an integer literal, since the check leaves only ASCII digits,
+    spaces and a sign in it, and `parse_rational` any other."""
+    if "/" in piece or "." in piece:
+        return parse_rational(piece)
+    try:
+        return int(piece)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise BadInput(f"bad rational literal {piece!r}") from None
+
+
+def _read_rationals(text: str) -> tuple:
+    """The values of the comma-separated literals of text, each as
+    `parse_rational` reads it but an int for an integer literal, so that
+    reading one builds no Fraction.  One match checks the whole list;
+    BadInput names the first bad piece."""
+    pieces = text.split(",")
+    if not _RATIONALS.fullmatch(text):  # a piece is bad: name the first one
+        for piece in pieces:
+            _read_rational(piece)
+    return tuple(map(_literal, pieces))
 
 
 _EXPONENT = re.compile(r"\s*([0-9]+)\s*", re.ASCII)

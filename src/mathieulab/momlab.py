@@ -25,15 +25,18 @@ banded solver of opimage's elimination, with no moments.
 For atomic weights the monic orthogonal polynomials come from the moments
 by the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
 and Approximation*, 2004, section 2.1.7), run fraction-free in the manner of
-Bareiss's elimination (1968).  Scaling the moments nu_0 .. nu_(2n-1) by the
-lcm of their denominators gives an integer-valued functional L with the same
-monic orthogonal family.  Integer polynomials P_k proportional to p_k and
-their rows S_k(l) = L(P_k t^l) obey one three-term recurrence with integer
-factors, so degree n costs O(n^2) integer operations, and the monic answer
-is the Poly with numerators P_n over the denominator lc(P_n): no Fraction
-is built past the moments.  Atomic moments are likewise integer sums over
-one common denominator.  The same algorithm runs on the moments of any
-weight, which makes it the cross-check of the classical recurrences.
+Bareiss's elimination (1968).  Scaling the moments nu_0 .. nu_(2n-1) by a
+common multiple of their denominators gives an integer-valued functional L
+with the same monic orthogonal family.  Integer polynomials P_k
+proportional to p_k and their rows S_k(l) = L(P_k t^l) obey one three-term
+recurrence with integer factors, so degree n costs O(n^2) integer
+operations, and the monic answer is the Poly with numerators P_n over the
+denominator lc(P_n).  An atomic weight's moments are integers from the
+start (`_atomic_moments`): with points a_i / d and weights W_i over common
+denominators, m_l = sum_i W_i a_i^l d^(2n-1-l) costs one integer product
+per point and moment, so the atomic path builds no Fraction at all.  The
+same algorithm runs on the moments of any weight, which makes it the
+cross-check of the classical recurrences.
 
 Integrating (phi rho t^n)' over the support gives the moments one
 identity in n, the row `opimage.pearson_row` of the pair read on moments,
@@ -56,12 +59,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Optional, Union
 
 from .corealg import (
     Poly,
     QQ,
+    _fraction,
+    _read_rationals,
     clear_denominators,
     parse_key_values,
     parse_rational,
@@ -104,9 +110,10 @@ class LaguerreWeight:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= -1:
+        alpha = _fraction(self.alpha)
+        if alpha <= -1:
             raise BadWeight("Laguerre parameter must exceed -1")
+        object.__setattr__(self, "alpha", alpha)
 
     def __str__(self):
         return f"laguerre:alpha={self.alpha}"
@@ -118,10 +125,11 @@ class JacobiWeight:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= -1 or self.beta <= -1:
+        alpha, beta = _fraction(self.alpha), _fraction(self.beta)
+        if alpha <= -1 or beta <= -1:
             raise BadWeight("Jacobi parameters must exceed -1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def __str__(self):
         return f"jacobi:alpha={self.alpha},beta={self.beta}"
@@ -129,12 +137,18 @@ class JacobiWeight:
 
 @dataclass(frozen=True, slots=True)
 class AtomicWeight:
+    """Distinct rational points and positive rational weights.  Each value
+    is held as an int or a Fraction, as given, and anything else as a
+    Fraction, so that `parse_weight` builds no Fraction for an integer."""
+
     points: tuple
     weights: tuple
 
     def __post_init__(self):
-        pts = tuple(p if type(p) is Fraction else Fraction(p) for p in self.points)
-        wts = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        pts = tuple(p if type(p) is int or type(p) is Fraction else Fraction(p)
+                    for p in self.points)
+        wts = tuple(w if type(w) is int or type(w) is Fraction else Fraction(w)
+                    for w in self.weights)
         if not pts or len(pts) != len(wts):
             raise BadWeight("points and weights must be nonempty and aligned")
         if len({p.as_integer_ratio() for p in pts}) != len(pts):
@@ -173,9 +187,8 @@ def parse_weight(text: str) -> WeightSpec:
         if head == "jacobi":
             return JacobiWeight(parse_rational(args["alpha"]), parse_rational(args["beta"]))
         if head == "atomic":
-            points = [parse_rational(v) for v in args["points"].split(",")]
-            weights = [parse_rational(v) for v in args["weights"].split(",")]
-            return AtomicWeight(tuple(points), tuple(weights))
+            points = _read_rationals(args["points"])
+            return AtomicWeight(points, _read_rationals(args["weights"]))
     except KeyError as exc:
         raise BadInput(f"{head} weight needs {exc.args[0]}=") from exc
     raise BadInput(f"unknown weight {head!r}")
@@ -189,11 +202,9 @@ class MomentFunctional:
     fresh instances freely.
 
     A classical weight solves its moment row for the top term, one step per
-    moment.  An atomic weight with points x_i and weights w_i is held on integers:
-    a_i = x_i d and W_i = w_i e for the lcm d of the point denominators and
-    e of the weight denominators.  The running products W_i a_i^n and
-    W d^n, W = sum W_i, advance by one integer product per point and
-    moment, and nu_n = sum_i W_i a_i^n / (W d^n) is the only Fraction built.
+    moment.  An atomic weight reads the integer sums s_n of `_atomic_moments`,
+    the routine the atomic Chebyshev algorithm reads too, and
+    nu_n = s_n / (W d^n) is the only Fraction built.
     """
 
     def __init__(self, weight: WeightSpec):
@@ -202,9 +213,8 @@ class MomentFunctional:
         self._row = (None if isinstance(weight, AtomicWeight)
                      else pearson_row(*_weight_pair(weight)[2:]))
         if self._row is None:
-            self._point_den, self._points = clear_denominators(weight.points)
-            self._terms = clear_denominators(weight.weights)[1]
-            self._den = sum(self._terms)
+            self._point_den, self._den, self._sums = _atomic_moments(weight)
+            next(self._sums)  # nu_0 = 1 is cached
 
     def moment(self, n: int) -> Fraction:
         if n < 0:
@@ -216,14 +226,34 @@ class MomentFunctional:
 
     def _next(self, m: int) -> Fraction:
         if self._row is None:
-            self._terms = [c * a for c, a in zip(self._terms, self._points)]
             self._den *= self._point_den
-            return Fraction(sum(self._terms), self._den)
+            return Fraction(next(self._sums), self._den)
         *lower, (shift, a, b) = self._row
         n = m - shift
         # a Fraction start, so that Hermite's nu_1, with no lower term, is one
         total = sum(((c + d * n) * self._cache[n + e] for e, c, d in lower if n + e >= 0), _F0)
         return -total / (a + b * n)
+
+
+def _atomic_moments(w: AtomicWeight):
+    """The moments of an atomic weight on integers: (d, W, sums), where the
+    n-th item s_n of the iterator sums gives nu_n = s_n / (W d^n).
+
+    With points x_i and weights w_i, a_i = x_i d and W_i = w_i e are
+    integers for the lcm d of the point denominators and e of the weight
+    denominators, s_n = sum_i W_i a_i^n and W = sum_i W_i.  The running
+    products W_i a_i^n advance by one integer product per point and moment.
+    """
+    d, points = clear_denominators(w.points)
+    weights = clear_denominators(w.weights)[1]
+
+    def sums():
+        terms = weights
+        while True:
+            yield sum(terms)
+            terms = [c * a for c, a in zip(terms, points)]
+
+    return d, sum(weights), sums()
 
 
 def _weight_pair(w: WeightSpec):
@@ -393,9 +423,12 @@ def _chebyshev_orthopoly(w: WeightSpec, n: int) -> Poly:
     Chebyshev algorithm on its moments.
 
     L is the moment functional scaled to integer moments m_l, which leaves
-    the monic orthogonal family unchanged.  P_k is an integer polynomial
-    proportional to p_k and S_k(l) = L(P_k t^l), with P_(-1) = 0, S_(-1) = 0,
-    P_0 = 1 and S_0(l) = m_l.  For A = S_k(k), B = S_k(k+1),
+    the monic orthogonal family unchanged.  An atomic weight reads them off
+    the integer sums s_l of `_atomic_moments` as m_l = s_l d^(2n-1-l), that
+    is W d^(2n-1) nu_l, with no Fraction; a classical weight clears the
+    denominators of its `MomentFunctional` moments.  P_k is an integer
+    polynomial proportional to p_k and S_k(l) = L(P_k t^l), with P_(-1) = 0,
+    S_(-1) = 0, P_0 = 1 and S_0(l) = m_l.  For A = S_k(k), B = S_k(k+1),
     C = S_(k-1)(k-1) and E = S_(k-1)(k) (C = 1 and E = 0 at k = 0), the
     monic recurrence p_(k+1) = (t - a_k) p_k - b_k p_(k-1) multiplied by A C
     reads P_(k+1) = A C t P_k - (B C - A E) P_k - A^2 P_(k-1), and the row
@@ -407,13 +440,22 @@ def _chebyshev_orthopoly(w: WeightSpec, n: int) -> Poly:
     answer; without the check the step would return a polynomial of lower
     degree.
     """
-    if isinstance(w, AtomicWeight) and n >= len(w.points):
-        raise Degenerate("no orthogonal polynomial beyond the atomic point count")
-    mf = MomentFunctional(w)
+    if isinstance(w, AtomicWeight):
+        if n >= len(w.points):
+            raise Degenerate("no orthogonal polynomial beyond the atomic point count")
+        d, _, sums = _atomic_moments(w)
+        row = list(islice(sums, 2 * n))
+        if d != 1:
+            power = 1
+            for l in range(2 * n - 1, -1, -1):
+                row[l] *= power
+                power *= d
+    else:
+        mf = MomentFunctional(w)
+        row = clear_denominators([mf.moment(l) for l in range(2 * n)])[1]
     # row k holds S_k(l) for l < 2n - k; entries l < k are zero by
     # orthogonality and are never read
     row_prev = [0] * (2 * n)
-    row = clear_denominators([mf.moment(l) for l in range(2 * n)])[1]
     p_prev: list[int] = []
     p = [1]
     c, e = 1, 0

@@ -36,6 +36,7 @@ from typing import Optional, Union
 from .corealg import (
     Poly,
     QQ,
+    _fraction,
     _zdivmod,
     _zmul,
     clear_denominators,
@@ -58,9 +59,9 @@ class MonomialOperator:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "c", _fraction(self.c))
+        object.__setattr__(self, "alpha", _fraction(self.alpha))
+        object.__setattr__(self, "lam", _fraction(self.lam))
         if not isinstance(self.d, int) or self.d < 0:
             raise BadInput("exponent d must be a non-negative integer")
 
@@ -76,8 +77,8 @@ class JacobiOperator:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", _fraction(self.alpha))
+        object.__setattr__(self, "beta", _fraction(self.beta))
 
     def __str__(self):
         return f"jacobi:alpha={self.alpha},beta={self.beta}"

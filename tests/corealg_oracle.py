@@ -7,15 +7,19 @@ verbatim as an independent oracle for the integer-numerator ``Poly``: a
 printer that build and read Fraction coefficients, the Fraction-tuple
 helpers ``_strip`` and ``_tderiv`` they use, and ``stopped_convolution``,
 the integer product that stops after k entries, against which a product
-over QQ_POLY_TRUNC(k), a full convolution cut at x^k, is checked."""
+over QQ_POLY_TRUNC(k), a full convolution cut at x^k, is checked.
+``term_parse_poly`` is the per-term reader that corealg's ``parse_poly``
+replaced, the slow path of its cross-oracle."""
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mathieulab.corealg import QQ, Ring, RingElement, ring_scalar
+from mathieulab import corealg
+from mathieulab.corealg import MAX_EXPONENT, QQ, Ring, RingElement, ring_scalar
 from mathieulab.errors import BadInput, DivisionByZero, ParseError, RingMismatch, ZeroInput
 
 _F0 = Fraction(0)
@@ -542,3 +546,113 @@ def format_poly(p: Poly) -> str:
         else:
             pieces.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(pieces) if pieces else "0"
+
+
+# The per-term reader that parse_poly replaced, kept as it was but for its
+# name and corealg's Poly named in full, as the slow path of its
+# cross-oracle: one match per term whose factors a second pattern reads one
+# by one into a dict, a list of (t exponent, x exponent, numerator,
+# denominator) terms, and one sum over them at the end.
+
+# any character outside the alphabet; it is reported before any grammar error.
+# Every pattern is ASCII, as in parse_rational: a digit is 0-9 and a space is
+# one of " \t\n\r\f\v", so '٣', '３' and U+2003 are unexpected characters
+_BAD_CHAR = re.compile(r"[^\s\dxt^*/+-]", re.ASCII)
+# one term at the cursor: sign, numerator, denominator, '*', then the factors
+# [xt] ('^' INT)? joined only by '*'.  A '/' or '^' without digits still
+# matches, with empty digits, so that the error can name what follows it.
+_TERM = re.compile(r"""\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d*)\s*)?(\*?)\s*)?
+    ((?:[xt]\s*(?:\^\s*\d*\s*)?(?:\*\s*[xt]\s*(?:\^\s*\d*\s*)?)*)?)""", re.X | re.ASCII)
+_FACTOR = re.compile(r"([xt])\s*(?:\^\s*(\d*))?", re.ASCII)
+# the token at a position: a digit run, one character, or '' at the end
+_NEXT = re.compile(r"\s*(\d+|\S?)", re.ASCII)
+
+
+def _expected(what: str, text: str, pos: int):
+    tok = _NEXT.match(text, pos)
+    raise ParseError(f"expected {what}, found {tok[1]!r}", tok.start(1))
+
+
+def _integer(digits: str, pos: int) -> int:
+    """int(digits) for the ASCII digits read at pos; BadInput past the
+    limit of sys.get_int_max_str_digits() digits, which int() refuses."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise BadInput(f"integer above the limit of {sys.get_int_max_str_digits()} digits "
+                       f"(at position {pos})") from None
+
+
+def _read_term(text: str, m, ring: Ring) -> tuple[int, int, int, int]:
+    """(t exponent, x exponent, numerator, denominator) of the term that m
+    matched, checked in reading order."""
+    sign, num, den, star, run = m.groups()
+    if num is None:
+        if not run:
+            _expected("a term", text, m.end(1))
+        num, den = 1, 1
+    else:
+        num = _integer(num, m.start(2))
+        if den == "":
+            _expected("INT", text, m.end(3))
+        den = 1 if den is None else _integer(den, m.start(3))
+        if den == 0:
+            raise ParseError("zero denominator", m.start(3))
+        if star and not run:
+            raise ParseError("expected a variable after '*'", _NEXT.match(text, m.end(4)).start(1))
+    exps = {}
+    for f in _FACTOR.finditer(text, m.start(5), m.end(5)):
+        name, digits = f.groups()
+        if name in exps:
+            raise ParseError(f"variable {name!r} repeated in a term", f.start())
+        if name == "x" and ring.kind == "QQ":
+            raise ParseError("coefficient variable x is not allowed over QQ", f.start())
+        if digits == "":
+            _expected("INT", text, f.end())
+        # compare the digits before converting, so that no huge integer is built
+        digits = (digits or "1").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise BadInput(f"exponent above the limit {MAX_EXPONENT} (at position {f.start(2)})")
+        exps[name] = int(digits)
+    return exps.get("t", 0), exps.get("x", 0), -num if sign == "-" else num, den
+
+
+def _sum_terms(terms, ring: Ring) -> corealg.Poly:
+    """The polynomial of the terms; each coefficient is summed as integers
+    over the lcm of its terms' denominators, and no Fraction is built."""
+    top = max(te for te, _, _, _ in terms)
+    if ring.kind == "QQ":
+        den = math.lcm(*(d for _, _, _, d in terms))
+        num = [0] * (top + 1)
+        for te, _, n, d in terms:
+            num[te] += n * (den // d)
+        return corealg.Poly.from_ints(num, den)
+    parts: dict[int, list] = {}
+    for te, xe, n, d in terms:
+        parts.setdefault(te, []).append((xe, n, d))
+    coeffs = []
+    for te in range(top + 1):
+        here = parts.get(te, ())
+        den = math.lcm(*(d for _, _, d in here))
+        num = [0] * (max((xe for xe, _, _ in here), default=-1) + 1)
+        for xe, n, d in here:
+            num[xe] += n * (den // d)
+        coeffs.append(RingElement.from_ints(ring, num, den))
+    return corealg.Poly(ring, coeffs)
+
+
+def term_parse_poly(text: str, ring: Ring = QQ) -> corealg.Poly:
+    """Parse the polynomial grammar one term at a time; raises ParseError
+    with a position, and BadInput with a position for an exponent above
+    MAX_EXPONENT or an integer of more digits than int() converts."""
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    m = _TERM.match(text)
+    terms = [_read_term(text, m, ring)]
+    # every later term starts with its sign
+    while (m := _TERM.match(text, m.end()))[1]:
+        terms.append(_read_term(text, m, ring))
+    if m.end(1) < len(text):
+        _expected("END", text, m.end(1))
+    return _sum_terms(terms, ring)

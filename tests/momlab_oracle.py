@@ -9,11 +9,21 @@ coefficients of a polynomial times the moments of a functional, and
 operator image with whether nu_j = 0.  ``moment_row`` and ``ode_row`` are
 the hand-written per-family rows of the moment recurrence and of the
 classical differential equation that ``momlab._weight_pair`` now derives
-from one Pearson pair."""
+from one Pearson pair.  ``parse_weight`` is the weight reader that read
+each atomic list piece by piece into Fractions, the slow path of the
+reader's cross-oracle."""
 
 from fractions import Fraction
 
-from mathieulab.corealg import QQ, Poly, clear_denominators, qq_poly, t_monomial
+from mathieulab.corealg import (
+    QQ,
+    Poly,
+    clear_denominators,
+    parse_key_values,
+    parse_rational,
+    qq_poly,
+    t_monomial,
+)
 from mathieulab.errors import BadInput, BadPair, Degenerate
 from mathieulab.momlab import (
     AtomicWeight,
@@ -212,3 +222,34 @@ def ode_row(w: WeightSpec, n: int):
     q, (a, b) = clear_denominators((w.alpha, w.beta))
     down = (2, q * (n - 1), -q)
     return (q * (n + 1) + a + b, q), ((1, b - a, 0), down) if b != a else (down,)
+
+
+# The weight reader that momlab's parse_weight replaced, kept verbatim: one
+# parse_rational, so one match and one Fraction, per atomic list piece.
+
+_WEIGHT_KEYS = {"laguerre": {"alpha"}, "jacobi": {"alpha", "beta"}, "atomic": {"points", "weights"}}
+
+
+def parse_weight(text: str) -> WeightSpec:
+    head, _, rest = text.partition(":")
+    head = head.strip().lower()
+    if head == "hermite":
+        if rest.strip():
+            raise BadInput("hermite takes no parameters")
+        return HermiteWeight()
+    args = parse_key_values(rest, "weight", ";" if head == "atomic" else ",")
+    unknown = set(args) - _WEIGHT_KEYS.get(head, set(args))
+    if unknown:
+        raise BadInput(f"unknown weight arguments {sorted(unknown)}")
+    try:
+        if head == "laguerre":
+            return LaguerreWeight(parse_rational(args["alpha"]))
+        if head == "jacobi":
+            return JacobiWeight(parse_rational(args["alpha"]), parse_rational(args["beta"]))
+        if head == "atomic":
+            points = [parse_rational(v) for v in args["points"].split(",")]
+            weights = [parse_rational(v) for v in args["weights"].split(",")]
+            return AtomicWeight(tuple(points), tuple(weights))
+    except KeyError as exc:
+        raise BadInput(f"{head} weight needs {exc.args[0]}=") from exc
+    raise BadInput(f"unknown weight {head!r}")

@@ -11,12 +11,24 @@ oracles for the integer elimination and the Pearson pair.  Their refusals,
 * The hand-written integer table ``image_row``, one case per operator
   family, and ``apply_operator`` with one branch per parameter: the rows
   and the operator that ``opimage.pearson_pair`` now derives from one
-  pair (phi, psi)."""
+  pair (phi, psi).
+* ``parse_operator``, the operator reader with every absent parameter read
+  from its default text, the slow path of the reader's cross-oracle."""
 
 from fractions import Fraction
 from typing import Optional
 
-from mathieulab.corealg import Poly, QQ, clear_denominators, euclid_divmod, poly_zero, qq_poly
+from mathieulab.corealg import (
+    Poly,
+    QQ,
+    clear_denominators,
+    euclid_divmod,
+    parse_exponent,
+    parse_key_values,
+    parse_rational,
+    poly_zero,
+    qq_poly,
+)
 from mathieulab.errors import AlgebraError, BadInput
 from mathieulab.opimage import JacobiOperator, MonomialOperator, OperatorSpec, ReductionResult
 
@@ -332,3 +344,26 @@ def apply_operator(op: OperatorSpec, h: Poly) -> Poly:
             raise BadInput("witness must be divisible by (1 + t) when beta != 0")
         out = out + q.scale(op.beta)
     return out
+
+
+# The operator reader, kept verbatim: every parameter, an absent one from
+# its default text, is read by parse_rational.
+
+def parse_operator(text: str) -> OperatorSpec:
+    head, _, rest = text.partition(":")
+    head = head.strip().lower()
+    args = parse_key_values(rest, "operator")
+    if head not in ("mono", "jacobi"):
+        raise BadInput(f"unknown operator family {head!r}")
+    unknown = set(args) - ({"c", "alpha", "lambda", "d"} if head == "mono" else {"alpha", "beta"})
+    if unknown:
+        raise BadInput(f"unknown operator arguments {sorted(unknown)}")
+    if head == "jacobi":
+        return JacobiOperator(parse_rational(args.get("alpha", "0")),
+                              parse_rational(args.get("beta", "0")))
+    return MonomialOperator(
+        parse_rational(args.get("c", "1")),
+        parse_rational(args.get("alpha", "0")),
+        parse_rational(args.get("lambda", "1")),
+        parse_exponent(args.get("d", "0"), "exponent d must be a non-negative integer"),
+    )

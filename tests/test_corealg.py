@@ -999,6 +999,89 @@ def test_parser_matches_token_parser_oracle_on_random_text():
     assert elapsed < 2.0, elapsed
 
 
+def _same_outcome(got, want, text, ring):
+    if isinstance(want, tuple):
+        assert got == want, (text, ring)
+    else:
+        assert isinstance(got, Poly) and (got.ring, got.num, got.den) == (
+            want.ring, want.num, want.den), (text, ring)
+
+
+def _grammar_text(rng):
+    """A random text near the grammar: terms with a coefficient, a monomial of
+    zero to three factors or both, random spaces, then half the time one
+    character replaced, deleted or inserted, some from outside the alphabet."""
+    def space():
+        return rng.choice(("", "", "", " ", "  ", "\t"))
+
+    def factor():
+        exp = rng.choice(("", "", "^2", "^ 3", "^0", "^007", "^", "^12"))
+        return rng.choice("xt") + space() + exp
+
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        coeff = rng.choice(("", "", "3", "12/5", "0", "7 / 2", "1/0", "4/"))
+        mono = ("*" + space()).join(factor() for _ in range(rng.choice((0, 1, 1, 1, 2, 2, 3))))
+        glue = rng.choice(("*", "", " * ")) if coeff and mono else ""
+        terms.append(coeff + glue + mono)
+    text = terms[0] if rng.random() < 0.7 else rng.choice("+-") + terms[0]
+    for term in terms[1:]:
+        text += space() + rng.choice("+-") + space() + term
+    if text and rng.random() < 0.5:
+        i = rng.randrange(len(text))
+        new = rng.choice(("t", "x", "*", "^", "/", "+", "-", " ", "5", "?", "\u0663", ""))
+        text = text[:i] + new + text[i + rng.randint(0, 1):]
+    return text
+
+
+def test_one_pass_reader_matches_term_and_token_oracles_on_random_text():
+    rng = random.Random(4242)
+    seen = collections.Counter()
+    start = time.perf_counter()
+    for _ in range(3000):
+        text = _grammar_text(rng)
+        for ring in (QQ, QQ_POLY, TRUNC3):
+            got = _parse_outcome(parse_poly, text, ring)
+            want = _parse_outcome(corealg_oracle.term_parse_poly, text, ring)
+            _same_outcome(got, want, text, ring)
+            token = _parse_outcome(corealg_oracle.parse_poly, text, ring)
+            if isinstance(token, tuple):
+                assert got == token, (text, ring)
+            else:
+                _same(got, token)
+            if isinstance(want, tuple):
+                seen[want[0].__name__] += 1
+                seen["repeated"] += "repeated" in want[1]
+            else:
+                seen["parsed"] += 1
+    elapsed = time.perf_counter() - start
+    assert seen["parsed"] >= 800 and seen["ParseError"] >= 5000, seen
+    assert seen["repeated"] >= 1000, seen
+    assert elapsed < 1.5, elapsed
+
+
+def test_one_pass_reader_matches_term_oracle_on_edge_cases():
+    limit = sys.get_int_max_str_digits()
+    cases = ["t*t", "x*t*x", "t*x*t", "x^2*t^3*x", "t * x * t^2", "3*", "3 * ", "1/", "1/ t",
+             "1/0", "1/00*t", "t^", "t^ + 1", "3t", "+t", "-t", "+", "", "  ", "t^10000",
+             "t^10001", "t^00010000", "t^000010001", "x^10001*t", "x*t^10001", "x",
+             "2*x^2*t - x*t + 3/4", "t - t", "x*t - x*t + 1", "x^3*t + t",
+             "7" * limit + "*t", "7" * (limit + 1) + "*t", "t + 1/" + "7" * (limit + 1)]
+    for text in cases:
+        for ring in (QQ, QQ_POLY, TRUNC3):
+            _same_outcome(_parse_outcome(parse_poly, text, ring),
+                          _parse_outcome(corealg_oracle.term_parse_poly, text, ring), text, ring)
+    # the third factor repeats a variable, named at its position
+    with pytest.raises(ParseError, match=re.escape("variable 'x' repeated in a term (at position 4)")):
+        parse_poly("x*t*x", QQ_POLY)
+    with pytest.raises(ParseError, match=re.escape("coefficient variable x is not allowed over QQ "
+                                                   "(at position 0)")):
+        parse_poly("x", QQ)
+    assert parse_poly("t^00010000") == parse_poly("t^10000")
+    assert parse_poly("x^3*t + t", TRUNC3) == parse_poly("t", TRUNC3)
+    assert parse_poly("x*t - x*t + 1", QQ_POLY).degree == 0
+
+
 def test_gcd_kernel_matches_euclidean_oracle():
     # ring_gcd and squarefree_part over QQ_POLY run the primitive remainder
     # sequence; the oracle runs the Euclidean gcd on Fraction tuples

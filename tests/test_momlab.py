@@ -1,5 +1,7 @@
 """Moment functionals: examples, recursion oracles, orthogonality."""
 
+import collections
+import itertools
 import math
 import random
 import time
@@ -11,7 +13,7 @@ import momlab_oracle
 from mathieulab import momlab
 from mathieulab.certlab import bracket_factorial
 from mathieulab.corealg import QQ, Poly, parse_poly, poly_one, qq_poly, t_monomial
-from mathieulab.errors import BadInput, BadPair, BadWeight, Degenerate
+from mathieulab.errors import AlgebraError, BadInput, BadPair, BadWeight, Degenerate
 from mathieulab.momlab import (
     MAX_MOMENT_INDEX,
     MAX_ORTHOPOLY_BITS,
@@ -324,9 +326,10 @@ def test_functional_at_the_moment_index_limit_is_fast(w):
 
 def test_singular_gram_matrix_is_degenerate(monkeypatch):
     # the moments of a point mass at 1 (nu_n = 1 for every n) on the Chebyshev
-    # path of a three-point weight: p_1 = t - 1 has norm zero
+    # path of a three-point weight: p_1 = t - 1 has norm zero.  They go in as
+    # the integer sums of `_atomic_moments`, d = 1 and W = 1
     w = AtomicWeight((0, 1, 2), (1, 1, 1))
-    monkeypatch.setattr(momlab.MomentFunctional, "moment", lambda self, n: Fraction(1))
+    monkeypatch.setattr(momlab, "_atomic_moments", lambda weight: (1, 1, itertools.repeat(1)))
     assert orthopoly(w, 1) == parse_poly("t - 1")
     with pytest.raises(Degenerate, match="^Gram matrix is singular at this degree$"):
         orthopoly(w, 2)
@@ -522,3 +525,119 @@ def test_weight_text_format_roundtrip():
                  "atomic:points=0,1;weights=1,1"):
         w = parse_weight(text)
         assert parse_weight(str(w)) == w
+
+
+def _reader_outcome(read, text):
+    try:
+        return read(text)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+# literals of the rational grammar and near it: decimals, a sign, spaces,
+# exponent notation, non-ASCII digits, a zero denominator, an empty piece and
+# an integer past int()'s digit limit
+_LITERALS = ("0", "1", "-1", "3", "+2", " 5 ", "007", "1/2", "-4/6", "0.5", ".5", "-1.25", "1.",
+             "7/3", "-2/3", "1e3", "٣", "3/0", "", "x", "1 / 2", "1_0", "-0", "9" * 4301)
+
+
+def _weight_text(rng):
+    """A seeded weight text near the grammar: known and unknown families and
+    keys, repeated and missing keys, and atomic lists with spaces around the
+    commas, empty pieces, duplicates such as 1/2 and 0.5, nonpositive
+    weights and lengths that do not match."""
+    def value():
+        return rng.choice(_LITERALS) if rng.random() < 0.3 else rng.choice(("1/2", "3", "-1/3", "2"))
+
+    def listed(pool, size):
+        items = [rng.choice(pool) if rng.random() < 0.95 else value() for _ in range(size)]
+        commas = [rng.choice((",", ",", " , ", ", ")) for _ in items]
+        text = "".join(item + comma for item, comma in zip(items, commas))[:-len(commas[-1])]
+        return text if rng.random() < 0.95 else text + ","
+
+    head = rng.choice(("laguerre", "jacobi", "atomic", "atomic", "atomic", "hermite", "Jacobi ",
+                       "gauss"))
+    if head == "hermite":
+        return rng.choice(("hermite", "hermite:", "hermite: ", "hermite:alpha=1"))
+    keys = {"laguerre": ["alpha"], "jacobi ": ["alpha", "beta"], "atomic": ["points", "weights"]}
+    keys = list(keys.get(head.lower(), ["alpha"]))
+    if rng.random() < 0.1:
+        keys.pop(rng.randrange(len(keys)))
+    if rng.random() < 0.1:
+        keys.append(rng.choice(("gamma", "alpha", "points")))
+    rng.shuffle(keys)
+    size = rng.randint(1, 4)
+    lists = {"points": listed(("1/2", "0.5", "-3", "2", ".25", "4/3", "5", "-1", "7/2"), size),
+             "weights": listed(("1", "2", "3/2", "0.5", "7", "0", "-1"),
+                               size if rng.random() < 0.9 else rng.randint(1, 4))}
+    sep = ";" if head == "atomic" else ","
+    return f"{head}:" + sep.join(f"{key}={lists.get(key) or value()}" for key in keys)
+
+
+def test_weight_reader_matches_the_piece_by_piece_oracle():
+    rng = random.Random(4221)
+    cases = [
+        "atomic:points=.5,-1.25,3;weights=1,2,3", "atomic:points=1e3;weights=1",
+        "atomic:points=٣,1;weights=1,1", "atomic:points= 1 , 2 ,3 ;weights=1 ,2, 3",
+        "atomic:points=1/2,0.5;weights=1,1", "atomic:points=1,,2;weights=1,1,1",
+        "atomic:points=;weights=", "atomic:points=1,2;weights=1", "atomic:points=1,2,;weights=1,2",
+        "atomic:points=1,2;weights=1,0", "atomic:points=1,2;weights=1,-1/2",
+        "atomic:points=1,3/0;weights=1,1", "atomic:points=1;weights=" + "9" * 4301,
+        "atomic:points=1;weights=1;gamma=2", "atomic:points=1;points=2;weights=1",
+        "atomic:weights=1", "atomic:points=1", "laguerre:alpha=-1", "laguerre:alpha=-1.0",
+        "laguerre:alpha=-0.999", "laguerre:beta=1", "laguerre:", "jacobi:alpha=-1,beta=0",
+        "jacobi:alpha=0,beta=-1", "jacobi:alpha=1/2", "jacobi:alpha=1,alpha=2,beta=0",
+        "jacobi:alpha=1e3,beta=0", "gauss:alpha=1", "hermite:alpha=1", " Hermite ",
+    ]
+    seen = collections.Counter()
+    for text in cases + [_weight_text(rng) for _ in range(2500)]:
+        got = _reader_outcome(parse_weight, text)
+        want = _reader_outcome(momlab_oracle.parse_weight, text)
+        if isinstance(want, tuple):
+            assert got == want, text
+            seen[want[0].__name__] += 1
+        else:
+            assert got == want and str(got) == str(want) and hash(got) == hash(want), text
+            seen[type(want).__name__] += 1
+    assert seen["AtomicWeight"] >= 200 and seen["BadInput"] >= 500, seen
+    assert seen["BadWeight"] >= 200 and min(seen["LaguerreWeight"], seen["JacobiWeight"]) >= 100, seen
+
+
+def test_weight_records_accept_ints_strings_and_fractions():
+    half = Fraction(1, 2)
+    assert LaguerreWeight(half).alpha is half
+    assert LaguerreWeight("1/2") == LaguerreWeight(half) and type(LaguerreWeight(3).alpha) is Fraction
+    assert JacobiWeight("1/2", 0) == JacobiWeight(half, Fraction(0))
+    for bad in (-1, "-1", Fraction(-3, 2), -1.0):
+        with pytest.raises(BadWeight, match="^Laguerre parameter must exceed -1$"):
+            LaguerreWeight(bad)
+        with pytest.raises(BadWeight, match="^Jacobi parameters must exceed -1$"):
+            JacobiWeight(0, bad)
+    # an atomic weight keeps ints and Fractions and wraps anything else
+    w = AtomicWeight(("1/2", 3, Fraction(1, 4)), ("2", Fraction(1, 3), 1))
+    assert w.points == (half, 3, Fraction(1, 4))
+    assert [type(p) for p in w.points + w.weights] == [Fraction, int, Fraction, Fraction, Fraction, int]
+    with pytest.raises(BadWeight, match="^atomic points must be distinct$"):
+        AtomicWeight(("1/2", 1, half), (1, 1, 1))
+    assert AtomicWeight((1, 2), (3, 4)) == AtomicWeight((Fraction(1), "2"), (3, Fraction(4)))
+    assert str(AtomicWeight((1, "-1/2"), (3, 4))) == "atomic:points=1,-1/2;weights=3,4"
+
+
+def test_atomic_orthopoly_builds_no_fraction_in_momlab(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    weights = [AtomicWeight((0, 1, 2, 5), (1, 1, 1, 2)),
+               AtomicWeight((Fraction(-1, 3), Fraction(1, 2), 2, 7), (Fraction(2, 5), 1, 3, 1)),
+               parse_weight("atomic:points=-1/2,0.25,3,-4,5/3;weights=1/7,2,.5,3,1")]
+    expected = [[momlab_oracle.orthopoly(w, n) for n in range(len(w.points))] for w in weights]
+    monkeypatch.setattr(momlab, "Fraction", counting)
+    for w, want in zip(weights, expected):
+        assert [orthopoly(w, n) for n in range(len(w.points))] == want
+    assert built == []
+    # the stand-in counts: the moments printout still builds its Fractions
+    MomentFunctional(weights[0]).moment(3)
+    assert len(built) == 3

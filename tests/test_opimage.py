@@ -5,6 +5,7 @@ inside this module: direct differentiation for witness identities, the
 Gaussian and Laguerre moment recursions for normal-form constants.
 """
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -623,3 +624,47 @@ def test_apply_operator_is_the_pearson_form():
                     "witness must be divisible by (1 - t) when alpha != 0",
                     "witness must be divisible by (1 + t) when beta != 0"}
     assert len(cases) == 16
+
+
+def _operator_outcome(read, text):
+    try:
+        return read(text)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def test_operator_reader_matches_oracle_and_records_keep_fractions():
+    rng = random.Random(4222)
+    literals = ("0", "1", "-1", "1/2", "-4/6", ".5", "-1.25", "1.", "1e3", "٣", "3/0", "",
+                " 2 ", "+3", "007", "x", "1_0", "9" * 4301)
+    keys = {"mono": ("c", "alpha", "lambda", "d"), "jacobi": ("alpha", "beta")}
+    seen = collections.Counter()
+    for _ in range(2000):
+        head = rng.choice(("mono", "jacobi", "mono", "Jacobi ", "poly"))
+        names = [k for k in keys.get(head.strip().lower(), ("c",)) if rng.random() < 0.8]
+        if rng.random() < 0.1:
+            names.append(rng.choice(("beta", "gamma", "alpha", "d")))
+        rng.shuffle(names)
+        values = {k: rng.choice(literals) if rng.random() < 0.3 else rng.choice(("1/2", "2", "-3"))
+                  for k in names}
+        values["d"] = rng.choice(("0", "2", " 3 ", "-1", "1/2", "٣", "007"))
+        text = f"{head}:" + rng.choice((",", ", ", " , ")).join(f"{k}={values[k]}" for k in names)
+        got, want = _operator_outcome(parse_operator, text), _operator_outcome(
+            opimage_oracle.parse_operator, text)
+        if isinstance(want, tuple):
+            assert got == want, text
+            seen[want[0].__name__] += 1
+        else:
+            assert got == want and str(got) == str(want), text
+            params = ((got.c, got.alpha, got.lam) if isinstance(got, MonomialOperator)
+                      else (got.alpha, got.beta))
+            assert all(type(v) is Fraction for v in params), text
+            seen[type(want).__name__] += 1
+    assert min(seen["MonomialOperator"], seen["JacobiOperator"], seen["BadInput"]) >= 300, seen
+    # the records wrap a parameter only when it is not a Fraction yet, and
+    # still accept ints and strings
+    half = Fraction(1, 2)
+    op = MonomialOperator(half, "1/3", 2, 1)
+    assert op.c is half and op.alpha == Fraction(1, 3) and type(op.lam) is Fraction
+    assert JacobiOperator("1/2", half) == JacobiOperator(half, half)
+    assert JacobiOperator(half, 1).alpha is half
